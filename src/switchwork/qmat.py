@@ -3,9 +3,10 @@
 Products, adjoints, tensor products, partial traces, Hermitian
 eigendecomposition, and matrix exponentials — everything downstream is built
 on the four typed wrappers defined here.  Matrices are plain complex128
-numpy arrays in row-major order; the wrappers validate the structural
-invariants (Hermiticity, unit trace, positivity, unitarity) once at
-construction so the physics code never has to re-check.
+numpy arrays in row-major order; each wrapper holds its own read-only copy
+and validates the structural invariants (Hermiticity, unit trace,
+positivity, unitarity) once at construction so the physics code never has
+to re-check.
 
 All operations are pure functions of immutable inputs.
 """
@@ -26,11 +27,14 @@ TOL_EIG = 1e-9
 
 
 def _as_square_complex(mat: np.ndarray, what: str) -> np.ndarray:
-    m = np.ascontiguousarray(mat, dtype=complex)
+    """A read-only complex128 copy, so no alias of the caller's array can
+    change a matrix after it was validated."""
+    m = np.array(mat, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} contains non-finite entries")
+    m.flags.writeable = False
     return m
 
 

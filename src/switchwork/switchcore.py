@@ -7,11 +7,16 @@ system/control split (delta_qs = delta_s + delta_c), the control-state
 optimum of delta_c, and the post-measurement state with its decomposition
 into delta_12, delta_21 and the interference term delta_f.
 
-Every derived scalar is computed along two independent routes — direct
-trace arithmetic in the joint space and the scalar expansion in terms of
-(E12, E21, chi, control matrix elements) — and the routes are required to
-agree within TOL_ENERGY at runtime.  A disagreement means a bug, so it
-raises instead of returning.
+Each scenario computes its terms once, on first use, and both reports read
+them: the d-space blocks R12 = W12 rho W12†, R21 = W21 rho W21† and
+A12 = W12 rho W21† (W12 = U2 U1, W21 = U1 U2) with the scalars chi = tr A12,
+E_S, E12, E21 and F_S = tr{A12 h_s}; rho_c; the joint state conjugated by the
+validated switch unitary; and, only when asked for, the checked post-switch
+DensityMatrix.  Every derived scalar comes from both the joint state and the
+d-space terms, and the routes must agree within TOL_ENERGY at runtime (each
+function names its checks).  A disagreement means a bug, so it raises
+instead of returning.  Scenarios and wrapper arrays are immutable, so a
+cached term never goes stale.
 
 Subsystem ordering is system (x) control everywhere.
 """
@@ -20,10 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator, kron, partial_trace
+from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator, _mat, kron
 from .states import BlochState
 
 TOL_ENERGY = 1e-8
@@ -63,11 +69,58 @@ class SwitchScenario:
         if isinstance(self.control, DensityMatrix) and self.control.dim != 2:
             raise ValueError("control state must be 2x2")
 
-    @property
+    @cached_property
     def rho_c(self) -> DensityMatrix:
         if isinstance(self.control, BlochState):
             return self.control.to_density()
         return self.control
+
+    @cached_property
+    def _terms(self) -> _SwitchTerms:
+        rho, h_s = self.rho_s.mat, self.h_s.mat
+        w12 = self.u2.mat @ self.u1.mat
+        w21 = self.u1.mat @ self.u2.mat
+        w12_rho = w12 @ rho
+        r12 = w12_rho @ w12.conj().T
+        r21 = w21 @ rho @ w21.conj().T
+        a12 = w12_rho @ w21.conj().T
+        return _SwitchTerms(
+            r12=r12, r21=r21, a12=a12, chi=complex(np.trace(a12)), e_s=_tr(rho, h_s).real,
+            e12=_tr(r12, h_s).real, e21=_tr(r21, h_s).real, f_s=_tr(a12, h_s),
+        )
+
+    @cached_property
+    def _joint_out(self) -> np.ndarray:
+        """U (rho (x) rho_c) U† by conjugation with the switch unitary."""
+        u_qs = build_switch_unitary(self.u1, self.u2).mat
+        return u_qs @ kron(self.rho_s, self.rho_c) @ u_qs.conj().T
+
+    @cached_property
+    def _post_switch(self) -> DensityMatrix:
+        out = self._joint_out
+        pure = isinstance(self.control, BlochState)
+        if pure and np.max(np.abs(out - _post_switch_expansion(self))) > TOL_ENERGY:
+            raise AssertionError("post-switch expansion disagrees with conjugation path")
+        return DensityMatrix(out)
+
+
+@dataclass(frozen=True)
+class _SwitchTerms:
+    """The d-space terms of one scenario (see the module docstring)."""
+
+    r12: np.ndarray
+    r21: np.ndarray
+    a12: np.ndarray
+    chi: complex
+    e_s: float
+    e12: float
+    e21: float
+    f_s: complex
+
+
+def _tr(a: np.ndarray, b: np.ndarray) -> complex:
+    """tr{a b} as an O(d^2) elementwise sum."""
+    return complex(np.einsum("ij,ji->", a, b))
 
 
 @dataclass(frozen=True)
@@ -122,21 +175,14 @@ def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOpe
         raise ValueError("unitaries must share a dimension")
     w12 = u2.mat @ u1.mat
     w21 = u1.mat @ u2.mat
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return UnitaryOperator(kron(w12, p0) + kron(w21, p1))
+    return UnitaryOperator(kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0])))
 
 
 def chi(u1, u2, rho_s) -> complex:
     """Cross-map scalar tr{U2 U1 rho U2† U1†}; |chi| <= 1, and exactly 1
     when the unitaries commute."""
-    m_u1, m_u2 = _m(u1), _m(u2)
-    m_rho = _m(rho_s)
-    return complex(np.trace(m_u2 @ m_u1 @ m_rho @ m_u2.conj().T @ m_u1.conj().T))
-
-
-def _m(x) -> np.ndarray:
-    return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
+    m_u1, m_u2 = _mat(u1), _mat(u2)
+    return _tr(m_u2 @ m_u1 @ _mat(rho_s), (m_u1 @ m_u2).conj().T)
 
 
 def post_switch_state(s: SwitchScenario) -> DensityMatrix:
@@ -144,52 +190,26 @@ def post_switch_state(s: SwitchScenario) -> DensityMatrix:
 
     Generic path: conjugation by the switch unitary.  For a pure control the
     four-term block expansion is evaluated as a cross-check and must agree
-    term-for-term.
+    term-for-term.  Computed once per scenario.
     """
-    u_qs = build_switch_unitary(s.u1, s.u2).mat
-    joint = kron(s.rho_s, s.rho_c)
-    out = u_qs @ joint @ u_qs.conj().T
-    if isinstance(s.control, BlochState):
-        expansion = _post_switch_expansion(s)
-        if np.max(np.abs(out - expansion)) > TOL_ENERGY:
-            raise AssertionError("post-switch expansion disagrees with conjugation path")
-    return DensityMatrix(out)
+    return s._post_switch
 
 
 def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
     """Four-term block form of the post-switch joint state for pure control."""
     c = s.control
     assert isinstance(c, BlochState)
-    w12 = s.u2.mat @ s.u1.mat
-    w21 = s.u1.mat @ s.u2.mat
-    rho = s.rho_s.mat
-    cc, ss = math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2
+    t = s._terms
+    d = s.rho_s.dim
     # <0|rho_c|1> = (1/2) sin(theta) e^{-i phi} for the standard ket.
     coh = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
-    e = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            b = np.zeros((2, 2), dtype=complex)
-            b[i, j] = 1.0
-            e[i][j] = b
-    return (
-        cc * kron(w12 @ rho @ w12.conj().T, e[0][0])
-        + coh * kron(w12 @ rho @ w21.conj().T, e[0][1])
-        + np.conj(coh) * kron(w21 @ rho @ w12.conj().T, e[1][0])
-        + ss * kron(w21 @ rho @ w21.conj().T, e[1][1])
-    )
-
-
-def _energies(s: SwitchScenario) -> tuple[float, float, float, float]:
-    """E_S, E_C, E12, E21 by direct traces."""
-    rho, h_s = s.rho_s.mat, s.h_s.mat
-    w12 = s.u2.mat @ s.u1.mat
-    w21 = s.u1.mat @ s.u2.mat
-    e_s = float(np.real(np.trace(rho @ h_s)))
-    e_c = float(np.real(np.trace(s.rho_c.mat @ s.h_c.mat)))
-    e12 = float(np.real(np.trace(w12 @ rho @ w12.conj().T @ h_s)))
-    e21 = float(np.real(np.trace(w21 @ rho @ w21.conj().T @ h_s)))
-    return e_s, e_c, e12, e21
+    # blocks[i, a, j, b] = <i a| out |j b>, the kron(system, control) layout.
+    blocks = np.empty((d, 2, d, 2), dtype=complex)
+    blocks[:, 0, :, 0] = math.cos(c.theta / 2.0) ** 2 * t.r12
+    blocks[:, 0, :, 1] = coh * t.a12
+    blocks[:, 1, :, 0] = np.conj(coh) * t.a12.conj().T
+    blocks[:, 1, :, 1] = math.sin(c.theta / 2.0) ** 2 * t.r21
+    return blocks.reshape(2 * d, 2 * d)
 
 
 def delta_c_min(h_c: HermitianOperator, chi_value: complex):
@@ -244,42 +264,37 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     """
     rho_c = s.rho_c.mat
     h_c = s.h_c.mat
-    e_s, e_c, e12, e21 = _energies(s)
-    x = chi(s.u1, s.u2, s.rho_s)
+    t = s._terms
+    e_s, e12, e21, x = t.e_s, t.e12, t.e21, t.chi
+    e_c = _tr(rho_c, h_c).real
 
     # Route (a): direct joint-space trace.
-    u_qs = build_switch_unitary(s.u1, s.u2).mat
-    joint = kron(s.rho_s, s.rho_c)
-    joint_out = u_qs @ joint @ u_qs.conj().T
     h_sc = kron(s.h_s.mat, np.eye(2)) + kron(np.eye(s.rho_s.dim), h_c)
-    e_out_direct = float(np.real(np.trace(joint_out @ h_sc)))
+    e_out_direct = _tr(s._joint_out, h_sc).real
 
     # Route (b): scalar expansion.
-    e_out_scalar = float(
-        np.real(
-            rho_c[0, 0] * e12
-            + rho_c[1, 1] * e21
-            + rho_c[0, 0] * h_c[0, 0]
-            + rho_c[1, 1] * h_c[1, 1]
-            + x * rho_c[0, 1] * h_c[1, 0]
-            + np.conj(x) * rho_c[1, 0] * h_c[0, 1]
-        )
-    )
+    e_out_scalar = float(np.real(
+        rho_c[0, 0] * e12
+        + rho_c[1, 1] * e21
+        + rho_c[0, 0] * h_c[0, 0]
+        + rho_c[1, 1] * h_c[1, 1]
+        + x * rho_c[0, 1] * h_c[1, 0]
+        + np.conj(x) * rho_c[1, 0] * h_c[0, 1]
+    ))
     if abs(e_out_direct - e_out_scalar) > TOL_ENERGY:
         raise AssertionError(
             f"energy routes disagree: direct {e_out_direct!r} vs scalar {e_out_scalar!r}"
         )
 
     tilde_s, tilde_c = _tilde_states(s, x)
-    e_tilde = float(np.real(np.trace(tilde_s.mat @ s.h_s.mat))) + float(
-        np.real(np.trace(tilde_c.mat @ h_c))
-    )
-    if abs(e_tilde - e_out_direct) > TOL_ENERGY:
+    e_tilde_s = _tr(tilde_s.mat, s.h_s.mat).real
+    e_tilde_c = _tr(tilde_c.mat, h_c).real
+    if abs(e_tilde_s + e_tilde_c - e_out_direct) > TOL_ENERGY:
         raise AssertionError("mixed-state split disagrees with the direct route")
 
     delta_qs = e_out_direct - (e_s + e_c)
-    delta_s = float(np.real(np.trace(tilde_s.mat @ s.h_s.mat))) - e_s
-    delta_c = float(np.real(np.trace(tilde_c.mat @ h_c))) - e_c
+    delta_s = e_tilde_s - e_s
+    delta_c = e_tilde_c - e_c
     delta_c_closed = 2.0 * float(np.real(rho_c[0, 1] * h_c[1, 0] * (x - 1.0)))
     if abs(delta_c - delta_c_closed) > TOL_ENERGY:
         raise AssertionError("delta_c closed form disagrees with the tilde route")
@@ -308,20 +323,15 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     coherence by chi.
     """
     rho_c = s.rho_c.mat
-    rho = s.rho_s.mat
-    w12 = s.u2.mat @ s.u1.mat
-    w21 = s.u1.mat @ s.u2.mat
-    tilde_s = np.real(rho_c[0, 0]) * (w12 @ rho @ w12.conj().T) + np.real(
-        rho_c[1, 1]
-    ) * (w21 @ rho @ w21.conj().T)
+    t = s._terms
+    tilde_s = np.real(rho_c[0, 0]) * t.r12 + np.real(rho_c[1, 1]) * t.r21
 
     phi = cmath.phase(x) if x != 0 else 0.0
     mag = abs(x)
     u_plus = np.diag([1.0, cmath.exp(-1j * phi)])
     u_minus = np.diag([1.0, -cmath.exp(-1j * phi)])
-    tilde_c = 0.5 * (1.0 + mag) * (u_plus @ rho_c @ u_plus.conj().T) + 0.5 * (
-        1.0 - mag
-    ) * (u_minus @ rho_c @ u_minus.conj().T)
+    tilde_c = 0.5 * (1.0 + mag) * (u_plus @ rho_c @ u_plus.conj().T)
+    tilde_c += 0.5 * (1.0 - mag) * (u_minus @ rho_c @ u_minus.conj().T)
     return DensityMatrix(tilde_s), DensityMatrix(tilde_c)
 
 
@@ -344,35 +354,29 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         raise ValueError("measure_control requires a pure (BlochState) control")
     c = s.control
     d = s.rho_s.dim
+    t = s._terms
 
-    # Direct path: project the conjugated joint state.
-    joint_out = post_switch_state(s).mat
+    # Direct path: <m| . |m> on each 2x2 control block of the joint state.
+    joint_out = post_switch_state(s).mat.reshape(d, 2, d, 2)
     ket_m = m.to_ket()
-    proj = kron(np.eye(d), np.outer(ket_m, ket_m.conj()))
-    projected = proj @ joint_out @ proj.conj().T
-    numerator = partial_trace(projected, d, 2, keep="a")
+    numerator = np.einsum("k,ikjl,l->ij", ket_m.conj(), joint_out, ket_m)
     n_m_direct = float(np.real(np.trace(numerator)))
 
     # Expansion path.
-    rho, h_s = s.rho_s.mat, s.h_s.mat
-    w12 = s.u2.mat @ s.u1.mat
-    w21 = s.u1.mat @ s.u2.mat
-    x = chi(s.u1, s.u2, s.rho_s)
     psi = m.phi - c.phi
     cc_c, ss_c = math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2
     cc_m, ss_m = math.cos(m.theta / 2.0) ** 2, math.sin(m.theta / 2.0) ** 2
     sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    a12 = w12 @ rho @ w21.conj().T  # carries chi = tr{a12}
     numerator_exp = (
-        cc_c * cc_m * (w12 @ rho @ w12.conj().T)
-        + ss_c * ss_m * (w21 @ rho @ w21.conj().T)
-        + 0.25 * sin_c * sin_m * cmath.exp(1j * psi) * a12
-        + 0.25 * sin_c * sin_m * cmath.exp(-1j * psi) * a12.conj().T
+        cc_c * cc_m * t.r12
+        + ss_c * ss_m * t.r21
+        + 0.25 * sin_c * sin_m * cmath.exp(1j * psi) * t.a12
+        + 0.25 * sin_c * sin_m * cmath.exp(-1j * psi) * t.a12.conj().T
     )
     n_m_closed = 0.5 * (
         1.0
         + math.cos(c.theta) * math.cos(m.theta)
-        + sin_c * sin_m * (x * cmath.exp(1j * psi)).real
+        + sin_c * sin_m * (t.chi * cmath.exp(1j * psi)).real
     )
     if np.max(np.abs(numerator - numerator_exp)) > TOL_ENERGY:
         raise AssertionError("projection and expansion numerators disagree")
@@ -383,21 +387,16 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         raise NearZeroPostSelectionError(n_m_direct)
 
     rho_sm = DensityMatrix(numerator / n_m_direct)
-    e_s = float(np.real(np.trace(rho @ h_s)))
-    e_sm = float(np.real(np.trace(rho_sm.mat @ h_s)))
-
-    e12 = float(np.real(np.trace(w12 @ rho @ w12.conj().T @ h_s)))
-    e21 = float(np.real(np.trace(w21 @ rho @ w21.conj().T @ h_s)))
-    delta_12 = e12 - e_s
-    delta_21 = e21 - e_s
-    f_s = complex(np.trace(a12 @ h_s))
-    delta_f = f_s - x * e_s
+    e_sm = _tr(rho_sm.mat, s.h_s.mat).real
+    delta_12 = t.e12 - t.e_s
+    delta_21 = t.e21 - t.e_s
+    delta_f = t.f_s - t.chi * t.e_s
 
     cross = (delta_f * cmath.exp(1j * psi)).real
     delta_sm_closed = (
         cc_c * cc_m * delta_12 + ss_c * ss_m * delta_21 + 0.5 * sin_c * sin_m * cross
     ) / n_m_direct
-    delta_sm_direct = e_sm - e_s
+    delta_sm_direct = e_sm - t.e_s
     if abs(delta_sm_closed - delta_sm_direct) > TOL_ENERGY:
         raise AssertionError("post-measurement energy routes disagree")
 

@@ -53,6 +53,24 @@ class TestDensityMatrix:
         DensityMatrix(rho.T.conj().T)
 
 
+@pytest.mark.parametrize(
+    "wrapper, make",
+    [
+        (DensityMatrix, random_density),
+        (HermitianOperator, random_hermitian),
+        (UnitaryOperator, random_unitary),
+    ],
+)
+def test_wrapper_owns_a_read_only_copy(rng, wrapper, make):
+    source = make(rng, 3)
+    w = wrapper(source)
+    kept = w.mat.copy()
+    source[0, 0] = 5.0
+    assert np.array_equal(w.mat, kept)
+    with pytest.raises(ValueError):
+        w.mat[0, 0] = 5.0
+
+
 class TestUnitaryOperator:
     def test_accepts_unitary(self, rng):
         u = UnitaryOperator(random_unitary(rng, 5))

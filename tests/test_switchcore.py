@@ -3,6 +3,7 @@ control-term minimization, and post-measurement reports."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from conftest import (
     random_qubit_scenario,
     random_unitary,
 )
+from switchwork import switchcore
+from switchwork.cvcase import DisplacementParams, SqueezeParams, disp_squeeze_scenario
 from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
@@ -256,3 +259,216 @@ class TestMeasureControl:
                 hits += 1
                 assert rep.condition_ii_lhs != 0.0
         assert hits > 0  # the three flags must be attainable simultaneously
+
+
+def _random_scenario(rng: np.random.Generator, d: int) -> SwitchScenario:
+    return SwitchScenario(
+        rho_s=DensityMatrix(random_density(rng, d)),
+        control=BlochState(rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.0, 2.0 * math.pi)),
+        u1=UnitaryOperator(random_unitary(rng, d)),
+        u2=UnitaryOperator(random_unitary(rng, d)),
+        h_s=HermitianOperator(random_hermitian(rng, d)),
+        h_c=HermitianOperator(random_hermitian(rng, 2)),
+    )
+
+
+def _shift_energy(rho: np.ndarray, h: np.ndarray, eta: float) -> DensityMatrix:
+    """rho moved along the extreme eigenvectors of h so that tr{rho h}
+    changes by eta and the trace does not."""
+    w, v = np.linalg.eigh(h)
+    lo, hi = v[:, 0], v[:, -1]
+    step = eta / (w[-1] - w[0])
+    return DensityMatrix(rho + step * (np.outer(hi, hi.conj()) - np.outer(lo, lo.conj())))
+
+
+class TestCrossChecksFire:
+    """Each runtime cross-check raises when one of its routes is corrupted.
+
+    The corruptions: the joint conjugation (a swapped switch unitary), one
+    cached d-space term, the tilde route (energy moved between system and
+    control, which keeps their sum), and the four-term expansion.  The
+    measure_control checks read cached terms after the post-switch state
+    was validated, as a faulty term kernel would leave them.
+    """
+
+    @pytest.fixture
+    def scenario(self, rng):
+        return _random_scenario(rng, 3)
+
+    M = BlochState(1.1, 2.3)
+
+    def _corrupt_terms(self, monkeypatch, s, **fields):
+        monkeypatch.setitem(s.__dict__, "_terms", dataclasses.replace(s._terms, **fields))
+
+    def test_energy_routes(self, scenario, monkeypatch):
+        original = switchcore.build_switch_unitary
+        monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+        with pytest.raises(AssertionError, match="energy routes disagree"):
+            activation_report(scenario)
+
+    def test_mixed_split(self, scenario, monkeypatch):
+        self._corrupt_terms(monkeypatch, scenario, r12=scenario._terms.r21)
+        with pytest.raises(AssertionError, match="mixed-state split disagrees"):
+            activation_report(scenario)
+
+    def test_delta_c_closed_form(self, scenario, monkeypatch):
+        original = switchcore._tilde_states
+
+        def moved(s, x):
+            tilde_s, tilde_c = original(s, x)
+            eta = 1e-6
+            return (
+                _shift_energy(tilde_s.mat, s.h_s.mat, eta),
+                _shift_energy(tilde_c.mat, s.h_c.mat, -eta),
+            )
+
+        monkeypatch.setattr(switchcore, "_tilde_states", moved)
+        with pytest.raises(AssertionError, match="delta_c closed form disagrees"):
+            activation_report(scenario)
+
+    @pytest.mark.parametrize("route", ["expansion", "joint"])
+    def test_post_switch_expansion(self, scenario, monkeypatch, route):
+        if route == "expansion":
+            original = switchcore._post_switch_expansion
+            monkeypatch.setattr(switchcore, "_post_switch_expansion", lambda s: original(s) + 1e-6)
+        else:
+            original = switchcore.build_switch_unitary
+            monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+        for call in (lambda: post_switch_state(scenario), lambda: measure_control(scenario, self.M)):
+            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
+                call()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("r12", "projection and expansion numerators disagree"),
+            ("chi", "post-selection probability routes disagree"),
+            ("f_s", "post-measurement energy routes disagree"),
+        ],
+    )
+    def test_measure_control_checks(self, scenario, monkeypatch, field, message):
+        post_switch_state(scenario)
+        t = scenario._terms
+        wrong = {"r12": t.r21, "chi": t.chi + 1e-3, "f_s": t.f_s + 1e-3}[field]
+        self._corrupt_terms(monkeypatch, scenario, **{field: wrong})
+        with pytest.raises(AssertionError, match=message):
+            measure_control(scenario, self.M)
+
+
+class TestTermCache:
+    def test_switch_unitary_built_once_per_scenario(self, rng, monkeypatch):
+        calls = []
+        original = switchcore.build_switch_unitary
+
+        def counted(u1, u2):
+            calls.append(1)
+            return original(u1, u2)
+
+        monkeypatch.setattr(switchcore, "build_switch_unitary", counted)
+        s = _random_scenario(rng, 4)
+        m = BlochState(1.0, 0.4)
+        activation_report(s)
+        measure_control(s, m)
+        measure_control(s, BlochState(2.0, 1.4))
+        post_switch_state(s)
+        assert len(calls) == 1
+
+        fresh = dataclasses.replace(s, u2=UnitaryOperator(random_unitary(rng, 4)))
+        rep = activation_report(fresh)
+        assert len(calls) == 2
+        assert abs(rep.chi - chi(fresh.u1, fresh.u2, fresh.rho_s)) < 1e-12
+        assert abs(rep.chi - activation_report(s).chi) > 1e-6
+        joint = post_switch_state(fresh).mat
+        assert np.max(np.abs(joint - post_switch_state(s).mat)) > 1e-6
+        u_qs = original(fresh.u1, fresh.u2).mat
+        expected = u_qs @ kron(fresh.rho_s, fresh.rho_c) @ u_qs.conj().T
+        assert np.max(np.abs(joint - expected)) < 1e-12
+
+
+def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:
+    """Both reports from the joint-space formulas: conjugation by the 2d x 2d
+    switch unitary, dense projection and partial traces."""
+    d = s.rho_s.dim
+    rho, h_s, rc, h_c = s.rho_s.mat, s.h_s.mat, s.rho_c.mat, s.h_c.mat
+    w12, w21 = s.u2.mat @ s.u1.mat, s.u1.mat @ s.u2.mat
+    u_qs = kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0]))
+    joint = u_qs @ kron(rho, rc) @ u_qs.conj().T
+    h_sc = kron(h_s, np.eye(2)) + kron(np.eye(d), h_c)
+    x = complex(np.trace(w12 @ rho @ w21.conj().T))
+    e_s = float(np.trace(rho @ h_s).real)
+    e_c = float(np.trace(rc @ h_c).real)
+    e12 = float(np.trace(w12 @ rho @ w12.conj().T @ h_s).real)
+    e21 = float(np.trace(w21 @ rho @ w21.conj().T @ h_s).real)
+    tilde_s = partial_trace(joint, d, 2, keep="a")
+    tilde_c = partial_trace(joint, d, 2, keep="b")
+
+    ket = m.to_ket()
+    proj = kron(np.eye(d), np.outer(ket, ket.conj()))
+    numerator = partial_trace(proj @ joint @ proj, d, 2, keep="a")
+    n_m = float(np.trace(numerator).real)
+    rho_sm = numerator / n_m
+    e_sm = float(np.trace(rho_sm @ h_s).real)
+    delta_f = complex(np.trace(w12 @ rho @ w21.conj().T @ h_s)) - x * e_s
+    psi = m.phi - s.control.phi
+    sin_c, sin_m = math.sin(s.control.theta), math.sin(m.theta)
+    lhs = delta_f.imag * math.sin(psi) - delta_f.real * math.cos(psi)
+    cross = (delta_f * cmath.exp(1j * psi)).real
+    return {
+        "chi": x,
+        "e_s": e_s,
+        "e_c": e_c,
+        "e12": e12,
+        "e21": e21,
+        "delta_qs": float(np.trace(joint @ h_sc).real) - e_s - e_c,
+        "delta_s": float(np.trace(tilde_s @ h_s).real) - e_s,
+        "delta_c": float(np.trace(tilde_c @ h_c).real) - e_c,
+        "delta_c_min": -abs(h_c[1, 0] * (x - 1.0)),
+        "tilde_rho_s": tilde_s,
+        "tilde_rho_c": tilde_c,
+        "n_m": n_m,
+        "rho_sm": rho_sm,
+        "e_sm": e_sm,
+        "delta_12": e12 - e_s,
+        "delta_21": e21 - e_s,
+        "delta_f": delta_f,
+        "delta_sm": e_sm - e_s,
+        "conditions": (sin_c != 0.0 and sin_m != 0.0, abs(lhs) > 0.0, sin_c * sin_m * cross < 0.0),
+        "condition_ii_lhs": lhs,
+    }
+
+
+class TestJointSpaceParity:
+    """Every field of both reports equals the joint-space formulas."""
+
+    def _assert_parity(self, s: SwitchScenario, m: BlochState) -> None:
+        reference = _joint_space_reports(s, m)
+        reports = (activation_report(s), measure_control(s, m))
+        fields = [f.name for r in reports for f in dataclasses.fields(r)]
+        assert sorted(fields) == sorted(reference)
+        for report in reports:
+            for f in dataclasses.fields(report):
+                got, want = getattr(report, f.name), reference[f.name]
+                if f.name == "conditions":
+                    assert got == want
+                    continue
+                got = got.mat if isinstance(got, DensityMatrix) else got
+                assert np.max(np.abs(np.asarray(got) - want)) < 1e-12, f.name
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_random_scenarios(self, rng, d):
+        for _ in range(3):
+            m = BlochState(rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.0, 2.0 * math.pi))
+            self._assert_parity(_random_scenario(rng, d), m)
+
+    def test_disp_squeeze_at_n_max_84(self):
+        s = disp_squeeze_scenario(
+            1.0,
+            1.0,
+            0.5,
+            0.0,
+            DisplacementParams(1.0, 0.9),
+            SqueezeParams(0.5, 0.4),
+            BlochState(math.pi / 2.0, 0.0),
+            n_max=84,
+        )
+        self._assert_parity(s, BlochState(math.pi / 2.0, math.pi))
