@@ -36,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import qmat
 from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
 from .states import (
     BlochState,
@@ -163,21 +163,40 @@ def ladder(n_max: int) -> np.ndarray:
 
 
 def _safe_block_defect(actual: np.ndarray, expected: np.ndarray, n_max: int) -> float:
-    """Max deviation on the safe subspace (lowest n_max/2 levels), where
-    truncated-operator identities are required to hold."""
-    k = n_max // 2
+    """Max deviation on the safe subspace (lowest n_max/2 levels, at least
+    one), where truncated-operator identities are required to hold."""
+    k = max(1, n_max // 2)
     return float(np.max(np.abs(actual[:k, :k] - expected[:k, :k])))
+
+
+def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
+    """Phi e^G Phi† for the real antisymmetric tridiagonal G with
+    subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]) and Phi = diag(e^{i phase k}).
+
+    G = -i Q T Q† with Q = diag(i^k) and T the real symmetric tridiagonal
+    matrix with off-diagonal b.  With T = V diag(w) Vᵀ and Y = Phi Q V this
+    gives Phi e^G Phi† = Y diag(e^{-i w}) Y†.
+    """
+    w, v = scipy.linalg.eigh_tridiagonal(np.zeros(b.size + 1), b)
+    y = np.exp(1j * (phase + math.pi / 2.0) * np.arange(b.size + 1))[:, None] * v
+    return (y * np.exp(-1j * w)) @ y.conj().T
 
 
 def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
     """e^{alpha a† - alpha* a} on the truncated space.
 
+    The generator is Phi |alpha|(a† - a) Phi† with Phi = diag(e^{i phi n}),
+    and |alpha|(a† - a) is real antisymmetric tridiagonal with subdiagonal
+    |alpha| sqrt(n+1), so D comes from one real symmetric tridiagonal
+    eigendecomposition instead of a dense complex one.
+
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
     by more than TOL_CV_UNITARY on the safe subspace.
     """
     a = ladder(n_max)
-    gen = p.alpha * a.conj().T - p.alpha.conjugate() * a
-    u = qmat.expm(gen)
+    u = _phased_tridiagonal_exp(
+        p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0)), p.alpha_phase
+    )
     conj = u.conj().T @ a @ u
     defect = _safe_block_defect(conj, a + p.alpha * np.eye(n_max + 1), n_max)
     if defect > TOL_CV_UNITARY:
@@ -207,14 +226,25 @@ def squeeze_faithful_block(n_max: int, z_abs: float) -> int:
 def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
     """e^{(z a†a† - z* aa)/2} on the truncated space.
 
+    The generator couples n only to n ± 2, so S is block diagonal in the
+    parity of n and its entries between even and odd levels are exactly 0.
+    On each parity sublattice the generator is Phi |z|(a†² - a²)/2 Phi†
+    with Phi = diag(e^{i xi n/2}), and |z|(a†² - a²)/2 is real
+    antisymmetric tridiagonal there with subdiagonal |z| sqrt((n+1)(n+2))/2,
+    so each block comes from one real symmetric tridiagonal
+    eigendecomposition instead of a dense complex one.
+
     Emits TruncationInadequacyWarning when S† a S deviates from
     a cosh|z| + a† e^{i xi} sinh|z| on the faithful block (see
     squeeze_faithful_block).
     """
     a = ladder(n_max)
     ad = a.conj().T
-    gen = 0.5 * (p.z * ad @ ad - p.z.conjugate() * a @ a)
-    u = qmat.expm(gen)
+    u = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for parity in (0, 1):
+        n = np.arange(parity, n_max - 1, 2, dtype=float)
+        b = 0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))
+        u[parity::2, parity::2] = _phased_tridiagonal_exp(b, p.z_phase)
     conj = u.conj().T @ a @ u
     expected = a * math.cosh(p.z_abs) + ad * (
         cmath.exp(1j * p.z_phase) * math.sinh(p.z_abs)

@@ -43,7 +43,12 @@ class DensityMatrix:
     """Positive, unit-trace, Hermitian matrix: the state of a system.
 
     Validation: Hermitian within TOL_HERM, trace 1 within TOL_TRACE, all
-    eigenvalues >= -TOL_PSD.
+    eigenvalues >= -TOL_PSD.  Positivity is certified by a Cholesky
+    factorization of mat + TOL_PSD·I, which exists exactly when every
+    eigenvalue exceeds -TOL_PSD (up to round-off of order dim·eps, far
+    inside the tolerance).  Only when it fails is the spectrum computed,
+    and the smallest eigenvalue then decides, so no state the eigenvalue
+    test accepts is rejected.
     """
 
     mat: np.ndarray
@@ -55,9 +60,12 @@ class DensityMatrix:
             raise ValueError("DensityMatrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
             raise ValueError(f"DensityMatrix trace {np.trace(m)} != 1 within tolerance")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -TOL_PSD:
-            raise ValueError(f"DensityMatrix has negative eigenvalue {evals.min():.3e}")
+        # lower=True factors the triangle that eigvalsh reads.
+        shifted = m + TOL_PSD * np.eye(m.shape[0])
+        if scipy.linalg.lapack.zpotrf(shifted, lower=True)[1] != 0:
+            lam_min = np.linalg.eigvalsh(m).min()
+            if lam_min < -TOL_PSD:
+                raise ValueError(f"DensityMatrix has negative eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
 

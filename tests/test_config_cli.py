@@ -14,6 +14,7 @@ from switchwork.config import (
     parse_config,
     serialize_config,
 )
+from switchwork.cvcase import TruncationInadequacyWarning
 from switchwork.figures import format_cell
 from switchwork.qubitcase import RotationParams, delta_qs_rotations
 from switchwork.states import BlochState
@@ -340,6 +341,13 @@ class TestSweepCommand:
         code, out = self._run(capsys, tmp_path, text)
         assert code == 1
         assert out == ""
+
+    def test_single_level_fock_cutoff_warns_and_completes(self, capsys, tmp_path):
+        text = DISP_TEXT.replace("beta = 1.0", "beta = inf").replace("n_max = 40", "n_max = 1")
+        with pytest.warns(TruncationInadequacyWarning):
+            code, out = self._run(capsys, tmp_path, text)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2
 
     def test_fock_beta_zero_rejected(self, capsys, tmp_path):
         code, out = self._run(capsys, tmp_path, DISP_TEXT.replace("beta = 1.0", "beta = 0.0"))

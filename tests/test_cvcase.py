@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from switchwork.cvcase import (
     DisplacementParams,
@@ -129,6 +130,11 @@ class TestLadderAndOperators:
             displacement_op(DisplacementParams(3.0, 0.0), 12)
         with pytest.warns(TruncationInadequacyWarning):
             squeeze_op(SqueezeParams(0.8, 0.0), 10)
+        # A single-level cutoff has a one-level safe block, not an empty one.
+        with pytest.warns(TruncationInadequacyWarning):
+            displacement_op(DisplacementParams(0.6, 0.1), 1)
+        with pytest.warns(TruncationInadequacyWarning):
+            squeeze_op(SqueezeParams(0.4, 0.2), 1)
 
     def test_adequate_cutoffs_stay_silent(self):
         with warnings.catch_warnings():
@@ -136,6 +142,51 @@ class TestLadderAndOperators:
             for z_abs in (0.2, 0.5, 0.8):
                 squeeze_op(SqueezeParams(z_abs, 0.9), calibrated_cutoff(1.0, z_abs, 1.0, 1.0))
             displacement_op(DisplacementParams(1.5, 0.0), calibrated_cutoff(1.5, 0.0, 1.0, 1.0))
+
+
+class TestTridiagonalKernel:
+    """D and S come from real tridiagonal eigendecompositions; the dense
+    exponential of the truncated generator is the reference."""
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 46, 84, 172])
+    def test_operators_match_dense_exponential(self, n_max):
+        a = ladder(n_max)
+        ad = a.conj().T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationInadequacyWarning)
+            for amp in (0.0, 0.6, 1.5):
+                for phase in (0.0, 0.9, -2.4, math.pi):
+                    dp = DisplacementParams(amp, phase)
+                    sp = SqueezeParams(0.5 * amp, phase)
+                    d_ref = scipy.linalg.expm(dp.alpha * ad - dp.alpha.conjugate() * a)
+                    s_ref = scipy.linalg.expm(0.5 * (sp.z * ad @ ad - sp.z.conjugate() * a @ a))
+                    assert np.max(np.abs(displacement_op(dp, n_max).mat - d_ref)) < 1e-12
+                    assert np.max(np.abs(squeeze_op(sp, n_max).mat - s_ref)) < 1e-12
+
+    def test_squeeze_has_no_entries_between_parities(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationInadequacyWarning)
+            for n_max in (1, 2, 7, 46):
+                s = squeeze_op(SqueezeParams(0.7, 1.3), n_max).mat
+                lag = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+                assert np.all(s[lag % 2 == 1] == 0)
+                assert np.all(s[lag == 2] != 0)
+
+    def test_fock_path_runs_without_dense_eigensolvers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called on the Fock path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        a = DisplacementParams(1.0, 0.9)
+        s = SqueezeParams(0.5, 0.4)
+        c = BlochState(1.9, 0.6)
+        m = BlochState(math.pi / 2.0, math.pi / 2.0)
+        scenario = disp_squeeze_scenario(1.0, 1.0, 0.5, 0.3, a, s, c, n_max=84)
+        rep = activation_report(scenario)
+        measured = measure_control(scenario, m)
+        assert abs(rep.delta_qs - delta_qs_disp_squeeze(1.0, 1.0, 0.5, 0.3, a, s, c)) < 1e-6
+        assert abs(measured.delta_sm - delta_sm_disp_squeeze(1.0, 1.0, a, s, c, m)) < 1e-6
 
 
 class TestCutoffRules:

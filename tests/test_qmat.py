@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_density, random_hermitian, random_unitary
 from switchwork.qmat import (
+    TOL_PSD,
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
@@ -17,6 +18,7 @@ from switchwork.qmat import (
     kron,
     partial_trace,
 )
+from switchwork.states import ThermalParams, gibbs_fock
 
 
 class TestDensityMatrix:
@@ -51,6 +53,69 @@ class TestDensityMatrix:
         rho = random_density(rng, 3)
         DensityMatrix(np.asfortranarray(rho))
         DensityMatrix(rho.T.conj().T)
+
+
+def _state_with_min_eigenvalue(rng, dim: int, lam_min: float) -> np.ndarray:
+    """Unit-trace Hermitian matrix in a random eigenbasis whose smallest
+    eigenvalue is lam_min."""
+    rest = rng.uniform(0.5, 1.5, size=dim - 1)
+    rest *= (1.0 - lam_min) / rest.sum()
+    u = random_unitary(rng, dim)
+    m = (u * np.concatenate(([lam_min], rest))) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+class TestPositivityCertificate:
+    """The Cholesky certificate must decide exactly as the eigenvalue test
+    `min eigenvalue >= -TOL_PSD` does, away from round-off at the boundary."""
+
+    @pytest.mark.parametrize("dim", [2, 30, 346])
+    def test_tolerance_boundary(self, rng, dim):
+        DensityMatrix(_state_with_min_eigenvalue(rng, dim, -0.999 * TOL_PSD))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(_state_with_min_eigenvalue(rng, dim, -1.001 * TOL_PSD))
+
+    def test_error_names_the_eigenvalue(self, rng):
+        with pytest.raises(ValueError, match=r"negative eigenvalue -1\.001e-09"):
+            DensityMatrix(_state_with_min_eigenvalue(rng, 30, -1.001 * TOL_PSD))
+
+    @pytest.mark.parametrize("dim", [2, 30, 346])
+    def test_pure_state_accepted(self, rng, dim):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        assert DensityMatrix(np.outer(psi, psi.conj())).dim == dim
+
+    def test_gibbs_states_with_vanishing_populations_accepted(self, rng):
+        rho = gibbs_fock(ThermalParams(1.0, 1.0), 172).mat
+        assert np.diag(rho).real.min() < 1e-74
+        u = random_unitary(rng, rho.shape[0])
+        rotated = u @ rho @ u.conj().T
+        DensityMatrix(0.5 * (rotated + rotated.conj().T))
+
+    def test_decision_matches_eigenvalue_test(self, rng):
+        decisions = {True: 0, False: 0}
+        for _ in range(300):
+            dim = int(rng.integers(2, 41))
+            if rng.uniform() < 0.2:
+                # Generic Hermitian matrix with unit trace: usually far from PSD.
+                m = random_hermitian(rng, dim)
+                m -= (np.trace(m).real - 1.0) / dim * np.eye(dim)
+            else:
+                offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.5, -7.0)
+                m = _state_with_min_eigenvalue(rng, dim, -TOL_PSD + offset)
+            lam_min = np.linalg.eigvalsh(m).min()
+            if abs(lam_min + TOL_PSD) <= 1e-12:
+                continue
+            expected = lam_min >= -TOL_PSD
+            try:
+                DensityMatrix(m)
+                accepted = True
+            except ValueError as exc:
+                assert "negative eigenvalue" in str(exc)
+                accepted = False
+            assert accepted == expected, (dim, lam_min)
+            decisions[accepted] += 1
+        assert min(decisions.values()) >= 50
 
 
 @pytest.mark.parametrize(
