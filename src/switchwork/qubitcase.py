@@ -18,13 +18,19 @@ return silently wrong numbers.
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
 flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
-functional and are fixed to zero during optimization.
+functional and are fixed to zero during optimization.  The starts of one
+call are independent, so they run in a persistent fork pool of
+min(usable CPUs, starts, 8) workers and are merged in start order: the
+result is bit-identical for every worker count.
 """
 from __future__ import annotations
 
+import atexit
 import cmath
 import math
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -51,6 +57,7 @@ from .switchcore import (
 
 TOL_OPT = 1e-4
 _EVALS_PER_START = 500
+_MAX_WORKERS = 8
 _TWO_PI = 2.0 * math.pi
 
 _PAULI = {
@@ -317,45 +324,206 @@ def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
     return pts * _TWO_PI
 
 
+def _u2_pair_terms(x: np.ndarray, omega: float, p0: float, p1: float):
+    """Shared objective kernel: the orderings W12 = U2 U1 and W21 = U1 U2 of
+    the pair at angles x, with E12, E21 and chi for a diagonal qubit state
+    of populations (p0, p1).  Hot path: no wrapper validation."""
+    w = np.mod(x, _TWO_PI)
+    u1 = _u2_mat(w[0], w[1], w[2])
+    u2 = _u2_mat(w[3], w[4], w[5])
+    w12 = u2 @ u1
+    w21 = u1 @ u2
+    e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
+    e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
+    x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
+        w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
+    )
+    return w12, w21, e12, e21, x_chi
+
+
+class _DeltaQsObjective(NamedTuple):
+    """delta_qs of a U(2) pair as a function of its six angles.  A
+    module-level value, so that it pickles into pool workers; products of
+    constants are precomputed in their left-to-right evaluation order."""
+
+    omega: float
+    p0: float
+    p1: float
+    e_s: float
+    rc00: float
+    rc11: float
+    k: complex  # rho_c01 * h_c10
+
+    def __call__(self, x: np.ndarray) -> float:
+        _, _, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
+        return (
+            self.rc00 * (e12 - self.e_s)
+            + self.rc11 * (e21 - self.e_s)
+            + 2.0 * (self.k * (x_chi - 1.0)).real
+        )
+
+
+class _DeltaSmObjective(NamedTuple):
+    """delta_sm of a U(2) pair as a function of its six angles; points with
+    post-selection probability at or below TOL_NM score +inf."""
+
+    omega: float
+    p0: float
+    p1: float
+    e_s: float
+    cc: float  # cos^2(theta_c/2) cos^2(theta_m/2)
+    ss: float  # sin^2(theta_c/2) sin^2(theta_m/2)
+    cos_cm: float  # cos(theta_c) cos(theta_m)
+    sin_cm: float  # sin(theta_c) sin(theta_m)
+    half_sin_cm: float  # 0.5 sin(theta_c) sin(theta_m)
+    e_psi: complex
+
+    def __call__(self, x: np.ndarray) -> float:
+        w12, w21, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
+        f_s = self.omega * (
+            self.p0 * w12[1, 0] * w21[1, 0].conjugate() + self.p1 * w12[1, 1] * w21[1, 1].conjugate()
+        )
+        delta_f = f_s - x_chi * self.e_s
+        n_m = 0.5 * (1.0 + self.cos_cm + self.sin_cm * (x_chi * self.e_psi).real)
+        if n_m <= TOL_NM:
+            return math.inf
+        return (
+            self.cc * (e12 - self.e_s)
+            + self.ss * (e21 - self.e_s)
+            + self.half_sin_cm * (delta_f * self.e_psi).real
+        ) / n_m
+
+
+def _thermal_populations(omega: float, beta: float) -> tuple[float, float]:
+    rho = gibbs_qubit(ThermalParams(beta, omega)).mat
+    return float(np.real(rho[0, 0])), float(np.real(rho[1, 1]))
+
+
+def _delta_qs_objective(
+    omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState
+) -> _DeltaQsObjective:
+    p0, p1 = _thermal_populations(omega, beta)
+    rc01 = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
+    return _DeltaQsObjective(
+        omega, p0, p1, omega * p1,
+        math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2,
+        rc01 * (t_abs * cmath.exp(-1j * t_phase)),
+    )
+
+
+def _delta_sm_objective(
+    omega: float, beta: float, c: BlochState, m: BlochState
+) -> _DeltaSmObjective:
+    p0, p1 = _thermal_populations(omega, beta)
+    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
+    return _DeltaSmObjective(
+        omega, p0, p1, omega * p1,
+        math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2,
+        math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2,
+        math.cos(c.theta) * math.cos(m.theta),
+        sin_c * sin_m,
+        0.5 * sin_c * sin_m,
+        cmath.exp(1j * (m.phi - c.phi)),
+    )
+
+
+def _nelder_mead_start(task: tuple) -> tuple[float, np.ndarray, int, int]:
+    """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
+    scored +inf).  Module-level so that pool workers can run it."""
+    objective, x0 = task
+    divergent = 0
+
+    def counted(x: np.ndarray) -> float:
+        nonlocal divergent
+        value = objective(x)
+        if value == math.inf:
+            divergent += 1
+        return value
+
+    res = _scipy_minimize(
+        counted,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "maxfev": _EVALS_PER_START,
+            "xatol": 1e-10,
+            "fatol": 1e-12,
+            "adaptive": False,
+        },
+    )
+    return float(res.fun), np.mod(res.x, _TWO_PI), int(res.nfev), divergent
+
+
+def _pool_workers(n_starts: int) -> int:
+    """min(usable CPUs, starts, _MAX_WORKERS); 1 (in-process) where fork is
+    unavailable or the caller is a daemonic process, which may not fork."""
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_starts, _MAX_WORKERS)
+
+
+_pool = None  # (creator pid, size, multiprocessing pool), created on first use
+
+
+def _start_pool(workers: int):
+    """The process's persistent fork pool, with at least `workers` workers.
+
+    A pool inherited through fork belongs to the parent and is replaced; a
+    smaller pool is terminated and replaced by a larger one.  Each pool is
+    terminated at exit, before interpreter teardown would find it running.
+    """
+    global _pool
+    import multiprocessing
+
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid or _pool[1] < workers:
+        if _pool is not None and _pool[0] == pid:
+            _pool[2].terminate()
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        atexit.register(pool.terminate)
+        _pool = (pid, workers, pool)
+    return _pool[2]
+
+
 def _multistart_minimize(objective, budget: int, seed: int):
     """Shared multi-start Nelder-Mead driver.
 
     The work schedule is an extendable sequence: every start gets exactly
     _EVALS_PER_START evaluations and a larger budget only appends starts,
-    so the best value is non-increasing in budget.  Returns
-    (best value, best x wrapped to [0, 2pi), evaluations, starts).
+    so the best value is non-increasing in budget.  Starts run in the fork
+    pool (in-process when _pool_workers gives 1) and are consumed in start
+    order, ties going to the lower index, so the result does not depend on
+    the worker count.  Returns (best value, best x wrapped to [0, 2pi),
+    evaluations, evaluations scored +inf, starts).
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000 evaluations, got {budget}")
     n_starts = budget // _EVALS_PER_START
-    starts = _sobol_starts(n_starts, seed)
-    evaluations = 0
+    tasks = [(objective, x0) for x0 in _sobol_starts(n_starts, seed)]
+    workers = _pool_workers(n_starts)
+    if workers > 1:
+        outcomes = _start_pool(workers).imap(_nelder_mead_start, tasks, chunksize=1)
+    else:
+        outcomes = map(_nelder_mead_start, tasks)
+    evaluations = divergent = 0
     best: tuple[float, int, np.ndarray] | None = None
-    for idx in range(n_starts):
-        res = _scipy_minimize(
-            objective,
-            starts[idx],
-            method="Nelder-Mead",
-            options={
-                "maxfev": _EVALS_PER_START,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "adaptive": False,
-            },
-        )
-        evaluations += int(res.nfev)
-        candidate = (float(res.fun), idx, np.mod(res.x, _TWO_PI))
+    for idx, (fun, x, nfev, start_divergent) in enumerate(outcomes):
+        evaluations += nfev
+        divergent += start_divergent
+        candidate = (fun, idx, x)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
     assert best is not None
-    return best[0], best[2], evaluations, n_starts
-
-
-def _control_coefficients(c: BlochState) -> tuple[float, float, complex]:
-    rc00 = math.cos(c.theta / 2.0) ** 2
-    rc11 = math.sin(c.theta / 2.0) ** 2
-    rc01 = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
-    return rc00, rc11, rc01
+    return best[0], best[2], evaluations, divergent, n_starts
 
 
 def minimize_delta_qs_u2(
@@ -375,30 +543,9 @@ def minimize_delta_qs_u2(
     Deterministic for fixed (budget, seed).  The reported optimum is
     re-evaluated through the checked generic path before returning.
     """
-    rho = gibbs_qubit(ThermalParams(beta, omega)).mat
-    p0, p1 = float(np.real(rho[0, 0])), float(np.real(rho[1, 1]))
-    e_s = omega * p1
-    rc00, rc11, rc01 = _control_coefficients(c)
-    hc10 = t_abs * cmath.exp(-1j * t_phase)
-
-    def objective(x: np.ndarray) -> float:
-        w = np.mod(x, _TWO_PI)
-        u1 = _u2_mat(w[0], w[1], w[2])
-        u2 = _u2_mat(w[3], w[4], w[5])
-        w12 = u2 @ u1
-        w21 = u1 @ u2
-        e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
-        e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
-        x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
-            w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
-        )
-        return (
-            rc00 * (e12 - e_s)
-            + rc11 * (e21 - e_s)
-            + 2.0 * (rc01 * hc10 * (x_chi - 1.0)).real
-        )
-
-    value, x_best, evaluations, n_starts = _multistart_minimize(objective, budget, seed)
+    value, x_best, evaluations, divergent, n_starts = _multistart_minimize(
+        _delta_qs_objective(omega, beta, t_abs, t_phase, c), budget, seed
+    )
     params = (
         U2Params(0.0, x_best[0], x_best[1], x_best[2]),
         U2Params(0.0, x_best[3], x_best[4], x_best[5]),
@@ -417,7 +564,7 @@ def minimize_delta_qs_u2(
         raise AssertionError(
             f"optimizer value {value!r} disagrees with checked path {check!r} at optimum"
         )
-    return U2MinimizeResult(value, params, evaluations, 0, n_starts, seed)
+    return U2MinimizeResult(value, params, evaluations, divergent, n_starts, seed)
 
 
 def minimize_delta_sm_u2(
@@ -435,44 +582,9 @@ def minimize_delta_sm_u2(
     TOL_NM are scored +inf and counted in divergent_evaluations rather
     than silently renormalized.
     """
-    rho = gibbs_qubit(ThermalParams(beta, omega)).mat
-    p0, p1 = float(np.real(rho[0, 0])), float(np.real(rho[1, 1]))
-    e_s = omega * p1
-    psi = m.phi - c.phi
-    cc_c, ss_c = math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2
-    cc_m, ss_m = math.cos(m.theta / 2.0) ** 2, math.sin(m.theta / 2.0) ** 2
-    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    cos_c, cos_m = math.cos(c.theta), math.cos(m.theta)
-    e_psi = cmath.exp(1j * psi)
-    divergent = 0
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal divergent
-        w = np.mod(x, _TWO_PI)
-        u1 = _u2_mat(w[0], w[1], w[2])
-        u2 = _u2_mat(w[3], w[4], w[5])
-        w12 = u2 @ u1
-        w21 = u1 @ u2
-        e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
-        e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
-        x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
-            w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
-        )
-        f_s = omega * (
-            p0 * w12[1, 0] * w21[1, 0].conjugate() + p1 * w12[1, 1] * w21[1, 1].conjugate()
-        )
-        delta_f = f_s - x_chi * e_s
-        n_m = 0.5 * (1.0 + cos_c * cos_m + sin_c * sin_m * (x_chi * e_psi).real)
-        if n_m <= TOL_NM:
-            divergent += 1
-            return math.inf
-        return (
-            cc_c * cc_m * (e12 - e_s)
-            + ss_c * ss_m * (e21 - e_s)
-            + 0.5 * sin_c * sin_m * (delta_f * e_psi).real
-        ) / n_m
-
-    value, x_best, evaluations, n_starts = _multistart_minimize(objective, budget, seed)
+    value, x_best, evaluations, divergent, n_starts = _multistart_minimize(
+        _delta_sm_objective(omega, beta, c, m), budget, seed
+    )
     if math.isinf(value):
         raise RuntimeError(
             "every evaluation point fell in the near-zero post-selection regime"

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import unitary_group
 
-from . import cvcase
+from . import cvcase, qubitcase
 from .config import parse_config, serialize_config
 from .cvcase import (
     DisplacementParams,
@@ -284,8 +284,19 @@ def _check_u2_optimizer(level: str, seed: int) -> tuple[bool, str]:
     if level == "quick":
         res = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
                                    budget=2000, seed=seed)
-        ok = res.value < -1.5
-        return ok, f"budget 2000: min delta_qs {res.value:.4f} (expect < -1.5)"
+        # Determinism witness: the starts mapped in this process must give
+        # the same result, bit for bit, as the worker pool.
+        from unittest import mock  # imported here: it costs ~30 ms at start-up
+
+        with mock.patch.object(qubitcase, "_pool_workers", return_value=1):
+            serial = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
+                                          budget=2000, seed=seed)
+        same = repr(res) == repr(serial)
+        return res.value < -1.5 and same, (
+            f"budget 2000: min delta_qs {res.value:.4f} (expect < -1.5), "
+            f"{qubitcase._pool_workers(res.starts)} workers "
+            f"{'match' if same else 'DIFFER FROM'} in-process"
+        )
     res = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
                                budget=16000, seed=seed)
     ok = abs(res.value + 2.0) <= 0.04

@@ -269,7 +269,7 @@ def test_criterion_3_rotation_closed_form_matches_generic_path_and_uncoupled_flo
 def test_criterion_4_u2_minima_recover_slope_and_measured_plateau():
     """Unmeasured: the minimized energy difference implies epsilon = -20
     within 2%, independently of temperature (beta in {0, 0.1, 0.2}) and of
-    the coupling phase.  Measured at zero temperature: minimum 0 (within
+    the coupling phase.  Measured at infinite temperature: minimum 0 (within
     1e-4) at measurement phases {0, pi}; a flat plateau (relative std
     < 1e-3) across {pi/4, pi/2, 3pi/4} whose value implies f = -16 within
     2%.  Whole recovery under 10 minutes at the default budget."""

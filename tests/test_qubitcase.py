@@ -3,11 +3,15 @@ multi-start optimizers."""
 from __future__ import annotations
 
 import math
+import multiprocessing
+import pickle
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
 from switchwork.qubitcase import (
     RotationParams,
@@ -25,6 +29,7 @@ from switchwork.qubitcase import (
 from switchwork.states import BlochState
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
+_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestRotationUnitaries:
@@ -183,3 +188,114 @@ class TestU2Optimizers:
         assert implied_epsilon(-2.0, 0.0, 1.0) == pytest.approx(-20.0)
         assert implied_epsilon(0.0, 0.0, 1.0) == pytest.approx(12.0)
         assert implied_f(-0.5, 1.0) == pytest.approx(-16.0)
+
+
+# Stub objectives for the multistart driver.  They are module-level so that
+# they pickle into pool workers.
+_stub_divergent_calls = 0
+
+
+def _half_divergent_stub(x: np.ndarray) -> float:
+    """+inf wherever the first angle lies in [0, pi) (mod 2 pi), else a
+    smooth bowl; counts its +inf returns in the calling process."""
+    global _stub_divergent_calls
+    if x[0] % (2.0 * math.pi) < math.pi:
+        _stub_divergent_calls += 1
+        return math.inf
+    return float(np.sum(np.cos(x)))
+
+
+_FIRST_START_ANGLE = qubitcase._sobol_starts(4, 3)[0, 0]  # the others lie > 1 rad away
+
+
+def _flat_slow_first_stub(x: np.ndarray) -> float:
+    """Constant, so every start ties; slow near the first start, so that it
+    finishes last in a pool."""
+    if abs(x[0] - _FIRST_START_ANGLE) < 0.5:
+        time.sleep(5e-4)
+    return 0.0
+
+
+def _failing_stub(x: np.ndarray) -> float:
+    raise ValueError("stub objective failed at the first evaluation")
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(qubitcase, "_pool_workers", lambda n_starts: workers)
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="the start pool needs the fork start method")
+class TestMultistartPool:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_delta_qs_equals_in_process(self, monkeypatch, workers):
+        args = (1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5))
+        _force_workers(monkeypatch, workers)
+        pooled = minimize_delta_qs_u2(*args, budget=3000, seed=4)
+        _force_workers(monkeypatch, 1)
+        serial = minimize_delta_qs_u2(*args, budget=3000, seed=4)
+        assert pooled == serial
+        assert repr(pooled) == repr(serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_delta_sm_equals_in_process(self, monkeypatch, workers):
+        args = (1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0))
+        _force_workers(monkeypatch, workers)
+        pooled = minimize_delta_sm_u2(*args, budget=3000, seed=9)
+        _force_workers(monkeypatch, 1)
+        serial = minimize_delta_sm_u2(*args, budget=3000, seed=9)
+        assert pooled == serial
+        assert repr(pooled) == repr(serial)
+
+    # A simplex made only of +inf points makes scipy subtract inf from inf.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_divergent_counts_are_summed_over_starts(self, monkeypatch):
+        global _stub_divergent_calls
+        _force_workers(monkeypatch, 1)
+        _stub_divergent_calls = 0
+        serial = qubitcase._multistart_minimize(_half_divergent_stub, 2000, 5)
+        assert serial[3] == _stub_divergent_calls > 0
+        _force_workers(monkeypatch, 2)
+        pooled = qubitcase._multistart_minimize(_half_divergent_stub, 2000, 5)
+        assert pooled[0] == serial[0]
+        assert np.array_equal(pooled[1], serial[1])
+        assert pooled[2:] == serial[2:]
+
+    def test_ties_go_to_the_lowest_start_even_when_it_finishes_last(self, monkeypatch):
+        _force_workers(monkeypatch, 2)
+        value, x, _, _, starts = qubitcase._multistart_minimize(_flat_slow_first_stub, 2000, 3)
+        assert starts == 4
+        first = qubitcase._nelder_mead_start((_flat_slow_first_stub, qubitcase._sobol_starts(4, 3)[0]))
+        assert value == first[0] == 0.0
+        assert np.array_equal(x, first[1])
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        _force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match="stub objective failed at the first evaluation"):
+            qubitcase._multistart_minimize(_failing_stub, 2000, 0)
+        # The pool survives a failed call.
+        res = minimize_delta_qs_u2(1.0, 0.5, 1.0, 0.0, BlochState(math.pi / 2.0, 0.0), budget=2000, seed=7)
+        assert res.starts == 4
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        assert qubitcase._pool_workers(100) == 8
+        assert qubitcase._pool_workers(3) == 3
+        monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert qubitcase._pool_workers(16) == 1
+
+
+class TestObjectivesPickle:
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            qubitcase._delta_qs_objective(1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5)),
+            qubitcase._delta_sm_objective(1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0)),
+        ],
+        ids=["delta_qs", "delta_sm"],
+    )
+    def test_round_trip_is_bit_equal(self, objective, rng):
+        restored = pickle.loads(pickle.dumps(objective))
+        assert restored == objective
+        for x in rng.uniform(-1.0, 8.0, size=(50, 6)):
+            before, after = objective(x), restored(x)
+            assert repr(before) == repr(after)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from switchwork import qubitcase
 from switchwork.states import gibbs_qubit, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import (
@@ -81,6 +82,18 @@ class TestSuiteHasTeeth:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert any("displacement" in name for name in failed)
+
+    def test_pool_that_loses_a_start_fails_u2_check(self, monkeypatch):
+        class LossyPool:
+            def imap(self, fn, tasks, chunksize=1):
+                return map(fn, tasks[:-1])
+
+        monkeypatch.setattr(qubitcase, "_pool_workers", lambda n_starts: 2)
+        monkeypatch.setattr(qubitcase, "_start_pool", lambda workers: LossyPool())
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {"u2-optimizer"}
+        assert "DIFFER FROM in-process" in failed["u2-optimizer"]
 
     def test_summary_counts_failures(self):
         table = closed_form_table()
