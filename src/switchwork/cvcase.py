@@ -162,11 +162,19 @@ def ladder(n_max: int) -> np.ndarray:
     return a
 
 
-def _safe_block_defect(actual: np.ndarray, expected: np.ndarray, n_max: int) -> float:
-    """Max deviation on the safe subspace (lowest n_max/2 levels, at least
-    one), where truncated-operator identities are required to hold."""
-    k = max(1, n_max // 2)
-    return float(np.max(np.abs(actual[:k, :k] - expected[:k, :k])))
+def _ladder_block_defect(u: np.ndarray, expected: np.ndarray) -> float:
+    """max |(u† a u)[:k, :k] - expected| for the k x k `expected`, with a
+    the ladder on u's space.
+
+    Only the leading block is computed.  a has one nonzero per column,
+    a[n-1, n] = sqrt(n), so the first k rows of u† a are the first k rows
+    of u† shifted one column right and scaled by sqrt(n): the block costs
+    k^2 (n_max + 1) products instead of two dense (n_max + 1)^3 ones.
+    """
+    k = expected.shape[0]
+    ud_a = np.zeros((k, u.shape[0]), dtype=complex)
+    ud_a[:, 1:] = u[:-1, :k].conj().T * np.sqrt(np.arange(1.0, u.shape[0]))
+    return float(np.max(np.abs(ud_a @ u[:, :k] - expected)))
 
 
 def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
@@ -193,12 +201,12 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
     by more than TOL_CV_UNITARY on the safe subspace.
     """
-    a = ladder(n_max)
     u = _phased_tridiagonal_exp(
         p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0)), p.alpha_phase
     )
-    conj = u.conj().T @ a @ u
-    defect = _safe_block_defect(conj, a + p.alpha * np.eye(n_max + 1), n_max)
+    # The safe subspace: the lowest n_max/2 levels, at least one.
+    k = max(1, n_max // 2)
+    defect = _ladder_block_defect(u, ladder(n_max)[:k, :k] + p.alpha * np.eye(k))
     if defect > TOL_CV_UNITARY:
         warnings.warn(
             f"displacement cutoff n_max={n_max} inadequate for |alpha|="
@@ -238,19 +246,17 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
     a cosh|z| + a† e^{i xi} sinh|z| on the faithful block (see
     squeeze_faithful_block).
     """
-    a = ladder(n_max)
-    ad = a.conj().T
     u = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for parity in (0, 1):
         n = np.arange(parity, n_max - 1, 2, dtype=float)
         b = 0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))
         u[parity::2, parity::2] = _phased_tridiagonal_exp(b, p.z_phase)
-    conj = u.conj().T @ a @ u
-    expected = a * math.cosh(p.z_abs) + ad * (
+    k = squeeze_faithful_block(n_max, p.z_abs)
+    a = ladder(n_max)[:k, :k]
+    expected = a * math.cosh(p.z_abs) + a.conj().T * (
         cmath.exp(1j * p.z_phase) * math.sinh(p.z_abs)
     )
-    k = squeeze_faithful_block(n_max, p.z_abs)
-    defect = float(np.max(np.abs(conj[:k, :k] - expected[:k, :k])))
+    defect = _ladder_block_defect(u, expected)
     if defect > TOL_CV_UNITARY:
         warnings.warn(
             f"squeeze cutoff n_max={n_max} inadequate for |z|={p.z_abs:g}: "

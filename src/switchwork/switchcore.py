@@ -29,7 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator, _mat, kron
+from .qmat import (
+    DensityMatrix,
+    HermitianOperator,
+    UnitaryOperator,
+    _direct_sum_unitary,
+    _mat,
+    kron,
+)
 from .states import BlochState
 
 TOL_ENERGY = 1e-8
@@ -170,12 +177,16 @@ class MeasurementReport:
 
 
 def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
-    """U2 U1 on the control-|0> block, U1 U2 on the control-|1> block."""
+    """U2 U1 on the control-|0> block, U1 U2 on the control-|1> block.
+
+    The result equals kron(U2U1, |0><0|) + kron(U1U2, |1><1|) entry for
+    entry.  W12 = U2U1 and W21 = U1U2 are each validated as unitaries; the
+    joint matrix is block diagonal, so its U†U defect is the larger block
+    defect and is not computed again on the 2d x 2d matrix.
+    """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
-    w12 = u2.mat @ u1.mat
-    w21 = u1.mat @ u2.mat
-    return UnitaryOperator(kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0])))
+    return _direct_sum_unitary(u2.mat @ u1.mat, u1.mat @ u2.mat)
 
 
 def chi(u1, u2, rho_s) -> complex:
@@ -269,8 +280,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     e_c = _tr(rho_c, h_c).real
 
     # Route (a): direct joint-space trace.
-    h_sc = kron(s.h_s.mat, np.eye(2)) + kron(np.eye(s.rho_s.dim), h_c)
-    e_out_direct = _tr(s._joint_out, h_sc).real
+    e_out_direct = _tr(s._joint_out, _joint_hamiltonian(s.h_s.mat, h_c)).real
 
     # Route (b): scalar expansion.
     e_out_scalar = float(np.real(
@@ -312,6 +322,23 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         tilde_rho_s=tilde_s,
         tilde_rho_c=tilde_c,
     )
+
+
+def _joint_hamiltonian(h_s: np.ndarray, h_c: np.ndarray) -> np.ndarray:
+    """H_SC = h_s (x) 1 + 1 (x) h_c, equal entry for entry to the kron sum.
+
+    h_s fills both control-diagonal blocks, h_c the 2x2 control block of
+    each system level; the entries they share, h_s[i, i] + h_c[a, a], are
+    summed in the kron sum's order.
+    """
+    d = h_s.shape[0]
+    h_sc = np.zeros((2 * d, 2 * d), dtype=complex)
+    blocks = h_sc.reshape(d, 2, d, 2)
+    blocks[:, 0, :, 0] = h_s
+    blocks[:, 1, :, 1] = h_s
+    level = np.arange(d)
+    blocks[level, :, level, :] += h_c
+    return h_sc
 
 
 def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, DensityMatrix]:

@@ -172,14 +172,39 @@ def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
 
 
 def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
+    """|chi| <= 1 and delta_qs = delta_s + delta_c; the block-built switch
+    unitary equals the kron formula entry for entry, and the larger block
+    defect equals the dense U†U defect (the reason the joint matrix is not
+    checked densely)."""
+    from .qmat import kron
+    from .switchcore import build_switch_unitary
+
     worst = 0.0
+    kron_equal = True
+    worst_defect_gap = 0.0
     for _ in range(25):
         s = _random_generic_scenario(rng)
         report = activation_report(s)
         worst = max(worst, abs(report.chi) - 1.0)
         gap = abs(report.delta_qs - (report.delta_s + report.delta_c))
         worst = max(worst, gap)
-    return worst <= 1e-9, f"25 scenarios, worst algebra defect {worst:.2e}"
+
+        u_qs = build_switch_unitary(s.u1, s.u2).mat
+        w12, w21 = s.u2.mat @ s.u1.mat, s.u1.mat @ s.u2.mat
+        dense = kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0]))
+        kron_equal = kron_equal and bool(np.array_equal(u_qs, dense))
+        block_defect = max(_unitary_defect(w12), _unitary_defect(w21))
+        worst_defect_gap = max(worst_defect_gap, abs(block_defect - _unitary_defect(u_qs)))
+    passed = worst <= 1e-9 and kron_equal and worst_defect_gap <= 1e-15
+    return passed, (
+        f"25 scenarios, worst algebra defect {worst:.2e}; switch unitary "
+        f"{'==' if kron_equal else 'DIFFERS FROM'} kron formula, "
+        f"block vs dense U†U defect gap {worst_defect_gap:.2e}"
+    )
+
+
+def _unitary_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:

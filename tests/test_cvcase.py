@@ -13,6 +13,7 @@ import scipy.linalg
 
 from switchwork.cvcase import (
     DisplacementParams,
+    _ladder_block_defect,
     NoSolutionError,
     SqueezeParams,
     TruncationInadequacyWarning,
@@ -187,6 +188,29 @@ class TestTridiagonalKernel:
         measured = measure_control(scenario, m)
         assert abs(rep.delta_qs - delta_qs_disp_squeeze(1.0, 1.0, 0.5, 0.3, a, s, c)) < 1e-6
         assert abs(measured.delta_sm - delta_sm_disp_squeeze(1.0, 1.0, a, s, c, m)) < 1e-6
+
+
+class TestLadderBlockDefect:
+    """The truncation checks compute only the leading block of u† a u; the
+    dense product is the reference."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 46, 84, 172])
+    def test_block_matches_dense_conjugation(self, n_max):
+        a = ladder(n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationInadequacyWarning)
+            ops = (
+                displacement_op(DisplacementParams(1.2, 0.7), n_max).mat,
+                squeeze_op(SqueezeParams(0.6, -1.1), n_max).mat,
+            )
+        blocks = {max(1, n_max // 2), squeeze_faithful_block(n_max, 0.6), n_max + 1}
+        for u in ops:
+            dense = u.conj().T @ a @ u
+            for k in blocks:
+                assert _ladder_block_defect(u, dense[:k, :k]) < 1e-13
+                assert _ladder_block_defect(u, np.zeros((k, k))) == pytest.approx(
+                    np.max(np.abs(dense[:k, :k])), abs=1e-13
+                )
 
 
 class TestCutoffRules:

@@ -12,6 +12,7 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    _direct_sum_unitary,
     dagger,
     eig_hermitian,
     expm,
@@ -144,6 +145,36 @@ class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="defect"):
             UnitaryOperator(np.diag([1.0, 2.0]).astype(complex))
+
+
+class TestDirectSumUnitary:
+    def test_blocks_interleave_as_kron_with_control_projectors(self, rng):
+        w0, w1 = random_unitary(rng, 4), random_unitary(rng, 4)
+        u = _direct_sum_unitary(w0, w1)
+        assert u.dim == 8
+        expected = kron(w0, np.diag([1.0, 0.0])) + kron(w1, np.diag([0.0, 1.0]))
+        assert np.array_equal(u.mat, expected)
+
+    def test_each_block_is_validated(self, rng):
+        good = random_unitary(rng, 3)
+        bad = good.copy()
+        bad[0, 0] *= 1.0 + 1e-8
+        for w0, w1 in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="UnitaryOperator defect"):
+                _direct_sum_unitary(w0, w1)
+
+    def test_unequal_blocks_rejected(self, rng):
+        with pytest.raises(ValueError, match="differ in size"):
+            _direct_sum_unitary(random_unitary(rng, 2), random_unitary(rng, 3))
+
+    def test_owns_a_read_only_copy(self, rng):
+        w0, w1 = random_unitary(rng, 2), random_unitary(rng, 2)
+        u = _direct_sum_unitary(w0, w1)
+        kept = u.mat.copy()
+        w0[0, 0] = 5.0
+        assert np.array_equal(u.mat, kept)
+        with pytest.raises(ValueError):
+            u.mat[0, 0] = 5.0
 
 
 class TestHermitianOperator:

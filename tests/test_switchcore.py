@@ -61,6 +61,77 @@ class TestSwitchUnitary:
         expected = kron(u @ u, np.eye(2, dtype=complex))
         assert np.max(np.abs(u_qs - expected)) < 1e-12
 
+    @staticmethod
+    def _kron_formula(u1: UnitaryOperator, u2: UnitaryOperator) -> np.ndarray:
+        w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
+        return kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 30])
+    def test_equals_kron_formula_bit_for_bit(self, rng, d):
+        for _ in range(3):
+            u1 = UnitaryOperator(random_unitary(rng, d))
+            u2 = UnitaryOperator(random_unitary(rng, d))
+            assert np.array_equal(build_switch_unitary(u1, u2).mat, self._kron_formula(u1, u2))
+
+    def test_equals_kron_formula_for_fock_pair_at_n_max_172(self):
+        s = disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
+            BlochState(math.pi / 2.0, 0.0), n_max=172,
+        )
+        u_qs = build_switch_unitary(s.u1, s.u2)
+        assert u_qs.dim == 346
+        assert np.array_equal(u_qs.mat, self._kron_formula(s.u1, s.u2))
+
+    def test_defect_equals_dense_defect(self, rng):
+        """Blocks a little off unitary (defect ~1e-12, inside the tolerance):
+        the larger block defect is the dense U†U defect of the joint matrix."""
+
+        def defect(m):
+            return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            u1, u2 = (
+                UnitaryOperator(random_unitary(rng, d) * (1.0 + 1e-12 * rng.normal(size=(d, d))))
+                for _ in range(2)
+            )
+            u_qs = build_switch_unitary(u1, u2).mat
+            blocks = max(defect(u2.mat @ u1.mat), defect(u1.mat @ u2.mat))
+            assert blocks > 1e-13
+            assert abs(defect(u_qs) - blocks) <= 1e-15
+
+    def test_non_unitary_block_raises(self, rng):
+        # A wrapper that skipped its own check: only the block validation
+        # inside build_switch_unitary can catch it.
+        bad = object.__new__(UnitaryOperator)
+        object.__setattr__(bad, "mat", np.diag([1.0, 1.0 + 1e-9]).astype(complex))
+        object.__setattr__(bad, "dim", 2)
+        good = UnitaryOperator(random_unitary(rng, 2))
+        for u1, u2 in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="UnitaryOperator defect"):
+                build_switch_unitary(u1, u2)
+
+    def test_unequal_sizes_raise(self, rng):
+        with pytest.raises(ValueError, match="share a dimension"):
+            build_switch_unitary(
+                UnitaryOperator(random_unitary(rng, 2)), UnitaryOperator(random_unitary(rng, 3))
+            )
+
+    def test_matrix_is_read_only(self, rng):
+        u = UnitaryOperator(random_unitary(rng, 3))
+        u_qs = build_switch_unitary(u, u)
+        with pytest.raises(ValueError):
+            u_qs.mat[0, 0] = 1.0
+
+
+class TestJointHamiltonian:
+    @pytest.mark.parametrize("d", [2, 5, 173])
+    def test_equals_kron_formula_bit_for_bit(self, rng, d):
+        h_c = random_hermitian(rng, 2)
+        for h_s in (random_hermitian(rng, d), np.diag(np.arange(d) + 0.5).astype(complex)):
+            expected = kron(h_s, np.eye(2)) + kron(np.eye(d), h_c)
+            assert np.array_equal(switchcore._joint_hamiltonian(h_s, h_c), expected)
+
 
 class TestChi:
     def test_definition(self, rng):

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from switchwork import qubitcase
+from switchwork import qubitcase, switchcore
+from switchwork.qmat import UnitaryOperator
 from switchwork.states import gibbs_qubit, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import (
@@ -94,6 +95,20 @@ class TestSuiteHasTeeth:
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         assert set(failed) == {"u2-optimizer"}
         assert "DIFFER FROM in-process" in failed["u2-optimizer"]
+
+    def test_switch_unitary_off_the_kron_formula_fails_algebra_check(self, monkeypatch):
+        original = switchcore.build_switch_unitary
+
+        def nudged(u1, u2):
+            m = original(u1, u2).mat.copy()
+            m[0, 1] += 1e-13  # an entry between the blocks; every energy check still agrees
+            return UnitaryOperator(m)
+
+        monkeypatch.setattr(switchcore, "build_switch_unitary", nudged)
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {"switch-algebra"}
+        assert "DIFFERS FROM kron formula" in failed["switch-algebra"]
 
     def test_summary_counts_failures(self):
         table = closed_form_table()
