@@ -73,6 +73,7 @@ from .qubitcase import (
     implied_f,
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
+    qubit_scenario,
     rotation_unitary,
     u2_unitary,
 )

@@ -13,10 +13,14 @@ environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from .config import (
+    FAMILIES,
+    UNITS,
     ConfigError,
     ScenarioConfig,
     grid_points,
@@ -38,18 +42,11 @@ from .qubitcase import (
     U2Params,
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
+    qubit_scenario,
     rotation_unitary,
     u2_unitary,
 )
-from .states import (
-    BlochState,
-    ControlHamiltonianParams,
-    QubitSystemParams,
-    ThermalParams,
-    gibbs_qubit,
-    hamiltonian_control,
-    hamiltonian_qubit_system,
-)
+from .states import BlochState, ThermalParams
 from .switchcore import (
     NearZeroPostSelectionError,
     SwitchScenario,
@@ -58,61 +55,19 @@ from .switchcore import (
 )
 from .verifysuite import run_verify
 
-_UNITS = {
-    "omega": "energy",
-    "beta": "1/energy",
-    "t_abs": "energy",
-    "t_phase": "rad",
-    "control_theta": "rad",
-    "control_phi": "rad",
-    "measure_theta": "rad",
-    "measure_phi": "rad",
-    "alpha_x": "rad",
-    "alpha_y": "rad",
-    "u1_alpha": "rad",
-    "u1_lam": "rad",
-    "u1_gamma": "rad",
-    "u1_delta": "rad",
-    "u2_alpha": "rad",
-    "u2_lam": "rad",
-    "u2_gamma": "rad",
-    "u2_delta": "rad",
-    "alpha1_abs": "1",
-    "alpha1_phase": "rad",
-    "alpha2_abs": "1",
-    "alpha2_phase": "rad",
-    "alpha_abs": "1",
-    "alpha_phase": "rad",
-    "z_abs": "1",
-    "z_phase": "rad",
-}
-
-
 def _annotated(name: str) -> str:
-    return f"{name}[{_UNITS[name]}]"
+    return f"{name}[{UNITS[name]}]"
 
 
 def _build_scenario(cfg: ScenarioConfig, p: dict[str, float]) -> SwitchScenario:
     control = BlochState(p["control_theta"], p["control_phi"])
     if cfg.kind == "qubit":
-        h_c = hamiltonian_control(
-            ControlHamiltonianParams(p["omega"], p["t_abs"], p["t_phase"])
-        )
-        h_s = hamiltonian_qubit_system(QubitSystemParams(p["omega"]))
-        rho_s = gibbs_qubit(ThermalParams(p["beta"], p["omega"]))
         if cfg.family == "rotations":
-            u1 = rotation_unitary("x", p["alpha_x"])
-            u2 = rotation_unitary("y", p["alpha_y"])
+            u1, u2 = rotation_unitary("x", p["alpha_x"]), rotation_unitary("y", p["alpha_y"])
         else:
-            u1 = u2_unitary(
-                U2Params(p["u1_alpha"], p["u1_lam"], p["u1_gamma"], p["u1_delta"])
-            )
-            u2 = u2_unitary(
-                U2Params(p["u2_alpha"], p["u2_lam"], p["u2_gamma"], p["u2_delta"])
-            )
-        return SwitchScenario(
-            rho_s=rho_s, control=control, u1=u1, u2=u2, h_s=h_s, h_c=h_c
-        )
+            angles = [p[n] for n in FAMILIES["u2"][1]]
+            u1, u2 = u2_unitary(U2Params(*angles[:4])), u2_unitary(U2Params(*angles[4:]))
+        return qubit_scenario(p["omega"], p["beta"], p["t_abs"], p["t_phase"], u1, u2, control)
     if cfg.family == "displacements":
         return displacement_scenario(
             p["omega"],
@@ -138,18 +93,22 @@ def _build_scenario(cfg: ScenarioConfig, p: dict[str, float]) -> SwitchScenario:
 
 def _prevalidate(cfg: ScenarioConfig, points: list[dict[str, float]]) -> None:
     """Fail with a ConfigError before emitting anything if any grid point
-    carries out-of-range physics parameters."""
+    carries out-of-range physics parameters: a non-finite scalar (beta = inf,
+    the ground state, excepted), a negative magnitude `*_abs`, or a value
+    the state and thermal wrappers reject."""
     for idx, p in enumerate(points):
         try:
+            for name, value in p.items():
+                if not (math.isfinite(value) or (name == "beta" and value == math.inf)):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                if name.endswith("_abs") and value < 0.0:
+                    raise ValueError(f"{name} must be >= 0")
             BlochState(p["control_theta"], p["control_phi"])
             if cfg.has_measurement:
                 BlochState(p["measure_theta"], p["measure_phi"])
             ThermalParams(p["beta"], p["omega"])
             if cfg.kind == "fock" and p["beta"] == 0.0:
                 raise ValueError("beta = 0 is not truncatable for fock scenarios")
-            for name in ("alpha1_abs", "alpha2_abs", "alpha_abs", "z_abs"):
-                if name in p and p[name] < 0.0:
-                    raise ValueError(f"{name} must be >= 0")
         except ValueError as exc:
             raise ConfigError(f"grid point {idx}: {exc}") from exc
 
@@ -247,11 +206,8 @@ def run_minimize(cfg: ScenarioConfig) -> str:
         f"divergent_evaluations = {result.divergent_evaluations}",
         f"min_value = {format(result.value, '.17g')}",
     ]
-    for tag, u in zip(("u1", "u2"), result.params):
-        lines.append(f"{tag}_alpha = {format(u.alpha, '.17g')}")
-        lines.append(f"{tag}_lam = {format(u.lam, '.17g')}")
-        lines.append(f"{tag}_gamma = {format(u.gamma, '.17g')}")
-        lines.append(f"{tag}_delta = {format(u.delta, '.17g')}")
+    angles = [value for u in result.params for value in astuple(u)]
+    lines += [f"{n} = {format(v, '.17g')}" for n, v in zip(FAMILIES["u2"][1], angles)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,34 +14,39 @@ scalar parameters of the family, and at most two axes are allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-KINDS = ("qubit", "fock")
-FAMILIES = ("rotations", "u2", "displacements", "disp_squeeze")
-KIND_FOR_FAMILY = {
-    "rotations": "qubit",
-    "u2": "qubit",
-    "displacements": "fock",
-    "disp_squeeze": "fock",
-}
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "rotations": ("alpha_x", "alpha_y"),
+# The one description of each scenario family: family -> (kind, {own
+# parameter: unit}).  A config lists the system scalars first, then the
+# family's own parameters, then the control scalars, then the optional
+# measurement; the sweep CSV header annotates each name with its unit.
+SYSTEM_PARAMS = {"omega": "energy", "beta": "1/energy"}
+FAMILIES: dict[str, tuple[str, dict[str, str]]] = {
+    "rotations": ("qubit", {"alpha_x": "rad", "alpha_y": "rad"}),
+    # Each unitary's angles in the field order of qubitcase.U2Params.
     "u2": (
-        "u1_alpha",
-        "u1_lam",
-        "u1_gamma",
-        "u1_delta",
-        "u2_alpha",
-        "u2_lam",
-        "u2_gamma",
-        "u2_delta",
+        "qubit",
+        {f"{u}_{a}": "rad" for u in ("u1", "u2") for a in ("alpha", "lam", "gamma", "delta")},
     ),
-    "displacements": ("alpha1_abs", "alpha1_phase", "alpha2_abs", "alpha2_phase"),
-    "disp_squeeze": ("alpha_abs", "alpha_phase", "z_abs", "z_phase"),
+    "displacements": (
+        "fock",
+        {"alpha1_abs": "1", "alpha1_phase": "rad", "alpha2_abs": "1", "alpha2_phase": "rad"},
+    ),
+    "disp_squeeze": (
+        "fock",
+        {"alpha_abs": "1", "alpha_phase": "rad", "z_abs": "1", "z_phase": "rad"},
+    ),
 }
-COMMON_PARAMS = ("omega", "beta", "t_abs", "t_phase", "control_theta", "control_phi")
-MEASURE_PARAMS = ("measure_theta", "measure_phi")
+CONTROL_PARAMS = {"t_abs": "energy", "t_phase": "rad", "control_theta": "rad", "control_phi": "rad"}
+MEASURE_PARAMS = {"measure_theta": "rad", "measure_phi": "rad"}
+UNITS = {
+    **SYSTEM_PARAMS,
+    **CONTROL_PARAMS,
+    **MEASURE_PARAMS,
+    **{name: unit for _, params in FAMILIES.values() for name, unit in params.items()},
+}
+KINDS = tuple(dict.fromkeys(kind for kind, _ in FAMILIES.values()))
 
 
 class ConfigError(ValueError):
@@ -83,15 +88,10 @@ class ScenarioConfig:
         names = {k for k, _ in self.scalars}
         return "measure_theta" in names
 
-    def sweepable_names(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.scalars)
-
 
 def _scalar_order(family: str, with_measure: bool) -> tuple[str, ...]:
-    names = COMMON_PARAMS[:2] + FAMILY_PARAMS[family] + COMMON_PARAMS[2:]
-    if with_measure:
-        names = names + MEASURE_PARAMS
-    return names
+    measure = MEASURE_PARAMS if with_measure else {}
+    return (*SYSTEM_PARAMS, *FAMILIES[family][1], *CONTROL_PARAMS, *measure)
 
 
 def _parse_float(raw: str, key: str, line_no: int) -> float:
@@ -145,12 +145,13 @@ def parse_config(text: str) -> ScenarioConfig:
     family, family_line = got
     if family not in FAMILIES:
         raise ConfigError(
-            f"line {family_line}: field family: must be one of {FAMILIES}, got {family!r}"
+            f"line {family_line}: field family: must be one of {tuple(FAMILIES)}, got {family!r}"
         )
-    if KIND_FOR_FAMILY[family] != kind:
+    family_kind = FAMILIES[family][0]
+    if family_kind != kind:
         raise ConfigError(
             f"line {family_line}: field family: {family!r} requires kind = "
-            f"{KIND_FOR_FAMILY[family]!r}, got {kind!r}"
+            f"{family_kind!r}, got {kind!r}"
         )
 
     measure_present = [k for k in MEASURE_PARAMS if k in assignments]

@@ -125,17 +125,28 @@ def _tanh_half(beta: float, omega: float) -> float:
     return math.tanh(beta * omega / 2.0)
 
 
-def _rotation_scenario(
-    omega: float, beta: float, t_abs: float, t_phase: float, r: RotationParams, c: BlochState
+def qubit_scenario(
+    omega: float,
+    beta: float,
+    t_abs: float,
+    t_phase: float,
+    u1: UnitaryOperator,
+    u2: UnitaryOperator,
+    c: BlochState,
 ) -> SwitchScenario:
+    """Gibbs-qubit scenario with H_S = diag(0, omega) and the pair U1, U2."""
     return SwitchScenario(
         rho_s=gibbs_qubit(ThermalParams(beta, omega)),
         control=c,
-        u1=rotation_unitary("x", r.alpha_x),
-        u2=rotation_unitary("y", r.alpha_y),
+        u1=u1,
+        u2=u2,
         h_s=hamiltonian_qubit_system(QubitSystemParams(omega)),
         h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
     )
+
+
+def _rotation_pair(r: RotationParams) -> tuple[UnitaryOperator, UnitaryOperator]:
+    return rotation_unitary("x", r.alpha_x), rotation_unitary("y", r.alpha_y)
 
 
 def delta_qs_rotations(
@@ -171,7 +182,7 @@ def delta_qs_rotations(
     ) * math.sin(ax / 2.0) ** 2 * math.sin(ay / 2.0) ** 2
     if cross_check:
         generic = activation_report(
-            _rotation_scenario(omega, beta, t_abs, t_phase, r, c)
+            qubit_scenario(omega, beta, t_abs, t_phase, *_rotation_pair(r), c)
         ).delta_qs
         if abs(generic - value) > TOL_ENERGY:
             raise AssertionError(
@@ -211,7 +222,7 @@ def activation_conditions_rotations(
     """
     df = _rotation_delta_f(omega, beta, r)
     if cross_check:
-        scenario = _rotation_scenario(omega, beta, 0.0, 0.0, r, c)
+        scenario = qubit_scenario(omega, beta, 0.0, 0.0, *_rotation_pair(r), c)
         try:
             report = measure_control(scenario, m)
         except NearZeroPostSelectionError:
@@ -262,9 +273,9 @@ def delta_sm_rotations_beta0(
     )
     value = omega * math.sin(phi_m) / denom
     if cross_check:
-        scenario = _rotation_scenario(
-            omega, 1e-9, 0.0, 0.0, RotationParams(alpha % _TWO_PI, alpha % _TWO_PI),
-            BlochState(math.pi / 2.0, 0.0),
+        r = RotationParams(alpha % _TWO_PI, alpha % _TWO_PI)
+        scenario = qubit_scenario(
+            omega, 1e-9, 0.0, 0.0, *_rotation_pair(r), BlochState(math.pi / 2.0, 0.0)
         )
         generic = measure_control(scenario, BlochState(theta_m, phi_m)).delta_sm
         if abs(generic - value) > 1e-6:
@@ -502,8 +513,8 @@ def _multistart_minimize(objective, budget: int, seed: int):
     so the best value is non-increasing in budget.  Starts run in the fork
     pool (in-process when _pool_workers gives 1) and are consumed in start
     order, ties going to the lower index, so the result does not depend on
-    the worker count.  Returns (best value, best x wrapped to [0, 2pi),
-    evaluations, evaluations scored +inf, starts).
+    the worker count.  Returns (best value, the best pair with global
+    phases zero, evaluations, evaluations scored +inf, starts).
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000 evaluations, got {budget}")
@@ -523,7 +534,9 @@ def _multistart_minimize(objective, budget: int, seed: int):
         if best is None or candidate[:2] < best[:2]:
             best = candidate
     assert best is not None
-    return best[0], best[2], evaluations, divergent, n_starts
+    x = best[2]
+    params = (U2Params(0.0, x[0], x[1], x[2]), U2Params(0.0, x[3], x[4], x[5]))
+    return best[0], params, evaluations, divergent, n_starts
 
 
 def minimize_delta_qs_u2(
@@ -543,22 +556,11 @@ def minimize_delta_qs_u2(
     Deterministic for fixed (budget, seed).  The reported optimum is
     re-evaluated through the checked generic path before returning.
     """
-    value, x_best, evaluations, divergent, n_starts = _multistart_minimize(
+    value, params, evaluations, divergent, n_starts = _multistart_minimize(
         _delta_qs_objective(omega, beta, t_abs, t_phase, c), budget, seed
     )
-    params = (
-        U2Params(0.0, x_best[0], x_best[1], x_best[2]),
-        U2Params(0.0, x_best[3], x_best[4], x_best[5]),
-    )
     check = activation_report(
-        SwitchScenario(
-            rho_s=gibbs_qubit(ThermalParams(beta, omega)),
-            control=c,
-            u1=u2_unitary(params[0]),
-            u2=u2_unitary(params[1]),
-            h_s=hamiltonian_qubit_system(QubitSystemParams(omega)),
-            h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
-        )
+        qubit_scenario(omega, beta, t_abs, t_phase, *map(u2_unitary, params), c)
     ).delta_qs
     if abs(check - value) > TOL_ENERGY:
         raise AssertionError(
@@ -582,27 +584,15 @@ def minimize_delta_sm_u2(
     TOL_NM are scored +inf and counted in divergent_evaluations rather
     than silently renormalized.
     """
-    value, x_best, evaluations, divergent, n_starts = _multistart_minimize(
+    value, params, evaluations, divergent, n_starts = _multistart_minimize(
         _delta_sm_objective(omega, beta, c, m), budget, seed
     )
     if math.isinf(value):
         raise RuntimeError(
             "every evaluation point fell in the near-zero post-selection regime"
         )
-    params = (
-        U2Params(0.0, x_best[0], x_best[1], x_best[2]),
-        U2Params(0.0, x_best[3], x_best[4], x_best[5]),
-    )
     check = measure_control(
-        SwitchScenario(
-            rho_s=gibbs_qubit(ThermalParams(beta, omega)),
-            control=c,
-            u1=u2_unitary(params[0]),
-            u2=u2_unitary(params[1]),
-            h_s=hamiltonian_qubit_system(QubitSystemParams(omega)),
-            h_c=hamiltonian_control(ControlHamiltonianParams(omega, 0.0, 0.0)),
-        ),
-        m,
+        qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, params), c), m
     ).delta_sm
     if abs(check - value) > TOL_ENERGY:
         raise AssertionError(

@@ -67,17 +67,16 @@ from switchwork.qubitcase import (
     implied_f,
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
+    qubit_scenario,
     rotation_unitary,
 )
 from switchwork.states import (
     BlochState,
-    ControlHamiltonianParams,
     QubitSystemParams,
     ThermalParams,
     ergotropy,
     gibbs_fock,
     gibbs_qubit,
-    hamiltonian_control,
     hamiltonian_qubit_system,
     passive_state_from_spectrum,
 )
@@ -220,17 +219,6 @@ def test_criterion_2_companion_control_term_minimum_matches_attained_value():
 # ---------------------------------------------------------------------------
 
 
-def _rotation_scenario(omega, beta, t_abs, t_phase, r: RotationParams, c: BlochState):
-    return SwitchScenario(
-        rho_s=gibbs_qubit(ThermalParams(beta, omega)),
-        control=c,
-        u1=rotation_unitary("x", r.alpha_x),
-        u2=rotation_unitary("y", r.alpha_y),
-        h_s=hamiltonian_qubit_system(QubitSystemParams(omega)),
-        h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
-    )
-
-
 def test_criterion_3_rotation_closed_form_matches_generic_path_and_uncoupled_floor():
     """1000 random parameter draws: closed-form energy difference equals the
     generic matrix path within 1e-8; with the control coupling switched off
@@ -245,9 +233,8 @@ def test_criterion_3_rotation_closed_form_matches_generic_path_and_uncoupled_flo
         r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
         c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
         closed = delta_qs_rotations(omega, beta, t_abs, t_phase, r, c, cross_check=False)
-        generic = activation_report(
-            _rotation_scenario(omega, beta, t_abs, t_phase, r, c)
-        ).delta_qs
+        u1, u2 = rotation_unitary("x", r.alpha_x), rotation_unitary("y", r.alpha_y)
+        generic = activation_report(qubit_scenario(omega, beta, t_abs, t_phase, u1, u2, c)).delta_qs
         worst = max(worst, abs(closed - generic))
     assert worst <= 1e-8, f"worst closed-vs-generic gap {worst:.3e}"
 

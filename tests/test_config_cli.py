@@ -70,6 +70,46 @@ control_phi = 0.3
 n_max = 40
 """
 
+DISP_SQUEEZE_TEXT = """\
+kind = fock
+family = disp_squeeze
+omega = 1.0
+beta = 1.0
+alpha_abs = 0.5
+alpha_phase = 0.3
+z_abs = 0.2
+z_phase = 1.0
+t_abs = 0.5
+t_phase = 0.0
+control_theta = 1.2
+control_phi = 0.3
+n_max = 40
+"""
+
+MEASURE_TEXT = "measure_theta = 1.0\nmeasure_phi = 2.0\n"
+
+_SCENARIO_COLUMNS = "t_abs[energy],t_phase[rad],control_theta[rad],control_phi[rad]"
+_MEASURE_COLUMNS = "measure_theta[rad],measure_phi[rad]"
+_REPORT_COLUMNS = "chi_re[1],chi_im[1],delta_qs[energy],delta_s[energy],delta_c[energy]"
+_MEASURED_COLUMNS = (
+    "n_m[1],delta_sm[energy],cond_i[flag],cond_ii[flag],cond_iii[flag],divergent[flag]"
+)
+
+# (config, replaced line, replacement, field the error must name): a
+# non-finite scalar other than beta = inf, or a negative *_abs magnitude.
+_BAD_SCALARS = [
+    (DISP_TEXT, "alpha1_abs = 0.6", "alpha1_abs = inf", "alpha1_abs"),
+    (DISP_TEXT, "alpha2_abs = 0.8", "alpha2_abs = -0.1", "alpha2_abs"),
+    (DISP_SQUEEZE_TEXT, "z_abs = 0.2", "z_abs = -0.5", "z_abs"),
+    (DISP_SQUEEZE_TEXT, "z_phase = 1.0", "z_phase = -inf", "z_phase"),
+    (ROTATIONS_TEXT, "alpha_x = 1.1", "alpha_x = inf", "alpha_x"),
+    (ROTATIONS_TEXT, "t_abs = 0.7", "t_abs = -1", "t_abs"),
+    (ROTATIONS_TEXT, "omega = 1.0", "omega = inf", "omega"),
+    (U2_TEXT, "u1_lam = 1.0", "u1_lam = inf", "u1_lam"),
+    # The first point of this axis is 0 * inf = nan.
+    (ROTATIONS_TEXT + "sweep1 = beta 0.0 inf 3\n", "", "", "beta"),
+]
+
 
 class TestParse:
     def test_parses_rotations(self):
@@ -353,6 +393,79 @@ class TestSweepCommand:
         code, out = self._run(capsys, tmp_path, DISP_TEXT.replace("beta = 1.0", "beta = 0.0"))
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "text, old, new, field", _BAD_SCALARS, ids=[case[-1] for case in _BAD_SCALARS]
+    )
+    def test_non_finite_or_negative_magnitude_rejected(
+        self, capsys, tmp_path, text, old, new, field
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code = cli.main(["sweep", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: grid point 0: {field} ")
+
+    @pytest.mark.parametrize(
+        "text, family_columns",
+        [
+            (ROTATIONS_TEXT, "alpha_x[rad],alpha_y[rad]"),
+            (
+                U2_TEXT,
+                "u1_alpha[rad],u1_lam[rad],u1_gamma[rad],u1_delta[rad],"
+                "u2_alpha[rad],u2_lam[rad],u2_gamma[rad],u2_delta[rad]",
+            ),
+            (DISP_TEXT, "alpha1_abs[1],alpha1_phase[rad],alpha2_abs[1],alpha2_phase[rad]"),
+            (DISP_SQUEEZE_TEXT, "alpha_abs[1],alpha_phase[rad],z_abs[1],z_phase[rad]"),
+        ],
+    )
+    @pytest.mark.parametrize("measured", [False, True])
+    def test_header_is_pinned(self, capsys, tmp_path, text, family_columns, measured):
+        columns = ["omega[energy],beta[1/energy]", family_columns, _SCENARIO_COLUMNS]
+        if measured:
+            columns.append(_MEASURE_COLUMNS)
+        columns.append(_REPORT_COLUMNS)
+        if measured:
+            columns.append(_MEASURED_COLUMNS)
+        code, out = self._run(capsys, tmp_path, text + (MEASURE_TEXT if measured else ""))
+        assert code == 0
+        assert out.split("\n")[0] == ",".join(columns)
+
+    def test_u2_point_matches_direct_scenario(self, capsys, tmp_path):
+        code, out = self._run(capsys, tmp_path, U2_TEXT)
+        assert code == 0
+        header, cells = (line.split(",") for line in out.strip().split("\n"))
+
+        from switchwork.qubitcase import U2Params, u2_unitary
+        from switchwork.states import (
+            ControlHamiltonianParams,
+            QubitSystemParams,
+            ThermalParams,
+            gibbs_qubit,
+            hamiltonian_control,
+            hamiltonian_qubit_system,
+        )
+        from switchwork.switchcore import SwitchScenario, activation_report
+
+        scenario = SwitchScenario(
+            rho_s=gibbs_qubit(ThermalParams(0.0, 1.0)),
+            control=BlochState(math.pi / 2.0, 0.0),
+            u1=u2_unitary(U2Params(0.3, 1.0, 2.0, 0.1)),
+            u2=u2_unitary(U2Params(0.9, 0.2, 1.4, 2.2)),
+            h_s=hamiltonian_qubit_system(QubitSystemParams(1.0)),
+            h_c=hamiltonian_control(ControlHamiltonianParams(1.0, 1.0, 0.0)),
+        )
+        rep = activation_report(scenario)
+        for name, value in [
+            ("chi_re[1]", rep.chi.real),
+            ("chi_im[1]", rep.chi.imag),
+            ("delta_qs[energy]", rep.delta_qs),
+            ("delta_s[energy]", rep.delta_s),
+            ("delta_c[energy]", rep.delta_c),
+        ]:
+            assert cells[header.index(name)] == format_cell(value)
 
 
 class TestMinimizeCommand:

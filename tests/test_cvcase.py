@@ -42,6 +42,7 @@ from switchwork.cvcase import (
     e12_disp_squeeze_tabulated,
     e21_disp_squeeze,
     f_s_disp_squeeze,
+    f_s_disp_squeeze_tabulated,
     fock_oracle_report,
     gamma_braiding,
     ladder,
@@ -536,6 +537,19 @@ class TestTabulatedReferenceForms:
         tabulated = delta_qs_disp_squeeze_tabulated(1.0, 1.0, 0.5, 0.0, zero_a, zero_s, _EQ)
         assert corrected == pytest.approx(0.0, abs=1e-12)
         assert tabulated == pytest.approx(1.0, abs=1e-12)
+
+    def test_tabulated_cross_term_exact_without_squeezing(self):
+        s = SqueezeParams(0.0, 1.1)
+        for beta in (1.0, math.inf):
+            corrected = f_s_disp_squeeze(1.0, beta, self.A, s)
+            tabulated = f_s_disp_squeeze_tabulated(1.0, beta, self.A, s)
+            assert abs(corrected - tabulated) <= 1e-12
+
+    def test_tabulated_cross_term_drops_squeeze_quadratures(self):
+        a = DisplacementParams(0.7, 0.4)
+        s = SqueezeParams(0.5, 1.1)
+        gap = abs(f_s_disp_squeeze(1.0, 1.0, a, s) - f_s_disp_squeeze_tabulated(1.0, 1.0, a, s))
+        assert gap > 0.5
 
     def test_tabulated_interference_drops_squeeze_quadratures(self):
         corrected = delta_f_disp_squeeze(1.0, 1.0, self.A, self.S)

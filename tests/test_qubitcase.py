@@ -256,17 +256,16 @@ class TestMultistartPool:
         assert serial[3] == _stub_divergent_calls > 0
         _force_workers(monkeypatch, 2)
         pooled = qubitcase._multistart_minimize(_half_divergent_stub, 2000, 5)
-        assert pooled[0] == serial[0]
-        assert np.array_equal(pooled[1], serial[1])
-        assert pooled[2:] == serial[2:]
+        assert pooled == serial
 
     def test_ties_go_to_the_lowest_start_even_when_it_finishes_last(self, monkeypatch):
         _force_workers(monkeypatch, 2)
-        value, x, _, _, starts = qubitcase._multistart_minimize(_flat_slow_first_stub, 2000, 3)
+        value, params, _, _, starts = qubitcase._multistart_minimize(_flat_slow_first_stub, 2000, 3)
         assert starts == 4
         first = qubitcase._nelder_mead_start((_flat_slow_first_stub, qubitcase._sobol_starts(4, 3)[0]))
         assert value == first[0] == 0.0
-        assert np.array_equal(x, first[1])
+        x = first[1]
+        assert params == (U2Params(0.0, *x[:3]), U2Params(0.0, *x[3:]))
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         _force_workers(monkeypatch, 2)
