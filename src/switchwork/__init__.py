@@ -107,7 +107,7 @@ from .switchcore import (
     measure_control,
     post_switch_state,
 )
-from .verifysuite import VerifyReport, closed_form_table, run_verify
+from .verifysuite import VerifyReport, run_verify
 
 __version__ = "0.1.0"
 

@@ -95,7 +95,8 @@ def _prevalidate(cfg: ScenarioConfig, points: list[dict[str, float]]) -> None:
     """Fail with a ConfigError before emitting anything if any grid point
     carries out-of-range physics parameters: a non-finite scalar (beta = inf,
     the ground state, excepted), a negative magnitude `*_abs`, or a value
-    the state and thermal wrappers reject."""
+    the state and thermal wrappers reject (an out-of-range control or
+    measurement angle is named by its config field)."""
     for idx, p in enumerate(points):
         try:
             for name, value in p.items():
@@ -103,9 +104,12 @@ def _prevalidate(cfg: ScenarioConfig, points: list[dict[str, float]]) -> None:
                     raise ValueError(f"{name} must be finite, got {value!r}")
                 if name.endswith("_abs") and value < 0.0:
                     raise ValueError(f"{name} must be >= 0")
-            BlochState(p["control_theta"], p["control_phi"])
-            if cfg.has_measurement:
-                BlochState(p["measure_theta"], p["measure_phi"])
+            for prefix in ("control", "measure") if cfg.has_measurement else ("control",):
+                try:
+                    BlochState(p[f"{prefix}_theta"], p[f"{prefix}_phi"])
+                except ValueError as exc:
+                    # The message starts with the angle's name, theta or phi.
+                    raise ValueError(f"{prefix}_{exc}") from None
             ThermalParams(p["beta"], p["omega"])
             if cfg.kind == "fock" and p["beta"] == 0.0:
                 raise ValueError("beta = 0 is not truncatable for fock scenarios")

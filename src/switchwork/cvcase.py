@@ -941,7 +941,12 @@ def fock_oracle_report(
     every closed form of the requested family against it.
 
     family \"displacements\" needs a1, a2; family \"disp_squeeze\" needs
-    a, s.  Checked quantities: chi, e12, e21, f_s, delta_qs, delta_sm.
+    a, s.  Checked quantities: chi, e12, e21, f_s, delta_f, delta_qs,
+    delta_sm.  For displacements W21 is a phase times W12, so
+    delta_f = F_S - chi E_S = chi (E12 - E_S) = chi delta_sm.  The closed
+    forms are looked up in this module at call time, and the measured
+    values are NaN when the post-selection diverges.
+
     A check converges when its final gap is <= tol; the gap sequence must
     be non-increasing until it first dips below tol.
     """
@@ -953,14 +958,17 @@ def fock_oracle_report(
         if a1 is None or a2 is None:
             raise ValueError("displacements family needs a1 and a2")
         n_base = calibrated_cutoff(a1.alpha_abs + a2.alpha_abs, 0.0, beta, omega)
-        e21_closed = omega * (n_th + 0.5) + delta_sm_displacements(a1, a2, omega)
+        chi_closed = chi_displacements(a1, a2)
+        delta_sm_closed = delta_sm_displacements(a1, a2, omega)
+        e21_closed = omega * (n_th + 0.5) + delta_sm_closed
         closed = {
-            "chi": chi_displacements(a1, a2),
+            "chi": chi_closed,
             "e12": e21_closed,
             "e21": e21_closed,
-            "f_s": chi_displacements(a1, a2) * e21_closed,
+            "f_s": chi_closed * e21_closed,
+            "delta_f": chi_closed * delta_sm_closed,
             "delta_qs": delta_qs_displacements(omega, t_abs, t_phase, a1, a2, c),
-            "delta_sm": delta_sm_displacements(a1, a2, omega),
+            "delta_sm": delta_sm_closed,
         }
 
         def build(n_max: int) -> SwitchScenario:
@@ -975,6 +983,7 @@ def fock_oracle_report(
             "e12": e12_disp_squeeze(omega, beta, a, s),
             "e21": e21_disp_squeeze(omega, beta, a, s),
             "f_s": f_s_disp_squeeze(omega, beta, a, s),
+            "delta_f": delta_f_disp_squeeze(omega, beta, a, s),
             "delta_qs": delta_qs_disp_squeeze(omega, beta, t_abs, t_phase, a, s, c),
             "delta_sm": delta_sm_disp_squeeze(omega, beta, a, s, c, m),
         }
@@ -1004,9 +1013,10 @@ def fock_oracle_report(
                 "delta_qs": report.delta_qs,
             }
             try:
-                numeric["delta_sm"] = measure_control(scenario, m).delta_sm
+                measured = measure_control(scenario, m)
+                numeric["delta_f"], numeric["delta_sm"] = measured.delta_f, measured.delta_sm
             except NearZeroPostSelectionError:
-                numeric["delta_sm"] = math.nan
+                numeric["delta_f"] = numeric["delta_sm"] = math.nan
         for q, value in numeric.items():
             gap = (
                 math.nan

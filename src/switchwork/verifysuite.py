@@ -5,10 +5,12 @@ closed form; `run_verify("full")` adds the 10^4-scenario passivity sweep,
 truncated-Fock oracle convergence for the bosonic families, and the
 figure regression comparison against the packaged baselines.
 
-The closed forms consulted by the oracle-comparison checks are looked up
-in an injectable table (`closed_form_table()`), so a deliberately
-corrupted entry — say a sign flip in chi — must turn the suite red; a
-test pins that mutation sensitivity.
+The bosonic closed-form checks are one-cutoff runs of the truncated-Fock
+oracle (`cvcase.fock_oracle_report`), which looks every closed form up in
+`cvcase` at call time: a deliberately corrupted one — say a sign flip in
+chi — patched into `cvcase` must turn the suite red, and tests pin that
+mutation sensitivity.  The config round trip covers one sample config per
+entry of the family table (`config.FAMILIES`).
 """
 from __future__ import annotations
 
@@ -21,18 +23,27 @@ from typing import Callable
 import numpy as np
 from scipy.stats import unitary_group
 
-from . import cvcase, qubitcase
-from .config import parse_config, serialize_config
+from . import qubitcase
+from .config import (
+    CONTROL_PARAMS,
+    FAMILIES,
+    MEASURE_PARAMS,
+    SYSTEM_PARAMS,
+    ScenarioConfig,
+    SweepAxis,
+    parse_config,
+    serialize_config,
+)
 from .cvcase import (
     DisplacementParams,
+    FockOracleReport,
     SqueezeParams,
     TOL_ORACLE,
-    disp_squeeze_scenario,
-    displacement_scenario,
+    calibrated_cutoff,
     fock_oracle_report,
 )
 from .figures import FIGURE_IDS, baseline_path, figure_dataset, render_csv
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
+from .qmat import HermitianOperator, UnitaryOperator
 from .qubitcase import (
     delta_qs_rotations,
     delta_sm_rotations_beta0,
@@ -48,7 +59,6 @@ from .switchcore import (
     SwitchScenario,
     activation_report,
     delta_c_min,
-    measure_control,
 )
 
 TOL_PASSIVITY = 1e-8
@@ -82,23 +92,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def closed_form_table() -> dict[str, Callable]:
-    """Closed forms consulted by the oracle-comparison checks, keyed by
-    name; inject a modified copy to prove the suite catches corruption."""
-    return {
-        "chi_displacements": cvcase.chi_displacements,
-        "delta_qs_displacements": cvcase.delta_qs_displacements,
-        "delta_sm_displacements": cvcase.delta_sm_displacements,
-        "chi_disp_squeeze": cvcase.chi_disp_squeeze,
-        "e12_disp_squeeze": cvcase.e12_disp_squeeze,
-        "e21_disp_squeeze": cvcase.e21_disp_squeeze,
-        "f_s_disp_squeeze": cvcase.f_s_disp_squeeze,
-        "delta_f_disp_squeeze": cvcase.delta_f_disp_squeeze,
-        "delta_qs_disp_squeeze": cvcase.delta_qs_disp_squeeze,
-        "delta_sm_disp_squeeze": cvcase.delta_sm_disp_squeeze,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Random scenario generators (shared with the acceptance tests).
 # ---------------------------------------------------------------------------
@@ -110,60 +103,45 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOperator:
     return UnitaryOperator(unitary_group.rvs(dim, random_state=rng))
 
 
-def _random_passive_pair(
-    rng: np.random.Generator, dim: int
-) -> tuple[DensityMatrix, HermitianOperator]:
-    """Random Hamiltonian (random eigenbasis) and a random state passive
-    with respect to it."""
+def _random_hamiltonian(rng: np.random.Generator, dim: int, e_max: float) -> HermitianOperator:
+    """Energies uniform in [0, e_max) in a Haar-random eigenbasis."""
     basis = unitary_group.rvs(dim, random_state=rng)
-    energies = np.sort(rng.uniform(0.0, 3.0, size=dim))
-    h = HermitianOperator(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
-    populations = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
-    return passive_state_from_spectrum(populations, h), h
+    energies = np.sort(rng.uniform(0.0, e_max, size=dim))
+    return HermitianOperator(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
+
+
+def _random_control_hamiltonian(
+    rng: np.random.Generator, t_min: float, t_max: float, e_max: float
+) -> HermitianOperator:
+    """[[0, t], [t*, e]]: |t| uniform in [t_min, t_max), arg t uniform,
+    e uniform in [0.5, e_max)."""
+    t = rng.uniform(t_min, t_max) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return HermitianOperator(
+        np.array([[0.0, t], [np.conj(t), rng.uniform(0.5, e_max)]], dtype=complex)
+    )
 
 
 def random_passive_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Random scenario with passive system state and passive control
     state (control Hamiltonian carries a random coherent off-diagonal)."""
     dim = int(rng.choice(_DIM_POOL))
-    rho_s, h_s = _random_passive_pair(rng, dim)
-    t = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    h_c = HermitianOperator(
-        np.array([[0.0, t], [np.conj(t), rng.uniform(0.5, 3.0)]], dtype=complex)
-    )
-    populations = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    rho_c = passive_state_from_spectrum(populations, h_c)
-    return SwitchScenario(
-        rho_s=rho_s,
-        control=rho_c,
-        u1=_random_unitary(rng, dim),
-        u2=_random_unitary(rng, dim),
-        h_s=h_s,
-        h_c=h_c,
-    )
+    h_s = _random_hamiltonian(rng, dim, 3.0)
+    rho_s = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(dim)))[::-1], h_s)
+    h_c = _random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
+    rho_c = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(2)))[::-1], h_c)
+    u1, u2 = _random_unitary(rng, dim), _random_unitary(rng, dim)
+    return SwitchScenario(rho_s=rho_s, control=rho_c, u1=u1, u2=u2, h_s=h_s, h_c=h_c)
 
 
 def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Random qubit scenario with a pure control direction (measurable)."""
     pops = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    basis = unitary_group.rvs(2, random_state=rng)
-    h_s = HermitianOperator(
-        basis @ np.diag(np.sort(rng.uniform(0.0, 2.0, 2))).astype(complex) @ basis.conj().T
-    )
+    h_s = _random_hamiltonian(rng, 2, 2.0)
     rho_s = passive_state_from_spectrum(pops, h_s)
-    t = rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    h_c = HermitianOperator(
-        np.array([[0.0, t], [np.conj(t), rng.uniform(0.5, 2.0)]], dtype=complex)
-    )
+    h_c = _random_control_hamiltonian(rng, 0.0, 1.5, 2.0)
     control = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-    return SwitchScenario(
-        rho_s=rho_s,
-        control=control,
-        u1=_random_unitary(rng, 2),
-        u2=_random_unitary(rng, 2),
-        h_s=h_s,
-        h_c=h_c,
-    )
+    u1, u2 = _random_unitary(rng, 2), _random_unitary(rng, 2)
+    return SwitchScenario(rho_s=rho_s, control=control, u1=u1, u2=u2, h_s=h_s, h_c=h_c)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +245,7 @@ def numeric_delta_c_minimum(h_c: HermitianOperator, chi_value: complex) -> float
 def _check_delta_c_min(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(20):
-        t = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        h_c = HermitianOperator(
-            np.array([[0.0, t], [np.conj(t), rng.uniform(0.5, 3.0)]], dtype=complex)
-        )
+        h_c = _random_control_hamiltonian(rng, 0.1, 2.0, 3.0)
         chi_value = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         result = delta_c_min(h_c, chi_value)
         numeric = numeric_delta_c_minimum(h_c, chi_value)
@@ -336,125 +311,64 @@ def _check_u2_optimizer(level: str, seed: int) -> tuple[bool, str]:
     )
 
 
-def _check_displacement_forms(table: dict[str, Callable]) -> tuple[bool, str]:
-    omega, beta, t_abs, t_phase = 1.0, 1.0, 0.8, 0.3
+def _final_gaps(report: FockOracleReport) -> list[float]:
+    return [check.rows[-1][2] for check in report.checks]
+
+
+def _check_displacement_forms() -> tuple[bool, str]:
+    omega, beta = 1.0, 1.0
     a1 = DisplacementParams(0.6, 0.9)
     a2 = DisplacementParams(0.5, 2.2)
-    c = BlochState(1.1, 0.4)
-    m = BlochState(0.9, 2.1)
-    scenario = displacement_scenario(omega, beta, t_abs, t_phase, a1, a2, c)
-    report = activation_report(scenario)
-    measured = measure_control(scenario, m)
-    gaps = [
-        abs(report.chi - table["chi_displacements"](a1, a2)),
-        abs(abs(report.chi) - 1.0),
-        abs(report.delta_qs - table["delta_qs_displacements"](omega, t_abs, t_phase, a1, a2, c)),
-        abs(measured.delta_sm - table["delta_sm_displacements"](a1, a2, omega)),
-    ]
-    worst = max(gaps)
+    report = fock_oracle_report(
+        "displacements", omega=omega, beta=beta, t_abs=0.8, t_phase=0.3, a1=a1, a2=a2,
+        control=BlochState(1.1, 0.4), measurement=BlochState(0.9, 2.1),
+        n_schedule=(calibrated_cutoff(a1.alpha_abs + a2.alpha_abs, 0.0, beta, omega),),
+    )
+    chi_value = next(c.rows[-1][1] for c in report.checks if c.quantity == "chi")
+    worst = float(np.max([*_final_gaps(report), abs(abs(chi_value) - 1.0)]))
     return worst <= TOL_ORACLE, f"worst closed-form gap {worst:.2e}"
 
 
-def _check_disp_squeeze_forms(table: dict[str, Callable]) -> tuple[bool, str]:
-    omega, t_abs, t_phase = 1.0, 0.8, 0.3
+def _check_disp_squeeze_forms() -> tuple[bool, str]:
+    omega = 1.0
     a = DisplacementParams(0.7, 0.4)
     s = SqueezeParams(0.5, 1.1)
-    c = BlochState(1.1, 0.6)
-    m = BlochState(0.9, 2.0)
-    worst = 0.0
+    gaps: list[float] = []
     for beta in (1.0, math.inf):
-        scenario = disp_squeeze_scenario(omega, beta, t_abs, t_phase, a, s, c)
-        report = activation_report(scenario)
-        measured = measure_control(scenario, m)
-        w12 = scenario.u2.mat @ scenario.u1.mat
-        w21 = scenario.u1.mat @ scenario.u2.mat
-        f_s_numeric = complex(
-            np.trace(w12 @ scenario.rho_s.mat @ w21.conj().T @ scenario.h_s.mat)
+        report = fock_oracle_report(
+            "disp_squeeze", omega=omega, beta=beta, t_abs=0.8, t_phase=0.3, a=a, s=s,
+            control=BlochState(1.1, 0.6), measurement=BlochState(0.9, 2.0),
+            n_schedule=(calibrated_cutoff(a.alpha_abs, s.z_abs, beta, omega),),
         )
-        gaps = [
-            abs(report.chi - table["chi_disp_squeeze"](a, s, beta, omega)),
-            abs(report.e12 - table["e12_disp_squeeze"](omega, beta, a, s)),
-            abs(report.e21 - table["e21_disp_squeeze"](omega, beta, a, s)),
-            abs(f_s_numeric - table["f_s_disp_squeeze"](omega, beta, a, s)),
-            abs(measured.delta_f - table["delta_f_disp_squeeze"](omega, beta, a, s)),
-            abs(
-                report.delta_qs
-                - table["delta_qs_disp_squeeze"](omega, beta, t_abs, t_phase, a, s, c)
-            ),
-            abs(
-                measured.delta_sm
-                - table["delta_sm_disp_squeeze"](omega, beta, a, s, c, m)
-            ),
-        ]
-        worst = max(worst, max(gaps))
+        gaps += _final_gaps(report)
+    worst = float(np.max(gaps))
     return worst <= TOL_ORACLE, f"beta in {{1, inf}}, worst closed-form gap {worst:.2e}"
 
 
-_SAMPLE_CONFIGS = (
-    """\
-kind = qubit
-family = rotations
-omega = 1.0
-beta = 1.0
-alpha_x = 1.5707963267948966
-alpha_y = 3.141592653589793
-t_abs = 1.0
-t_phase = 0.0
-control_theta = 1.5707963267948966
-control_phi = 0.0
-sweep1 = beta 0.0 5.0 11
-""",
-    """\
-kind = fock
-family = disp_squeeze
-omega = 1.0
-beta = inf
-alpha_abs = 0.5
-alpha_phase = 0.0
-z_abs = 0.5
-z_phase = 3.141592653589793
-t_abs = 0.5
-t_phase = 0.0
-control_theta = 1.5707963267948966
-control_phi = 0.0
-measure_theta = 1.5707963267948966
-measure_phi = 1.5707963267948966
-n_max = 60
-seed = 7
-sweep1 = alpha_abs 0.1 1.0 4
-sweep2 = z_abs 0.1 0.6 3
-""",
-    """\
-kind = qubit
-family = u2
-omega = 1.0
-beta = 0.0
-u1_alpha = 0.1
-u1_lam = 0.2
-u1_gamma = 0.3
-u1_delta = 0.4
-u2_alpha = 0.5
-u2_lam = 0.6
-u2_gamma = 0.7
-u2_delta = 0.8
-t_abs = 1.0
-t_phase = 0.0
-control_theta = 1.5707963267948966
-control_phi = 0.0
-budget = 4000
-""",
-)
+def _sample_config(family: str) -> ScenarioConfig:
+    """A config of `family` with two sweep axes and a non-default seed and
+    budget; fock kinds add the ground state (beta = inf), a measurement
+    and n_max."""
+    kind, params = FAMILIES[family]
+    fock = kind == "fock"
+    names = [*SYSTEM_PARAMS, *params, *CONTROL_PARAMS, *(MEASURE_PARAMS if fock else ())]
+    scalars = {name: math.pi / (k + 2) for k, name in enumerate(names)}
+    if fock:
+        scalars["beta"] = math.inf
+    axes = (SweepAxis(next(iter(params)), 0.1, 1.0, 4), SweepAxis("t_abs", 0.1, 0.6, 3))
+    return ScenarioConfig(
+        kind, family, tuple(scalars.items()), axes, seed=7, n_max=60 if fock else None, budget=4000
+    )
 
 
 def _check_config_round_trip() -> tuple[bool, str]:
-    for text in _SAMPLE_CONFIGS:
-        cfg = parse_config(text)
+    for cfg in map(_sample_config, FAMILIES):
         again = parse_config(serialize_config(cfg))
         if again != cfg:
             return False, f"round-trip mismatch for family {cfg.family}"
         if parse_config(serialize_config(again)) != again:
             return False, f"serialize not idempotent for family {cfg.family}"
-    return True, f"{len(_SAMPLE_CONFIGS)} sample configs round-trip exactly"
+    return True, f"{len(FAMILIES)} sample configs round-trip exactly"
 
 
 def _check_csv_determinism() -> tuple[bool, str]:
@@ -548,14 +462,9 @@ def _check_figure_regression() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def run_verify(
-    level: str = "quick",
-    seed: int = 0,
-    table: dict[str, Callable] | None = None,
-) -> VerifyReport:
+def run_verify(level: str = "quick", seed: int = 0) -> VerifyReport:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    forms = table if table is not None else closed_form_table()
     rng = np.random.default_rng(seed)
     passivity_n = 10_000 if level == "full" else 200
 
@@ -567,8 +476,8 @@ def run_verify(
         ("rotation-closed-form", lambda: _check_rotation_closed_form(rng)),
         ("rotation-measured-closed-form", lambda: _check_rotation_measured(rng)),
         ("u2-optimizer", lambda: _check_u2_optimizer(level, seed)),
-        ("displacement-closed-forms", lambda: _check_displacement_forms(forms)),
-        ("disp-squeeze-closed-forms", lambda: _check_disp_squeeze_forms(forms)),
+        ("displacement-closed-forms", _check_displacement_forms),
+        ("disp-squeeze-closed-forms", _check_disp_squeeze_forms),
         ("config-round-trip", _check_config_round_trip),
         ("csv-determinism", _check_csv_determinism),
     ]

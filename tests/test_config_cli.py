@@ -96,7 +96,8 @@ _MEASURED_COLUMNS = (
 )
 
 # (config, replaced line, replacement, field the error must name): a
-# non-finite scalar other than beta = inf, or a negative *_abs magnitude.
+# non-finite scalar other than beta = inf, a negative *_abs magnitude, or
+# a control or measurement angle outside theta in [0, pi], phi in [0, 2 pi).
 _BAD_SCALARS = [
     (DISP_TEXT, "alpha1_abs = 0.6", "alpha1_abs = inf", "alpha1_abs"),
     (DISP_TEXT, "alpha2_abs = 0.8", "alpha2_abs = -0.1", "alpha2_abs"),
@@ -108,6 +109,10 @@ _BAD_SCALARS = [
     (U2_TEXT, "u1_lam = 1.0", "u1_lam = inf", "u1_lam"),
     # The first point of this axis is 0 * inf = nan.
     (ROTATIONS_TEXT + "sweep1 = beta 0.0 inf 3\n", "", "", "beta"),
+    (ROTATIONS_TEXT, "control_theta = 0.8", "control_theta = 3.2", "control_theta"),
+    (ROTATIONS_TEXT, "control_phi = 5.1", "control_phi = 6.283185307179586", "control_phi"),
+    (ROTATIONS_TEXT + MEASURE_TEXT, "measure_theta = 1.0", "measure_theta = -1", "measure_theta"),
+    (DISP_TEXT + MEASURE_TEXT, "measure_phi = 2.0", "measure_phi = 7.0", "measure_phi"),
 ]
 
 

@@ -60,6 +60,8 @@ from switchwork.switchcore import (
 )
 
 _EQ = BlochState(math.pi / 2.0, 0.0)
+# Every quantity the Fock oracle compares, in report order.
+_ORACLE_QUANTITIES = ("chi", "e12", "e21", "f_s", "delta_f", "delta_qs", "delta_sm")
 
 
 class TestLadderAndOperators:
@@ -276,6 +278,7 @@ class TestDisplacementPair:
             n_schedule=(40, 60),
         )
         assert report.passed
+        assert [c.quantity for c in report.checks] == list(_ORACLE_QUANTITIES)
         for check in report.checks:
             assert check.rows[-1][0] == 60
             assert check.rows[-1][2] < 1e-7
@@ -391,6 +394,7 @@ class TestDispSqueezeClosedForms:
             measurement=BlochState(1.1, 2.3),
             n_schedule=(60, 80),
         )
+        assert [c.quantity for c in report.checks] == list(_ORACLE_QUANTITIES)
         for check in report.checks:
             assert check.rows[-1][0] == 80
             assert check.rows[-1][2] < 1e-6, check.quantity

@@ -1,5 +1,6 @@
 """Self-verification suite: the quick plan passes on the shipped library,
-and the suite demonstrably fails (has teeth) when a closed form is wrong."""
+and the suite demonstrably fails (has teeth) when a closed form, the
+optimizer pool, the switch unitary or the config serializer is wrong."""
 from __future__ import annotations
 
 import math
@@ -7,15 +8,25 @@ import math
 import numpy as np
 import pytest
 
-from switchwork import qubitcase, switchcore
+from switchwork import cvcase, qubitcase, switchcore, verifysuite
+from switchwork.config import FAMILIES
 from switchwork.qmat import UnitaryOperator
 from switchwork.states import gibbs_qubit, ThermalParams
 from switchwork.switchcore import activation_report
-from switchwork.verifysuite import (
-    closed_form_table,
-    random_passive_scenario,
-    run_verify,
-)
+from switchwork.verifysuite import random_passive_scenario, run_verify
+
+# Every bosonic closed form that verify compares with the truncated-Fock
+# path, and the check that must catch a corrupted one.
+_BOSONIC_CLOSED_FORMS = {
+    **{
+        f"{q}_displacements": "displacement-closed-forms"
+        for q in ("chi", "delta_qs", "delta_sm")
+    },
+    **{
+        f"{q}_disp_squeeze": "disp-squeeze-closed-forms"
+        for q in ("chi", "e12", "e21", "f_s", "delta_f", "delta_qs", "delta_sm")
+    },
+}
 
 
 class TestQuickPlan:
@@ -25,6 +36,8 @@ class TestQuickPlan:
         assert report.level == "quick"
         assert len(report.checks) >= 10
         assert all(c.passed for c in report.checks)
+        details = {c.name: c.detail for c in report.checks}
+        assert details["config-round-trip"].startswith(f"{len(FAMILIES)} sample configs ")
 
     def test_render_format(self):
         report = run_verify(level="quick", seed=0)
@@ -63,26 +76,57 @@ class TestQuickPlan:
 
 
 class TestSuiteHasTeeth:
-    def test_wrong_interference_sign_fails_disp_squeeze_check(self):
-        table = closed_form_table()
-        honest = table["chi_disp_squeeze"]
-        table["chi_disp_squeeze"] = lambda *args, **kwargs: -honest(*args, **kwargs)
-        report = run_verify(level="quick", seed=0, table=table)
+    def test_wrong_interference_sign_fails_disp_squeeze_check(self, monkeypatch):
+        honest = cvcase.chi_disp_squeeze
+        monkeypatch.setattr(
+            cvcase, "chi_disp_squeeze", lambda *args, **kwargs: -honest(*args, **kwargs)
+        )
+        report = run_verify(level="quick", seed=0)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert any("disp-squeeze" in name for name in failed)
         assert "FAIL" in report.render()
 
-    def test_small_energy_bias_fails_displacement_check(self):
-        table = closed_form_table()
-        honest = table["delta_sm_displacements"]
-        table["delta_sm_displacements"] = (
-            lambda *args, **kwargs: honest(*args, **kwargs) + 1e-4
+    def test_small_energy_bias_fails_displacement_check(self, monkeypatch):
+        honest = cvcase.delta_sm_displacements
+        monkeypatch.setattr(
+            cvcase,
+            "delta_sm_displacements",
+            lambda *args, **kwargs: honest(*args, **kwargs) + 1e-4,
         )
-        report = run_verify(level="quick", seed=0, table=table)
+        report = run_verify(level="quick", seed=0)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert any("displacement" in name for name in failed)
+
+    @pytest.mark.parametrize("name", _BOSONIC_CLOSED_FORMS)
+    def test_biased_bosonic_closed_form_fails_only_closed_form_checks(self, monkeypatch, name):
+        honest = getattr(cvcase, name)
+        monkeypatch.setattr(cvcase, name, lambda *args, **kwargs: honest(*args, **kwargs) + 1e-4)
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert _BOSONIC_CLOSED_FORMS[name] in failed
+        assert failed <= set(_BOSONIC_CLOSED_FORMS.values())
+
+    @pytest.mark.parametrize(
+        "dropped, family",
+        [("n_max", "displacements"), ("sweep2", "rotations")],
+    )
+    def test_serializer_that_drops_a_line_fails_round_trip(self, monkeypatch, dropped, family):
+        honest = verifysuite.serialize_config
+        monkeypatch.setattr(
+            verifysuite,
+            "serialize_config",
+            lambda cfg: "".join(
+                line
+                for line in honest(cfg).splitlines(keepends=True)
+                if not line.startswith(f"{dropped} =")
+            ),
+        )
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {"config-round-trip"}
+        assert failed["config-round-trip"] == f"round-trip mismatch for family {family}"
 
     def test_pool_that_loses_a_start_fails_u2_check(self, monkeypatch):
         class LossyPool:
@@ -110,10 +154,9 @@ class TestSuiteHasTeeth:
         assert set(failed) == {"switch-algebra"}
         assert "DIFFERS FROM kron formula" in failed["switch-algebra"]
 
-    def test_summary_counts_failures(self):
-        table = closed_form_table()
-        table["chi_displacements"] = lambda *args, **kwargs: 0.0j
-        report = run_verify(level="quick", seed=0, table=table)
+    def test_summary_counts_failures(self, monkeypatch):
+        monkeypatch.setattr(cvcase, "chi_displacements", lambda *args, **kwargs: 0.0j)
+        report = run_verify(level="quick", seed=0)
         last = report.render().split("\n")[-1]
         assert "FAILURES PRESENT" in last
 
