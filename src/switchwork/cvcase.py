@@ -13,6 +13,9 @@ Some tabulated closed forms for this family are internally inconsistent
 The corrected derivations are the primary API; the original tabulated
 forms are retained verbatim under the `_tabulated` suffix so the
 disagreement itself is documented by tests rather than silently patched.
+n_m_disp_squeeze and delta_sm_disp_squeeze assemble the family's chi,
+delta_12, delta_21 and delta_f with the switchcore kernel; the delta_qs
+forms keep their own order of operations, which the figure baselines pin.
 Corrected pieces, all oracle-validated:
 
     E21        = w [ nth cosh(2|z|) + sinh^2|z| + |a|^2 + 1/2 ]   (as tabulated)
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
+from .qmat import UnitaryOperator
 from .states import (
     BlochState,
     ControlHamiltonianParams,
@@ -53,8 +56,11 @@ from .switchcore import (
     NearZeroPostSelectionError,
     SwitchScenario,
     activation_report,
-    chi as generic_chi,
+    assemble_nm,
+    assemble_sm,
     measure_control,
+    measurement_angles,
+    post_selection_vanishes,
 )
 
 TOL_CV_UNITARY = 1e-8
@@ -582,16 +588,8 @@ def n_m_disp_squeeze(
     c: BlochState,
     m: BlochState,
 ) -> float:
-    """Post-selection probability
-    (1 + cos tc cos tm + sin tc sin tm Re{chi e^{i psi}}) / 2,
-    psi = pm - pc."""
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    psi = m.phi - c.phi
-    return 0.5 * (
-        1.0
-        + math.cos(c.theta) * math.cos(m.theta)
-        + math.sin(c.theta) * math.sin(m.theta) * (chi_val * cmath.exp(1j * psi)).real
-    )
+    """Post-selection probability: switchcore.assemble_nm on this family's chi."""
+    return assemble_nm(measurement_angles(c, m), chi_disp_squeeze(a, s, beta, omega))
 
 
 def delta_sm_disp_squeeze(
@@ -603,31 +601,19 @@ def delta_sm_disp_squeeze(
     m: BlochState,
 ) -> float:
     """Post-measurement energy difference for displacement+squeeze:
-
-    (1/N_M) [ cos^2(tc/2) cos^2(tm/2) delta_12
-              + sin^2(tc/2) sin^2(tm/2) delta_21
-              + (1/2) sin tc sin tm Re{delta_f e^{i psi}} ]
-
-    Raises NearZeroPostSelectionError in the divergence regime
+    switchcore.assemble_sm on this family's chi, delta_12, delta_21 and
+    delta_f.  Raises NearZeroPostSelectionError in the divergence regime
     (N_M <= TOL_NM).
     """
-    n_m = n_m_disp_squeeze(omega, beta, a, s, c, m)
-    if n_m <= TOL_NM:
-        raise NearZeroPostSelectionError(n_m)
     d21 = delta_21_disp_squeeze(omega, beta, a, s)
     d12 = d21 + (
         e12_disp_squeeze(omega, beta, a, s) - e21_disp_squeeze(omega, beta, a, s)
     )
+    chi_val = chi_disp_squeeze(a, s, beta, omega)
     df = delta_f_disp_squeeze(omega, beta, a, s)
-    psi = m.phi - c.phi
-    bracket = (
-        math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2 * d12
-        + math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2 * d21
-        + 0.5
-        * math.sin(c.theta)
-        * math.sin(m.theta)
-        * (df * cmath.exp(1j * psi)).real
-    )
+    n_m, bracket = assemble_sm(measurement_angles(c, m), chi_val, d12, d21, df)
+    if post_selection_vanishes(n_m):
+        raise NearZeroPostSelectionError(n_m)
     return bracket / n_m
 
 
@@ -1001,15 +987,11 @@ def fock_oracle_report(
             warnings.simplefilter("ignore", TruncationInadequacyWarning)
             scenario = build(n_max)
             report = activation_report(scenario)
-            w12 = scenario.u2.mat @ scenario.u1.mat
-            w21 = scenario.u1.mat @ scenario.u2.mat
-            h = scenario.h_s.mat
-            rho = scenario.rho_s.mat
             numeric: dict[str, complex] = {
                 "chi": report.chi,
                 "e12": report.e12,
                 "e21": report.e21,
-                "f_s": complex(np.trace(w12 @ rho @ w21.conj().T @ h)),
+                "f_s": scenario._terms.f_s,
                 "delta_qs": report.delta_qs,
             }
             try:

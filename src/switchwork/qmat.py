@@ -137,14 +137,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_mat(a), _mat(b))
 
 
-def dagger(a) -> np.ndarray:
-    return _mat(a).conj().T
-
-
 def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Reduce a (dim_a*dim_b)-dim matrix over one tensor factor.
 
     keep: "a" keeps the first factor, "b" the second.  Trace is preserved.
+    The library reduces states blockwise and has no caller; the tests keep
+    it as their independent reference for reduced states.
     """
     m = _mat(rho)
     if m.shape != (dim_a * dim_b, dim_a * dim_b):

@@ -13,7 +13,8 @@ forms for every scalar in the controlled-order energy bookkeeping:
 with df the interference term of the post-measurement decomposition.
 Each closed-form entry point re-evaluates the generic matrix path by
 default and raises if the two disagree, so a formula regression cannot
-return silently wrong numbers.
+return silently wrong numbers.  The activation conditions and both U(2)
+objectives assemble their scalars with the switchcore kernel.
 
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
@@ -48,11 +49,15 @@ from .states import (
 )
 from .switchcore import (
     TOL_ENERGY,
-    TOL_NM,
-    NearZeroPostSelectionError,
+    MeasurementAngles,
     SwitchScenario,
+    activation_conditions,
     activation_report,
+    assemble_qs,
+    assemble_sm,
     measure_control,
+    measurement_angles,
+    post_selection_vanishes,
 )
 
 TOL_OPT = 1e-4
@@ -211,35 +216,23 @@ def activation_conditions_rotations(
     m: BlochState,
     cross_check: bool = True,
 ) -> tuple[bool, bool, bool]:
-    """The three necessary post-measurement activation conditions,
-    specialized to the rotation family.
-
-    (i)   sin(tc) != 0 and sin(tm) != 0;
-    (ii)  tan(psi) != Re{df}/Im{df} with psi = pm - pc — for rotations the
-          ratio collapses to (cot ax cot ay - csc ax csc ay) sinh(b w),
-          evaluated in cross-product form to dodge tangent poles;
-    (iii) sin(tc) sin(tm) Re{df e^{i psi}} < 0.
-    """
+    """Conditions (i)-(iii) of switchcore.MeasurementReport for the rotation
+    family: switchcore.activation_conditions on the closed-form df.  In
+    (ii), tan(psi) != Re{df}/Im{df}, the ratio collapses for rotations to
+    (cot ax cot ay - csc ax csc ay) sinh(b w); the kernel tests it in
+    cross-product form, which has no tangent poles."""
     df = _rotation_delta_f(omega, beta, r)
     if cross_check:
-        scenario = qubit_scenario(omega, beta, 0.0, 0.0, *_rotation_pair(r), c)
-        try:
-            report = measure_control(scenario, m)
-        except NearZeroPostSelectionError:
-            report = None  # conditions are still well-defined; only the
-            # renormalized state is not
-        if report is not None and abs(report.delta_f - df) > TOL_ENERGY:
+        # The scenario's d-space F_S - chi E_S does not involve n_m, so the
+        # check also runs where the post-selection probability vanishes.
+        t = qubit_scenario(omega, beta, 0.0, 0.0, *_rotation_pair(r), c)._terms
+        generic = t.f_s - t.chi * t.e_s
+        if abs(generic - df) > TOL_ENERGY:
             raise AssertionError(
                 f"rotation interference term {df!r} disagrees with "
-                f"generic path {report.delta_f!r}"
+                f"generic path {generic!r}"
             )
-    psi = m.phi - c.phi
-    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    cond_i = sin_c != 0.0 and sin_m != 0.0
-    cross = df.imag * math.sin(psi) - df.real * math.cos(psi)
-    cond_ii = cross != 0.0
-    cond_iii = sin_c * sin_m * (df * cmath.exp(1j * psi)).real < 0.0
-    return (cond_i, cond_ii, cond_iii)
+    return activation_conditions(measurement_angles(c, m), df)[0]
 
 
 def delta_sm_rotations_beta0(
@@ -367,11 +360,7 @@ class _DeltaQsObjective(NamedTuple):
 
     def __call__(self, x: np.ndarray) -> float:
         _, _, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
-        return (
-            self.rc00 * (e12 - self.e_s)
-            + self.rc11 * (e21 - self.e_s)
-            + 2.0 * (self.k * (x_chi - 1.0)).real
-        )
+        return assemble_qs(self.rc00, self.rc11, self.k, x_chi, e12 - self.e_s, e21 - self.e_s)[0]
 
 
 class _DeltaSmObjective(NamedTuple):
@@ -382,12 +371,7 @@ class _DeltaSmObjective(NamedTuple):
     p0: float
     p1: float
     e_s: float
-    cc: float  # cos^2(theta_c/2) cos^2(theta_m/2)
-    ss: float  # sin^2(theta_c/2) sin^2(theta_m/2)
-    cos_cm: float  # cos(theta_c) cos(theta_m)
-    sin_cm: float  # sin(theta_c) sin(theta_m)
-    half_sin_cm: float  # 0.5 sin(theta_c) sin(theta_m)
-    e_psi: complex
+    angles: MeasurementAngles
 
     def __call__(self, x: np.ndarray) -> float:
         w12, w21, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
@@ -395,14 +379,10 @@ class _DeltaSmObjective(NamedTuple):
             self.p0 * w12[1, 0] * w21[1, 0].conjugate() + self.p1 * w12[1, 1] * w21[1, 1].conjugate()
         )
         delta_f = f_s - x_chi * self.e_s
-        n_m = 0.5 * (1.0 + self.cos_cm + self.sin_cm * (x_chi * self.e_psi).real)
-        if n_m <= TOL_NM:
+        n_m, bracket = assemble_sm(self.angles, x_chi, e12 - self.e_s, e21 - self.e_s, delta_f)
+        if post_selection_vanishes(n_m):
             return math.inf
-        return (
-            self.cc * (e12 - self.e_s)
-            + self.ss * (e21 - self.e_s)
-            + self.half_sin_cm * (delta_f * self.e_psi).real
-        ) / n_m
+        return bracket / n_m
 
 
 def _thermal_populations(omega: float, beta: float) -> tuple[float, float]:
@@ -426,16 +406,7 @@ def _delta_sm_objective(
     omega: float, beta: float, c: BlochState, m: BlochState
 ) -> _DeltaSmObjective:
     p0, p1 = _thermal_populations(omega, beta)
-    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    return _DeltaSmObjective(
-        omega, p0, p1, omega * p1,
-        math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2,
-        math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2,
-        math.cos(c.theta) * math.cos(m.theta),
-        sin_c * sin_m,
-        0.5 * sin_c * sin_m,
-        cmath.exp(1j * (m.phi - c.phi)),
-    )
+    return _DeltaSmObjective(omega, p0, p1, omega * p1, measurement_angles(c, m))
 
 
 def _nelder_mead_start(task: tuple) -> tuple[float, np.ndarray, int, int]:

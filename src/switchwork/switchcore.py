@@ -18,6 +18,15 @@ function names its checks).  A disagreement means a bug, so it raises
 instead of returning.  Scenarios and wrapper arrays are immutable, so a
 cached term never goes stale.
 
+The assembly kernel holds the paper's formulas once.  Every family reduces
+to chi, delta_12 = E12 - E_S, delta_21 = E21 - E_S and delta_f = F_S - chi E_S;
+assemble_qs turns them into delta_qs and delta_c, and, with the angle
+factors that measurement_angles builds once per (control, measurement)
+pair, assemble_sm gives n_m and the delta_sm numerator, and
+activation_conditions conditions (i)-(iii).  post_selection_vanishes is the
+one divergence test.  The reports check their direct routes against the
+kernel; the qubitcase and cvcase forms call it with their own numbers.
+
 Subsystem ordering is system (x) control everywhere.
 """
 from __future__ import annotations
@@ -26,6 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +115,7 @@ class SwitchScenario:
     @cached_property
     def _post_switch(self) -> DensityMatrix:
         out = self._joint_out
-        pure = isinstance(self.control, BlochState)
-        if pure and np.max(np.abs(out - _post_switch_expansion(self))) > TOL_ENERGY:
+        if np.max(np.abs(out - _post_switch_expansion(self))) > TOL_ENERGY:
             raise AssertionError("post-switch expansion disagrees with conjugation path")
         return DensityMatrix(out)
 
@@ -128,6 +137,85 @@ class _SwitchTerms:
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
     """tr{a b} as an O(d^2) elementwise sum."""
     return complex(np.einsum("ij,ji->", a, b))
+
+
+class MeasurementAngles(NamedTuple):
+    """Angle factors of one (control, measurement) pair, psi = phi_m - phi_c;
+    build it once per pair with measurement_angles."""
+
+    cc: float  # cos^2(theta_c/2) cos^2(theta_m/2)
+    ss: float  # sin^2(theta_c/2) sin^2(theta_m/2)
+    cos_cm: float  # cos(theta_c) cos(theta_m)
+    sin_c: float
+    sin_m: float
+    sin_cm: float  # sin(theta_c) sin(theta_m)
+    half_sin_cm: float  # 0.5 sin(theta_c) sin(theta_m)
+    psi: float
+    e_psi: complex
+
+
+def measurement_angles(c: BlochState, m: BlochState) -> MeasurementAngles:
+    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
+    psi = m.phi - c.phi
+    return MeasurementAngles(
+        math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2,
+        math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2,
+        math.cos(c.theta) * math.cos(m.theta),
+        sin_c,
+        sin_m,
+        sin_c * sin_m,
+        0.5 * sin_c * sin_m,
+        psi,
+        cmath.exp(1j * psi),
+    )
+
+
+def assemble_nm(a: MeasurementAngles, chi_value: complex) -> float:
+    """n_m = (1 + cos tc cos tm + sin tc sin tm Re{chi e^{i psi}}) / 2."""
+    return 0.5 * (1.0 + a.cos_cm + a.sin_cm * (chi_value * a.e_psi).real)
+
+
+def assemble_sm(
+    a: MeasurementAngles, chi_value: complex, d12: float, d21: float, df: complex
+) -> tuple[float, float]:
+    """(n_m, bracket) with delta_sm = bracket / n_m:
+
+    bracket = cos^2(tc/2) cos^2(tm/2) delta_12 + sin^2(tc/2) sin^2(tm/2) delta_21
+              + (1/2) sin tc sin tm Re{delta_f e^{i psi}}
+
+    The caller checks post_selection_vanishes(n_m) before it divides.
+    """
+    bracket = a.cc * d12 + a.ss * d21 + a.half_sin_cm * (df * a.e_psi).real
+    return assemble_nm(a, chi_value), bracket
+
+
+def activation_conditions(
+    a: MeasurementAngles, df: complex
+) -> tuple[tuple[bool, bool, bool], float]:
+    """Conditions (i)-(iii) of MeasurementReport and condition_ii_lhs."""
+    lhs = df.imag * math.sin(a.psi) - df.real * math.cos(a.psi)
+    cond_iii = a.sin_cm * (df * a.e_psi).real < 0.0
+    return (a.sin_c != 0.0 and a.sin_m != 0.0, abs(lhs) > 0.0, cond_iii), lhs
+
+
+def assemble_qs(
+    rc00: float, rc11: float, k: complex, chi_value: complex, d12: float, d21: float
+) -> tuple[float, float]:
+    """(delta_qs, delta_c) before measurement, k = <0|rho_c|1> <1|h_c|0>:
+
+    delta_c  = 2 Re{k (chi - 1)}
+    delta_qs = rc00 delta_12 + rc11 delta_21 + delta_c
+
+    Exact for any 2x2 control state and h_c: tr rho_c = 1 cancels E_S and
+    the diagonal of h_c.
+    """
+    delta_c = 2.0 * (k * (chi_value - 1.0)).real
+    return rc00 * d12 + rc11 * d21 + delta_c, delta_c
+
+
+def post_selection_vanishes(n_m: float) -> bool:
+    """n_m at or below TOL_NM: no post-selected state is renormalized there."""
+    return n_m <= TOL_NM
 
 
 @dataclass(frozen=True)
@@ -199,27 +287,25 @@ def chi(u1, u2, rho_s) -> complex:
 def post_switch_state(s: SwitchScenario) -> DensityMatrix:
     """Joint state after the controlled-order channel.
 
-    Generic path: conjugation by the switch unitary.  For a pure control the
-    four-term block expansion is evaluated as a cross-check and must agree
-    term-for-term.  Computed once per scenario.
+    Generic path: conjugation by the switch unitary.  The four-term block
+    expansion is evaluated as a cross-check and must agree term-for-term.
+    Computed once per scenario.
     """
     return s._post_switch
 
 
 def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
-    """Four-term block form of the post-switch joint state for pure control."""
-    c = s.control
-    assert isinstance(c, BlochState)
+    """Four-term block form of the post-switch joint state: block (a, b)
+    is <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1, W_1 = U1 U2."""
+    rc = s.rho_c.mat
     t = s._terms
     d = s.rho_s.dim
-    # <0|rho_c|1> = (1/2) sin(theta) e^{-i phi} for the standard ket.
-    coh = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
     # blocks[i, a, j, b] = <i a| out |j b>, the kron(system, control) layout.
     blocks = np.empty((d, 2, d, 2), dtype=complex)
-    blocks[:, 0, :, 0] = math.cos(c.theta / 2.0) ** 2 * t.r12
-    blocks[:, 0, :, 1] = coh * t.a12
-    blocks[:, 1, :, 0] = np.conj(coh) * t.a12.conj().T
-    blocks[:, 1, :, 1] = math.sin(c.theta / 2.0) ** 2 * t.r21
+    blocks[:, 0, :, 0] = rc[0, 0] * t.r12
+    blocks[:, 0, :, 1] = rc[0, 1] * t.a12
+    blocks[:, 1, :, 0] = rc[1, 0] * t.a12.conj().T
+    blocks[:, 1, :, 1] = rc[1, 1] * t.r21
     return blocks.reshape(2 * d, 2 * d)
 
 
@@ -265,13 +351,11 @@ class DeltaCMinResult:
 def activation_report(s: SwitchScenario) -> ActivationReport:
     """Pre-measurement energy bookkeeping with built-in cross-checks.
 
-    Route (a): delta_qs from the 2d-dim conjugated joint state.
-    Route (b): the scalar expansion
-        E' = rc00 E12 + rc11 E21 + rc00 hc00 + rc11 hc11
-             + chi rc01 hc10 + chi* rc10 hc01
-    Both must agree within TOL_ENERGY, as must the mixed-state split
-    E' = tr{tilde_rho_s h_s} + tr{tilde_rho_c h_c} and the closed form
-    delta_c = 2 Re{rc01 hc10 (chi - 1)}.
+    Route (a): delta_qs from the 2d-dim conjugated joint state, and the
+    mixed-state split delta_qs = delta_s + delta_c of the tilde states.
+    Route (b): the kernel assemble_qs on the d-space terms.  The routes
+    must agree within TOL_ENERGY on delta_qs, on the split's sum and on
+    delta_c.
     """
     rho_c = s.rho_c.mat
     h_c = s.h_c.mat
@@ -279,22 +363,13 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     e_s, e12, e21, x = t.e_s, t.e12, t.e21, t.chi
     e_c = _tr(rho_c, h_c).real
 
-    # Route (a): direct joint-space trace.
     e_out_direct = _tr(s._joint_out, _joint_hamiltonian(s.h_s.mat, h_c)).real
-
-    # Route (b): scalar expansion.
-    e_out_scalar = float(np.real(
-        rho_c[0, 0] * e12
-        + rho_c[1, 1] * e21
-        + rho_c[0, 0] * h_c[0, 0]
-        + rho_c[1, 1] * h_c[1, 1]
-        + x * rho_c[0, 1] * h_c[1, 0]
-        + np.conj(x) * rho_c[1, 0] * h_c[0, 1]
-    ))
-    if abs(e_out_direct - e_out_scalar) > TOL_ENERGY:
-        raise AssertionError(
-            f"energy routes disagree: direct {e_out_direct!r} vs scalar {e_out_scalar!r}"
-        )
+    delta_qs = e_out_direct - (e_s + e_c)
+    rc00, rc11 = float(rho_c[0, 0].real), float(rho_c[1, 1].real)
+    k = complex(rho_c[0, 1] * h_c[1, 0])
+    qs_scalar, delta_c_closed = assemble_qs(rc00, rc11, k, x, e12 - e_s, e21 - e_s)
+    if abs(delta_qs - qs_scalar) > TOL_ENERGY:
+        raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 
     tilde_s, tilde_c = _tilde_states(s, x)
     e_tilde_s = _tr(tilde_s.mat, s.h_s.mat).real
@@ -302,10 +377,8 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     if abs(e_tilde_s + e_tilde_c - e_out_direct) > TOL_ENERGY:
         raise AssertionError("mixed-state split disagrees with the direct route")
 
-    delta_qs = e_out_direct - (e_s + e_c)
     delta_s = e_tilde_s - e_s
     delta_c = e_tilde_c - e_c
-    delta_c_closed = 2.0 * float(np.real(rho_c[0, 1] * h_c[1, 0] * (x - 1.0)))
     if abs(delta_c - delta_c_closed) > TOL_ENERGY:
         raise AssertionError("delta_c closed form disagrees with the tilde route")
 
@@ -369,17 +442,12 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
     computed both by direct projection of the joint state and by the
-    four-term expansion; the two must agree.
-
-    delta_sm = (1/n_m) [ cos^2(tc/2) cos^2(tm/2) delta_12
-                         + sin^2(tc/2) sin^2(tm/2) delta_21
-                         + (1/2) sin(tc) sin(tm) Re{delta_f e^{i psi}} ]
-    with psi = phi_m - phi_c and delta_f = F_S - chi E_S,
+    four-term expansion; the two must agree, and so must n_m and delta_sm
+    with the kernel assemble_sm on delta_f = F_S - chi E_S,
     F_S = tr{U2 U1 rho U2† U1† h_s}.
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
-    c = s.control
     d = s.rho_s.dim
     t = s._terms
 
@@ -389,48 +457,27 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     numerator = np.einsum("k,ikjl,l->ij", ket_m.conj(), joint_out, ket_m)
     n_m_direct = float(np.real(np.trace(numerator)))
 
-    # Expansion path.
-    psi = m.phi - c.phi
-    cc_c, ss_c = math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2
-    cc_m, ss_m = math.cos(m.theta / 2.0) ** 2, math.sin(m.theta / 2.0) ** 2
-    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    numerator_exp = (
-        cc_c * cc_m * t.r12
-        + ss_c * ss_m * t.r21
-        + 0.25 * sin_c * sin_m * cmath.exp(1j * psi) * t.a12
-        + 0.25 * sin_c * sin_m * cmath.exp(-1j * psi) * t.a12.conj().T
-    )
-    n_m_closed = 0.5 * (
-        1.0
-        + math.cos(c.theta) * math.cos(m.theta)
-        + sin_c * sin_m * (t.chi * cmath.exp(1j * psi)).real
-    )
+    # Expansion path: the kernel's angle factors on the d-space blocks.
+    a = measurement_angles(s.control, m)
+    coh = 0.5 * a.half_sin_cm * a.e_psi
+    numerator_exp = a.cc * t.r12 + a.ss * t.r21 + coh * t.a12 + coh.conjugate() * t.a12.conj().T
+    delta_12, delta_21 = t.e12 - t.e_s, t.e21 - t.e_s
+    delta_f = t.f_s - t.chi * t.e_s
+    n_m_closed, bracket = assemble_sm(a, t.chi, delta_12, delta_21, delta_f)
     if np.max(np.abs(numerator - numerator_exp)) > TOL_ENERGY:
         raise AssertionError("projection and expansion numerators disagree")
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
         raise AssertionError("post-selection probability routes disagree")
 
-    if n_m_direct <= TOL_NM:
+    if post_selection_vanishes(n_m_direct):
         raise NearZeroPostSelectionError(n_m_direct)
 
     rho_sm = DensityMatrix(numerator / n_m_direct)
     e_sm = _tr(rho_sm.mat, s.h_s.mat).real
-    delta_12 = t.e12 - t.e_s
-    delta_21 = t.e21 - t.e_s
-    delta_f = t.f_s - t.chi * t.e_s
-
-    cross = (delta_f * cmath.exp(1j * psi)).real
-    delta_sm_closed = (
-        cc_c * cc_m * delta_12 + ss_c * ss_m * delta_21 + 0.5 * sin_c * sin_m * cross
-    ) / n_m_direct
     delta_sm_direct = e_sm - t.e_s
-    if abs(delta_sm_closed - delta_sm_direct) > TOL_ENERGY:
+    if abs(bracket / n_m_direct - delta_sm_direct) > TOL_ENERGY:
         raise AssertionError("post-measurement energy routes disagree")
-
-    cond_i = (sin_c != 0.0) and (sin_m != 0.0)
-    cond_ii_lhs = delta_f.imag * math.sin(psi) - delta_f.real * math.cos(psi)
-    cond_ii = abs(cond_ii_lhs) > 0.0
-    cond_iii = sin_c * sin_m * cross < 0.0
+    conditions, cond_ii_lhs = activation_conditions(a, delta_f)
 
     return MeasurementReport(
         n_m=n_m_direct,
@@ -440,6 +487,6 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         delta_21=delta_21,
         delta_f=delta_f,
         delta_sm=delta_sm_direct,
-        conditions=(cond_i, cond_ii, cond_iii),
+        conditions=conditions,
         condition_ii_lhs=cond_ii_lhs,
     )

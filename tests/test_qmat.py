@@ -13,7 +13,6 @@ from switchwork.qmat import (
     HermitianOperator,
     UnitaryOperator,
     _direct_sum_unitary,
-    dagger,
     eig_hermitian,
     expm,
     kron,
@@ -234,14 +233,10 @@ class TestKronAndPartialTrace:
             assert np.max(np.abs(partial_trace(joint, 2, 2, keep) - np.eye(2) / 2.0)) < 1e-12
 
 
-class TestEigAndDagger:
+class TestEigHermitian:
     def test_eig_hermitian_sorted_and_consistent(self, rng):
         h = random_hermitian(rng, 6)
         evals, evecs = eig_hermitian(h)
         assert np.all(np.diff(evals) >= 0.0)
         recon = evecs @ np.diag(evals) @ evecs.conj().T
         assert np.max(np.abs(recon - h)) < 1e-10
-
-    def test_dagger(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(dagger(m), m.conj().T)

@@ -27,6 +27,7 @@ from switchwork.qubitcase import (
     u2_unitary,
 )
 from switchwork.states import BlochState
+from switchwork.switchcore import NearZeroPostSelectionError, measure_control
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -136,6 +137,20 @@ class TestMeasuredRotationClosedForm:
         neg = delta_sm_rotations_beta0(1.0, math.pi / 2.0, math.pi / 2.0, 4.0)
         pos = delta_sm_rotations_beta0(1.0, math.pi / 2.0, math.pi / 2.0, 2.0)
         assert neg < 0.0 < pos
+
+    def test_interference_cross_check_runs_where_n_m_vanishes(self, monkeypatch):
+        # alpha_x = 0 makes the pair commute, so chi = 1 and the anti-aligned
+        # measurement has n_m = 0: no renormalized state exists there.
+        r, c = RotationParams(0.0, 0.7), BlochState(math.pi / 2.0, 0.0)
+        m = BlochState(math.pi / 2.0, math.pi)
+        scenario = qubitcase.qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)
+        with pytest.raises(NearZeroPostSelectionError):
+            measure_control(scenario, m)
+        assert activation_conditions_rotations(1.0, 0.8, r, c, m) == (True, True, True)
+        original = qubitcase._rotation_delta_f
+        monkeypatch.setattr(qubitcase, "_rotation_delta_f", lambda *a: original(*a) + 1.0)
+        with pytest.raises(AssertionError, match="rotation interference term"):
+            activation_conditions_rotations(1.0, 0.8, r, c, m)
 
     def test_activation_conditions_flag_negative_points(self, rng):
         hits = 0

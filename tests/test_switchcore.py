@@ -25,6 +25,7 @@ from switchwork.qmat import (
     kron,
     partial_trace,
 )
+from switchwork.qubitcase import U2Params, qubit_scenario, u2_unitary
 from switchwork.states import BlochState, ControlHamiltonianParams, hamiltonian_control
 from switchwork.switchcore import (
     NearZeroPostSelectionError,
@@ -213,6 +214,22 @@ class TestActivationReport:
         s = random_passive_scenario(rng)
         assert activation_report(s).delta_qs >= -1e-8
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=_SEED, d=st.integers(min_value=2, max_value=4))
+    def test_assemble_qs_matches_mixed_control(self, seed, d):
+        # A mixed control and an h_c with a nonzero diagonal: the kernel
+        # drops E_S and the diagonal of h_c, which tr rho_c = 1 cancels.
+        rng = np.random.default_rng(seed)
+        s = dataclasses.replace(_random_scenario(rng, d), control=DensityMatrix(random_density(rng, 2)))
+        rc, hc = s.rho_c.mat, s.h_c.mat
+        assert min(abs(hc[0, 0]), abs(hc[1, 1])) > 0.0 and np.linalg.eigvalsh(rc)[0] > 0.0
+        rep = activation_report(s)
+        delta_qs, delta_c = switchcore.assemble_qs(
+            rc[0, 0].real, rc[1, 1].real, rc[0, 1] * hc[1, 0], rep.chi, rep.e12 - rep.e_s, rep.e21 - rep.e_s
+        )
+        assert abs(delta_qs - rep.delta_qs) < 1e-12
+        assert abs(delta_c - rep.delta_c) < 1e-12
+
     def test_identity_unitaries_give_zero(self, rng):
         rho = DensityMatrix(random_density(rng, 3))
         eye = UnitaryOperator(np.eye(3, dtype=complex))
@@ -260,7 +277,41 @@ class TestDeltaCMin:
         assert res.attained == 0.0
 
 
+_POLE_OR_ANGLE = st.one_of(st.sampled_from([0.0, math.pi]), _ANGLE)
+
+
 class TestMeasureControl:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        angles=st.lists(_PHASE, min_size=6, max_size=6),
+        beta=st.one_of(st.floats(min_value=0.0, max_value=5.0), st.just(math.inf)),
+        c=st.builds(BlochState, _POLE_OR_ANGLE, _PHASE),
+        m=st.builds(BlochState, _POLE_OR_ANGLE, _PHASE),
+    )
+    def test_kernel_matches_direct_route(self, angles, beta, c, m):
+        u1, u2 = u2_unitary(U2Params(0.0, *angles[:3])), u2_unitary(U2Params(0.0, *angles[3:]))
+        s = qubit_scenario(1.0, beta, 0.7, 0.3, u1, u2, c)
+        t = s._terms
+        a = switchcore.measurement_angles(c, m)
+        df = t.f_s - t.chi * t.e_s
+        n_m, bracket = switchcore.assemble_sm(a, t.chi, t.e12 - t.e_s, t.e21 - t.e_s, df)
+        conditions, lhs = switchcore.activation_conditions(a, df)
+        try:
+            rep = measure_control(s, m)
+        except NearZeroPostSelectionError as exc:
+            assert abs(exc.n_m - n_m) < 1e-12
+            return
+        assert abs(rep.n_m - n_m) < 1e-12
+        assert abs(rep.delta_sm * rep.n_m - bracket) < 1e-12
+        # The joint-space formulas decide each flag independently; compare
+        # the flags wherever round-off cannot decide them.
+        reference = _joint_space_reports(s, m)
+        assert abs(reference["condition_ii_lhs"] - lhs) < 1e-12
+        cross = (df * a.e_psi).real
+        decided = (True, abs(lhs) > 1e-12, abs(cross) > 1e-12)
+        for got, want, ok in zip(conditions, reference["conditions"], decided):
+            assert got == want or not ok
+
     def test_post_selection_weight_formula(self, rng):
         for _ in range(20):
             s = random_qubit_scenario(rng)
