@@ -23,6 +23,14 @@ functional and are fixed to zero during optimization.  The starts of one
 call are independent, so they run in a persistent fork pool of
 min(usable CPUs, starts, 8) workers and are merged in start order: the
 result is bit-identical for every worker count.
+
+One objective evaluation makes a single numpy call that does arithmetic:
+the stacked 2x2 product that gives both orderings of the pair.  It stays
+in numpy because OpenBLAS's zgemm rounds with fused multiply-adds, which
+Python arithmetic cannot reproduce.  Every other operation is on Python
+floats and complex numbers, written in the order and form of the numpy
+scalar code it replaced (Python `%` for np.mod, abs(z) ** 2, never
+z.real ** 2 + z.imag ** 2), so every objective value keeps its bits.
 """
 from __future__ import annotations
 
@@ -301,8 +309,9 @@ def implied_f(min_delta_sm: float, omega: float) -> float:
     return 32.0 * min_delta_sm / omega
 
 
-def _u2_mat(lam: float, gamma: float, delta: float) -> np.ndarray:
-    """R_z(lam) R_y(gamma) R_z(delta) without wrapper validation (hot path)."""
+def _rzyz_entries(lam: float, gamma: float, delta: float) -> tuple[complex, ...]:
+    """The entries of R_z(lam) R_y(gamma) R_z(delta) in row-major order, as
+    Python complex numbers (hot path: no array, no wrapper validation)."""
     cl, sl = math.cos(lam / 2.0), math.sin(lam / 2.0)
     cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
     cd, sd = math.cos(delta / 2.0), math.sin(delta / 2.0)
@@ -310,10 +319,7 @@ def _u2_mat(lam: float, gamma: float, delta: float) -> np.ndarray:
     ez_lc = complex(cl, sl)
     ez_d = complex(cd, -sd)
     ez_dc = complex(cd, sd)
-    return np.array(
-        [[ez_l * cg * ez_d, -ez_l * sg * ez_dc], [ez_lc * sg * ez_d, ez_lc * cg * ez_dc]],
-        dtype=complex,
-    )
+    return ez_l * cg * ez_d, -ez_l * sg * ez_dc, ez_lc * sg * ez_d, ez_lc * cg * ez_dc
 
 
 def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
@@ -330,17 +336,27 @@ def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
 
 def _u2_pair_terms(x: np.ndarray, omega: float, p0: float, p1: float):
     """Shared objective kernel: the orderings W12 = U2 U1 and W21 = U1 U2 of
-    the pair at angles x, with E12, E21 and chi for a diagonal qubit state
-    of populations (p0, p1).  Hot path: no wrapper validation."""
-    w = np.mod(x, _TWO_PI)
-    u1 = _u2_mat(w[0], w[1], w[2])
-    u2 = _u2_mat(w[3], w[4], w[5])
-    w12 = u2 @ u1
-    w21 = u1 @ u2
-    e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
-    e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
-    x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
-        w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
+    the pair at angles x, as nested lists of Python complex numbers, with
+    E12, E21 and chi for a diagonal qubit state of populations (p0, p1).
+
+    Hot path: one numpy call does arithmetic, the stacked product
+    [U2, U1] @ [U1, U2].  It goes through the same OpenBLAS zgemm as a
+    single 2x2 `@`, whose kernel rounds with fused multiply-adds, so a
+    Python 2x2 product would not reproduce its bits.  Everything else is
+    Python float/complex arithmetic in the left-to-right order of the numpy
+    scalar code it replaced, which it matches bit for bit: `%` equals
+    np.mod on floats, and abs(z) ** 2 calls C hypot and pow for numpy and
+    Python scalars alike (z.real**2 + z.imag**2 would round differently).
+    """
+    l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x.tolist()]
+    pair = np.array(
+        [*_rzyz_entries(l2, g2, d2), *_rzyz_entries(l1, g1, d1)], dtype=complex
+    ).reshape(2, 2, 2)
+    w12, w21 = np.matmul(pair, pair[::-1]).tolist()
+    e12 = omega * (abs(w12[1][0]) ** 2 * p0 + abs(w12[1][1]) ** 2 * p1)
+    e21 = omega * (abs(w21[1][0]) ** 2 * p0 + abs(w21[1][1]) ** 2 * p1)
+    x_chi = p0 * (w12[0][0] * w21[0][0].conjugate() + w12[1][0] * w21[1][0].conjugate()) + p1 * (
+        w12[0][1] * w21[0][1].conjugate() + w12[1][1] * w21[1][1].conjugate()
     )
     return w12, w21, e12, e21, x_chi
 
@@ -376,7 +392,7 @@ class _DeltaSmObjective(NamedTuple):
     def __call__(self, x: np.ndarray) -> float:
         w12, w21, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
         f_s = self.omega * (
-            self.p0 * w12[1, 0] * w21[1, 0].conjugate() + self.p1 * w12[1, 1] * w21[1, 1].conjugate()
+            self.p0 * w12[1][0] * w21[1][0].conjugate() + self.p1 * w12[1][1] * w21[1][1].conjugate()
         )
         delta_f = f_s - x_chi * self.e_s
         n_m, bracket = assemble_sm(self.angles, x_chi, e12 - self.e_s, e21 - self.e_s, delta_f)

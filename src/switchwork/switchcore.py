@@ -146,12 +146,13 @@ class MeasurementAngles(NamedTuple):
     cc: float  # cos^2(theta_c/2) cos^2(theta_m/2)
     ss: float  # sin^2(theta_c/2) sin^2(theta_m/2)
     cos_cm: float  # cos(theta_c) cos(theta_m)
-    sin_c: float
-    sin_m: float
     sin_cm: float  # sin(theta_c) sin(theta_m)
     half_sin_cm: float  # 0.5 sin(theta_c) sin(theta_m)
     psi: float
     e_psi: complex
+    # Condition (i), decided from the angles: math.sin(math.pi) is 1.2e-16,
+    # not 0, so the sines cannot tell a south pole from a point off it.
+    off_poles: bool
 
 
 def measurement_angles(c: BlochState, m: BlochState) -> MeasurementAngles:
@@ -161,12 +162,11 @@ def measurement_angles(c: BlochState, m: BlochState) -> MeasurementAngles:
         math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2,
         math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2,
         math.cos(c.theta) * math.cos(m.theta),
-        sin_c,
-        sin_m,
         sin_c * sin_m,
         0.5 * sin_c * sin_m,
         psi,
         cmath.exp(1j * psi),
+        0.0 < c.theta < math.pi and 0.0 < m.theta < math.pi,
     )
 
 
@@ -192,10 +192,13 @@ def assemble_sm(
 def activation_conditions(
     a: MeasurementAngles, df: complex
 ) -> tuple[tuple[bool, bool, bool], float]:
-    """Conditions (i)-(iii) of MeasurementReport and condition_ii_lhs."""
+    """Conditions (i)-(iii) of MeasurementReport and condition_ii_lhs.
+
+    (iii) is False wherever (i) is, since sin(theta) is exactly 0 at a pole.
+    """
     lhs = df.imag * math.sin(a.psi) - df.real * math.cos(a.psi)
-    cond_iii = a.sin_cm * (df * a.e_psi).real < 0.0
-    return (a.sin_c != 0.0 and a.sin_m != 0.0, abs(lhs) > 0.0, cond_iii), lhs
+    cond_iii = a.off_poles and a.sin_cm * (df * a.e_psi).real < 0.0
+    return (a.off_poles, abs(lhs) > 0.0, cond_iii), lhs
 
 
 def assemble_qs(

@@ -348,6 +348,21 @@ class TestSweepCommand:
         ):
             assert col in header
 
+    @pytest.mark.parametrize(
+        "control_theta, measure_theta",
+        [(math.pi, 1.0), (1.0, math.pi)],
+        ids=["control_south_pole", "measurement_south_pole"],
+    )
+    def test_south_pole_row_fails_condition_i(self, capsys, tmp_path, control_theta, measure_theta):
+        text = ROTATIONS_TEXT.replace("control_theta = 0.8", f"control_theta = {control_theta!r}")
+        text = text.replace("control_phi = 5.1", "control_phi = 0.0")
+        text += f"measure_theta = {measure_theta!r}\nmeasure_phi = 4.0\n"
+        code, out = self._run(capsys, tmp_path, text)
+        assert code == 0
+        header, cells = (line.split(",") for line in out.strip().split("\n"))
+        flags = [cells[header.index(f"{name}[flag]")] for name in ("cond_i", "cond_ii", "cond_iii", "divergent")]
+        assert flags == ["0", "1", "0", "0"]
+
     def test_divergent_point_tagged_not_valued(self, capsys, tmp_path):
         # Identity unitaries with control |+> and measurement |->: the
         # post-selection weight vanishes, so the row must carry empty value

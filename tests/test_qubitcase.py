@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
@@ -23,11 +23,21 @@ from switchwork.qubitcase import (
     implied_f,
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
+    qubit_scenario,
     rotation_unitary,
     u2_unitary,
 )
 from switchwork.states import BlochState
-from switchwork.switchcore import NearZeroPostSelectionError, measure_control
+from switchwork.switchcore import (
+    NearZeroPostSelectionError,
+    activation_report,
+    assemble_nm,
+    assemble_qs,
+    assemble_sm,
+    measure_control,
+    measurement_angles,
+    post_selection_vanishes,
+)
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -151,6 +161,15 @@ class TestMeasuredRotationClosedForm:
         monkeypatch.setattr(qubitcase, "_rotation_delta_f", lambda *a: original(*a) + 1.0)
         with pytest.raises(AssertionError, match="rotation interference term"):
             activation_conditions_rotations(1.0, 0.8, r, c, m)
+
+    @pytest.mark.parametrize(
+        "c, m",
+        [(BlochState(math.pi, 0.0), BlochState(1.0, 4.0)), (BlochState(1.0, 0.0), BlochState(math.pi, 4.0))],
+        ids=["control_south_pole", "measurement_south_pole"],
+    )
+    def test_south_pole_fails_condition_i_and_iii(self, c, m):
+        conds = activation_conditions_rotations(1.0, 0.5, RotationParams(1.0, 0.7), c, m)
+        assert conds == (False, True, False)
 
     def test_activation_conditions_flag_negative_points(self, rng):
         hits = 0
@@ -296,6 +315,128 @@ class TestMultistartPool:
         assert qubitcase._pool_workers(3) == 3
         monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert qubitcase._pool_workers(16) == 1
+
+
+def _numpy_rzyz(lam, gamma, delta) -> np.ndarray:
+    """R_z(lam) R_y(gamma) R_z(delta) as a numpy array."""
+    cl, sl = math.cos(lam / 2.0), math.sin(lam / 2.0)
+    cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    cd, sd = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    ez_l, ez_lc = complex(cl, -sl), complex(cl, sl)
+    ez_d, ez_dc = complex(cd, -sd), complex(cd, sd)
+    return np.array(
+        [[ez_l * cg * ez_d, -ez_l * sg * ez_dc], [ez_lc * sg * ez_d, ez_lc * cg * ez_dc]],
+        dtype=complex,
+    )
+
+
+def _numpy_pair_terms(x, omega, p0, p1):
+    """The U(2) objective kernel written with np.mod, two 2x2 `@` products
+    and numpy-scalar arithmetic: the bit reference for _u2_pair_terms."""
+    w = np.mod(x, 2.0 * math.pi)
+    u1, u2 = _numpy_rzyz(w[0], w[1], w[2]), _numpy_rzyz(w[3], w[4], w[5])
+    w12, w21 = u2 @ u1, u1 @ u2
+    e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
+    e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
+    x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
+        w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
+    )
+    return w12, w21, e12, e21, x_chi
+
+
+def _numpy_delta_qs(o, x):
+    _, _, e12, e21, x_chi = _numpy_pair_terms(x, o.omega, o.p0, o.p1)
+    return assemble_qs(o.rc00, o.rc11, o.k, x_chi, e12 - o.e_s, e21 - o.e_s)[0]
+
+
+def _numpy_delta_sm(o, x):
+    w12, w21, e12, e21, x_chi = _numpy_pair_terms(x, o.omega, o.p0, o.p1)
+    f_s = o.omega * (o.p0 * w12[1, 0] * w21[1, 0].conjugate() + o.p1 * w12[1, 1] * w21[1, 1].conjugate())
+    n_m, bracket = assemble_sm(o.angles, x_chi, e12 - o.e_s, e21 - o.e_s, f_s - x_chi * o.e_s)
+    if post_selection_vanishes(n_m):
+        return math.inf
+    return bracket / n_m
+
+
+_BETAS = (0.2, 1.0, math.inf)
+
+
+def _bit_pin_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Angles in [-10, 20), so the wrap to [0, 2 pi) acts; every third pair
+    has U1 = U2, which commute."""
+    x = rng.uniform(-10.0, 20.0, size=(n, 6))
+    x[::3, 3:] = x[::3, :3]
+    return x
+
+
+class TestObjectiveKernelBits:
+    """The objectives equal the numpy-scalar kernel bit for bit."""
+
+    def _assert_bits_equal(self, objective, reference, points) -> int:
+        """Compare at every point; return how many scored +inf."""
+        infinite = 0
+        for x in points:
+            got, want = objective(x), reference(objective, x)
+            assert got == want and repr(got) == repr(float(want)), x
+            infinite += got == math.inf
+        return infinite
+
+    def test_delta_qs(self, rng):
+        for beta in _BETAS:
+            objective = qubitcase._delta_qs_objective(1.0, beta, 1.3, 0.4, BlochState(1.1, 0.5))
+            self._assert_bits_equal(objective, _numpy_delta_qs, _bit_pin_points(rng, 700))
+
+    def test_delta_sm(self, rng):
+        # The anti-aligned pair scores +inf at the commuting points.
+        c = BlochState(1.2, 0.3)
+        infinite = 0
+        for beta in _BETAS:
+            for m in (BlochState(1.0, 2.0), BlochState(math.pi - 1.2, 0.3 + math.pi)):
+                objective = qubitcase._delta_sm_objective(1.0, beta, c, m)
+                infinite += self._assert_bits_equal(objective, _numpy_delta_sm, _bit_pin_points(rng, 350))
+        assert infinite >= 300
+
+
+_ANGLES6 = st.lists(st.floats(min_value=-10.0, max_value=20.0), min_size=6, max_size=6)
+_BLOCH = st.builds(
+    BlochState,
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+)
+
+
+def _pair(x) -> tuple[UnitaryOperator, UnitaryOperator]:
+    return u2_unitary(U2Params(0.0, *x[:3])), u2_unitary(U2Params(0.0, *x[3:]))
+
+
+class TestObjectivesMatchCheckedPath:
+    """Away from any optimum, each objective agrees with the checked
+    generic path on the same pair."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        x=_ANGLES6,
+        beta=st.sampled_from(_BETAS),
+        t_abs=st.floats(min_value=0.0, max_value=2.0),
+        t_phase=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+        c=_BLOCH,
+    )
+    def test_delta_qs(self, x, beta, t_abs, t_phase, c):
+        want = activation_report(qubit_scenario(1.0, beta, t_abs, t_phase, *_pair(x), c)).delta_qs
+        got = qubitcase._delta_qs_objective(1.0, beta, t_abs, t_phase, c)(np.array(x))
+        assert abs(got - want) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(x=_ANGLES6, beta=st.sampled_from(_BETAS), c=_BLOCH, m=_BLOCH)
+    def test_delta_sm(self, x, beta, c, m):
+        s = qubit_scenario(1.0, beta, 0.0, 0.0, *_pair(x), c)
+        n_m = assemble_nm(measurement_angles(c, m), s._terms.chi)
+        assume(n_m > 1e-9)
+        want = measure_control(s, m).delta_sm
+        got = qubitcase._delta_sm_objective(1.0, beta, c, m)(np.array(x))
+        # delta_sm = bracket / n_m: the round-off of a few tens of eps in
+        # bracket and n_m grows as 1/n_m once n_m falls below 1e-2.
+        assert abs(got - want) <= max(1e-12, 1e-14 / n_m)
 
 
 class TestObjectivesPickle:

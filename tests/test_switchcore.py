@@ -25,7 +25,7 @@ from switchwork.qmat import (
     kron,
     partial_trace,
 )
-from switchwork.qubitcase import U2Params, qubit_scenario, u2_unitary
+from switchwork.qubitcase import U2Params, qubit_scenario, rotation_unitary, u2_unitary
 from switchwork.states import BlochState, ControlHamiltonianParams, hamiltonian_control
 from switchwork.switchcore import (
     NearZeroPostSelectionError,
@@ -312,6 +312,18 @@ class TestMeasureControl:
         for got, want, ok in zip(conditions, reference["conditions"], decided):
             assert got == want or not ok
 
+    @pytest.mark.parametrize(
+        "c, m",
+        [(BlochState(math.pi, 0.0), BlochState(1.0, 4.0)), (BlochState(1.0, 0.0), BlochState(math.pi, 4.0))],
+        ids=["control_south_pole", "measurement_south_pole"],
+    )
+    def test_south_pole_fails_condition_i_and_iii(self, c, m):
+        # math.sin(math.pi) = 1.2e-16: a rule on the sines took these points
+        # for points off the poles and reported (True, True, True).
+        u1, u2 = rotation_unitary("x", 1.0), rotation_unitary("y", 0.7)
+        rep = measure_control(qubit_scenario(1.0, 0.5, 0.3, 0.0, u1, u2, c), m)
+        assert rep.conditions == (False, True, False)
+
     def test_post_selection_weight_formula(self, rng):
         for _ in range(20):
             s = random_qubit_scenario(rng)
@@ -533,6 +545,7 @@ def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:
     delta_f = complex(np.trace(w12 @ rho @ w21.conj().T @ h_s)) - x * e_s
     psi = m.phi - s.control.phi
     sin_c, sin_m = math.sin(s.control.theta), math.sin(m.theta)
+    off_poles = 0.0 < s.control.theta < math.pi and 0.0 < m.theta < math.pi
     lhs = delta_f.imag * math.sin(psi) - delta_f.real * math.cos(psi)
     cross = (delta_f * cmath.exp(1j * psi)).real
     return {
@@ -554,7 +567,7 @@ def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:
         "delta_21": e21 - e_s,
         "delta_f": delta_f,
         "delta_sm": e_sm - e_s,
-        "conditions": (sin_c != 0.0 and sin_m != 0.0, abs(lhs) > 0.0, sin_c * sin_m * cross < 0.0),
+        "conditions": (off_poles, abs(lhs) > 0.0, off_poles and sin_c * sin_m * cross < 0.0),
         "condition_ii_lhs": lhs,
     }
 
