@@ -32,12 +32,7 @@ from .cvcase import (
     disp_squeeze_scenario,
     displacement_scenario,
 )
-from .figures import (
-    DEFAULT_FIGURE_SEED,
-    FigureSpec,
-    emit_figure,
-    render_csv,
-)
+from .figures import FigureSpec, emit_figure, render_csv
 from .qubitcase import (
     U2Params,
     minimize_delta_qs_u2,
@@ -52,6 +47,7 @@ from .switchcore import (
     SwitchScenario,
     activation_report,
     measure_control,
+    post_selection_vanishes,
 )
 from .verifysuite import run_verify
 
@@ -180,6 +176,13 @@ def run_minimize(cfg: ScenarioConfig) -> str:
     _prevalidate(cfg, [p])
     control = BlochState(p["control_theta"], p["control_phi"])
     if cfg.has_measurement:
+        # |chi| <= 1 bounds n_m by (1 + cos(theta_c - theta_m)) / 2 for every pair.
+        n_m_bound = 0.5 * (1.0 + math.cos(p["control_theta"] - p["measure_theta"]))
+        if post_selection_vanishes(n_m_bound):
+            raise ConfigError(
+                "control_theta and measure_theta are antipodal: the post-selection "
+                "probability vanishes for every unitary pair"
+            )
         objective = "delta_sm"
         result = minimize_delta_sm_u2(
             p["omega"],
@@ -259,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report.passed else 2
         # figure
         spec = FigureSpec(args.id, None if args.out is None else Path(args.out))
-        path = emit_figure(spec, seed=DEFAULT_FIGURE_SEED)
+        path = emit_figure(spec)
         sys.stdout.write(f"{path}\n")
         return 0
     except (ConfigError, ValueError) as exc:

@@ -13,6 +13,7 @@ scalar parameters of the family, and at most two axes are allowed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -271,22 +272,10 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def grid_points(cfg: ScenarioConfig) -> list[dict[str, float]]:
     """Row-major grid over the sweep axes applied to the base scalars:
-    the first axis is the outer loop."""
+    the first axis is the outer loop; without axes, the base point alone."""
     base = dict(cfg.scalars)
-    if not cfg.axes:
-        return [base]
-    rows: list[dict[str, float]] = []
-    if len(cfg.axes) == 1:
-        for v in cfg.axes[0].values():
-            point = dict(base)
-            point[cfg.axes[0].name] = v
-            rows.append(point)
-        return rows
-    outer, inner = cfg.axes
-    for vo in outer.values():
-        for vi in inner.values():
-            point = dict(base)
-            point[outer.name] = vo
-            point[inner.name] = vi
-            rows.append(point)
-    return rows
+    names = [axis.name for axis in cfg.axes]
+    return [
+        {**base, **dict(zip(names, values))}
+        for values in itertools.product(*(axis.values() for axis in cfg.axes))
+    ]

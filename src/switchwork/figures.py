@@ -32,14 +32,15 @@ fig8  post-measurement displacement+squeeze energy difference over the
       phase in {0, pi/2, pi, 3pi/2}.
 fig9  ground-state limit of fig8 along the diagonal |alpha| = |z|.
 
-Everything is seeded and deterministic: identical inputs produce
-byte-identical CSV.
+Everything is seeded (fig3 and fig4 with DEFAULT_FIGURE_SEED) and
+deterministic: every call produces byte-identical CSV.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .cvcase import (
     DisplacementParams,
@@ -171,7 +172,7 @@ def _fig2() -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _fig3(seed: int) -> tuple[list[str], list[list]]:
+def _fig3() -> tuple[list[str], list[list]]:
     header = [
         "beta[1/energy]",
         "theta[rad]",
@@ -186,7 +187,7 @@ def _fig3(seed: int) -> tuple[list[str], list[list]]:
             for k in range(1, 9):
                 t_abs = 0.25 * k
                 res = minimize_delta_qs_u2(
-                    1.0, beta, t_abs, theta, _PLUS, budget=FIGURE_BUDGET, seed=seed
+                    1.0, beta, t_abs, theta, _PLUS, budget=FIGURE_BUDGET, seed=DEFAULT_FIGURE_SEED
                 )
                 rows.append(
                     [
@@ -201,7 +202,7 @@ def _fig3(seed: int) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _fig4(seed: int) -> tuple[list[str], list[list]]:
+def _fig4() -> tuple[list[str], list[list]]:
     header = [
         "beta[1/energy]",
         "phi_m[rad]",
@@ -213,7 +214,9 @@ def _fig4(seed: int) -> tuple[list[str], list[list]]:
         for k in range(8):
             phi_m = k * math.pi / 4.0
             m = BlochState(math.pi / 2.0, phi_m)
-            res = minimize_delta_sm_u2(1.0, beta, _PLUS, m, budget=FIGURE_BUDGET, seed=seed)
+            res = minimize_delta_sm_u2(
+                1.0, beta, _PLUS, m, budget=FIGURE_BUDGET, seed=DEFAULT_FIGURE_SEED
+            )
             rows.append([beta, phi_m, res.value, res.evaluations])
     return header, rows
 
@@ -229,6 +232,37 @@ def _fig5() -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _value_or_none(fn: Callable[..., float], *args) -> float | None:
+    """fn(*args), or None where the post-selection diverges."""
+    try:
+        return fn(*args)
+    except NearZeroPostSelectionError:
+        return None
+
+
+def _grid_dataset(
+    header: list[str],
+    prefixes: list[tuple[float, ...]],
+    x_grid: list[float],
+    y_grid: list[float],
+    fn: Callable[..., float],
+) -> tuple[list[str], list[list]]:
+    """One row per prefix and (x, y) grid point, x the outer loop: the
+    prefix, x, y, fn(*prefix, x, y) (None where the post-selection
+    diverges), a divergent flag when the header has that column, and the
+    zero-crossing flag over the prefix's value grid."""
+    tagged = "divergent[flag]" in header
+    rows: list[list] = []
+    for prefix in prefixes:
+        values = [[_value_or_none(fn, *prefix, x, y) for y in y_grid] for x in x_grid]
+        flags = _zero_crossing_flags(values)
+        for x, line, flag_line in zip(x_grid, values, flags):
+            for y, v, flag in zip(y_grid, line, flag_line):
+                tag = [int(v is None)] if tagged else []
+                rows.append([*prefix, x, y, v, *tag, flag])
+    return header, rows
+
+
 def _fig6() -> tuple[list[str], list[list]]:
     header = [
         "t_abs[energy]",
@@ -237,30 +271,21 @@ def _fig6() -> tuple[list[str], list[list]]:
         "delta_qs[energy]",
         "zero_crossing[flag]",
     ]
-    a1_grid = _grid(0.05, 41)
-    a2_grid = _grid(0.05, 41)
-    rows: list[list] = []
-    for t_abs in (0.0, 2.0, 4.0):
-        values: list[list[float | None]] = []
-        for a1 in a1_grid:
-            line: list[float | None] = []
-            for a2 in a2_grid:
-                line.append(
-                    delta_qs_displacements(
-                        1.0,
-                        t_abs,
-                        0.0,
-                        DisplacementParams(a1, math.pi / 2.0),
-                        DisplacementParams(a2, 0.0),
-                        _PLUS,
-                    )
-                )
-            values.append(line)
-        flags = _zero_crossing_flags(values)
-        for i, a1 in enumerate(a1_grid):
-            for j, a2 in enumerate(a2_grid):
-                rows.append([t_abs, a1, a2, values[i][j], flags[i][j]])
-    return header, rows
+    grid = _grid(0.05, 41)
+    return _grid_dataset(
+        header,
+        [(0.0,), (2.0,), (4.0,)],
+        grid,
+        grid,
+        lambda t_abs, a1, a2: delta_qs_displacements(
+            1.0, t_abs, 0.0, DisplacementParams(a1, math.pi / 2.0), DisplacementParams(a2, 0.0),
+            _PLUS,
+        ),
+    )
+
+
+_A_GRID = _grid(0.05, 31)
+_Z_GRID = _grid(0.05, 17)
 
 
 def _fig7() -> tuple[list[str], list[list]]:
@@ -271,35 +296,24 @@ def _fig7() -> tuple[list[str], list[list]]:
         "delta_qs[energy]",
         "zero_crossing[flag]",
     ]
-    a_grid = _grid(0.05, 31)
-    z_grid = _grid(0.05, 17)
-    rows: list[list] = []
-    for t_abs in (0.0, 20.0, 30.0):
-        values: list[list[float | None]] = []
-        for alpha_abs in a_grid:
-            line: list[float | None] = []
-            for z_abs in z_grid:
-                line.append(
-                    delta_qs_disp_squeeze(
-                        1.0,
-                        1.0,
-                        t_abs,
-                        0.0,
-                        DisplacementParams(alpha_abs, 0.0),
-                        SqueezeParams(z_abs, 0.0),
-                        _PLUS,
-                    )
-                )
-            values.append(line)
-        flags = _zero_crossing_flags(values)
-        for i, alpha_abs in enumerate(a_grid):
-            for j, z_abs in enumerate(z_grid):
-                rows.append([t_abs, alpha_abs, z_abs, values[i][j], flags[i][j]])
-    return header, rows
+    return _grid_dataset(
+        header,
+        [(0.0,), (20.0,), (30.0,)],
+        _A_GRID,
+        _Z_GRID,
+        lambda t_abs, alpha_abs, z_abs: delta_qs_disp_squeeze(
+            1.0, 1.0, t_abs, 0.0, DisplacementParams(alpha_abs, 0.0), SqueezeParams(z_abs, 0.0),
+            _PLUS,
+        ),
+    )
 
 
-_SLICES = ((0.0, delta_sm_xi0), (math.pi, delta_sm_xipi))
-_PHI_M_SET = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+# xi - 2 phi -> its slice of delta_sm, and measurement phase -> measurement.
+_SLICES = {0.0: delta_sm_xi0, math.pi: delta_sm_xipi}
+_MEASUREMENTS = {
+    phi_m: BlochState(math.pi / 2.0, phi_m)
+    for phi_m in (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+}
 
 
 def _fig8() -> tuple[list[str], list[list]]:
@@ -312,37 +326,15 @@ def _fig8() -> tuple[list[str], list[list]]:
         "divergent[flag]",
         "zero_crossing[flag]",
     ]
-    a_grid = _grid(0.05, 31)
-    z_grid = _grid(0.05, 17)
-    rows: list[list] = []
-    for slice_angle, slice_fn in _SLICES:
-        for phi_m in _PHI_M_SET:
-            m = BlochState(math.pi / 2.0, phi_m)
-            values: list[list[float | None]] = []
-            for alpha_abs in a_grid:
-                line: list[float | None] = []
-                for z_abs in z_grid:
-                    try:
-                        line.append(slice_fn(1.0, 1.0, alpha_abs, z_abs, _PLUS, m))
-                    except NearZeroPostSelectionError:
-                        line.append(None)
-                values.append(line)
-            flags = _zero_crossing_flags(values)
-            for i, alpha_abs in enumerate(a_grid):
-                for j, z_abs in enumerate(z_grid):
-                    v = values[i][j]
-                    rows.append(
-                        [
-                            slice_angle,
-                            phi_m,
-                            alpha_abs,
-                            z_abs,
-                            v,
-                            0 if v is not None else 1,
-                            flags[i][j],
-                        ]
-                    )
-    return header, rows
+    return _grid_dataset(
+        header,
+        [(angle, phi_m) for angle in _SLICES for phi_m in _MEASUREMENTS],
+        _A_GRID,
+        _Z_GRID,
+        lambda angle, phi_m, alpha_abs, z_abs: _SLICES[angle](
+            1.0, 1.0, alpha_abs, z_abs, _PLUS, _MEASUREMENTS[phi_m]
+        ),
+    )
 
 
 def _fig9() -> tuple[list[str], list[list]]:
@@ -354,47 +346,28 @@ def _fig9() -> tuple[list[str], list[list]]:
         "divergent[flag]",
     ]
     rows: list[list] = []
-    for slice_angle, slice_fn in _SLICES:
-        for phi_m in _PHI_M_SET:
-            m = BlochState(math.pi / 2.0, phi_m)
+    for angle, slice_fn in _SLICES.items():
+        for phi_m, m in _MEASUREMENTS.items():
             for x in _grid(0.02, 61):
-                try:
-                    value: float | None = slice_fn(1.0, math.inf, x, x, _PLUS, m)
-                    divergent = 0
-                except NearZeroPostSelectionError:
-                    value, divergent = None, 1
-                rows.append([slice_angle, phi_m, x, value, divergent])
+                value = _value_or_none(slice_fn, 1.0, math.inf, x, x, _PLUS, m)
+                rows.append([angle, phi_m, x, value, int(value is None)])
     return header, rows
 
 
-def figure_dataset(
-    figure_id: str, seed: int = DEFAULT_FIGURE_SEED
-) -> tuple[list[str], list[list]]:
-    """Header and rows for one figure id (deterministic for a given seed)."""
-    builders = {
-        "fig1": _fig1,
-        "fig2": _fig2,
-        "fig3": lambda: _fig3(seed),
-        "fig4": lambda: _fig4(seed),
-        "fig5": _fig5,
-        "fig6": _fig6,
-        "fig7": _fig7,
-        "fig8": _fig8,
-        "fig9": _fig9,
-    }
-    if figure_id not in builders:
+_DATASETS = dict(zip(FIGURE_IDS, (_fig1, _fig2, _fig3, _fig4, _fig5, _fig6, _fig7, _fig8, _fig9)))
+
+
+def figure_dataset(figure_id: str) -> tuple[list[str], list[list]]:
+    """Header and rows for one figure id (deterministic)."""
+    if figure_id not in _DATASETS:
         raise ValueError(f"unknown figure id {figure_id!r}")
-    return builders[figure_id]()
+    return _DATASETS[figure_id]()
 
 
-def emit_figure(spec: FigureSpec, seed: int = DEFAULT_FIGURE_SEED) -> Path:
+def emit_figure(spec: FigureSpec) -> Path:
     """Write the figure dataset as CSV (UTF-8, LF); returns the path."""
-    header, rows = figure_dataset(spec.figure_id, seed)
-    out = spec.out_path if spec.out_path is not None else Path(f"{spec.figure_id}.csv")
-    out = Path(out)
-    text = render_csv(header, rows)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    out = Path(spec.out_path if spec.out_path is not None else f"{spec.figure_id}.csv")
+    out.write_text(render_csv(*figure_dataset(spec.figure_id)), encoding="utf-8", newline="\n")
     return out
 
 

@@ -185,8 +185,8 @@ def ergotropy(rho: DensityMatrix, h: HermitianOperator) -> float:
     return current - passive
 
 
-def is_passive(rho: DensityMatrix, h: HermitianOperator, tol: float = TOL_EIG):
-    """Decide passivity via the spectral criterion.
+def is_passive(rho: DensityMatrix, h: HermitianOperator):
+    """Decide passivity via the spectral criterion: ergotropy <= TOL_EIG.
 
     Returns (passive, witness): witness is None when passive, otherwise the
     work-extracting unitary mapping the state's descending eigenbasis onto
@@ -195,7 +195,7 @@ def is_passive(rho: DensityMatrix, h: HermitianOperator, tol: float = TOL_EIG):
     if rho.dim != h.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs operator {h.dim}")
     w = ergotropy(rho, h)
-    if w <= tol:
+    if w <= TOL_EIG:
         return True, None
     r_vals, r_vecs = eig_hermitian(rho.mat)
     e_vals, e_vecs = eig_hermitian(h.mat)

@@ -3,7 +3,8 @@
 `run_verify("quick")` finishes in well under a minute and touches every
 closed form; `run_verify("full")` adds the 10^4-scenario passivity sweep,
 truncated-Fock oracle convergence for the bosonic families, and the
-figure regression comparison against the packaged baselines.
+figure regression: every figure must render to the exact bytes of its
+packaged baseline, the same contract the tests hold.
 
 The bosonic closed-form checks are one-cutoff runs of the truncated-Fock
 oracle (`cvcase.fock_oracle_report`), which looks every closed form up in
@@ -417,44 +418,15 @@ def _check_oracle_convergence() -> tuple[bool, str]:
     return True, f"{len(reports)} oracle reports converged, worst final gap {worst:.2e}"
 
 
-def _parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
-
-
 def _check_figure_regression() -> tuple[bool, str]:
-    worst_fig, worst_gap = "", 0.0
+    """Every figure renders to the bytes of its packaged baseline."""
     for figure_id in FIGURE_IDS:
         path = baseline_path(figure_id)
         if not path.exists():
             return False, f"missing baseline {path.name}"
-        base_header, base_rows = _parse_csv(path.read_text(encoding="utf-8"))
-        header, rows = figure_dataset(figure_id)
-        rendered_header, rendered_rows = _parse_csv(render_csv(header, rows))
-        if rendered_header != base_header:
-            return False, f"{figure_id}: header changed"
-        if len(rendered_rows) != len(base_rows):
-            return False, f"{figure_id}: row count {len(rendered_rows)} != {len(base_rows)}"
-        tol = 1e-6 if figure_id in ("fig7", "fig8", "fig9") else 1e-8
-        for row_new, row_old in zip(rendered_rows, base_rows):
-            for cell_new, cell_old in zip(row_new, row_old):
-                if cell_new == cell_old:
-                    continue
-                try:
-                    gap = abs(float(cell_new) - float(cell_old))
-                except ValueError:
-                    return False, f"{figure_id}: non-numeric cell changed"
-                if gap > tol:
-                    return False, f"{figure_id}: cell drift {gap:.2e} > {tol:.0e}"
-                if gap > worst_gap:
-                    worst_fig, worst_gap = figure_id, gap
-    detail = "9 figures within tolerance"
-    if worst_gap > 0.0:
-        detail += f" (worst drift {worst_gap:.2e} in {worst_fig})"
-    return True, detail
+        if render_csv(*figure_dataset(figure_id)).encode() != path.read_bytes():
+            return False, f"{figure_id}: bytes differ from {path.name}"
+    return True, f"{len(FIGURE_IDS)} figures byte-identical to their baselines"
 
 
 # ---------------------------------------------------------------------------

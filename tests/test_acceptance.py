@@ -52,7 +52,6 @@ from switchwork.cvcase import (
     fock_oracle_report,
 )
 from switchwork.figures import (
-    DEFAULT_FIGURE_SEED,
     FIGURE_IDS,
     FigureSpec,
     baseline_path,
@@ -516,9 +515,7 @@ def test_criterion_7_figure_datasets_regenerate_byte_identically(tmp_path):
     seed, and non-post-selectable sweep points are tagged in a flag column
     with empty value cells, never emitted as numbers."""
     for figure_id in FIGURE_IDS:
-        out = emit_figure(
-            FigureSpec(figure_id, tmp_path / f"{figure_id}.csv"), seed=DEFAULT_FIGURE_SEED
-        )
+        out = emit_figure(FigureSpec(figure_id, tmp_path / f"{figure_id}.csv"))
         assert out.read_bytes() == baseline_path(figure_id).read_bytes(), figure_id
 
     for figure_id in ("fig8", "fig9"):

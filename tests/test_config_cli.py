@@ -537,6 +537,22 @@ class TestMinimizeCommand:
         assert "does not accept sweep axes" in err
 
 
+    @pytest.mark.parametrize("control_theta, measure_theta", [(0.0, math.pi), (math.pi, 0.0)])
+    def test_antipodal_post_selection_rejected_before_optimizing(
+        self, capsys, tmp_path, control_theta, measure_theta
+    ):
+        # n_m <= (1 + cos(theta_c - theta_m)) / 2 = 0 for every unitary pair.
+        text = U2_TEXT.replace(
+            "control_theta = 1.5707963267948966", f"control_theta = {control_theta!r}"
+        ) + f"measure_theta = {measure_theta!r}\nmeasure_phi = 0.0\nbudget = 1000\n"
+        code, out, err = self._run(capsys, tmp_path, text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "control_theta" in err and "measure_theta" in err
+        assert "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_verify_quick_exit_zero(self, capsys):
         assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0

@@ -16,6 +16,7 @@ from switchwork.cvcase import (
     _ladder_block_defect,
     NoSolutionError,
     SqueezeParams,
+    TOL_ORACLE,
     TruncationInadequacyWarning,
     alpha_min,
     calibrated_cutoff,
@@ -373,7 +374,14 @@ class TestBraiding:
         assert abs(g - a.alpha * math.exp(0.5)) < 1e-13
 
     def test_operator_identity_on_faithful_block(self):
-        gamma_braiding(DisplacementParams(0.7, 0.9), SqueezeParams(0.3, 0.8), check_n_max=80)
+        # D(alpha) S(z) = S(z) D(gamma) on the block the truncated S(z) keeps faithful.
+        a, s, n_max = DisplacementParams(0.7, 0.9), SqueezeParams(0.3, 0.8), 80
+        g = gamma_braiding(a, s).gamma
+        d_g = displacement_op(DisplacementParams(abs(g), cmath.phase(g)), n_max).mat
+        lhs = displacement_op(a, n_max).mat @ squeeze_op(s, n_max).mat
+        rhs = squeeze_op(s, n_max).mat @ d_g
+        k = squeeze_faithful_block(n_max, s.z_abs)
+        assert np.max(np.abs(lhs[:k, :k] - rhs[:k, :k])) <= TOL_ORACLE
 
     def test_amplitude_bound(self):
         a = DisplacementParams(1.4, 2.0)

@@ -154,6 +154,26 @@ class TestSuiteHasTeeth:
         assert set(failed) == {"switch-algebra"}
         assert "DIFFERS FROM kron formula" in failed["switch-algebra"]
 
+    def test_one_ulp_figure_drift_fails_figure_regression(self, monkeypatch):
+        monkeypatch.setattr(verifysuite, "FIGURE_IDS", ("fig5",))
+        assert verifysuite._check_figure_regression()[0]
+        honest = verifysuite.figure_dataset
+
+        def drifted(figure_id):
+            header, rows = honest(figure_id)
+            rows[1][2] = math.nextafter(rows[1][2], math.inf)
+            return header, rows
+
+        monkeypatch.setattr(verifysuite, "figure_dataset", drifted)
+        passed, detail = verifysuite._check_figure_regression()
+        assert not passed
+        assert detail.startswith("fig5: ")
+
+    def test_missing_baseline_fails_figure_regression(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(verifysuite, "FIGURE_IDS", ("fig5",))
+        monkeypatch.setattr(verifysuite, "baseline_path", lambda figure_id: tmp_path / "fig5.csv")
+        assert verifysuite._check_figure_regression() == (False, "missing baseline fig5.csv")
+
     def test_summary_counts_failures(self, monkeypatch):
         monkeypatch.setattr(cvcase, "chi_displacements", lambda *args, **kwargs: 0.0j)
         report = run_verify(level="quick", seed=0)
