@@ -47,7 +47,7 @@ from .switchcore import (
     SwitchScenario,
     activation_report,
     measure_control,
-    post_selection_vanishes,
+    post_selection_impossible,
 )
 from .verifysuite import run_verify
 
@@ -176,21 +176,15 @@ def run_minimize(cfg: ScenarioConfig) -> str:
     _prevalidate(cfg, [p])
     control = BlochState(p["control_theta"], p["control_phi"])
     if cfg.has_measurement:
-        # |chi| <= 1 bounds n_m by (1 + cos(theta_c - theta_m)) / 2 for every pair.
-        n_m_bound = 0.5 * (1.0 + math.cos(p["control_theta"] - p["measure_theta"]))
-        if post_selection_vanishes(n_m_bound):
+        measurement = BlochState(p["measure_theta"], p["measure_phi"])
+        if post_selection_impossible(control, measurement):
             raise ConfigError(
                 "control_theta and measure_theta are antipodal: the post-selection "
                 "probability vanishes for every unitary pair"
             )
         objective = "delta_sm"
         result = minimize_delta_sm_u2(
-            p["omega"],
-            p["beta"],
-            control,
-            BlochState(p["measure_theta"], p["measure_phi"]),
-            budget=cfg.budget,
-            seed=cfg.seed,
+            p["omega"], p["beta"], control, measurement, budget=cfg.budget, seed=cfg.seed
         )
     else:
         objective = "delta_qs"

@@ -22,7 +22,11 @@ flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
 functional and are fixed to zero during optimization.  The starts of one
 call are independent, so they run in a persistent fork pool of
 min(usable CPUs, starts, 8) workers and are merged in start order: the
-result is bit-identical for every worker count.
+result is bit-identical for every worker count.  Each start runs an
+in-module simplex loop on Python lists that repeats the iterates of scipy
+1.17's Nelder-Mead (adaptive=False, no bounds) bit for bit, without its
+per-evaluation array bookkeeping; scipy stays in the tests as the
+reference.
 
 One objective evaluation makes a single numpy call that does arithmetic:
 the stacked 2x2 product that gives both orderings of the pair.  It stays
@@ -39,10 +43,10 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 from scipy.stats import qmc
 
 from .qmat import UnitaryOperator
@@ -65,11 +69,16 @@ from .switchcore import (
     assemble_sm,
     measure_control,
     measurement_angles,
+    post_selection_impossible,
     post_selection_vanishes,
 )
 
 TOL_OPT = 1e-4
 _EVALS_PER_START = 500
+# Nelder-Mead coefficients (scipy's rho, chi, psi, sigma) and stopping
+# tolerances on the simplex's spread in x and in f.
+_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
+_XATOL, _FATOL = 1e-10, 1e-12
 _MAX_WORKERS = 8
 _TWO_PI = 2.0 * math.pi
 
@@ -334,7 +343,7 @@ def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
     return pts * _TWO_PI
 
 
-def _u2_pair_terms(x: np.ndarray, omega: float, p0: float, p1: float):
+def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):
     """Shared objective kernel: the orderings W12 = U2 U1 and W21 = U1 U2 of
     the pair at angles x, as nested lists of Python complex numbers, with
     E12, E21 and chi for a diagonal qubit state of populations (p0, p1).
@@ -348,7 +357,7 @@ def _u2_pair_terms(x: np.ndarray, omega: float, p0: float, p1: float):
     np.mod on floats, and abs(z) ** 2 calls C hypot and pow for numpy and
     Python scalars alike (z.real**2 + z.imag**2 would round differently).
     """
-    l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x.tolist()]
+    l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x]
     pair = np.array(
         [*_rzyz_entries(l2, g2, d2), *_rzyz_entries(l1, g1, d1)], dtype=complex
     ).reshape(2, 2, 2)
@@ -374,7 +383,7 @@ class _DeltaQsObjective(NamedTuple):
     rc11: float
     k: complex  # rho_c01 * h_c10
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: list[float]) -> float:
         _, _, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
         return assemble_qs(self.rc00, self.rc11, self.k, x_chi, e12 - self.e_s, e21 - self.e_s)[0]
 
@@ -389,7 +398,7 @@ class _DeltaSmObjective(NamedTuple):
     e_s: float
     angles: MeasurementAngles
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: list[float]) -> float:
         w12, w21, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
         f_s = self.omega * (
             self.p0 * w12[1][0] * w21[1][0].conjugate() + self.p1 * w12[1][1] * w21[1][1].conjugate()
@@ -425,31 +434,125 @@ def _delta_sm_objective(
     return _DeltaSmObjective(omega, p0, p1, omega * p1, measurement_angles(c, m))
 
 
-def _nelder_mead_start(task: tuple) -> tuple[float, np.ndarray, int, int]:
-    """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
-    scored +inf).  Module-level so that pool workers can run it."""
-    objective, x0 = task
-    divergent = 0
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after the start's budget ran out."""
 
-    def counted(x: np.ndarray) -> float:
-        nonlocal divergent
+
+def _argsort(f: list[float]) -> list[int]:
+    """np.argsort(f).  Distinct values have one ascending order, which a
+    Python sort finds; ties (and NaN) go to np.argsort, which is not stable,
+    so only it repeats its own order."""
+    order = sorted(range(len(f)), key=f.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if not f[a] < f[b]:
+            return np.argsort(f).tolist()
+    return order
+
+
+def _simplex_minimize(objective, x0: list[float], maxfev: int):
+    """Nelder-Mead as scipy 1.17's `_minimize_neldermead` runs it with
+    adaptive=False, no bounds, xatol = _XATOL and fatol = _FATOL, repeating
+    its iterates bit for bit on Python lists: the same initial simplex, the
+    same elementwise expressions in the same order (the centroid summed row
+    by row, as np.add.reduce does along axis 0; never Python's sum(), which
+    compensates on 3.12), the same vertex order and the same maxfev rule.
+    An evaluation past the budget raises _BudgetSpent, which ends the step
+    with nothing stored; an interrupted shrink keeps the vertices it moved.
+    Returns scipy's final simplex (vertices best first, and their scores),
+    nfev and the number of evaluations scored +inf."""
+    n = len(x0)
+    nfev = divergent = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev, divergent
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
         value = objective(x)
         if value == math.inf:
             divergent += 1
         return value
 
-    res = _scipy_minimize(
-        counted,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": _EVALS_PER_START,
-            "xatol": 1e-10,
-            "fatol": 1e-12,
-            "adaptive": False,
-        },
-    )
-    return float(res.fun), np.mod(res.x, _TWO_PI), int(res.nfev), divergent
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy sorts in a `finally` and once more after it
+        order = _argsort(fsim)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+
+    while nfev < maxfev:
+        best, worst = sim[0], sim[-1]
+        # The first test is one term of the last and only rejects early.
+        if (
+            abs(fsim[0] - fsim[-1]) <= _FATOL
+            and all(abs(v - b) <= _XATOL for row in sim[1:] for v, b in zip(row, best))
+            and all(abs(fsim[0] - v) <= _FATOL for v in fsim[1:])
+        ):
+            break
+        try:
+            acc = best
+            for row in sim[1:-1]:
+                acc = map(add, acc, row)
+            xbar = [s / n for s in acc]
+            xr = [(1 + _REFLECT) * b - _REFLECT * w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = [
+                    (1 + _REFLECT * _EXPAND) * b - _REFLECT * _EXPAND * w
+                    for b, w in zip(xbar, worst)
+                ]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = [
+                    (1 + _CONTRACT * _REFLECT) * b - _CONTRACT * _REFLECT * w
+                    for b, w in zip(xbar, worst)
+                ]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [(1 - _CONTRACT) * b + _CONTRACT * w for b, w in zip(xbar, worst)]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + _SHRINK * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = _argsort(fsim)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return sim, fsim, nfev, divergent
+
+
+def _nelder_mead_start(task: tuple) -> tuple[float, np.ndarray, int, int]:
+    """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
+    scored +inf).  Module-level so that pool workers can run it."""
+    objective, x0 = task
+    sim, fsim, nfev, divergent = _simplex_minimize(objective, x0.tolist(), _EVALS_PER_START)
+    # scipy reports the best vertex with np.min of the scores, which can
+    # differ from the best vertex's score in the sign of a zero.
+    return float(np.min(fsim)), np.mod(sim[0], _TWO_PI), nfev, divergent
 
 
 def _pool_workers(n_starts: int) -> int:
@@ -569,8 +672,15 @@ def minimize_delta_sm_u2(
 
     Evaluation points whose post-selection probability falls at or below
     TOL_NM are scored +inf and counted in divergent_evaluations rather
-    than silently renormalized.
+    than silently renormalized.  Raises ValueError, before any start runs,
+    where no unitary pair can be post-selected (switchcore's
+    post_selection_impossible: antipodal polar angles).
     """
+    if post_selection_impossible(c, m):
+        raise ValueError(
+            f"control theta {c.theta!r} and measurement theta {m.theta!r} are antipodal: "
+            "the post-selection probability vanishes for every unitary pair"
+        )
     value, params, evaluations, divergent, n_starts = _multistart_minimize(
         _delta_sm_objective(omega, beta, c, m), budget, seed
     )

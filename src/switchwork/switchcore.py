@@ -24,8 +24,10 @@ assemble_qs turns them into delta_qs and delta_c, and, with the angle
 factors that measurement_angles builds once per (control, measurement)
 pair, assemble_sm gives n_m and the delta_sm numerator, and
 activation_conditions conditions (i)-(iii).  post_selection_vanishes is the
-one divergence test.  The reports check their direct routes against the
-kernel; the qubitcase and cvcase forms call it with their own numbers.
+one divergence test; post_selection_impossible applies it to the bound on
+n_m that holds for every unitary pair.  The reports check their direct
+routes against the kernel; the qubitcase and cvcase forms call it with
+their own numbers.
 
 Subsystem ordering is system (x) control everywhere.
 """
@@ -219,6 +221,13 @@ def assemble_qs(
 def post_selection_vanishes(n_m: float) -> bool:
     """n_m at or below TOL_NM: no post-selected state is renormalized there."""
     return n_m <= TOL_NM
+
+
+def post_selection_impossible(c: BlochState, m: BlochState) -> bool:
+    """post_selection_vanishes for every unitary pair: |chi| <= 1 bounds n_m
+    by (1 + cos(theta_c - theta_m)) / 2, which is 0 for antipodal polar
+    angles of the control and the measurement."""
+    return post_selection_vanishes(0.5 * (1.0 + math.cos(c.theta - m.theta)))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,17 @@
 multi-start optimizers."""
 from __future__ import annotations
 
+import linecache
 import math
 import multiprocessing
 import pickle
+import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
@@ -218,6 +221,18 @@ class TestU2Optimizers:
         assert res.value == pytest.approx(-0.5, abs=1e-3)
         assert res.divergent_evaluations >= 0
 
+    @pytest.mark.parametrize("c_theta, m_theta", [(0.0, math.pi), (math.pi, 0.0)])
+    def test_antipodal_measurement_rejected_before_any_start(self, monkeypatch, c_theta, m_theta):
+        # n_m <= (1 + cos(theta_c - theta_m)) / 2 = 0 for every unitary pair.
+        def no_starts(*args):
+            raise AssertionError("a Nelder-Mead start ran")
+
+        monkeypatch.setattr(qubitcase, "_multistart_minimize", no_starts)
+        with pytest.raises(ValueError, match="antipodal"):
+            minimize_delta_sm_u2(
+                1.0, 1.0, BlochState(c_theta, 0.0), BlochState(m_theta, 0.0), budget=4000, seed=0
+            )
+
     def test_implied_slope_inversions(self):
         assert implied_epsilon(-2.0, 0.0, 1.0) == pytest.approx(-20.0)
         assert implied_epsilon(0.0, 0.0, 1.0) == pytest.approx(12.0)
@@ -280,8 +295,8 @@ class TestMultistartPool:
         assert pooled == serial
         assert repr(pooled) == repr(serial)
 
-    # A simplex made only of +inf points makes scipy subtract inf from inf.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    # A simplex made only of +inf points must not warn (scipy's inf - inf did).
+    @pytest.mark.filterwarnings("error")
     def test_divergent_counts_are_summed_over_starts(self, monkeypatch):
         global _stub_divergent_calls
         _force_workers(monkeypatch, 1)
@@ -315,6 +330,139 @@ class TestMultistartPool:
         assert qubitcase._pool_workers(3) == 3
         monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert qubitcase._pool_workers(16) == 1
+
+
+def _terraced_stub(x) -> float:
+    """Piecewise constant in steps of 0.05 rad, so nearby vertices tie at
+    finite values."""
+    return float(math.floor(20.0 * x[0]) + 2 * math.floor(20.0 * x[1]) % 7)
+
+
+_ZERO_START = qubitcase._sobol_starts(1, 0)[0]
+
+
+def _signed_zero_stub(x) -> float:
+    """-0.0 at _ZERO_START, the best vertex throughout, and 0.0 elsewhere:
+    every score ties, and np.min of the scores is 0.0."""
+    return -0.0 if x == _ZERO_START.tolist() else 0.0
+
+
+def _divergent_stub(x) -> float:
+    return math.inf
+
+
+# The line of scipy's Nelder-Mead loop that asks for each kind of step.
+_STEP_CALLS = {
+    "expansion": "func(xe)",
+    "outside contraction": "func(xc)",
+    "inside contraction": "func(xcc)",
+    "shrink": "func(sim[j])",
+}
+
+
+def _scipy_nelder_mead(objective, x0: np.ndarray, maxfev: int):
+    """The reference: scipy's Nelder-Mead with the optimizer's settings.
+    Returns its result, the number of evaluations scored +inf and, per
+    evaluation, the source line of scipy's loop that asked for it."""
+    divergent = 0
+    callers = []
+
+    def counted(x: np.ndarray) -> float:
+        nonlocal divergent
+        frame = sys._getframe(2)  # counted <- scipy's counting wrapper <- its loop
+        callers.append(linecache.getline(frame.f_code.co_filename, frame.f_lineno))
+        value = objective(x.tolist())
+        divergent += value == math.inf
+        return value
+
+    with np.errstate(invalid="ignore"):  # scipy subtracts inf from inf on a +inf simplex
+        res = scipy_minimize(
+            counted, x0, method="Nelder-Mead",
+            options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12, "adaptive": False},
+        )
+    return res, divergent, callers
+
+
+class TestSimplexMatchesScipy:
+    """The in-module simplex loop repeats scipy's iterates bit for bit, also
+    where the budget runs out in the middle of a step."""
+
+    def _assert_same(self, objective, x0: np.ndarray, maxfev: int) -> list[str]:
+        """The final simplex, its scores, nfev and the +inf count agree."""
+        res, divergent, callers = _scipy_nelder_mead(objective, x0, maxfev)
+        want = (*(a.tolist() for a in res.final_simplex), res.nfev, divergent)
+        got = qubitcase._simplex_minimize(objective, x0.tolist(), maxfev)
+        assert got == want and repr(got) == repr(want), maxfev
+        return callers
+
+    def _check_start(self, objective, x0: np.ndarray) -> set[str]:
+        """The optimizer's start against scipy's result; then budgets that
+        run out in the initial simplex, at the first evaluation of each kind
+        of step and at the third evaluation of the first shrink, whose
+        vertex has moved but keeps its old score.  Returns the kinds of step
+        that were cut."""
+        res, divergent, _ = _scipy_nelder_mead(objective, x0, qubitcase._EVALS_PER_START)
+        want = (float(res.fun), np.mod(res.x, 2.0 * math.pi).tolist(), int(res.nfev), divergent)
+        fun, x, nfev, start_divergent = qubitcase._nelder_mead_start((objective, x0))
+        got = (fun, x.tolist(), nfev, start_divergent)
+        assert got == want and repr(got) == repr(want)
+        callers = self._assert_same(objective, x0, qubitcase._EVALS_PER_START)
+        self._assert_same(objective, x0, 3)
+        cut = set()
+        for kind, call in _STEP_CALLS.items():
+            first = next((i for i, line in enumerate(callers) if call in line), None)
+            if first is not None:
+                self._assert_same(objective, x0, first)
+                cut.add(kind)
+        first = next((i for i, line in enumerate(callers) if "func(sim[j])" in line), None)
+        if first is not None:
+            assert "func(sim[j])" in callers[first + 2]
+            self._assert_same(objective, x0, first + 2)
+        return cut
+
+    def test_delta_qs_starts(self):
+        cut = set()
+        for i, beta in enumerate(_BETAS):
+            objective = qubitcase._delta_qs_objective(1.0, beta, 1.3, 0.4, BlochState(1.1, 0.5))
+            for x0 in qubitcase._sobol_starts(2, i):
+                cut |= self._check_start(objective, x0)
+        assert cut == set(_STEP_CALLS)
+
+    def test_delta_sm_starts(self):
+        # The anti-aligned measurement scores +inf on part of the torus.
+        c = BlochState(1.2, 0.3)
+        cut = set()
+        for i, beta in enumerate(_BETAS):
+            for m in (BlochState(1.0, 2.0), BlochState(math.pi - 1.2, 0.3 + math.pi)):
+                objective = qubitcase._delta_sm_objective(1.0, beta, c, m)
+                for x0 in qubitcase._sobol_starts(1, i):
+                    cut |= self._check_start(objective, x0)
+        assert cut == set(_STEP_CALLS)
+
+    def test_finite_ties_keep_numpys_order(self, monkeypatch):
+        tied = 0
+        argsort = qubitcase._argsort
+
+        def counting_argsort(f):
+            nonlocal tied
+            tied += len(set(f)) < len(f)
+            return argsort(f)
+
+        monkeypatch.setattr(qubitcase, "_argsort", counting_argsort)
+        for x0 in qubitcase._sobol_starts(4, 2):
+            self._check_start(_terraced_stub, x0)
+        assert tied >= 100
+
+    def test_signed_zero_scores(self):
+        self._check_start(_signed_zero_stub, _ZERO_START)
+        fun, x, _, _ = qubitcase._nelder_mead_start((_signed_zero_stub, _ZERO_START))
+        assert repr(fun) == "0.0" and np.array_equal(x, _ZERO_START)
+
+    def test_all_divergent_start(self):
+        x0 = qubitcase._sobol_starts(1, 0)[0]
+        self._check_start(_divergent_stub, x0)
+        fun, _, nfev, divergent = qubitcase._nelder_mead_start((_divergent_stub, x0))
+        assert fun == math.inf and nfev == divergent == qubitcase._EVALS_PER_START
 
 
 def _numpy_rzyz(lam, gamma, delta) -> np.ndarray:
@@ -376,7 +524,7 @@ class TestObjectiveKernelBits:
         """Compare at every point; return how many scored +inf."""
         infinite = 0
         for x in points:
-            got, want = objective(x), reference(objective, x)
+            got, want = objective(x.tolist()), reference(objective, x)
             assert got == want and repr(got) == repr(float(want)), x
             infinite += got == math.inf
         return infinite
@@ -423,7 +571,7 @@ class TestObjectivesMatchCheckedPath:
     )
     def test_delta_qs(self, x, beta, t_abs, t_phase, c):
         want = activation_report(qubit_scenario(1.0, beta, t_abs, t_phase, *_pair(x), c)).delta_qs
-        got = qubitcase._delta_qs_objective(1.0, beta, t_abs, t_phase, c)(np.array(x))
+        got = qubitcase._delta_qs_objective(1.0, beta, t_abs, t_phase, c)(x)
         assert abs(got - want) <= 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -433,7 +581,7 @@ class TestObjectivesMatchCheckedPath:
         n_m = assemble_nm(measurement_angles(c, m), s._terms.chi)
         assume(n_m > 1e-9)
         want = measure_control(s, m).delta_sm
-        got = qubitcase._delta_sm_objective(1.0, beta, c, m)(np.array(x))
+        got = qubitcase._delta_sm_objective(1.0, beta, c, m)(x)
         # delta_sm = bracket / n_m: the round-off of a few tens of eps in
         # bracket and n_m grows as 1/n_m once n_m falls below 1e-2.
         assert abs(got - want) <= max(1e-12, 1e-14 / n_m)
@@ -451,6 +599,6 @@ class TestObjectivesPickle:
     def test_round_trip_is_bit_equal(self, objective, rng):
         restored = pickle.loads(pickle.dumps(objective))
         assert restored == objective
-        for x in rng.uniform(-1.0, 8.0, size=(50, 6)):
+        for x in rng.uniform(-1.0, 8.0, size=(50, 6)).tolist():
             before, after = objective(x), restored(x)
             assert repr(before) == repr(after)
