@@ -19,7 +19,6 @@ from .config import (
     serialize_config,
 )
 from .cvcase import (
-    BraidedGamma,
     DisplacementParams,
     FockOracleReport,
     NoSolutionError,
@@ -53,7 +52,6 @@ from .cvcase import (
 from .figures import (
     DEFAULT_FIGURE_SEED,
     FIGURE_IDS,
-    FigureSpec,
     emit_figure,
     figure_dataset,
 )

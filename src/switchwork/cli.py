@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 from dataclasses import astuple
-from pathlib import Path
 
 from .config import (
     FAMILIES,
@@ -32,7 +31,7 @@ from .cvcase import (
     disp_squeeze_scenario,
     displacement_scenario,
 )
-from .figures import FigureSpec, emit_figure, render_csv
+from .figures import emit_figure, render_csv
 from .qubitcase import (
     U2Params,
     minimize_delta_qs_u2,
@@ -255,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(report.render() + "\n")
             return 0 if report.passed else 2
         # figure
-        spec = FigureSpec(args.id, None if args.out is None else Path(args.out))
-        path = emit_figure(spec)
+        path = emit_figure(args.id, args.out)
         sys.stdout.write(f"{path}\n")
         return 0
     except (ConfigError, ValueError) as exc:

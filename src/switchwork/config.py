@@ -175,6 +175,8 @@ def parse_config(text: str) -> ScenarioConfig:
     got = take("seed")
     if got is not None:
         seed = _parse_int(got[0], "seed", got[1])
+        if seed < 0:
+            raise ConfigError(f"line {got[1]}: field seed: must be >= 0, got {seed}")
 
     budget = 32000
     got = take("budget")
@@ -246,17 +248,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text whose parse equals cfg (round-trip identity)."""
     lines = [f"kind = {cfg.kind}", f"family = {cfg.family}"]
     for key, value in cfg.scalars:
-        lines.append(f"{key} = {_fmt(value)}")
+        lines.append(f"{key} = {value:.17g}")
     if cfg.n_max is not None:
         lines.append(f"n_max = {cfg.n_max}")
     if cfg.budget != 32000:
@@ -265,7 +261,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         lines.append(f"seed = {cfg.seed}")
     for i, axis in enumerate(cfg.axes, start=1):
         lines.append(
-            f"sweep{i} = {axis.name} {_fmt(axis.start)} {_fmt(axis.stop)} {axis.count}"
+            f"sweep{i} = {axis.name} {axis.start:.17g} {axis.stop:.17g} {axis.count}"
         )
     return "\n".join(lines) + "\n"
 

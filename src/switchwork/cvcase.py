@@ -108,13 +108,6 @@ class SqueezeParams:
         return self.z_abs * cmath.exp(1j * self.z_phase)
 
 
-@dataclass(frozen=True)
-class BraidedGamma:
-    """Displacement amplitude produced by commuting D past S."""
-
-    gamma: complex
-
-
 def _n_th(beta: float, omega: float) -> float:
     return ThermalParams(beta, omega).n_th
 
@@ -338,8 +331,8 @@ def delta_sm_displacements(
 # ---------------------------------------------------------------------------
 
 
-def gamma_braiding(a: DisplacementParams, s: SqueezeParams) -> BraidedGamma:
-    """gamma with D(alpha) S(z) = S(z) D(gamma):
+def gamma_braiding(a: DisplacementParams, s: SqueezeParams) -> complex:
+    """The displacement amplitude gamma with D(alpha) S(z) = S(z) D(gamma):
 
     gamma = |a| e^{i phi} cosh|z| - |a| e^{i(xi - phi)} sinh|z|.
     """
@@ -349,7 +342,7 @@ def gamma_braiding(a: DisplacementParams, s: SqueezeParams) -> BraidedGamma:
     bound = a.alpha_abs * math.exp(s.z_abs)
     if abs(gamma) > bound + 1e-12:
         raise AssertionError(f"braided amplitude {abs(gamma)!r} exceeds bound {bound!r}")
-    return BraidedGamma(gamma)
+    return gamma
 
 
 def chi_disp_squeeze(
@@ -357,7 +350,7 @@ def chi_disp_squeeze(
 ) -> complex:
     """chi = <gamma|alpha> e^{-nth |alpha - gamma|^2}
            = exp( i Im{gamma* alpha} - (nth + 1/2) |alpha - gamma|^2 )."""
-    gamma = gamma_braiding(a, s).gamma
+    gamma = gamma_braiding(a, s)
     n_th = _n_th(beta, omega)
     diff = a.alpha - gamma
     overlap = gamma.conjugate() * a.alpha
@@ -411,7 +404,7 @@ def f_s_disp_squeeze(
     """Cross-term energy functional F_S = tr{U2 U1 rho U2† U1† H} in
     closed form (see module docstring for the full expression)."""
     n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s).gamma
+    gamma = gamma_braiding(a, s)
     alpha = a.alpha
     diff = alpha - gamma
     c = math.cosh(s.z_abs)
@@ -445,7 +438,7 @@ def f_s_disp_squeeze_tabulated(
     w chi (1/2 + g*a + (1 + 2 g*a - |a|^2 - |g|^2) nth - |a-g|^2 nth^2).
     Lacks the squeeze-quadrature terms; disagrees with the oracle for z != 0."""
     n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s).gamma
+    gamma = gamma_braiding(a, s)
     alpha = a.alpha
     ga = gamma.conjugate() * alpha
     chi_val = chi_disp_squeeze(a, s, beta, omega)
@@ -476,7 +469,7 @@ def delta_f_disp_squeeze_tabulated(
     """Tabulated counterpart of delta_f_disp_squeeze, kept verbatim:
     w chi (g*a + (2 g*a - |g|^2 - |a|^2) nth - |a-g|^2 nth^2)."""
     n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s).gamma
+    gamma = gamma_braiding(a, s)
     alpha = a.alpha
     ga = gamma.conjugate() * alpha
     chi_val = chi_disp_squeeze(a, s, beta, omega)
@@ -979,24 +972,15 @@ def fock_oracle_report(
             except NearZeroPostSelectionError:
                 numeric["delta_f"] = numeric["delta_sm"] = math.nan
         for q, value in numeric.items():
-            gap = (
-                math.nan
-                if isinstance(value, float) and math.isnan(value)
-                else abs(value - closed[q])
-            )
-            series[q].append((n_max, value, float(gap)))
+            series[q].append((n_max, value, float(abs(value - closed[q]))))
 
     checks = []
     for q, rows in series.items():
         gaps = [r[2] for r in rows]
         converged = math.isfinite(gaps[-1]) and gaps[-1] <= TOL_ORACLE
-        monotone = True
-        for i in range(len(gaps) - 1):
-            if not math.isfinite(gaps[i]) or not math.isfinite(gaps[i + 1]):
-                monotone = False
-                break
-            if gaps[i + 1] > max(gaps[i], TOL_ORACLE):
-                monotone = False
-                break
+        monotone = all(
+            math.isfinite(g0) and math.isfinite(g1) and g1 <= max(g0, TOL_ORACLE)
+            for g0, g1 in zip(gaps, gaps[1:])
+        )
         checks.append(OracleCheck(q, closed[q], tuple(rows), converged, monotone))
     return FockOracleReport(family, tuple(schedule), tuple(checks), TOL_ORACLE)

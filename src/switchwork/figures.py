@@ -38,7 +38,6 @@ deterministic: every call produces byte-identical CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -69,18 +68,6 @@ FIGURE_IDS = tuple(f"fig{k}" for k in range(1, 10))
 _PLUS = BlochState(math.pi / 2.0, 0.0)
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    figure_id: str
-    out_path: Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.figure_id not in FIGURE_IDS:
-            raise ValueError(
-                f"unknown figure id {self.figure_id!r}; known: {', '.join(FIGURE_IDS)}"
-            )
-
-
 def format_cell(value) -> str:
     """One CSV cell: '' for missing, integer text for flags, %.17g floats."""
     if value is None:
@@ -90,8 +77,6 @@ def format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     if isinstance(value, str):
         if "," in value or "\n" in value:
@@ -357,22 +342,28 @@ def _fig9() -> tuple[list[str], list[list]]:
 _DATASETS = dict(zip(FIGURE_IDS, (_fig1, _fig2, _fig3, _fig4, _fig5, _fig6, _fig7, _fig8, _fig9)))
 
 
+def _known_figure(figure_id: str) -> str:
+    """`figure_id`, or a ValueError that lists the known ids."""
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
+    return figure_id
+
+
 def figure_dataset(figure_id: str) -> tuple[list[str], list[list]]:
     """Header and rows for one figure id (deterministic)."""
-    if figure_id not in _DATASETS:
-        raise ValueError(f"unknown figure id {figure_id!r}")
-    return _DATASETS[figure_id]()
+    return _DATASETS[_known_figure(figure_id)]()
 
 
-def emit_figure(spec: FigureSpec) -> Path:
-    """Write the figure dataset as CSV (UTF-8, LF); returns the path."""
-    out = Path(spec.out_path if spec.out_path is not None else f"{spec.figure_id}.csv")
-    out.write_text(render_csv(*figure_dataset(spec.figure_id)), encoding="utf-8", newline="\n")
+def emit_figure(figure_id: str, out_path: str | Path | None = None) -> Path:
+    """Write the figure dataset as CSV (UTF-8, LF) to `out_path` (default
+    `<figure_id>.csv`); returns the path.  Rendering comes first, so an
+    unknown id or a failed render leaves no file."""
+    text = render_csv(*figure_dataset(figure_id))
+    out = Path(out_path if out_path is not None else f"{figure_id}.csv")
+    out.write_text(text, encoding="utf-8", newline="\n")
     return out
 
 
 def baseline_path(figure_id: str) -> Path:
     """Packaged regression baseline CSV for one figure id."""
-    if figure_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}")
-    return Path(__file__).parent / "_baselines" / f"{figure_id}.csv"
+    return Path(__file__).parent / "_baselines" / f"{_known_figure(figure_id)}.csv"

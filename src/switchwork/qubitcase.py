@@ -73,7 +73,6 @@ from .switchcore import (
     post_selection_vanishes,
 )
 
-TOL_OPT = 1e-4
 _EVALS_PER_START = 500
 # Nelder-Mead coefficients (scipy's rho, chi, psi, sigma) and stopping
 # tolerances on the simplex's spread in x and in f.

@@ -53,7 +53,6 @@ from switchwork.cvcase import (
 )
 from switchwork.figures import (
     FIGURE_IDS,
-    FigureSpec,
     baseline_path,
     emit_figure,
     figure_dataset,
@@ -515,7 +514,7 @@ def test_criterion_7_figure_datasets_regenerate_byte_identically(tmp_path):
     seed, and non-post-selectable sweep points are tagged in a flag column
     with empty value cells, never emitted as numbers."""
     for figure_id in FIGURE_IDS:
-        out = emit_figure(FigureSpec(figure_id, tmp_path / f"{figure_id}.csv"))
+        out = emit_figure(figure_id, tmp_path / f"{figure_id}.csv")
         assert out.read_bytes() == baseline_path(figure_id).read_bytes(), figure_id
 
     for figure_id in ("fig8", "fig9"):

@@ -191,6 +191,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="must be >= 1"):
             parse_config(DISP_TEXT.replace("n_max = 40", "n_max = 0"))
 
+    def test_negative_seed_rejected_with_line_and_field(self):
+        with pytest.raises(ConfigError, match=r"^line 17: field seed: must be >= 0, got -1$"):
+            parse_config(U2_TEXT + "seed = -1\n")
+        assert parse_config(U2_TEXT + "seed = 0\n").seed == 0
+
 
 class TestSweepGrammar:
     def test_single_axis(self):
@@ -272,6 +277,15 @@ class TestRoundTrip:
     def test_float_cells_are_shortest_exact(self):
         cfg = parse_config(ROTATIONS_TEXT.replace("beta = 1.3", "beta = 0.1"))
         assert "beta = 0.10000000000000001" in serialize_config(cfg)
+
+    def test_infinities_serialize_as_inf_text(self):
+        text = ROTATIONS_TEXT.replace("beta = 1.3", "beta = inf")
+        cfg = parse_config(text + "sweep1 = alpha_x -inf 2.0 1\n")
+        canonical = serialize_config(cfg)
+        assert "\nbeta = inf\n" in canonical
+        assert canonical.endswith("\nsweep1 = alpha_x -inf 2 1\n")
+        assert parse_config(canonical) == cfg
+        assert parse_config(canonical).axes[0].start == -math.inf
 
 
 class TestSweepCommand:
@@ -537,6 +551,12 @@ class TestMinimizeCommand:
         assert "does not accept sweep axes" in err
 
 
+    def test_negative_seed_rejected_with_line_and_field(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, U2_TEXT + "seed = -1\n")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 17: field seed: must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("control_theta, measure_theta", [(0.0, math.pi), (math.pi, 0.0)])
     def test_antipodal_post_selection_rejected_before_optimizing(
         self, capsys, tmp_path, control_theta, measure_theta
@@ -592,6 +612,13 @@ class TestOtherCommands:
     def test_unknown_figure_id_exit_one(self, capsys):
         assert cli.main(["figure", "fig99"]) == 1
         assert "unknown figure id" in capsys.readouterr().err
+
+    def test_unknown_figure_id_creates_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["figure", "fig10"]) == 1
+        assert "known: fig1, fig2" in capsys.readouterr().err
+        assert cli.main(["figure", "fig10", "--out", str(tmp_path / "x.csv")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_exit_one(self, capsys):
         assert cli.main(["sweep", "/nonexistent/path.cfg"]) == 1

@@ -294,6 +294,28 @@ class TestDisplacementPair:
         # unitaries leave only float-addition noise, not exact zero.
         assert report.gap("delta_qs") < 1e-12
 
+    def test_oracle_fails_on_divergent_post_selection_rows(self):
+        # Antipodal control and measurement: n_m = 0 for every unitary pair.
+        report = fock_oracle_report(
+            "displacements",
+            omega=1.0,
+            beta=1.0,
+            a1=DisplacementParams(0.6, 0.9),
+            a2=DisplacementParams(0.5, 2.2),
+            control=BlochState(0.0, 0.0),
+            measurement=BlochState(math.pi, 0.0),
+            n_schedule=(40, 50),
+        )
+        diverged = {"delta_f", "delta_sm"}
+        for check in report.checks:
+            divergent = check.quantity in diverged
+            assert all(bool(np.isnan(row[1])) == divergent for row in check.rows), check.quantity
+            assert all(math.isnan(row[2]) == divergent for row in check.rows), check.quantity
+            assert check.converged != divergent and check.monotone != divergent, check.quantity
+        assert not report.passed
+        failing = [line for line in repr(report).splitlines() if "[FAIL]" in line]
+        assert [line.split()[1] for line in failing] == ["delta_f:", "delta_sm:"]
+
     def test_measured_value_is_recombined_amplitude_energy(self, rng):
         a1 = DisplacementParams(0.6, 0.5)
         a2 = DisplacementParams(0.9, 2.6)
@@ -355,7 +377,7 @@ class TestBraiding:
     def test_general_amplitude(self):
         a = DisplacementParams(0.8, 0.5)
         s = SqueezeParams(0.4, 1.3)
-        g = gamma_braiding(a, s).gamma
+        g = gamma_braiding(a, s)
         expected = a.alpha * math.cosh(0.4) - a.alpha.conjugate() * cmath.exp(1.3j) * math.sinh(0.4)
         assert abs(g - expected) < 1e-15
 
@@ -363,20 +385,20 @@ class TestBraiding:
         # xi - 2 phi = 0  =>  gamma = alpha e^{-|z|}.
         a = DisplacementParams(0.9, 0.6)
         s = SqueezeParams(0.5, 1.2)
-        g = gamma_braiding(a, s).gamma
+        g = gamma_braiding(a, s)
         assert abs(g - a.alpha * math.exp(-0.5)) < 1e-14
 
     def test_anti_aligned_slice_dilates(self):
         # xi - 2 phi = pi  =>  gamma = alpha e^{+|z|}.
         a = DisplacementParams(0.9, 0.6)
         s = SqueezeParams(0.5, 1.2 + math.pi)
-        g = gamma_braiding(a, s).gamma
+        g = gamma_braiding(a, s)
         assert abs(g - a.alpha * math.exp(0.5)) < 1e-13
 
     def test_operator_identity_on_faithful_block(self):
         # D(alpha) S(z) = S(z) D(gamma) on the block the truncated S(z) keeps faithful.
         a, s, n_max = DisplacementParams(0.7, 0.9), SqueezeParams(0.3, 0.8), 80
-        g = gamma_braiding(a, s).gamma
+        g = gamma_braiding(a, s)
         d_g = displacement_op(DisplacementParams(abs(g), cmath.phase(g)), n_max).mat
         lhs = displacement_op(a, n_max).mat @ squeeze_op(s, n_max).mat
         rhs = squeeze_op(s, n_max).mat @ d_g
@@ -386,7 +408,7 @@ class TestBraiding:
     def test_amplitude_bound(self):
         a = DisplacementParams(1.4, 2.0)
         s = SqueezeParams(0.9, 0.1)
-        g = gamma_braiding(a, s).gamma
+        g = gamma_braiding(a, s)
         assert abs(g) <= 1.4 * math.exp(0.9) + 1e-12
 
 

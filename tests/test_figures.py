@@ -11,7 +11,6 @@ import pytest
 from switchwork.figures import (
     DEFAULT_FIGURE_SEED,
     FIGURE_IDS,
-    FigureSpec,
     _zero_crossing_flags,
     baseline_path,
     emit_figure,
@@ -69,13 +68,19 @@ class TestCatalog:
     def test_nine_ids(self):
         assert FIGURE_IDS == tuple(f"fig{k}" for k in range(1, 10))
 
-    def test_unknown_id_rejected_by_spec(self):
-        with pytest.raises(ValueError, match="unknown figure id"):
-            FigureSpec("fig10")
+    def test_unknown_id_rejected_by_emit_before_writing(self, tmp_path):
+        out = tmp_path / "fig10.csv"
+        with pytest.raises(ValueError, match=r"unknown figure id 'fig10'; known: fig1, fig2"):
+            emit_figure("fig10", out)
+        assert not out.exists()
 
     def test_unknown_id_rejected_by_dataset(self):
-        with pytest.raises(ValueError, match="unknown figure id"):
+        with pytest.raises(ValueError, match="unknown figure id 'fig0'; known: fig1"):
             figure_dataset("fig0")
+
+    def test_unknown_id_rejected_by_baseline_path(self):
+        with pytest.raises(ValueError, match="unknown figure id 'fig10'; known: fig1"):
+            baseline_path("fig10")
 
     def test_baselines_shipped_for_all_ids(self):
         for figure_id in FIGURE_IDS:
@@ -180,13 +185,13 @@ class TestFigureValues:
 class TestEmission:
     def test_default_output_name_is_figure_id(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = emit_figure(FigureSpec("fig5"))
+        path = emit_figure("fig5")
         assert path.name == "fig5.csv"
         assert path.read_bytes() == baseline_path("fig5").read_bytes()
 
     def test_repeat_emission_is_byte_identical(self, tmp_path):
-        first = emit_figure(FigureSpec("fig9", tmp_path / "a.csv"))
-        second = emit_figure(FigureSpec("fig9", tmp_path / "b.csv"))
+        first = emit_figure("fig9", tmp_path / "a.csv")
+        second = emit_figure("fig9", tmp_path / "b.csv")
         assert first.read_bytes() == second.read_bytes()
 
     def test_render_rejects_ragged_rows(self):

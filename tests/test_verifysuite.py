@@ -66,7 +66,7 @@ class TestQuickPlan:
             "displacement-closed-forms",
             "disp-squeeze-closed-forms",
             "config-round-trip",
-            "csv-determinism",
+            "figure-regression",
         ):
             assert any(expected in name for name in names), expected
 
@@ -154,25 +154,38 @@ class TestSuiteHasTeeth:
         assert set(failed) == {"switch-algebra"}
         assert "DIFFERS FROM kron formula" in failed["switch-algebra"]
 
-    def test_one_ulp_figure_drift_fails_figure_regression(self, monkeypatch):
-        monkeypatch.setattr(verifysuite, "FIGURE_IDS", ("fig5",))
-        assert verifysuite._check_figure_regression()[0]
+    @staticmethod
+    def _drift_fig5(monkeypatch):
+        """Move one fig5 cell by one ulp."""
         honest = verifysuite.figure_dataset
 
         def drifted(figure_id):
             header, rows = honest(figure_id)
-            rows[1][2] = math.nextafter(rows[1][2], math.inf)
+            if figure_id == "fig5":
+                rows[1][2] = math.nextafter(rows[1][2], math.inf)
             return header, rows
 
         monkeypatch.setattr(verifysuite, "figure_dataset", drifted)
-        passed, detail = verifysuite._check_figure_regression()
+
+    def test_one_ulp_figure_drift_fails_figure_regression(self, monkeypatch):
+        assert verifysuite._check_figure_regression(("fig5",))[0]
+        self._drift_fig5(monkeypatch)
+        passed, detail = verifysuite._check_figure_regression(("fig5",))
         assert not passed
         assert detail.startswith("fig5: ")
 
+    def test_one_ulp_fig5_drift_fails_quick_level(self, monkeypatch):
+        self._drift_fig5(monkeypatch)
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {"figure-regression"}
+        assert failed["figure-regression"] == "fig5: bytes differ from fig5.csv"
+
     def test_missing_baseline_fails_figure_regression(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(verifysuite, "FIGURE_IDS", ("fig5",))
         monkeypatch.setattr(verifysuite, "baseline_path", lambda figure_id: tmp_path / "fig5.csv")
-        assert verifysuite._check_figure_regression() == (False, "missing baseline fig5.csv")
+        assert verifysuite._check_figure_regression(("fig5",)) == (
+            False, "missing baseline fig5.csv"
+        )
 
     def test_summary_counts_failures(self, monkeypatch):
         monkeypatch.setattr(cvcase, "chi_displacements", lambda *args, **kwargs: 0.0j)
