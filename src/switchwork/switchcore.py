@@ -10,11 +10,16 @@ into delta_12, delta_21 and the interference term delta_f.
 Each scenario computes its terms once, on first use, and both reports read
 them: the d-space blocks R12 = W12 rho W12†, R21 = W21 rho W21† and
 A12 = W12 rho W21† (W12 = U2 U1, W21 = U1 U2) with the scalars chi = tr A12,
-E_S, E12, E21 and F_S = tr{A12 h_s}; rho_c; the joint state conjugated by the
-validated switch unitary; and, only when asked for, the checked post-switch
-DensityMatrix.  Every derived scalar comes from both the joint state and the
-d-space terms, and the routes must agree within TOL_ENERGY at runtime (each
-function names its checks).  A disagreement means a bug, so it raises
+E_S, E12, E21 and F_S = tr{A12 h_s}; rho_c; the joint state E, filled block
+by block from those terms; and, only when asked for, E as a checked
+DensityMatrix.  Before E is used, a Freivalds probe checks it against the
+conjugation U (rho (x) rho_c) U† by the validated switch unitary on k = 16
+fixed +-1 columns, at O(k d^2) cost; an entry off by more than TOL_ENERGY
+escapes it with probability at most 2^-k (see SwitchScenario._joint_out).
+The dense (2d)^3 conjugation is the oracle of the tests and of `verify`'s
+tilde-energy-split check.  Every derived scalar comes from both E and the
+d-space scalars, and the routes must agree within TOL_ENERGY at runtime
+(each function names its checks).  A disagreement means a bug, so it raises
 instead of returning.  Scenarios and wrapper arrays are immutable, so a
 cached term never goes stale.
 
@@ -53,6 +58,8 @@ from .states import BlochState
 
 TOL_ENERGY = 1e-8
 TOL_NM = 1e-12
+_PROBE_COLUMNS = 16
+_probe_table = np.empty((0, _PROBE_COLUMNS))
 
 
 class NearZeroPostSelectionError(RuntimeError):
@@ -110,16 +117,34 @@ class SwitchScenario:
 
     @cached_property
     def _joint_out(self) -> np.ndarray:
-        """U (rho (x) rho_c) U† by conjugation with the switch unitary."""
+        """The joint state E = U (rho (x) rho_c) U† as the four-term block
+        expansion, probed against the conjugation by the switch unitary.
+
+        Freivalds' check: with X the first 2d rows of the probe table (k =
+        _PROBE_COLUMNS columns of +-1), E X must equal U (K (U† X)),
+        K = rho (x) rho_c, within TOL_ENERGY in every entry.  That costs
+        O(k d^2) instead of the two (2d)^3 products of the conjugation.  Let
+        Delta = E - J with J the conjugation and |Delta_ij| > TOL_ENERGY for
+        some entry.  In each column, (Delta X)_i = Delta_ij x_j + S with S
+        independent of x_j, and one of S +- Delta_ij has modulus
+        >= |Delta_ij|, so the column exposes the entry with probability
+        >= 1/2 over the signs and the check misses with probability
+        <= 2^-k.  If Delta_ij is the only wrong entry of its row, S = 0 and
+        every column catches it.  The probes are fixed, so the check is
+        deterministic for a given scenario.
+        """
+        out = _post_switch_expansion(self)
+        out.flags.writeable = False
         u_qs = build_switch_unitary(self.u1, self.u2).mat
-        return u_qs @ kron(self.rho_s, self.rho_c) @ u_qs.conj().T
+        x = _probes(out.shape[0])
+        conj = u_qs @ (kron(self.rho_s, self.rho_c) @ (u_qs.conj().T @ x))
+        if np.max(np.abs(out @ x - conj)) > TOL_ENERGY:
+            raise AssertionError("post-switch expansion disagrees with conjugation path")
+        return out
 
     @cached_property
     def _post_switch(self) -> DensityMatrix:
-        out = self._joint_out
-        if np.max(np.abs(out - _post_switch_expansion(self))) > TOL_ENERGY:
-            raise AssertionError("post-switch expansion disagrees with conjugation path")
-        return DensityMatrix(out)
+        return DensityMatrix(self._joint_out)
 
 
 @dataclass(frozen=True)
@@ -134,6 +159,17 @@ class _SwitchTerms:
     e12: float
     e21: float
     f_s: complex
+
+
+def _probes(n: int) -> np.ndarray:
+    """The first n rows of one read-only, fixed-seed table of +-1 probe
+    columns.  The table is redrawn longer when a larger n is asked for;
+    the draw is prefix-stable, so a row never changes once drawn."""
+    global _probe_table
+    if _probe_table.shape[0] < n:
+        _probe_table = np.random.default_rng(0).choice([-1.0, 1.0], size=(n, _PROBE_COLUMNS))
+        _probe_table.flags.writeable = False
+    return _probe_table[:n]
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
@@ -297,11 +333,12 @@ def chi(u1, u2, rho_s) -> complex:
 
 
 def post_switch_state(s: SwitchScenario) -> DensityMatrix:
-    """Joint state after the controlled-order channel.
+    """Joint state after the controlled-order channel, as a DensityMatrix.
 
-    Generic path: conjugation by the switch unitary.  The four-term block
-    expansion is evaluated as a cross-check and must agree term-for-term.
-    Computed once per scenario.
+    The matrix is the four-term block expansion, which a Freivalds probe
+    has checked against the conjugation by the switch unitary (see
+    SwitchScenario._joint_out).  Validated lazily, once per scenario: the
+    reports read the expansion and never build this (2d) x (2d) state.
     """
     return s._post_switch
 
@@ -363,7 +400,7 @@ class DeltaCMinResult:
 def activation_report(s: SwitchScenario) -> ActivationReport:
     """Pre-measurement energy bookkeeping with built-in cross-checks.
 
-    Route (a): delta_qs from the 2d-dim conjugated joint state, and the
+    Route (a): delta_qs from the probe-checked 2d-dim joint state, and the
     mixed-state split delta_qs = delta_s + delta_c of the tilde states.
     Route (b): the kernel assemble_qs on the d-space terms.  The routes
     must agree within TOL_ENERGY on delta_qs, on the split's sum and on
@@ -453,10 +490,10 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
 
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
-    computed both by direct projection of the joint state and by the
-    four-term expansion; the two must agree, and so must n_m and delta_sm
-    with the kernel assemble_sm on delta_f = F_S - chi E_S,
-    F_S = tr{U2 U1 rho U2† U1† h_s}.
+    computed both by direct projection of the probe-checked joint state and
+    by the angle factors on the d-space blocks; the two must agree, and so
+    must n_m and delta_sm with the kernel assemble_sm on
+    delta_f = F_S - chi E_S, F_S = tr{U2 U1 rho U2† U1† h_s}.
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
@@ -464,7 +501,7 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     t = s._terms
 
     # Direct path: <m| . |m> on each 2x2 control block of the joint state.
-    joint_out = post_switch_state(s).mat.reshape(d, 2, d, 2)
+    joint_out = s._joint_out.reshape(d, 2, d, 2)
     ket_m = m.to_ket()
     numerator = np.einsum("k,ikjl,l->ij", ket_m.conj(), joint_out, ket_m)
     n_m_direct = float(np.real(np.trace(numerator)))

@@ -199,14 +199,18 @@ def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:
 
 
 def _check_tilde_split(rng: np.random.Generator) -> tuple[bool, str]:
+    """The dense oracle: the joint state by conjugation with the switch
+    unitary, whose energy the tilde states must split, and which the
+    probe-checked post-switch state must match entry for entry."""
     from .qmat import kron
-    from .switchcore import post_switch_state
+    from .switchcore import build_switch_unitary, post_switch_state
 
-    worst = 0.0
+    worst = worst_state = 0.0
     for _ in range(30):
         s = _random_generic_scenario(rng)
         report = activation_report(s)
-        joint = post_switch_state(s).mat
+        u_qs = build_switch_unitary(s.u1, s.u2).mat
+        joint = u_qs @ kron(s.rho_s, s.rho_c) @ u_qs.conj().T
         dim = s.h_s.mat.shape[0]
         h_joint = kron(s.h_s.mat, np.eye(2, dtype=complex)) + kron(
             np.eye(dim, dtype=complex), s.h_c.mat
@@ -217,7 +221,11 @@ def _check_tilde_split(rng: np.random.Generator) -> tuple[bool, str]:
             + np.trace(report.tilde_rho_c.mat @ s.h_c.mat).real
         )
         worst = max(worst, abs(e_joint - e_split))
-    return worst <= 1e-9, f"30 scenarios, worst split defect {worst:.2e}"
+        worst_state = max(worst_state, float(np.max(np.abs(post_switch_state(s).mat - joint))))
+    return worst <= 1e-9 and worst_state <= 1e-12, (
+        f"30 scenarios, worst split defect {worst:.2e}, "
+        f"worst post-switch state gap {worst_state:.2e}"
+    )
 
 
 def numeric_delta_c_minimum(h_c: HermitianOperator, chi_value: complex) -> float:

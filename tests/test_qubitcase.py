@@ -32,6 +32,7 @@ from switchwork.qubitcase import (
 )
 from switchwork.states import BlochState
 from switchwork.switchcore import (
+    TOL_ENERGY,
     NearZeroPostSelectionError,
     activation_report,
     assemble_nm,
@@ -232,6 +233,24 @@ class TestU2Optimizers:
             minimize_delta_sm_u2(
                 1.0, 1.0, BlochState(c_theta, 0.0), BlochState(m_theta, 0.0), budget=4000, seed=0
             )
+
+    def test_near_antipodal_measurement_returns_a_bounded_value(self):
+        """(0.3, 0) and (pi - 0.3, pi) are antipodal on the sphere, not in
+        theta alone, and the search settles near n_m = 1e-8.  The result
+        lies in [-E_S, omega - E_S] and agrees with the checked path, or the
+        call names the regime.  It used to raise `DensityMatrix is not
+        Hermitian` from the renormalized post-selected state."""
+        omega, beta = 1.0, 1.0
+        c, m = BlochState(0.3, 0.0), BlochState(math.pi - 0.3, math.pi)
+        try:
+            res = minimize_delta_sm_u2(omega, beta, c, m, budget=2000, seed=1)
+            s = qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, res.params), c)
+            checked = measure_control(s, m).delta_sm
+        except NearZeroPostSelectionError:
+            return
+        e_s = activation_report(s).e_s
+        assert -e_s <= res.value <= omega - e_s
+        assert abs(checked - res.value) <= TOL_ENERGY
 
     def test_implied_slope_inversions(self):
         assert implied_epsilon(-2.0, 0.0, 1.0) == pytest.approx(-20.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -418,11 +419,15 @@ def _shift_energy(rho: np.ndarray, h: np.ndarray, eta: float) -> DensityMatrix:
 class TestCrossChecksFire:
     """Each runtime cross-check raises when one of its routes is corrupted.
 
-    The corruptions: the joint conjugation (a swapped switch unitary), one
-    cached d-space term, the tilde route (energy moved between system and
-    control, which keeps their sum), and the four-term expansion.  The
-    measure_control checks read cached terms after the post-switch state
-    was validated, as a faulty term kernel would leave them.
+    The corruptions: the joint Hamiltonian (off by a constant), the tilde
+    route (the system mixture built from the wrong order's block, or
+    energy moved between system and control, which keeps their sum), the
+    four-term expansion or the switch unitary it is probed against, and
+    one cached d-space term.  The expansion is filled from the d-space
+    terms, so a corrupted term moves it too and the probe cannot see a
+    fault that corrupts both alike; the measure_control checks read cached
+    terms after the expansion was checked, as a faulty term kernel would
+    leave them.
     """
 
     @pytest.fixture
@@ -435,13 +440,23 @@ class TestCrossChecksFire:
         monkeypatch.setitem(s.__dict__, "_terms", dataclasses.replace(s._terms, **fields))
 
     def test_energy_routes(self, scenario, monkeypatch):
-        original = switchcore.build_switch_unitary
-        monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+        original = switchcore._joint_hamiltonian
+
+        def shifted(h_s, h_c):
+            return original(h_s, h_c) + 1e-6 * np.eye(2 * h_s.shape[0])
+
+        monkeypatch.setattr(switchcore, "_joint_hamiltonian", shifted)
         with pytest.raises(AssertionError, match="energy routes disagree"):
             activation_report(scenario)
 
     def test_mixed_split(self, scenario, monkeypatch):
-        self._corrupt_terms(monkeypatch, scenario, r12=scenario._terms.r21)
+        original = switchcore._tilde_states
+
+        def wrong_order(s, x):
+            t = s._terms
+            return original(SimpleNamespace(rho_c=s.rho_c, _terms=dataclasses.replace(t, r12=t.r21)), x)
+
+        monkeypatch.setattr(switchcore, "_tilde_states", wrong_order)
         with pytest.raises(AssertionError, match="mixed-state split disagrees"):
             activation_report(scenario)
 
@@ -471,6 +486,59 @@ class TestCrossChecksFire:
         for call in (lambda: post_switch_state(scenario), lambda: measure_control(scenario, self.M)):
             with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
                 call()
+
+    @staticmethod
+    def _faulty_expansion(fault: str):
+        original = switchcore._post_switch_expansion
+
+        def faulty(s):
+            out = original(s)
+            blocks = out.reshape(s.rho_s.dim, 2, s.rho_s.dim, 2)
+            if fault == "one_entry":
+                out[1, 2] += 2.0 * switchcore.TOL_ENERGY
+            elif fault == "swapped_diagonal_blocks":
+                blocks[:, 0, :, 0], blocks[:, 1, :, 1] = blocks[:, 1, :, 1].copy(), blocks[:, 0, :, 0].copy()
+            else:
+                blocks[:, 0, :, 1] = blocks[:, 0, :, 1].conj()
+            return out
+
+        return faulty
+
+    @pytest.mark.parametrize("d", [3, 30])
+    @pytest.mark.parametrize(
+        "fault", ["one_entry", "swapped_diagonal_blocks", "conjugated_off_diagonal_block", "swapped_unitaries"]
+    )
+    def test_probe_catches_expansion_faults(self, rng, monkeypatch, d, fault):
+        """The Freivalds probe, not a dense comparison, is the only check
+        between the expansion and the conjugation; an entry off by
+        2 TOL_ENERGY is the only wrong entry of its row, so every probe
+        column sees it."""
+        if fault == "swapped_unitaries":
+            original = switchcore.build_switch_unitary
+            monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+        else:
+            monkeypatch.setattr(switchcore, "_post_switch_expansion", self._faulty_expansion(fault))
+        s = _random_scenario(rng, d)
+        for call in (
+            lambda: activation_report(s),
+            lambda: measure_control(s, self.M),
+            lambda: post_switch_state(s),
+        ):
+            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
+                call()
+
+    def test_probe_table_is_prefix_stable_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(switchcore, "_probe_table", np.empty((0, 16)))
+        head = switchcore._probes(6).copy()
+        table = switchcore._probes(400)
+        assert table.shape == (400, 16)
+        assert set(np.unique(table)) == {-1.0, 1.0}
+        assert np.array_equal(table[:6], head)
+        assert np.array_equal(switchcore._probes(6), head)
+        assert np.array_equal(table, np.random.default_rng(0).choice([-1.0, 1.0], size=(400, 16)))
+        for view in (table, switchcore._probes(6)):
+            with pytest.raises(ValueError):
+                view[0, 0] = 2.0
 
     @pytest.mark.parametrize(
         "field, message",
@@ -517,6 +585,30 @@ class TestTermCache:
         u_qs = original(fresh.u1, fresh.u2).mat
         expected = u_qs @ kron(fresh.rho_s, fresh.rho_c) @ u_qs.conj().T
         assert np.max(np.abs(joint - expected)) < 1e-12
+
+    def test_reports_build_no_joint_density_matrix(self, monkeypatch):
+        """The reports read the probe-checked expansion: no (2d) x (2d)
+        DensityMatrix and no post_switch_state call on the hot path."""
+        s = disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
+            BlochState(math.pi / 2.0, 0.0), n_max=84,
+        )
+        dims = []
+        original = switchcore.DensityMatrix
+
+        def recorded(mat):
+            dims.append(np.shape(mat)[0])
+            return original(mat)
+
+        def forbidden(scenario):
+            raise AssertionError("post_switch_state called by a report")
+
+        monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
+        monkeypatch.setattr(switchcore, "post_switch_state", forbidden)
+        activation_report(s)
+        measure_control(s, BlochState(math.pi / 2.0, math.pi))
+        measure_control(s, BlochState(1.0, 0.4))
+        assert sorted(set(dims)) == [2, s.rho_s.dim]
 
 
 def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:

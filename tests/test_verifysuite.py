@@ -154,6 +154,21 @@ class TestSuiteHasTeeth:
         assert set(failed) == {"switch-algebra"}
         assert "DIFFERS FROM kron formula" in failed["switch-algebra"]
 
+    def test_post_switch_state_off_the_dense_oracle_fails_tilde_split(self, monkeypatch):
+        assert verifysuite._check_tilde_split(np.random.default_rng(0))[0]
+        original = switchcore._post_switch_expansion
+
+        def nudged(s):
+            out = original(s)
+            out[0, 1] += 1e-11  # a Hermitian nudge far below what the runtime probe resolves
+            out[1, 0] += 1e-11
+            return out
+
+        monkeypatch.setattr(switchcore, "_post_switch_expansion", nudged)
+        passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
+        assert not passed
+        assert "worst post-switch state gap 1.0" in detail
+
     @staticmethod
     def _drift_fig5(monkeypatch):
         """Move one fig5 cell by one ulp."""
