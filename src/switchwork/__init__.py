@@ -35,8 +35,6 @@ from .cvcase import (
     delta_qs_displacements_symmetric,
     delta_sm_disp_squeeze,
     delta_sm_displacements,
-    delta_sm_xi0,
-    delta_sm_xipi,
     disp_squeeze_scenario,
     displacement_op,
     displacement_scenario,

@@ -5,8 +5,12 @@ form against the generic matrix path.
 
 Conventions: system Hamiltonian H = w (a†a + 1/2); displacement
 D(alpha) = e^{alpha a† - alpha* a} with alpha = |alpha| e^{i phi};
-squeeze S(z) = e^{(z a†a† - z* aa)/2} with z = |z| e^{i xi}.  The
-displacement+squeeze family uses U1 = D(alpha), U2 = S(z).
+squeeze S(z) = e^{(z a†a† - z* aa)/2} with z = |z| e^{i xi}.  Both
+families share the system and U1 = D(alpha); a pair is described by its
+parameter types, (DisplacementParams, DisplacementParams) for U2 = D(alpha_2)
+and (DisplacementParams, SqueezeParams) for U2 = S(z).  One builder and
+one default-cutoff rule serve both pairs, and fock_oracle_report(a, b)
+picks the closed forms it checks from the type of b.
 
 Some tabulated closed forms for this family are internally inconsistent
 (they disagree with the brute-force Fock oracle and with each other).
@@ -590,48 +594,6 @@ def delta_sm_disp_squeeze(
     return bracket / n_m
 
 
-def delta_sm_xi0(
-    omega: float,
-    beta: float,
-    alpha_abs: float,
-    z_abs: float,
-    c: BlochState,
-    m: BlochState,
-) -> float:
-    """xi - 2 phi = 0 slice of delta_sm_disp_squeeze.  The braided
-    amplitude collapses to gamma = alpha e^{-|z|}, making chi and the
-    interference term real:  chi = e^{-(nth+1/2) |a|^2 (1 - e^{-|z|})^2}."""
-    return delta_sm_disp_squeeze(
-        omega,
-        beta,
-        DisplacementParams(alpha_abs, 0.0),
-        SqueezeParams(z_abs, 0.0),
-        c,
-        m,
-    )
-
-
-def delta_sm_xipi(
-    omega: float,
-    beta: float,
-    alpha_abs: float,
-    z_abs: float,
-    c: BlochState,
-    m: BlochState,
-) -> float:
-    """xi - 2 phi = pi slice of delta_sm_disp_squeeze.  The braided
-    amplitude collapses to gamma = alpha e^{+|z|}:
-    chi = e^{-(nth+1/2) |a|^2 (e^{|z|} - 1)^2}."""
-    return delta_sm_disp_squeeze(
-        omega,
-        beta,
-        DisplacementParams(alpha_abs, 0.0),
-        SqueezeParams(z_abs, math.pi),
-        c,
-        m,
-    )
-
-
 def _delta_sm_slice_tabulated(
     omega: float,
     beta: float,
@@ -716,7 +678,12 @@ def delta_sm_xi0_tabulated(
 ) -> float:
     """Tabulated xi-2phi = 0 post-measurement energy difference, kept
     verbatim (interference exponent and polynomial as tabulated).
-    Disagrees with the oracle for z != 0."""
+    Disagrees with the oracle for z != 0.
+
+    Its corrected counterpart is delta_sm_disp_squeeze at alpha phase 0
+    and z phase 0.  On this slice the braided amplitude collapses to
+    gamma = alpha e^{-|z|}, making chi and the interference term real:
+    chi = e^{-(nth+1/2) |a|^2 (1 - e^{-|z|})^2}."""
     n_th = _n_th(beta, omega)
     psi = m.phi - c.phi
     expo = -2.0 * z_abs - alpha_abs**2 * math.exp(-z_abs) * (
@@ -756,7 +723,11 @@ def delta_sm_xipi_tabulated(
 ) -> float:
     """Tabulated xi-2phi = pi post-measurement energy difference, kept
     verbatim (note the |a|^2 e^{4|z|} factor inside the nth polynomial).
-    Disagrees with the oracle for z != 0."""
+    Disagrees with the oracle for z != 0.
+
+    Its corrected counterpart is delta_sm_disp_squeeze at alpha phase 0
+    and z phase pi.  On this slice the braided amplitude collapses to
+    gamma = alpha e^{+|z|}: chi = e^{-(nth+1/2) |a|^2 (e^{|z|} - 1)^2}."""
     n_th = _n_th(beta, omega)
     psi = m.phi - c.phi
     expo = -0.5 * alpha_abs**2 * (math.exp(z_abs) - 1.0) ** 2 * (2.0 * n_th + 1.0)
@@ -785,6 +756,40 @@ def delta_sm_xipi_tabulated(
 # ---------------------------------------------------------------------------
 
 
+def _pair_cutoff(
+    a: DisplacementParams, b: DisplacementParams | SqueezeParams, beta: float, omega: float
+) -> int:
+    """Default Fock cutoff of the pair U1 = D(a), U2 = D(b) or S(b): two
+    displacements reach as far as one of amplitude |a| + |b|."""
+    if isinstance(b, SqueezeParams):
+        return calibrated_cutoff(a.alpha_abs, b.z_abs, beta, omega)
+    return calibrated_cutoff(a.alpha_abs + b.alpha_abs, 0.0, beta, omega)
+
+
+def _fock_scenario(
+    omega: float,
+    beta: float,
+    t_abs: float,
+    t_phase: float,
+    a: DisplacementParams,
+    b: DisplacementParams | SqueezeParams,
+    c: BlochState,
+    n_max: int | None,
+) -> SwitchScenario:
+    """Truncated-Fock scenario with U1 = D(a) and U2 = S(b) for squeeze
+    parameters b, U2 = D(b) otherwise."""
+    if n_max is None:
+        n_max = _pair_cutoff(a, b, beta, omega)
+    return SwitchScenario(
+        rho_s=gibbs_fock(ThermalParams(beta, omega), n_max),
+        control=c,
+        u1=displacement_op(a, n_max),
+        u2=squeeze_op(b, n_max) if isinstance(b, SqueezeParams) else displacement_op(b, n_max),
+        h_s=hamiltonian_fock(omega, n_max),
+        h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
+    )
+
+
 def displacement_scenario(
     omega: float,
     beta: float,
@@ -796,16 +801,7 @@ def displacement_scenario(
     n_max: int | None = None,
 ) -> SwitchScenario:
     """Truncated-Fock scenario with U1 = D(a1), U2 = D(a2)."""
-    if n_max is None:
-        n_max = calibrated_cutoff(a1.alpha_abs + a2.alpha_abs, 0.0, beta, omega)
-    return SwitchScenario(
-        rho_s=gibbs_fock(ThermalParams(beta, omega), n_max),
-        control=c,
-        u1=displacement_op(a1, n_max),
-        u2=displacement_op(a2, n_max),
-        h_s=hamiltonian_fock(omega, n_max),
-        h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
-    )
+    return _fock_scenario(omega, beta, t_abs, t_phase, a1, a2, c, n_max)
 
 
 def disp_squeeze_scenario(
@@ -819,16 +815,7 @@ def disp_squeeze_scenario(
     n_max: int | None = None,
 ) -> SwitchScenario:
     """Truncated-Fock scenario with U1 = D(alpha), U2 = S(z)."""
-    if n_max is None:
-        n_max = calibrated_cutoff(a.alpha_abs, s.z_abs, beta, omega)
-    return SwitchScenario(
-        rho_s=gibbs_fock(ThermalParams(beta, omega), n_max),
-        control=c,
-        u1=displacement_op(a, n_max),
-        u2=squeeze_op(s, n_max),
-        h_s=hamiltonian_fock(omega, n_max),
-        h_c=hamiltonian_control(ControlHamiltonianParams(omega, t_abs, t_phase)),
-    )
+    return _fock_scenario(omega, beta, t_abs, t_phase, a, s, c, n_max)
 
 
 @dataclass(frozen=True)
@@ -874,90 +861,74 @@ class FockOracleReport:
 def _default_schedule(beta: float, omega: float, n_base: int) -> tuple[int, ...]:
     """Schedule that starts below the adequate cutoff (to expose the
     convergence knee) without violating the thermal-state tail rule."""
-    floor = fock_truncation_rule(beta, omega) if not math.isinf(beta) else 12
-    first = max(floor, n_base // 2)
-    points = sorted({first, n_base, n_base + 20})
-    return tuple(points)
+    first = max(fock_truncation_rule(beta, omega), n_base // 2)
+    return tuple(sorted({first, n_base, n_base + 20}))
 
 
 def fock_oracle_report(
-    family: str,
+    a: DisplacementParams,
+    b: DisplacementParams | SqueezeParams,
     *,
     omega: float,
     beta: float,
     t_abs: float = 0.5,
     t_phase: float = 0.0,
-    a1: DisplacementParams | None = None,
-    a2: DisplacementParams | None = None,
-    a: DisplacementParams | None = None,
-    s: SqueezeParams | None = None,
     control: BlochState | None = None,
     measurement: BlochState | None = None,
     n_schedule: tuple[int, ...] | None = None,
 ) -> FockOracleReport:
     """Run the generic matrix path at increasing Fock cutoffs and compare
-    every closed form of the requested family against it.
+    every closed form of the pair U1 = D(a), U2 = D(b) (displacement
+    parameters b) or U2 = S(b) (squeeze parameters b) against it.
 
-    family \"displacements\" needs a1, a2; family \"disp_squeeze\" needs
-    a, s.  Checked quantities: chi, e12, e21, f_s, delta_f, delta_qs,
-    delta_sm.  For displacements W21 is a phase times W12, so
+    Checked quantities: chi, e12, e21, f_s, delta_f, delta_qs, delta_sm.
+    For displacements W21 is a phase times W12, so
     delta_f = F_S - chi E_S = chi (E12 - E_S) = chi delta_sm.  The closed
     forms are looked up in this module at call time, and the measured
-    values are NaN when the post-selection diverges.
+    values are NaN when the post-selection diverges.  The default
+    schedule is centred on the cutoff the scenario builders pick.
 
     A check converges when its final gap is <= TOL_ORACLE; the gap
     sequence must be non-increasing until it first dips below TOL_ORACLE.
     """
     c = control if control is not None else BlochState(math.pi / 2.0, 0.0)
     m = measurement if measurement is not None else BlochState(math.pi / 2.0, 0.0)
-    n_th = _n_th(beta, omega)
 
-    if family == "displacements":
-        if a1 is None or a2 is None:
-            raise ValueError("displacements family needs a1 and a2")
-        n_base = calibrated_cutoff(a1.alpha_abs + a2.alpha_abs, 0.0, beta, omega)
-        chi_closed = chi_displacements(a1, a2)
-        delta_sm_closed = delta_sm_displacements(a1, a2, omega)
-        e21_closed = omega * (n_th + 0.5) + delta_sm_closed
+    if isinstance(b, SqueezeParams):
+        family = "disp_squeeze"
+        closed = {
+            "chi": chi_disp_squeeze(a, b, beta, omega),
+            "e12": e12_disp_squeeze(omega, beta, a, b),
+            "e21": e21_disp_squeeze(omega, beta, a, b),
+            "f_s": f_s_disp_squeeze(omega, beta, a, b),
+            "delta_f": delta_f_disp_squeeze(omega, beta, a, b),
+            "delta_qs": delta_qs_disp_squeeze(omega, beta, t_abs, t_phase, a, b, c),
+            "delta_sm": delta_sm_disp_squeeze(omega, beta, a, b, c, m),
+        }
+    else:
+        family = "displacements"
+        chi_closed = chi_displacements(a, b)
+        delta_sm_closed = delta_sm_displacements(a, b, omega)
+        e21_closed = omega * (_n_th(beta, omega) + 0.5) + delta_sm_closed
         closed = {
             "chi": chi_closed,
             "e12": e21_closed,
             "e21": e21_closed,
             "f_s": chi_closed * e21_closed,
             "delta_f": chi_closed * delta_sm_closed,
-            "delta_qs": delta_qs_displacements(omega, t_abs, t_phase, a1, a2, c),
+            "delta_qs": delta_qs_displacements(omega, t_abs, t_phase, a, b, c),
             "delta_sm": delta_sm_closed,
         }
 
-        def build(n_max: int) -> SwitchScenario:
-            return displacement_scenario(omega, beta, t_abs, t_phase, a1, a2, c, n_max)
-
-    elif family == "disp_squeeze":
-        if a is None or s is None:
-            raise ValueError("disp_squeeze family needs a and s")
-        n_base = calibrated_cutoff(a.alpha_abs, s.z_abs, beta, omega)
-        closed = {
-            "chi": chi_disp_squeeze(a, s, beta, omega),
-            "e12": e12_disp_squeeze(omega, beta, a, s),
-            "e21": e21_disp_squeeze(omega, beta, a, s),
-            "f_s": f_s_disp_squeeze(omega, beta, a, s),
-            "delta_f": delta_f_disp_squeeze(omega, beta, a, s),
-            "delta_qs": delta_qs_disp_squeeze(omega, beta, t_abs, t_phase, a, s, c),
-            "delta_sm": delta_sm_disp_squeeze(omega, beta, a, s, c, m),
-        }
-
-        def build(n_max: int) -> SwitchScenario:
-            return disp_squeeze_scenario(omega, beta, t_abs, t_phase, a, s, c, n_max)
-
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    schedule = n_schedule if n_schedule is not None else _default_schedule(beta, omega, n_base)
+    schedule = (
+        n_schedule if n_schedule is not None
+        else _default_schedule(beta, omega, _pair_cutoff(a, b, beta, omega))
+    )
     series: dict[str, list[tuple[int, complex, float]]] = {q: [] for q in closed}
     for n_max in schedule:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInadequacyWarning)
-            scenario = build(n_max)
+            scenario = _fock_scenario(omega, beta, t_abs, t_phase, a, b, c, n_max)
             report = activation_report(scenario)
             numeric: dict[str, complex] = {
                 "chi": report.chi,

@@ -47,8 +47,7 @@ from .cvcase import (
     delta_qs_disp_squeeze,
     delta_qs_displacements,
     delta_qs_displacements_symmetric,
-    delta_sm_xi0,
-    delta_sm_xipi,
+    delta_sm_disp_squeeze,
 )
 from .qubitcase import (
     RotationParams,
@@ -293,8 +292,9 @@ def _fig7() -> tuple[list[str], list[list]]:
     )
 
 
-# xi - 2 phi -> its slice of delta_sm, and measurement phase -> measurement.
-_SLICES = {0.0: delta_sm_xi0, math.pi: delta_sm_xipi}
+# delta_sm's phase-locked slices xi - 2 phi in {0, pi}: alpha phase 0 and
+# z phase xi.  Measurement phase -> measurement.
+_SLICES = (0.0, math.pi)
 _MEASUREMENTS = {
     phi_m: BlochState(math.pi / 2.0, phi_m)
     for phi_m in (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
@@ -316,8 +316,9 @@ def _fig8() -> tuple[list[str], list[list]]:
         [(angle, phi_m) for angle in _SLICES for phi_m in _MEASUREMENTS],
         _A_GRID,
         _Z_GRID,
-        lambda angle, phi_m, alpha_abs, z_abs: _SLICES[angle](
-            1.0, 1.0, alpha_abs, z_abs, _PLUS, _MEASUREMENTS[phi_m]
+        lambda angle, phi_m, alpha_abs, z_abs: delta_sm_disp_squeeze(
+            1.0, 1.0, DisplacementParams(alpha_abs, 0.0), SqueezeParams(z_abs, angle),
+            _PLUS, _MEASUREMENTS[phi_m],
         ),
     )
 
@@ -331,10 +332,13 @@ def _fig9() -> tuple[list[str], list[list]]:
         "divergent[flag]",
     ]
     rows: list[list] = []
-    for angle, slice_fn in _SLICES.items():
+    for angle in _SLICES:
         for phi_m, m in _MEASUREMENTS.items():
             for x in _grid(0.02, 61):
-                value = _value_or_none(slice_fn, 1.0, math.inf, x, x, _PLUS, m)
+                value = _value_or_none(
+                    delta_sm_disp_squeeze, 1.0, math.inf, DisplacementParams(x, 0.0),
+                    SqueezeParams(x, angle), _PLUS, m,
+                )
                 rows.append([angle, phi_m, x, value, int(value is None)])
     return header, rows
 

@@ -41,7 +41,8 @@ from .cvcase import (
     FockOracleReport,
     SqueezeParams,
     TOL_ORACLE,
-    calibrated_cutoff,
+    _fock_scenario,
+    _pair_cutoff,
     fock_oracle_report,
 )
 from .figures import FIGURE_IDS, baseline_path, figure_dataset, render_csv
@@ -201,13 +202,19 @@ def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:
 def _check_tilde_split(rng: np.random.Generator) -> tuple[bool, str]:
     """The dense oracle: the joint state by conjugation with the switch
     unitary, whose energy the tilde states must split, and which the
-    probe-checked post-switch state must match entry for entry."""
+    probe-checked post-switch state must match entry for entry.  It runs
+    on 30 random qubit scenarios and on one fixed scenario of each Fock
+    pair at n_max = 40; the fixed ones draw nothing from `rng`."""
     from .qmat import kron
     from .switchcore import build_switch_unitary, post_switch_state
 
+    a, c = DisplacementParams(0.5, 0.4), BlochState(1.1, 0.6)
+    scenarios = [_random_generic_scenario(rng) for _ in range(30)] + [
+        _fock_scenario(1.0, 1.0, 0.8, 0.3, a, b, c, 40)
+        for b in (SqueezeParams(0.3, 1.1), DisplacementParams(0.4, 2.2))
+    ]
     worst = worst_state = 0.0
-    for _ in range(30):
-        s = _random_generic_scenario(rng)
+    for s in scenarios:
         report = activation_report(s)
         u_qs = build_switch_unitary(s.u1, s.u2).mat
         joint = u_qs @ kron(s.rho_s, s.rho_c) @ u_qs.conj().T
@@ -223,8 +230,8 @@ def _check_tilde_split(rng: np.random.Generator) -> tuple[bool, str]:
         worst = max(worst, abs(e_joint - e_split))
         worst_state = max(worst_state, float(np.max(np.abs(post_switch_state(s).mat - joint))))
     return worst <= 1e-9 and worst_state <= 1e-12, (
-        f"30 scenarios, worst split defect {worst:.2e}, "
-        f"worst post-switch state gap {worst_state:.2e}"
+        f"30 qubit and 2 Fock scenarios, d up to {max(s.rho_s.dim for s in scenarios)}, "
+        f"worst split defect {worst:.2e}, worst post-switch state gap {worst_state:.2e}"
     )
 
 
@@ -334,9 +341,9 @@ def _check_displacement_forms() -> tuple[bool, str]:
     a1 = DisplacementParams(0.6, 0.9)
     a2 = DisplacementParams(0.5, 2.2)
     report = fock_oracle_report(
-        "displacements", omega=omega, beta=beta, t_abs=0.8, t_phase=0.3, a1=a1, a2=a2,
+        a1, a2, omega=omega, beta=beta, t_abs=0.8, t_phase=0.3,
         control=BlochState(1.1, 0.4), measurement=BlochState(0.9, 2.1),
-        n_schedule=(calibrated_cutoff(a1.alpha_abs + a2.alpha_abs, 0.0, beta, omega),),
+        n_schedule=(_pair_cutoff(a1, a2, beta, omega),),
     )
     passed, worst = _oracle_verdict([report])
     chi_value = next(c.rows[-1][1] for c in report.checks if c.quantity == "chi")
@@ -352,9 +359,9 @@ def _check_disp_squeeze_forms() -> tuple[bool, str]:
     s = SqueezeParams(0.5, 1.1)
     passed, worst = _oracle_verdict([
         fock_oracle_report(
-            "disp_squeeze", omega=omega, beta=beta, t_abs=0.8, t_phase=0.3, a=a, s=s,
+            a, s, omega=omega, beta=beta, t_abs=0.8, t_phase=0.3,
             control=BlochState(1.1, 0.6), measurement=BlochState(0.9, 2.0),
-            n_schedule=(calibrated_cutoff(a.alpha_abs, s.z_abs, beta, omega),),
+            n_schedule=(_pair_cutoff(a, s, beta, omega),),
         )
         for beta in (1.0, math.inf)
     ])
@@ -391,13 +398,12 @@ def _check_oracle_convergence() -> tuple[bool, str]:
     reports = []
     reports.append(
         fock_oracle_report(
-            "displacements",
+            DisplacementParams(0.8, 0.5),
+            DisplacementParams(0.9, 1.7),
             omega=1.0,
             beta=1.0,
             t_abs=1.2,
             t_phase=0.4,
-            a1=DisplacementParams(0.8, 0.5),
-            a2=DisplacementParams(0.9, 1.7),
             n_schedule=(40, 50, 60),
         )
     )
@@ -406,13 +412,12 @@ def _check_oracle_convergence() -> tuple[bool, str]:
             for z_abs in (0.4, 0.8):
                 reports.append(
                     fock_oracle_report(
-                        "disp_squeeze",
+                        DisplacementParams(alpha_abs, 0.3),
+                        SqueezeParams(z_abs, 1.2),
                         omega=1.0,
                         beta=beta,
                         t_abs=0.5,
                         t_phase=0.0,
-                        a=DisplacementParams(alpha_abs, 0.3),
-                        s=SqueezeParams(z_abs, 1.2),
                         control=BlochState(math.pi / 2, 0.0),
                         measurement=BlochState(math.pi / 2, 1.0),
                     )

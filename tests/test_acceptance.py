@@ -40,8 +40,6 @@ from switchwork.cvcase import (
     delta_qs_displacements_symmetric,
     delta_sm_disp_squeeze,
     delta_sm_displacements,
-    delta_sm_xi0,
-    delta_sm_xipi,
     delta_sm_xipi_tabulated,
     disp_squeeze_scenario,
     displacement_op,
@@ -298,11 +296,10 @@ def test_criterion_5_displacement_pair_closed_forms_hold_against_oracle():
     a2 = DisplacementParams(0.9, 2.6)
 
     report = fock_oracle_report(
-        "displacements",
+        a1,
+        a2,
         omega=1.0,
         beta=1.0,
-        a1=a1,
-        a2=a2,
         control=BlochState(1.2, 0.8),
         measurement=BlochState(0.9, 2.1),
     )
@@ -382,12 +379,14 @@ def test_criterion_6_disp_squeeze_closed_forms_match_oracle_on_grid():
             abs(delta_f_disp_squeeze(1.0, beta, a, s) - mrep.delta_f),
             abs(delta_sm_disp_squeeze(1.0, beta, a, s, c, m) - mrep.delta_sm),
         ]
-        for xi, slice_fn in ((0.0, delta_sm_xi0), (math.pi, delta_sm_xipi)):
-            sliced = disp_squeeze_scenario(
-                1.0, beta, 0.5, 0.3, DisplacementParams(aa, 0.0), SqueezeParams(zz, xi), c
-            )
+        for xi in (0.0, math.pi):
+            a0, s_xi = DisplacementParams(aa, 0.0), SqueezeParams(zz, xi)
+            sliced = disp_squeeze_scenario(1.0, beta, 0.5, 0.3, a0, s_xi, c)
             gaps.append(
-                abs(slice_fn(1.0, beta, aa, zz, c, m) - measure_control(sliced, m).delta_sm)
+                abs(
+                    delta_sm_disp_squeeze(1.0, beta, a0, s_xi, c, m)
+                    - measure_control(sliced, m).delta_sm
+                )
             )
         worst = max(worst, max(gaps))
     assert worst <= 1e-6, f"worst closed-vs-oracle gap {worst:.3e}"

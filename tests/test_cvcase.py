@@ -32,9 +32,7 @@ from switchwork.cvcase import (
     delta_qs_displacements_symmetric,
     delta_sm_disp_squeeze,
     delta_sm_displacements,
-    delta_sm_xi0,
     delta_sm_xi0_tabulated,
-    delta_sm_xipi,
     delta_sm_xipi_tabulated,
     disp_squeeze_scenario,
     displacement_op,
@@ -269,11 +267,10 @@ class TestDisplacementPair:
 
     def test_oracle_all_gaps_below_1e7_at_n60(self):
         report = fock_oracle_report(
-            "displacements",
+            DisplacementParams(1.0, 0.4),
+            DisplacementParams(0.8, 1.9),
             omega=1.0,
             beta=1.0,
-            a1=DisplacementParams(1.0, 0.4),
-            a2=DisplacementParams(0.8, 1.9),
             control=BlochState(1.1, 0.7),
             measurement=BlochState(0.9, 2.2),
             n_schedule=(40, 60),
@@ -286,9 +283,7 @@ class TestDisplacementPair:
 
     def test_oracle_identity_unitaries_gap_exactly_zero(self):
         zero = DisplacementParams(0.0, 0.0)
-        report = fock_oracle_report(
-            "displacements", omega=1.0, beta=1.0, a1=zero, a2=zero, n_schedule=(40,)
-        )
+        report = fock_oracle_report(zero, zero, omega=1.0, beta=1.0, n_schedule=(40,))
         assert report.gap("chi") == 0.0
         # delta_qs goes through the generic conjugation path, so identity
         # unitaries leave only float-addition noise, not exact zero.
@@ -297,11 +292,10 @@ class TestDisplacementPair:
     def test_oracle_fails_on_divergent_post_selection_rows(self):
         # Antipodal control and measurement: n_m = 0 for every unitary pair.
         report = fock_oracle_report(
-            "displacements",
+            DisplacementParams(0.6, 0.9),
+            DisplacementParams(0.5, 2.2),
             omega=1.0,
             beta=1.0,
-            a1=DisplacementParams(0.6, 0.9),
-            a2=DisplacementParams(0.5, 2.2),
             control=BlochState(0.0, 0.0),
             measurement=BlochState(math.pi, 0.0),
             n_schedule=(40, 50),
@@ -415,11 +409,10 @@ class TestBraiding:
 class TestDispSqueezeClosedForms:
     def test_oracle_gaps_below_1e6_at_n80_for_half_squeeze(self):
         report = fock_oracle_report(
-            "disp_squeeze",
+            DisplacementParams(1.0, 0.9),
+            SqueezeParams(0.5, 0.4),
             omega=1.0,
             beta=1.0,
-            a=DisplacementParams(1.0, 0.9),
-            s=SqueezeParams(0.5, 0.4),
             control=BlochState(1.9, 0.6),
             measurement=BlochState(1.1, 2.3),
             n_schedule=(60, 80),
@@ -431,21 +424,19 @@ class TestDispSqueezeClosedForms:
 
     def test_oracle_converges_at_ground_state_limit(self):
         report = fock_oracle_report(
-            "disp_squeeze",
+            DisplacementParams(1.2, 0.3),
+            SqueezeParams(0.6, 1.0),
             omega=1.0,
             beta=math.inf,
-            a=DisplacementParams(1.2, 0.3),
-            s=SqueezeParams(0.6, 1.0),
         )
         assert report.passed
 
     def test_oracle_monotone_gap_sequences(self):
         report = fock_oracle_report(
-            "disp_squeeze",
+            DisplacementParams(0.8, 0.2),
+            SqueezeParams(0.4, 0.9),
             omega=1.0,
             beta=1.0,
-            a=DisplacementParams(0.8, 0.2),
-            s=SqueezeParams(0.4, 0.9),
             n_schedule=(40, 70, 100),
         )
         assert report.passed
@@ -453,14 +444,6 @@ class TestDispSqueezeClosedForms:
             gaps = [row[2] for row in check.rows]
             for earlier, later in zip(gaps, gaps[1:]):
                 assert later <= max(earlier, report.tol)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            fock_oracle_report("rotations", omega=1.0, beta=1.0)
-
-    def test_missing_params_rejected(self):
-        with pytest.raises(ValueError, match="needs"):
-            fock_oracle_report("disp_squeeze", omega=1.0, beta=1.0)
 
     def test_energy_order_difference_relation(self):
         # E12 - E21 = w |a|^2 [ (cosh 2|z| - 1) + cos(xi - 2 phi) sinh 2|z| ].
@@ -511,39 +494,27 @@ class TestDispSqueezeClosedForms:
                 1.0, 1.0, zero_a, zero_s, _EQ, BlochState(math.pi / 2.0, math.pi)
             )
 
-    def test_slice_wrappers_match_general_form(self):
-        c = BlochState(math.pi / 2.0, 0.0)
-        m = BlochState(math.pi / 2.0, math.pi / 2.0)
-        for beta in (1.0, math.inf):
-            v0 = delta_sm_xi0(1.0, beta, 0.6, 0.3, c, m)
-            general0 = delta_sm_disp_squeeze(
-                1.0, beta, DisplacementParams(0.6, 0.0), SqueezeParams(0.3, 0.0), c, m
-            )
-            assert v0 == pytest.approx(general0, abs=1e-12)
-            vpi = delta_sm_xipi(1.0, beta, 0.6, 0.3, c, m)
-            generalpi = delta_sm_disp_squeeze(
-                1.0, beta, DisplacementParams(0.6, 0.0), SqueezeParams(0.3, math.pi), c, m
-            )
-            assert vpi == pytest.approx(generalpi, abs=1e-12)
-
     def test_frozen_slice_values(self):
+        # The phase-locked slices xi - 2 phi = 0 and pi: alpha phase 0, z phase xi.
         c = BlochState(math.pi / 2.0, 0.0)
         m = BlochState(math.pi / 2.0, math.pi / 2.0)
-        assert delta_sm_xi0(1.0, 1.0, 0.6, 0.3, c, m) == pytest.approx(
+        a = DisplacementParams(0.6, 0.0)
+        assert delta_sm_disp_squeeze(1.0, 1.0, a, SqueezeParams(0.3, 0.0), c, m) == pytest.approx(
             0.70865043014286133, abs=1e-12
         )
-        assert delta_sm_xipi(1.0, math.inf, 0.6, 0.3, c, m) == pytest.approx(
-            0.37151870361805855, abs=1e-12
-        )
+        assert delta_sm_disp_squeeze(
+            1.0, math.inf, a, SqueezeParams(0.3, math.pi), c, m
+        ) == pytest.approx(0.37151870361805855, abs=1e-12)
 
     def test_quarter_and_three_quarter_phase_series_coincide_at_ground_state(self):
         c = BlochState(math.pi / 2.0, 0.0)
         m_q = BlochState(math.pi / 2.0, math.pi / 2.0)
         m_3q = BlochState(math.pi / 2.0, 3.0 * math.pi / 2.0)
         for x in (0.2, 0.5, 0.9, 1.2):
-            for slice_fn in (delta_sm_xi0, delta_sm_xipi):
-                a_val = slice_fn(1.0, math.inf, x, x, c, m_q)
-                b_val = slice_fn(1.0, math.inf, x, x, c, m_3q)
+            for xi in (0.0, math.pi):
+                a, s = DisplacementParams(x, 0.0), SqueezeParams(x, xi)
+                a_val = delta_sm_disp_squeeze(1.0, math.inf, a, s, c, m_q)
+                b_val = delta_sm_disp_squeeze(1.0, math.inf, a, s, c, m_3q)
                 assert abs(a_val - b_val) < 1e-10
 
 
@@ -620,7 +591,9 @@ class TestTabulatedReferenceForms:
         m = BlochState(math.pi / 2.0, math.pi)
         x = 0.9
         tab = delta_sm_xipi_tabulated(1.0, math.inf, x, x, c, m)
-        corrected = delta_sm_xipi(1.0, math.inf, x, x, c, m)
+        corrected = delta_sm_disp_squeeze(
+            1.0, math.inf, DisplacementParams(x, 0.0), SqueezeParams(x, math.pi), c, m
+        )
         assert tab < 0.0 < corrected
 
     def test_tabulated_aligned_slice_matches_at_ground_state(self):
@@ -640,6 +613,22 @@ class TestScenarioDefaults:
         )
         expected = calibrated_cutoff(1.0, 0.5, 1.0, 1.0)
         assert s.rho_s.dim == expected + 1
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    @pytest.mark.parametrize(
+        "build, b",
+        [
+            (displacement_scenario, DisplacementParams(0.4, 2.2)),
+            (disp_squeeze_scenario, SqueezeParams(0.3, 1.1)),
+        ],
+        ids=["displacements", "disp_squeeze"],
+    )
+    def test_oracle_schedule_centres_on_builder_cutoff(self, build, b, beta):
+        a = DisplacementParams(0.5, 0.4)
+        scenario = build(1.0, beta, 0.5, 0.0, a, b, _EQ)
+        schedule = fock_oracle_report(a, b, omega=1.0, beta=beta).n_schedule
+        assert len(schedule) == 3
+        assert schedule[1] == scenario.rho_s.dim - 1
 
     def test_closed_forms_match_generic_at_default_cutoffs(self):
         cases = [(0.5, 0.2, 1.0), (1.0, 0.5, 1.0), (1.5, 0.8, math.inf)]

@@ -29,9 +29,15 @@ _BOSONIC_CLOSED_FORMS = {
 }
 
 
+@pytest.fixture(scope="class")
+def quick_seed0():
+    """One quick-level report at seed 0, shared by the tests that read it."""
+    return run_verify(level="quick", seed=0)
+
+
 class TestQuickPlan:
-    def test_all_checks_pass(self):
-        report = run_verify(level="quick", seed=0)
+    def test_all_checks_pass(self, quick_seed0):
+        report = quick_seed0
         assert report.passed
         assert report.level == "quick"
         assert len(report.checks) >= 10
@@ -39,8 +45,8 @@ class TestQuickPlan:
         details = {c.name: c.detail for c in report.checks}
         assert details["config-round-trip"].startswith(f"{len(FAMILIES)} sample configs ")
 
-    def test_render_format(self):
-        report = run_verify(level="quick", seed=0)
+    def test_render_format(self, quick_seed0):
+        report = quick_seed0
         lines = report.render().split("\n")
         assert lines[0] == "verify level=quick seed=0"
         assert all(line.startswith("PASS ") for line in lines[1:-1])
@@ -53,8 +59,8 @@ class TestQuickPlan:
     def test_seed_variation_still_passes(self):
         assert run_verify(level="quick", seed=123).passed
 
-    def test_plan_covers_library_surfaces(self):
-        names = [c.name for c in run_verify(level="quick", seed=0).checks]
+    def test_plan_covers_library_surfaces(self, quick_seed0):
+        names = [c.name for c in quick_seed0.checks]
         for expected in (
             "switch-algebra",
             "passivity",
@@ -162,6 +168,24 @@ class TestSuiteHasTeeth:
             out = original(s)
             out[0, 1] += 1e-11  # a Hermitian nudge far below what the runtime probe resolves
             out[1, 0] += 1e-11
+            return out
+
+        monkeypatch.setattr(switchcore, "_post_switch_expansion", nudged)
+        passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
+        assert not passed
+        assert "worst post-switch state gap 1.0" in detail
+
+    def test_post_switch_fault_only_above_d2_fails_tilde_split(self, monkeypatch):
+        passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
+        assert passed
+        assert "d up to 41" in detail
+        original = switchcore._post_switch_expansion
+
+        def nudged(s):
+            out = original(s)
+            if s.rho_s.dim > 2:  # the qubit scenarios stay exact
+                out[2, 3] += 1e-11
+                out[3, 2] += 1e-11
             return out
 
         monkeypatch.setattr(switchcore, "_post_switch_expansion", nudged)
