@@ -165,6 +165,17 @@ def ladder(n_max: int) -> np.ndarray:
     return a
 
 
+def _ladder_corner(n_max: int, k: int) -> np.ndarray:
+    """ladder(n_max)[:k, :k], built without the full matrix: sqrt(n) at
+    [n - 1, n] for 0 < n < k.  k = 1 gives the 1x1 zero block."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    a = np.zeros((k, k), dtype=complex)
+    n = np.arange(1, k)
+    a[n - 1, n] = np.sqrt(n)
+    return a
+
+
 def _ladder_block_defect(u: np.ndarray, expected: np.ndarray) -> float:
     """max |(u† a u)[:k, :k] - expected| for the k x k `expected`, with a
     the ladder on u's space.
@@ -209,7 +220,7 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
     )
     # The safe subspace: the lowest n_max/2 levels, at least one.
     k = max(1, n_max // 2)
-    defect = _ladder_block_defect(u, ladder(n_max)[:k, :k] + p.alpha * np.eye(k))
+    defect = _ladder_block_defect(u, _ladder_corner(n_max, k) + p.alpha * np.eye(k))
     if defect > TOL_CV_UNITARY:
         warnings.warn(
             f"displacement cutoff n_max={n_max} inadequate for |alpha|="
@@ -255,7 +266,7 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
         b = 0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))
         u[parity::2, parity::2] = _phased_tridiagonal_exp(b, p.z_phase)
     k = squeeze_faithful_block(n_max, p.z_abs)
-    a = ladder(n_max)[:k, :k]
+    a = _ladder_corner(n_max, k)
     expected = a * math.cosh(p.z_abs) + a.conj().T * (
         cmath.exp(1j * p.z_phase) * math.sinh(p.z_abs)
     )

@@ -35,7 +35,7 @@ def _as_square_complex(mat: np.ndarray, what: str) -> np.ndarray:
     m = np.array(mat, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     m.flags.writeable = False
     return m
@@ -59,12 +59,15 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.mat, "DensityMatrix")
-        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
+        if np.abs(m - m.conj().T).max() > TOL_HERM:
             raise ValueError("DensityMatrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
-            raise ValueError(f"DensityMatrix trace {np.trace(m)} != 1 within tolerance")
+        trace = m.trace()
+        if abs(trace.real - 1.0) > TOL_TRACE or abs(trace.imag) > TOL_TRACE:
+            raise ValueError(f"DensityMatrix trace {trace} != 1 within tolerance")
+        # The shift goes onto the diagonal of a copy: m is read-only.
         # lower=True factors the triangle that eigvalsh reads.
-        shifted = m + TOL_PSD * np.eye(m.shape[0])
+        shifted = m.copy()
+        shifted.flat[:: m.shape[0] + 1] += TOL_PSD
         if scipy.linalg.lapack.zpotrf(shifted, lower=True)[1] != 0:
             lam_min = np.linalg.eigvalsh(m).min()
             if lam_min < -TOL_PSD:
@@ -82,7 +85,7 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.mat, "HermitianOperator")
-        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
+        if np.abs(m - m.conj().T).max() > TOL_HERM:
             raise ValueError("HermitianOperator is not Hermitian within tolerance")
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
@@ -97,7 +100,9 @@ class UnitaryOperator:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.mat, "UnitaryOperator")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        gram = m.conj().T @ m
+        gram.flat[:: m.shape[0] + 1] -= 1.0
+        defect = np.abs(gram).max()
         if defect > TOL_UNITARY:
             raise ValueError(f"UnitaryOperator defect {defect:.3e} exceeds tolerance")
         object.__setattr__(self, "mat", m)
@@ -164,7 +169,7 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     h == V diag(w) V† to TOL_EIG.  Ties keep LAPACK's deterministic order.
     """
     m = _mat(h)
-    if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
+    if np.abs(m - m.conj().T).max() > TOL_HERM:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     return w, v

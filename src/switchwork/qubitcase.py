@@ -22,11 +22,13 @@ flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
 functional and are fixed to zero during optimization.  The starts of one
 call are independent, so they run in a persistent fork pool of
 min(usable CPUs, starts, 8) workers and are merged in start order: the
-result is bit-identical for every worker count.  Each start runs an
-in-module simplex loop on Python lists that repeats the iterates of scipy
-1.17's Nelder-Mead (adaptive=False, no bounds) bit for bit, without its
-per-evaluation array bookkeeping; scipy stays in the tests as the
-reference.
+result is bit-identical for every worker count.  The starts are scrambled
+Sobol points computed in this module (_sobol_starts), equal bit for bit
+to scipy's qmc.Sobol points, so the module does not import scipy.stats.
+Each start runs an in-module simplex loop on Python lists that repeats
+the iterates of scipy 1.17's Nelder-Mead (adaptive=False, no bounds) bit
+for bit, without its per-evaluation array bookkeeping; for both, scipy
+stays in the tests as the reference.
 
 One objective evaluation makes a single numpy call that does arithmetic:
 the stacked 2x2 product that gives both orderings of the pair.  It stays
@@ -47,7 +49,6 @@ from operator import add
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .qmat import UnitaryOperator
 from .states import (
@@ -80,6 +81,13 @@ _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
 _XATOL, _FATOL = 1e-10, 1e-12
 _MAX_WORKERS = 8
 _TWO_PI = 2.0 * math.pi
+# The first six Sobol dimensions (Joe and Kuo, SIAM J. Sci. Comput. 30,
+# 2635, 2008): primitive polynomials with the leading term, their initial
+# direction numbers, and the bit depth scipy's qmc.Sobol uses by default.
+_SOBOL_POLYS = (1, 3, 7, 11, 13, 19)
+_SOBOL_INITIAL = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+_SOBOL_BITS = 30
+_SOBOL_SCALE = 1.0 / (1 << _SOBOL_BITS)
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -330,16 +338,59 @@ def _rzyz_entries(lam: float, gamma: float, delta: float) -> tuple[complex, ...]
     return ez_l * cg * ez_d, -ez_l * sg * ez_dc, ez_lc * sg * ez_d, ez_lc * cg * ez_dc
 
 
+def _sobol_directions() -> np.ndarray:
+    """The unscrambled direction numbers v[d, j] of the first six Sobol
+    dimensions, each a _SOBOL_BITS-bit integer with its leading bit at
+    position _SOBOL_BITS - 1 - j (Bratley and Fox's recurrence, ACM TOMS
+    14, 88, 1988, on Joe and Kuo's primitive polynomials and initial
+    numbers).  Dimension 0, the constant polynomial, is van der Corput."""
+    rows = []
+    for poly, init in zip(_SOBOL_POLYS, _SOBOL_INITIAL):
+        deg = poly.bit_length() - 1
+        v = list(init) if deg else [1] * _SOBOL_BITS
+        for j in range(len(v), _SOBOL_BITS):
+            new = v[j - deg]
+            for k in range(deg):
+                if (poly >> (deg - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append([m << (_SOBOL_BITS - 1 - j) for j, m in enumerate(v)])
+    return np.array(rows, dtype=np.int64)
+
+
+_SOBOL_MSB_FIRST = np.int64(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.int64)
+# v_bits[d, j, m]: bit m of v[d, j], most significant first.
+_SOBOL_V_BITS = (_sobol_directions()[:, :, None] & _SOBOL_MSB_FIRST) != 0
+
+
 def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
     """First n_starts rows of a scrambled Sobol stream, scaled to [0, 2pi)^6.
 
-    The stream is drawn at the next power of two so the generator's balance
-    guarantees hold, then truncated; the rule is deterministic in (n, seed).
+    The rows are those of scipy's `qmc.Sobol(d=6, scramble=True,
+    seed=seed).random(n_draw)[:n_starts]`, bit for bit, with n_draw the
+    next power of two (which keeps the generator's balance guarantees; a
+    row does not depend on n_draw).  The scramble is Matousek's linear
+    matrix scramble plus a digital shift, drawn as scipy draws it from
+    `np.random.default_rng(seed)`: first the shift bits, then the
+    lower-triangular bit matrices L_d, whose diagonal is set to 1.  The
+    scrambled direction numbers are L_d times the most-significant-first
+    bit vector of each v[d, j], mod 2.  Row i is the shift XOR the
+    scrambled numbers at the set bits of i's Gray code, walked one bit
+    flip per row.  The rule is deterministic in (n_starts, seed).
     """
-    sampler = qmc.Sobol(d=6, scramble=True, seed=seed)
-    n_draw = 1 << max(0, (n_starts - 1).bit_length())
-    pts = sampler.random(n_draw)[:n_starts]
-    return pts * _TWO_PI
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(0, 2, (6, _SOBOL_BITS), dtype=np.uint32)
+    lms = np.tril(rng.integers(0, 2, (6, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lms[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    v = (np.einsum("dpm,djm->djp", lms, _SOBOL_V_BITS, dtype=np.int64) & 1) @ _SOBOL_MSB_FIRST
+    x = (shift_bits.astype(np.int64) @ _SOBOL_MSB_FIRST[::-1]).tolist()
+    columns = v.tolist()
+    rows = []
+    for i in range(n_starts):
+        rows.append(x)
+        bit = (~i & (i + 1)).bit_length() - 1  # the lowest zero bit of i
+        x = [xd ^ vd[bit] for xd, vd in zip(x, columns)]
+    return np.array(rows, dtype=float).reshape(n_starts, 6) * _SOBOL_SCALE * _TWO_PI
 
 
 def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .qmat import DensityMatrix, HermitianOperator, TOL_EIG, _mat, eig_hermitian
 
@@ -279,6 +278,8 @@ def ergotropy_gibbs_bound(rho: DensityMatrix, h: HermitianOperator) -> GibbsBoun
     elif fb >= 0.0:
         beta_star = hi
     else:
-        beta_star = math.exp(scipy.optimize.brentq(f, a, b, xtol=1e-13, rtol=1e-14))
+        from scipy.optimize import brentq  # imported here: it costs ~0.2 s at start-up
+
+        beta_star = math.exp(brentq(f, a, b, xtol=1e-13, rtol=1e-14))
     s_star, e_star = gibbs_entropy_energy(beta_star)
     return GibbsBoundResult(current - e_star, beta_star, True, abs(s_star - target))

@@ -52,7 +52,6 @@ from .qmat import (
     UnitaryOperator,
     _direct_sum_unitary,
     _mat,
-    kron,
 )
 from .states import BlochState
 
@@ -132,12 +131,20 @@ class SwitchScenario:
         <= 2^-k.  If Delta_ij is the only wrong entry of its row, S = 0 and
         every column catches it.  The probes are fixed, so the check is
         deterministic for a given scenario.
+
+        K is applied without forming it: with the 2d x k block Y = U† X
+        read as (d, 2, k) in the system (x) control layout, rho acts on
+        the system index and rho_c on the control index.  U comes from
+        build_switch_unitary, not from the terms E was filled from, so the
+        two routes share no product.
         """
         out = _post_switch_expansion(self)
         out.flags.writeable = False
         u_qs = build_switch_unitary(self.u1, self.u2).mat
         x = _probes(out.shape[0])
-        conj = u_qs @ (kron(self.rho_s, self.rho_c) @ (u_qs.conj().T @ x))
+        d = self.rho_s.dim
+        y = (self.rho_s.mat @ (u_qs.conj().T @ x).reshape(d, -1)).reshape(d, 2, -1)
+        conj = u_qs @ (self.rho_c.mat @ y).reshape(2 * d, -1)
         if np.max(np.abs(out @ x - conj)) > TOL_ENERGY:
             raise AssertionError("post-switch expansion disagrees with conjugation path")
         return out

@@ -13,6 +13,11 @@ oracle (`cvcase.fock_oracle_report`), which looks every closed form up in
 chi — patched into `cvcase` must turn the suite red, and tests pin that
 mutation sensitivity.  The config round trip covers one sample config per
 entry of the family table (`config.FAMILIES`).
+
+The random scenario generators draw Haar unitaries with scipy's
+`unitary_group.rvs` construction written out in `_haar`, so the module
+loads neither scipy.stats nor, until `numeric_delta_c_minimum` runs,
+scipy.optimize; the tests keep scipy's sampler as the reference stream.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from . import qubitcase
 from .config import (
@@ -102,15 +106,35 @@ class VerifyReport:
 _DIM_POOL = (2, 2, 3, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 30)
 
 
+def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim complex Gaussian matrix, real part drawn first."""
+    return 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a stack of Gaussian matrices: the Q of
+    each QR with every column phased by R's diagonal (Mezzadri, Notices
+    AMS 54, 592, 2007).  This is scipy's `unitary_group.rvs` construction,
+    so a draw from `_ginibre` gives its unitary bit for bit; a stack runs
+    one `qr` call."""
+    q, r = np.linalg.qr(z)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    q *= (d / abs(d))[..., np.newaxis, :]
+    return q
+
+
 def _random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOperator:
-    return UnitaryOperator(unitary_group.rvs(dim, random_state=rng))
+    return UnitaryOperator(_haar(_ginibre(rng, dim)))
+
+
+def _hamiltonian(basis: np.ndarray, energies: np.ndarray) -> HermitianOperator:
+    return HermitianOperator(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
 
 
 def _random_hamiltonian(rng: np.random.Generator, dim: int, e_max: float) -> HermitianOperator:
     """Energies uniform in [0, e_max) in a Haar-random eigenbasis."""
-    basis = unitary_group.rvs(dim, random_state=rng)
-    energies = np.sort(rng.uniform(0.0, e_max, size=dim))
-    return HermitianOperator(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
+    basis = _haar(_ginibre(rng, dim))
+    return _hamiltonian(basis, np.sort(rng.uniform(0.0, e_max, size=dim)))
 
 
 def _random_control_hamiltonian(
@@ -126,14 +150,28 @@ def _random_control_hamiltonian(
 
 def random_passive_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Random scenario with passive system state and passive control
-    state (control Hamiltonian carries a random coherent off-diagonal)."""
+    state (control Hamiltonian carries a random coherent off-diagonal).
+
+    The rng draws come in a fixed order (dimension, the eigenbasis of h_s,
+    its energies, the system populations, h_c, the control populations,
+    U1, U2), and the three Haar unitaries then come from one stacked QR."""
     dim = int(rng.choice(_DIM_POOL))
-    h_s = _random_hamiltonian(rng, dim, 3.0)
-    rho_s = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(dim)))[::-1], h_s)
+    z_basis = _ginibre(rng, dim)
+    energies = np.sort(rng.uniform(0.0, 3.0, size=dim))
+    pops_s = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
     h_c = _random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
-    rho_c = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(2)))[::-1], h_c)
-    u1, u2 = _random_unitary(rng, dim), _random_unitary(rng, dim)
-    return SwitchScenario(rho_s=rho_s, control=rho_c, u1=u1, u2=u2, h_s=h_s, h_c=h_c)
+    pops_c = np.sort(rng.dirichlet(np.ones(2)))[::-1]
+    z_u1, z_u2 = _ginibre(rng, dim), _ginibre(rng, dim)
+    basis, u1, u2 = _haar(np.stack((z_basis, z_u1, z_u2)))
+    h_s = _hamiltonian(basis, energies)
+    return SwitchScenario(
+        rho_s=passive_state_from_spectrum(pops_s, h_s),
+        control=passive_state_from_spectrum(pops_c, h_c),
+        u1=UnitaryOperator(u1),
+        u2=UnitaryOperator(u2),
+        h_s=h_s,
+        h_c=h_c,
+    )
 
 
 def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:

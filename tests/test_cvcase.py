@@ -14,6 +14,7 @@ import scipy.linalg
 from switchwork.cvcase import (
     DisplacementParams,
     _ladder_block_defect,
+    _ladder_corner,
     NoSolutionError,
     SqueezeParams,
     TOL_ORACLE,
@@ -71,6 +72,16 @@ class TestLadderAndOperators:
         lowered = a @ vec
         assert abs(lowered[2] - math.sqrt(3.0)) < 1e-15
         assert np.count_nonzero(lowered) == 1
+
+    @pytest.mark.parametrize("n_max, k", [(1, 1), (1, 2), (2, 1), (5, 3), (40, 20), (172, 86), (172, 173)])
+    def test_corner_equals_ladder_slice(self, n_max, k):
+        corner = _ladder_corner(n_max, k)
+        assert corner.shape == (k, k) and corner.dtype == complex
+        assert np.array_equal(corner, ladder(n_max)[:k, :k])
+
+    def test_corner_rejects_what_ladder_rejects(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            _ladder_corner(0, 1)
 
     def test_commutator_on_interior_block(self):
         a = ladder(30)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from conftest import random_density, random_hermitian, random_unitary
 from switchwork.qmat import (
     TOL_PSD,
+    TOL_TRACE,
+    TOL_UNITARY,
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
@@ -34,6 +37,16 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2, dtype=complex))
+
+    def test_rejects_imaginary_trace(self):
+        # 2·TOL_TRACE of imaginary trace, spread so each diagonal entry
+        # stays within the Hermiticity tolerance.
+        m = np.eye(8, dtype=complex) / 8.0
+        m[np.diag_indices(8)] += 0.25j * TOL_TRACE
+        trace = np.trace(m)
+        assert trace.real == 1.0 and math.isclose(trace.imag, 2.0 * TOL_TRACE)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'DensityMatrix trace {trace} != 1')} within tolerance$"):
+            DensityMatrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -136,6 +149,24 @@ def test_wrapper_owns_a_read_only_copy(rng, wrapper, make):
         w.mat[0, 0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "wrapper, make",
+    [
+        (DensityMatrix, random_density),
+        (HermitianOperator, random_hermitian),
+        (UnitaryOperator, random_unitary),
+    ],
+)
+def test_validation_writes_to_no_array(rng, wrapper, make):
+    # The diagonal shifts of the positivity and unitarity checks act on
+    # copies: neither the caller's array nor the stored copy changes.
+    source = make(rng, 4)
+    before = source.copy()
+    w = wrapper(source)
+    assert source.tobytes() == before.tobytes()
+    assert w.mat.tobytes() == before.tobytes() and not w.mat.flags.writeable
+
+
 class TestUnitaryOperator:
     def test_accepts_unitary(self, rng):
         u = UnitaryOperator(random_unitary(rng, 5))
@@ -144,6 +175,18 @@ class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="defect"):
             UnitaryOperator(np.diag([1.0, 2.0]).astype(complex))
+
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_rejects_twice_the_tolerance(self, where):
+        # U†U - I is 2·TOL_UNITARY at [0, 0], or at [0, 1] and [1, 0] (the
+        # diagonal then carries only TOL_UNITARY^2).
+        m = np.eye(3, dtype=complex)
+        if where == "diagonal":
+            m[0, 0] = math.sqrt(1.0 + 2.0 * TOL_UNITARY)
+        else:
+            m[0, 1] = m[1, 0] = TOL_UNITARY
+        with pytest.raises(ValueError, match=r"^UnitaryOperator defect 2\.000e-10 exceeds tolerance$"):
+            UnitaryOperator(m)
 
 
 class TestDirectSumUnitary:

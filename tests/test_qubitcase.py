@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize as scipy_minimize
+from scipy.stats import qmc
 
 from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
@@ -482,6 +483,19 @@ class TestSimplexMatchesScipy:
         self._check_start(_divergent_stub, x0)
         fun, _, nfev, divergent = qubitcase._nelder_mead_start((_divergent_stub, x0))
         assert fun == math.inf and nfev == divergent == qubitcase._EVALS_PER_START
+
+
+class TestSobolMatchesScipy:
+    """The in-module scrambled Sobol starts are scipy's qmc.Sobol points,
+    drawn at the next power of two and truncated, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 1024))
+    def test_starts_equal_scipy_stream(self, seed, n):
+        n_draw = 1 << (n - 1).bit_length()
+        want = qmc.Sobol(d=6, scramble=True, seed=seed).random(n_draw)[:n] * (2.0 * math.pi)
+        got = qubitcase._sobol_starts(n, seed)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _numpy_rzyz(lam, gamma, delta) -> np.ndarray:

@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from switchwork import cvcase, qubitcase, switchcore, verifysuite
 from switchwork.config import FAMILIES
-from switchwork.qmat import UnitaryOperator
-from switchwork.states import gibbs_qubit, ThermalParams
+from switchwork.qmat import HermitianOperator, UnitaryOperator
+from switchwork.states import BlochState, gibbs_qubit, passive_state_from_spectrum, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import random_passive_scenario, run_verify
 
@@ -251,3 +252,49 @@ class TestScenarioGenerators:
         pops = np.diag(rho.mat).real
         assert pops[0] > pops[1]
         assert math.isclose(pops.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
+
+
+def _scipy_hamiltonian(rng, dim: int, e_max: float) -> np.ndarray:
+    basis = unitary_group.rvs(dim, random_state=rng)
+    energies = np.sort(rng.uniform(0.0, e_max, size=dim))
+    return basis @ np.diag(energies).astype(complex) @ basis.conj().T
+
+
+def _scipy_passive(rng) -> list:
+    """random_passive_scenario's matrices, drawn in the order and with
+    scipy's Haar sampler as the generator first drew them."""
+    dim = int(rng.choice(verifysuite._DIM_POOL))
+    h_s = HermitianOperator(_scipy_hamiltonian(rng, dim, 3.0))
+    rho_s = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(dim)))[::-1], h_s)
+    h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
+    rho_c = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(2)))[::-1], h_c)
+    u1, u2 = unitary_group.rvs(dim, random_state=rng), unitary_group.rvs(dim, random_state=rng)
+    return [h_s.mat, h_c.mat, u1, u2, rho_s.mat, rho_c.mat]
+
+
+def _scipy_generic(rng) -> list:
+    pops = np.sort(rng.dirichlet(np.ones(2)))[::-1]
+    h_s = HermitianOperator(_scipy_hamiltonian(rng, 2, 2.0))
+    rho_s = passive_state_from_spectrum(pops, h_s)
+    h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 1.5, 2.0)
+    control = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+    u1, u2 = unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng)
+    return [h_s.mat, h_c.mat, u1, u2, rho_s.mat, control.to_density().mat]
+
+
+class TestSamplerStreams:
+    """The in-module Haar sampler and the stacked QR keep every matrix the
+    generators drew with scipy's unitary_group, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "new, reference",
+        [(random_passive_scenario, _scipy_passive), (verifysuite._random_generic_scenario, _scipy_generic)],
+    )
+    def test_generators_repeat_scipy_stream(self, seed, new, reference):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for draw in range(3000):
+            s = new(rng_new)
+            got = [s.h_s.mat, s.h_c.mat, s.u1.mat, s.u2.mat, s.rho_s.mat, s.rho_c.mat]
+            want = reference(rng_ref)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), draw
