@@ -157,12 +157,7 @@ def calibrated_cutoff(alpha_abs: float, z_abs: float, beta: float, omega: float)
 
 def ladder(n_max: int) -> np.ndarray:
     """Annihilation operator on the (n_max+1)-dim truncated Fock space."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return _ladder_corner(n_max, n_max + 1)
 
 
 def _ladder_corner(n_max: int, k: int) -> np.ndarray:

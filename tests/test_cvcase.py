@@ -75,8 +75,12 @@ class TestLadderAndOperators:
 
     @pytest.mark.parametrize("n_max, k", [(1, 1), (1, 2), (2, 1), (5, 3), (40, 20), (172, 86), (172, 173)])
     def test_corner_equals_ladder_slice(self, n_max, k):
+        ref = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        for n in range(1, n_max + 1):
+            ref[n - 1, n] = math.sqrt(n)
         corner = _ladder_corner(n_max, k)
         assert corner.shape == (k, k) and corner.dtype == complex
+        assert np.array_equal(corner, ref[:k, :k])
         assert np.array_equal(corner, ladder(n_max)[:k, :k])
 
     def test_corner_rejects_what_ladder_rejects(self):
