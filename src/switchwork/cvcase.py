@@ -56,7 +56,6 @@ from .states import (
     hamiltonian_fock,
 )
 from .switchcore import (
-    TOL_NM,
     NearZeroPostSelectionError,
     SwitchScenario,
     activation_report,
@@ -624,7 +623,7 @@ def _delta_sm_slice_tabulated(
         * math.cos(m.theta / 2.0) ** 2
         * math.sinh(2.0 * z_abs)
     )
-    if n_m <= TOL_NM:
+    if post_selection_vanishes(n_m):
         raise NearZeroPostSelectionError(n_m)
     return (common + quad + interference) / n_m
 

@@ -6,10 +6,8 @@ on the four typed wrappers defined here.  Matrices are plain complex128
 numpy arrays in row-major order; each wrapper holds its own read-only copy
 and validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
-to re-check.  The one wrapper built without its own dense check is the
-direct sum of two unitaries (`_direct_sum_unitary`, the switch unitary):
-its blocks are each validated, and its off-diagonal blocks are exact zeros,
-so the block checks are the same test.
+to re-check.  Every wrapper is made by its constructor, so none skips that
+check.
 
 All operations are pure functions of immutable inputs.
 """
@@ -107,29 +105,6 @@ class UnitaryOperator:
             raise ValueError(f"UnitaryOperator defect {defect:.3e} exceeds tolerance")
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
-
-
-def _direct_sum_unitary(w0, w1) -> UnitaryOperator:
-    """w0 (x) |0><0| + w1 (x) |1><1| in the system (x) control ordering.
-
-    Each block is validated as a UnitaryOperator, with the same tolerance
-    and message.  Every entry between the two blocks is an exact zero, so
-    U†U = w0†w0 (x) |0><0| + w1†w1 (x) |1><1| and the defect of U is the
-    larger of the two block defects: the dense (2d)^3 check of U would
-    repeat the same test at about four times the flops, so the result is
-    wrapped without it.
-    """
-    b0, b1 = UnitaryOperator(w0), UnitaryOperator(w1)
-    if b0.dim != b1.dim:
-        raise ValueError(f"direct-sum blocks differ in size: {b0.dim} and {b1.dim}")
-    m = np.zeros((2 * b0.dim, 2 * b0.dim), dtype=complex)
-    m[0::2, 0::2] = b0.mat
-    m[1::2, 1::2] = b1.mat
-    m.flags.writeable = False
-    u = object.__new__(UnitaryOperator)
-    object.__setattr__(u, "mat", m)
-    object.__setattr__(u, "dim", m.shape[0])
-    return u
 
 
 def _mat(x) -> np.ndarray:

@@ -1,22 +1,24 @@
 """Controlled-order channel and its energy bookkeeping.
 
-Builds the switch unitary U = U2 U1 (x) |0><0| + U1 U2 (x) |1><1| on the
-system (x) control ordering, computes the cross-map scalar
+The switch unitary U = U2 U1 (x) |0><0| + U1 U2 (x) |1><1| acts on the
+system (x) control ordering.  This module computes the cross-map scalar
 chi = tr{U2 U1 rho U2† U1†}, the pre-measurement energy difference with its
 system/control split (delta_qs = delta_s + delta_c), the control-state
 optimum of delta_c, and the post-measurement state with its decomposition
 into delta_12, delta_21 and the interference term delta_f.
 
 Each scenario computes its terms once, on first use, and both reports read
-them: the d-space blocks R12 = W12 rho W12†, R21 = W21 rho W21† and
-A12 = W12 rho W21† (W12 = U2 U1, W21 = U1 U2) with the scalars chi = tr A12,
+them: the blocks W12 = U2 U1 and W21 = U1 U2, formed and validated as
+unitaries by _switch_blocks; the d-space products R12 = W12 rho W12†,
+R21 = W21 rho W21† and A12 = W12 rho W21† with the scalars chi = tr A12,
 E_S, E12, E21 and F_S = tr{A12 h_s}; rho_c; the joint state E, filled block
 by block from those terms; and, only when asked for, E as a checked
 DensityMatrix.  Before E is used, a Freivalds probe checks it against the
-conjugation U (rho (x) rho_c) U† by the validated switch unitary on k = 16
-fixed +-1 columns, at O(k d^2) cost; an entry off by more than TOL_ENERGY
-escapes it with probability at most 2^-k (see SwitchScenario._joint_out).
-The dense (2d)^3 conjugation is the oracle of the tests and of `verify`'s
+conjugation U (rho (x) rho_c) U†, with U applied through U1 and U2, on
+k = 16 fixed +-1 columns at O(k d^2) cost; an entry off by more than
+TOL_ENERGY escapes it with probability at most 2^-k (see
+SwitchScenario._joint_out).  The dense U (build_switch_unitary) and the
+(2d)^3 conjugation are the oracle of the tests and of `verify`'s
 tilde-energy-split check.  Every derived scalar comes from both E and the
 d-space scalars, and the routes must agree within TOL_ENERGY at runtime
 (each function names its checks).  A disagreement means a bug, so it raises
@@ -46,13 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import (
-    DensityMatrix,
-    HermitianOperator,
-    UnitaryOperator,
-    _direct_sum_unitary,
-    _mat,
-)
+from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator, _mat, kron
 from .states import BlochState
 
 TOL_ENERGY = 1e-8
@@ -103,8 +99,7 @@ class SwitchScenario:
     @cached_property
     def _terms(self) -> _SwitchTerms:
         rho, h_s = self.rho_s.mat, self.h_s.mat
-        w12 = self.u2.mat @ self.u1.mat
-        w21 = self.u1.mat @ self.u2.mat
+        w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
         w12_rho = w12 @ rho
         r12 = w12_rho @ w12.conj().T
         r21 = w21 @ rho @ w21.conj().T
@@ -132,20 +127,25 @@ class SwitchScenario:
         every column catches it.  The probes are fixed, so the check is
         deterministic for a given scenario.
 
-        K is applied without forming it: with the 2d x k block Y = U† X
-        read as (d, 2, k) in the system (x) control layout, rho acts on
-        the system index and rho_c on the control index.  U comes from
-        build_switch_unitary, not from the terms E was filled from, so the
-        two routes share no product.
+        Neither U nor K is formed.  With X read as (d, 2, k) in the system
+        (x) control layout, U† X is U1† (U2† X_0) on control index 0 and
+        U2† (U1† X_1) on index 1; on the result Y, rho acts on the system
+        index and rho_c on the control index, giving Z; and U Z is
+        U2 (U1 Z_0) on index 0 and U1 (U2 Z_1) on index 1.  The probe
+        applies the factors one at a time, never the products W12 and W21
+        the terms were filled from, so the two routes share no product.
         """
         out = _post_switch_expansion(self)
         out.flags.writeable = False
-        u_qs = build_switch_unitary(self.u1, self.u2).mat
-        x = _probes(out.shape[0])
         d = self.rho_s.dim
-        y = (self.rho_s.mat @ (u_qs.conj().T @ x).reshape(d, -1)).reshape(d, 2, -1)
-        conj = u_qs @ (self.rho_c.mat @ y).reshape(2 * d, -1)
-        if np.max(np.abs(out @ x - conj)) > TOL_ENERGY:
+        u1, u2 = self.u1.mat, self.u2.mat
+        x = _probes(2 * d).reshape(d, 2, -1)
+        y = np.stack(
+            (u1.conj().T @ (u2.conj().T @ x[:, 0]), u2.conj().T @ (u1.conj().T @ x[:, 1])), axis=1
+        )
+        z = self.rho_c.mat @ (self.rho_s.mat @ y.reshape(d, -1)).reshape(d, 2, -1)
+        conj = np.stack((u2 @ (u1 @ z[:, 0]), u1 @ (u2 @ z[:, 1])), axis=1).reshape(2 * d, -1)
+        if np.max(np.abs(out @ x.reshape(2 * d, -1) - conj)) > TOL_ENERGY:
             raise AssertionError("post-switch expansion disagrees with conjugation path")
         return out
 
@@ -319,17 +319,25 @@ class MeasurementReport:
     condition_ii_lhs: float
 
 
-def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
-    """U2 U1 on the control-|0> block, U1 U2 on the control-|1> block.
-
-    The result equals kron(U2U1, |0><0|) + kron(U1U2, |1><1|) entry for
-    entry.  W12 = U2U1 and W21 = U1U2 are each validated as unitaries; the
-    joint matrix is block diagonal, so its U†U defect is the larger block
-    defect and is not computed again on the 2d x 2d matrix.
-    """
+def _switch_blocks(
+    u1: UnitaryOperator, u2: UnitaryOperator
+) -> tuple[UnitaryOperator, UnitaryOperator]:
+    """W12 = U2 U1 and W21 = U1 U2, each validated as a UnitaryOperator:
+    the one place either product is formed."""
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
-    return _direct_sum_unitary(u2.mat @ u1.mat, u1.mat @ u2.mat)
+    return UnitaryOperator(u2.mat @ u1.mat), UnitaryOperator(u1.mat @ u2.mat)
+
+
+def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
+    """The dense switch unitary kron(U2U1, |0><0|) + kron(U1U2, |1><1|),
+    validated as a whole.
+
+    The oracle's construction: the reports apply U through its factors
+    (see SwitchScenario._joint_out) and never build this 2d x 2d matrix.
+    """
+    w12, w21 = _switch_blocks(u1, u2)
+    return UnitaryOperator(kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0])))
 
 
 def chi(u1, u2, rho_s) -> complex:
@@ -343,9 +351,10 @@ def post_switch_state(s: SwitchScenario) -> DensityMatrix:
     """Joint state after the controlled-order channel, as a DensityMatrix.
 
     The matrix is the four-term block expansion, which a Freivalds probe
-    has checked against the conjugation by the switch unitary (see
-    SwitchScenario._joint_out).  Validated lazily, once per scenario: the
-    reports read the expansion and never build this (2d) x (2d) state.
+    has checked against the conjugation by the switch unitary, applied
+    through its factors (see SwitchScenario._joint_out).  Validated lazily,
+    once per scenario: the reports read the expansion and never build this
+    (2d) x (2d) state.
     """
     return s._post_switch
 

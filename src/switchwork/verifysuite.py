@@ -50,7 +50,7 @@ from .cvcase import (
     fock_oracle_report,
 )
 from .figures import FIGURE_IDS, baseline_path, figure_dataset, render_csv
-from .qmat import HermitianOperator, UnitaryOperator
+from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
 from .qubitcase import (
     delta_qs_rotations,
     delta_sm_rotations_beta0,
@@ -154,7 +154,9 @@ def random_passive_scenario(rng: np.random.Generator) -> SwitchScenario:
 
     The rng draws come in a fixed order (dimension, the eigenbasis of h_s,
     its energies, the system populations, h_c, the control populations,
-    U1, U2), and the three Haar unitaries then come from one stacked QR."""
+    U1, U2), and the three Haar unitaries then come from one stacked QR.
+    rho_s is built on the drawn eigenbasis of h_s, whose columns are in
+    ascending-energy order, so h_s is not diagonalized again."""
     dim = int(rng.choice(_DIM_POOL))
     z_basis = _ginibre(rng, dim)
     energies = np.sort(rng.uniform(0.0, 3.0, size=dim))
@@ -165,7 +167,7 @@ def random_passive_scenario(rng: np.random.Generator) -> SwitchScenario:
     basis, u1, u2 = _haar(np.stack((z_basis, z_u1, z_u2)))
     h_s = _hamiltonian(basis, energies)
     return SwitchScenario(
-        rho_s=passive_state_from_spectrum(pops_s, h_s),
+        rho_s=DensityMatrix((basis * pops_s) @ basis.conj().T),
         control=passive_state_from_spectrum(pops_c, h_c),
         u1=UnitaryOperator(u1),
         u2=UnitaryOperator(u2),
@@ -191,10 +193,9 @@ def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
 
 
 def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
-    """|chi| <= 1 and delta_qs = delta_s + delta_c; the block-built switch
+    """|chi| <= 1 and delta_qs = delta_s + delta_c; the oracle's switch
     unitary equals the kron formula entry for entry, and the larger block
-    defect equals the dense U†U defect (the reason the joint matrix is not
-    checked densely)."""
+    defect equals its dense U†U defect."""
     from .qmat import kron
     from .switchcore import build_switch_unitary
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_unitary
+import switchwork
 from switchwork.qmat import (
     TOL_PSD,
     TOL_TRACE,
@@ -15,7 +17,6 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
-    _direct_sum_unitary,
     eig_hermitian,
     expm,
     kron,
@@ -189,34 +190,14 @@ class TestUnitaryOperator:
             UnitaryOperator(m)
 
 
-class TestDirectSumUnitary:
-    def test_blocks_interleave_as_kron_with_control_projectors(self, rng):
-        w0, w1 = random_unitary(rng, 4), random_unitary(rng, 4)
-        u = _direct_sum_unitary(w0, w1)
-        assert u.dim == 8
-        expected = kron(w0, np.diag([1.0, 0.0])) + kron(w1, np.diag([0.0, 1.0]))
-        assert np.array_equal(u.mat, expected)
-
-    def test_each_block_is_validated(self, rng):
-        good = random_unitary(rng, 3)
-        bad = good.copy()
-        bad[0, 0] *= 1.0 + 1e-8
-        for w0, w1 in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match="UnitaryOperator defect"):
-                _direct_sum_unitary(w0, w1)
-
-    def test_unequal_blocks_rejected(self, rng):
-        with pytest.raises(ValueError, match="differ in size"):
-            _direct_sum_unitary(random_unitary(rng, 2), random_unitary(rng, 3))
-
-    def test_owns_a_read_only_copy(self, rng):
-        w0, w1 = random_unitary(rng, 2), random_unitary(rng, 2)
-        u = _direct_sum_unitary(w0, w1)
-        kept = u.mat.copy()
-        w0[0, 0] = 5.0
-        assert np.array_equal(u.mat, kept)
-        with pytest.raises(ValueError):
-            u.mat[0, 0] = 5.0
+class TestWrapperContract:
+    def test_no_module_builds_a_wrapper_around_its_validator(self):
+        """Every DensityMatrix, HermitianOperator and UnitaryOperator the
+        package builds passes through its validator: no module allocates
+        one with object.__new__."""
+        modules = sorted(Path(switchwork.__file__).parent.glob("*.py"))
+        assert len(modules) > 5
+        assert [m.name for m in modules if "object.__new__" in m.read_text()] == []
 
 
 class TestHermitianOperator:

@@ -103,11 +103,9 @@ class TestSwitchUnitary:
             assert abs(defect(u_qs) - blocks) <= 1e-15
 
     def test_non_unitary_block_raises(self, rng):
-        # A wrapper that skipped its own check: only the block validation
-        # inside build_switch_unitary can catch it.
-        bad = object.__new__(UnitaryOperator)
-        object.__setattr__(bad, "mat", np.diag([1.0, 1.0 + 1e-9]).astype(complex))
-        object.__setattr__(bad, "dim", 2)
+        # A wrapper that skipped its own check: only the validation inside
+        # build_switch_unitary can catch it.
+        bad = _unchecked_unitary(np.diag([1.0, 1.0 + 1e-9]).astype(complex))
         good = UnitaryOperator(random_unitary(rng, 2))
         for u1, u2 in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="UnitaryOperator defect"):
@@ -422,8 +420,8 @@ class TestCrossChecksFire:
     The corruptions: the joint Hamiltonian (off by a constant), the tilde
     route (the system mixture built from the wrong order's block, or
     energy moved between system and control, which keeps their sum), the
-    four-term expansion or the switch unitary it is probed against, and
-    one cached d-space term.  The expansion is filled from the d-space
+    four-term expansion or the switch blocks W12 and W21 it is filled
+    from, and one cached d-space term.  The expansion is filled from the d-space
     terms, so a corrupted term moves it too and the probe cannot see a
     fault that corrupts both alike; the measure_control checks read cached
     terms after the expansion was checked, as a faulty term kernel would
@@ -481,8 +479,8 @@ class TestCrossChecksFire:
             original = switchcore._post_switch_expansion
             monkeypatch.setattr(switchcore, "_post_switch_expansion", lambda s: original(s) + 1e-6)
         else:
-            original = switchcore.build_switch_unitary
-            monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+            original = switchcore._switch_blocks
+            monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
         for call in (lambda: post_switch_state(scenario), lambda: measure_control(scenario, self.M)):
             with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
                 call()
@@ -514,8 +512,8 @@ class TestCrossChecksFire:
         2 TOL_ENERGY is the only wrong entry of its row, so every probe
         column sees it."""
         if fault == "swapped_unitaries":
-            original = switchcore.build_switch_unitary
-            monkeypatch.setattr(switchcore, "build_switch_unitary", lambda u1, u2: original(u2, u1))
+            original = switchcore._switch_blocks
+            monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
         else:
             monkeypatch.setattr(switchcore, "_post_switch_expansion", self._faulty_expansion(fault))
         s = _random_scenario(rng, d)
@@ -559,14 +557,20 @@ class TestCrossChecksFire:
 
 class TestTermCache:
     def test_switch_unitary_built_once_per_scenario(self, rng, monkeypatch):
+        """Each scenario forms its blocks W12 and W21 once, and the reports
+        never build the dense switch unitary."""
         calls = []
-        original = switchcore.build_switch_unitary
+        original = switchcore._switch_blocks
 
         def counted(u1, u2):
             calls.append(1)
             return original(u1, u2)
 
-        monkeypatch.setattr(switchcore, "build_switch_unitary", counted)
+        def forbidden(u1, u2):
+            raise AssertionError("build_switch_unitary called by a report")
+
+        monkeypatch.setattr(switchcore, "_switch_blocks", counted)
+        monkeypatch.setattr(switchcore, "build_switch_unitary", forbidden)
         s = _random_scenario(rng, 4)
         m = BlochState(1.0, 0.4)
         activation_report(s)
@@ -582,33 +586,79 @@ class TestTermCache:
         assert abs(rep.chi - activation_report(s).chi) > 1e-6
         joint = post_switch_state(fresh).mat
         assert np.max(np.abs(joint - post_switch_state(s).mat)) > 1e-6
-        u_qs = original(fresh.u1, fresh.u2).mat
+        u_qs = build_switch_unitary(fresh.u1, fresh.u2).mat
         expected = u_qs @ kron(fresh.rho_s, fresh.rho_c) @ u_qs.conj().T
         assert np.max(np.abs(joint - expected)) < 1e-12
 
     def test_reports_build_no_joint_density_matrix(self, monkeypatch):
         """The reports read the probe-checked expansion: no (2d) x (2d)
-        DensityMatrix and no post_switch_state call on the hot path."""
+        DensityMatrix, no post_switch_state call, and no joint-space
+        unitary on the hot path; the only unitaries switchcore builds are
+        the d x d blocks W12 and W21."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
         )
-        dims = []
-        original = switchcore.DensityMatrix
+        dims, unitary_dims = [], []
+        density, unitary = switchcore.DensityMatrix, switchcore.UnitaryOperator
 
         def recorded(mat):
             dims.append(np.shape(mat)[0])
-            return original(mat)
+            return density(mat)
 
-        def forbidden(scenario):
-            raise AssertionError("post_switch_state called by a report")
+        def recorded_unitary(mat):
+            unitary_dims.append(np.shape(mat))
+            return unitary(mat)
+
+        def forbidden(*args):
+            raise AssertionError("joint-space route called by a report")
 
         monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
+        monkeypatch.setattr(switchcore, "UnitaryOperator", recorded_unitary)
         monkeypatch.setattr(switchcore, "post_switch_state", forbidden)
+        monkeypatch.setattr(switchcore, "build_switch_unitary", forbidden)
         activation_report(s)
         measure_control(s, BlochState(math.pi / 2.0, math.pi))
         measure_control(s, BlochState(1.0, 0.4))
         assert sorted(set(dims)) == [2, s.rho_s.dim]
+        assert unitary_dims == [(s.rho_s.dim, s.rho_s.dim)] * 2
+
+
+class TestReportsValidateBlocks:
+    """A factor that skipped its own check is caught by the validation of
+    W12 and W21 on every route into a scenario's terms."""
+
+    @staticmethod
+    def _scenarios(rng):
+        yield _random_scenario(rng, 3)
+        yield disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
+            BlochState(math.pi / 2.0, 0.0), n_max=40,
+        )
+
+    @pytest.mark.parametrize("factor", ["u1", "u2"])
+    def test_defective_factor_raises(self, rng, factor):
+        for s in self._scenarios(rng):
+            # Defect 1e-9, ten times TOL_UNITARY: bad† bad = I + 1e-9 |0><0|.
+            stretch = np.ones(s.rho_s.dim)
+            stretch[0] = math.sqrt(1.0 + 1e-9)
+            bad = _unchecked_unitary(getattr(s, factor).mat * stretch)
+            defective = dataclasses.replace(s, **{factor: bad})
+            for call in (
+                lambda: activation_report(defective),
+                lambda: measure_control(defective, BlochState(1.0, 0.4)),
+                lambda: post_switch_state(defective),
+            ):
+                with pytest.raises(ValueError, match="UnitaryOperator defect"):
+                    call()
+
+
+def _unchecked_unitary(mat: np.ndarray) -> UnitaryOperator:
+    """A UnitaryOperator wrapper that skipped its own validation."""
+    u = object.__new__(UnitaryOperator)
+    object.__setattr__(u, "mat", mat)
+    object.__setattr__(u, "dim", mat.shape[0])
+    return u
 
 
 def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:

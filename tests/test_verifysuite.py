@@ -11,7 +11,7 @@ from scipy.stats import unitary_group
 
 from switchwork import cvcase, qubitcase, switchcore, verifysuite
 from switchwork.config import FAMILIES
-from switchwork.qmat import HermitianOperator, UnitaryOperator
+from switchwork.qmat import DensityMatrix, HermitianOperator, UnitaryOperator
 from switchwork.states import BlochState, gibbs_qubit, passive_state_from_spectrum, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import random_passive_scenario, run_verify
@@ -254,18 +254,21 @@ class TestScenarioGenerators:
         assert math.isclose(pops.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
 
 
-def _scipy_hamiltonian(rng, dim: int, e_max: float) -> np.ndarray:
+def _scipy_hamiltonian(rng, dim: int, e_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenbasis, h) with ascending energies in the basis columns."""
     basis = unitary_group.rvs(dim, random_state=rng)
     energies = np.sort(rng.uniform(0.0, e_max, size=dim))
-    return basis @ np.diag(energies).astype(complex) @ basis.conj().T
+    return basis, basis @ np.diag(energies).astype(complex) @ basis.conj().T
 
 
 def _scipy_passive(rng) -> list:
     """random_passive_scenario's matrices, drawn in the order and with
-    scipy's Haar sampler as the generator first drew them."""
+    scipy's Haar sampler as the generator first drew them; rho_s is built
+    on the drawn eigenbasis of h_s."""
     dim = int(rng.choice(verifysuite._DIM_POOL))
-    h_s = HermitianOperator(_scipy_hamiltonian(rng, dim, 3.0))
-    rho_s = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(dim)))[::-1], h_s)
+    basis, h_mat = _scipy_hamiltonian(rng, dim, 3.0)
+    h_s = HermitianOperator(h_mat)
+    rho_s = DensityMatrix((basis * np.sort(rng.dirichlet(np.ones(dim)))[::-1]) @ basis.conj().T)
     h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
     rho_c = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(2)))[::-1], h_c)
     u1, u2 = unitary_group.rvs(dim, random_state=rng), unitary_group.rvs(dim, random_state=rng)
@@ -274,7 +277,7 @@ def _scipy_passive(rng) -> list:
 
 def _scipy_generic(rng) -> list:
     pops = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    h_s = HermitianOperator(_scipy_hamiltonian(rng, 2, 2.0))
+    h_s = HermitianOperator(_scipy_hamiltonian(rng, 2, 2.0)[1])
     rho_s = passive_state_from_spectrum(pops, h_s)
     h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 1.5, 2.0)
     control = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
@@ -298,3 +301,30 @@ class TestSamplerStreams:
             got = [s.h_s.mat, s.h_c.mat, s.u1.mat, s.u2.mat, s.rho_s.mat, s.rho_c.mat]
             want = reference(rng_ref)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), draw
+
+    def test_passive_system_state_matches_spectral_construction(self):
+        """rho_s, built on the drawn eigenbasis of h_s, is the passive state
+        passive_state_from_spectrum builds from the same populations and
+        h_s's own eigenvectors, up to the round-off of that second
+        diagonalization."""
+        rng = _DirichletRecorder(np.random.default_rng(0))
+        worst = 0.0
+        for _ in range(3000):
+            s = random_passive_scenario(rng)
+            spectral = passive_state_from_spectrum(rng.draws[-2], s.h_s)  # draws[-1]: rho_c's
+            worst = max(worst, np.max(np.abs(s.rho_s.mat - spectral.mat)))
+        assert worst <= 1e-10
+
+
+class _DirichletRecorder:
+    """A Generator that keeps every Dirichlet draw it hands out."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def dirichlet(self, alpha):
+        self.draws.append(self._rng.dirichlet(alpha))
+        return self.draws[-1]
