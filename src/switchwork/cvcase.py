@@ -17,9 +17,11 @@ Some tabulated closed forms for this family are internally inconsistent
 The corrected derivations are the primary API; the original tabulated
 forms are retained verbatim under the `_tabulated` suffix so the
 disagreement itself is documented by tests rather than silently patched.
-n_m_disp_squeeze and delta_sm_disp_squeeze assemble the family's chi,
-delta_12, delta_21 and delta_f with the switchcore kernel; the delta_qs
-forms keep their own order of operations, which the figure baselines pin.
+Every disp_squeeze form, corrected or tabulated, reads one record per point,
+_disp_squeeze_terms: nth, gamma, chi, E21, E12 and F_S, each computed once.
+n_m_disp_squeeze and delta_sm_disp_squeeze assemble its chi, delta_12,
+delta_21 and delta_f with the switchcore kernel; the delta_qs forms keep
+their own order of operations, which the figure baselines pin.
 Corrected pieces, all oracle-validated:
 
     E21        = w [ nth cosh(2|z|) + sinh^2|z| + |a|^2 + 1/2 ]   (as tabulated)
@@ -41,6 +43,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -87,8 +90,8 @@ class DisplacementParams:
     alpha_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha_abs < 0.0:
-            raise ValueError(f"alpha_abs must be >= 0, got {self.alpha_abs!r}")
+        if not (0.0 <= self.alpha_abs < math.inf and math.isfinite(self.alpha_phase)):
+            raise ValueError(f"need a finite alpha_abs >= 0 and a finite phase, got {self!r}")
 
     @property
     def alpha(self) -> complex:
@@ -103,8 +106,8 @@ class SqueezeParams:
     z_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.z_abs < 0.0:
-            raise ValueError(f"z_abs must be >= 0, got {self.z_abs!r}")
+        if not (0.0 <= self.z_abs < math.inf and math.isfinite(self.z_phase)):
+            raise ValueError(f"need a finite z_abs >= 0 and a finite phase, got {self!r}")
 
     @property
     def z(self) -> complex:
@@ -344,14 +347,66 @@ def gamma_braiding(a: DisplacementParams, s: SqueezeParams) -> complex:
     """The displacement amplitude gamma with D(alpha) S(z) = S(z) D(gamma):
 
     gamma = |a| e^{i phi} cosh|z| - |a| e^{i(xi - phi)} sinh|z|.
+
+    |gamma| <= |a| e^{|z|}, with equality on the xi - 2 phi = pi slice; the
+    check allows gamma's rounding error, which grows with that bound.
     """
     gamma = a.alpha * math.cosh(s.z_abs) - a.alpha.conjugate() * cmath.exp(
         1j * s.z_phase
     ) * math.sinh(s.z_abs)
     bound = a.alpha_abs * math.exp(s.z_abs)
-    if abs(gamma) > bound + 1e-12:
+    if abs(gamma) > bound + 1e-12 * max(1.0, bound):
         raise AssertionError(f"braided amplitude {abs(gamma)!r} exceeds bound {bound!r}")
     return gamma
+
+
+class _DispSqueezeTerms(NamedTuple):
+    """The displacement+squeeze scalars at one point, each computed once."""
+
+    n_th: float
+    gamma: complex
+    chi: complex
+    e21: float
+    e12: float
+    f_s: complex
+
+
+def _disp_squeeze_terms(
+    omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
+) -> _DispSqueezeTerms:
+    """n_th, gamma, chi, E21, E12 and F_S of the pair U1 = D(alpha),
+    U2 = S(z): the one kernel that every corrected and tabulated
+    disp_squeeze form reads (expressions in the module docstring)."""
+    n_th = _n_th(beta, omega)
+    gamma = gamma_braiding(a, s)
+    alpha = a.alpha
+    diff = alpha - gamma
+    ga = gamma.conjugate() * alpha
+    chi = cmath.exp(1j * ga.imag - (n_th + 0.5) * abs(diff) ** 2)
+    e21 = omega * (
+        n_th * math.cosh(2.0 * s.z_abs) + math.sinh(s.z_abs) ** 2 + a.alpha_abs**2 + 0.5
+    )
+    rel = s.z_phase - 2.0 * a.alpha_phase
+    e12 = e21 + omega * a.alpha_abs**2 * (
+        (math.cosh(2.0 * s.z_abs) - 1.0) + math.cos(rel) * math.sinh(2.0 * s.z_abs)
+    )
+    c = math.cosh(s.z_abs)
+    sh = math.sinh(s.z_abs)
+    t_n = (
+        n_th
+        + ga
+        + (2.0 * ga - abs(alpha) ** 2 - abs(gamma) ** 2) * n_th
+        - n_th**2 * abs(diff) ** 2
+    )
+    t_pp = (gamma.conjugate() - n_th * diff.conjugate()) ** 2
+    t_mm = (alpha + n_th * diff) ** 2
+    f_s = omega * chi * (
+        0.5
+        + sh * sh
+        + (c * c + sh * sh) * t_n
+        + c * sh * (cmath.exp(1j * s.z_phase) * t_pp + cmath.exp(-1j * s.z_phase) * t_mm)
+    )
+    return _DispSqueezeTerms(n_th, gamma, chi, e21, e12, f_s)
 
 
 def chi_disp_squeeze(
@@ -359,11 +414,7 @@ def chi_disp_squeeze(
 ) -> complex:
     """chi = <gamma|alpha> e^{-nth |alpha - gamma|^2}
            = exp( i Im{gamma* alpha} - (nth + 1/2) |alpha - gamma|^2 )."""
-    gamma = gamma_braiding(a, s)
-    n_th = _n_th(beta, omega)
-    diff = a.alpha - gamma
-    overlap = gamma.conjugate() * a.alpha
-    return cmath.exp(1j * overlap.imag - (n_th + 0.5) * abs(diff) ** 2)
+    return _disp_squeeze_terms(omega, beta, a, s).chi
 
 
 def e21_disp_squeeze(
@@ -371,13 +422,7 @@ def e21_disp_squeeze(
 ) -> float:
     """Energy after displace-then-squeeze:
     w [ nth cosh(2|z|) + sinh^2|z| + |a|^2 + 1/2 ]."""
-    n_th = _n_th(beta, omega)
-    return omega * (
-        n_th * math.cosh(2.0 * s.z_abs)
-        + math.sinh(s.z_abs) ** 2
-        + a.alpha_abs**2
-        + 0.5
-    )
+    return _disp_squeeze_terms(omega, beta, a, s).e21
 
 
 def e12_disp_squeeze(
@@ -388,11 +433,7 @@ def e12_disp_squeeze(
 
     E12 = E21 + w |a|^2 [ (cosh 2|z| - 1) + cos(xi - 2 phi) sinh 2|z| ].
     """
-    rel = s.z_phase - 2.0 * a.alpha_phase
-    extra = omega * a.alpha_abs**2 * (
-        (math.cosh(2.0 * s.z_abs) - 1.0) + math.cos(rel) * math.sinh(2.0 * s.z_abs)
-    )
-    return e21_disp_squeeze(omega, beta, a, s) + extra
+    return _disp_squeeze_terms(omega, beta, a, s).e12
 
 
 def e12_disp_squeeze_tabulated(
@@ -402,9 +443,8 @@ def e12_disp_squeeze_tabulated(
     E12 = E21 + w |a|^2 cos(xi - 2 phi) sinh(2|z|).  Disagrees with the
     Fock oracle by w |a|^2 (cosh 2|z| - 1) whenever z != 0."""
     rel = s.z_phase - 2.0 * a.alpha_phase
-    return e21_disp_squeeze(omega, beta, a, s) + omega * a.alpha_abs**2 * math.cos(
-        rel
-    ) * math.sinh(2.0 * s.z_abs)
+    e21 = _disp_squeeze_terms(omega, beta, a, s).e21
+    return e21 + omega * a.alpha_abs**2 * math.cos(rel) * math.sinh(2.0 * s.z_abs)
 
 
 def f_s_disp_squeeze(
@@ -412,32 +452,7 @@ def f_s_disp_squeeze(
 ) -> complex:
     """Cross-term energy functional F_S = tr{U2 U1 rho U2† U1† H} in
     closed form (see module docstring for the full expression)."""
-    n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s)
-    alpha = a.alpha
-    diff = alpha - gamma
-    c = math.cosh(s.z_abs)
-    sh = math.sinh(s.z_abs)
-    ga = gamma.conjugate() * alpha
-    t_n = (
-        n_th
-        + ga
-        + (2.0 * ga - abs(alpha) ** 2 - abs(gamma) ** 2) * n_th
-        - n_th**2 * abs(diff) ** 2
-    )
-    t_pp = (gamma.conjugate() - n_th * diff.conjugate()) ** 2
-    t_mm = (alpha + n_th * diff) ** 2
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    return (
-        omega
-        * chi_val
-        * (
-            0.5
-            + sh * sh
-            + (c * c + sh * sh) * t_n
-            + c * sh * (cmath.exp(1j * s.z_phase) * t_pp + cmath.exp(-1j * s.z_phase) * t_mm)
-        )
-    )
+    return _disp_squeeze_terms(omega, beta, a, s).f_s
 
 
 def f_s_disp_squeeze_tabulated(
@@ -446,20 +461,14 @@ def f_s_disp_squeeze_tabulated(
     """Tabulated counterpart of f_s_disp_squeeze, kept verbatim:
     w chi (1/2 + g*a + (1 + 2 g*a - |a|^2 - |g|^2) nth - |a-g|^2 nth^2).
     Lacks the squeeze-quadrature terms; disagrees with the oracle for z != 0."""
-    n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s)
-    alpha = a.alpha
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    n_th, gamma, chi_val, alpha = t.n_th, t.gamma, t.chi, a.alpha
     ga = gamma.conjugate() * alpha
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    return (
-        omega
-        * chi_val
-        * (
-            0.5
-            + ga
-            + (1.0 + 2.0 * ga - abs(alpha) ** 2 - abs(gamma) ** 2) * n_th
-            - abs(alpha - gamma) ** 2 * n_th**2
-        )
+    return omega * chi_val * (
+        0.5
+        + ga
+        + (1.0 + 2.0 * ga - abs(alpha) ** 2 - abs(gamma) ** 2) * n_th
+        - abs(alpha - gamma) ** 2 * n_th**2
     )
 
 
@@ -467,9 +476,8 @@ def delta_f_disp_squeeze(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> complex:
     """Interference term F_S - chi E_S with E_S = w (nth + 1/2)."""
-    n_th = _n_th(beta, omega)
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    return f_s_disp_squeeze(omega, beta, a, s) - chi_val * omega * (n_th + 0.5)
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    return t.f_s - t.chi * omega * (t.n_th + 0.5)
 
 
 def delta_f_disp_squeeze_tabulated(
@@ -477,19 +485,13 @@ def delta_f_disp_squeeze_tabulated(
 ) -> complex:
     """Tabulated counterpart of delta_f_disp_squeeze, kept verbatim:
     w chi (g*a + (2 g*a - |g|^2 - |a|^2) nth - |a-g|^2 nth^2)."""
-    n_th = _n_th(beta, omega)
-    gamma = gamma_braiding(a, s)
-    alpha = a.alpha
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    n_th, gamma, chi_val, alpha = t.n_th, t.gamma, t.chi, a.alpha
     ga = gamma.conjugate() * alpha
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    return (
-        omega
-        * chi_val
-        * (
-            ga
-            + (2.0 * ga - abs(gamma) ** 2 - abs(alpha) ** 2) * n_th
-            - abs(alpha - gamma) ** 2 * n_th**2
-        )
+    return omega * chi_val * (
+        ga
+        + (2.0 * ga - abs(gamma) ** 2 - abs(alpha) ** 2) * n_th
+        - abs(alpha - gamma) ** 2 * n_th**2
     )
 
 
@@ -497,8 +499,8 @@ def delta_21_disp_squeeze(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> float:
     """delta_21 = E21 - E_S = w [ nth (cosh 2|z| - 1) + sinh^2|z| + |a|^2 ]."""
-    n_th = _n_th(beta, omega)
-    return e21_disp_squeeze(omega, beta, a, s) - omega * (n_th + 0.5)
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    return t.e21 - omega * (t.n_th + 0.5)
 
 
 def delta_qs_disp_squeeze(
@@ -515,14 +517,11 @@ def delta_qs_disp_squeeze(
     delta_21 + cos^2(tc/2) (E12 - E21)
     + |t| sin(tc) Re{ e^{-i(theta + pc)} (chi - 1) }.
     """
-    d21 = delta_21_disp_squeeze(omega, beta, a, s)
-    e_gap = e12_disp_squeeze(omega, beta, a, s) - e21_disp_squeeze(omega, beta, a, s)
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    d21 = t.e21 - omega * (t.n_th + 0.5)
     phase = t_phase + c.phi
-    delta_c = t_abs * math.sin(c.theta) * (
-        cmath.exp(-1j * phase) * (chi_val - 1.0)
-    ).real
-    return d21 + math.cos(c.theta / 2.0) ** 2 * e_gap + delta_c
+    delta_c = t_abs * math.sin(c.theta) * (cmath.exp(-1j * phase) * (t.chi - 1.0)).real
+    return d21 + math.cos(c.theta / 2.0) ** 2 * (t.e12 - t.e21) + delta_c
 
 
 def delta_qs_disp_squeeze_tabulated(
@@ -544,21 +543,20 @@ def delta_qs_disp_squeeze_tabulated(
     (the value does not vanish for identity unitaries), and the
     cos^2(tc/2) w |a|^2 (cosh 2|z| - 1) contribution is absent.
     """
-    n_th = _n_th(beta, omega)
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
+    t = _disp_squeeze_terms(omega, beta, a, s)
     rel = s.z_phase - 2.0 * a.alpha_phase
     phase = t_phase + c.phi
     return (
         omega / 2.0
         + omega * a.alpha_abs**2
         + omega * math.cosh(2.0 * s.z_abs) / 2.0
-        + 2.0 * omega * n_th * math.sinh(s.z_abs) ** 2
+        + 2.0 * omega * t.n_th * math.sinh(s.z_abs) ** 2
         + omega
         * a.alpha_abs**2
         * math.cos(c.theta / 2.0) ** 2
         * math.cos(rel)
         * math.sinh(2.0 * s.z_abs)
-        + t_abs * math.sin(c.theta) * (cmath.exp(-1j * phase) * (chi_val - 1.0)).real
+        + t_abs * math.sin(c.theta) * (cmath.exp(-1j * phase) * (t.chi - 1.0)).real
     )
 
 
@@ -571,7 +569,7 @@ def n_m_disp_squeeze(
     m: BlochState,
 ) -> float:
     """Post-selection probability: switchcore.assemble_nm on this family's chi."""
-    return assemble_nm(measurement_angles(c, m), chi_disp_squeeze(a, s, beta, omega))
+    return assemble_nm(measurement_angles(c, m), _disp_squeeze_terms(omega, beta, a, s).chi)
 
 
 def delta_sm_disp_squeeze(
@@ -587,13 +585,11 @@ def delta_sm_disp_squeeze(
     delta_f.  Raises NearZeroPostSelectionError in the divergence regime
     (N_M <= TOL_NM).
     """
-    d21 = delta_21_disp_squeeze(omega, beta, a, s)
-    d12 = d21 + (
-        e12_disp_squeeze(omega, beta, a, s) - e21_disp_squeeze(omega, beta, a, s)
-    )
-    chi_val = chi_disp_squeeze(a, s, beta, omega)
-    df = delta_f_disp_squeeze(omega, beta, a, s)
-    n_m, bracket = assemble_sm(measurement_angles(c, m), chi_val, d12, d21, df)
+    t = _disp_squeeze_terms(omega, beta, a, s)
+    d21 = t.e21 - omega * (t.n_th + 0.5)
+    d12 = d21 + (t.e12 - t.e21)
+    df = t.f_s - t.chi * omega * (t.n_th + 0.5)
+    n_m, bracket = assemble_sm(measurement_angles(c, m), t.chi, d12, d21, df)
     if post_selection_vanishes(n_m):
         raise NearZeroPostSelectionError(n_m)
     return bracket / n_m

@@ -1,8 +1,7 @@
 """Dense complex-matrix kernel.
 
-Products, adjoints, tensor products, partial traces, Hermitian
-eigendecomposition, and matrix exponentials — everything downstream is built
-on the four typed wrappers defined here.  Matrices are plain complex128
+Tensor products, partial traces and matrix exponentials, and the typed
+wrappers that everything downstream is built on.  Matrices are plain complex128
 numpy arrays in row-major order; each wrapper holds its own read-only copy
 and validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
@@ -135,19 +134,6 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     if keep == "a":
         return np.einsum("ikjk->ij", r)
     return np.einsum("kikj->ij", r)
-
-
-def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns V) with
-    h == V diag(w) V† to TOL_EIG.  Ties keep LAPACK's deterministic order.
-    """
-    m = _mat(h)
-    if np.abs(m - m.conj().T).max() > TOL_HERM:
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def expm(g) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, TOL_EIG, _mat, eig_hermitian
+from .qmat import DensityMatrix, HermitianOperator, TOL_EIG
 
 TOL_TRUNC = 1e-12
 
@@ -88,10 +88,10 @@ class ThermalParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not self.beta >= 0:
+            raise ValueError(f"beta must be non-negative, got {self.beta!r}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
 
     @property
     def n_th(self) -> float:
@@ -196,8 +196,8 @@ def is_passive(rho: DensityMatrix, h: HermitianOperator):
     w = ergotropy(rho, h)
     if w <= TOL_EIG:
         return True, None
-    r_vals, r_vecs = eig_hermitian(rho.mat)
-    e_vals, e_vecs = eig_hermitian(h.mat)
+    r_vals, r_vecs = np.linalg.eigh(rho.mat)
+    _, e_vecs = np.linalg.eigh(h.mat)
     order = np.argsort(-r_vals, kind="stable")
     # U |r_k-descending> = |eps_k-ascending>
     witness = e_vecs @ r_vecs[:, order].conj().T
@@ -213,7 +213,7 @@ def passive_state_from_spectrum(populations: np.ndarray, h: HermitianOperator) -
     p = np.sort(np.asarray(populations, dtype=float))[::-1]
     if abs(p.sum() - 1.0) > 1e-12 or p.min() < -1e-15:
         raise ValueError("populations must be a probability vector")
-    _, v = eig_hermitian(h.mat)
+    _, v = np.linalg.eigh(h.mat)
     return DensityMatrix((v * p) @ v.conj().T)
 
 

@@ -193,38 +193,15 @@ def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
 
 
 def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
-    """|chi| <= 1 and delta_qs = delta_s + delta_c; the oracle's switch
-    unitary equals the kron formula entry for entry, and the larger block
-    defect equals its dense U†U defect."""
-    from .qmat import kron
-    from .switchcore import build_switch_unitary
-
+    """|chi| <= 1 and delta_qs = delta_s + delta_c on 25 random qubit
+    scenarios.  The switch unitary's kron formula and its block defect are
+    pinned by the switchcore tests."""
     worst = 0.0
-    kron_equal = True
-    worst_defect_gap = 0.0
     for _ in range(25):
-        s = _random_generic_scenario(rng)
-        report = activation_report(s)
+        report = activation_report(_random_generic_scenario(rng))
         worst = max(worst, abs(report.chi) - 1.0)
-        gap = abs(report.delta_qs - (report.delta_s + report.delta_c))
-        worst = max(worst, gap)
-
-        u_qs = build_switch_unitary(s.u1, s.u2).mat
-        w12, w21 = s.u2.mat @ s.u1.mat, s.u1.mat @ s.u2.mat
-        dense = kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0]))
-        kron_equal = kron_equal and bool(np.array_equal(u_qs, dense))
-        block_defect = max(_unitary_defect(w12), _unitary_defect(w21))
-        worst_defect_gap = max(worst_defect_gap, abs(block_defect - _unitary_defect(u_qs)))
-    passed = worst <= 1e-9 and kron_equal and worst_defect_gap <= 1e-15
-    return passed, (
-        f"25 scenarios, worst algebra defect {worst:.2e}; switch unitary "
-        f"{'==' if kron_equal else 'DIFFERS FROM'} kron formula, "
-        f"block vs dense U†U defect gap {worst_defect_gap:.2e}"
-    )
-
-
-def _unitary_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        worst = max(worst, abs(report.delta_qs - (report.delta_s + report.delta_c)))
+    return worst <= 1e-9, f"25 scenarios, worst algebra defect {worst:.2e}"
 
 
 def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from switchwork import cvcase
 from switchwork.cvcase import (
     DisplacementParams,
     _ladder_block_defect,
@@ -419,6 +420,82 @@ class TestBraiding:
         s = SqueezeParams(0.9, 0.1)
         g = gamma_braiding(a, s)
         assert abs(g) <= 1.4 * math.exp(0.9) + 1e-12
+
+    def test_bound_check_scales_with_the_bound(self):
+        # On the xi - 2 phi = pi slice |gamma| equals the bound |a| e^{|z|};
+        # here its rounding exceeds the bound by 1 ulp, which is more than 1e-12.
+        a = DisplacementParams(15413.095819175483, 0.0)
+        s = SqueezeParams(1.6693629679573003, math.pi)
+        bound = a.alpha_abs * math.exp(s.z_abs)
+        assert abs(gamma_braiding(a, s)) == pytest.approx(bound, rel=1e-15)
+        assert chi_disp_squeeze(a, s, 1.0, 1.0) == 0.0
+        assert math.isfinite(delta_qs_disp_squeeze(1.0, 1.0, 0.5, 0.0, a, s, _EQ))
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("params", [DisplacementParams, SqueezeParams])
+    @pytest.mark.parametrize(
+        "magnitude, phase",
+        [(math.nan, 0.0), (math.inf, 0.0), (-0.5, 0.0), (0.5, math.nan), (0.5, -math.inf)],
+    )
+    def test_rejects_a_non_finite_or_negative_parameter(self, params, magnitude, phase):
+        with pytest.raises(ValueError, match="finite"):
+            params(magnitude, phase)
+
+    def test_closed_forms_reject_nan_beta_and_infinite_omega(self):
+        a, s = DisplacementParams(0.5, 0.2), SqueezeParams(0.3, 0.4)
+        with pytest.raises(ValueError, match="beta"):
+            delta_sm_disp_squeeze(1.0, math.nan, a, s, _EQ, _EQ)
+        with pytest.raises(ValueError, match="omega"):
+            delta_qs_disp_squeeze(math.inf, 1.0, 0.5, 0.0, a, s, _EQ)
+        assert math.isfinite(delta_sm_disp_squeeze(1.0, math.inf, a, s, _EQ, _EQ))
+
+
+_A, _S = DisplacementParams(0.7, 0.9), SqueezeParams(0.5, 0.4)
+_C, _M = BlochState(1.9, 0.6), BlochState(1.1, 2.3)
+# Every disp_squeeze form, corrected and tabulated, at one point.
+_DISP_SQUEEZE_CALLS = {
+    "chi": lambda: chi_disp_squeeze(_A, _S, 1.0, 1.0),
+    "e21": lambda: e21_disp_squeeze(1.0, 1.0, _A, _S),
+    "e12": lambda: e12_disp_squeeze(1.0, 1.0, _A, _S),
+    "f_s": lambda: f_s_disp_squeeze(1.0, 1.0, _A, _S),
+    "delta_f": lambda: delta_f_disp_squeeze(1.0, 1.0, _A, _S),
+    "delta_21": lambda: delta_21_disp_squeeze(1.0, 1.0, _A, _S),
+    "delta_qs": lambda: delta_qs_disp_squeeze(1.0, 1.0, 0.5, 0.3, _A, _S, _C),
+    "n_m": lambda: n_m_disp_squeeze(1.0, 1.0, _A, _S, _C, _M),
+    "delta_sm": lambda: delta_sm_disp_squeeze(1.0, 1.0, _A, _S, _C, _M),
+    "e12_tabulated": lambda: e12_disp_squeeze_tabulated(1.0, 1.0, _A, _S),
+    "f_s_tabulated": lambda: f_s_disp_squeeze_tabulated(1.0, 1.0, _A, _S),
+    "delta_f_tabulated": lambda: delta_f_disp_squeeze_tabulated(1.0, 1.0, _A, _S),
+    "delta_qs_tabulated": lambda: delta_qs_disp_squeeze_tabulated(1.0, 1.0, 0.5, 0.3, _A, _S, _C),
+}
+
+
+class TestComputeOnce:
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            honest = getattr(cvcase, name)
+
+            def counted(*args, _honest=honest, _name=name):
+                calls[_name] += 1
+                return _honest(*args)
+
+            monkeypatch.setattr(cvcase, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("form", ["delta_sm", "delta_qs", "delta_f"])
+    def test_one_occupation_and_one_braiding_per_call(self, monkeypatch, form):
+        calls = self._count(monkeypatch, "_n_th", "gamma_braiding")
+        _DISP_SQUEEZE_CALLS[form]()
+        assert calls == {"_n_th": 1, "gamma_braiding": 1}
+
+    @pytest.mark.parametrize("form", _DISP_SQUEEZE_CALLS)
+    def test_every_form_reads_one_record(self, monkeypatch, form):
+        calls = self._count(monkeypatch, "_disp_squeeze_terms")
+        _DISP_SQUEEZE_CALLS[form]()
+        assert calls == {"_disp_squeeze_terms": 1}
 
 
 class TestDispSqueezeClosedForms:

@@ -17,7 +17,6 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
-    eig_hermitian,
     expm,
     kron,
     partial_trace,
@@ -255,12 +254,3 @@ class TestKronAndPartialTrace:
         joint = np.outer(psi, psi.conj())
         for keep in ("a", "b"):
             assert np.max(np.abs(partial_trace(joint, 2, 2, keep) - np.eye(2) / 2.0)) < 1e-12
-
-
-class TestEigHermitian:
-    def test_eig_hermitian_sorted_and_consistent(self, rng):
-        h = random_hermitian(rng, 6)
-        evals, evecs = eig_hermitian(h)
-        assert np.all(np.diff(evals) >= 0.0)
-        recon = evecs @ np.diag(evals) @ evecs.conj().T
-        assert np.max(np.abs(recon - h)) < 1e-10

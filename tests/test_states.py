@@ -75,6 +75,11 @@ class TestThermalParams:
         with pytest.raises(ValueError):
             ThermalParams(1.0, 0.0)
 
+    @pytest.mark.parametrize("beta, omega", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_nan_beta_and_non_finite_omega(self, beta, omega):
+        with pytest.raises(ValueError, match="beta must be non-negative|omega must be positive"):
+            ThermalParams(beta, omega)
+
     def test_n_th_values(self):
         assert ThermalParams(math.inf, 1.0).n_th == 0.0
         expected = 1.0 / (math.e - 1.0)
