@@ -306,6 +306,7 @@ def delta_qs_displacements(
     Independent of temperature: both orders displace the thermal state by
     a1 + a2 up to a phase.
     """
+    ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     alpha_sum = a1.alpha + a2.alpha
     phase = t_phase + c.phi
     shift = 2.0 * a1.alpha_abs * a2.alpha_abs * math.sin(a1.alpha_phase - a2.alpha_phase)
@@ -317,12 +318,14 @@ def delta_qs_displacements(
 def delta_qs_displacements_symmetric(omega: float, t_abs: float, alpha_abs: float) -> float:
     """The |a1| = |a2| = |a|, theta = pc = 0, p1 - p2 = tc = pi/2 slice:
     2 (w |a|^2 - |t| sin^2(|a|^2))."""
+    ControlHamiltonianParams(omega, t_abs)  # rejects a non-finite coupling
     return 2.0 * (omega * alpha_abs**2 - t_abs * math.sin(alpha_abs**2) ** 2)
 
 
 def alpha_min(omega: float, t_abs: float) -> float:
     """Stationary minimum of the symmetric-slice energy difference:
     sqrt((pi - arcsin(w/|t|)) / 2).  Requires |t| >= w."""
+    ControlHamiltonianParams(omega, t_abs)  # rejects a non-finite coupling
     if t_abs < omega:
         raise NoSolutionError(
             f"no stationary point below |t| = omega (got t_abs={t_abs!r}, omega={omega!r})"
@@ -517,6 +520,7 @@ def delta_qs_disp_squeeze(
     delta_21 + cos^2(tc/2) (E12 - E21)
     + |t| sin(tc) Re{ e^{-i(theta + pc)} (chi - 1) }.
     """
+    ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     t = _disp_squeeze_terms(omega, beta, a, s)
     d21 = t.e21 - omega * (t.n_th + 0.5)
     phase = t_phase + c.phi
@@ -543,6 +547,7 @@ def delta_qs_disp_squeeze_tabulated(
     (the value does not vanish for identity unitaries), and the
     cos^2(tc/2) w |a|^2 (cosh 2|z| - 1) contribution is absent.
     """
+    ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     t = _disp_squeeze_terms(omega, beta, a, s)
     rel = s.z_phase - 2.0 * a.alpha_phase
     phase = t_phase + c.phi
@@ -636,6 +641,7 @@ def n_m_xi0_tabulated(
     exponent -2 |a|^2 sinh^2(|z|/2)(cosh|z| - sinh|z|).  This equals the
     zero-occupation limit only: the (2 nth + 1) factor is absent, so it
     disagrees with the oracle at finite temperature."""
+    DisplacementParams(alpha_abs), SqueezeParams(z_abs)  # reject a negative or non-finite magnitude
     del beta, omega  # the tabulated exponent ignores the thermal occupation
     expo = -2.0 * alpha_abs**2 * math.sinh(z_abs / 2.0) ** 2 * (
         math.cosh(z_abs) - math.sinh(z_abs)
@@ -659,6 +665,7 @@ def n_m_xipi_tabulated(
     """Tabulated xi-2phi = pi post-selection probability:
     exponent -(|a|^2/2)(e^{|z|} - 1)^2 (2 nth + 1).  Consistent with the
     closed-form chi at this slice."""
+    DisplacementParams(alpha_abs), SqueezeParams(z_abs)  # reject a negative or non-finite magnitude
     n_th = _n_th(beta, omega)
     expo = -0.5 * alpha_abs**2 * (math.exp(z_abs) - 1.0) ** 2 * (2.0 * n_th + 1.0)
     psi = m.phi - c.phi

@@ -19,24 +19,14 @@ objectives assemble their scalars with the switchcore kernel.
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
 flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
-functional and are fixed to zero during optimization.  The starts of one
-call are independent, so they run in a persistent fork pool of
+functional and are fixed to zero during optimization.  The starts are
+uniform points drawn from np.random.default_rng(seed).  They are
+independent, so they run in a persistent fork pool of
 min(usable CPUs, starts, 8) workers and are merged in start order: the
-result is bit-identical for every worker count.  The starts are scrambled
-Sobol points computed in this module (_sobol_starts), equal bit for bit
-to scipy's qmc.Sobol points, so the module does not import scipy.stats.
-Each start runs an in-module simplex loop on Python lists that repeats
-the iterates of scipy 1.17's Nelder-Mead (adaptive=False, no bounds) bit
-for bit, without its per-evaluation array bookkeeping; for both, scipy
-stays in the tests as the reference.
-
-One objective evaluation makes a single numpy call that does arithmetic:
-the stacked 2x2 product that gives both orderings of the pair.  It stays
-in numpy because OpenBLAS's zgemm rounds with fused multiply-adds, which
-Python arithmetic cannot reproduce.  Every other operation is on Python
-floats and complex numbers, written in the order and form of the numpy
-scalar code it replaced (Python `%` for np.mod, abs(z) ** 2, never
-z.real ** 2 + z.imag ** 2), so every objective value keeps its bits.
+result is bit-identical for every worker count.  Each start runs a small
+simplex loop on Python lists, and each objective evaluation is Python
+float and complex arithmetic on the two 2x2 products of the pair, with no
+array.
 """
 from __future__ import annotations
 
@@ -45,7 +35,6 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -81,13 +70,6 @@ _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
 _XATOL, _FATOL = 1e-10, 1e-12
 _MAX_WORKERS = 8
 _TWO_PI = 2.0 * math.pi
-# The first six Sobol dimensions (Joe and Kuo, SIAM J. Sci. Comput. 30,
-# 2635, 2008): primitive polynomials with the leading term, their initial
-# direction numbers, and the bit depth scipy's qmc.Sobol uses by default.
-_SOBOL_POLYS = (1, 3, 7, 11, 13, 19)
-_SOBOL_INITIAL = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
-_SOBOL_BITS = 30
-_SOBOL_SCALE = 1.0 / (1 << _SOBOL_BITS)
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -198,6 +180,7 @@ def delta_qs_rotations(
     cross_check is true (default) the generic matrix path is evaluated too
     and a mismatch beyond TOL_ENERGY raises.
     """
+    ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     tau = _tanh_half(beta, omega)
     ax, ay = r.alpha_x, r.alpha_y
     phase = t_phase + c.phi
@@ -338,80 +321,25 @@ def _rzyz_entries(lam: float, gamma: float, delta: float) -> tuple[complex, ...]
     return ez_l * cg * ez_d, -ez_l * sg * ez_dc, ez_lc * sg * ez_d, ez_lc * cg * ez_dc
 
 
-def _sobol_directions() -> np.ndarray:
-    """The unscrambled direction numbers v[d, j] of the first six Sobol
-    dimensions, each a _SOBOL_BITS-bit integer with its leading bit at
-    position _SOBOL_BITS - 1 - j (Bratley and Fox's recurrence, ACM TOMS
-    14, 88, 1988, on Joe and Kuo's primitive polynomials and initial
-    numbers).  Dimension 0, the constant polynomial, is van der Corput."""
-    rows = []
-    for poly, init in zip(_SOBOL_POLYS, _SOBOL_INITIAL):
-        deg = poly.bit_length() - 1
-        v = list(init) if deg else [1] * _SOBOL_BITS
-        for j in range(len(v), _SOBOL_BITS):
-            new = v[j - deg]
-            for k in range(deg):
-                if (poly >> (deg - 1 - k)) & 1:
-                    new ^= v[j - k - 1] << (k + 1)
-            v.append(new)
-        rows.append([m << (_SOBOL_BITS - 1 - j) for j, m in enumerate(v)])
-    return np.array(rows, dtype=np.int64)
-
-
-_SOBOL_MSB_FIRST = np.int64(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.int64)
-# v_bits[d, j, m]: bit m of v[d, j], most significant first.
-_SOBOL_V_BITS = (_sobol_directions()[:, :, None] & _SOBOL_MSB_FIRST) != 0
-
-
-def _sobol_starts(n_starts: int, seed: int) -> np.ndarray:
-    """First n_starts rows of a scrambled Sobol stream, scaled to [0, 2pi)^6.
-
-    The rows are those of scipy's `qmc.Sobol(d=6, scramble=True,
-    seed=seed).random(n_draw)[:n_starts]`, bit for bit, with n_draw the
-    next power of two (which keeps the generator's balance guarantees; a
-    row does not depend on n_draw).  The scramble is Matousek's linear
-    matrix scramble plus a digital shift, drawn as scipy draws it from
-    `np.random.default_rng(seed)`: first the shift bits, then the
-    lower-triangular bit matrices L_d, whose diagonal is set to 1.  The
-    scrambled direction numbers are L_d times the most-significant-first
-    bit vector of each v[d, j], mod 2.  Row i is the shift XOR the
-    scrambled numbers at the set bits of i's Gray code, walked one bit
-    flip per row.  The rule is deterministic in (n_starts, seed).
-    """
-    rng = np.random.default_rng(seed)
-    shift_bits = rng.integers(0, 2, (6, _SOBOL_BITS), dtype=np.uint32)
-    lms = np.tril(rng.integers(0, 2, (6, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    lms[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
-    v = (np.einsum("dpm,djm->djp", lms, _SOBOL_V_BITS, dtype=np.int64) & 1) @ _SOBOL_MSB_FIRST
-    x = (shift_bits.astype(np.int64) @ _SOBOL_MSB_FIRST[::-1]).tolist()
-    columns = v.tolist()
-    rows = []
-    for i in range(n_starts):
-        rows.append(x)
-        bit = (~i & (i + 1)).bit_length() - 1  # the lowest zero bit of i
-        x = [xd ^ vd[bit] for xd, vd in zip(x, columns)]
-    return np.array(rows, dtype=float).reshape(n_starts, 6) * _SOBOL_SCALE * _TWO_PI
+def _starts(n_starts: int, seed: int) -> list[list[float]]:
+    """The first n_starts start points, uniform on [0, 2pi)^6.  The stream
+    is np.random.default_rng(seed)'s, so a larger n_starts only appends
+    points."""
+    return np.random.default_rng(seed).uniform(0.0, _TWO_PI, (n_starts, 6)).tolist()
 
 
 def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):
     """Shared objective kernel: the orderings W12 = U2 U1 and W21 = U1 U2 of
-    the pair at angles x, as nested lists of Python complex numbers, with
+    the pair at angles x, as nested tuples of Python complex numbers, with
     E12, E21 and chi for a diagonal qubit state of populations (p0, p1).
-
-    Hot path: one numpy call does arithmetic, the stacked product
-    [U2, U1] @ [U1, U2].  It goes through the same OpenBLAS zgemm as a
-    single 2x2 `@`, whose kernel rounds with fused multiply-adds, so a
-    Python 2x2 product would not reproduce its bits.  Everything else is
-    Python float/complex arithmetic in the left-to-right order of the numpy
-    scalar code it replaced, which it matches bit for bit: `%` equals
-    np.mod on floats, and abs(z) ** 2 calls C hypot and pow for numpy and
-    Python scalars alike (z.real**2 + z.imag**2 would round differently).
-    """
+    Hot path: Python float and complex arithmetic only, no array."""
     l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x]
-    pair = np.array(
-        [*_rzyz_entries(l2, g2, d2), *_rzyz_entries(l1, g1, d1)], dtype=complex
-    ).reshape(2, 2, 2)
-    w12, w21 = np.matmul(pair, pair[::-1]).tolist()
+    a00, a01, a10, a11 = _rzyz_entries(l1, g1, d1)
+    b00, b01, b10, b11 = _rzyz_entries(l2, g2, d2)
+    w12 = ((b00 * a00 + b01 * a10, b00 * a01 + b01 * a11),
+           (b10 * a00 + b11 * a10, b10 * a01 + b11 * a11))
+    w21 = ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+           (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
     e12 = omega * (abs(w12[1][0]) ** 2 * p0 + abs(w12[1][1]) ** 2 * p1)
     e21 = omega * (abs(w21[1][0]) ** 2 * p0 + abs(w21[1][1]) ** 2 * p1)
     x_chi = p0 * (w12[0][0] * w21[0][0].conjugate() + w12[1][0] * w21[1][0].conjugate()) + p1 * (
@@ -423,7 +351,7 @@ def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):
 class _DeltaQsObjective(NamedTuple):
     """delta_qs of a U(2) pair as a function of its six angles.  A
     module-level value, so that it pickles into pool workers; products of
-    constants are precomputed in their left-to-right evaluation order."""
+    constants are precomputed."""
 
     omega: float
     p0: float
@@ -468,6 +396,7 @@ def _thermal_populations(omega: float, beta: float) -> tuple[float, float]:
 def _delta_qs_objective(
     omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState
 ) -> _DeltaQsObjective:
+    ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     p0, p1 = _thermal_populations(omega, beta)
     rc01 = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
     return _DeltaQsObjective(
@@ -488,28 +417,17 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for after the start's budget ran out."""
 
 
-def _argsort(f: list[float]) -> list[int]:
-    """np.argsort(f).  Distinct values have one ascending order, which a
-    Python sort finds; ties (and NaN) go to np.argsort, which is not stable,
-    so only it repeats its own order."""
-    order = sorted(range(len(f)), key=f.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if not f[a] < f[b]:
-            return np.argsort(f).tolist()
-    return order
-
-
 def _simplex_minimize(objective, x0: list[float], maxfev: int):
-    """Nelder-Mead as scipy 1.17's `_minimize_neldermead` runs it with
-    adaptive=False, no bounds, xatol = _XATOL and fatol = _FATOL, repeating
-    its iterates bit for bit on Python lists: the same initial simplex, the
-    same elementwise expressions in the same order (the centroid summed row
-    by row, as np.add.reduce does along axis 0; never Python's sum(), which
-    compensates on 3.12), the same vertex order and the same maxfev rule.
-    An evaluation past the budget raises _BudgetSpent, which ends the step
-    with nothing stored; an interrupted shrink keeps the vertices it moved.
-    Returns scipy's final simplex (vertices best first, and their scores),
-    nfev and the number of evaluations scored +inf."""
+    """Nelder-Mead (Nelder and Mead, Comput. J. 7, 308, 1965) on Python
+    lists, with reflection, expansion, contraction and shrink coefficients
+    1, 2, 1/2 and 1/2, stopped when every vertex lies within _XATOL of the
+    best in each coordinate and within _FATOL of it in score, or when the
+    budget is spent.  The initial simplex steps each nonzero coordinate by
+    5% and each zero one by 0.00025.  An evaluation past the budget raises
+    _BudgetSpent, which ends the step with nothing stored, so nfev never
+    exceeds maxfev; an interrupted shrink keeps the vertices it moved.
+    Returns the final simplex (vertices best first, and their scores), nfev
+    and the number of evaluations scored +inf."""
     n = len(x0)
     nfev = divergent = 0
 
@@ -534,24 +452,17 @@ def _simplex_minimize(objective, x0: list[float], maxfev: int):
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    for _ in range(2):  # scipy sorts in a `finally` and once more after it
-        order = _argsort(fsim)
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-
-    while nfev < maxfev:
         best, worst = sim[0], sim[-1]
-        # The first test is one term of the last and only rejects early.
-        if (
-            abs(fsim[0] - fsim[-1]) <= _FATOL
+        if nfev >= maxfev or (
+            fsim[-1] - fsim[0] <= _FATOL
             and all(abs(v - b) <= _XATOL for row in sim[1:] for v, b in zip(row, best))
-            and all(abs(fsim[0] - v) <= _FATOL for v in fsim[1:])
         ):
-            break
+            return sim, fsim, nfev, divergent
         try:
-            acc = best
-            for row in sim[1:-1]:
-                acc = map(add, acc, row)
-            xbar = [s / n for s in acc]
+            xbar = [math.fsum(col) / n for col in zip(*sim[:-1])]
             xr = [(1 + _REFLECT) * b - _REFLECT * w for b, w in zip(xbar, worst)]
             fxr = f(xr)
             shrink = False
@@ -590,19 +501,14 @@ def _simplex_minimize(objective, x0: list[float], maxfev: int):
                     fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        order = _argsort(fsim)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return sim, fsim, nfev, divergent
 
 
-def _nelder_mead_start(task: tuple) -> tuple[float, np.ndarray, int, int]:
+def _nelder_mead_start(task: tuple) -> tuple[float, list[float], int, int]:
     """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
     scored +inf).  Module-level so that pool workers can run it."""
     objective, x0 = task
-    sim, fsim, nfev, divergent = _simplex_minimize(objective, x0.tolist(), _EVALS_PER_START)
-    # scipy reports the best vertex with np.min of the scores, which can
-    # differ from the best vertex's score in the sign of a zero.
-    return float(np.min(fsim)), np.mod(sim[0], _TWO_PI), nfev, divergent
+    sim, fsim, nfev, divergent = _simplex_minimize(objective, x0, _EVALS_PER_START)
+    return fsim[0], [v % _TWO_PI for v in sim[0]], nfev, divergent
 
 
 def _pool_workers(n_starts: int) -> int:
@@ -649,24 +555,25 @@ def _multistart_minimize(objective, budget: int, seed: int):
     """Shared multi-start Nelder-Mead driver.
 
     The work schedule is an extendable sequence: every start gets exactly
-    _EVALS_PER_START evaluations and a larger budget only appends starts,
-    so the best value is non-increasing in budget.  Starts run in the fork
-    pool (in-process when _pool_workers gives 1) and are consumed in start
-    order, ties going to the lower index, so the result does not depend on
-    the worker count.  Returns (best value, the best pair with global
-    phases zero, evaluations, evaluations scored +inf, starts).
+    _EVALS_PER_START evaluations and a larger budget only appends starts
+    (_starts is prefix-stable), so the best value is non-increasing in
+    budget.  Starts run in the fork pool (in-process when _pool_workers
+    gives 1) and are consumed in start order, ties going to the lower
+    index, so the result does not depend on the worker count.  Returns
+    (best value, the best pair with global phases zero, evaluations,
+    evaluations scored +inf, starts).
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000 evaluations, got {budget}")
     n_starts = budget // _EVALS_PER_START
-    tasks = [(objective, x0) for x0 in _sobol_starts(n_starts, seed)]
+    tasks = [(objective, x0) for x0 in _starts(n_starts, seed)]
     workers = _pool_workers(n_starts)
     if workers > 1:
         outcomes = _start_pool(workers).imap(_nelder_mead_start, tasks, chunksize=1)
     else:
         outcomes = map(_nelder_mead_start, tasks)
     evaluations = divergent = 0
-    best: tuple[float, int, np.ndarray] | None = None
+    best: tuple[float, int, list[float]] | None = None
     for idx, (fun, x, nfev, start_divergent) in enumerate(outcomes):
         evaluations += nfev
         divergent += start_divergent

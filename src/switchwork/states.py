@@ -57,8 +57,8 @@ class QubitSystemParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ class ControlHamiltonianParams:
     t_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if self.t_abs < 0:
-            raise ValueError("t_abs must be non-negative")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if not (0 <= self.t_abs < math.inf and math.isfinite(self.t_phase)):
+            raise ValueError(f"need a finite t_abs >= 0 and a finite t_phase, got {self!r}")
 
     @property
     def t(self) -> complex:

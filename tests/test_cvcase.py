@@ -53,7 +53,8 @@ from switchwork.cvcase import (
     squeeze_faithful_block,
     squeeze_op,
 )
-from switchwork.states import BlochState, ThermalParams
+from switchwork.qubitcase import RotationParams, delta_qs_rotations, minimize_delta_qs_u2
+from switchwork.states import BlochState, ControlHamiltonianParams, QubitSystemParams, ThermalParams
 from switchwork.switchcore import (
     NearZeroPostSelectionError,
     activation_report,
@@ -449,6 +450,37 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="omega"):
             delta_qs_disp_squeeze(math.inf, 1.0, 0.5, 0.0, a, s, _EQ)
         assert math.isfinite(delta_sm_disp_squeeze(1.0, math.inf, a, s, _EQ, _EQ))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ControlHamiltonianParams(1.0, math.nan, math.inf), "t_abs"),
+            (lambda: QubitSystemParams(math.inf), "omega must be positive and finite"),
+            (lambda: delta_qs_disp_squeeze(1.0, 1.0, math.nan, 0.0, _A, _S, _C), "t_abs"),
+            (lambda: delta_qs_disp_squeeze_tabulated(1.0, 1.0, math.nan, 0.0, _A, _S, _C), "t_abs"),
+            (lambda: delta_qs_displacements(1.0, math.nan, 0.0, _A, _A, _C), "t_abs"),
+            (lambda: delta_qs_displacements_symmetric(1.0, math.inf, 0.5), "t_abs"),
+            (lambda: alpha_min(1.0, math.nan), "t_abs"),
+            (lambda: delta_qs_rotations(1.0, 1.0, math.nan, 0.0, RotationParams(1.0, 2.0), _C), "t_abs"),
+            (lambda: minimize_delta_qs_u2(1.0, 1.0, math.nan, 0.0, _C, budget=1000), "t_abs"),
+            (lambda: n_m_xi0_tabulated(1.0, 1.0, -2.0, 0.3, _C, _M), "alpha_abs"),
+            (lambda: n_m_xipi_tabulated(1.0, 1.0, 0.5, math.nan, _C, _M), "z_abs"),
+            (lambda: delta_sm_xipi_tabulated(1.0, 1.0, math.nan, 0.3, _C, _M), "alpha_abs"),
+            (lambda: delta_sm_xi0_tabulated(1.0, 1.0, 0.5, math.nan, _C, _M), "z_abs"),
+        ],
+        ids=[
+            "control_record", "qubit_system_record", "delta_qs_disp_squeeze",
+            "delta_qs_disp_squeeze_tabulated", "delta_qs_displacements",
+            "delta_qs_displacements_symmetric", "alpha_min", "delta_qs_rotations",
+            "minimize_delta_qs_u2", "n_m_xi0_tabulated", "n_m_xipi_tabulated",
+            "delta_sm_xipi_tabulated", "delta_sm_xi0_tabulated",
+        ],
+    )
+    def test_bare_float_forms_reject_a_bad_coupling_or_magnitude(self, call, message):
+        """Every form that takes the coupling or a magnitude as a bare float
+        validates it through its parameter record before any arithmetic."""
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 _A, _S = DisplacementParams(0.7, 0.9), SqueezeParams(0.5, 0.4)

@@ -182,6 +182,36 @@ class TestFigureValues:
         assert all(row[i_x] == 0.0 and row[i_phi] == math.pi for row in divergent)
 
 
+def _baseline_rows(figure_id: str) -> list[list[float]]:
+    lines = baseline_path(figure_id).read_text(encoding="utf-8").strip().split("\n")
+    return [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+
+
+class TestOptimizerBaselinesMeetTheBounds:
+    """fig3 and fig4 against the U(2) minima in closed form, which do not
+    depend on the optimizer.  Both figures use omega = 1 and the control
+    (pi/2, 0), so theta' is fig3's coupling phase."""
+
+    def test_fig3_rows_equal_the_delta_qs_bound(self):
+        # min delta_qs = -|t| sin(theta_c) (cos theta' + sqrt(cos^2 theta'
+        # + tau^2 sin^2 theta')), tau = tanh(beta omega / 2).
+        rows = _baseline_rows("fig3")
+        assert len(rows) == 72
+        for beta, theta, t_abs, value, _, _ in rows:
+            tau = math.tanh(beta / 2.0)
+            c, s = math.cos(theta), math.sin(theta)
+            bound = -t_abs * (c + math.sqrt(c * c + tau * tau * s * s))
+            assert abs(value - bound) <= 1e-12, (beta, theta, t_abs)
+
+    def test_fig4_rows_off_the_real_axis_equal_minus_e_s(self):
+        # delta_sm >= -E_S, attained on the equator where sin(phi_m) != 0.
+        rows = [row for row in _baseline_rows("fig4") if abs(math.sin(row[1])) > 1e-9]
+        assert len(rows) == 18
+        for beta, phi_m, value, _ in rows:
+            e_s = math.exp(-beta) / (1.0 + math.exp(-beta))
+            assert abs(value + e_s) <= 1e-12, (beta, phi_m)
+
+
 class TestEmission:
     def test_default_output_name_is_figure_id(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

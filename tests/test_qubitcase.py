@@ -2,18 +2,14 @@
 multi-start optimizers."""
 from __future__ import annotations
 
-import linecache
 import math
 import multiprocessing
 import pickle
-import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import minimize as scipy_minimize
-from scipy.stats import qmc
 
 from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
@@ -37,11 +33,8 @@ from switchwork.switchcore import (
     NearZeroPostSelectionError,
     activation_report,
     assemble_nm,
-    assemble_qs,
-    assemble_sm,
     measure_control,
     measurement_angles,
-    post_selection_vanishes,
 )
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
@@ -264,7 +257,7 @@ class TestU2Optimizers:
 _stub_divergent_calls = 0
 
 
-def _half_divergent_stub(x: np.ndarray) -> float:
+def _half_divergent_stub(x: list[float]) -> float:
     """+inf wherever the first angle lies in [0, pi) (mod 2 pi), else a
     smooth bowl; counts its +inf returns in the calling process."""
     global _stub_divergent_calls
@@ -274,10 +267,10 @@ def _half_divergent_stub(x: np.ndarray) -> float:
     return float(np.sum(np.cos(x)))
 
 
-_FIRST_START_ANGLE = qubitcase._sobol_starts(4, 3)[0, 0]  # the others lie > 1 rad away
+_FIRST_START_ANGLE = qubitcase._starts(4, 3)[0][0]  # the others lie > 2 rad away
 
 
-def _flat_slow_first_stub(x: np.ndarray) -> float:
+def _flat_slow_first_stub(x: list[float]) -> float:
     """Constant, so every start ties; slow near the first start, so that it
     finishes last in a pool."""
     if abs(x[0] - _FIRST_START_ANGLE) < 0.5:
@@ -285,7 +278,7 @@ def _flat_slow_first_stub(x: np.ndarray) -> float:
     return 0.0
 
 
-def _failing_stub(x: np.ndarray) -> float:
+def _failing_stub(x: list[float]) -> float:
     raise ValueError("stub objective failed at the first evaluation")
 
 
@@ -331,7 +324,7 @@ class TestMultistartPool:
         _force_workers(monkeypatch, 2)
         value, params, _, _, starts = qubitcase._multistart_minimize(_flat_slow_first_stub, 2000, 3)
         assert starts == 4
-        first = qubitcase._nelder_mead_start((_flat_slow_first_stub, qubitcase._sobol_starts(4, 3)[0]))
+        first = qubitcase._nelder_mead_start((_flat_slow_first_stub, qubitcase._starts(4, 3)[0]))
         assert value == first[0] == 0.0
         x = first[1]
         assert params == (U2Params(0.0, *x[:3]), U2Params(0.0, *x[3:]))
@@ -352,232 +345,44 @@ class TestMultistartPool:
         assert qubitcase._pool_workers(16) == 1
 
 
-def _terraced_stub(x) -> float:
-    """Piecewise constant in steps of 0.05 rad, so nearby vertices tie at
-    finite values."""
-    return float(math.floor(20.0 * x[0]) + 2 * math.floor(20.0 * x[1]) % 7)
-
-
-_ZERO_START = qubitcase._sobol_starts(1, 0)[0]
-
-
-def _signed_zero_stub(x) -> float:
-    """-0.0 at _ZERO_START, the best vertex throughout, and 0.0 elsewhere:
-    every score ties, and np.min of the scores is 0.0."""
-    return -0.0 if x == _ZERO_START.tolist() else 0.0
-
-
 def _divergent_stub(x) -> float:
     return math.inf
 
 
-# The line of scipy's Nelder-Mead loop that asks for each kind of step.
-_STEP_CALLS = {
-    "expansion": "func(xe)",
-    "outside contraction": "func(xc)",
-    "inside contraction": "func(xcc)",
-    "shrink": "func(sim[j])",
-}
+class TestStarts:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=_SEED, n=st.integers(0, 64), extra=st.integers(1, 64))
+    def test_starts_lie_on_the_torus_and_extend_by_appending(self, seed, n, extra):
+        longer = qubitcase._starts(n + extra, seed)
+        assert len(longer) == n + extra and all(len(x) == 6 for x in longer)
+        assert all(0.0 <= v < 2.0 * math.pi for x in longer for v in x)
+        assert qubitcase._starts(n, seed) == longer[:n]
 
 
-def _scipy_nelder_mead(objective, x0: np.ndarray, maxfev: int):
-    """The reference: scipy's Nelder-Mead with the optimizer's settings.
-    Returns its result, the number of evaluations scored +inf and, per
-    evaluation, the source line of scipy's loop that asked for it."""
-    divergent = 0
-    callers = []
-
-    def counted(x: np.ndarray) -> float:
-        nonlocal divergent
-        frame = sys._getframe(2)  # counted <- scipy's counting wrapper <- its loop
-        callers.append(linecache.getline(frame.f_code.co_filename, frame.f_lineno))
-        value = objective(x.tolist())
-        divergent += value == math.inf
-        return value
-
-    with np.errstate(invalid="ignore"):  # scipy subtracts inf from inf on a +inf simplex
-        res = scipy_minimize(
-            counted, x0, method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12, "adaptive": False},
-        )
-    return res, divergent, callers
-
-
-class TestSimplexMatchesScipy:
-    """The in-module simplex loop repeats scipy's iterates bit for bit, also
-    where the budget runs out in the middle of a step."""
-
-    def _assert_same(self, objective, x0: np.ndarray, maxfev: int) -> list[str]:
-        """The final simplex, its scores, nfev and the +inf count agree."""
-        res, divergent, callers = _scipy_nelder_mead(objective, x0, maxfev)
-        want = (*(a.tolist() for a in res.final_simplex), res.nfev, divergent)
-        got = qubitcase._simplex_minimize(objective, x0.tolist(), maxfev)
-        assert got == want and repr(got) == repr(want), maxfev
-        return callers
-
-    def _check_start(self, objective, x0: np.ndarray) -> set[str]:
-        """The optimizer's start against scipy's result; then budgets that
-        run out in the initial simplex, at the first evaluation of each kind
-        of step and at the third evaluation of the first shrink, whose
-        vertex has moved but keeps its old score.  Returns the kinds of step
-        that were cut."""
-        res, divergent, _ = _scipy_nelder_mead(objective, x0, qubitcase._EVALS_PER_START)
-        want = (float(res.fun), np.mod(res.x, 2.0 * math.pi).tolist(), int(res.nfev), divergent)
-        fun, x, nfev, start_divergent = qubitcase._nelder_mead_start((objective, x0))
-        got = (fun, x.tolist(), nfev, start_divergent)
-        assert got == want and repr(got) == repr(want)
-        callers = self._assert_same(objective, x0, qubitcase._EVALS_PER_START)
-        self._assert_same(objective, x0, 3)
-        cut = set()
-        for kind, call in _STEP_CALLS.items():
-            first = next((i for i, line in enumerate(callers) if call in line), None)
-            if first is not None:
-                self._assert_same(objective, x0, first)
-                cut.add(kind)
-        first = next((i for i, line in enumerate(callers) if "func(sim[j])" in line), None)
-        if first is not None:
-            assert "func(sim[j])" in callers[first + 2]
-            self._assert_same(objective, x0, first + 2)
-        return cut
-
-    def test_delta_qs_starts(self):
-        cut = set()
-        for i, beta in enumerate(_BETAS):
-            objective = qubitcase._delta_qs_objective(1.0, beta, 1.3, 0.4, BlochState(1.1, 0.5))
-            for x0 in qubitcase._sobol_starts(2, i):
-                cut |= self._check_start(objective, x0)
-        assert cut == set(_STEP_CALLS)
-
-    def test_delta_sm_starts(self):
-        # The anti-aligned measurement scores +inf on part of the torus.
-        c = BlochState(1.2, 0.3)
-        cut = set()
-        for i, beta in enumerate(_BETAS):
-            for m in (BlochState(1.0, 2.0), BlochState(math.pi - 1.2, 0.3 + math.pi)):
-                objective = qubitcase._delta_sm_objective(1.0, beta, c, m)
-                for x0 in qubitcase._sobol_starts(1, i):
-                    cut |= self._check_start(objective, x0)
-        assert cut == set(_STEP_CALLS)
-
-    def test_finite_ties_keep_numpys_order(self, monkeypatch):
-        tied = 0
-        argsort = qubitcase._argsort
-
-        def counting_argsort(f):
-            nonlocal tied
-            tied += len(set(f)) < len(f)
-            return argsort(f)
-
-        monkeypatch.setattr(qubitcase, "_argsort", counting_argsort)
-        for x0 in qubitcase._sobol_starts(4, 2):
-            self._check_start(_terraced_stub, x0)
-        assert tied >= 100
-
-    def test_signed_zero_scores(self):
-        self._check_start(_signed_zero_stub, _ZERO_START)
-        fun, x, _, _ = qubitcase._nelder_mead_start((_signed_zero_stub, _ZERO_START))
-        assert repr(fun) == "0.0" and np.array_equal(x, _ZERO_START)
-
+class TestSimplex:
     def test_all_divergent_start(self):
-        x0 = qubitcase._sobol_starts(1, 0)[0]
-        self._check_start(_divergent_stub, x0)
+        x0 = qubitcase._starts(1, 0)[0]
         fun, _, nfev, divergent = qubitcase._nelder_mead_start((_divergent_stub, x0))
         assert fun == math.inf and nfev == divergent == qubitcase._EVALS_PER_START
 
+    @pytest.mark.parametrize("maxfev", [3, 7, 13])
+    def test_evaluations_never_exceed_the_budget(self, maxfev):
+        """Budgets that run out inside the initial simplex, right after it
+        and inside a later step."""
+        objective = qubitcase._delta_qs_objective(1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5))
+        calls = 0
 
-class TestSobolMatchesScipy:
-    """The in-module scrambled Sobol starts are scipy's qmc.Sobol points,
-    drawn at the next power of two and truncated, bit for bit."""
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return objective(x)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 1024))
-    def test_starts_equal_scipy_stream(self, seed, n):
-        n_draw = 1 << (n - 1).bit_length()
-        want = qmc.Sobol(d=6, scramble=True, seed=seed).random(n_draw)[:n] * (2.0 * math.pi)
-        got = qubitcase._sobol_starts(n, seed)
-        assert got.shape == want.shape and np.array_equal(got, want)
-
-
-def _numpy_rzyz(lam, gamma, delta) -> np.ndarray:
-    """R_z(lam) R_y(gamma) R_z(delta) as a numpy array."""
-    cl, sl = math.cos(lam / 2.0), math.sin(lam / 2.0)
-    cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    cd, sd = math.cos(delta / 2.0), math.sin(delta / 2.0)
-    ez_l, ez_lc = complex(cl, -sl), complex(cl, sl)
-    ez_d, ez_dc = complex(cd, -sd), complex(cd, sd)
-    return np.array(
-        [[ez_l * cg * ez_d, -ez_l * sg * ez_dc], [ez_lc * sg * ez_d, ez_lc * cg * ez_dc]],
-        dtype=complex,
-    )
-
-
-def _numpy_pair_terms(x, omega, p0, p1):
-    """The U(2) objective kernel written with np.mod, two 2x2 `@` products
-    and numpy-scalar arithmetic: the bit reference for _u2_pair_terms."""
-    w = np.mod(x, 2.0 * math.pi)
-    u1, u2 = _numpy_rzyz(w[0], w[1], w[2]), _numpy_rzyz(w[3], w[4], w[5])
-    w12, w21 = u2 @ u1, u1 @ u2
-    e12 = omega * (abs(w12[1, 0]) ** 2 * p0 + abs(w12[1, 1]) ** 2 * p1)
-    e21 = omega * (abs(w21[1, 0]) ** 2 * p0 + abs(w21[1, 1]) ** 2 * p1)
-    x_chi = p0 * (w12[0, 0] * w21[0, 0].conjugate() + w12[1, 0] * w21[1, 0].conjugate()) + p1 * (
-        w12[0, 1] * w21[0, 1].conjugate() + w12[1, 1] * w21[1, 1].conjugate()
-    )
-    return w12, w21, e12, e21, x_chi
-
-
-def _numpy_delta_qs(o, x):
-    _, _, e12, e21, x_chi = _numpy_pair_terms(x, o.omega, o.p0, o.p1)
-    return assemble_qs(o.rc00, o.rc11, o.k, x_chi, e12 - o.e_s, e21 - o.e_s)[0]
-
-
-def _numpy_delta_sm(o, x):
-    w12, w21, e12, e21, x_chi = _numpy_pair_terms(x, o.omega, o.p0, o.p1)
-    f_s = o.omega * (o.p0 * w12[1, 0] * w21[1, 0].conjugate() + o.p1 * w12[1, 1] * w21[1, 1].conjugate())
-    n_m, bracket = assemble_sm(o.angles, x_chi, e12 - o.e_s, e21 - o.e_s, f_s - x_chi * o.e_s)
-    if post_selection_vanishes(n_m):
-        return math.inf
-    return bracket / n_m
+        sim, fsim, nfev, _ = qubitcase._simplex_minimize(counted, qubitcase._starts(1, 2)[0], maxfev)
+        assert calls == nfev == maxfev
+        assert fsim == sorted(fsim) and fsim[0] == objective(sim[0])
 
 
 _BETAS = (0.2, 1.0, math.inf)
-
-
-def _bit_pin_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Angles in [-10, 20), so the wrap to [0, 2 pi) acts; every third pair
-    has U1 = U2, which commute."""
-    x = rng.uniform(-10.0, 20.0, size=(n, 6))
-    x[::3, 3:] = x[::3, :3]
-    return x
-
-
-class TestObjectiveKernelBits:
-    """The objectives equal the numpy-scalar kernel bit for bit."""
-
-    def _assert_bits_equal(self, objective, reference, points) -> int:
-        """Compare at every point; return how many scored +inf."""
-        infinite = 0
-        for x in points:
-            got, want = objective(x.tolist()), reference(objective, x)
-            assert got == want and repr(got) == repr(float(want)), x
-            infinite += got == math.inf
-        return infinite
-
-    def test_delta_qs(self, rng):
-        for beta in _BETAS:
-            objective = qubitcase._delta_qs_objective(1.0, beta, 1.3, 0.4, BlochState(1.1, 0.5))
-            self._assert_bits_equal(objective, _numpy_delta_qs, _bit_pin_points(rng, 700))
-
-    def test_delta_sm(self, rng):
-        # The anti-aligned pair scores +inf at the commuting points.
-        c = BlochState(1.2, 0.3)
-        infinite = 0
-        for beta in _BETAS:
-            for m in (BlochState(1.0, 2.0), BlochState(math.pi - 1.2, 0.3 + math.pi)):
-                objective = qubitcase._delta_sm_objective(1.0, beta, c, m)
-                infinite += self._assert_bits_equal(objective, _numpy_delta_sm, _bit_pin_points(rng, 350))
-        assert infinite >= 300
-
-
 _ANGLES6 = st.lists(st.floats(min_value=-10.0, max_value=20.0), min_size=6, max_size=6)
 _BLOCH = st.builds(
     BlochState,

@@ -155,6 +155,19 @@ class TestHamiltonians:
         t = 0.8 * np.exp(1j * 0.3)
         assert np.allclose(h, np.array([[0.0, t], [t.conjugate(), 1.0]]))
 
+    @pytest.mark.parametrize(
+        "omega, t_abs, t_phase",
+        [(1.0, math.nan, 0.0), (1.0, math.inf, 0.0), (1.0, 0.5, math.nan), (1.0, 0.5, -math.inf),
+         (math.inf, 0.5, 0.0)],
+    )
+    def test_control_record_rejects_a_non_finite_parameter(self, omega, t_abs, t_phase):
+        with pytest.raises(ValueError, match="finite"):
+            ControlHamiltonianParams(omega, t_abs, t_phase)
+
+    def test_qubit_system_record_rejects_infinite_omega(self):
+        with pytest.raises(ValueError, match="finite"):
+            QubitSystemParams(math.inf)
+
     def test_fock_ladder_spectrum(self):
         h = hamiltonian_fock(2.0, 5).mat
         assert np.allclose(np.diag(h), 2.0 * (np.arange(6) + 0.5))
