@@ -319,6 +319,7 @@ def delta_qs_displacements_symmetric(omega: float, t_abs: float, alpha_abs: floa
     """The |a1| = |a2| = |a|, theta = pc = 0, p1 - p2 = tc = pi/2 slice:
     2 (w |a|^2 - |t| sin^2(|a|^2))."""
     ControlHamiltonianParams(omega, t_abs)  # rejects a non-finite coupling
+    DisplacementParams(alpha_abs)  # rejects a negative or non-finite magnitude
     return 2.0 * (omega * alpha_abs**2 - t_abs * math.sin(alpha_abs**2) ** 2)
 
 
@@ -338,6 +339,8 @@ def delta_sm_displacements(
 ) -> float:
     """Post-measurement energy difference for two displacements:
     w |a1 + a2|^2, independent of every control and measurement angle."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     return omega * abs(a1.alpha + a2.alpha) ** 2
 
 

@@ -130,7 +130,7 @@ def _fig1() -> tuple[list[str], list[list]]:
     rows: list[list] = []
     for t_abs in (0.0, 0.5, 1.0, 2.0):
         for beta in _grid(0.1, 51):
-            value = delta_qs_rotations(1.0, beta, t_abs, 0.0, r, _PLUS, cross_check=False)
+            value = delta_qs_rotations(1.0, beta, t_abs, 0.0, r, _PLUS)
             rows.append([t_abs, beta, value])
     return header, rows
 
@@ -144,14 +144,14 @@ def _fig2() -> tuple[list[str], list[list]]:
         alpha = 0.05 * k
         best_phi, best_val = 0.0, math.inf
         for phi_m in scan:
-            v = delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m, cross_check=False)
+            v = delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m)
             if v < best_val:
                 best_phi, best_val = phi_m, v
         rows.append(["left", alpha, best_phi, best_val])
     for alpha in (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0):
         for k in range(180):
             phi_m = 2.0 * math.pi * k / 180
-            v = delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m, cross_check=False)
+            v = delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m)
             rows.append(["right", alpha, phi_m, v])
     return header, rows
 

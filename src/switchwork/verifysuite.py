@@ -11,8 +11,10 @@ The bosonic closed-form checks are one-cutoff runs of the truncated-Fock
 oracle (`cvcase.fock_oracle_report`), which looks every closed form up in
 `cvcase` at call time: a deliberately corrupted one — say a sign flip in
 chi — patched into `cvcase` must turn the suite red, and tests pin that
-mutation sensitivity.  The config round trip covers one sample config per
-entry of the family table (`config.FAMILIES`).
+mutation sensitivity.  The two rotation checks look their closed forms up
+in `qubitcase` the same way and compare them with the generic matrix path.
+The config round trip covers one sample config per entry of the family
+table (`config.FAMILIES`).
 
 The random scenario generators draw Haar unitaries with scipy's
 `unitary_group.rvs` construction written out in `_haar`, so the module
@@ -52,8 +54,6 @@ from .cvcase import (
 from .figures import FIGURE_IDS, baseline_path, figure_dataset, render_csv
 from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
 from .qubitcase import (
-    delta_qs_rotations,
-    delta_sm_rotations_beta0,
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
     RotationParams,
@@ -63,9 +63,11 @@ from .states import (
     passive_state_from_spectrum,
 )
 from .switchcore import (
+    TOL_ENERGY,
     SwitchScenario,
     activation_report,
     delta_c_min,
+    measure_control,
 )
 
 TOL_PASSIVITY = 1e-8
@@ -289,28 +291,37 @@ def _check_delta_c_min(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_rotation_closed_form(rng: np.random.Generator) -> tuple[bool, str]:
+    """delta_qs_rotations, looked up in `qubitcase` at call time, against
+    activation_report on 100 random points."""
+    gaps = []
     for _ in range(100):
         r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
         c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        delta_qs_rotations(
-            rng.uniform(0.5, 2.0),
-            rng.uniform(0.0, 3.0),
-            rng.uniform(0.0, 2.0),
-            rng.uniform(0.0, 2.0 * math.pi),
-            r,
-            c,
-            cross_check=True,
-        )
-    return True, "100 random points, closed form == generic path"
+        args = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0),
+                rng.uniform(0.0, 2.0 * math.pi))
+        closed = qubitcase.delta_qs_rotations(*args, r, c)
+        scenario = qubitcase.qubit_scenario(*args, *qubitcase._rotation_pair(r), c)
+        gaps.append(abs(closed - activation_report(scenario).delta_qs))
+    worst = float(np.max(gaps))  # NaN if any gap is NaN
+    return worst <= TOL_ENERGY, f"100 random points, worst closed-form gap {worst:.2e}"
 
 
 def _check_rotation_measured(rng: np.random.Generator) -> tuple[bool, str]:
+    """delta_sm_rotations_beta0, looked up in `qubitcase` at call time,
+    against measure_control at beta = 1e-9 on 30 random points."""
+    gaps = []
     for _ in range(30):
         alpha = rng.uniform(0.1, math.pi - 0.1)
         theta_m = rng.uniform(0.1, math.pi - 0.1)
         phi_m = rng.uniform(0.0, 2.0 * math.pi)
-        delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m, cross_check=True)
-    return True, "30 random points, closed form == generic path"
+        closed = qubitcase.delta_sm_rotations_beta0(1.0, alpha, theta_m, phi_m)
+        scenario = qubitcase.qubit_scenario(
+            1.0, 1e-9, 0.0, 0.0, *qubitcase._rotation_pair(RotationParams(alpha, alpha)),
+            BlochState(math.pi / 2.0, 0.0),
+        )
+        gaps.append(abs(closed - measure_control(scenario, BlochState(theta_m, phi_m)).delta_sm))
+    worst = float(np.max(gaps))
+    return worst <= 1e-6, f"30 random points at beta = 1e-9, worst closed-form gap {worst:.2e}"
 
 
 def _check_u2_optimizer(level: str, seed: int) -> tuple[bool, str]:

@@ -228,7 +228,7 @@ def test_criterion_3_rotation_closed_form_matches_generic_path_and_uncoupled_flo
         t_phase = rng.uniform(0.0, 2.0 * math.pi)
         r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
         c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        closed = delta_qs_rotations(omega, beta, t_abs, t_phase, r, c, cross_check=False)
+        closed = delta_qs_rotations(omega, beta, t_abs, t_phase, r, c)
         u1, u2 = rotation_unitary("x", r.alpha_x), rotation_unitary("y", r.alpha_y)
         generic = activation_report(qubit_scenario(omega, beta, t_abs, t_phase, u1, u2, c)).delta_qs
         worst = max(worst, abs(closed - generic))
@@ -240,7 +240,7 @@ def test_criterion_3_rotation_closed_form_matches_generic_path_and_uncoupled_flo
         beta = rng.uniform(0.0, 3.0)
         r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
         c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        floor = min(floor, delta_qs_rotations(omega, beta, 0.0, 0.0, r, c, cross_check=False))
+        floor = min(floor, delta_qs_rotations(omega, beta, 0.0, 0.0, r, c))
     assert floor >= -1e-12, f"uncoupled slice dipped to {floor:.3e}"
 
 

@@ -460,6 +460,10 @@ class TestNonFiniteParameters:
             (lambda: delta_qs_disp_squeeze_tabulated(1.0, 1.0, math.nan, 0.0, _A, _S, _C), "t_abs"),
             (lambda: delta_qs_displacements(1.0, math.nan, 0.0, _A, _A, _C), "t_abs"),
             (lambda: delta_qs_displacements_symmetric(1.0, math.inf, 0.5), "t_abs"),
+            (lambda: delta_qs_displacements_symmetric(1.0, 1.0, math.nan), "alpha_abs"),
+            (lambda: delta_qs_displacements_symmetric(1.0, 1.0, -1.0), "alpha_abs"),
+            (lambda: delta_sm_displacements(DisplacementParams(1.0), DisplacementParams(0.5), -1.0), "omega"),
+            (lambda: delta_sm_displacements(DisplacementParams(1.0), DisplacementParams(0.5), math.nan), "omega"),
             (lambda: alpha_min(1.0, math.nan), "t_abs"),
             (lambda: delta_qs_rotations(1.0, 1.0, math.nan, 0.0, RotationParams(1.0, 2.0), _C), "t_abs"),
             (lambda: minimize_delta_qs_u2(1.0, 1.0, math.nan, 0.0, _C, budget=1000), "t_abs"),
@@ -471,14 +475,16 @@ class TestNonFiniteParameters:
         ids=[
             "control_record", "qubit_system_record", "delta_qs_disp_squeeze",
             "delta_qs_disp_squeeze_tabulated", "delta_qs_displacements",
-            "delta_qs_displacements_symmetric", "alpha_min", "delta_qs_rotations",
+            "delta_qs_displacements_symmetric", "symmetric_nan_magnitude",
+            "symmetric_negative_magnitude", "delta_sm_displacements_negative_omega",
+            "delta_sm_displacements_nan_omega", "alpha_min", "delta_qs_rotations",
             "minimize_delta_qs_u2", "n_m_xi0_tabulated", "n_m_xipi_tabulated",
             "delta_sm_xipi_tabulated", "delta_sm_xi0_tabulated",
         ],
     )
     def test_bare_float_forms_reject_a_bad_coupling_or_magnitude(self, call, message):
-        """Every form that takes the coupling or a magnitude as a bare float
-        validates it through its parameter record before any arithmetic."""
+        """Every form that takes the coupling, a magnitude or omega as a bare
+        float rejects a bad one with ValueError before any arithmetic."""
         with pytest.raises(ValueError, match=message):
             call()
 

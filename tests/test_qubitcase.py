@@ -86,19 +86,16 @@ class TestRotationClosedForm:
         )
         assert v == pytest.approx(0.094238532944610515, abs=1e-14)
 
-    def test_cross_check_agrees_on_random_points(self, rng):
-        # cross_check=True re-evaluates the generic matrix path internally
-        # and raises on any mismatch beyond 1e-8.
+    def test_closed_form_matches_generic_path_on_random_points(self, rng):
         for _ in range(200):
-            delta_qs_rotations(
-                rng.uniform(0.5, 2.0),
-                rng.uniform(0.0, 3.0),
-                rng.uniform(0.0, 2.0),
-                rng.uniform(0.0, 2.0 * math.pi),
-                RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)),
-                BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
-                cross_check=True,
-            )
+            args = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0),
+                    rng.uniform(0.0, 2.0 * math.pi))
+            r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            generic = activation_report(
+                qubit_scenario(*args, *qubitcase._rotation_pair(r), c)
+            ).delta_qs
+            assert abs(delta_qs_rotations(*args, r, c) - generic) <= TOL_ENERGY
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(seed=_SEED)
@@ -130,15 +127,17 @@ class TestMeasuredRotationClosedForm:
         with pytest.raises(ValueError, match="multiple of pi"):
             delta_sm_rotations_beta0(1.0, math.pi, 1.0, 1.0)
 
-    def test_cross_check_agrees_on_random_points(self, rng):
+    def test_closed_form_matches_generic_path_on_random_points(self, rng):
+        # The closed form is the beta -> 0 limit; the generic path runs at 1e-9.
         for _ in range(50):
-            delta_sm_rotations_beta0(
-                1.0,
-                rng.uniform(0.3, math.pi - 0.3),
-                rng.uniform(0.2, math.pi - 0.2),
-                rng.uniform(0.0, 2.0 * math.pi),
-                cross_check=True,
+            alpha = rng.uniform(0.3, math.pi - 0.3)
+            m = BlochState(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2.0 * math.pi))
+            scenario = qubit_scenario(
+                1.0, 1e-9, 0.0, 0.0, *qubitcase._rotation_pair(RotationParams(alpha, alpha)),
+                BlochState(math.pi / 2.0, 0.0),
             )
+            closed = delta_sm_rotations_beta0(1.0, alpha, m.theta, m.phi)
+            assert abs(closed - measure_control(scenario, m).delta_sm) <= 1e-6
 
     def test_sign_follows_measurement_phase(self):
         # The numerator is w sin(pm); the denominator stays positive.
@@ -146,19 +145,43 @@ class TestMeasuredRotationClosedForm:
         pos = delta_sm_rotations_beta0(1.0, math.pi / 2.0, math.pi / 2.0, 2.0)
         assert neg < 0.0 < pos
 
-    def test_interference_cross_check_runs_where_n_m_vanishes(self, monkeypatch):
+    def test_interference_term_matches_scenario_where_n_m_vanishes(self):
         # alpha_x = 0 makes the pair commute, so chi = 1 and the anti-aligned
-        # measurement has n_m = 0: no renormalized state exists there.
+        # measurement has n_m = 0: no renormalized state exists there, but
+        # the scenario's d-space F_S - chi E_S does not involve n_m.
         r, c = RotationParams(0.0, 0.7), BlochState(math.pi / 2.0, 0.0)
         m = BlochState(math.pi / 2.0, math.pi)
-        scenario = qubitcase.qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)
+        scenario = qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)
         with pytest.raises(NearZeroPostSelectionError):
             measure_control(scenario, m)
         assert activation_conditions_rotations(1.0, 0.8, r, c, m) == (True, True, True)
-        original = qubitcase._rotation_delta_f
-        monkeypatch.setattr(qubitcase, "_rotation_delta_f", lambda *a: original(*a) + 1.0)
-        with pytest.raises(AssertionError, match="rotation interference term"):
-            activation_conditions_rotations(1.0, 0.8, r, c, m)
+        t = scenario._terms
+        generic = t.f_s - t.chi * t.e_s
+        assert abs(qubitcase._rotation_delta_f(1.0, 0.8, r) - generic) <= TOL_ENERGY
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: delta_sm_rotations_beta0(math.nan, 1.0, 1.0, 1.0), "omega"),
+            (lambda: delta_sm_rotations_beta0(1.0, 1.0, 1.0, math.nan), "phi_m"),
+            (lambda: delta_sm_rotations_beta0(1.0, 1.0, 1.0, 7.0), "phi_m"),
+            (lambda: delta_sm_rotations_beta0(1.0, math.nan, 1.0, 1.0), "alpha"),
+            (lambda: activation_conditions_rotations(
+                math.nan, 1.0, RotationParams(1.0, 1.0), BlochState(1.0), BlochState(1.0)
+            ), "omega"),
+            (lambda: activation_conditions_rotations(
+                1.0, math.nan, RotationParams(1.0, 1.0), BlochState(1.0), BlochState(1.0)
+            ), "beta"),
+            (lambda: delta_qs_rotations(
+                1.0, math.nan, 0.5, 0.0, RotationParams(1.0, 1.0), BlochState(1.0)
+            ), "beta"),
+        ],
+        ids=["sm_nan_omega", "sm_nan_phi_m", "sm_phi_m_7", "sm_nan_alpha",
+             "conditions_nan_omega", "conditions_nan_beta", "qs_nan_beta"],
+    )
+    def test_rotation_forms_reject_a_bad_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize(
         "c, m",
@@ -178,6 +201,9 @@ class TestMeasuredRotationClosedForm:
             conds = activation_conditions_rotations(1.0, 0.8, r, c, m)
             assert isinstance(conds, tuple) and len(conds) == 3
             hits += all(conds)
+            # The closed-form df the conditions read is the scenario's.
+            t = qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)._terms
+            assert abs(qubitcase._rotation_delta_f(1.0, 0.8, r) - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
         assert hits > 0
 
 

@@ -116,6 +116,21 @@ class TestSuiteHasTeeth:
         assert failed <= set(_BOSONIC_CLOSED_FORMS.values())
 
     @pytest.mark.parametrize(
+        "name, bias, check",
+        [
+            ("delta_qs_rotations", 1e-6, "rotation-closed-form"),
+            ("delta_sm_rotations_beta0", 1e-5, "rotation-measured-closed-form"),
+        ],
+    )
+    def test_biased_rotation_closed_form_fails_only_its_check(self, monkeypatch, name, bias, check):
+        honest = getattr(qubitcase, name)
+        monkeypatch.setattr(qubitcase, name, lambda *args: honest(*args) + bias)
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {check}
+        assert "worst closed-form gap" in failed[check]
+
+    @pytest.mark.parametrize(
         "dropped, family",
         [("n_max", "displacements"), ("sweep2", "rotations")],
     )
