@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .qmat import UnitaryOperator
 from .states import (
@@ -192,13 +191,30 @@ def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
     """Phi e^G Phi† for the real antisymmetric tridiagonal G with
     subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]) and Phi = diag(e^{i phase k}).
 
-    G = -i Q T Q† with Q = diag(i^k) and T the real symmetric tridiagonal
-    matrix with off-diagonal b.  With T = V diag(w) Vᵀ and Y = Phi Q V this
-    gives Phi e^G Phi† = Y diag(e^{-i w}) Y†.
+    G couples even levels only to odd ones.  With C = G[even, odd] = U S Vᵀ
+    (one real SVD), e^G is real orthogonal with blocks U cos S Uᵀ (even,
+    even), U sin S Vᵀ (even, odd), its negative transpose (odd, even) and
+    V cos S Vᵀ (odd, odd) (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205,
+    1965).  For an odd size C has one more row than columns, and cos S is
+    padded with 1 on U's null-space column.  Phi enters entrywise as
+    e^{i phase (j - k)}.  An empty b gives [[1]].
     """
-    w, v = scipy.linalg.eigh_tridiagonal(np.zeros(b.size + 1), b)
-    y = np.exp(1j * (phase + math.pi / 2.0) * np.arange(b.size + 1))[:, None] * v
-    return (y * np.exp(-1j * w)) @ y.conj().T
+    size = b.size + 1
+    c = np.zeros(((size + 1) // 2, size // 2))
+    n_even, n_odd = c.shape
+    c[np.arange(n_odd), np.arange(n_odd)] = -b[0::2]
+    c[np.arange(1, n_even), np.arange(n_even - 1)] = b[1::2]
+    u, s, vt = np.linalg.svd(c)
+    cos_even = np.ones(n_even)
+    cos_even[:n_odd] = np.cos(s)
+    sin_block = (u[:, :n_odd] * np.sin(s)) @ vt
+    r = np.empty((size, size))
+    r[0::2, 0::2] = (u * cos_even) @ u.T
+    r[0::2, 1::2] = sin_block
+    r[1::2, 0::2] = -sin_block.T
+    r[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
+    phi = np.exp(1j * phase * np.arange(size))
+    return r * np.outer(phi, phi.conj())
 
 
 def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
@@ -206,8 +222,9 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
 
     The generator is Phi |alpha|(a† - a) Phi† with Phi = diag(e^{i phi n}),
     and |alpha|(a† - a) is real antisymmetric tridiagonal with subdiagonal
-    |alpha| sqrt(n+1), so D comes from one real symmetric tridiagonal
-    eigendecomposition instead of a dense complex one.
+    |alpha| sqrt(n+1), so D comes from one real SVD of its even-odd
+    coupling block (see _phased_tridiagonal_exp) instead of a dense complex
+    eigendecomposition.
 
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
     by more than TOL_CV_UNITARY on the safe subspace.
@@ -250,8 +267,9 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
     On each parity sublattice the generator is Phi |z|(a†² - a²)/2 Phi†
     with Phi = diag(e^{i xi n/2}), and |z|(a†² - a²)/2 is real
     antisymmetric tridiagonal there with subdiagonal |z| sqrt((n+1)(n+2))/2,
-    so each block comes from one real symmetric tridiagonal
-    eigendecomposition instead of a dense complex one.
+    so each block comes from one real SVD of its even-odd coupling block
+    (see _phased_tridiagonal_exp) instead of a dense complex
+    eigendecomposition.
 
     Emits TruncationInadequacyWarning when S† a S deviates from
     a cosh|z| + a† e^{i xi} sinh|z| on the faithful block (see

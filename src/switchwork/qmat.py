@@ -6,7 +6,9 @@ numpy arrays in row-major order; each wrapper holds its own read-only copy
 and validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
 to re-check.  Every wrapper is made by its constructor, so none skips that
-check.
+check.  The module runs on numpy alone: positivity is certified by numpy's
+Cholesky, and scipy is imported only by expm's fallback for a generator
+that is neither Hermitian nor anti-Hermitian.
 
 All operations are pure functions of immutable inputs.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 # Absolute tolerances for the structural invariants.  Double-precision dense
 # algebra at dim <= ~400 keeps round-off well below these.
@@ -62,13 +63,15 @@ class DensityMatrix:
         if abs(trace.real - 1.0) > TOL_TRACE or abs(trace.imag) > TOL_TRACE:
             raise ValueError(f"DensityMatrix trace {trace} != 1 within tolerance")
         # The shift goes onto the diagonal of a copy: m is read-only.
-        # lower=True factors the triangle that eigvalsh reads.
+        # numpy's Cholesky reads the lower triangle, as eigvalsh does.
         shifted = m.copy()
         shifted.flat[:: m.shape[0] + 1] += TOL_PSD
-        if scipy.linalg.lapack.zpotrf(shifted, lower=True)[1] != 0:
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             lam_min = np.linalg.eigvalsh(m).min()
             if lam_min < -TOL_PSD:
-                raise ValueError(f"DensityMatrix has negative eigenvalue {lam_min:.3e}")
+                raise ValueError(f"DensityMatrix has negative eigenvalue {lam_min:.3e}") from None
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
 
@@ -142,7 +145,8 @@ def expm(g) -> np.ndarray:
     (Anti-)Hermitian generators go through the spectral route, which is exact
     up to the eigendecomposition itself and guarantees the result of an
     anti-Hermitian generator passes the unitarity invariant.  Anything else
-    falls back to scaling-and-squaring.
+    falls back to scipy's scaling-and-squaring, imported only there so that
+    importing the package loads no scipy module.
     """
     m = _as_square_complex(_mat(g), "expm argument")
     herm_defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
@@ -153,4 +157,6 @@ def expm(g) -> np.ndarray:
     if anti_defect <= TOL_HERM:
         w, v = np.linalg.eigh(1j * m)  # 1j*m is Hermitian
         return (v * np.exp(-1j * w)) @ v.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(m)

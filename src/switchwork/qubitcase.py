@@ -275,13 +275,31 @@ def u2_unitary(p: U2Params) -> UnitaryOperator:
 
 
 def implied_epsilon(min_delta_qs: float, theta: float, t_abs: float) -> float:
-    """Invert min delta_qs = ((eps - 12)/16) cos(theta) |t| for eps."""
-    return 16.0 * min_delta_qs / (math.cos(theta) * t_abs) + 12.0
+    """Invert min delta_qs = ((eps - 12)/16) cos(theta) |t| for eps.
+
+    Raises ValueError for a non-finite input, t_abs <= 0, or |cos theta|
+    <= 1e-12, where the slope vanishes and eps is undetermined.
+    """
+    if not (math.isfinite(min_delta_qs) and math.isfinite(theta)):
+        raise ValueError(f"min_delta_qs and theta must be finite, got {min_delta_qs!r}, {theta!r}")
+    if not 0.0 < t_abs < math.inf:
+        raise ValueError(f"t_abs must be positive and finite, got {t_abs!r}")
+    cos_theta = math.cos(theta)
+    if abs(cos_theta) <= 1e-12:
+        raise ValueError(f"cos(theta) vanishes at theta = {theta!r}: eps is undetermined")
+    return 16.0 * min_delta_qs / (cos_theta * t_abs) + 12.0
 
 
 def implied_f(min_delta_sm: float, omega: float) -> float:
     """Invert the measured-case rational form at pm = pi/2, where the
-    denominator contribution of g vanishes: f = 32 delta_sm / w."""
+    denominator contribution of g vanishes: f = 32 delta_sm / w.
+
+    Raises ValueError for a non-finite min_delta_sm or omega <= 0.
+    """
+    if not math.isfinite(min_delta_sm):
+        raise ValueError(f"min_delta_sm must be finite, got {min_delta_sm!r}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     return 32.0 * min_delta_sm / omega
 
 

@@ -165,10 +165,12 @@ class TestLadderAndOperators:
 
 
 class TestTridiagonalKernel:
-    """D and S come from real tridiagonal eigendecompositions; the dense
-    exponential of the truncated generator is the reference."""
+    """D and S come from one real SVD of each tridiagonal generator's
+    even-odd coupling block; the dense exponential of the truncated
+    generator is the reference.  n_max = 1 gives S two 1x1 parity blocks,
+    and n_max = 171 a large even dimension."""
 
-    @pytest.mark.parametrize("n_max", [2, 3, 4, 46, 84, 172])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 46, 84, 171, 172])
     def test_operators_match_dense_exponential(self, n_max):
         a = ladder(n_max)
         ad = a.conj().T

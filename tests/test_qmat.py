@@ -224,6 +224,15 @@ class TestExpm:
     def test_zero_generator_is_exact_identity(self):
         assert np.array_equal(expm(np.zeros((3, 3), dtype=complex)), np.eye(3, dtype=complex))
 
+    def test_non_normal_generator_matches_eigenvector_form(self, rng):
+        # Neither Hermitian nor anti-Hermitian: the scaling-and-squaring
+        # fallback, whose scipy import happens only here.
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.max(np.abs(g @ g.conj().T - g.conj().T @ g)) > 0.1
+        evals, evecs = np.linalg.eig(g)
+        expected = (evecs * np.exp(evals)) @ np.linalg.inv(evecs)
+        assert np.max(np.abs(expm(g) - expected)) < 1e-10 * np.max(np.abs(expected))
+
 
 class TestKronAndPartialTrace:
     def test_kron_shape_and_values(self):

@@ -277,6 +277,21 @@ class TestU2Optimizers:
         assert implied_epsilon(0.0, 0.0, 1.0) == pytest.approx(12.0)
         assert implied_f(-0.5, 1.0) == pytest.approx(-16.0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: implied_epsilon(-1.0, math.pi / 2.0, 1.0), "undetermined"),
+            (lambda: implied_epsilon(-1.0, 0.3, 0.0), "t_abs"),
+            (lambda: implied_f(-0.1, 0.0), "omega"),
+            (lambda: implied_f(-0.1, -1.0), "omega"),
+            (lambda: implied_f(-0.1, math.nan), "omega"),
+        ],
+        ids=["eps_cos_zero", "eps_t_zero", "f_omega_zero", "f_omega_negative", "f_omega_nan"],
+    )
+    def test_implied_inversions_reject_a_bad_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 # Stub objectives for the multistart driver.  They are module-level so that
 # they pickle into pool workers.
