@@ -18,10 +18,10 @@ The corrected derivations are the primary API; the original tabulated
 forms are retained verbatim under the `_tabulated` suffix so the
 disagreement itself is documented by tests rather than silently patched.
 Every disp_squeeze form, corrected or tabulated, reads one record per point,
-_disp_squeeze_terms: nth, gamma, chi, E21, E12 and F_S, each computed once.
-n_m_disp_squeeze and delta_sm_disp_squeeze assemble its chi, delta_12,
-delta_21 and delta_f with the switchcore kernel; the delta_qs forms keep
-their own order of operations, which the figure baselines pin.
+_disp_squeeze_terms: nth, E_S, gamma, chi, E21, E12 and F_S, each computed
+once.  The delta_qs, n_m and delta_sm forms assemble them with the
+switchcore kernel, as delta_qs_displacements does; the `_tabulated` forms,
+delta_qs_displacements_symmetric and delta_sm_displacements do not.
 Corrected pieces, all oracle-validated:
 
     E21        = w [ nth cosh(2|z|) + sinh^2|z| + |a|^2 + 1/2 ]   (as tabulated)
@@ -62,10 +62,12 @@ from .switchcore import (
     SwitchScenario,
     activation_report,
     assemble_nm,
+    assemble_qs,
     assemble_sm,
     measure_control,
     measurement_angles,
     post_selection_vanishes,
+    pure_control_weights,
 )
 
 TOL_CV_UNITARY = 1e-8
@@ -322,15 +324,12 @@ def delta_qs_displacements(
                     - cos(theta + pc) ]
 
     Independent of temperature: both orders displace the thermal state by
-    a1 + a2 up to a phase.
+    a1 + a2 up to a phase, so delta_12 = delta_21 = w |a1 + a2|^2.
     """
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
-    alpha_sum = a1.alpha + a2.alpha
-    phase = t_phase + c.phi
-    shift = 2.0 * a1.alpha_abs * a2.alpha_abs * math.sin(a1.alpha_phase - a2.alpha_phase)
-    return omega * abs(alpha_sum) ** 2 + t_abs * math.sin(c.theta) * (
-        math.cos(phase + shift) - math.cos(phase)
-    )
+    delta = omega * abs(a1.alpha + a2.alpha) ** 2
+    chi_m1 = chi_displacements(a1, a2) - 1.0
+    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), chi_m1, delta, delta)[0]
 
 
 def delta_qs_displacements_symmetric(omega: float, t_abs: float, alpha_abs: float) -> float:
@@ -388,6 +387,7 @@ class _DispSqueezeTerms(NamedTuple):
     """The displacement+squeeze scalars at one point, each computed once."""
 
     n_th: float
+    e_s: float  # w (nth + 1/2)
     gamma: complex
     chi: complex
     e21: float
@@ -398,7 +398,7 @@ class _DispSqueezeTerms(NamedTuple):
 def _disp_squeeze_terms(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> _DispSqueezeTerms:
-    """n_th, gamma, chi, E21, E12 and F_S of the pair U1 = D(alpha),
+    """n_th, E_S, gamma, chi, E21, E12 and F_S of the pair U1 = D(alpha),
     U2 = S(z): the one kernel that every corrected and tabulated
     disp_squeeze form reads (expressions in the module docstring)."""
     n_th = _n_th(beta, omega)
@@ -430,7 +430,7 @@ def _disp_squeeze_terms(
         + (c * c + sh * sh) * t_n
         + c * sh * (cmath.exp(1j * s.z_phase) * t_pp + cmath.exp(-1j * s.z_phase) * t_mm)
     )
-    return _DispSqueezeTerms(n_th, gamma, chi, e21, e12, f_s)
+    return _DispSqueezeTerms(n_th, omega * (n_th + 0.5), gamma, chi, e21, e12, f_s)
 
 
 def chi_disp_squeeze(
@@ -501,7 +501,7 @@ def delta_f_disp_squeeze(
 ) -> complex:
     """Interference term F_S - chi E_S with E_S = w (nth + 1/2)."""
     t = _disp_squeeze_terms(omega, beta, a, s)
-    return t.f_s - t.chi * omega * (t.n_th + 0.5)
+    return t.f_s - t.chi * t.e_s
 
 
 def delta_f_disp_squeeze_tabulated(
@@ -524,7 +524,7 @@ def delta_21_disp_squeeze(
 ) -> float:
     """delta_21 = E21 - E_S = w [ nth (cosh 2|z| - 1) + sinh^2|z| + |a|^2 ]."""
     t = _disp_squeeze_terms(omega, beta, a, s)
-    return t.e21 - omega * (t.n_th + 0.5)
+    return t.e21 - t.e_s
 
 
 def delta_qs_disp_squeeze(
@@ -543,10 +543,8 @@ def delta_qs_disp_squeeze(
     """
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     t = _disp_squeeze_terms(omega, beta, a, s)
-    d21 = t.e21 - omega * (t.n_th + 0.5)
-    phase = t_phase + c.phi
-    delta_c = t_abs * math.sin(c.theta) * (cmath.exp(-1j * phase) * (t.chi - 1.0)).real
-    return d21 + math.cos(c.theta / 2.0) ** 2 * (t.e12 - t.e21) + delta_c
+    weights = pure_control_weights(c, t_abs, t_phase)
+    return assemble_qs(*weights, t.chi - 1.0, t.e12 - t.e_s, t.e21 - t.e_s)[0]
 
 
 def delta_qs_disp_squeeze_tabulated(
@@ -612,9 +610,9 @@ def delta_sm_disp_squeeze(
     (N_M <= TOL_NM).
     """
     t = _disp_squeeze_terms(omega, beta, a, s)
-    d21 = t.e21 - omega * (t.n_th + 0.5)
+    d21 = t.e21 - t.e_s
     d12 = d21 + (t.e12 - t.e21)
-    df = t.f_s - t.chi * omega * (t.n_th + 0.5)
+    df = t.f_s - t.chi * t.e_s
     n_m, bracket = assemble_sm(measurement_angles(c, m), t.chi, d12, d21, df)
     if post_selection_vanishes(n_m):
         raise NearZeroPostSelectionError(n_m)

@@ -6,9 +6,9 @@ numpy arrays in row-major order; each wrapper holds its own read-only copy
 and validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
 to re-check.  Every wrapper is made by its constructor, so none skips that
-check.  The module runs on numpy alone: positivity is certified by numpy's
-Cholesky, and scipy is imported only by expm's fallback for a generator
-that is neither Hermitian nor anti-Hermitian.
+check.  The module runs on numpy alone and imports no scipy: positivity is
+certified by numpy's Cholesky, and expm takes only (anti-)Hermitian
+generators, through their eigendecomposition.
 
 All operations are pure functions of immutable inputs.
 """
@@ -140,13 +140,11 @@ def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def expm(g) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a Hermitian or anti-Hermitian generator.
 
-    (Anti-)Hermitian generators go through the spectral route, which is exact
-    up to the eigendecomposition itself and guarantees the result of an
-    anti-Hermitian generator passes the unitarity invariant.  Anything else
-    falls back to scipy's scaling-and-squaring, imported only there so that
-    importing the package loads no scipy module.
+    The spectral route is exact up to the eigendecomposition itself and
+    guarantees the result of an anti-Hermitian generator passes the
+    unitarity invariant.  Any other generator raises ValueError.
     """
     m = _as_square_complex(_mat(g), "expm argument")
     herm_defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
@@ -157,6 +155,4 @@ def expm(g) -> np.ndarray:
     if anti_defect <= TOL_HERM:
         w, v = np.linalg.eigh(1j * m)  # 1j*m is Hermitian
         return (v * np.exp(-1j * w)) @ v.conj().T
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
+    raise ValueError("expm generator is neither Hermitian nor anti-Hermitian within tolerance")

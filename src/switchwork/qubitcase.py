@@ -4,19 +4,19 @@ minimized general single-qubit unitary pairs.
 The rotation family U1 = R_x(alpha_x), U2 = R_y(alpha_y) admits closed
 forms for every scalar in the controlled-order energy bookkeeping:
 
-    chi      = 1 - 2 sin^2(ax/2) sin^2(ay/2)
+    chi - 1  = - 2 sin^2(ax/2) sin^2(ay/2)
                + (i/2) tanh(bw/2) sin(ax) sin(ay)
     delta_12 = delta_21 = (w/2) tanh(bw/2) (1 - cos ax cos ay)
     Re df    = delta_12
     Im df    = -(w/4) sin(ax) sin(ay) sech^2(bw/2)
 
 with df the interference term of the post-measurement decomposition.
-Each closed form validates its inputs and then does only its own
-arithmetic.  The generic matrix path is their oracle, run from outside:
-`verify`'s rotation checks look the forms up here at call time and
-compare them with activation_report and measure_control.  The activation
-conditions and both U(2) objectives assemble their scalars with the
-switchcore kernel.
+_rotation_terms evaluates them once per point (chi - 1 as written, which
+keeps its digits at small angles), and the rotation forms, like both U(2)
+objectives, assemble them with the switchcore kernel.  The generic matrix
+path is their oracle, run from outside: `verify`'s rotation checks look
+the forms up here at call time and compare them with activation_report
+and measure_control.
 
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
@@ -63,6 +63,7 @@ from .switchcore import (
     measurement_angles,
     post_selection_impossible,
     post_selection_vanishes,
+    pure_control_weights,
 )
 
 _EVALS_PER_START = 500
@@ -162,6 +163,25 @@ def _rotation_pair(r: RotationParams) -> tuple[UnitaryOperator, UnitaryOperator]
     return rotation_unitary("x", r.alpha_x), rotation_unitary("y", r.alpha_y)
 
 
+class _RotationTerms(NamedTuple):
+    """The module docstring's scalars of R_x(ax), R_y(ay) at one point."""
+
+    chi_m1: complex  # chi - 1
+    delta: float  # delta_12 = delta_21 = Re df
+    delta_f: complex
+
+
+def _rotation_terms(omega: float, beta: float, r: RotationParams) -> _RotationTerms:
+    """chi - 1 formed as written, so that it keeps its digits at small angles."""
+    tau = _tanh_half(beta, omega)
+    ax, ay = r.alpha_x, r.alpha_y
+    sx, sy = math.sin(ax), math.sin(ay)
+    chi_m1 = complex(-2.0 * math.sin(ax / 2.0) ** 2 * math.sin(ay / 2.0) ** 2, 0.5 * tau * sx * sy)
+    delta = (omega / 2.0) * tau * (1.0 - math.cos(ax) * math.cos(ay))
+    im = -(omega / 4.0) * sx * sy * (1.0 - tau * tau)
+    return _RotationTerms(chi_m1, delta, complex(delta, im))
+
+
 def delta_qs_rotations(
     omega: float,
     beta: float,
@@ -182,29 +202,8 @@ def delta_qs_rotations(
     """
     ThermalParams(beta, omega)  # rejects a NaN or negative beta and a bad omega
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
-    tau = _tanh_half(beta, omega)
-    ax, ay = r.alpha_x, r.alpha_y
-    phase = t_phase + c.phi
-    bracket = (
-        1.0
-        - math.cos(ax) * math.cos(ay)
-        + (t_abs / omega) * math.sin(ax) * math.sin(ay) * math.sin(c.theta) * math.sin(phase)
-    )
-    return (omega / 2.0) * bracket * tau - 2.0 * t_abs * math.cos(phase) * math.sin(
-        c.theta
-    ) * math.sin(ax / 2.0) ** 2 * math.sin(ay / 2.0) ** 2
-
-
-def _rotation_delta_f(omega: float, beta: float, r: RotationParams) -> complex:
-    """Interference term F_S - chi E_S of the rotation family.
-
-    Re = (w/2) tanh(bw/2) (1 - cos ax cos ay);
-    Im = -(w/4) sin(ax) sin(ay) (1 - tanh^2(bw/2)).
-    """
-    tau = _tanh_half(beta, omega)
-    re = (omega / 2.0) * tau * (1.0 - math.cos(r.alpha_x) * math.cos(r.alpha_y))
-    im = -(omega / 4.0) * math.sin(r.alpha_x) * math.sin(r.alpha_y) * (1.0 - tau * tau)
-    return complex(re, im)
+    t = _rotation_terms(omega, beta, r)
+    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), t.chi_m1, t.delta, t.delta)[0]
 
 
 def activation_conditions_rotations(
@@ -220,7 +219,7 @@ def activation_conditions_rotations(
     (cot ax cot ay - csc ax csc ay) sinh(b w); the kernel tests it in
     cross-product form, which has no tangent poles."""
     ThermalParams(beta, omega)  # rejects a NaN or negative beta and a bad omega
-    df = _rotation_delta_f(omega, beta, r)
+    df = _rotation_terms(omega, beta, r).delta_f
     return activation_conditions(measurement_angles(c, m), df)[0]
 
 
@@ -358,7 +357,9 @@ class _DeltaQsObjective(NamedTuple):
 
     def __call__(self, x: list[float]) -> float:
         _, _, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
-        return assemble_qs(self.rc00, self.rc11, self.k, x_chi, e12 - self.e_s, e21 - self.e_s)[0]
+        return assemble_qs(
+            self.rc00, self.rc11, self.k, x_chi - 1.0, e12 - self.e_s, e21 - self.e_s
+        )[0]
 
 
 class _DeltaSmObjective(NamedTuple):
@@ -393,12 +394,7 @@ def _delta_qs_objective(
 ) -> _DeltaQsObjective:
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     p0, p1 = _thermal_populations(omega, beta)
-    rc01 = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
-    return _DeltaQsObjective(
-        omega, p0, p1, omega * p1,
-        math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2,
-        rc01 * (t_abs * cmath.exp(-1j * t_phase)),
-    )
+    return _DeltaQsObjective(omega, p0, p1, omega * p1, *pure_control_weights(c, t_abs, t_phase))
 
 
 def _delta_sm_objective(

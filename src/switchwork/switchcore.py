@@ -27,14 +27,15 @@ cached term never goes stale.
 
 The assembly kernel holds the paper's formulas once.  Every family reduces
 to chi, delta_12 = E12 - E_S, delta_21 = E21 - E_S and delta_f = F_S - chi E_S;
-assemble_qs turns them into delta_qs and delta_c, and, with the angle
-factors that measurement_angles builds once per (control, measurement)
-pair, assemble_sm gives n_m and the delta_sm numerator, and
-activation_conditions conditions (i)-(iii).  post_selection_vanishes is the
-one divergence test; post_selection_impossible applies it to the bound on
-n_m that holds for every unitary pair.  The reports check their direct
-routes against the kernel; the qubitcase and cvcase forms call it with
-their own numbers.
+assemble_qs turns them into delta_qs and delta_c, taking chi - 1 as given so
+that it keeps its digits near chi = 1, and, with the angle factors that
+measurement_angles builds once per (control, measurement) pair, assemble_sm
+gives n_m and the delta_sm numerator, and activation_conditions conditions
+(i)-(iii).  post_selection_vanishes is the one divergence test;
+post_selection_impossible applies it to the bound on n_m that holds for
+every unitary pair.  The reports check their direct routes against the
+kernel; the qubitcase and cvcase forms call it with their own numbers
+(pure_control_weights gives a pure control's weights).
 
 Subsystem ordering is system (x) control everywhere.
 """
@@ -246,10 +247,18 @@ def activation_conditions(
     return (a.off_poles, abs(lhs) > 0.0, cond_iii), lhs
 
 
+def pure_control_weights(c: BlochState, t_abs: float, t_phase: float):
+    """(rc00, rc11, k) of assemble_qs for a pure control c and h_c = [[0, t], [t*, w]]:
+    cos^2(tc/2), sin^2(tc/2) and (1/2) sin(tc) e^{-i pc} |t| e^{-i t_phase}."""
+    rc01 = 0.5 * math.sin(c.theta) * cmath.exp(-1j * c.phi)
+    rc00, rc11 = math.cos(c.theta / 2.0) ** 2, math.sin(c.theta / 2.0) ** 2
+    return rc00, rc11, rc01 * (t_abs * cmath.exp(-1j * t_phase))
+
+
 def assemble_qs(
-    rc00: float, rc11: float, k: complex, chi_value: complex, d12: float, d21: float
+    rc00: float, rc11: float, k: complex, chi_m1: complex, d12: float, d21: float
 ) -> tuple[float, float]:
-    """(delta_qs, delta_c) before measurement, k = <0|rho_c|1> <1|h_c|0>:
+    """(delta_qs, delta_c) before measurement, k = <0|rho_c|1> <1|h_c|0>, chi_m1 = chi - 1:
 
     delta_c  = 2 Re{k (chi - 1)}
     delta_qs = rc00 delta_12 + rc11 delta_21 + delta_c
@@ -257,7 +266,7 @@ def assemble_qs(
     Exact for any 2x2 control state and h_c: tr rho_c = 1 cancels E_S and
     the diagonal of h_c.
     """
-    delta_c = 2.0 * (k * (chi_value - 1.0)).real
+    delta_c = 2.0 * (k * chi_m1).real
     return rc00 * d12 + rc11 * d21 + delta_c, delta_c
 
 
@@ -432,7 +441,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     delta_qs = e_out_direct - (e_s + e_c)
     rc00, rc11 = float(rho_c[0, 0].real), float(rho_c[1, 1].real)
     k = complex(rho_c[0, 1] * h_c[1, 0])
-    qs_scalar, delta_c_closed = assemble_qs(rc00, rc11, k, x, e12 - e_s, e21 - e_s)
+    qs_scalar, delta_c_closed = assemble_qs(rc00, rc11, k, x - 1.0, e12 - e_s, e21 - e_s)
     if abs(delta_qs - qs_scalar) > TOL_ENERGY:
         raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 

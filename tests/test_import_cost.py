@@ -1,9 +1,9 @@
 """`import switchwork` loads no scipy module, and neither does building and
 reporting a Fock scenario or a random passive one: positivity is certified
-with numpy's Cholesky and D(alpha), S(z) come from numpy SVDs.  scipy
-(scipy.linalg alone costs about 0.25 s and 22 MB at start-up) is imported
-only at the calls that need it, such as the brentq root find of
-`ergotropy_gibbs_bound`."""
+with numpy's Cholesky, D(alpha), S(z) come from numpy SVDs, and qmat
+imports no scipy at all.  scipy (scipy.linalg alone costs about 0.25 s and
+22 MB at start-up) is imported only at the calls that need it, such as the
+brentq root find of `ergotropy_gibbs_bound`."""
 from __future__ import annotations
 
 import json

@@ -7,6 +7,7 @@ import multiprocessing
 import pickle
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,7 @@ from switchwork.qubitcase import (
     rotation_unitary,
     u2_unitary,
 )
-from switchwork.states import BlochState
+from switchwork.states import BlochState, ThermalParams, gibbs_qubit
 from switchwork.switchcore import (
     TOL_ENERGY,
     NearZeroPostSelectionError,
@@ -117,6 +118,44 @@ class TestRotationClosedForm:
         )
         assert v == pytest.approx(-4.0, abs=1e-10)
 
+    def test_rotation_terms_match_generic_path_on_random_points(self, rng):
+        # The module docstring's chi, delta_12 = delta_21 and df against the
+        # scenario's d-space terms.
+        for _ in range(100):
+            omega, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0)
+            r = RotationParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            t = qubit_scenario(omega, beta, 0.0, 0.0, *qubitcase._rotation_pair(r), c)._terms
+            terms = qubitcase._rotation_terms(omega, beta, r)
+            assert abs(terms.chi_m1 - (t.chi - 1.0)) <= TOL_ENERGY
+            assert abs(terms.delta - (t.e12 - t.e_s)) <= TOL_ENERGY
+            assert abs(terms.delta - (t.e21 - t.e_s)) <= TOL_ENERGY
+            assert abs(terms.delta_f - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
+
+    @pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6])
+    def test_tiny_angles_keep_their_digits(self, angle):
+        # At beta = 0 only the control term -2 |t| cos(theta + pc) sin(tc)
+        # sin^2(ax/2) sin^2(ay/2), of order angle^4, is left.  Formed from
+        # chi and then 1 subtracted, it would round to 0 at angle = 1e-4.
+        omega, t_abs, t_phase, c = 1.0, 0.7, 0.4, BlochState(0.8, 5.1)
+        value = delta_qs_rotations(omega, 0.0, t_abs, t_phase, RotationParams(angle, angle), c)
+        with mpmath.workdps(50):
+            ax = ay = mpmath.mpf(angle)
+            tau = mpmath.tanh(0)
+            phase = mpmath.mpf(t_phase) + mpmath.mpf(c.phi)
+            tc = mpmath.mpf(c.theta)
+            bracket = (
+                1 - mpmath.cos(ax) * mpmath.cos(ay)
+                + (t_abs / mpmath.mpf(omega)) * mpmath.sin(ax) * mpmath.sin(ay)
+                * mpmath.sin(tc) * mpmath.sin(phase)
+            )
+            exact = (omega / mpmath.mpf(2)) * bracket * tau - 2 * t_abs * mpmath.cos(
+                phase
+            ) * mpmath.sin(tc) * mpmath.sin(ax / 2) ** 2 * mpmath.sin(ay / 2) ** 2
+            exact = float(exact)
+        assert exact != 0.0
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
 
 class TestMeasuredRotationClosedForm:
     def test_frozen_value(self):
@@ -157,7 +196,7 @@ class TestMeasuredRotationClosedForm:
         assert activation_conditions_rotations(1.0, 0.8, r, c, m) == (True, True, True)
         t = scenario._terms
         generic = t.f_s - t.chi * t.e_s
-        assert abs(qubitcase._rotation_delta_f(1.0, 0.8, r) - generic) <= TOL_ENERGY
+        assert abs(qubitcase._rotation_terms(1.0, 0.8, r).delta_f - generic) <= TOL_ENERGY
 
     @pytest.mark.parametrize(
         "call, message",
@@ -203,7 +242,8 @@ class TestMeasuredRotationClosedForm:
             hits += all(conds)
             # The closed-form df the conditions read is the scenario's.
             t = qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)._terms
-            assert abs(qubitcase._rotation_delta_f(1.0, 0.8, r) - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
+            df = qubitcase._rotation_terms(1.0, 0.8, r).delta_f
+            assert abs(df - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
         assert hits > 0
 
 
@@ -256,19 +296,22 @@ class TestU2Optimizers:
 
     def test_near_antipodal_measurement_returns_a_bounded_value(self):
         """(0.3, 0) and (pi - 0.3, pi) are antipodal on the sphere, not in
-        theta alone, and the search settles near n_m = 1e-8.  The result
-        lies in [-E_S, omega - E_S] and agrees with the checked path, or the
-        call names the regime.  It used to raise `DensityMatrix is not
-        Hermitian` from the renormalized post-selected state."""
+        theta alone, and the search settles near n_m = 1e-8.  The result is
+        finite, lies in [-E_S, omega - E_S] with E_S = omega p1 of the Gibbs
+        qubit, and agrees with the checked path, or the call names the
+        regime with NearZeroPostSelectionError.  It used to raise
+        `DensityMatrix is not Hermitian` (a ValueError, which this test
+        does not catch) from the renormalized post-selected state."""
         omega, beta = 1.0, 1.0
         c, m = BlochState(0.3, 0.0), BlochState(math.pi - 0.3, math.pi)
+        e_s = omega * gibbs_qubit(ThermalParams(beta, omega)).mat[1, 1].real
         try:
             res = minimize_delta_sm_u2(omega, beta, c, m, budget=2000, seed=1)
             s = qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, res.params), c)
             checked = measure_control(s, m).delta_sm
         except NearZeroPostSelectionError:
             return
-        e_s = activation_report(s).e_s
+        assert math.isfinite(res.value)
         assert -e_s <= res.value <= omega - e_s
         assert abs(checked - res.value) <= TOL_ENERGY
 

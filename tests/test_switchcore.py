@@ -224,7 +224,8 @@ class TestActivationReport:
         assert min(abs(hc[0, 0]), abs(hc[1, 1])) > 0.0 and np.linalg.eigvalsh(rc)[0] > 0.0
         rep = activation_report(s)
         delta_qs, delta_c = switchcore.assemble_qs(
-            rc[0, 0].real, rc[1, 1].real, rc[0, 1] * hc[1, 0], rep.chi, rep.e12 - rep.e_s, rep.e21 - rep.e_s
+            rc[0, 0].real, rc[1, 1].real, rc[0, 1] * hc[1, 0],
+            rep.chi - 1.0, rep.e12 - rep.e_s, rep.e21 - rep.e_s,
         )
         assert abs(delta_qs - rep.delta_qs) < 1e-12
         assert abs(delta_c - rep.delta_c) < 1e-12
