@@ -18,10 +18,14 @@ The corrected derivations are the primary API; the original tabulated
 forms are retained verbatim under the `_tabulated` suffix so the
 disagreement itself is documented by tests rather than silently patched.
 Every disp_squeeze form, corrected or tabulated, reads one record per point,
-_disp_squeeze_terms: nth, E_S, gamma, chi, E21, E12 and F_S, each computed
-once.  The delta_qs, n_m and delta_sm forms assemble them with the
-switchcore kernel, as delta_qs_displacements does; the `_tabulated` forms,
-delta_qs_displacements_symmetric and delta_sm_displacements do not.
+_disp_squeeze_terms: nth, gamma, chi, E21, E12 and F_S, each computed once,
+and the switchcore.KernelTerms record formed from them with
+E_S = w (nth + 1/2) and delta_12 = delta_21 + (E12 - E21).  The delta_qs,
+n_m and delta_sm forms hand that record to the switchcore kernel, and
+delta_qs_displacements and the oracle's displacement branch read the one
+_displacement_terms forms; the `_tabulated` forms,
+delta_qs_displacements_symmetric and delta_sm_displacements keep their own
+arithmetic.
 Corrected pieces, all oracle-validated:
 
     E21        = w [ nth cosh(2|z|) + sinh^2|z| + |a|^2 + 1/2 ]   (as tabulated)
@@ -58,10 +62,10 @@ from .states import (
     hamiltonian_fock,
 )
 from .switchcore import (
+    KernelTerms,
     NearZeroPostSelectionError,
     SwitchScenario,
     activation_report,
-    assemble_nm,
     assemble_qs,
     assemble_sm,
     measure_control,
@@ -309,6 +313,16 @@ def chi_displacements(a1: DisplacementParams, a2: DisplacementParams) -> complex
     return cmath.exp(w - w.conjugate())
 
 
+def _displacement_terms(
+    omega: float, a1: DisplacementParams, a2: DisplacementParams
+) -> KernelTerms:
+    """(chi - 1, delta, delta, chi delta) with delta = w |a1 + a2|^2: W21 is
+    a phase times W12, so delta_12 = delta_21 and delta_f = chi delta_12."""
+    chi_value = chi_displacements(a1, a2)
+    delta = omega * abs(a1.alpha + a2.alpha) ** 2
+    return KernelTerms(chi_value - 1.0, delta, delta, chi_value * delta)
+
+
 def delta_qs_displacements(
     omega: float,
     t_abs: float,
@@ -327,9 +341,8 @@ def delta_qs_displacements(
     a1 + a2 up to a phase, so delta_12 = delta_21 = w |a1 + a2|^2.
     """
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
-    delta = omega * abs(a1.alpha + a2.alpha) ** 2
-    chi_m1 = chi_displacements(a1, a2) - 1.0
-    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), chi_m1, delta, delta)[0]
+    terms = _displacement_terms(omega, a1, a2)
+    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), terms)[0]
 
 
 def delta_qs_displacements_symmetric(omega: float, t_abs: float, alpha_abs: float) -> float:
@@ -387,20 +400,22 @@ class _DispSqueezeTerms(NamedTuple):
     """The displacement+squeeze scalars at one point, each computed once."""
 
     n_th: float
-    e_s: float  # w (nth + 1/2)
     gamma: complex
     chi: complex
     e21: float
     e12: float
     f_s: complex
+    kernel: KernelTerms
 
 
 def _disp_squeeze_terms(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> _DispSqueezeTerms:
-    """n_th, E_S, gamma, chi, E21, E12 and F_S of the pair U1 = D(alpha),
-    U2 = S(z): the one kernel that every corrected and tabulated
-    disp_squeeze form reads (expressions in the module docstring)."""
+    """n_th, gamma, chi, E21, E12 and F_S of the pair U1 = D(alpha),
+    U2 = S(z), and their KernelTerms record: the one kernel that every
+    corrected and tabulated disp_squeeze form reads (expressions in the
+    module docstring).  delta_qs, n_m and delta_sm all read its one
+    delta_12 = delta_21 + (E12 - E21)."""
     n_th = _n_th(beta, omega)
     gamma = gamma_braiding(a, s)
     alpha = a.alpha
@@ -430,7 +445,10 @@ def _disp_squeeze_terms(
         + (c * c + sh * sh) * t_n
         + c * sh * (cmath.exp(1j * s.z_phase) * t_pp + cmath.exp(-1j * s.z_phase) * t_mm)
     )
-    return _DispSqueezeTerms(n_th, omega * (n_th + 0.5), gamma, chi, e21, e12, f_s)
+    e_s = omega * (n_th + 0.5)
+    d21 = e21 - e_s
+    kernel = KernelTerms(chi - 1.0, d21 + (e12 - e21), d21, f_s - chi * e_s)
+    return _DispSqueezeTerms(n_th, gamma, chi, e21, e12, f_s, kernel)
 
 
 def chi_disp_squeeze(
@@ -500,8 +518,7 @@ def delta_f_disp_squeeze(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> complex:
     """Interference term F_S - chi E_S with E_S = w (nth + 1/2)."""
-    t = _disp_squeeze_terms(omega, beta, a, s)
-    return t.f_s - t.chi * t.e_s
+    return _disp_squeeze_terms(omega, beta, a, s).kernel.df
 
 
 def delta_f_disp_squeeze_tabulated(
@@ -523,8 +540,7 @@ def delta_21_disp_squeeze(
     omega: float, beta: float, a: DisplacementParams, s: SqueezeParams
 ) -> float:
     """delta_21 = E21 - E_S = w [ nth (cosh 2|z| - 1) + sinh^2|z| + |a|^2 ]."""
-    t = _disp_squeeze_terms(omega, beta, a, s)
-    return t.e21 - t.e_s
+    return _disp_squeeze_terms(omega, beta, a, s).kernel.d21
 
 
 def delta_qs_disp_squeeze(
@@ -543,8 +559,7 @@ def delta_qs_disp_squeeze(
     """
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     t = _disp_squeeze_terms(omega, beta, a, s)
-    weights = pure_control_weights(c, t_abs, t_phase)
-    return assemble_qs(*weights, t.chi - 1.0, t.e12 - t.e_s, t.e21 - t.e_s)[0]
+    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), t.kernel)[0]
 
 
 def delta_qs_disp_squeeze_tabulated(
@@ -592,8 +607,9 @@ def n_m_disp_squeeze(
     c: BlochState,
     m: BlochState,
 ) -> float:
-    """Post-selection probability: switchcore.assemble_nm on this family's chi."""
-    return assemble_nm(measurement_angles(c, m), _disp_squeeze_terms(omega, beta, a, s).chi)
+    """Post-selection probability: the n_m of switchcore.assemble_sm on
+    this family's record."""
+    return assemble_sm(measurement_angles(c, m), _disp_squeeze_terms(omega, beta, a, s).kernel)[0]
 
 
 def delta_sm_disp_squeeze(
@@ -605,15 +621,11 @@ def delta_sm_disp_squeeze(
     m: BlochState,
 ) -> float:
     """Post-measurement energy difference for displacement+squeeze:
-    switchcore.assemble_sm on this family's chi, delta_12, delta_21 and
-    delta_f.  Raises NearZeroPostSelectionError in the divergence regime
-    (N_M <= TOL_NM).
+    switchcore.assemble_sm on this family's record.  Raises
+    NearZeroPostSelectionError in the divergence regime (N_M <= TOL_NM).
     """
     t = _disp_squeeze_terms(omega, beta, a, s)
-    d21 = t.e21 - t.e_s
-    d12 = d21 + (t.e12 - t.e21)
-    df = t.f_s - t.chi * t.e_s
-    n_m, bracket = assemble_sm(measurement_angles(c, m), t.chi, d12, d21, df)
+    n_m, bracket = assemble_sm(measurement_angles(c, m), t.kernel)
     if post_selection_vanishes(n_m):
         raise NearZeroPostSelectionError(n_m)
     return bracket / n_m
@@ -910,9 +922,10 @@ def fock_oracle_report(
 
     Checked quantities: chi, e12, e21, f_s, delta_f, delta_qs, delta_sm.
     For displacements W21 is a phase times W12, so
-    delta_f = F_S - chi E_S = chi (E12 - E_S) = chi delta_sm.  The closed
-    forms are looked up in this module at call time, and the measured
-    values are NaN when the post-selection diverges.  The default
+    delta_f = F_S - chi E_S = chi (E12 - E_S) = chi delta_sm, read from
+    the record delta_qs_displacements assembles.  The closed forms are
+    looked up in this module at call time, and the measured values are NaN
+    when the post-selection diverges.  The default
     schedule is centred on the cutoff the scenario builders pick.
 
     A check converges when its final gap is <= TOL_ORACLE; the gap
@@ -942,7 +955,7 @@ def fock_oracle_report(
             "e12": e21_closed,
             "e21": e21_closed,
             "f_s": chi_closed * e21_closed,
-            "delta_f": chi_closed * delta_sm_closed,
+            "delta_f": _displacement_terms(omega, a, b).df,
             "delta_qs": delta_qs_displacements(omega, t_abs, t_phase, a, b, c),
             "delta_sm": delta_sm_closed,
         }

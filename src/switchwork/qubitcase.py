@@ -11,12 +11,13 @@ forms for every scalar in the controlled-order energy bookkeeping:
     Im df    = -(w/4) sin(ax) sin(ay) sech^2(bw/2)
 
 with df the interference term of the post-measurement decomposition.
-_rotation_terms evaluates them once per point (chi - 1 as written, which
-keeps its digits at small angles), and the rotation forms, like both U(2)
-objectives, assemble them with the switchcore kernel.  The generic matrix
-path is their oracle, run from outside: `verify`'s rotation checks look
-the forms up here at call time and compare them with activation_report
-and measure_control.
+_rotation_terms evaluates them once per point as a switchcore.KernelTerms
+record (chi - 1 as written, which keeps its digits at small angles), and
+the rotation forms, like both U(2) objectives on _u2_pair_terms' record,
+assemble it with the switchcore kernel.  The generic matrix path is their
+oracle, run from outside: `verify`'s rotation checks look the forms up
+here at call time and compare them with activation_report and
+measure_control.
 
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
@@ -53,6 +54,7 @@ from .states import (
 )
 from .switchcore import (
     TOL_ENERGY,
+    KernelTerms,
     MeasurementAngles,
     SwitchScenario,
     activation_conditions,
@@ -163,23 +165,16 @@ def _rotation_pair(r: RotationParams) -> tuple[UnitaryOperator, UnitaryOperator]
     return rotation_unitary("x", r.alpha_x), rotation_unitary("y", r.alpha_y)
 
 
-class _RotationTerms(NamedTuple):
-    """The module docstring's scalars of R_x(ax), R_y(ay) at one point."""
-
-    chi_m1: complex  # chi - 1
-    delta: float  # delta_12 = delta_21 = Re df
-    delta_f: complex
-
-
-def _rotation_terms(omega: float, beta: float, r: RotationParams) -> _RotationTerms:
-    """chi - 1 formed as written, so that it keeps its digits at small angles."""
+def _rotation_terms(omega: float, beta: float, r: RotationParams) -> KernelTerms:
+    """The module docstring's scalars of R_x(ax), R_y(ay) at one point, with
+    chi - 1 formed as written, so that it keeps its digits at small angles."""
     tau = _tanh_half(beta, omega)
     ax, ay = r.alpha_x, r.alpha_y
     sx, sy = math.sin(ax), math.sin(ay)
     chi_m1 = complex(-2.0 * math.sin(ax / 2.0) ** 2 * math.sin(ay / 2.0) ** 2, 0.5 * tau * sx * sy)
     delta = (omega / 2.0) * tau * (1.0 - math.cos(ax) * math.cos(ay))
     im = -(omega / 4.0) * sx * sy * (1.0 - tau * tau)
-    return _RotationTerms(chi_m1, delta, complex(delta, im))
+    return KernelTerms(chi_m1, delta, delta, complex(delta, im))
 
 
 def delta_qs_rotations(
@@ -202,8 +197,7 @@ def delta_qs_rotations(
     """
     ThermalParams(beta, omega)  # rejects a NaN or negative beta and a bad omega
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
-    t = _rotation_terms(omega, beta, r)
-    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), t.chi_m1, t.delta, t.delta)[0]
+    return assemble_qs(*pure_control_weights(c, t_abs, t_phase), _rotation_terms(omega, beta, r))[0]
 
 
 def activation_conditions_rotations(
@@ -219,7 +213,7 @@ def activation_conditions_rotations(
     (cot ax cot ay - csc ax csc ay) sinh(b w); the kernel tests it in
     cross-product form, which has no tangent poles."""
     ThermalParams(beta, omega)  # rejects a NaN or negative beta and a bad omega
-    df = _rotation_terms(omega, beta, r).delta_f
+    df = _rotation_terms(omega, beta, r).df
     return activation_conditions(measurement_angles(c, m), df)[0]
 
 
@@ -322,11 +316,11 @@ def _starts(n_starts: int, seed: int) -> list[list[float]]:
     return np.random.default_rng(seed).uniform(0.0, _TWO_PI, (n_starts, 6)).tolist()
 
 
-def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):
-    """Shared objective kernel: the orderings W12 = U2 U1 and W21 = U1 U2 of
-    the pair at angles x, as nested tuples of Python complex numbers, with
-    E12, E21 and chi for a diagonal qubit state of populations (p0, p1).
-    Hot path: Python float and complex arithmetic only, no array."""
+def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float) -> KernelTerms:
+    """Shared objective kernel: the KernelTerms record of the pair at angles
+    x, read off W12 = U2 U1 and W21 = U1 U2 as nested tuples of Python
+    complex numbers, for h_s = diag(0, w) and a diagonal qubit state of
+    populations (p0, p1).  Hot path: no array."""
     l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x]
     a00, a01, a10, a11 = _rzyz_entries(l1, g1, d1)
     b00, b01, b10, b11 = _rzyz_entries(l2, g2, d2)
@@ -339,7 +333,9 @@ def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float):
     x_chi = p0 * (w12[0][0] * w21[0][0].conjugate() + w12[1][0] * w21[1][0].conjugate()) + p1 * (
         w12[0][1] * w21[0][1].conjugate() + w12[1][1] * w21[1][1].conjugate()
     )
-    return w12, w21, e12, e21, x_chi
+    e_s = omega * p1
+    f_s = omega * (p0 * w12[1][0] * w21[1][0].conjugate() + p1 * w12[1][1] * w21[1][1].conjugate())
+    return KernelTerms(x_chi - 1.0, e12 - e_s, e21 - e_s, f_s - x_chi * e_s)
 
 
 class _DeltaQsObjective(NamedTuple):
@@ -350,16 +346,13 @@ class _DeltaQsObjective(NamedTuple):
     omega: float
     p0: float
     p1: float
-    e_s: float
     rc00: float
     rc11: float
     k: complex  # rho_c01 * h_c10
 
     def __call__(self, x: list[float]) -> float:
-        _, _, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
-        return assemble_qs(
-            self.rc00, self.rc11, self.k, x_chi - 1.0, e12 - self.e_s, e21 - self.e_s
-        )[0]
+        terms = _u2_pair_terms(x, self.omega, self.p0, self.p1)
+        return assemble_qs(self.rc00, self.rc11, self.k, terms)[0]
 
 
 class _DeltaSmObjective(NamedTuple):
@@ -369,16 +362,10 @@ class _DeltaSmObjective(NamedTuple):
     omega: float
     p0: float
     p1: float
-    e_s: float
     angles: MeasurementAngles
 
     def __call__(self, x: list[float]) -> float:
-        w12, w21, e12, e21, x_chi = _u2_pair_terms(x, self.omega, self.p0, self.p1)
-        f_s = self.omega * (
-            self.p0 * w12[1][0] * w21[1][0].conjugate() + self.p1 * w12[1][1] * w21[1][1].conjugate()
-        )
-        delta_f = f_s - x_chi * self.e_s
-        n_m, bracket = assemble_sm(self.angles, x_chi, e12 - self.e_s, e21 - self.e_s, delta_f)
+        n_m, bracket = assemble_sm(self.angles, _u2_pair_terms(x, self.omega, self.p0, self.p1))
         if post_selection_vanishes(n_m):
             return math.inf
         return bracket / n_m
@@ -394,14 +381,14 @@ def _delta_qs_objective(
 ) -> _DeltaQsObjective:
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     p0, p1 = _thermal_populations(omega, beta)
-    return _DeltaQsObjective(omega, p0, p1, omega * p1, *pure_control_weights(c, t_abs, t_phase))
+    return _DeltaQsObjective(omega, p0, p1, *pure_control_weights(c, t_abs, t_phase))
 
 
 def _delta_sm_objective(
     omega: float, beta: float, c: BlochState, m: BlochState
 ) -> _DeltaSmObjective:
     p0, p1 = _thermal_populations(omega, beta)
-    return _DeltaSmObjective(omega, p0, p1, omega * p1, measurement_angles(c, m))
+    return _DeltaSmObjective(omega, p0, p1, measurement_angles(c, m))
 
 
 class _BudgetSpent(Exception):

@@ -9,32 +9,35 @@ into delta_12, delta_21 and the interference term delta_f.
 
 Each scenario computes its terms once, on first use, and both reports read
 them: the blocks W12 = U2 U1 and W21 = U1 U2, formed and validated as
-unitaries by _switch_blocks; the d-space products R12 = W12 rho W12†,
-R21 = W21 rho W21† and A12 = W12 rho W21† with the scalars chi = tr A12,
-E_S, E12, E21 and F_S = tr{A12 h_s}; rho_c; the joint state E, filled block
-by block from those terms; and, only when asked for, E as a checked
-DensityMatrix.  Before E is used, a Freivalds probe checks it against the
-conjugation U (rho (x) rho_c) U†, with U applied through U1 and U2, on
-k = 16 fixed +-1 columns at O(k d^2) cost; an entry off by more than
-TOL_ENERGY escapes it with probability at most 2^-k (see
-SwitchScenario._joint_out).  The dense U (build_switch_unitary) and the
-(2d)^3 conjugation are the oracle of the tests and of `verify`'s
-tilde-energy-split check.  Every derived scalar comes from both E and the
-d-space scalars, and the routes must agree within TOL_ENERGY at runtime
-(each function names its checks).  A disagreement means a bug, so it raises
-instead of returning.  Scenarios and wrapper arrays are immutable, so a
-cached term never goes stale.
+unitaries by _switch_blocks; the d-space products R12 = W12 rho W12†, R21 =
+W21 rho W21† and A12 = W12 rho W21† with the scalars chi = tr A12, E_S,
+E12, E21 and F_S = tr{A12 h_s}, and the kernel record formed from them;
+rho_c; the joint state E, filled block by block from those terms; and, only
+when asked for, E as a checked DensityMatrix.  Before E is used, a
+Freivalds probe checks it against the conjugation U (rho (x) rho_c) U†,
+with U applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2)
+cost; an entry off by more than TOL_ENERGY escapes it with probability at
+most 2^-k (see SwitchScenario._joint_out).  The dense U
+(build_switch_unitary) and the (2d)^3 conjugation are the oracle of the
+tests and of `verify`'s tilde-energy-split check.  Every derived scalar
+comes from both E and the d-space scalars, and the routes must agree within
+TOL_ENERGY at runtime (each function names its checks).  A disagreement
+means a bug, so it raises instead of returning.  Scenarios and wrapper
+arrays are immutable, so a cached term never goes stale.
 
 The assembly kernel holds the paper's formulas once.  Every family reduces
-to chi, delta_12 = E12 - E_S, delta_21 = E21 - E_S and delta_f = F_S - chi E_S;
-assemble_qs turns them into delta_qs and delta_c, taking chi - 1 as given so
-that it keeps its digits near chi = 1, and, with the angle factors that
-measurement_angles builds once per (control, measurement) pair, assemble_sm
-gives n_m and the delta_sm numerator, and activation_conditions conditions
-(i)-(iii).  post_selection_vanishes is the one divergence test;
+to one KernelTerms record per point: chi - 1, delta_12 = E12 - E_S,
+delta_21 = E21 - E_S and delta_f = F_S - chi E_S, formed in one function
+per family (SwitchScenario._terms on the generic path).  The kernel reads
+nothing else that depends on the family: assemble_qs turns the record into
+delta_qs and delta_c, and, with the angle factors that measurement_angles
+builds once per (control, measurement) pair, assemble_sm gives n_m and the
+delta_sm numerator, and activation_conditions conditions (i)-(iii).  Both
+take chi - 1, not chi, so a family that forms chi - 1 directly keeps its
+digits near chi = 1.  post_selection_vanishes is the one divergence test;
 post_selection_impossible applies it to the bound on n_m that holds for
 every unitary pair.  The reports check their direct routes against the
-kernel; the qubitcase and cvcase forms call it with their own numbers
+kernel; the qubitcase and cvcase forms call it with their own records
 (pure_control_weights gives a pure control's weights).
 
 Subsystem ordering is system (x) control everywhere.
@@ -105,10 +108,10 @@ class SwitchScenario:
         r12 = w12_rho @ w12.conj().T
         r21 = w21 @ rho @ w21.conj().T
         a12 = w12_rho @ w21.conj().T
-        return _SwitchTerms(
-            r12=r12, r21=r21, a12=a12, chi=complex(np.trace(a12)), e_s=_tr(rho, h_s).real,
-            e12=_tr(r12, h_s).real, e21=_tr(r21, h_s).real, f_s=_tr(a12, h_s),
-        )
+        x, e_s, f_s = complex(np.trace(a12)), _tr(rho, h_s).real, _tr(a12, h_s)
+        e12, e21 = _tr(r12, h_s).real, _tr(r21, h_s).real
+        kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
+        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel)
 
     @cached_property
     def _joint_out(self) -> np.ndarray:
@@ -167,6 +170,7 @@ class _SwitchTerms:
     e12: float
     e21: float
     f_s: complex
+    kernel: KernelTerms
 
 
 def _probes(n: int) -> np.ndarray:
@@ -185,16 +189,24 @@ def _tr(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
+class KernelTerms(NamedTuple):
+    """The four d-space numbers of one point that the kernel reads; each
+    family forms them in one function."""
+
+    chi_m1: complex  # chi - 1
+    d12: float  # delta_12 = E12 - E_S
+    d21: float  # delta_21 = E21 - E_S
+    df: complex  # delta_f = F_S - chi E_S
+
+
 class MeasurementAngles(NamedTuple):
     """Angle factors of one (control, measurement) pair, psi = phi_m - phi_c;
     build it once per pair with measurement_angles."""
 
     cc: float  # cos^2(theta_c/2) cos^2(theta_m/2)
     ss: float  # sin^2(theta_c/2) sin^2(theta_m/2)
-    cos_cm: float  # cos(theta_c) cos(theta_m)
-    sin_cm: float  # sin(theta_c) sin(theta_m)
+    overlap: float  # |<m|c>|^2 = cc + ss + half_sin_cm cos(psi), n_m at chi = 1
     half_sin_cm: float  # 0.5 sin(theta_c) sin(theta_m)
-    psi: float
     e_psi: complex
     # Condition (i), decided from the angles: math.sin(math.pi) is 1.2e-16,
     # not 0, so the sines cannot tell a south pole from a point off it.
@@ -202,37 +214,27 @@ class MeasurementAngles(NamedTuple):
 
 
 def measurement_angles(c: BlochState, m: BlochState) -> MeasurementAngles:
-    sin_c, sin_m = math.sin(c.theta), math.sin(m.theta)
-    psi = m.phi - c.phi
-    return MeasurementAngles(
-        math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2,
-        math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2,
-        math.cos(c.theta) * math.cos(m.theta),
-        sin_c * sin_m,
-        0.5 * sin_c * sin_m,
-        psi,
-        cmath.exp(1j * psi),
-        0.0 < c.theta < math.pi and 0.0 < m.theta < math.pi,
-    )
+    cc = math.cos(c.theta / 2.0) ** 2 * math.cos(m.theta / 2.0) ** 2
+    ss = math.sin(c.theta / 2.0) ** 2 * math.sin(m.theta / 2.0) ** 2
+    half_sin_cm = 0.5 * math.sin(c.theta) * math.sin(m.theta)
+    e_psi = cmath.exp(1j * (m.phi - c.phi))  # (cos psi, sin psi), bit for bit
+    off_poles = 0.0 < c.theta < math.pi and 0.0 < m.theta < math.pi
+    overlap = cc + ss + half_sin_cm * e_psi.real
+    return MeasurementAngles(cc, ss, overlap, half_sin_cm, e_psi, off_poles)
 
 
-def assemble_nm(a: MeasurementAngles, chi_value: complex) -> float:
-    """n_m = (1 + cos tc cos tm + sin tc sin tm Re{chi e^{i psi}}) / 2."""
-    return 0.5 * (1.0 + a.cos_cm + a.sin_cm * (chi_value * a.e_psi).real)
-
-
-def assemble_sm(
-    a: MeasurementAngles, chi_value: complex, d12: float, d21: float, df: complex
-) -> tuple[float, float]:
+def assemble_sm(a: MeasurementAngles, terms: KernelTerms) -> tuple[float, float]:
     """(n_m, bracket) with delta_sm = bracket / n_m:
 
+    n_m     = |<m|c>|^2 + (1/2) sin tc sin tm Re{(chi - 1) e^{i psi}}
     bracket = cos^2(tc/2) cos^2(tm/2) delta_12 + sin^2(tc/2) sin^2(tm/2) delta_21
               + (1/2) sin tc sin tm Re{delta_f e^{i psi}}
 
     The caller checks post_selection_vanishes(n_m) before it divides.
     """
-    bracket = a.cc * d12 + a.ss * d21 + a.half_sin_cm * (df * a.e_psi).real
-    return assemble_nm(a, chi_value), bracket
+    chi_m1, d12, d21, df = terms
+    n_m = a.overlap + a.half_sin_cm * (chi_m1 * a.e_psi).real
+    return n_m, a.cc * d12 + a.ss * d21 + a.half_sin_cm * (df * a.e_psi).real
 
 
 def activation_conditions(
@@ -242,8 +244,8 @@ def activation_conditions(
 
     (iii) is False wherever (i) is, since sin(theta) is exactly 0 at a pole.
     """
-    lhs = df.imag * math.sin(a.psi) - df.real * math.cos(a.psi)
-    cond_iii = a.off_poles and a.sin_cm * (df * a.e_psi).real < 0.0
+    lhs = df.imag * a.e_psi.imag - df.real * a.e_psi.real
+    cond_iii = a.off_poles and a.half_sin_cm * (df * a.e_psi).real < 0.0
     return (a.off_poles, abs(lhs) > 0.0, cond_iii), lhs
 
 
@@ -255,17 +257,16 @@ def pure_control_weights(c: BlochState, t_abs: float, t_phase: float):
     return rc00, rc11, rc01 * (t_abs * cmath.exp(-1j * t_phase))
 
 
-def assemble_qs(
-    rc00: float, rc11: float, k: complex, chi_m1: complex, d12: float, d21: float
-) -> tuple[float, float]:
-    """(delta_qs, delta_c) before measurement, k = <0|rho_c|1> <1|h_c|0>, chi_m1 = chi - 1:
+def assemble_qs(rc00: float, rc11: float, k: complex, terms: KernelTerms) -> tuple[float, float]:
+    """(delta_qs, delta_c) before measurement, k = <0|rho_c|1> <1|h_c|0>:
 
     delta_c  = 2 Re{k (chi - 1)}
     delta_qs = rc00 delta_12 + rc11 delta_21 + delta_c
 
     Exact for any 2x2 control state and h_c: tr rho_c = 1 cancels E_S and
-    the diagonal of h_c.
+    the diagonal of h_c.  delta_f is not read.
     """
+    chi_m1, d12, d21, _ = terms
     delta_c = 2.0 * (k * chi_m1).real
     return rc00 * d12 + rc11 * d21 + delta_c, delta_c
 
@@ -434,14 +435,14 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     rho_c = s.rho_c.mat
     h_c = s.h_c.mat
     t = s._terms
-    e_s, e12, e21, x = t.e_s, t.e12, t.e21, t.chi
+    e_s, x = t.e_s, t.chi
     e_c = _tr(rho_c, h_c).real
 
     e_out_direct = _tr(s._joint_out, _joint_hamiltonian(s.h_s.mat, h_c)).real
     delta_qs = e_out_direct - (e_s + e_c)
     rc00, rc11 = float(rho_c[0, 0].real), float(rho_c[1, 1].real)
     k = complex(rho_c[0, 1] * h_c[1, 0])
-    qs_scalar, delta_c_closed = assemble_qs(rc00, rc11, k, x - 1.0, e12 - e_s, e21 - e_s)
+    qs_scalar, delta_c_closed = assemble_qs(rc00, rc11, k, t.kernel)
     if abs(delta_qs - qs_scalar) > TOL_ENERGY:
         raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 
@@ -460,8 +461,8 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         chi=x,
         e_s=e_s,
         e_c=e_c,
-        e12=e12,
-        e21=e21,
+        e12=t.e12,
+        e21=t.e21,
         delta_qs=delta_qs,
         delta_s=delta_s,
         delta_c=delta_c,
@@ -517,8 +518,8 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     outcome probability is at or below TOL_NM.  The projected state is
     computed both by direct projection of the probe-checked joint state and
     by the angle factors on the d-space blocks; the two must agree, and so
-    must n_m and delta_sm with the kernel assemble_sm on
-    delta_f = F_S - chi E_S, F_S = tr{U2 U1 rho U2† U1† h_s}.
+    must n_m and delta_sm with the kernel assemble_sm on the scenario's
+    KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
@@ -535,9 +536,7 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
     numerator_exp = a.cc * t.r12 + a.ss * t.r21 + coh * t.a12 + coh.conjugate() * t.a12.conj().T
-    delta_12, delta_21 = t.e12 - t.e_s, t.e21 - t.e_s
-    delta_f = t.f_s - t.chi * t.e_s
-    n_m_closed, bracket = assemble_sm(a, t.chi, delta_12, delta_21, delta_f)
+    n_m_closed, bracket = assemble_sm(a, t.kernel)
     if np.max(np.abs(numerator - numerator_exp)) > TOL_ENERGY:
         raise AssertionError("projection and expansion numerators disagree")
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
@@ -551,15 +550,15 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     delta_sm_direct = e_sm - t.e_s
     if abs(bracket / n_m_direct - delta_sm_direct) > TOL_ENERGY:
         raise AssertionError("post-measurement energy routes disagree")
-    conditions, cond_ii_lhs = activation_conditions(a, delta_f)
+    conditions, cond_ii_lhs = activation_conditions(a, t.kernel.df)
 
     return MeasurementReport(
         n_m=n_m_direct,
         rho_sm=rho_sm,
         e_sm=e_sm,
-        delta_12=delta_12,
-        delta_21=delta_21,
-        delta_f=delta_f,
+        delta_12=t.kernel.d12,
+        delta_21=t.kernel.d21,
+        delta_f=t.kernel.df,
         delta_sm=delta_sm_direct,
         conditions=conditions,
         condition_ii_lhs=cond_ii_lhs,

@@ -537,6 +537,27 @@ class TestComputeOnce:
         _DISP_SQUEEZE_CALLS[form]()
         assert calls == {"_disp_squeeze_terms": 1}
 
+    def test_delta_qs_and_delta_sm_hand_the_kernel_one_record(self, monkeypatch):
+        # A fig7 point (|t| = 0, |a| = 0.65, |z| = 0.8) where E12 - E_S and
+        # delta_21 + (E12 - E21) differ in the last bit: both kernels read
+        # the one record, with the delta_12 whose bits fig7-fig9 pin.
+        seen = {}
+        for name, slot in (("assemble_qs", 3), ("assemble_sm", 1)):
+
+            def spy(*args, _honest=getattr(cvcase, name), _name=name, _slot=slot):
+                seen[_name] = args[_slot]
+                return _honest(*args)
+
+            monkeypatch.setattr(cvcase, name, spy)
+        a, s = DisplacementParams(0.65, 0.0), SqueezeParams(0.8, 0.0)
+        delta_qs_disp_squeeze(1.0, 1.0, 0.0, 0.0, a, s, _EQ)
+        delta_sm_disp_squeeze(1.0, 1.0, a, s, _EQ, BlochState(math.pi / 2.0, math.pi / 2.0))
+        e12, e21 = e12_disp_squeeze(1.0, 1.0, a, s), e21_disp_squeeze(1.0, 1.0, a, s)
+        d21, e_s = delta_21_disp_squeeze(1.0, 1.0, a, s), ThermalParams(1.0, 1.0).n_th + 0.5
+        assert e12 - e_s != d21 + (e12 - e21)
+        assert repr(seen["assemble_qs"]) == repr(seen["assemble_sm"])
+        assert seen["assemble_qs"][1:3] == (d21 + (e12 - e21), d21)
+
 
 class TestDispSqueezeClosedForms:
     def test_oracle_gaps_below_1e6_at_n80_for_half_squeeze(self):

@@ -24,6 +24,36 @@ from switchwork.cvcase import delta_qs_displacements_symmetric
 _CHEAP_IDS = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9")
 
 
+def byte_pin_summary(baseline: str, regenerated: str) -> str:
+    """How a regenerated figure CSV differs from its baseline, row by row:
+    the changed-row count, the largest |delta| per numeric column, and
+    every change to a flag, a tag, an empty cell or a non-finite cell
+    (the first five listed)."""
+    old, new = baseline.splitlines(), regenerated.splitlines()
+    if old[:1] != new[:1] or len(old) != len(new):
+        return f"header or row count changed: {old[:1]} -> {new[:1]}, {len(old) - 1} -> {len(new) - 1} rows"
+    header = old[0].split(",")
+    changed, worst, cells = 0, {}, []
+    for row, (a, b) in enumerate(zip(old[1:], new[1:]), start=1):
+        changed += a != b
+        for name, x, y in zip(header, a.split(","), b.split(",")):
+            if x == y:
+                continue
+            try:
+                delta = abs(float(y) - float(x))
+            except ValueError:
+                delta = math.nan
+            if name.endswith("[flag]") or not math.isfinite(delta):
+                cells.append(f"row {row} {name}: {x!r} -> {y!r}")
+            else:
+                worst[name] = max(worst.get(name, 0.0), delta)
+    largest = ", ".join(f"{name} {delta:.3g}" for name, delta in worst.items()) or "none"
+    return (
+        f"{changed} of {len(old) - 1} rows changed; largest |delta|: {largest}; "
+        f"{len(cells)} flag, tag or empty-cell changes: {cells[:5]}"
+    )
+
+
 class TestFormatCell:
     def test_none_is_empty(self):
         assert format_cell(None) == ""
@@ -93,7 +123,16 @@ class TestStructureAgainstBaselines:
     @pytest.mark.parametrize("figure_id", _CHEAP_IDS)
     def test_regenerated_bytes_match_baseline(self, figure_id):
         header, rows = figure_dataset(figure_id)
-        assert render_csv(header, rows).encode() == baseline_path(figure_id).read_bytes()
+        text, baseline = render_csv(header, rows), baseline_path(figure_id).read_bytes()
+        assert text.encode() == baseline, byte_pin_summary(baseline.decode(), text)
+
+    def test_byte_pin_summary_names_rows_columns_and_flags(self):
+        baseline = "x[1],y[energy],f[flag]\n0,1.0,0\n1,2.0,0\n2,3.0,0\n"
+        regenerated = "x[1],y[energy],f[flag]\n0,1.25,0\n1,2.0,1\n2,,0\n"
+        assert byte_pin_summary(baseline, regenerated) == (
+            "3 of 3 rows changed; largest |delta|: y[energy] 0.25; 2 flag, tag or empty-cell "
+            "changes: [\"row 2 f[flag]: '0' -> '1'\", \"row 3 y[energy]: '3.0' -> ''\"]"
+        )
 
     @pytest.mark.parametrize("figure_id", _CHEAP_IDS)
     def test_header_line_matches_baseline(self, figure_id):

@@ -33,7 +33,7 @@ from switchwork.switchcore import (
     TOL_ENERGY,
     NearZeroPostSelectionError,
     activation_report,
-    assemble_nm,
+    assemble_sm,
     measure_control,
     measurement_angles,
 )
@@ -128,9 +128,9 @@ class TestRotationClosedForm:
             t = qubit_scenario(omega, beta, 0.0, 0.0, *qubitcase._rotation_pair(r), c)._terms
             terms = qubitcase._rotation_terms(omega, beta, r)
             assert abs(terms.chi_m1 - (t.chi - 1.0)) <= TOL_ENERGY
-            assert abs(terms.delta - (t.e12 - t.e_s)) <= TOL_ENERGY
-            assert abs(terms.delta - (t.e21 - t.e_s)) <= TOL_ENERGY
-            assert abs(terms.delta_f - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
+            assert abs(terms.d12 - (t.e12 - t.e_s)) <= TOL_ENERGY
+            assert abs(terms.d21 - (t.e21 - t.e_s)) <= TOL_ENERGY
+            assert abs(terms.df - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
 
     @pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6])
     def test_tiny_angles_keep_their_digits(self, angle):
@@ -196,7 +196,7 @@ class TestMeasuredRotationClosedForm:
         assert activation_conditions_rotations(1.0, 0.8, r, c, m) == (True, True, True)
         t = scenario._terms
         generic = t.f_s - t.chi * t.e_s
-        assert abs(qubitcase._rotation_terms(1.0, 0.8, r).delta_f - generic) <= TOL_ENERGY
+        assert abs(qubitcase._rotation_terms(1.0, 0.8, r).df - generic) <= TOL_ENERGY
 
     @pytest.mark.parametrize(
         "call, message",
@@ -242,7 +242,7 @@ class TestMeasuredRotationClosedForm:
             hits += all(conds)
             # The closed-form df the conditions read is the scenario's.
             t = qubit_scenario(1.0, 0.8, 0.0, 0.0, *qubitcase._rotation_pair(r), c)._terms
-            df = qubitcase._rotation_terms(1.0, 0.8, r).delta_f
+            df = qubitcase._rotation_terms(1.0, 0.8, r).df
             assert abs(df - (t.f_s - t.chi * t.e_s)) <= TOL_ENERGY
         assert hits > 0
 
@@ -500,7 +500,7 @@ class TestObjectivesMatchCheckedPath:
     @given(x=_ANGLES6, beta=st.sampled_from(_BETAS), c=_BLOCH, m=_BLOCH)
     def test_delta_sm(self, x, beta, c, m):
         s = qubit_scenario(1.0, beta, 0.0, 0.0, *_pair(x), c)
-        n_m = assemble_nm(measurement_angles(c, m), s._terms.chi)
+        n_m = assemble_sm(measurement_angles(c, m), s._terms.kernel)[0]
         assume(n_m > 1e-9)
         want = measure_control(s, m).delta_sm
         got = qubitcase._delta_sm_objective(1.0, beta, c, m)(x)

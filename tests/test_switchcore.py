@@ -223,9 +223,9 @@ class TestActivationReport:
         rc, hc = s.rho_c.mat, s.h_c.mat
         assert min(abs(hc[0, 0]), abs(hc[1, 1])) > 0.0 and np.linalg.eigvalsh(rc)[0] > 0.0
         rep = activation_report(s)
+        terms = switchcore.KernelTerms(rep.chi - 1.0, rep.e12 - rep.e_s, rep.e21 - rep.e_s, 0j)
         delta_qs, delta_c = switchcore.assemble_qs(
-            rc[0, 0].real, rc[1, 1].real, rc[0, 1] * hc[1, 0],
-            rep.chi - 1.0, rep.e12 - rep.e_s, rep.e21 - rep.e_s,
+            rc[0, 0].real, rc[1, 1].real, rc[0, 1] * hc[1, 0], terms
         )
         assert abs(delta_qs - rep.delta_qs) < 1e-12
         assert abs(delta_c - rep.delta_c) < 1e-12
@@ -294,7 +294,8 @@ class TestMeasureControl:
         t = s._terms
         a = switchcore.measurement_angles(c, m)
         df = t.f_s - t.chi * t.e_s
-        n_m, bracket = switchcore.assemble_sm(a, t.chi, t.e12 - t.e_s, t.e21 - t.e_s, df)
+        terms = switchcore.KernelTerms(t.chi - 1.0, t.e12 - t.e_s, t.e21 - t.e_s, df)
+        n_m, bracket = switchcore.assemble_sm(a, terms)
         conditions, lhs = switchcore.activation_conditions(a, df)
         try:
             rep = measure_control(s, m)
@@ -311,6 +312,33 @@ class TestMeasureControl:
         decided = (True, abs(lhs) > 1e-12, abs(cross) > 1e-12)
         for got, want, ok in zip(conditions, reference["conditions"], decided):
             assert got == want or not ok
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        c=st.builds(BlochState, _POLE_OR_ANGLE, _PHASE),
+        m=st.builds(BlochState, _POLE_OR_ANGLE, _PHASE),
+        chi_abs=st.floats(min_value=0.0, max_value=1.0),
+        chi_arg=_PHASE,
+        energies=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    )
+    def test_kernel_branches_balance(self, c, m, chi_abs, chi_arg, energies):
+        # The outcomes m and m_perp = -m split the unmeasured control: their
+        # n_m sum to 1 and their brackets to the dephased energy change.
+        # Every check is within 8 ulp of its operand scale.
+        d12, d21, df_re, df_im = energies
+        chi_m1 = cmath.rect(chi_abs, chi_arg) - 1.0
+        terms = switchcore.KernelTerms(chi_m1, d12, d21, complex(df_re, df_im))
+        m_perp = BlochState(math.pi - m.theta, (m.phi + math.pi) % (2.0 * math.pi))
+        a, a_perp = switchcore.measurement_angles(c, m), switchcore.measurement_angles(c, m_perp)
+        n_m, bracket = switchcore.assemble_sm(a, terms)
+        n_perp, bracket_perp = switchcore.assemble_sm(a_perp, terms)
+        ulp = 8.0 * np.finfo(float).eps
+        assert abs(n_m + n_perp - 1.0) <= ulp
+        dephased = math.cos(c.theta / 2.0) ** 2 * d12 + math.sin(c.theta / 2.0) ** 2 * d21
+        assert abs(bracket + bracket_perp - dephased) <= ulp * max(map(abs, energies))
+        # Commuting unitaries (chi - 1 = 0) leave the Born rule |<m|c>|^2.
+        n_commuting = switchcore.assemble_sm(a, terms._replace(chi_m1=0j))[0]
+        assert abs(n_commuting - abs(np.vdot(m.to_ket(), c.to_ket())) ** 2) <= ulp
 
     @pytest.mark.parametrize(
         "c, m",
@@ -543,15 +571,22 @@ class TestCrossChecksFire:
         "field, message",
         [
             ("r12", "projection and expansion numerators disagree"),
-            ("chi", "post-selection probability routes disagree"),
-            ("f_s", "post-measurement energy routes disagree"),
+            ("chi_m1", "post-selection probability routes disagree"),
+            ("df", "post-measurement energy routes disagree"),
         ],
     )
     def test_measure_control_checks(self, scenario, monkeypatch, field, message):
+        # chi_m1 and df are fields of the kernel record, the only
+        # scenario terms that assemble_sm reads.
         post_switch_state(scenario)
         t = scenario._terms
-        wrong = {"r12": t.r21, "chi": t.chi + 1e-3, "f_s": t.f_s + 1e-3}[field]
-        self._corrupt_terms(monkeypatch, scenario, **{field: wrong})
+        k = t.kernel
+        wrong = {
+            "r12": {"r12": t.r21},
+            "chi_m1": {"kernel": k._replace(chi_m1=k.chi_m1 + 1e-3)},
+            "df": {"kernel": k._replace(df=k.df + 1e-3)},
+        }[field]
+        self._corrupt_terms(monkeypatch, scenario, **wrong)
         with pytest.raises(AssertionError, match=message):
             measure_control(scenario, self.M)
 
