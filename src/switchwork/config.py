@@ -48,6 +48,9 @@ UNITS = {
     **{name: unit for _, params in FAMILIES.values() for name, unit in params.items()},
 }
 KINDS = tuple(dict.fromkeys(kind for kind, _ in FAMILIES.values()))
+# The U(2) optimizer's evaluation budget: the default, and the least one
+# accepted (qubitcase's minimizers use the same two numbers).
+_DEFAULT_BUDGET, _MIN_BUDGET = 32000, 1000
 
 
 class ConfigError(ValueError):
@@ -76,7 +79,7 @@ class ScenarioConfig:
     axes: tuple[SweepAxis, ...] = ()
     seed: int = 0
     n_max: int | None = None
-    budget: int = 32000
+    budget: int = _DEFAULT_BUDGET
 
     def scalar(self, name: str) -> float:
         for key, value in self.scalars:
@@ -178,12 +181,14 @@ def parse_config(text: str) -> ScenarioConfig:
         if seed < 0:
             raise ConfigError(f"line {got[1]}: field seed: must be >= 0, got {seed}")
 
-    budget = 32000
+    budget = _DEFAULT_BUDGET
     got = take("budget")
     if got is not None:
         budget = _parse_int(got[0], "budget", got[1])
-        if budget < 1000:
-            raise ConfigError(f"line {got[1]}: field budget: must be >= 1000, got {budget}")
+        if budget < _MIN_BUDGET:
+            raise ConfigError(
+                f"line {got[1]}: field budget: must be >= {_MIN_BUDGET}, got {budget}"
+            )
 
     n_max: int | None = None
     got = take("n_max")
@@ -255,7 +260,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         lines.append(f"{key} = {value:.17g}")
     if cfg.n_max is not None:
         lines.append(f"n_max = {cfg.n_max}")
-    if cfg.budget != 32000:
+    if cfg.budget != _DEFAULT_BUDGET:
         lines.append(f"budget = {cfg.budget}")
     if cfg.seed != 0:
         lines.append(f"seed = {cfg.seed}")

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import _DEFAULT_BUDGET, _MIN_BUDGET
 from .qmat import UnitaryOperator
 from .states import (
     BlochState,
@@ -541,8 +542,8 @@ def _multistart_minimize(objective, budget: int, seed: int):
     (best value, the best pair with global phases zero, evaluations,
     evaluations scored +inf, starts).
     """
-    if budget < 1000:
-        raise ValueError(f"budget must be at least 1000 evaluations, got {budget}")
+    if budget < _MIN_BUDGET:
+        raise ValueError(f"budget must be at least {_MIN_BUDGET} evaluations, got {budget}")
     n_starts = budget // _EVALS_PER_START
     tasks = [(objective, x0) for x0 in _starts(n_starts, seed)]
     workers = _pool_workers(n_starts)
@@ -570,7 +571,7 @@ def minimize_delta_qs_u2(
     t_abs: float,
     t_phase: float,
     c: BlochState,
-    budget: int = 32000,
+    budget: int = _DEFAULT_BUDGET,
     seed: int = 0,
 ) -> U2MinimizeResult:
     """Minimize the pre-measurement energy difference over two general
@@ -599,7 +600,7 @@ def minimize_delta_sm_u2(
     beta: float,
     c: BlochState,
     m: BlochState,
-    budget: int = 32000,
+    budget: int = _DEFAULT_BUDGET,
     seed: int = 0,
 ) -> U2MinimizeResult:
     """Minimize the post-measurement energy difference over two general

@@ -16,10 +16,11 @@ in `qubitcase` the same way and compare them with the generic matrix path.
 The config round trip covers one sample config per entry of the family
 table (`config.FAMILIES`).
 
-The random scenario generators draw Haar unitaries with scipy's
-`unitary_group.rvs` construction written out in `_haar`, so the module
-loads neither scipy.stats nor, until `numeric_delta_c_minimum` runs,
-scipy.optimize; the tests keep scipy's sampler as the reference stream.
+The random scenario generators draw Haar unitaries in `_haar` (a QR of
+a complex Gaussian matrix with the phases of R's diagonal fixed), and
+`numeric_delta_c_minimum` polishes with the package's own Nelder-Mead, so
+no level of the suite loads a scipy module.  The tests check the Haar
+draws against the moments of the Haar measure, not against a stream.
 """
 from __future__ import annotations
 
@@ -116,27 +117,11 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _haar(z: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from a stack of Gaussian matrices: the Q of
     each QR with every column phased by R's diagonal (Mezzadri, Notices
-    AMS 54, 592, 2007).  This is scipy's `unitary_group.rvs` construction,
-    so a draw from `_ginibre` gives its unitary bit for bit; a stack runs
-    one `qr` call."""
+    AMS 54, 592, 2007).  A stack runs one `qr` call."""
     q, r = np.linalg.qr(z)
     d = r.diagonal(axis1=-2, axis2=-1)
     q *= (d / abs(d))[..., np.newaxis, :]
     return q
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOperator:
-    return UnitaryOperator(_haar(_ginibre(rng, dim)))
-
-
-def _hamiltonian(basis: np.ndarray, energies: np.ndarray) -> HermitianOperator:
-    return HermitianOperator(basis @ np.diag(energies).astype(complex) @ basis.conj().T)
-
-
-def _random_hamiltonian(rng: np.random.Generator, dim: int, e_max: float) -> HermitianOperator:
-    """Energies uniform in [0, e_max) in a Haar-random eigenbasis."""
-    basis = _haar(_ginibre(rng, dim))
-    return _hamiltonian(basis, np.sort(rng.uniform(0.0, e_max, size=dim)))
 
 
 def _random_control_hamiltonian(
@@ -150,43 +135,52 @@ def _random_control_hamiltonian(
     )
 
 
+def _draw_scenario(
+    rng: np.random.Generator,
+    dim: int,
+    e_max: float,
+    t_max: float,
+    draw_control: Callable[[np.random.Generator, HermitianOperator], BlochState | DensityMatrix],
+) -> SwitchScenario:
+    """A scenario with a passive system state.  The rng draws come in a
+    fixed order: the eigenbasis of h_s, its energies (uniform in
+    [0, e_max)), the Dirichlet populations, h_c (|t| < t_max), the control
+    through `draw_control(rng, h_c)`, U1 and U2.  The three Haar matrices
+    come from one stacked QR, and h_s and rho_s are built on the drawn
+    eigenbasis, whose columns are in ascending-energy order."""
+    z_basis = _ginibre(rng, dim)
+    energies = np.sort(rng.uniform(0.0, e_max, size=dim))
+    pops = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
+    h_c = _random_control_hamiltonian(rng, 0.0, t_max, e_max)
+    control = draw_control(rng, h_c)
+    basis, u1, u2 = _haar(np.stack((z_basis, _ginibre(rng, dim), _ginibre(rng, dim))))
+    basis_h = basis.conj().T
+    return SwitchScenario(
+        rho_s=DensityMatrix((basis * pops) @ basis_h),
+        control=control,
+        u1=UnitaryOperator(u1),
+        u2=UnitaryOperator(u2),
+        h_s=HermitianOperator((basis * energies) @ basis_h),
+        h_c=h_c,
+    )
+
+
 def random_passive_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Random scenario with passive system state and passive control
     state (control Hamiltonian carries a random coherent off-diagonal).
-
-    The rng draws come in a fixed order (dimension, the eigenbasis of h_s,
-    its energies, the system populations, h_c, the control populations,
-    U1, U2), and the three Haar unitaries then come from one stacked QR.
-    rho_s is built on the drawn eigenbasis of h_s, whose columns are in
-    ascending-energy order, so h_s is not diagonalized again."""
-    dim = int(rng.choice(_DIM_POOL))
-    z_basis = _ginibre(rng, dim)
-    energies = np.sort(rng.uniform(0.0, 3.0, size=dim))
-    pops_s = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
-    h_c = _random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
-    pops_c = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    z_u1, z_u2 = _ginibre(rng, dim), _ginibre(rng, dim)
-    basis, u1, u2 = _haar(np.stack((z_basis, z_u1, z_u2)))
-    h_s = _hamiltonian(basis, energies)
-    return SwitchScenario(
-        rho_s=DensityMatrix((basis * pops_s) @ basis.conj().T),
-        control=passive_state_from_spectrum(pops_c, h_c),
-        u1=UnitaryOperator(u1),
-        u2=UnitaryOperator(u2),
-        h_s=h_s,
-        h_c=h_c,
+    The dimension is drawn first, from _DIM_POOL."""
+    return _draw_scenario(
+        rng, int(rng.choice(_DIM_POOL)), 3.0, 2.0,
+        lambda rng, h_c: passive_state_from_spectrum(rng.dirichlet(np.ones(2)), h_c),
     )
 
 
 def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Random qubit scenario with a pure control direction (measurable)."""
-    pops = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    h_s = _random_hamiltonian(rng, 2, 2.0)
-    rho_s = passive_state_from_spectrum(pops, h_s)
-    h_c = _random_control_hamiltonian(rng, 0.0, 1.5, 2.0)
-    control = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-    u1, u2 = _random_unitary(rng, 2), _random_unitary(rng, 2)
-    return SwitchScenario(rho_s=rho_s, control=control, u1=u1, u2=u2, h_s=h_s, h_c=h_c)
+    return _draw_scenario(
+        rng, 2, 2.0, 1.5,
+        lambda rng, h_c: BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +250,19 @@ def _check_tilde_split(rng: np.random.Generator) -> tuple[bool, str]:
 def numeric_delta_c_minimum(h_c: HermitianOperator, chi_value: complex) -> float:
     """Direct 2-parameter minimization of the control interference term
     delta_c(theta, phi) = sin(theta) Re{e^{-i phi} <1|h_c|0> (chi - 1)}
-    over Bloch angles: coarse grid scan polished by Nelder-Mead."""
-    from scipy.optimize import minimize as scipy_minimize
-
+    over Bloch angles: coarse grid scan polished by the package's
+    Nelder-Mead (`qubitcase._simplex_minimize`, 2000 evaluations)."""
     k = complex(h_c.mat[1, 0]) * (chi_value - 1.0)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         return math.sin(x[0]) * (cmath.exp(-1j * x[1]) * k).real
 
     thetas = np.linspace(0.0, math.pi, 61)
     phis = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
     grid = np.sin(thetas)[:, None] * (np.exp(-1j * phis)[None, :] * k).real
     i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    res = scipy_minimize(
-        objective,
-        np.array([thetas[i], phis[j]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 2000},
-    )
-    return float(min(res.fun, grid[i, j]))
+    fsim = qubitcase._simplex_minimize(objective, [float(thetas[i]), float(phis[j])], 2000)[1]
+    return float(min(fsim[0], grid[i, j]))
 
 
 def _check_delta_c_min(rng: np.random.Generator) -> tuple[bool, str]:

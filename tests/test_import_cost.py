@@ -1,7 +1,8 @@
 """`import switchwork` loads no scipy module, and neither does building and
-reporting a Fock scenario or a random passive one: positivity is certified
-with numpy's Cholesky, D(alpha), S(z) come from numpy SVDs, and qmat
-imports no scipy at all.  scipy (scipy.linalg alone costs about 0.25 s and
+reporting a Fock scenario or a random passive one, nor `run_verify("quick")`:
+positivity is certified with numpy's Cholesky, D(alpha), S(z) come from
+numpy SVDs, qmat imports no scipy at all, and verify's Nelder-Mead is the
+package's own.  scipy (scipy.linalg alone costs about 0.25 s and
 22 MB at start-up) is imported only at the calls that need it, such as the
 brentq root find of `ergotropy_gibbs_bound`."""
 from __future__ import annotations
@@ -27,6 +28,7 @@ s = cvcase.disp_squeeze_scenario(
 switchcore.activation_report(s)
 switchcore.measure_control(s, BlochState(np.pi / 2, np.pi))
 switchcore.activation_report(verifysuite.random_passive_scenario(np.random.default_rng(0)))
+assert verifysuite.run_verify("quick").passed
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 from switchwork import DensityMatrix, HermitianOperator, ergotropy_gibbs_bound
 rho = DensityMatrix(np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.0], [0.05, 0.0, 0.2]]))

@@ -7,12 +7,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import unitary_group
 
-from switchwork import cvcase, qubitcase, switchcore, verifysuite
+from switchwork import cvcase, qubitcase, states, switchcore, verifysuite
 from switchwork.config import FAMILIES
-from switchwork.qmat import DensityMatrix, HermitianOperator
-from switchwork.states import BlochState, gibbs_qubit, passive_state_from_spectrum, ThermalParams
+from switchwork.qmat import TOL_EIG
+from switchwork.states import gibbs_qubit, passive_state_from_spectrum, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import random_passive_scenario, run_verify
 
@@ -255,53 +254,50 @@ class TestScenarioGenerators:
         assert math.isclose(pops.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
 
 
-def _scipy_hamiltonian(rng, dim: int, e_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenbasis, h) with ascending energies in the basis columns."""
-    basis = unitary_group.rvs(dim, random_state=rng)
-    energies = np.sort(rng.uniform(0.0, e_max, size=dim))
-    return basis, basis @ np.diag(energies).astype(complex) @ basis.conj().T
+# Each generator with the upper end of its h_s spectrum.  The generic
+# one draws a uniform pure control, which is passive only by accident.
+_GENERATORS = [(random_passive_scenario, 3.0), (verifysuite._random_generic_scenario, 2.0)]
 
 
-def _scipy_passive(rng) -> list:
-    """random_passive_scenario's matrices, drawn in the order and with
-    scipy's Haar sampler as the generator first drew them; rho_s is built
-    on the drawn eigenbasis of h_s."""
-    dim = int(rng.choice(verifysuite._DIM_POOL))
-    basis, h_mat = _scipy_hamiltonian(rng, dim, 3.0)
-    h_s = HermitianOperator(h_mat)
-    rho_s = DensityMatrix((basis * np.sort(rng.dirichlet(np.ones(dim)))[::-1]) @ basis.conj().T)
-    h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
-    rho_c = passive_state_from_spectrum(np.sort(rng.dirichlet(np.ones(2)))[::-1], h_c)
-    u1, u2 = unitary_group.rvs(dim, random_state=rng), unitary_group.rvs(dim, random_state=rng)
-    return [h_s.mat, h_c.mat, u1, u2, rho_s.mat, rho_c.mat]
-
-
-def _scipy_generic(rng) -> list:
-    pops = np.sort(rng.dirichlet(np.ones(2)))[::-1]
-    h_s = HermitianOperator(_scipy_hamiltonian(rng, 2, 2.0)[1])
-    rho_s = passive_state_from_spectrum(pops, h_s)
-    h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 1.5, 2.0)
-    control = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-    u1, u2 = unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng)
-    return [h_s.mat, h_c.mat, u1, u2, rho_s.mat, control.to_density().mat]
+def _matrices(s) -> list:
+    return [s.h_s.mat, s.h_c.mat, s.u1.mat, s.u2.mat, s.rho_s.mat, s.rho_c.mat]
 
 
 class TestSamplerStreams:
-    """The in-module Haar sampler and the stacked QR keep every matrix the
-    generators drew with scipy's unitary_group, bit for bit."""
+    """What the generators draw: passive states on the drawn spectra, the
+    same scenarios from the same seed, and one QR per draw."""
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    @pytest.mark.parametrize(
-        "new, reference",
-        [(random_passive_scenario, _scipy_passive), (verifysuite._random_generic_scenario, _scipy_generic)],
-    )
-    def test_generators_repeat_scipy_stream(self, seed, new, reference):
-        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for draw in range(3000):
-            s = new(rng_new)
-            got = [s.h_s.mat, s.h_c.mat, s.u1.mat, s.u2.mat, s.rho_s.mat, s.rho_c.mat]
-            want = reference(rng_ref)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), draw
+    @pytest.mark.parametrize("generator, e_max", _GENERATORS)
+    def test_draws_are_passive_with_spectrum_in_range(self, generator, e_max):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            s = generator(rng)
+            assert states.ergotropy(s.rho_s, s.h_s) <= TOL_EIG
+            if generator is random_passive_scenario:
+                assert states.ergotropy(s.rho_c, s.h_c) <= TOL_EIG
+            # Up to the round-off of re-diagonalizing h_s.
+            energies = np.linalg.eigvalsh(s.h_s.mat)
+            assert -TOL_EIG <= energies[0] and energies[-1] < e_max + TOL_EIG
+
+    @pytest.mark.parametrize("generator", [generator for generator, _ in _GENERATORS])
+    def test_same_seed_gives_same_scenarios(self, generator):
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(50):
+            a, b = generator(rng_a), generator(rng_b)
+            assert all(np.array_equal(x, y) for x, y in zip(_matrices(a), _matrices(b)))
+
+    def test_generic_draw_runs_one_qr_and_no_eigh(self, monkeypatch):
+        calls = {"qr": 0, "eigh": 0}
+        for name in calls:
+            honest = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _honest=honest, **kwargs):
+                calls[_name] += 1
+                return _honest(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        verifysuite._random_generic_scenario(np.random.default_rng(0))
+        assert calls == {"qr": 1, "eigh": 0}
 
     def test_passive_system_state_matches_spectral_construction(self):
         """rho_s, built on the drawn eigenbasis of h_s, is the passive state
@@ -315,6 +311,44 @@ class TestSamplerStreams:
             spectral = passive_state_from_spectrum(rng.draws[-2], s.h_s)  # draws[-1]: rho_c's
             worst = max(worst, np.max(np.abs(s.rho_s.mat - spectral.mat)))
         assert worst <= 1e-10
+
+
+def _haar_z_scores(dim: int, n: int = 4000, seed: int = 1) -> dict[str, float]:
+    """z-scores, against the sample standard error, of the Haar moments of
+    n stacked `verifysuite._haar` draws: E|U_00|^2 = 1/d and
+    E|U_00|^4 = 2/(d(d+1)) on one fixed entry, E|tr U|^2 = 1 and
+    E tr U = 0 (Diaconis and Shahshahani, J. Appl. Prob. 31A, 49, 1994)."""
+    rng = np.random.default_rng(seed)
+    u = verifysuite._haar(np.stack([verifysuite._ginibre(rng, dim) for _ in range(n)]))
+    u00 = np.abs(u[:, 0, 0]) ** 2
+    trace = np.trace(u, axis1=1, axis2=2)
+    samples = {
+        "|U00|^2": (u00, 1.0 / dim),
+        "|U00|^4": (u00**2, 2.0 / (dim * (dim + 1))),
+        "|tr U|^2": (np.abs(trace) ** 2, 1.0),
+        "Re tr U": (trace.real, 0.0),
+        "Im tr U": (trace.imag, 0.0),
+    }
+    return {
+        name: (x.mean() - expected) / (x.std(ddof=1) / math.sqrt(n))
+        for name, (x, expected) in samples.items()
+    }
+
+
+class TestHaarMoments:
+    """The Haar draws match the moments of the Haar measure to 5 sigma; a
+    QR without the phase fix of R's diagonal fails the trace moments."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 30])
+    def test_moments_match_haar_measure(self, dim):
+        z = _haar_z_scores(dim)
+        assert all(abs(v) <= 5.0 for v in z.values()), z
+
+    @pytest.mark.parametrize("dim", [2, 5, 30])
+    def test_qr_without_phase_fix_fails_trace_moments(self, monkeypatch, dim):
+        monkeypatch.setattr(verifysuite, "_haar", lambda z: np.linalg.qr(z)[0])
+        z = _haar_z_scores(dim)
+        assert abs(z["|tr U|^2"]) > 5.0 and abs(z["Re tr U"]) > 5.0, z
 
 
 class _DirichletRecorder:
