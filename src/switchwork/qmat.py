@@ -1,14 +1,15 @@
 """Dense complex-matrix kernel.
 
-Tensor products, partial traces and matrix exponentials, and the typed
-wrappers that everything downstream is built on.  Matrices are plain complex128
+Tensor products and matrix exponentials, and the typed wrappers that
+everything downstream is built on.  Matrices are plain complex128
 numpy arrays in row-major order; each wrapper holds its own read-only copy
 and validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
 to re-check.  Every wrapper is made by its constructor, so none skips that
-check.  The module runs on numpy alone and imports no scipy: positivity is
-certified by numpy's Cholesky, and expm takes only (anti-)Hermitian
-generators, through their eigendecomposition.
+check; a diagonal state may be a _DiagonalState, whose constructor makes
+the same checks on the weights in O(d).  The module runs on numpy alone and
+imports no scipy: positivity is certified by numpy's Cholesky, and expm
+takes only (anti-)Hermitian generators, through their eigendecomposition.
 
 All operations are pure functions of immutable inputs.
 """
@@ -76,6 +77,25 @@ class DensityMatrix:
         object.__setattr__(self, "dim", m.shape[0])
 
 
+class _DiagonalState(DensityMatrix):
+    """DensityMatrix diag(weights), whose eigenvalues are the weights: the
+    checks are finite weights, trace 1 within TOL_TRACE and a smallest
+    weight >= -TOL_PSD, made in O(d) with DensityMatrix's messages."""
+
+    def __init__(self, weights: np.ndarray) -> None:
+        if not np.isfinite(weights).all():
+            raise ValueError("DensityMatrix contains non-finite entries")
+        m = np.diag(weights).astype(complex)
+        trace = m.trace()
+        if abs(trace.real - 1.0) > TOL_TRACE:
+            raise ValueError(f"DensityMatrix trace {trace} != 1 within tolerance")
+        if weights.min() < -TOL_PSD:
+            raise ValueError(f"DensityMatrix has negative eigenvalue {weights.min():.3e}")
+        m.flags.writeable = False
+        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "dim", m.shape[0])
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix; observables and Hamiltonians (units of energy, hbar = k_B = 1)."""
@@ -117,26 +137,6 @@ def _mat(x) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dims multiply.  Realizes the tensor product."""
     return np.kron(_mat(a), _mat(b))
-
-
-def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Reduce a (dim_a*dim_b)-dim matrix over one tensor factor.
-
-    keep: "a" keeps the first factor, "b" the second.  Trace is preserved.
-    The library reduces states blockwise and has no caller; the tests keep
-    it as their independent reference for reduced states.
-    """
-    m = _mat(rho)
-    if m.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(
-            f"matrix of shape {m.shape} does not factor as {dim_a}x{dim_b}"
-        )
-    if keep not in ("a", "b"):
-        raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "a":
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
 
 
 def expm(g) -> np.ndarray:

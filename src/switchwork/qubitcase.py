@@ -13,11 +13,11 @@ forms for every scalar in the controlled-order energy bookkeeping:
 with df the interference term of the post-measurement decomposition.
 _rotation_terms evaluates them once per point as a switchcore.KernelTerms
 record (chi - 1 as written, which keeps its digits at small angles), and
-the rotation forms, like both U(2) objectives on _u2_pair_terms' record,
-assemble it with the switchcore kernel.  The generic matrix path is their
-oracle, run from outside: `verify`'s rotation checks look the forms up
-here at call time and compare them with activation_report and
-measure_control.
+the rotation forms, like both U(2) objectives on the same four numbers
+from _u2_pair_terms, assemble it with the switchcore kernel.  The generic
+matrix path is their oracle, run from outside: `verify`'s rotation checks
+look the forms up here at call time and compare them with
+activation_report and measure_control.
 
 The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
@@ -27,9 +27,14 @@ uniform points drawn from np.random.default_rng(seed).  They are
 independent, so they run in a persistent fork pool of
 min(usable CPUs, starts, 8) workers and are merged in start order: the
 result is bit-identical for every worker count.  Each start runs a small
-simplex loop on Python lists, and each objective evaluation is Python
-float and complex arithmetic on the two 2x2 products of the pair, with no
-array.
+simplex loop on Python lists that keeps the simplex sorted: a step that
+replaces the worst vertex inserts the new one with bisect_right, and only
+a shrink re-sorts.  Each objective evaluation is Python float and complex
+arithmetic on row 0 of U1, U2 and of the products W12 = U2 U1 and
+W21 = U1 U2, with no array and no record: row 1 of an SU(2) matrix is
+(-conj(w01), conj(w00)), and IEEE arithmetic keeps that identity bit for
+bit (up to the sign of an exact zero), so the objectives score every
+point as the full 2x2 products do.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ import atexit
 import cmath
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -297,17 +303,15 @@ def implied_f(min_delta_sm: float, omega: float) -> float:
     return 32.0 * min_delta_sm / omega
 
 
-def _rzyz_entries(lam: float, gamma: float, delta: float) -> tuple[complex, ...]:
-    """The entries of R_z(lam) R_y(gamma) R_z(delta) in row-major order, as
-    Python complex numbers (hot path: no array, no wrapper validation)."""
+def _rzyz_row0(lam: float, gamma: float, delta: float) -> tuple[complex, complex]:
+    """Row 0 of R_z(lam) R_y(gamma) R_z(delta) as Python complex numbers
+    (hot path: no array, no wrapper validation).  Row 1 is (-conj(x01),
+    conj(x00)), as for every SU(2) matrix."""
     cl, sl = math.cos(lam / 2.0), math.sin(lam / 2.0)
     cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
     cd, sd = math.cos(delta / 2.0), math.sin(delta / 2.0)
     ez_l = complex(cl, -sl)
-    ez_lc = complex(cl, sl)
-    ez_d = complex(cd, -sd)
-    ez_dc = complex(cd, sd)
-    return ez_l * cg * ez_d, -ez_l * sg * ez_dc, ez_lc * sg * ez_d, ez_lc * cg * ez_dc
+    return ez_l * cg * complex(cd, -sd), -ez_l * sg * complex(cd, sd)
 
 
 def _starts(n_starts: int, seed: int) -> list[list[float]]:
@@ -317,26 +321,33 @@ def _starts(n_starts: int, seed: int) -> list[list[float]]:
     return np.random.default_rng(seed).uniform(0.0, _TWO_PI, (n_starts, 6)).tolist()
 
 
-def _u2_pair_terms(x: list[float], omega: float, p0: float, p1: float) -> KernelTerms:
-    """Shared objective kernel: the KernelTerms record of the pair at angles
-    x, read off W12 = U2 U1 and W21 = U1 U2 as nested tuples of Python
-    complex numbers, for h_s = diag(0, w) and a diagonal qubit state of
-    populations (p0, p1).  Hot path: no array."""
-    l1, g1, d1, l2, g2, d2 = [v % _TWO_PI for v in x]
-    a00, a01, a10, a11 = _rzyz_entries(l1, g1, d1)
-    b00, b01, b10, b11 = _rzyz_entries(l2, g2, d2)
-    w12 = ((b00 * a00 + b01 * a10, b00 * a01 + b01 * a11),
-           (b10 * a00 + b11 * a10, b10 * a01 + b11 * a11))
-    w21 = ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-           (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
-    e12 = omega * (abs(w12[1][0]) ** 2 * p0 + abs(w12[1][1]) ** 2 * p1)
-    e21 = omega * (abs(w21[1][0]) ** 2 * p0 + abs(w21[1][1]) ** 2 * p1)
-    x_chi = p0 * (w12[0][0] * w21[0][0].conjugate() + w12[1][0] * w21[1][0].conjugate()) + p1 * (
-        w12[0][1] * w21[0][1].conjugate() + w12[1][1] * w21[1][1].conjugate()
-    )
+def _u2_pair_terms(
+    x: list[float], omega: float, p0: float, p1: float
+) -> tuple[complex, float, float, complex]:
+    """Shared objective kernel: the KernelTerms fields (chi - 1, delta_12,
+    delta_21, delta_f) of the pair at angles x as a plain tuple, for
+    h_s = diag(0, w) and a diagonal qubit state of populations (p0, p1).
+    Hot path: no array and no record.
+
+    Only row 0 of U1, U2, W12 = U2 U1 and W21 = U1 U2 is formed: row 1 of
+    each is (-conj(w01), conj(w00)), and the row-1 terms of chi are the
+    conjugates of the row-0 ones.  IEEE products and sums commute exactly
+    with negation and conjugation, so every field has the bits that the
+    full 2x2 products give, up to the sign of an exact zero, which no
+    comparison sees."""
+    l1, g1, d1, l2, g2, d2 = x
+    a00, a01 = _rzyz_row0(l1 % _TWO_PI, g1 % _TWO_PI, d1 % _TWO_PI)
+    b00, b01 = _rzyz_row0(l2 % _TWO_PI, g2 % _TWO_PI, d2 % _TWO_PI)
+    ab = a00 * b00
+    u00, u01 = ab - b01 * a01.conjugate(), b00 * a01 + b01 * a00.conjugate()  # row 0 of W12
+    v00, v01 = ab - a01 * b01.conjugate(), a00 * b01 + a01 * b00.conjugate()  # row 0 of W21
+    e12 = omega * (abs(u01) ** 2 * p0 + abs(u00) ** 2 * p1)
+    e21 = omega * (abs(v01) ** 2 * p0 + abs(v00) ** 2 * p1)
+    t00, t01 = u00 * v00.conjugate(), u01 * v01.conjugate()
+    x_chi = p0 * (t00 + t01.conjugate()) + p1 * (t01 + t00.conjugate())
     e_s = omega * p1
-    f_s = omega * (p0 * w12[1][0] * w21[1][0].conjugate() + p1 * w12[1][1] * w21[1][1].conjugate())
-    return KernelTerms(x_chi - 1.0, e12 - e_s, e21 - e_s, f_s - x_chi * e_s)
+    f_s = omega * (p0 * u01.conjugate() * v01 + p1 * u00.conjugate() * v00)
+    return x_chi - 1.0, e12 - e_s, e21 - e_s, f_s - x_chi * e_s
 
 
 class _DeltaQsObjective(NamedTuple):
@@ -392,94 +403,82 @@ def _delta_sm_objective(
     return _DeltaSmObjective(omega, p0, p1, measurement_angles(c, m))
 
 
-class _BudgetSpent(Exception):
-    """An evaluation was asked for after the start's budget ran out."""
-
-
 def _simplex_minimize(objective, x0: list[float], maxfev: int):
     """Nelder-Mead (Nelder and Mead, Comput. J. 7, 308, 1965) on Python
     lists, with reflection, expansion, contraction and shrink coefficients
     1, 2, 1/2 and 1/2, stopped when every vertex lies within _XATOL of the
     best in each coordinate and within _FATOL of it in score, or when the
     budget is spent.  The initial simplex steps each nonzero coordinate by
-    5% and each zero one by 0.00025.  An evaluation past the budget raises
-    _BudgetSpent, which ends the step with nothing stored, so nfev never
-    exceeds maxfev; an interrupted shrink keeps the vertices it moved.
+    5% and each zero one by 0.00025.  The simplex is kept sorted by score,
+    ties in the order they arose: a step that replaces the worst vertex
+    inserts the new one after every vertex that scores no more (bisect_right
+    on the other n scores, the place a stable re-sort would give), and the
+    simplex is re-sorted only after the initial evaluation and a shrink.
+    The budget is checked before each evaluation: a step it cuts short
+    stores nothing, so nfev never exceeds maxfev, and a cut-short shrink
+    keeps the vertices it moved, the last of them with its old score.
     Returns the final simplex (vertices best first, and their scores), nfev
-    and the number of evaluations scored +inf."""
+    and the number of evaluations scored +inf.  Scores are never NaN."""
     n = len(x0)
-    nfev = divergent = 0
-
-    def f(x: list[float]) -> float:
-        nonlocal nfev, divergent
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        value = objective(x)
-        if value == math.inf:
-            divergent += 1
-        return value
-
+    inf = math.inf
     sim = [list(x0)]
     for k in range(n):
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
+    nfev = min(n + 1, maxfev)
+    fsim = [objective(v) for v in sim[:nfev]] + [inf] * (n + 1 - nfev)
+    divergent = fsim[:nfev].count(inf)
+    order = sorted(range(n + 1), key=fsim.__getitem__)
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     while True:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
         best, worst = sim[0], sim[-1]
         if nfev >= maxfev or (
             fsim[-1] - fsim[0] <= _FATOL
             and all(abs(v - b) <= _XATOL for row in sim[1:] for v, b in zip(row, best))
         ):
             return sim, fsim, nfev, divergent
-        try:
-            xbar = [math.fsum(col) / n for col in zip(*sim[:-1])]
-            xr = [(1 + _REFLECT) * b - _REFLECT * w for b, w in zip(xbar, worst)]
-            fxr = f(xr)
-            shrink = False
+        xbar = [math.fsum(col) / n for col in zip(*sim[:-1])]
+        pairs = list(zip(xbar, worst))
+        xr = [(1 + _REFLECT) * b - _REFLECT * w for b, w in pairs]
+        nfev += 1
+        fxr = objective(xr)
+        divergent += fxr == inf
+        new = xr, fxr  # the vertex that replaces the worst; None for a shrink
+        if not (fsim[0] <= fxr < fsim[-2]):
+            if nfev >= maxfev:
+                return sim, fsim, nfev, divergent
             if fxr < fsim[0]:
-                xe = [
-                    (1 + _REFLECT * _EXPAND) * b - _REFLECT * _EXPAND * w
-                    for b, w in zip(xbar, worst)
-                ]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                x2 = [(1 + _REFLECT * _EXPAND) * b - _REFLECT * _EXPAND * w for b, w in pairs]
             elif fxr < fsim[-1]:
-                xc = [
-                    (1 + _CONTRACT * _REFLECT) * b - _CONTRACT * _REFLECT * w
-                    for b, w in zip(xbar, worst)
-                ]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+                x2 = [(1 + _CONTRACT * _REFLECT) * b - _CONTRACT * _REFLECT * w for b, w in pairs]
             else:
-                xcc = [(1 - _CONTRACT) * b + _CONTRACT * w for b, w in zip(xbar, worst)]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = [b + _SHRINK * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
+                x2 = [(1 - _CONTRACT) * b + _CONTRACT * w for b, w in pairs]
+            nfev += 1
+            f2 = objective(x2)
+            divergent += f2 == inf
+            if fxr < fsim[0]:
+                if f2 < fxr:  # expansion
+                    new = x2, f2
+            elif fxr < fsim[-1]:  # outside contraction
+                new = (x2, f2) if f2 <= fxr else None
+            else:  # inside contraction
+                new = (x2, f2) if f2 < fsim[-1] else None
+        if new is None:
+            for j in range(1, n + 1):
+                sim[j] = [b + _SHRINK * (v - b) for b, v in zip(best, sim[j])]
+                if nfev >= maxfev:
+                    break
+                nfev += 1
+                fsim[j] = objective(sim[j])
+                divergent += fsim[j] == inf
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        else:
+            del sim[-1], fsim[-1]
+            i = bisect_right(fsim, new[1])
+            sim.insert(i, new[0])
+            fsim.insert(i, new[1])
 
 
 def _nelder_mead_start(task: tuple) -> tuple[float, list[float], int, int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, TOL_EIG
+from .qmat import DensityMatrix, HermitianOperator, TOL_EIG, _DiagonalState
 
 TOL_TRUNC = 1e-12
 
@@ -110,9 +110,9 @@ def gibbs_qubit(p: ThermalParams) -> DensityMatrix:
     maximally mixed state.
     """
     if math.isinf(p.beta):
-        return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        return _DiagonalState(np.array([1.0, 0.0]))
     w = math.exp(-p.beta * p.omega)
-    return DensityMatrix(np.diag([1.0 / (1.0 + w), w / (1.0 + w)]).astype(complex))
+    return _DiagonalState(np.array([1.0 / (1.0 + w), w / (1.0 + w)]))
 
 
 def fock_truncation_rule(beta: float, omega: float) -> int:
@@ -136,9 +136,7 @@ def gibbs_fock(p: ThermalParams, n_max: int) -> DensityMatrix:
         raise ValueError("gibbs_fock: beta = 0 is not truncatable")
     dim = n_max + 1
     if math.isinf(p.beta):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-        return DensityMatrix(m)
+        return _DiagonalState(np.eye(1, dim)[0])
     tail = math.exp(-p.beta * p.omega * (n_max + 1))
     if tail > TOL_TRUNC:
         raise ValueError(
@@ -147,7 +145,7 @@ def gibbs_fock(p: ThermalParams, n_max: int) -> DensityMatrix:
         )
     weights = np.exp(-p.beta * p.omega * np.arange(dim))
     weights /= weights.sum()
-    return DensityMatrix(np.diag(weights).astype(complex))
+    return _DiagonalState(weights)
 
 
 def hamiltonian_qubit_system(p: QubitSystemParams) -> HermitianOperator:

@@ -191,7 +191,8 @@ def _tr(a: np.ndarray, b: np.ndarray) -> complex:
 
 class KernelTerms(NamedTuple):
     """The four d-space numbers of one point that the kernel reads; each
-    family forms them in one function."""
+    family forms them in one function.  The U(2) objectives hand the kernel
+    the same four numbers as a plain tuple, which costs no record."""
 
     chi_m1: complex  # chi - 1
     d12: float  # delta_12 = E12 - E_S

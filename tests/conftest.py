@@ -34,6 +34,24 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
+def partial_trace(rho, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """Reduce a (dim_a*dim_b)-dim matrix (or wrapper) over one tensor factor.
+
+    keep: "a" keeps the first factor, "b" the second.  Trace is preserved.
+    The library reduces states blockwise; this is the tests' independent
+    reference for reduced states.
+    """
+    m = rho.mat if hasattr(rho, "mat") else np.asarray(rho, dtype=complex)
+    if m.shape != (dim_a * dim_b, dim_a * dim_b):
+        raise ValueError(f"matrix of shape {m.shape} does not factor as {dim_a}x{dim_b}")
+    if keep not in ("a", "b"):
+        raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
+    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    if keep == "a":
+        return np.einsum("ikjk->ij", r)
+    return np.einsum("kikj->ij", r)
+
+
 def random_qubit_scenario(rng: np.random.Generator) -> SwitchScenario:
     """Generic (not necessarily passive) qubit scenario."""
     return SwitchScenario(

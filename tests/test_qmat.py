@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import partial_trace, random_density, random_hermitian, random_unitary
 import switchwork
 from switchwork.qmat import (
     TOL_PSD,
@@ -17,11 +17,11 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    _DiagonalState,
     expm,
     kron,
-    partial_trace,
 )
-from switchwork.states import ThermalParams, gibbs_fock
+from switchwork.states import ThermalParams, gibbs_fock, gibbs_qubit
 
 
 class TestDensityMatrix:
@@ -66,6 +66,42 @@ class TestDensityMatrix:
         rho = random_density(rng, 3)
         DensityMatrix(np.asfortranarray(rho))
         DensityMatrix(rho.T.conj().T)
+
+
+class TestDiagonalState:
+    """The O(d) route of the diagonal Gibbs states: the checked
+    constructor's matrix, verdicts and messages."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            gibbs_qubit(ThermalParams(0.7, 1.3)),
+            gibbs_qubit(ThermalParams(math.inf, 1.0)),
+            gibbs_fock(ThermalParams(1.0, 1.0), 172),
+            gibbs_fock(ThermalParams(math.inf, 1.0), 20),
+        ],
+        ids=["qubit", "qubit_ground", "fock", "fock_ground"],
+    )
+    def test_gibbs_states_equal_the_checked_construction(self, rho):
+        checked = DensityMatrix(np.diag(np.diag(rho.mat).real).astype(complex))
+        assert isinstance(rho, _DiagonalState) and rho.dim == checked.dim
+        assert rho.mat.tobytes() == checked.mat.tobytes() and not rho.mat.flags.writeable
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0 + 1e-6, -1e-6], "negative eigenvalue -1.000e-06"),
+            ([0.5, 0.5 + 1e-9], "trace"),
+            ([0.5, math.nan], "non-finite"),
+        ],
+        ids=["negative_weight", "trace_off_by_1e-9", "nan"],
+    )
+    def test_rejects_what_the_checked_constructor_rejects(self, weights, message):
+        with pytest.raises(ValueError, match=message) as fast:
+            _DiagonalState(np.array(weights))
+        with pytest.raises(ValueError) as checked:
+            DensityMatrix(np.diag(weights).astype(complex))
+        assert str(fast.value) == str(checked.value)
 
 
 def _state_with_min_eigenvalue(rng, dim: int, lam_min: float) -> np.ndarray:

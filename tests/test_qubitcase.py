@@ -2,6 +2,8 @@
 multi-start optimizers."""
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import multiprocessing
 import pickle
@@ -10,7 +12,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from switchwork import qubitcase
 from switchwork.qmat import UnitaryOperator
@@ -31,11 +33,15 @@ from switchwork.qubitcase import (
 from switchwork.states import BlochState, ThermalParams, gibbs_qubit
 from switchwork.switchcore import (
     TOL_ENERGY,
+    KernelTerms,
     NearZeroPostSelectionError,
     activation_report,
+    assemble_qs,
     assemble_sm,
     measure_control,
     measurement_angles,
+    post_selection_vanishes,
+    pure_control_weights,
 )
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
@@ -524,3 +530,227 @@ class TestObjectivesPickle:
         for x in rng.uniform(-1.0, 8.0, size=(50, 6)).tolist():
             before, after = objective(x), restored(x)
             assert repr(before) == repr(after)
+
+
+# The full-product kernel and the re-sorting simplex loop that the hot
+# paths replaced, kept as the oracles they must match bit for bit.
+
+
+def _reference_rzyz_entries(lam: float, gamma: float, delta: float) -> tuple[complex, ...]:
+    cl, sl = math.cos(lam / 2.0), math.sin(lam / 2.0)
+    cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    cd, sd = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    ez_l = complex(cl, -sl)
+    ez_lc = complex(cl, sl)
+    ez_d = complex(cd, -sd)
+    ez_dc = complex(cd, sd)
+    return ez_l * cg * ez_d, -ez_l * sg * ez_dc, ez_lc * sg * ez_d, ez_lc * cg * ez_dc
+
+
+def _reference_pair_terms(x, omega, p0, p1, unit_rows=False) -> KernelTerms:
+    """All four entries of U1, U2, W12 and W21.  unit_rows=True is a broken
+    kernel that forms |w11|^2 = |w00|^2 as 1 - |w10|^2 = 1 - |w01|^2."""
+    l1, g1, d1, l2, g2, d2 = [v % (2.0 * math.pi) for v in x]
+    a00, a01, a10, a11 = _reference_rzyz_entries(l1, g1, d1)
+    b00, b01, b10, b11 = _reference_rzyz_entries(l2, g2, d2)
+    w12 = ((b00 * a00 + b01 * a10, b00 * a01 + b01 * a11),
+           (b10 * a00 + b11 * a10, b10 * a01 + b11 * a11))
+    w21 = ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+           (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+    def energy(w) -> float:
+        w11_sq = 1.0 - abs(w[1][0]) ** 2 if unit_rows else abs(w[1][1]) ** 2
+        return omega * (abs(w[1][0]) ** 2 * p0 + w11_sq * p1)
+
+    x_chi = p0 * (w12[0][0] * w21[0][0].conjugate() + w12[1][0] * w21[1][0].conjugate()) + p1 * (
+        w12[0][1] * w21[0][1].conjugate() + w12[1][1] * w21[1][1].conjugate()
+    )
+    e_s = omega * p1
+    f_s = omega * (p0 * w12[1][0] * w21[1][0].conjugate() + p1 * w12[1][1] * w21[1][1].conjugate())
+    return KernelTerms(x_chi - 1.0, energy(w12) - e_s, energy(w21) - e_s, f_s - x_chi * e_s)
+
+
+def _bits(values) -> str:
+    """repr of the values with -0.0 read as 0.0.  The SU(2) row identity can
+    flip the sign of an exact zero (a wrapped angle of exactly 0, or a sine
+    that underflows), which no comparison and no nonzero result sees."""
+    return repr([
+        complex(v.real + 0.0, v.imag + 0.0) if isinstance(v, complex) else v + 0.0 for v in values
+    ])
+
+
+def _check_kernel(x, omega, p1, c, m, t_abs, t_phase) -> None:
+    """qubitcase's kernel and both objectives give the reference's bits."""
+    p0 = 1.0 - p1
+    want = _reference_pair_terms(x, omega, p0, p1)
+    assert _bits(qubitcase._u2_pair_terms(x, omega, p0, p1)) == _bits(want)
+    qs = qubitcase._DeltaQsObjective(omega, p0, p1, *pure_control_weights(c, t_abs, t_phase))
+    assert _bits([qs(x)]) == _bits([assemble_qs(qs.rc00, qs.rc11, qs.k, want)[0]])
+    sm = qubitcase._DeltaSmObjective(omega, p0, p1, measurement_angles(c, m))
+    n_m, bracket = assemble_sm(sm.angles, want)
+    assert _bits([sm(x)]) == _bits([math.inf if post_selection_vanishes(n_m) else bracket / n_m])
+
+
+_P1 = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5))
+
+
+class TestKernelOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        x=_ANGLES6,
+        omega=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+        p1=_P1,
+        c=_BLOCH,
+        m=_BLOCH,
+        t_abs=st.floats(min_value=0.0, max_value=2.0),
+        t_phase=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+    )
+    # At this point the two kernels give delta_f imaginary parts of +0.0 and -0.0.
+    @example(
+        x=[0.0, math.pi, 0.0, -10.0, math.pi, math.pi], omega=1.0, p1=0.0,
+        c=BlochState(1.1, 0.5), m=BlochState(1.0, 2.0), t_abs=1.3, t_phase=0.4,
+    )
+    def test_row0_kernel_matches_the_full_products(self, x, omega, p1, c, m, t_abs, t_phase):
+        _check_kernel(x, omega, p1, c, m, t_abs, t_phase)
+
+    def test_a_unitarity_shortcut_fails_the_check(self, rng, monkeypatch):
+        points = rng.uniform(-10.0, 20.0, size=(20, 6)).tolist()
+        args = (1.0, 0.3, BlochState(1.1, 0.5), BlochState(1.0, 2.0), 1.3, 0.4)
+        for x in points:
+            _check_kernel(x, *args)
+        broken = functools.partial(_reference_pair_terms, unit_rows=True)
+        monkeypatch.setattr(qubitcase, "_u2_pair_terms", broken)  # the objectives read it too
+        failed = 0
+        for x in points:
+            try:
+                _check_kernel(x, *args)
+            except AssertionError:
+                failed += 1
+        assert failed >= 10
+
+    def test_objectives_build_no_kernel_record(self, monkeypatch):
+        built = 0
+        new = KernelTerms.__new__
+
+        def spy(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(KernelTerms, "__new__", spy)
+        KernelTerms(0j, 0.0, 0.0, 0j)
+        assert built == 1  # the spy sees a record being built
+        for objective in (
+            qubitcase._delta_qs_objective(1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5)),
+            qubitcase._delta_sm_objective(1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0)),
+        ):
+            for x in qubitcase._starts(100, 0):
+                objective(x)
+        assert built == 1
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _reference_simplex(objective, x0, maxfev):
+    """The re-sorting Nelder-Mead loop, with the budget counted by a closure
+    that raises past it.  Also returns the nfev at which each shrink began
+    and whether the budget ran out inside a shrink."""
+    n = len(x0)
+    nfev = divergent = 0
+    shrink_starts, cut_in_shrink = [], False
+
+    def f(x):
+        nonlocal nfev, divergent
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        value = objective(x)
+        if value == math.inf:
+            divergent += 1
+        return value
+
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        best, worst = sim[0], sim[-1]
+        if nfev >= maxfev or (
+            fsim[-1] - fsim[0] <= 1e-12
+            and all(abs(v - b) <= 1e-10 for row in sim[1:] for v, b in zip(row, best))
+        ):
+            return (sim, fsim, nfev, divergent), shrink_starts, cut_in_shrink
+        shrink = False
+        try:
+            xbar = [math.fsum(col) / n for col in zip(*sim[:-1])]
+            xr = [2 * b - w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                shrink_starts.append(nfev)
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            cut_in_shrink = shrink
+
+
+def _control_term(x: list[float]) -> float:
+    """numeric_delta_c_minimum's objective for one draw of k."""
+    return math.sin(x[0]) * (cmath.exp(-1j * x[1]) * complex(0.3, -0.7)).real
+
+
+class TestSimplexOracle:
+    @pytest.mark.parametrize(
+        "objective, x0",
+        [
+            (qubitcase._delta_qs_objective(1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5)), qubitcase._starts(1, 2)[0]),
+            (qubitcase._delta_sm_objective(1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0)), qubitcase._starts(1, 2)[0]),
+            (_half_divergent_stub, qubitcase._starts(1, 2)[0]),
+            (lambda x: 0.0, qubitcase._starts(1, 0)[0]),
+            (_control_term, [1.2, 0.0]),
+        ],
+        ids=["delta_qs", "delta_sm", "half_divergent", "constant", "control_term"],
+    )
+    def test_loop_repeats_the_re_sorting_loop(self, objective, x0):
+        shrink_starts = _reference_simplex(objective, x0, 500)[1]
+        assert shrink_starts, "no shrink within 500 evaluations"
+        in_shrink = shrink_starts[0] + 1  # the shrink evaluates one vertex, then moves one more
+        for maxfev in (3, 7, 13, 500, in_shrink):
+            want, _, cut_in_shrink = _reference_simplex(objective, x0, maxfev)
+            assert repr(qubitcase._simplex_minimize(objective, x0, maxfev)) == repr(want)
+            if maxfev == in_shrink:
+                assert cut_in_shrink

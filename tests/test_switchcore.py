@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    partial_trace,
     random_density,
     random_hermitian,
     random_qubit_scenario,
@@ -24,7 +25,6 @@ from switchwork.qmat import (
     HermitianOperator,
     UnitaryOperator,
     kron,
-    partial_trace,
 )
 from switchwork.qubitcase import U2Params, qubit_scenario, rotation_unitary, u2_unitary
 from switchwork.states import BlochState, ControlHamiltonianParams, hamiltonian_control
