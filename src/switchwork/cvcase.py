@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import UnitaryOperator
+from .qmat import _UNIT_ROUNDOFF, UnitaryOperator, _CertifiedUnitary, _gamma
 from .states import (
     BlochState,
     ControlHamiltonianParams,
@@ -193,9 +193,10 @@ def _ladder_block_defect(u: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(ud_a @ u[:, :k] - expected)))
 
 
-def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
-    """Phi e^G Phi† for the real antisymmetric tridiagonal G with
-    subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]) and Phi = diag(e^{i phase k}).
+def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
+    """(Phi e^G Phi†, a bound on its Gram defect) for the real antisymmetric
+    tridiagonal G with subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]) and
+    Phi = diag(e^{i phase k}).
 
     G couples even levels only to odd ones.  With C = G[even, odd] = U S Vᵀ
     (one real SVD), e^G is real orthogonal with blocks U cos S Uᵀ (even,
@@ -203,7 +204,8 @@ def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
     V cos S Vᵀ (odd, odd) (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205,
     1965).  For an odd size C has one more row than columns, and cos S is
     padded with 1 on U's null-space column.  Phi enters entrywise as
-    e^{i phase (j - k)}.  An empty b gives [[1]].
+    e^{i phase (j - k)}.  An empty b gives [[1]].  The bound comes from the
+    real orthogonal core (see _phased_defect_bound).
     """
     size = b.size + 1
     c = np.zeros(((size + 1) // 2, size // 2))
@@ -220,7 +222,33 @@ def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> np.ndarray:
     r[1::2, 0::2] = -sin_block.T
     r[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
     phi = np.exp(1j * phase * np.arange(size))
-    return r * np.outer(phi, phi.conj())
+    return r * np.outer(phi, phi.conj()), _phased_defect_bound(r, phi)
+
+
+def _phased_defect_bound(r: np.ndarray, phi: np.ndarray) -> float:
+    """Bound on the Gram defect that UnitaryOperator would measure on
+    U = fl(r * outer(phi, conj(phi))), from the real Gram of r.
+
+    Let n be r's size, u the unit round-off and D = diag(phi / |phi|),
+    which is exactly unitary.  V = D r D† has |V†V - I| = |r^T r - I|
+    entry for entry, so its defect is r's true defect delta, at most the
+    measured real one plus gamma_n (1 + delta).  The phase step only
+    rescales each entry: U = V + F with |F_jk| <= eps |r_jk|, where eps
+    covers the moduli |phi_j| (within mu of 1) and the two rounded
+    products, eps = (2 + mu) mu + 4 u (1 + mu)^2.  Every column norm of V is
+    at most sqrt(1 + delta), so U's defect is at most
+    delta + (2 eps + eps^2)(1 + delta), and the check's complex Gram
+    round-off adds 2 gamma_{n+2} (1 + eps)^2 (1 + delta).  Levels of the
+    other parity, which a squeeze block sits among, are exact zeros and add
+    nothing to that round-off.
+    """
+    n = r.shape[0]
+    gram = r.T @ r
+    gram.flat[:: n + 1] -= 1.0
+    delta = (float(np.abs(gram).max()) + _gamma(n)) / (1.0 - _gamma(n))
+    mu = float(np.abs(np.abs(phi) - 1.0).max()) + _UNIT_ROUNDOFF
+    eps = (2.0 + mu) * mu + 4.0 * _UNIT_ROUNDOFF * (1.0 + mu) ** 2
+    return delta + (2.0 * eps + eps * eps + 2.0 * _gamma(n + 2) * (1.0 + eps) ** 2) * (1.0 + delta)
 
 
 def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
@@ -230,12 +258,14 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
     and |alpha|(a† - a) is real antisymmetric tridiagonal with subdiagonal
     |alpha| sqrt(n+1), so D comes from one real SVD of its even-odd
     coupling block (see _phased_tridiagonal_exp) instead of a dense complex
-    eigendecomposition.
+    eigendecomposition.  Its unitarity is certified from the real Gram of
+    that orthogonal core (see _phased_defect_bound), a quarter of the cost
+    of the complex Gram check.
 
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
     by more than TOL_CV_UNITARY on the safe subspace.
     """
-    u = _phased_tridiagonal_exp(
+    u, bound = _phased_tridiagonal_exp(
         p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0)), p.alpha_phase
     )
     # The safe subspace: the lowest n_max/2 levels, at least one.
@@ -248,7 +278,7 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
             TruncationInadequacyWarning,
             stacklevel=2,
         )
-    return UnitaryOperator(u)
+    return _CertifiedUnitary(u, bound)
 
 
 def squeeze_faithful_block(n_max: int, z_abs: float) -> int:
@@ -275,17 +305,20 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
     antisymmetric tridiagonal there with subdiagonal |z| sqrt((n+1)(n+2))/2,
     so each block comes from one real SVD of its even-odd coupling block
     (see _phased_tridiagonal_exp) instead of a dense complex
-    eigendecomposition.
+    eigendecomposition.  Its unitarity is certified block by block from
+    the real Gram of each orthogonal core (see _phased_defect_bound).
 
     Emits TruncationInadequacyWarning when S† a S deviates from
     a cosh|z| + a† e^{i xi} sinh|z| on the faithful block (see
     squeeze_faithful_block).
     """
     u = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    bounds = []
     for parity in (0, 1):
         n = np.arange(parity, n_max - 1, 2, dtype=float)
         b = 0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))
-        u[parity::2, parity::2] = _phased_tridiagonal_exp(b, p.z_phase)
+        u[parity::2, parity::2], block_bound = _phased_tridiagonal_exp(b, p.z_phase)
+        bounds.append(block_bound)
     k = squeeze_faithful_block(n_max, p.z_abs)
     a = _ladder_corner(n_max, k)
     expected = a * math.cosh(p.z_abs) + a.conj().T * (
@@ -299,7 +332,9 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
             TruncationInadequacyWarning,
             stacklevel=2,
         )
-    return UnitaryOperator(u)
+    # The parity blocks' Gram matrices are the two diagonal blocks of U's;
+    # np.max keeps a nan bound, which sends U to the full check.
+    return _CertifiedUnitary(u, float(np.max(bounds)))
 
 
 # ---------------------------------------------------------------------------

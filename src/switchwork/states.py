@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, TOL_EIG, _DiagonalState
+from .qmat import DensityMatrix, HermitianOperator, TOL_EIG, _DiagonalHermitian, _DiagonalState
 
 TOL_TRUNC = 1e-12
 
@@ -160,9 +160,10 @@ def hamiltonian_control(p: ControlHamiltonianParams) -> HermitianOperator:
 
 
 def hamiltonian_fock(omega: float, n_max: int) -> HermitianOperator:
-    """Oscillator mode diag(omega (n + 1/2)) for n = 0..n_max."""
+    """Oscillator mode diag(omega (n + 1/2)) for n = 0..n_max, checked in
+    O(d) as a diagonal operator."""
     n = np.arange(n_max + 1)
-    return HermitianOperator(np.diag(omega * (n + 0.5)).astype(complex))
+    return _DiagonalHermitian(omega * (n + 0.5))
 
 
 def ergotropy(rho: DensityMatrix, h: HermitianOperator) -> float:

@@ -8,22 +8,25 @@ optimum of delta_c, and the post-measurement state with its decomposition
 into delta_12, delta_21 and the interference term delta_f.
 
 Each scenario computes its terms once, on first use, and both reports read
-them: the blocks W12 = U2 U1 and W21 = U1 U2, formed and validated as
-unitaries by _switch_blocks; the d-space products R12 = W12 rho W12†, R21 =
-W21 rho W21† and A12 = W12 rho W21† with the scalars chi = tr A12, E_S,
-E12, E21 and F_S = tr{A12 h_s}, and the kernel record formed from them;
-rho_c; the joint state E, filled block by block from those terms; and, only
-when asked for, E as a checked DensityMatrix.  Before E is used, a
-Freivalds probe checks it against the conjugation U (rho (x) rho_c) U†,
-with U applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2)
-cost; an entry off by more than TOL_ENERGY escapes it with probability at
-most 2^-k (see SwitchScenario._joint_out).  The dense U
-(build_switch_unitary) and the (2d)^3 conjugation are the oracle of the
-tests and of `verify`'s tilde-energy-split check.  Every derived scalar
-comes from both E and the d-space scalars, and the routes must agree within
-TOL_ENERGY at runtime (each function names its checks).  A disagreement
-means a bug, so it raises instead of returning.  Scenarios and wrapper
-arrays are immutable, so a cached term never goes stale.
+them: the blocks W12 = U2 U1 and W21 = U1 U2, formed by _switch_blocks and
+certified as unitaries from the Gram defects U1 and U2 record; the d-space
+products R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21†
+(with rho's columns scaled, not multiplied, when rho is diagonal) with the
+scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the kernel
+record formed from them; rho_c; the joint state E as its four weighted
+d x d blocks B_ab = <a|rho_c|b> W_a rho W_b†; and, only when asked for, E
+as a checked (2d) x (2d) DensityMatrix (post_switch_state, the only place
+the dense expansion is built).  Before the blocks are used, a Freivalds
+probe checks them against the conjugation U (rho (x) rho_c) U†, with U
+applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2) cost;
+an entry off by more than TOL_ENERGY escapes it with probability at most
+2^-k (see SwitchScenario._joint_out).  The dense U (build_switch_unitary)
+and the (2d)^3 conjugation are the oracle of the tests and of `verify`'s
+tilde-energy-split check.  Every derived scalar comes from both the blocks
+and the d-space scalars, and the routes must agree within TOL_ENERGY at
+runtime (each function names its checks).  A disagreement means a bug, so
+it raises instead of returning.  Scenarios and wrapper arrays are
+immutable, so a cached term never goes stale.
 
 The assembly kernel holds the paper's formulas once.  Every family reduces
 to one KernelTerms record per point: chi - 1, delta_12 = E12 - E_S,
@@ -52,7 +55,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator, _mat, kron
+from .qmat import (
+    DensityMatrix,
+    HermitianOperator,
+    UnitaryOperator,
+    _CertifiedState,
+    _DiagonalState,
+    _gamma,
+    _mat,
+    _unitary_product,
+    kron,
+)
 from .states import BlochState
 
 TOL_ENERGY = 1e-8
@@ -103,25 +116,39 @@ class SwitchScenario:
     @cached_property
     def _terms(self) -> _SwitchTerms:
         rho, h_s = self.rho_s.mat, self.h_s.mat
-        w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
-        w12_rho = w12 @ rho
+        blocks = _switch_blocks(self.u1, self.u2)
+        w12, w21 = (w.mat for w in blocks)
+        psd_unit = math.inf
+        if isinstance(self.rho_s, _DiagonalState):
+            # W diag(p) scales W's columns by p, bit for bit the product.
+            p = rho.diagonal().real
+            w12_rho, w21_rho = w12 * p, w21 * p
+            if p.min() >= 0.0:
+                psd_unit = _mixture_psd_unit(p, max(w._defect for w in blocks))
+        else:
+            w12_rho, w21_rho = w12 @ rho, w21 @ rho
+        w21_h = w21.conj().T
         r12 = w12_rho @ w12.conj().T
-        r21 = w21 @ rho @ w21.conj().T
-        a12 = w12_rho @ w21.conj().T
+        r21 = w21_rho @ w21_h
+        a12 = w12_rho @ w21_h
         x, e_s, f_s = complex(np.trace(a12)), _tr(rho, h_s).real, _tr(a12, h_s)
         e12, e21 = _tr(r12, h_s).real, _tr(r21, h_s).real
         kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
-        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel)
+        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel, psd_unit)
 
     @cached_property
     def _joint_out(self) -> np.ndarray:
-        """The joint state E = U (rho (x) rho_c) U† as the four-term block
-        expansion, probed against the conjugation by the switch unitary.
+        """The joint state E = U (rho (x) rho_c) U† as its four d x d blocks,
+        blocks[a, b] = B_ab = <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1 and
+        W_1 = U1 U2, probed against the conjugation by the switch unitary.
 
         Freivalds' check: with X the first 2d rows of the probe table (k =
         _PROBE_COLUMNS columns of +-1), E X must equal U (K (U† X)),
-        K = rho (x) rho_c, within TOL_ENERGY in every entry.  That costs
-        O(k d^2) instead of the two (2d)^3 products of the conjugation.  Let
+        K = rho (x) rho_c, within TOL_ENERGY in every entry.  Read in the
+        system (x) control layout, X has a d x k block X_b per control
+        index, and row block a of E X is B_a0 X_0 + B_a1 X_1: each block
+        multiplies its own X_b, and E is never formed.  That costs O(k d^2)
+        instead of the two (2d)^3 products of the conjugation.  Let
         Delta = E - J with J the conjugation and |Delta_ij| > TOL_ENERGY for
         some entry.  In each column, (Delta X)_i = Delta_ij x_j + S with S
         independent of x_j, and one of S +- Delta_ij has modulus
@@ -131,31 +158,38 @@ class SwitchScenario:
         every column catches it.  The probes are fixed, so the check is
         deterministic for a given scenario.
 
-        Neither U nor K is formed.  With X read as (d, 2, k) in the system
-        (x) control layout, U† X is U1† (U2† X_0) on control index 0 and
-        U2† (U1† X_1) on index 1; on the result Y, rho acts on the system
-        index and rho_c on the control index, giving Z; and U Z is
-        U2 (U1 Z_0) on index 0 and U1 (U2 Z_1) on index 1.  The probe
+        Neither U nor K is formed.  U† X is U1† (U2† X_0) on control index 0
+        and U2† (U1† X_1) on index 1, taken as conj(U^T X) since X is real;
+        on the result Y, rho acts on the system index (by scaling rows when
+        rho is diagonal) and rho_c on the control index, giving Z; and U Z
+        is U2 (U1 Z_0) on index 0 and U1 (U2 Z_1) on index 1.  The probe
         applies the factors one at a time, never the products W12 and W21
         the terms were filled from, so the two routes share no product.
         """
-        out = _post_switch_expansion(self)
-        out.flags.writeable = False
+        blocks = _joint_blocks(self)
+        blocks.flags.writeable = False
         d = self.rho_s.dim
         u1, u2 = self.u1.mat, self.u2.mat
-        x = _probes(2 * d).reshape(d, 2, -1)
-        y = np.stack(
-            (u1.conj().T @ (u2.conj().T @ x[:, 0]), u2.conj().T @ (u1.conj().T @ x[:, 1])), axis=1
-        )
-        z = self.rho_c.mat @ (self.rho_s.mat @ y.reshape(d, -1)).reshape(d, 2, -1)
-        conj = np.stack((u2 @ (u1 @ z[:, 0]), u1 @ (u2 @ z[:, 1])), axis=1).reshape(2 * d, -1)
-        if np.max(np.abs(out @ x.reshape(2 * d, -1) - conj)) > TOL_ENERGY:
+        # x[b] = X_b, and y[b] = (U† X)_b, then (U Z)_b: U (K (U† X)) in place.
+        x = _probes(2 * d).reshape(d, 2, -1).transpose(1, 0, 2).astype(complex, order="C")
+        y = np.empty_like(x)
+        np.matmul(u1.T, u2.T @ x[0], out=y[0])
+        np.matmul(u2.T, u1.T @ x[1], out=y[1])
+        np.conjugate(y, out=y)
+        if isinstance(self.rho_s, _DiagonalState):
+            y *= self.rho_s.mat.diagonal().real[:, None]
+        else:
+            y = self.rho_s.mat @ y
+        z = (self.rho_c.mat @ y.reshape(2, -1)).reshape(y.shape)
+        np.matmul(u2, u1 @ z[0], out=y[0])
+        np.matmul(u1, u2 @ z[1], out=y[1])
+        if np.max(np.abs((blocks @ x).sum(axis=1) - y)) > TOL_ENERGY:
             raise AssertionError("post-switch expansion disagrees with conjugation path")
-        return out
+        return blocks
 
     @cached_property
     def _post_switch(self) -> DensityMatrix:
-        return DensityMatrix(self._joint_out)
+        return DensityMatrix(_post_switch_expansion(self))
 
 
 @dataclass(frozen=True)
@@ -171,6 +205,9 @@ class _SwitchTerms:
     e21: float
     f_s: complex
     kernel: KernelTerms
+    # Bound on -lambda_min of fl(a R12 + b R21) per unit a + b, for weights
+    # a, b >= 0; inf unless rho is a diagonal state with no negative weight.
+    psd_unit: float
 
 
 def _probes(n: int) -> np.ndarray:
@@ -182,6 +219,26 @@ def _probes(n: int) -> np.ndarray:
         _probe_table = np.random.default_rng(0).choice([-1.0, 1.0], size=(n, _PROBE_COLUMNS))
         _probe_table.flags.writeable = False
     return _probe_table[:n]
+
+
+def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
+    """Bound on -lambda_min of fl(fl(a R12) + fl(b R21)) per unit a + b,
+    for weights a, b >= 0 and R = fl(fl(W * p) @ W†) with p >= 0.
+
+    In exact arithmetic a W12 diag(p) W12† + b W21 diag(p) W21† is positive
+    semidefinite for any W, so only round-off can make an eigenvalue
+    negative.  With c = 2 gamma_{d+4} (the complex inner product, the
+    column scaling, the two weights and the sum), each entry is off by at
+    most c (a S12 + b S21)_ij with S = |W| diag(p) |W|^T, and
+    ||S||_F <= max p ||W||_F^2 <= max p d (1 + t), t the true Gram defect
+    of W.  The Cholesky reads the Hermitian matrix of the lower triangle,
+    whose error is at most sqrt 2 times as large in Frobenius norm, and by
+    Weyl's inequality that norm bounds how far lambda_min can fall below 0.
+    """
+    d = p.size
+    g = 2.0 * _gamma(d + 2)
+    t = (w_defect + g) / (1.0 - g)
+    return math.sqrt(2.0) * 2.0 * _gamma(d + 4) * d * float(p.max()) * (1.0 + t)
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
@@ -333,11 +390,13 @@ class MeasurementReport:
 def _switch_blocks(
     u1: UnitaryOperator, u2: UnitaryOperator
 ) -> tuple[UnitaryOperator, UnitaryOperator]:
-    """W12 = U2 U1 and W21 = U1 U2, each validated as a UnitaryOperator:
+    """W12 = U2 U1 and W21 = U1 U2, each a UnitaryOperator whose Gram defect
+    is bounded from the factors' recorded defects (qmat._unitary_product;
+    a factor with none, or a bound past TOL_UNITARY, gets the full check):
     the one place either product is formed."""
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
-    return UnitaryOperator(u2.mat @ u1.mat), UnitaryOperator(u1.mat @ u2.mat)
+    return _unitary_product(u2, u1), _unitary_product(u1, u2)
 
 
 def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
@@ -361,28 +420,38 @@ def chi(u1, u2, rho_s) -> complex:
 def post_switch_state(s: SwitchScenario) -> DensityMatrix:
     """Joint state after the controlled-order channel, as a DensityMatrix.
 
-    The matrix is the four-term block expansion, which a Freivalds probe
-    has checked against the conjugation by the switch unitary, applied
-    through its factors (see SwitchScenario._joint_out).  Validated lazily,
-    once per scenario: the reports read the expansion and never build this
-    (2d) x (2d) state.
+    The matrix is the dense expansion of the four blocks, which a Freivalds
+    probe has checked against the conjugation by the switch unitary,
+    applied through its factors (see SwitchScenario._joint_out).  Built and
+    validated lazily, once per scenario: the reports read the blocks and
+    never build this (2d) x (2d) state.
     """
     return s._post_switch
 
 
-def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
-    """Four-term block form of the post-switch joint state: block (a, b)
-    is <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1, W_1 = U1 U2."""
+def _joint_blocks(s: SwitchScenario) -> np.ndarray:
+    """The four d x d blocks of the post-switch joint state, blocks[a, b] =
+    <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1, W_1 = U1 U2, filled from
+    the d-space terms."""
     rc = s.rho_c.mat
     t = s._terms
     d = s.rho_s.dim
-    # blocks[i, a, j, b] = <i a| out |j b>, the kron(system, control) layout.
-    blocks = np.empty((d, 2, d, 2), dtype=complex)
-    blocks[:, 0, :, 0] = rc[0, 0] * t.r12
-    blocks[:, 0, :, 1] = rc[0, 1] * t.a12
-    blocks[:, 1, :, 0] = rc[1, 0] * t.a12.conj().T
-    blocks[:, 1, :, 1] = rc[1, 1] * t.r21
-    return blocks.reshape(2 * d, 2 * d)
+    blocks = np.empty((2, 2, d, d), dtype=complex)
+    np.multiply(rc[0, 0], t.r12, out=blocks[0, 0])
+    np.multiply(rc[0, 1], t.a12, out=blocks[0, 1])
+    blocks[1, 0] = t.a12.T
+    np.conjugate(blocks[1, 0], out=blocks[1, 0])
+    np.multiply(rc[1, 0], blocks[1, 0], out=blocks[1, 0])
+    np.multiply(rc[1, 1], t.r21, out=blocks[1, 1])
+    return blocks
+
+
+def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
+    """The probe-checked blocks laid out as one (2d) x (2d) matrix,
+    <i a| out |j b> = blocks[a, b][i, j], the kron(system, control) layout:
+    the oracle's form, built only by post_switch_state."""
+    d = s.rho_s.dim
+    return s._joint_out.transpose(2, 0, 3, 1).reshape(2 * d, 2 * d)
 
 
 def delta_c_min(h_c: HermitianOperator, chi_value: complex):
@@ -427,8 +496,9 @@ class DeltaCMinResult:
 def activation_report(s: SwitchScenario) -> ActivationReport:
     """Pre-measurement energy bookkeeping with built-in cross-checks.
 
-    Route (a): delta_qs from the probe-checked 2d-dim joint state, and the
-    mixed-state split delta_qs = delta_s + delta_c of the tilde states.
+    Route (a): delta_qs from the probe-checked blocks of the joint state
+    (see _joint_energy), and the mixed-state split delta_qs = delta_s +
+    delta_c of the tilde states.
     Route (b): the kernel assemble_qs on the d-space terms.  The routes
     must agree within TOL_ENERGY on delta_qs, on the split's sum and on
     delta_c.
@@ -439,7 +509,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     e_s, x = t.e_s, t.chi
     e_c = _tr(rho_c, h_c).real
 
-    e_out_direct = _tr(s._joint_out, _joint_hamiltonian(s.h_s.mat, h_c)).real
+    e_out_direct = _joint_energy(s._joint_out, s.h_s.mat, h_c)
     delta_qs = e_out_direct - (e_s + e_c)
     rc00, rc11 = float(rho_c[0, 0].real), float(rho_c[1, 1].real)
     k = complex(rho_c[0, 1] * h_c[1, 0])
@@ -473,21 +543,11 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     )
 
 
-def _joint_hamiltonian(h_s: np.ndarray, h_c: np.ndarray) -> np.ndarray:
-    """H_SC = h_s (x) 1 + 1 (x) h_c, equal entry for entry to the kron sum.
-
-    h_s fills both control-diagonal blocks, h_c the 2x2 control block of
-    each system level; the entries they share, h_s[i, i] + h_c[a, a], are
-    summed in the kron sum's order.
-    """
-    d = h_s.shape[0]
-    h_sc = np.zeros((2 * d, 2 * d), dtype=complex)
-    blocks = h_sc.reshape(d, 2, d, 2)
-    blocks[:, 0, :, 0] = h_s
-    blocks[:, 1, :, 1] = h_s
-    level = np.arange(d)
-    blocks[level, :, level, :] += h_c
-    return h_sc
+def _joint_energy(blocks: np.ndarray, h_s: np.ndarray, h_c: np.ndarray) -> float:
+    """tr{E H_SC} with H_SC = h_s (x) 1 + 1 (x) h_c, read from E's blocks:
+    sum_a tr{B_aa h_s} + sum_ab h_c[b, a] tr B_ab."""
+    traces = blocks.trace(axis1=2, axis2=3)
+    return (_tr(blocks[0, 0], h_s) + _tr(blocks[1, 1], h_s) + (h_c.T * traces).sum()).real
 
 
 def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, DensityMatrix]:
@@ -500,7 +560,11 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     """
     rho_c = s.rho_c.mat
     t = s._terms
-    tilde_s = np.real(rho_c[0, 0]) * t.r12 + np.real(rho_c[1, 1]) * t.r21
+    rc00, rc11 = np.real(rho_c[0, 0]), np.real(rho_c[1, 1])
+    tilde_s = rc00 * t.r12 + rc11 * t.r21
+    # Positivity is proved, not factored, for a diagonal rho (see
+    # _mixture_psd_unit); a negative weight sends tilde_s to the Cholesky.
+    psd_bound = (rc00 + rc11) * t.psd_unit if min(rc00, rc11) >= 0.0 else math.inf
 
     phi = cmath.phase(x) if x != 0 else 0.0
     mag = abs(x)
@@ -508,7 +572,7 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     u_minus = np.diag([1.0, -cmath.exp(-1j * phi)])
     tilde_c = 0.5 * (1.0 + mag) * (u_plus @ rho_c @ u_plus.conj().T)
     tilde_c += 0.5 * (1.0 - mag) * (u_minus @ rho_c @ u_minus.conj().T)
-    return DensityMatrix(tilde_s), DensityMatrix(tilde_c)
+    return _CertifiedState(tilde_s, float(psd_bound)), DensityMatrix(tilde_c)
 
 
 def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
@@ -517,20 +581,19 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
 
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
-    computed both by direct projection of the probe-checked joint state and
-    by the angle factors on the d-space blocks; the two must agree, and so
+    computed both by direct projection of the probe-checked joint state,
+    sum_ab conj(m_a) m_b B_ab over its blocks, and by the angle factors on
+    the d-space terms; the two must agree, and so
     must n_m and delta_sm with the kernel assemble_sm on the scenario's
     KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
-    d = s.rho_s.dim
     t = s._terms
 
-    # Direct path: <m| . |m> on each 2x2 control block of the joint state.
-    joint_out = s._joint_out.reshape(d, 2, d, 2)
+    # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
-    numerator = np.einsum("k,ikjl,l->ij", ket_m.conj(), joint_out, ket_m)
+    numerator = np.tensordot(np.outer(ket_m.conj(), ket_m), s._joint_out, 2)
     n_m_direct = float(np.real(np.trace(numerator)))
 
     # Expansion path: the kernel's angle factors on the d-space blocks.

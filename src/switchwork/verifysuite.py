@@ -53,7 +53,14 @@ from .cvcase import (
     fock_oracle_report,
 )
 from .figures import FIGURE_IDS, baseline_path, figure_dataset, render_csv
-from .qmat import DensityMatrix, HermitianOperator, UnitaryOperator
+from .qmat import (
+    DensityMatrix,
+    HermitianOperator,
+    UnitaryOperator,
+    _CertifiedState,
+    _CertifiedUnitary,
+    _gram_defect,
+)
 from .qubitcase import (
     minimize_delta_qs_u2,
     minimize_delta_sm_u2,
@@ -66,6 +73,7 @@ from .states import (
 from .switchcore import (
     TOL_ENERGY,
     SwitchScenario,
+    _switch_blocks,
     activation_report,
     delta_c_min,
     measure_control,
@@ -189,15 +197,45 @@ def _random_generic_scenario(rng: np.random.Generator) -> SwitchScenario:
 
 
 def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
-    """|chi| <= 1 and delta_qs = delta_s + delta_c on 25 random qubit
-    scenarios.  The switch unitary's kron formula and its block defect are
-    pinned by the switchcore tests."""
-    worst = 0.0
-    for _ in range(25):
-        report = activation_report(_random_generic_scenario(rng))
+    """|chi| <= 1 and delta_qs = delta_s + delta_c, and an audit of the
+    certificates that stand in for full checks, on 25 random qubit
+    scenarios and one disp_squeeze scenario at n_max = 172 (which draws
+    nothing from `rng`).  Each proved bound must be at least the dense
+    defect it replaces (see _certificate_ratios).  The switch unitary's
+    kron formula and its block defect are pinned by the switchcore tests."""
+    scenarios = [_random_generic_scenario(rng) for _ in range(25)] + [
+        _fock_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
+            BlochState(math.pi / 2.0, 0.0), 172,
+        )
+    ]
+    worst, ratios = 0.0, []
+    for s in scenarios:
+        report = activation_report(s)
         worst = max(worst, abs(report.chi) - 1.0)
         worst = max(worst, abs(report.delta_qs - (report.delta_s + report.delta_c)))
-    return worst <= 1e-9, f"25 scenarios, worst algebra defect {worst:.2e}"
+        ratios += _certificate_ratios(s, report.tilde_rho_s)
+    ratio = max(ratios)
+    return worst <= 1e-9 and ratio <= 1.0, (
+        f"26 scenarios, worst algebra defect {worst:.2e}, "
+        f"{len(ratios)} certificates, worst defect/bound {ratio:.2e}"
+    )
+
+
+def _certificate_ratios(s: SwitchScenario, tilde_rho_s: DensityMatrix) -> list[float]:
+    """Measured defect over proved bound for each certificate of one
+    scenario: the Gram defect of every certified unitary among U1, U2, W12
+    and W21, and -lambda_min of a tilde_rho_s whose positivity was proved.
+    A ratio above 1 is a bound that does not hold."""
+    pairs = [
+        (_gram_defect(u.mat), u._defect)
+        for u in (s.u1, s.u2, *_switch_blocks(s.u1, s.u2))
+        if isinstance(u, _CertifiedUnitary)
+    ]
+    if isinstance(tilde_rho_s, _CertifiedState) and not math.isnan(tilde_rho_s._psd_bound):
+        lam_min = float(np.linalg.eigvalsh(tilde_rho_s.mat).min())
+        pairs.append((max(0.0, -lam_min), tilde_rho_s._psd_bound))
+    return [measured / bound for measured, bound in pairs]
 
 
 def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:

@@ -124,15 +124,6 @@ class TestSwitchUnitary:
             u_qs.mat[0, 0] = 1.0
 
 
-class TestJointHamiltonian:
-    @pytest.mark.parametrize("d", [2, 5, 173])
-    def test_equals_kron_formula_bit_for_bit(self, rng, d):
-        h_c = random_hermitian(rng, 2)
-        for h_s in (random_hermitian(rng, d), np.diag(np.arange(d) + 0.5).astype(complex)):
-            expected = kron(h_s, np.eye(2)) + kron(np.eye(d), h_c)
-            assert np.array_equal(switchcore._joint_hamiltonian(h_s, h_c), expected)
-
-
 class TestChi:
     def test_definition(self, rng):
         rho = DensityMatrix(random_density(rng, 4))
@@ -446,15 +437,15 @@ def _shift_energy(rho: np.ndarray, h: np.ndarray, eta: float) -> DensityMatrix:
 class TestCrossChecksFire:
     """Each runtime cross-check raises when one of its routes is corrupted.
 
-    The corruptions: the joint Hamiltonian (off by a constant), the tilde
-    route (the system mixture built from the wrong order's block, or
+    The corruptions: the blockwise joint energy (off by a constant), the
+    tilde route (the system mixture built from the wrong order's block, or
     energy moved between system and control, which keeps their sum), the
-    four-term expansion or the switch blocks W12 and W21 it is filled
-    from, and one cached d-space term.  The expansion is filled from the d-space
-    terms, so a corrupted term moves it too and the probe cannot see a
-    fault that corrupts both alike; the measure_control checks read cached
-    terms after the expansion was checked, as a faulty term kernel would
-    leave them.
+    four blocks of the joint state (_joint_blocks) or the switch blocks
+    W12 and W21 they are filled from, and one cached d-space term.  The
+    joint blocks are filled from the d-space terms, so a corrupted term
+    moves them too and the probe cannot see a fault that corrupts both
+    alike; the measure_control checks read cached terms after the blocks
+    were checked, as a faulty term kernel would leave them.
     """
 
     @pytest.fixture
@@ -467,12 +458,11 @@ class TestCrossChecksFire:
         monkeypatch.setitem(s.__dict__, "_terms", dataclasses.replace(s._terms, **fields))
 
     def test_energy_routes(self, scenario, monkeypatch):
-        original = switchcore._joint_hamiltonian
-
-        def shifted(h_s, h_c):
-            return original(h_s, h_c) + 1e-6 * np.eye(2 * h_s.shape[0])
-
-        monkeypatch.setattr(switchcore, "_joint_hamiltonian", shifted)
+        # The former shift of H_SC by 1e-6 I moves tr{E H_SC} by 1e-6 tr E.
+        original = switchcore._joint_energy
+        monkeypatch.setattr(
+            switchcore, "_joint_energy", lambda blocks, h_s, h_c: original(blocks, h_s, h_c) + 1e-6
+        )
         with pytest.raises(AssertionError, match="energy routes disagree"):
             activation_report(scenario)
 
@@ -502,11 +492,11 @@ class TestCrossChecksFire:
         with pytest.raises(AssertionError, match="delta_c closed form disagrees"):
             activation_report(scenario)
 
-    @pytest.mark.parametrize("route", ["expansion", "joint"])
+    @pytest.mark.parametrize("route", ["blocks", "joint"])
     def test_post_switch_expansion(self, scenario, monkeypatch, route):
-        if route == "expansion":
-            original = switchcore._post_switch_expansion
-            monkeypatch.setattr(switchcore, "_post_switch_expansion", lambda s: original(s) + 1e-6)
+        if route == "blocks":
+            original = switchcore._joint_blocks
+            monkeypatch.setattr(switchcore, "_joint_blocks", lambda s: original(s) + 1e-6)
         else:
             original = switchcore._switch_blocks
             monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
@@ -515,19 +505,19 @@ class TestCrossChecksFire:
                 call()
 
     @staticmethod
-    def _faulty_expansion(fault: str):
-        original = switchcore._post_switch_expansion
+    def _faulty_blocks(fault: str):
+        original = switchcore._joint_blocks
 
         def faulty(s):
-            out = original(s)
-            blocks = out.reshape(s.rho_s.dim, 2, s.rho_s.dim, 2)
+            blocks = original(s)
             if fault == "one_entry":
-                out[1, 2] += 2.0 * switchcore.TOL_ENERGY
+                # <0 1| E |1 0>, entry [1, 2] of the (2d) x (2d) layout.
+                blocks[1, 0][0, 1] += 2.0 * switchcore.TOL_ENERGY
             elif fault == "swapped_diagonal_blocks":
-                blocks[:, 0, :, 0], blocks[:, 1, :, 1] = blocks[:, 1, :, 1].copy(), blocks[:, 0, :, 0].copy()
+                blocks[0, 0], blocks[1, 1] = blocks[1, 1].copy(), blocks[0, 0].copy()
             else:
-                blocks[:, 0, :, 1] = blocks[:, 0, :, 1].conj()
-            return out
+                blocks[0, 1] = blocks[0, 1].conj()
+            return blocks
 
         return faulty
 
@@ -537,14 +527,14 @@ class TestCrossChecksFire:
     )
     def test_probe_catches_expansion_faults(self, rng, monkeypatch, d, fault):
         """The Freivalds probe, not a dense comparison, is the only check
-        between the expansion and the conjugation; an entry off by
+        between the joint blocks and the conjugation; an entry off by
         2 TOL_ENERGY is the only wrong entry of its row, so every probe
         column sees it."""
         if fault == "swapped_unitaries":
             original = switchcore._switch_blocks
             monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
         else:
-            monkeypatch.setattr(switchcore, "_post_switch_expansion", self._faulty_expansion(fault))
+            monkeypatch.setattr(switchcore, "_joint_blocks", self._faulty_blocks(fault))
         s = _random_scenario(rng, d)
         for call in (
             lambda: activation_report(s),
@@ -627,30 +617,33 @@ class TestTermCache:
         assert np.max(np.abs(joint - expected)) < 1e-12
 
     def test_reports_build_no_joint_density_matrix(self, monkeypatch):
-        """The reports read the probe-checked expansion: no (2d) x (2d)
+        """The reports read the probe-checked blocks: no (2d) x (2d)
         DensityMatrix, no post_switch_state call, and no joint-space
         unitary on the hot path; the only unitaries switchcore builds are
-        the d x d blocks W12 and W21."""
+        the d x d blocks W12 and W21, as certified products."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
         )
         dims, unitary_dims = [], []
-        density, unitary = switchcore.DensityMatrix, switchcore.UnitaryOperator
+        density, certified = switchcore.DensityMatrix, switchcore._CertifiedState
+        product = switchcore._unitary_product
 
-        def recorded(mat):
+        def recorded(mat, *bound):
             dims.append(np.shape(mat)[0])
-            return density(mat)
+            return (certified if bound else density)(mat, *bound)
 
-        def recorded_unitary(mat):
-            unitary_dims.append(np.shape(mat))
-            return unitary(mat)
+        def recorded_unitary(a, b):
+            unitary_dims.append((a.dim, b.dim))
+            return product(a, b)
 
         def forbidden(*args):
             raise AssertionError("joint-space route called by a report")
 
         monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
-        monkeypatch.setattr(switchcore, "UnitaryOperator", recorded_unitary)
+        monkeypatch.setattr(switchcore, "_CertifiedState", recorded)
+        monkeypatch.setattr(switchcore, "UnitaryOperator", forbidden)
+        monkeypatch.setattr(switchcore, "_unitary_product", recorded_unitary)
         monkeypatch.setattr(switchcore, "post_switch_state", forbidden)
         monkeypatch.setattr(switchcore, "build_switch_unitary", forbidden)
         activation_report(s)
@@ -658,6 +651,25 @@ class TestTermCache:
         measure_control(s, BlochState(1.0, 0.4))
         assert sorted(set(dims)) == [2, s.rho_s.dim]
         assert unitary_dims == [(s.rho_s.dim, s.rho_s.dim)] * 2
+
+    def test_only_post_switch_state_builds_the_dense_expansion(self, rng, monkeypatch):
+        calls = []
+        original = switchcore._post_switch_expansion
+
+        def counted(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(switchcore, "_post_switch_expansion", counted)
+        for s in (_random_scenario(rng, 4), _random_scenario(rng, 30)):
+            calls.clear()
+            activation_report(s)
+            measure_control(s, BlochState(1.0, 0.4))
+            measure_control(s, BlochState(2.0, 1.4))
+            assert calls == []
+            joint = post_switch_state(s)
+            assert post_switch_state(s) is joint
+            assert calls == [s] and joint.dim == 2 * s.rho_s.dim
 
 
 class TestReportsValidateBlocks:

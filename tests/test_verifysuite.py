@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from switchwork import cvcase, qubitcase, states, switchcore, verifysuite
+from switchwork import cvcase, qmat, qubitcase, states, switchcore, verifysuite
 from switchwork.config import FAMILIES
 from switchwork.qmat import TOL_EIG
 from switchwork.states import gibbs_qubit, passive_state_from_spectrum, ThermalParams
@@ -160,6 +160,24 @@ class TestSuiteHasTeeth:
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         assert set(failed) == {"u2-optimizer"}
         assert "DIFFER FROM in-process" in failed["u2-optimizer"]
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (qmat, "_product_defect_bound"),
+            (cvcase, "_phased_defect_bound"),
+            (switchcore, "_mixture_psd_unit"),
+        ],
+    )
+    def test_understated_certificate_fails_only_switch_algebra(self, monkeypatch, module, name):
+        """A bound scaled by 1e-6 still lets every certified matrix through,
+        so only the audit in switch-algebra can see that it no longer holds."""
+        honest = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: 1e-6 * honest(*args))
+        report = run_verify(level="quick", seed=0)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert set(failed) == {"switch-algebra"}
+        assert "worst defect/bound" in failed["switch-algebra"]
 
     def test_post_switch_state_off_the_dense_oracle_fails_tilde_split(self, monkeypatch):
         assert verifysuite._check_tilde_split(np.random.default_rng(0))[0]
