@@ -13,20 +13,20 @@ certified as unitaries from the Gram defects U1 and U2 record; the d-space
 products R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21†
 (with rho's columns scaled, not multiplied, when rho is diagonal) with the
 scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the kernel
-record formed from them; rho_c; the joint state E as its four weighted
-d x d blocks B_ab = <a|rho_c|b> W_a rho W_b†; and, only when asked for, E
-as a checked (2d) x (2d) DensityMatrix (post_switch_state, the only place
-the dense expansion is built).  Before the blocks are used, a Freivalds
-probe checks them against the conjugation U (rho (x) rho_c) U†, with U
-applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2) cost;
-an entry off by more than TOL_ENERGY escapes it with probability at most
-2^-k (see SwitchScenario._joint_out).  The dense U (build_switch_unitary)
-and the (2d)^3 conjugation are the oracle of the tests and of `verify`'s
-tilde-energy-split check.  Every derived scalar comes from both the blocks
-and the d-space scalars, and the routes must agree within TOL_ENERGY at
-runtime (each function names its checks).  A disagreement means a bug, so
-it raises instead of returning.  Scenarios and wrapper arrays are
-immutable, so a cached term never goes stale.
+record formed from them; and rho_c.  The joint state E = U (rho (x) rho_c) U†
+has the blocks <a|rho_c|b> T_ab, T_00 = R12, T_01 = A12, T_11 = R21, and
+the reports read E only through these terms and rho_c.  Before a term is
+used, a Freivalds probe checks R12, A12 and R21 against the conjugation,
+with U applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2)
+cost (see SwitchScenario._joint_out).  The rho_c weights are checked by the
+reports' route cross-checks: every derived scalar comes from both the
+weighted blocks and the kernel on the d-space scalars, and the routes must
+agree within TOL_ENERGY (each function names its checks).  Only
+post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
+tilde-energy-split check compares it, entry for entry, with the dense
+conjugation by build_switch_unitary, the oracle of the tests.  A
+disagreement means a bug, so it raises instead of returning.  Scenarios
+and wrapper arrays are immutable, so a cached term never goes stale.
 
 The assembly kernel holds the paper's formulas once.  Every family reduces
 to one KernelTerms record per point: chi - 1, delta_12 = E12 - E_S,
@@ -137,58 +137,48 @@ class SwitchScenario:
         return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel, psd_unit)
 
     @cached_property
-    def _joint_out(self) -> np.ndarray:
-        """The joint state E = U (rho (x) rho_c) U† as its four d x d blocks,
-        blocks[a, b] = B_ab = <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1 and
-        W_1 = U1 U2, probed against the conjugation by the switch unitary.
+    def _joint_out(self) -> None:
+        """Probe the cached R12, A12 and R21, once per scenario: the joint
+        state's blocks are their rho_c-weighted copies (module docstring).
 
-        Freivalds' check: with X the first 2d rows of the probe table (k =
-        _PROBE_COLUMNS columns of +-1), E X must equal U (K (U† X)),
-        K = rho (x) rho_c, within TOL_ENERGY in every entry.  Read in the
-        system (x) control layout, X has a d x k block X_b per control
-        index, and row block a of E X is B_a0 X_0 + B_a1 X_1: each block
-        multiplies its own X_b, and E is never formed.  That costs O(k d^2)
-        instead of the two (2d)^3 products of the conjugation.  Let
-        Delta = E - J with J the conjugation and |Delta_ij| > TOL_ENERGY for
-        some entry.  In each column, (Delta X)_i = Delta_ij x_j + S with S
-        independent of x_j, and one of S +- Delta_ij has modulus
-        >= |Delta_ij|, so the column exposes the entry with probability
-        >= 1/2 over the signs and the check misses with probability
-        <= 2^-k.  If Delta_ij is the only wrong entry of its row, S = 0 and
-        every column catches it.  The probes are fixed, so the check is
-        deterministic for a given scenario.
+        Freivalds' check: with X the first d rows of the probe table (k =
+        _PROBE_COLUMNS columns of +-1), Y0 = rho U1† U2† X and
+        Y1 = rho U2† U1† X, the products R12 X, A12 X and R21 X must equal
+        U2 U1 Y0, U2 U1 Y1 and U1 U2 Y1 within TOL_ENERGY in every entry,
+        at O(k d^2) cost.  Let Delta = T - J with J the conjugation and
+        |Delta_ij| > TOL_ENERGY for some entry.  In each column,
+        (Delta X)_i = Delta_ij x_j + S with S independent of x_j, and one of
+        S +- Delta_ij has modulus >= |Delta_ij|, so the column exposes the
+        entry with probability >= 1/2 over the signs and the check misses
+        with probability <= 2^-k.  If Delta_ij is the only wrong entry of
+        its row, S = 0 and every column catches it.  The probes are fixed,
+        so the check is deterministic for a given scenario.
 
-        Neither U nor K is formed.  U† X is U1† (U2† X_0) on control index 0
-        and U2† (U1† X_1) on index 1, taken as conj(U^T X) since X is real;
-        on the result Y, rho acts on the system index (by scaling rows when
-        rho is diagonal) and rho_c on the control index, giving Z; and U Z
-        is U2 (U1 Z_0) on index 0 and U1 (U2 Z_1) on index 1.  The probe
-        applies the factors one at a time, never the products W12 and W21
-        the terms were filled from, so the two routes share no product.
+        U† X is taken as conj(U^T X), since X is real, and rho acts by
+        scaling rows when it is diagonal.  The probe applies the factors
+        one at a time, never the products W12 and W21 the terms were
+        filled from, so the two routes share no product.
         """
-        blocks = _joint_blocks(self)
-        blocks.flags.writeable = False
-        d = self.rho_s.dim
+        t = self._terms
         u1, u2 = self.u1.mat, self.u2.mat
-        # x[b] = X_b, and y[b] = (U† X)_b, then (U Z)_b: U (K (U† X)) in place.
-        x = _probes(2 * d).reshape(d, 2, -1).transpose(1, 0, 2).astype(complex, order="C")
-        y = np.empty_like(x)
-        np.matmul(u1.T, u2.T @ x[0], out=y[0])
-        np.matmul(u2.T, u1.T @ x[1], out=y[1])
+        x = _probes(self.rho_s.dim)
+        y = np.empty((2, *x.shape), dtype=complex)
+        np.matmul(u1.T, u2.T @ x, out=y[0])
+        np.matmul(u2.T, u1.T @ x, out=y[1])
         np.conjugate(y, out=y)
         if isinstance(self.rho_s, _DiagonalState):
             y *= self.rho_s.mat.diagonal().real[:, None]
         else:
             y = self.rho_s.mat @ y
-        z = (self.rho_c.mat @ y.reshape(2, -1)).reshape(y.shape)
-        np.matmul(u2, u1 @ z[0], out=y[0])
-        np.matmul(u1, u2 @ z[1], out=y[1])
-        if np.max(np.abs((blocks @ x).sum(axis=1) - y)) > TOL_ENERGY:
-            raise AssertionError("post-switch expansion disagrees with conjugation path")
-        return blocks
+        w12_y = u2 @ (u1 @ y)  # U2 U1 Y0 and U2 U1 Y1
+        w21_y1 = u1 @ (u2 @ y[1])
+        for term, conjugated in ((t.r12, w12_y[0]), (t.a12, w12_y[1]), (t.r21, w21_y1)):
+            if np.max(np.abs(term @ x - conjugated)) > TOL_ENERGY:
+                raise AssertionError("post-switch expansion disagrees with conjugation path")
 
     @cached_property
     def _post_switch(self) -> DensityMatrix:
+        self._joint_out  # probe the terms the blocks are filled from
         return DensityMatrix(_post_switch_expansion(self))
 
 
@@ -403,8 +393,9 @@ def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOpe
     """The dense switch unitary kron(U2U1, |0><0|) + kron(U1U2, |1><1|),
     validated as a whole.
 
-    The oracle's construction: the reports apply U through its factors
-    (see SwitchScenario._joint_out) and never build this 2d x 2d matrix.
+    The oracle's construction: the probe applies U through its factors
+    (see SwitchScenario._joint_out) and no report builds this 2d x 2d
+    matrix.
     """
     w12, w21 = _switch_blocks(u1, u2)
     return UnitaryOperator(kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0])))
@@ -420,11 +411,13 @@ def chi(u1, u2, rho_s) -> complex:
 def post_switch_state(s: SwitchScenario) -> DensityMatrix:
     """Joint state after the controlled-order channel, as a DensityMatrix.
 
-    The matrix is the dense expansion of the four blocks, which a Freivalds
-    probe has checked against the conjugation by the switch unitary,
-    applied through its factors (see SwitchScenario._joint_out).  Built and
-    validated lazily, once per scenario: the reports read the blocks and
-    never build this (2d) x (2d) state.
+    The matrix is the dense expansion of the blocks <a|rho_c|b> T_ab, whose
+    d-space products a Freivalds probe has checked against the
+    conjugation by the switch unitary (see SwitchScenario._joint_out).
+    Built and validated lazily, once per scenario: the reports read the
+    terms and never build this (2d) x (2d) state.  `verify`'s
+    tilde-energy-split check compares it with the dense conjugation,
+    entry for entry, rho_c weights included.
     """
     return s._post_switch
 
@@ -432,26 +425,17 @@ def post_switch_state(s: SwitchScenario) -> DensityMatrix:
 def _joint_blocks(s: SwitchScenario) -> np.ndarray:
     """The four d x d blocks of the post-switch joint state, blocks[a, b] =
     <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1, W_1 = U1 U2, filled from
-    the d-space terms."""
-    rc = s.rho_c.mat
-    t = s._terms
-    d = s.rho_s.dim
-    blocks = np.empty((2, 2, d, d), dtype=complex)
-    np.multiply(rc[0, 0], t.r12, out=blocks[0, 0])
-    np.multiply(rc[0, 1], t.a12, out=blocks[0, 1])
-    blocks[1, 0] = t.a12.T
-    np.conjugate(blocks[1, 0], out=blocks[1, 0])
-    np.multiply(rc[1, 0], blocks[1, 0], out=blocks[1, 0])
-    np.multiply(rc[1, 1], t.r21, out=blocks[1, 1])
-    return blocks
+    the d-space terms; called only by _post_switch_expansion."""
+    rc, t = s.rho_c.mat, s._terms
+    return np.array([[rc[0, 0] * t.r12, rc[0, 1] * t.a12], [rc[1, 0] * t.a12.conj().T, rc[1, 1] * t.r21]])
 
 
 def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
-    """The probe-checked blocks laid out as one (2d) x (2d) matrix,
+    """The blocks laid out as one (2d) x (2d) matrix,
     <i a| out |j b> = blocks[a, b][i, j], the kron(system, control) layout:
     the oracle's form, built only by post_switch_state."""
     d = s.rho_s.dim
-    return s._joint_out.transpose(2, 0, 3, 1).reshape(2 * d, 2 * d)
+    return _joint_blocks(s).transpose(2, 0, 3, 1).reshape(2 * d, 2 * d)
 
 
 def delta_c_min(h_c: HermitianOperator, chi_value: complex):
@@ -496,20 +480,21 @@ class DeltaCMinResult:
 def activation_report(s: SwitchScenario) -> ActivationReport:
     """Pre-measurement energy bookkeeping with built-in cross-checks.
 
-    Route (a): delta_qs from the probe-checked blocks of the joint state
-    (see _joint_energy), and the mixed-state split delta_qs = delta_s +
-    delta_c of the tilde states.
+    Route (a): delta_qs from the joint state's rho_c-weighted blocks over
+    the probe-checked terms (see _joint_energy), and the mixed-state split
+    delta_qs = delta_s + delta_c of the tilde states.
     Route (b): the kernel assemble_qs on the d-space terms.  The routes
     must agree within TOL_ENERGY on delta_qs, on the split's sum and on
     delta_c.
     """
     rho_c = s.rho_c.mat
     h_c = s.h_c.mat
+    s._joint_out  # probe the terms, once per scenario
     t = s._terms
     e_s, x = t.e_s, t.chi
     e_c = _tr(rho_c, h_c).real
 
-    e_out_direct = _joint_energy(s._joint_out, s.h_s.mat, h_c)
+    e_out_direct = _joint_energy(t, rho_c, h_c)
     delta_qs = e_out_direct - (e_s + e_c)
     rc00, rc11 = float(rho_c[0, 0].real), float(rho_c[1, 1].real)
     k = complex(rho_c[0, 1] * h_c[1, 0])
@@ -543,11 +528,13 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     )
 
 
-def _joint_energy(blocks: np.ndarray, h_s: np.ndarray, h_c: np.ndarray) -> float:
-    """tr{E H_SC} with H_SC = h_s (x) 1 + 1 (x) h_c, read from E's blocks:
-    sum_a tr{B_aa h_s} + sum_ab h_c[b, a] tr B_ab."""
-    traces = blocks.trace(axis1=2, axis2=3)
-    return (_tr(blocks[0, 0], h_s) + _tr(blocks[1, 1], h_s) + (h_c.T * traces).sum()).real
+def _joint_energy(t: _SwitchTerms, rho_c: np.ndarray, h_c: np.ndarray) -> float:
+    """tr{E H_SC} with H_SC = h_s (x) 1 + 1 (x) h_c, from E's blocks
+    rc_ab T_ab: rc00 E12 + rc11 E21 + sum_ab h_c[b, a] rc_ab tr T_ab, with
+    tr T_00 = tr T_11 = tr rho = 1 and tr T_01 = chi."""
+    traces = np.array([[1.0, t.chi], [t.chi.conjugate(), 1.0]])
+    system = rho_c[0, 0].real * t.e12 + rho_c[1, 1].real * t.e21
+    return (system + (h_c.T * rho_c * traces).sum()).real
 
 
 def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, DensityMatrix]:
@@ -581,25 +568,28 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
 
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
-    computed both by direct projection of the probe-checked joint state,
-    sum_ab conj(m_a) m_b B_ab over its blocks, and by the angle factors on
-    the d-space terms; the two must agree, and so
+    computed both by direct projection of the joint state,
+    sum_ab conj(m_a) m_b rc_ab T_ab over its blocks, and by the angle
+    factors, both on the probe-checked terms; the two must agree, and so
     must n_m and delta_sm with the kernel assemble_sm on the scenario's
     KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
+    s._joint_out  # probe the terms, once per scenario
     t = s._terms
+    a12_h = t.a12.conj().T
 
     # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
-    numerator = np.tensordot(np.outer(ket_m.conj(), ket_m), s._joint_out, 2)
+    w = np.outer(ket_m.conj(), ket_m) * s.rho_c.mat
+    numerator = w[0, 0] * t.r12 + w[1, 1] * t.r21 + w[0, 1] * t.a12 + w[1, 0] * a12_h
     n_m_direct = float(np.real(np.trace(numerator)))
 
-    # Expansion path: the kernel's angle factors on the d-space blocks.
+    # Expansion path: the kernel's angle factors on the d-space terms.
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
-    numerator_exp = a.cc * t.r12 + a.ss * t.r21 + coh * t.a12 + coh.conjugate() * t.a12.conj().T
+    numerator_exp = a.cc * t.r12 + a.ss * t.r21 + coh * t.a12 + coh.conjugate() * a12_h
     n_m_closed, bracket = assemble_sm(a, t.kernel)
     if np.max(np.abs(numerator - numerator_exp)) > TOL_ENERGY:
         raise AssertionError("projection and expansion numerators disagree")

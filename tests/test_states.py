@@ -238,3 +238,56 @@ class TestEntropyAndGibbsBound:
             assert res.bound >= ergotropy(rho, h) - 1e-9
             # The entropy-matched Gibbs state reproduces the input entropy.
             assert res.entropy_residual < 1e-8
+
+    @staticmethod
+    def _reference_root(rho: DensityMatrix, h: HermitianOperator):
+        """beta* to 50 digits for the float inputs the bound sees: the
+        entropy of rho as computed, and the spectrum of h."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            target = mpmath.mpf(von_neumann_entropy(rho))
+            eps = [mpmath.mpf(float(e)) for e in np.linalg.eigvalsh(h.mat)]
+
+            def entropy(beta):
+                w = [mpmath.exp(-beta * (e - eps[0])) for e in eps]
+                p = [x / sum(w) for x in w]
+                return -sum(x * mpmath.log(x) for x in p)
+
+            beta = mpmath.exp(mpmath.findroot(lambda lb: entropy(mpmath.exp(lb)) - target, 0.0))
+            # 1 / |d S / d log beta|: how far round-off in S moves beta*.
+            condition = 1.0 / float(abs(beta * mpmath.diff(entropy, beta)))
+            return float(beta), condition
+
+    def test_gibbs_bound_root_matches_50_digit_reference(self, rng):
+        """The bisection on log beta lands within a few ulp of beta*, scaled
+        by the root's condition number, since S itself is evaluated in
+        floating point."""
+        cases = [
+            (
+                DensityMatrix(np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.0], [0.05, 0.0, 0.2]])),
+                HermitianOperator(np.diag([0.0, 1.0, 2.5])),
+            )
+        ]
+        for d in (2, 3, 8, 20):
+            h = np.diag(np.sort(rng.uniform(0.0, 3.0, size=d))).astype(complex)
+            cases.append((DensityMatrix(random_density(rng, d)), HermitianOperator(h)))
+        for rho, h in cases:
+            res = ergotropy_gibbs_bound(rho, h)
+            beta, condition = self._reference_root(rho, h)
+            assert res.converged
+            assert abs(res.beta_star - beta) <= 4.0 * max(1.0, condition) * math.ulp(beta)
+
+    def test_gibbs_bound_clamps_and_reports_unreachable_entropy(self):
+        # A gap of 1e9 keeps S(gibbs(1e-8)) far below the entropy ln 2 of I/2.
+        hot = ergotropy_gibbs_bound(
+            DensityMatrix(np.eye(2, dtype=complex) / 2.0), HermitianOperator(np.diag([0.0, 1e9]))
+        )
+        assert (hot.beta_star, hot.converged) == (1e-8, False)
+        assert hot.entropy_residual > 0.1
+        # A doubly degenerate ground level leaves S(gibbs(1e8)) at ln 2 > 0.
+        cold = ergotropy_gibbs_bound(
+            DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex)),
+            HermitianOperator(np.diag([0.0, 0.0, 1.0])),
+        )
+        assert (cold.beta_star, cold.converged) == (1e8, False)
+        assert abs(cold.entropy_residual - math.log(2.0)) < 1e-12

@@ -437,15 +437,17 @@ def _shift_energy(rho: np.ndarray, h: np.ndarray, eta: float) -> DensityMatrix:
 class TestCrossChecksFire:
     """Each runtime cross-check raises when one of its routes is corrupted.
 
-    The corruptions: the blockwise joint energy (off by a constant), the
-    tilde route (the system mixture built from the wrong order's block, or
-    energy moved between system and control, which keeps their sum), the
-    four blocks of the joint state (_joint_blocks) or the switch blocks
-    W12 and W21 they are filled from, and one cached d-space term.  The
-    joint blocks are filled from the d-space terms, so a corrupted term
-    moves them too and the probe cannot see a fault that corrupts both
-    alike; the measure_control checks read cached terms after the blocks
-    were checked, as a faulty term kernel would leave them.
+    The corruptions: the joint energy read from the weighted blocks (off by
+    a constant, or with rho_c's coherences swapped), the tilde route (the
+    system mixture built from the wrong order's block, or energy moved
+    between system and control, which keeps their sum), the cached d-space
+    products R12, A12 and R21 or the switch blocks W12 and W21 they are
+    filled from, the angle factors measure_control weighs them with, and
+    one cached kernel scalar.  The probe checks the three products before
+    any report reads them, so a product corrupted before its first use
+    raises there; the measure_control checks read the kernel record and
+    the angles after the probe, as a faulty kernel or weight would leave
+    them.
     """
 
     @pytest.fixture
@@ -461,7 +463,20 @@ class TestCrossChecksFire:
         # The former shift of H_SC by 1e-6 I moves tr{E H_SC} by 1e-6 tr E.
         original = switchcore._joint_energy
         monkeypatch.setattr(
-            switchcore, "_joint_energy", lambda blocks, h_s, h_c: original(blocks, h_s, h_c) + 1e-6
+            switchcore, "_joint_energy", lambda t, rho_c, h_c: original(t, rho_c, h_c) + 1e-6
+        )
+        with pytest.raises(AssertionError, match="energy routes disagree"):
+            activation_report(scenario)
+
+    def test_swapped_control_coherences(self, scenario, monkeypatch):
+        """Weights rc_10 and rc_01 swapped on the blocks A12 and A12†: with
+        a complex t = <0|h_c|1> and a phased control the joint energy moves,
+        and the kernel, which reads rc_01, disagrees."""
+        rc, coupling = scenario.rho_c.mat, scenario.h_c.mat[0, 1]
+        assert abs(rc[0, 1].imag) > 1e-3 and abs(coupling.imag) > 1e-3
+        original = switchcore._joint_energy
+        monkeypatch.setattr(
+            switchcore, "_joint_energy", lambda t, rho_c, h_c: original(t, rho_c.T, h_c)
         )
         with pytest.raises(AssertionError, match="energy routes disagree"):
             activation_report(scenario)
@@ -492,11 +507,13 @@ class TestCrossChecksFire:
         with pytest.raises(AssertionError, match="delta_c closed form disagrees"):
             activation_report(scenario)
 
-    @pytest.mark.parametrize("route", ["blocks", "joint"])
+    @pytest.mark.parametrize("route", ["terms", "joint"])
     def test_post_switch_expansion(self, scenario, monkeypatch, route):
-        if route == "blocks":
-            original = switchcore._joint_blocks
-            monkeypatch.setattr(switchcore, "_joint_blocks", lambda s: original(s) + 1e-6)
+        if route == "terms":
+            t = scenario._terms
+            self._corrupt_terms(
+                monkeypatch, scenario, r12=t.r12 + 1e-6, a12=t.a12 + 1e-6, r21=t.r21 + 1e-6
+            )
         else:
             original = switchcore._switch_blocks
             monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
@@ -505,37 +522,40 @@ class TestCrossChecksFire:
                 call()
 
     @staticmethod
-    def _faulty_blocks(fault: str):
-        original = switchcore._joint_blocks
-
-        def faulty(s):
-            blocks = original(s)
-            if fault == "one_entry":
-                # <0 1| E |1 0>, entry [1, 2] of the (2d) x (2d) layout.
-                blocks[1, 0][0, 1] += 2.0 * switchcore.TOL_ENERGY
-            elif fault == "swapped_diagonal_blocks":
-                blocks[0, 0], blocks[1, 1] = blocks[1, 1].copy(), blocks[0, 0].copy()
-            else:
-                blocks[0, 1] = blocks[0, 1].conj()
-            return blocks
-
-        return faulty
+    def _faulty_terms(t, fault: str) -> dict:
+        if fault.startswith("one_entry_"):
+            # Entry [0, 1] of one product, the only wrong entry of its row.
+            name = fault.removeprefix("one_entry_")
+            wrong = getattr(t, name).copy()
+            wrong[0, 1] += 2.0 * switchcore.TOL_ENERGY
+            return {name: wrong}
+        if fault == "swapped_r12_r21":
+            return {"r12": t.r21, "r21": t.r12}
+        return {"a12": t.a12.conj()}
 
     @pytest.mark.parametrize("d", [3, 30])
     @pytest.mark.parametrize(
-        "fault", ["one_entry", "swapped_diagonal_blocks", "conjugated_off_diagonal_block", "swapped_unitaries"]
+        "fault",
+        [
+            "one_entry_r12",
+            "one_entry_a12",
+            "one_entry_r21",
+            "swapped_r12_r21",
+            "conjugated_a12",
+            "swapped_unitaries",
+        ],
     )
-    def test_probe_catches_expansion_faults(self, rng, monkeypatch, d, fault):
+    def test_probe_catches_term_faults(self, rng, monkeypatch, d, fault):
         """The Freivalds probe, not a dense comparison, is the only check
-        between the joint blocks and the conjugation; an entry off by
+        between the d-space products and the conjugation; an entry off by
         2 TOL_ENERGY is the only wrong entry of its row, so every probe
         column sees it."""
         if fault == "swapped_unitaries":
             original = switchcore._switch_blocks
             monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
-        else:
-            monkeypatch.setattr(switchcore, "_joint_blocks", self._faulty_blocks(fault))
         s = _random_scenario(rng, d)
+        if fault != "swapped_unitaries":
+            self._corrupt_terms(monkeypatch, s, **self._faulty_terms(s._terms, fault))
         for call in (
             lambda: activation_report(s),
             lambda: measure_control(s, self.M),
@@ -543,6 +563,21 @@ class TestCrossChecksFire:
         ):
             with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
                 call()
+
+    @pytest.mark.parametrize("control", ["north_pole", "south_pole", "diagonal_mixed"])
+    def test_probe_sees_a12_without_control_coherence(self, monkeypatch, control):
+        """A12 and chi scaled by 1.3: with no control coherence the joint
+        state does not depend on A12, and only the probe of A12 itself
+        stops the wrong chi from reaching the report."""
+        c = BlochState(math.pi if control == "south_pole" else 0.0, 0.0)
+        s = qubit_scenario(1.0, 0.8, 0.5, 0.3, rotation_unitary("x", 1.2), rotation_unitary("y", 0.7), c)
+        if control == "diagonal_mixed":
+            s = dataclasses.replace(s, control=DensityMatrix(np.diag([0.7, 0.3]).astype(complex)))
+        assert abs(s.rho_c.mat[0, 1]) < 1e-16  # sin(pi) / 2 at the south pole
+        t = s._terms
+        self._corrupt_terms(monkeypatch, s, a12=1.3 * t.a12, chi=1.3 * t.chi)
+        with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
+            activation_report(s)
 
     def test_probe_table_is_prefix_stable_and_read_only(self, monkeypatch):
         monkeypatch.setattr(switchcore, "_probe_table", np.empty((0, 16)))
@@ -557,10 +592,18 @@ class TestCrossChecksFire:
             with pytest.raises(ValueError):
                 view[0, 0] = 2.0
 
+    def test_measure_control_weight_check(self, scenario, monkeypatch):
+        # The angle factor cos^2(tc/2) cos^2(tm/2) of R12 off by 1e-3.
+        original = switchcore.measurement_angles
+        monkeypatch.setattr(
+            switchcore, "measurement_angles", lambda c, m: original(c, m)._replace(cc=original(c, m).cc + 1e-3)
+        )
+        with pytest.raises(AssertionError, match="projection and expansion numerators disagree"):
+            measure_control(scenario, self.M)
+
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("r12", "projection and expansion numerators disagree"),
             ("chi_m1", "post-selection probability routes disagree"),
             ("df", "post-measurement energy routes disagree"),
         ],
@@ -569,14 +612,12 @@ class TestCrossChecksFire:
         # chi_m1 and df are fields of the kernel record, the only
         # scenario terms that assemble_sm reads.
         post_switch_state(scenario)
-        t = scenario._terms
-        k = t.kernel
+        k = scenario._terms.kernel
         wrong = {
-            "r12": {"r12": t.r21},
-            "chi_m1": {"kernel": k._replace(chi_m1=k.chi_m1 + 1e-3)},
-            "df": {"kernel": k._replace(df=k.df + 1e-3)},
+            "chi_m1": k._replace(chi_m1=k.chi_m1 + 1e-3),
+            "df": k._replace(df=k.df + 1e-3),
         }[field]
-        self._corrupt_terms(monkeypatch, scenario, **wrong)
+        self._corrupt_terms(monkeypatch, scenario, kernel=wrong)
         with pytest.raises(AssertionError, match=message):
             measure_control(scenario, self.M)
 
@@ -617,7 +658,7 @@ class TestTermCache:
         assert np.max(np.abs(joint - expected)) < 1e-12
 
     def test_reports_build_no_joint_density_matrix(self, monkeypatch):
-        """The reports read the probe-checked blocks: no (2d) x (2d)
+        """The reports read the probe-checked terms: no (2d) x (2d)
         DensityMatrix, no post_switch_state call, and no joint-space
         unitary on the hot path; the only unitaries switchcore builds are
         the d x d blocks W12 and W21, as certified products."""
@@ -651,6 +692,24 @@ class TestTermCache:
         measure_control(s, BlochState(1.0, 0.4))
         assert sorted(set(dims)) == [2, s.rho_s.dim]
         assert unitary_dims == [(s.rho_s.dim, s.rho_s.dim)] * 2
+
+    def test_reports_never_fill_the_joint_blocks(self, rng, monkeypatch):
+        """The reports weigh the probed terms with rho_c themselves; only
+        post_switch_state fills the four weighted blocks."""
+
+        def forbidden(s):
+            raise RuntimeError("_joint_blocks called")
+
+        monkeypatch.setattr(switchcore, "_joint_blocks", forbidden)
+        fock = disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
+            BlochState(math.pi / 2.0, 0.0), n_max=40,
+        )
+        for s in (random_qubit_scenario(rng), _random_scenario(rng, 30), fock):
+            activation_report(s)
+            measure_control(s, BlochState(1.0, 0.4))
+            with pytest.raises(RuntimeError, match="_joint_blocks called"):
+                post_switch_state(s)
 
     def test_only_post_switch_state_builds_the_dense_expansion(self, rng, monkeypatch):
         calls = []

@@ -4,13 +4,14 @@ optimizer pool, the post-switch state or the config serializer is wrong."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from switchwork import cvcase, qmat, qubitcase, states, switchcore, verifysuite
 from switchwork.config import FAMILIES
-from switchwork.qmat import TOL_EIG
+from switchwork.qmat import TOL_EIG, DensityMatrix
 from switchwork.states import gibbs_qubit, passive_state_from_spectrum, ThermalParams
 from switchwork.switchcore import activation_report
 from switchwork.verifysuite import random_passive_scenario, run_verify
@@ -193,6 +194,22 @@ class TestSuiteHasTeeth:
         passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
         assert not passed
         assert "worst post-switch state gap 1.0" in detail
+
+    def test_swapped_block_weights_fail_tilde_split(self, monkeypatch):
+        """The blocks weighted with rc_10 on A12 and rc_01 on A12† form the
+        valid state of the conjugate control, so only the dense oracle of
+        tilde-energy-split sees the weighting fault."""
+        original = switchcore._joint_blocks
+
+        def swapped(s):
+            conj_control = DensityMatrix(s.rho_c.mat.T)
+            return original(SimpleNamespace(rho_c=conj_control, _terms=s._terms, rho_s=s.rho_s))
+
+        monkeypatch.setattr(switchcore, "_joint_blocks", swapped)
+        passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
+        assert not passed
+        gap = float(detail.rsplit("worst post-switch state gap ", 1)[1])
+        assert gap > 0.1  # the energy split, read from the terms, still holds
 
     def test_post_switch_fault_only_above_d2_fails_tilde_split(self, monkeypatch):
         passed, detail = verifysuite._check_tilde_split(np.random.default_rng(0))
