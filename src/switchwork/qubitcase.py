@@ -23,13 +23,15 @@ The general-family optimizers run multi-start Nelder-Mead over the six
 angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
 flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
 functional and are fixed to zero during optimization.  The starts are
-uniform points drawn from np.random.default_rng(seed).  They are
-independent, so they run in a persistent fork pool of
-min(usable CPUs, starts, 8) workers and are merged in start order: the
-result is bit-identical for every worker count.  Each start runs a small
-simplex loop on Python lists that keeps the simplex sorted: a step that
-replaces the worst vertex inserts the new one with bisect_right, and only
-a shrink re-sorts.  Each objective evaluation is Python float and complex
+uniform points drawn from np.random.default_rng(seed).  They run in start
+order in the calling process until the first lands within _certified_gap
+of its objective's proved lower bound (_delta_qs_lower_bound,
+_delta_sm_lower_bound; the latter is reached only on the equator with
+sin(psi) != 0, and elsewhere every start runs).  A value further below a
+bound raises AssertionError.  Each start runs a small simplex loop on
+Python lists that keeps the simplex sorted: a step that replaces the
+worst vertex inserts the new one with bisect_right, and only a shrink
+re-sorts.  Each objective evaluation is Python float and complex
 arithmetic on row 0 of U1, U2 and of the products W12 = U2 U1 and
 W21 = U1 U2, with no array and no record: row 1 of an SU(2) matrix is
 (-conj(w01), conj(w00)), and IEEE arithmetic keeps that identity bit for
@@ -38,10 +40,9 @@ point as the full 2x2 products do.
 """
 from __future__ import annotations
 
-import atexit
 import cmath
 import math
-import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,7 +81,10 @@ _EVALS_PER_START = 500
 # tolerances on the simplex's spread in x and in f.
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
 _XATOL, _FATOL = 1e-10, 1e-12
-_MAX_WORKERS = 8
+_CERTIFIED_GAP = 1e-12
+# The objectives' round-off per unit of energy scale (a few ulps, with a
+# margin); it exceeds _CERTIFIED_GAP only above a scale of about 70.
+_ROUNDOFF_PER_ENERGY = 64 * sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
 
 _PAULI = {
@@ -351,9 +355,8 @@ def _u2_pair_terms(
 
 
 class _DeltaQsObjective(NamedTuple):
-    """delta_qs of a U(2) pair as a function of its six angles.  A
-    module-level value, so that it pickles into pool workers; products of
-    constants are precomputed."""
+    """delta_qs of a U(2) pair as a function of its six angles; products
+    of constants are precomputed."""
 
     omega: float
     p0: float
@@ -481,87 +484,77 @@ def _simplex_minimize(objective, x0: list[float], maxfev: int):
             fsim.insert(i, new[1])
 
 
-def _nelder_mead_start(task: tuple) -> tuple[float, list[float], int, int]:
+def _nelder_mead_start(objective, x0: list[float]) -> tuple[float, list[float], int, int]:
     """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
-    scored +inf).  Module-level so that pool workers can run it."""
-    objective, x0 = task
+    scored +inf)."""
     sim, fsim, nfev, divergent = _simplex_minimize(objective, x0, _EVALS_PER_START)
     return fsim[0], [v % _TWO_PI for v in sim[0]], nfev, divergent
 
 
-def _pool_workers(n_starts: int) -> int:
-    """min(usable CPUs, starts, _MAX_WORKERS); 1 (in-process) where fork is
-    unavailable or the caller is a daemonic process, which may not fork."""
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_starts, _MAX_WORKERS)
-
-
-_pool = None  # (creator pid, size, multiprocessing pool), created on first use
+def _delta_qs_lower_bound(
+    omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState
+) -> float:
+    """-|t| sin(tc) (cos th' + sqrt(cos^2 th' + tau^2 sin^2 th')), th' =
+    t_phase + pc, tau = tanh(bw/2), the least delta_qs of any unitary pair.
+    Proof: delta_qs = (system term >= 0, a Gibbs state being passive) +
+    |t| sin(tc) Re{e^{-i th'} (chi - 1)}, and chi = Re K00 + i tau Im K00 of
+    the commutator K = W21^dag W12, which reaches every point of SU(2)
+    (Goto 1949), so chi fills the ellipse with semi-axes 1 and tau."""
+    tau = _tanh_half(beta, omega)
+    theta = t_phase + c.phi
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    reach = cos_t + math.sqrt(cos_t * cos_t + tau * tau * sin_t * sin_t)
+    return -t_abs * math.sin(c.theta) * reach
 
 
-def _start_pool(workers: int):
-    """The process's persistent fork pool, with at least `workers` workers.
-
-    A pool inherited through fork belongs to the parent and is replaced; a
-    smaller pool is terminated and replaced by a larger one.  Each pool is
-    terminated at exit, before interpreter teardown would find it running.
-    """
-    global _pool
-    import multiprocessing
-
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid or _pool[1] < workers:
-        if _pool is not None and _pool[0] == pid:
-            _pool[2].terminate()
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        atexit.register(pool.terminate)
-        _pool = (pid, workers, pool)
-    return _pool[2]
+def _delta_sm_lower_bound(omega: float, beta: float) -> float:
+    """-E_S = -omega p1, the least delta_sm of any unitary pair and
+    measurement.  Proof: delta_sm = tr{H_S rho'} - E_S for a state rho', and
+    H_S = diag(0, omega) >= 0."""
+    return -omega * _thermal_populations(omega, beta)[1]
 
 
-def _multistart_minimize(objective, budget: int, seed: int):
+def _certified_gap(energy_scale: float) -> float:
+    """How close to its lower bound a start must come to end the search,
+    and how far below it no value may lie: _CERTIFIED_GAP, or the round-off
+    at energy_scale (omega + |t| for delta_qs, omega for delta_sm)."""
+    return max(_CERTIFIED_GAP, _ROUNDOFF_PER_ENERGY * energy_scale)
+
+
+def _multistart_minimize(objective, lower_bound: float, gap: float, budget: int, seed: int):
     """Shared multi-start Nelder-Mead driver.
 
     The work schedule is an extendable sequence: every start gets exactly
     _EVALS_PER_START evaluations and a larger budget only appends starts
-    (_starts is prefix-stable), so the best value is non-increasing in
-    budget.  Starts run in the fork pool (in-process when _pool_workers
-    gives 1) and are consumed in start order, ties going to the lower
-    index, so the result does not depend on the worker count.  Returns
-    (best value, the best pair with global phases zero, evaluations,
-    evaluations scored +inf, starts).
+    (_starts is prefix-stable).  The starts run in start order, and the
+    first whose value lies within gap of lower_bound is the last to run,
+    so a call stops at the same start for every budget that reaches it and
+    the best value is non-increasing in budget.  The result is the best
+    start that ran, ties going to the lower index.  Returns (best value,
+    the best pair with global phases zero, evaluations, evaluations scored
+    +inf, starts), the counts over the starts that ran.  Raises
+    AssertionError where the best value lies below lower_bound by more
+    than gap.
     """
     if budget < _MIN_BUDGET:
         raise ValueError(f"budget must be at least {_MIN_BUDGET} evaluations, got {budget}")
-    n_starts = budget // _EVALS_PER_START
-    tasks = [(objective, x0) for x0 in _starts(n_starts, seed)]
-    workers = _pool_workers(n_starts)
-    if workers > 1:
-        outcomes = _start_pool(workers).imap(_nelder_mead_start, tasks, chunksize=1)
-    else:
-        outcomes = map(_nelder_mead_start, tasks)
-    evaluations = divergent = 0
-    best: tuple[float, int, list[float]] | None = None
-    for idx, (fun, x, nfev, start_divergent) in enumerate(outcomes):
+    evaluations = divergent = starts = 0
+    best_fun, best_x = math.inf, None
+    for x0 in _starts(budget // _EVALS_PER_START, seed):
+        fun, x, nfev, start_divergent = _nelder_mead_start(objective, x0)
+        starts += 1
         evaluations += nfev
         divergent += start_divergent
-        candidate = (fun, idx, x)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    assert best is not None
-    x = best[2]
-    params = (U2Params(0.0, x[0], x[1], x[2]), U2Params(0.0, x[3], x[4], x[5]))
-    return best[0], params, evaluations, divergent, n_starts
+        if best_x is None or fun < best_fun:
+            best_fun, best_x = fun, x
+        if fun - lower_bound <= gap:
+            break
+    if best_fun < lower_bound - gap:
+        raise AssertionError(
+            f"optimizer value {best_fun!r} lies below the proved lower bound {lower_bound!r}"
+        )
+    params = (U2Params(0.0, *best_x[:3]), U2Params(0.0, *best_x[3:]))
+    return best_fun, params, evaluations, divergent, starts
 
 
 def minimize_delta_qs_u2(
@@ -578,11 +571,16 @@ def minimize_delta_qs_u2(
 
     Searches (lam1, gamma1, delta1, lam2, gamma2, delta2) in [0, 2pi)^6
     with global phases fixed to zero (they cancel in every trace).
-    Deterministic for fixed (budget, seed).  The reported optimum is
-    re-evaluated through the checked generic path before returning.
+    Deterministic for fixed (budget, seed); stops at the first start that
+    reaches _delta_qs_lower_bound.  The reported optimum is re-evaluated
+    through the checked generic path before returning.
     """
     value, params, evaluations, divergent, n_starts = _multistart_minimize(
-        _delta_qs_objective(omega, beta, t_abs, t_phase, c), budget, seed
+        _delta_qs_objective(omega, beta, t_abs, t_phase, c),
+        _delta_qs_lower_bound(omega, beta, t_abs, t_phase, c),
+        _certified_gap(omega + t_abs),
+        budget,
+        seed,
     )
     check = activation_report(
         qubit_scenario(omega, beta, t_abs, t_phase, *map(u2_unitary, params), c)
@@ -609,7 +607,9 @@ def minimize_delta_sm_u2(
     TOL_NM are scored +inf and counted in divergent_evaluations rather
     than silently renormalized.  Raises ValueError, before any start runs,
     where no unitary pair can be post-selected (switchcore's
-    post_selection_impossible: antipodal polar angles).
+    post_selection_impossible: antipodal polar angles).  Stops at the
+    first start that reaches _delta_sm_lower_bound, -E_S, which the
+    equator calls with sin(psi) != 0 reach.
     """
     if post_selection_impossible(c, m):
         raise ValueError(
@@ -617,7 +617,8 @@ def minimize_delta_sm_u2(
             "the post-selection probability vanishes for every unitary pair"
         )
     value, params, evaluations, divergent, n_starts = _multistart_minimize(
-        _delta_sm_objective(omega, beta, c, m), budget, seed
+        _delta_sm_objective(omega, beta, c, m), _delta_sm_lower_bound(omega, beta),
+        _certified_gap(omega), budget, seed,
     )
     if math.isinf(value):
         raise RuntimeError(

@@ -351,33 +351,29 @@ def _check_rotation_measured(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_u2_optimizer(level: str, seed: int) -> tuple[bool, str]:
-    if level == "quick":
-        res = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
-                                   budget=2000, seed=seed)
-        # Determinism witness: the starts mapped in this process must give
-        # the same result, bit for bit, as the worker pool.
-        from unittest import mock  # imported here: it costs ~30 ms at start-up
-
-        with mock.patch.object(qubitcase, "_pool_workers", return_value=1):
-            serial = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
-                                          budget=2000, seed=seed)
-        same = repr(res) == repr(serial)
-        return res.value < -1.5 and same, (
-            f"budget 2000: min delta_qs {res.value:.4f} (expect < -1.5), "
-            f"{qubitcase._pool_workers(res.starts)} workers "
-            f"{'match' if same else 'DIFFER FROM'} in-process"
-        )
-    res = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, BlochState(math.pi / 2, 0.0),
-                               budget=16000, seed=seed)
-    ok = abs(res.value + 2.0) <= 0.04
-    res_sm = minimize_delta_sm_u2(
-        1.0, 0.0, BlochState(math.pi / 2, 0.0), BlochState(math.pi / 2, math.pi / 2),
-        budget=16000, seed=seed,
+    """Each optimizer call must land within _CERTIFIED_GAP of its proved
+    lower bound, looked up in `qubitcase` at call time: -2 for delta_qs at
+    beta = 0, |t| = 1 with the control (pi/2, 0), and -E_S = -1/2 for
+    delta_sm on the equator at a quarter measurement phase."""
+    plus = BlochState(math.pi / 2, 0.0)
+    gap = qubitcase._CERTIFIED_GAP
+    budget = 2000 if level == "quick" else 16000
+    starts = budget // qubitcase._EVALS_PER_START
+    res = minimize_delta_qs_u2(1.0, 0.0, 1.0, 0.0, plus, budget=budget, seed=seed)
+    bound = qubitcase._delta_qs_lower_bound(1.0, 0.0, 1.0, 0.0, plus)
+    ok = abs(res.value - bound) <= gap
+    detail = (
+        f"budget {budget}: min delta_qs {res.value!r}, bound {bound!r}, "
+        f"{res.starts} of {starts} starts ran"
     )
-    ok = ok and abs(res_sm.value + 0.5) <= 0.02
-    return ok, (
-        f"min delta_qs {res.value:.4f} (expect -2), "
-        f"min delta_sm {res_sm.value:.4f} (expect -0.5)"
+    if level == "quick":
+        return ok, detail
+    res_sm = minimize_delta_sm_u2(
+        1.0, 0.0, plus, BlochState(math.pi / 2, math.pi / 2), budget=budget, seed=seed
+    )
+    bound_sm = qubitcase._delta_sm_lower_bound(1.0, 0.0)
+    return ok and abs(res_sm.value - bound_sm) <= gap, detail + (
+        f"; min delta_sm {res_sm.value!r}, bound {bound_sm!r}, {res_sm.starts} of {starts} starts ran"
     )
 
 

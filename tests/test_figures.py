@@ -18,7 +18,9 @@ from switchwork.figures import (
     format_cell,
     render_csv,
 )
+from switchwork import qubitcase
 from switchwork.qubitcase import RotationParams, delta_qs_rotations
+from switchwork.states import BlochState
 from switchwork.cvcase import delta_qs_displacements_symmetric
 
 _CHEAP_IDS = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9")
@@ -231,16 +233,25 @@ class TestOptimizerBaselinesMeetTheBounds:
     depend on the optimizer.  Both figures use omega = 1 and the control
     (pi/2, 0), so theta' is fig3's coupling phase."""
 
-    def test_fig3_rows_equal_the_delta_qs_bound(self):
+    @staticmethod
+    def _delta_qs_bound(beta: float, theta: float, t_abs: float) -> float:
         # min delta_qs = -|t| sin(theta_c) (cos theta' + sqrt(cos^2 theta'
         # + tau^2 sin^2 theta')), tau = tanh(beta omega / 2).
+        tau = math.tanh(beta / 2.0)
+        c, s = math.cos(theta), math.sin(theta)
+        return -t_abs * (c + math.sqrt(c * c + tau * tau * s * s))
+
+    def test_fig3_rows_equal_the_delta_qs_bound(self):
         rows = _baseline_rows("fig3")
         assert len(rows) == 72
         for beta, theta, t_abs, value, _, _ in rows:
-            tau = math.tanh(beta / 2.0)
-            c, s = math.cos(theta), math.sin(theta)
-            bound = -t_abs * (c + math.sqrt(c * c + tau * tau * s * s))
-            assert abs(value - bound) <= 1e-12, (beta, theta, t_abs)
+            assert abs(value - self._delta_qs_bound(beta, theta, t_abs)) <= 1e-12, (beta, theta, t_abs)
+
+    def test_optimizer_bound_equals_the_reference_at_fig3_points(self):
+        plus = BlochState(math.pi / 2.0, 0.0)
+        for beta, theta, t_abs, _, _, _ in _baseline_rows("fig3"):
+            got = qubitcase._delta_qs_lower_bound(1.0, beta, t_abs, theta, plus)
+            assert got == self._delta_qs_bound(beta, theta, t_abs), (beta, theta, t_abs)
 
     def test_fig4_rows_off_the_real_axis_equal_minus_e_s(self):
         # delta_sm >= -E_S, attained on the equator where sin(phi_m) != 0.

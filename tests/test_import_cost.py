@@ -82,6 +82,7 @@ control_phi = 0.0
 budget = 1000
 '''))
 assert "min_value = " in report
+assert "multiprocessing" not in sys.modules
 rho = DensityMatrix(np.diag([0.6, 0.3, 0.1]).astype(complex))
 assert ergotropy_gibbs_bound(rho, HermitianOperator(np.diag([0.0, 1.0, 2.0]))).converged
 print("ok")

@@ -5,9 +5,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import multiprocessing
 import pickle
-import time
 
 import mpmath
 import numpy as np
@@ -45,7 +43,6 @@ from switchwork.switchcore import (
 )
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestRotationUnitaries:
@@ -262,11 +259,18 @@ class TestU2Optimizers:
         assert a.evaluations == b.evaluations
 
     def test_budget_monotone_improvement(self):
+        # A certified call stops at the same start for every budget that
+        # reaches it; an uncertified one (off the equator, so -E_S is out of
+        # reach) runs every start, and a larger budget appends starts.
         c = BlochState(math.pi / 2.0, 0.0)
         small = minimize_delta_qs_u2(1.0, 0.5, 1.0, 0.0, c, budget=2000, seed=3)
         large = minimize_delta_qs_u2(1.0, 0.5, 1.0, 0.0, c, budget=6000, seed=3)
-        assert large.value <= small.value + 1e-12
-        assert large.starts > small.starts
+        assert large == small
+        args = (1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0))
+        small = minimize_delta_sm_u2(*args, budget=2000, seed=9)
+        large = minimize_delta_sm_u2(*args, budget=4000, seed=9)
+        assert large.value <= small.value
+        assert (small.starts, large.starts) == (4, 8)
 
     def test_budget_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -342,14 +346,14 @@ class TestU2Optimizers:
             call()
 
 
-# Stub objectives for the multistart driver.  They are module-level so that
-# they pickle into pool workers.
+# Stub objectives for the multistart driver.
+_GAP = qubitcase._CERTIFIED_GAP
 _stub_divergent_calls = 0
 
 
 def _half_divergent_stub(x: list[float]) -> float:
     """+inf wherever the first angle lies in [0, pi) (mod 2 pi), else a
-    smooth bowl; counts its +inf returns in the calling process."""
+    smooth bowl; counts its +inf returns."""
     global _stub_divergent_calls
     if x[0] % (2.0 * math.pi) < math.pi:
         _stub_divergent_calls += 1
@@ -357,14 +361,8 @@ def _half_divergent_stub(x: list[float]) -> float:
     return float(np.sum(np.cos(x)))
 
 
-_FIRST_START_ANGLE = qubitcase._starts(4, 3)[0][0]  # the others lie > 2 rad away
-
-
-def _flat_slow_first_stub(x: list[float]) -> float:
-    """Constant, so every start ties; slow near the first start, so that it
-    finishes last in a pool."""
-    if abs(x[0] - _FIRST_START_ANGLE) < 0.5:
-        time.sleep(5e-4)
+def _flat_stub(x: list[float]) -> float:
+    """Constant, so every start ties."""
     return 0.0
 
 
@@ -372,67 +370,101 @@ def _failing_stub(x: list[float]) -> float:
     raise ValueError("stub objective failed at the first evaluation")
 
 
-def _force_workers(monkeypatch, workers: int) -> None:
-    monkeypatch.setattr(qubitcase, "_pool_workers", lambda n_starts: workers)
-
-
-@pytest.mark.skipif(not _HAS_FORK, reason="the start pool needs the fork start method")
-class TestMultistartPool:
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_pooled_delta_qs_equals_in_process(self, monkeypatch, workers):
-        args = (1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5))
-        _force_workers(monkeypatch, workers)
-        pooled = minimize_delta_qs_u2(*args, budget=3000, seed=4)
-        _force_workers(monkeypatch, 1)
-        serial = minimize_delta_qs_u2(*args, budget=3000, seed=4)
-        assert pooled == serial
-        assert repr(pooled) == repr(serial)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_pooled_delta_sm_equals_in_process(self, monkeypatch, workers):
-        args = (1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0))
-        _force_workers(monkeypatch, workers)
-        pooled = minimize_delta_sm_u2(*args, budget=3000, seed=9)
-        _force_workers(monkeypatch, 1)
-        serial = minimize_delta_sm_u2(*args, budget=3000, seed=9)
-        assert pooled == serial
-        assert repr(pooled) == repr(serial)
-
+class TestMultistart:
     # A simplex made only of +inf points must not warn (scipy's inf - inf did).
     @pytest.mark.filterwarnings("error")
-    def test_divergent_counts_are_summed_over_starts(self, monkeypatch):
+    def test_divergent_counts_are_summed_over_the_starts_that_ran(self):
         global _stub_divergent_calls
-        _force_workers(monkeypatch, 1)
+        outcomes = [
+            qubitcase._nelder_mead_start(_half_divergent_stub, x0) for x0 in qubitcase._starts(4, 5)
+        ]
         _stub_divergent_calls = 0
-        serial = qubitcase._multistart_minimize(_half_divergent_stub, 2000, 5)
-        assert serial[3] == _stub_divergent_calls > 0
-        _force_workers(monkeypatch, 2)
-        pooled = qubitcase._multistart_minimize(_half_divergent_stub, 2000, 5)
-        assert pooled == serial
+        every = qubitcase._multistart_minimize(_half_divergent_stub, -math.inf, _GAP, 2000, 5)
+        assert every[2:] == (sum(o[2] for o in outcomes), sum(o[3] for o in outcomes), 4)
+        assert every[3] == _stub_divergent_calls > 0
+        # With the best start's value as the bound, the call stops there.
+        funs = [o[0] for o in outcomes]
+        last = funs.index(min(funs))
+        stopped = qubitcase._multistart_minimize(_half_divergent_stub, min(funs), _GAP, 2000, 5)
+        ran = outcomes[: last + 1]
+        assert stopped[0] == min(funs)
+        assert stopped[2:] == (sum(o[2] for o in ran), sum(o[3] for o in ran), last + 1)
 
-    def test_ties_go_to_the_lowest_start_even_when_it_finishes_last(self, monkeypatch):
-        _force_workers(monkeypatch, 2)
-        value, params, _, _, starts = qubitcase._multistart_minimize(_flat_slow_first_stub, 2000, 3)
+    def test_ties_go_to_the_lowest_start(self):
+        value, params, _, _, starts = qubitcase._multistart_minimize(_flat_stub, -math.inf, _GAP, 2000, 3)
         assert starts == 4
-        first = qubitcase._nelder_mead_start((_flat_slow_first_stub, qubitcase._starts(4, 3)[0]))
+        first = qubitcase._nelder_mead_start(_flat_stub, qubitcase._starts(4, 3)[0])
         assert value == first[0] == 0.0
         x = first[1]
         assert params == (U2Params(0.0, *x[:3]), U2Params(0.0, *x[3:]))
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        _force_workers(monkeypatch, 2)
+    def test_objective_exception_reaches_caller(self):
         with pytest.raises(ValueError, match="stub objective failed at the first evaluation"):
-            qubitcase._multistart_minimize(_failing_stub, 2000, 0)
-        # The pool survives a failed call.
-        res = minimize_delta_qs_u2(1.0, 0.5, 1.0, 0.0, BlochState(math.pi / 2.0, 0.0), budget=2000, seed=7)
-        assert res.starts == 4
+            qubitcase._multistart_minimize(_failing_stub, -math.inf, _GAP, 2000, 0)
 
-    def test_worker_count_rule(self, monkeypatch):
-        monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-        assert qubitcase._pool_workers(100) == 8
-        assert qubitcase._pool_workers(3) == 3
-        monkeypatch.setattr(qubitcase.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert qubitcase._pool_workers(16) == 1
+
+# Results of the driver when it runs every start, pinned bit for bit.
+_ALL_STARTS_QS_REPR = (
+    "U2MinimizeResult(value=-1.5023861836985737, params=(U2Params(alpha=0.0, "
+    "lam=0.23407653165442, gamma=3.141592659351735, delta=5.339849468854892), "
+    "U2Params(alpha=0.0, lam=0.4678146076172367, gamma=3.1415926599579125, "
+    "delta=2.8329219277690387)), evaluations=2890, divergent_evaluations=0, starts=6, seed=4)"
+)
+_ALL_STARTS_SM_REPR = (
+    "U2MinimizeResult(value=-0.27785894324704863, params=(U2Params(alpha=0.0, "
+    "lam=0.8499446091651901, gamma=3.1415926562784957, delta=3.7347856909192227), "
+    "U2Params(alpha=0.0, lam=3.3784621783422484, gamma=3.1415926656406885, "
+    "delta=4.777113702809231)), evaluations=3000, divergent_evaluations=0, starts=6, seed=9)"
+)
+_QS_ARGS = (1.0, 0.7, 1.3, 0.4, BlochState(1.1, 0.5))
+_SM_ARGS = (1.0, 0.4, BlochState(1.2, 0.3), BlochState(1.0, 2.0))
+_SM_EQUATOR_ARGS = (1.0, 0.0, BlochState(math.pi / 2.0, 0.0), BlochState(math.pi / 2.0, math.pi / 2.0))
+
+
+class TestCertifiedStop:
+    def test_without_a_bound_every_start_runs(self, monkeypatch):
+        monkeypatch.setattr(qubitcase, "_delta_qs_lower_bound", lambda *args: -math.inf)
+        monkeypatch.setattr(qubitcase, "_delta_sm_lower_bound", lambda *args: -math.inf)
+        assert repr(minimize_delta_qs_u2(*_QS_ARGS, budget=3000, seed=4)) == _ALL_STARTS_QS_REPR
+        assert repr(minimize_delta_sm_u2(*_SM_ARGS, budget=3000, seed=9)) == _ALL_STARTS_SM_REPR
+
+    def test_certified_call_keeps_the_value_and_stops_early(self):
+        qs = minimize_delta_qs_u2(*_QS_ARGS, budget=3000, seed=4)
+        assert qs.value == -1.5023861836985737
+        assert abs(qs.value - qubitcase._delta_qs_lower_bound(*_QS_ARGS)) <= qubitcase._CERTIFIED_GAP
+        assert (qs.starts, qs.evaluations) == (1, 456)
+        # Off the equator -E_S is out of reach, so every start runs.
+        assert repr(minimize_delta_sm_u2(*_SM_ARGS, budget=3000, seed=9)) == _ALL_STARTS_SM_REPR
+
+    @pytest.mark.parametrize(
+        "minimize, args",
+        [
+            (minimize_delta_qs_u2, (1.0, 0.5, 1e4, 0.3, BlochState(math.pi / 2.0, 0.0))),
+            # The bound is 0 here, while the control term is of order |t|.
+            (minimize_delta_qs_u2, (1.0, 0.0, 1e6, math.pi, BlochState(math.pi / 2.0, 0.0))),
+            (minimize_delta_sm_u2, (1e4, 1e-4, BlochState(math.pi / 2.0, 0.0), BlochState(math.pi / 2.0, 1.0))),
+        ],
+        ids=["qs_t1e4", "qs_t1e6_zero_bound", "sm_omega1e4"],
+    )
+    def test_large_energy_scales_do_not_fail_on_round_off(self, minimize, args):
+        # Each call comes a few ulps of its energy scale below the bound,
+        # which is more than 1e-12; the gap grows with the scale.
+        res = minimize(*args, budget=4000, seed=0)
+        assert math.isfinite(res.value)
+
+    @pytest.mark.parametrize(
+        "name, minimize, args",
+        [
+            ("_delta_qs_lower_bound", minimize_delta_qs_u2, _QS_ARGS),
+            ("_delta_sm_lower_bound", minimize_delta_sm_u2, _SM_EQUATOR_ARGS),
+        ],
+        ids=["delta_qs", "delta_sm"],
+    )
+    def test_an_overstated_bound_fails_loudly(self, monkeypatch, name, minimize, args):
+        honest = getattr(qubitcase, name)
+        monkeypatch.setattr(qubitcase, name, lambda *a: honest(*a) + 1e-9)
+        with pytest.raises(AssertionError, match="below the proved lower bound"):
+            minimize(*args, budget=2000, seed=0)
 
 
 def _divergent_stub(x) -> float:
@@ -452,7 +484,7 @@ class TestStarts:
 class TestSimplex:
     def test_all_divergent_start(self):
         x0 = qubitcase._starts(1, 0)[0]
-        fun, _, nfev, divergent = qubitcase._nelder_mead_start((_divergent_stub, x0))
+        fun, _, nfev, divergent = qubitcase._nelder_mead_start(_divergent_stub, x0)
         assert fun == math.inf and nfev == divergent == qubitcase._EVALS_PER_START
 
     @pytest.mark.parametrize("maxfev", [3, 7, 13])
@@ -513,6 +545,48 @@ class TestObjectivesMatchCheckedPath:
         # delta_sm = bracket / n_m: the round-off of a few tens of eps in
         # bracket and n_m grows as 1/n_m once n_m falls below 1e-2.
         assert abs(got - want) <= max(1e-12, 1e-14 / n_m)
+
+
+_OMEGA = st.floats(min_value=0.1, max_value=5.0)
+# Angle sextuples with each gamma_k often near pi, where both unitaries are
+# nearly off-diagonal and the optimizers find their minima.
+_ANGLE = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+_GAMMA = st.one_of(st.floats(min_value=math.pi - 1e-3, max_value=math.pi + 1e-3), _ANGLE)
+_NEAR_MINIMA6 = st.tuples(_ANGLE, _GAMMA, _ANGLE, _ANGLE, _GAMMA, _ANGLE).map(list)
+# Anywhere on the sphere, and often on the equator, where -E_S is reached.
+_PHASE = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+_SPHERE = st.one_of(st.builds(BlochState, st.just(math.pi / 2.0), _PHASE), _BLOCH)
+_BOUND_BETAS = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(min_value=0.01, max_value=20.0))
+
+
+class TestLowerBoundsAreSound:
+    """No unitary pair scores below either proved lower bound."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x=_NEAR_MINIMA6,
+        omega=_OMEGA,
+        beta=_BOUND_BETAS,
+        t_abs=st.floats(min_value=0.0, max_value=3.0),
+        t_phase=_PHASE,
+        c=_SPHERE,
+    )
+    def test_delta_qs(self, x, omega, beta, t_abs, t_phase, c):
+        value = qubitcase._delta_qs_objective(omega, beta, t_abs, t_phase, c)(x)
+        assert value >= qubitcase._delta_qs_lower_bound(omega, beta, t_abs, t_phase, c) - 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x=_NEAR_MINIMA6,
+        omega=_OMEGA,
+        beta=_BOUND_BETAS,
+        c=_SPHERE,
+        m=_SPHERE,
+    )
+    def test_delta_sm(self, x, omega, beta, c, m):
+        value = qubitcase._delta_sm_objective(omega, beta, c, m)(x)
+        assume(math.isfinite(value))
+        assert value >= qubitcase._delta_sm_lower_bound(omega, beta) - 1e-12
 
 
 class TestObjectivesPickle:

@@ -1,6 +1,6 @@
 """Self-verification suite: the quick plan passes on the shipped library,
 and the suite demonstrably fails (has teeth) when a closed form, the
-optimizer pool, the post-switch state or the config serializer is wrong."""
+optimizer's lower bound, the post-switch state or the config serializer is wrong."""
 from __future__ import annotations
 
 import math
@@ -150,17 +150,13 @@ class TestSuiteHasTeeth:
         assert set(failed) == {"config-round-trip"}
         assert failed["config-round-trip"] == f"round-trip mismatch for family {family}"
 
-    def test_pool_that_loses_a_start_fails_u2_check(self, monkeypatch):
-        class LossyPool:
-            def imap(self, fn, tasks, chunksize=1):
-                return map(fn, tasks[:-1])
-
-        monkeypatch.setattr(qubitcase, "_pool_workers", lambda n_starts: 2)
-        monkeypatch.setattr(qubitcase, "_start_pool", lambda workers: LossyPool())
+    def test_overstated_bound_fails_u2_check(self, monkeypatch):
+        honest = qubitcase._delta_qs_lower_bound
+        monkeypatch.setattr(qubitcase, "_delta_qs_lower_bound", lambda *args: honest(*args) + 1e-9)
         report = run_verify(level="quick", seed=0)
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         assert set(failed) == {"u2-optimizer"}
-        assert "DIFFER FROM in-process" in failed["u2-optimizer"]
+        assert "below the proved lower bound" in failed["u2-optimizer"]
 
     @pytest.mark.parametrize(
         "module, name",
