@@ -19,24 +19,26 @@ matrix path is their oracle, run from outside: `verify`'s rotation checks
 look the forms up here at call time and compare them with
 activation_report and measure_control.
 
-The general-family optimizers run multi-start Nelder-Mead over the six
-angles (lambda_1, gamma_1, delta_1, lambda_2, gamma_2, delta_2) on the
-flat torus [0, 2pi)^6; global phases alpha_k provably drop out of every
-functional and are fixed to zero during optimization.  The starts are
-uniform points drawn from np.random.default_rng(seed).  They run in start
+Each general-family optimizer is one call of the driver
+_multistart_minimize, which owns the search, the proved-bound check, the
+checked re-evaluation and the U2MinimizeResult.  It runs multi-start
+Nelder-Mead over the six angles (lambda_1, gamma_1, delta_1, lambda_2,
+gamma_2, delta_2) on the flat torus [0, 2pi)^6; global phases alpha_k
+provably drop out of every functional and are fixed to zero.  The
+starts, uniform points from np.random.default_rng(seed), run in start
 order in the calling process until the first lands within _certified_gap
-of its objective's proved lower bound (_delta_qs_lower_bound,
+of the objective's proved lower bound (_delta_qs_lower_bound,
 _delta_sm_lower_bound; the latter is reached only on the equator with
-sin(psi) != 0, and elsewhere every start runs).  A value further below a
-bound raises AssertionError.  Each start runs a small simplex loop on
-Python lists that keeps the simplex sorted: a step that replaces the
-worst vertex inserts the new one with bisect_right, and only a shrink
-re-sorts.  Each objective evaluation is Python float and complex
-arithmetic on row 0 of U1, U2 and of the products W12 = U2 U1 and
-W21 = U1 U2, with no array and no record: row 1 of an SU(2) matrix is
-(-conj(w01), conj(w00)), and IEEE arithmetic keeps that identity bit for
-bit (up to the sign of an exact zero), so the objectives score every
-point as the full 2x2 products do.
+sin(psi) != 0).  The optimum is then re-evaluated through
+activation_report or measure_control, looked up at call time.  Each
+start runs a small simplex loop on Python lists that keeps the simplex
+sorted: a step that replaces the worst vertex inserts the new one with
+bisect_right, and only a shrink re-sorts.  Each objective evaluation is
+Python float and complex arithmetic on row 0 of U1, U2 and of the
+products W12 = U2 U1 and W21 = U1 U2, with no array and no record: row 1
+of an SU(2) matrix is (-conj(w01), conj(w00)), and IEEE arithmetic keeps
+that identity bit for bit (up to the sign of an exact zero), so the
+objectives score every point as the full 2x2 products do.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from .states import (
 from .switchcore import (
     TOL_ENERGY,
     KernelTerms,
-    MeasurementAngles,
     SwitchScenario,
     activation_conditions,
     activation_report,
@@ -354,56 +354,37 @@ def _u2_pair_terms(
     return x_chi - 1.0, e12 - e_s, e21 - e_s, f_s - x_chi * e_s
 
 
-class _DeltaQsObjective(NamedTuple):
-    """delta_qs of a U(2) pair as a function of its six angles; products
-    of constants are precomputed."""
-
-    omega: float
-    p0: float
-    p1: float
-    rc00: float
-    rc11: float
-    k: complex  # rho_c01 * h_c10
-
-    def __call__(self, x: list[float]) -> float:
-        terms = _u2_pair_terms(x, self.omega, self.p0, self.p1)
-        return assemble_qs(self.rc00, self.rc11, self.k, terms)[0]
-
-
-class _DeltaSmObjective(NamedTuple):
-    """delta_sm of a U(2) pair as a function of its six angles; points with
-    post-selection probability at or below TOL_NM score +inf."""
-
-    omega: float
-    p0: float
-    p1: float
-    angles: MeasurementAngles
-
-    def __call__(self, x: list[float]) -> float:
-        n_m, bracket = assemble_sm(self.angles, _u2_pair_terms(x, self.omega, self.p0, self.p1))
-        if post_selection_vanishes(n_m):
-            return math.inf
-        return bracket / n_m
-
-
 def _thermal_populations(omega: float, beta: float) -> tuple[float, float]:
     rho = gibbs_qubit(ThermalParams(beta, omega)).mat
     return float(np.real(rho[0, 0])), float(np.real(rho[1, 1]))
 
 
-def _delta_qs_objective(
-    omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState
-) -> _DeltaQsObjective:
+def _delta_qs_objective(omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState):
+    """delta_qs of a U(2) pair as a function of its six angles; products
+    of constants are precomputed."""
     ControlHamiltonianParams(omega, t_abs, t_phase)  # rejects a non-finite coupling
     p0, p1 = _thermal_populations(omega, beta)
-    return _DeltaQsObjective(omega, p0, p1, *pure_control_weights(c, t_abs, t_phase))
+    rc00, rc11, k = pure_control_weights(c, t_abs, t_phase)  # k = rho_c01 * h_c10
+
+    def objective(x: list[float]) -> float:
+        return assemble_qs(rc00, rc11, k, _u2_pair_terms(x, omega, p0, p1))[0]
+
+    return objective
 
 
-def _delta_sm_objective(
-    omega: float, beta: float, c: BlochState, m: BlochState
-) -> _DeltaSmObjective:
+def _delta_sm_objective(omega: float, beta: float, c: BlochState, m: BlochState):
+    """delta_sm of a U(2) pair as a function of its six angles; points with
+    post-selection probability at or below TOL_NM score +inf."""
     p0, p1 = _thermal_populations(omega, beta)
-    return _DeltaSmObjective(omega, p0, p1, measurement_angles(c, m))
+    angles = measurement_angles(c, m)
+
+    def objective(x: list[float]) -> float:
+        n_m, bracket = assemble_sm(angles, _u2_pair_terms(x, omega, p0, p1))
+        if post_selection_vanishes(n_m):
+            return math.inf
+        return bracket / n_m
+
+    return objective
 
 
 def _simplex_minimize(objective, x0: list[float], maxfev: int):
@@ -484,13 +465,6 @@ def _simplex_minimize(objective, x0: list[float], maxfev: int):
             fsim.insert(i, new[1])
 
 
-def _nelder_mead_start(objective, x0: list[float]) -> tuple[float, list[float], int, int]:
-    """One Nelder-Mead start: (fun, x wrapped to [0, 2pi), nfev, evaluations
-    scored +inf)."""
-    sim, fsim, nfev, divergent = _simplex_minimize(objective, x0, _EVALS_PER_START)
-    return fsim[0], [v % _TWO_PI for v in sim[0]], nfev, divergent
-
-
 def _delta_qs_lower_bound(
     omega: float, beta: float, t_abs: float, t_phase: float, c: BlochState
 ) -> float:
@@ -521,40 +495,48 @@ def _certified_gap(energy_scale: float) -> float:
     return max(_CERTIFIED_GAP, _ROUNDOFF_PER_ENERGY * energy_scale)
 
 
-def _multistart_minimize(objective, lower_bound: float, gap: float, budget: int, seed: int):
-    """Shared multi-start Nelder-Mead driver.
+def _multistart_minimize(objective, lower_bound: float, gap: float, budget: int, seed: int, recheck):
+    """The U(2) driver: the search, the bound check, the checked
+    re-evaluation and the result.
 
     The work schedule is an extendable sequence: every start gets exactly
     _EVALS_PER_START evaluations and a larger budget only appends starts
     (_starts is prefix-stable).  The starts run in start order, and the
     first whose value lies within gap of lower_bound is the last to run,
     so a call stops at the same start for every budget that reaches it and
-    the best value is non-increasing in budget.  The result is the best
-    start that ran, ties going to the lower index.  Returns (best value,
-    the best pair with global phases zero, evaluations, evaluations scored
-    +inf, starts), the counts over the starts that ran.  Raises
-    AssertionError where the best value lies below lower_bound by more
-    than gap.
+    the best value is non-increasing in budget.  The optimum is the best
+    start that ran, ties going to the lower index, wrapped to [0, 2pi) and
+    with global phases zero.  Raises AssertionError where its value lies
+    below lower_bound by more than gap, RuntimeError where it is +inf, and
+    AssertionError where recheck(params) differs from it by more than
+    TOL_ENERGY.
     """
     if budget < _MIN_BUDGET:
         raise ValueError(f"budget must be at least {_MIN_BUDGET} evaluations, got {budget}")
     evaluations = divergent = starts = 0
-    best_fun, best_x = math.inf, None
+    value, best_x = math.inf, None
     for x0 in _starts(budget // _EVALS_PER_START, seed):
-        fun, x, nfev, start_divergent = _nelder_mead_start(objective, x0)
+        sim, fsim, nfev, start_divergent = _simplex_minimize(objective, x0, _EVALS_PER_START)
         starts += 1
         evaluations += nfev
         divergent += start_divergent
-        if best_x is None or fun < best_fun:
-            best_fun, best_x = fun, x
-        if fun - lower_bound <= gap:
+        if best_x is None or fsim[0] < value:
+            value, best_x = fsim[0], [v % _TWO_PI for v in sim[0]]
+        if fsim[0] - lower_bound <= gap:
             break
-    if best_fun < lower_bound - gap:
+    if value < lower_bound - gap:
         raise AssertionError(
-            f"optimizer value {best_fun!r} lies below the proved lower bound {lower_bound!r}"
+            f"optimizer value {value!r} lies below the proved lower bound {lower_bound!r}"
         )
+    if math.isinf(value):
+        raise RuntimeError("every evaluation point fell in the near-zero post-selection regime")
     params = (U2Params(0.0, *best_x[:3]), U2Params(0.0, *best_x[3:]))
-    return best_fun, params, evaluations, divergent, starts
+    check = recheck(params)
+    if abs(check - value) > TOL_ENERGY:
+        raise AssertionError(
+            f"optimizer value {value!r} disagrees with checked path {check!r} at optimum"
+        )
+    return U2MinimizeResult(value, params, evaluations, divergent, starts, seed)
 
 
 def minimize_delta_qs_u2(
@@ -575,21 +557,14 @@ def minimize_delta_qs_u2(
     reaches _delta_qs_lower_bound.  The reported optimum is re-evaluated
     through the checked generic path before returning.
     """
-    value, params, evaluations, divergent, n_starts = _multistart_minimize(
+    return _multistart_minimize(
         _delta_qs_objective(omega, beta, t_abs, t_phase, c),
         _delta_qs_lower_bound(omega, beta, t_abs, t_phase, c),
-        _certified_gap(omega + t_abs),
-        budget,
-        seed,
+        _certified_gap(omega + t_abs), budget, seed,
+        lambda params: activation_report(
+            qubit_scenario(omega, beta, t_abs, t_phase, *map(u2_unitary, params), c)
+        ).delta_qs,
     )
-    check = activation_report(
-        qubit_scenario(omega, beta, t_abs, t_phase, *map(u2_unitary, params), c)
-    ).delta_qs
-    if abs(check - value) > TOL_ENERGY:
-        raise AssertionError(
-            f"optimizer value {value!r} disagrees with checked path {check!r} at optimum"
-        )
-    return U2MinimizeResult(value, params, evaluations, divergent, n_starts, seed)
 
 
 def minimize_delta_sm_u2(
@@ -616,19 +591,10 @@ def minimize_delta_sm_u2(
             f"control theta {c.theta!r} and measurement theta {m.theta!r} are antipodal: "
             "the post-selection probability vanishes for every unitary pair"
         )
-    value, params, evaluations, divergent, n_starts = _multistart_minimize(
+    return _multistart_minimize(
         _delta_sm_objective(omega, beta, c, m), _delta_sm_lower_bound(omega, beta),
         _certified_gap(omega), budget, seed,
+        lambda params: measure_control(
+            qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, params), c), m
+        ).delta_sm,
     )
-    if math.isinf(value):
-        raise RuntimeError(
-            "every evaluation point fell in the near-zero post-selection regime"
-        )
-    check = measure_control(
-        qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, params), c), m
-    ).delta_sm
-    if abs(check - value) > TOL_ENERGY:
-        raise AssertionError(
-            f"optimizer value {value!r} disagrees with checked path {check!r} at optimum"
-        )
-    return U2MinimizeResult(value, params, evaluations, divergent, n_starts, seed)
