@@ -19,7 +19,7 @@ matrix path is their oracle, run from outside: `verify`'s rotation checks
 look the forms up here at call time and compare them with
 activation_report and measure_control.
 
-Each general-family optimizer is one call of the driver
+Each general-family optimizer is one call of the shared U(2) search
 _multistart_minimize, which owns the search, the proved-bound check, the
 checked re-evaluation and the U2MinimizeResult.  It runs multi-start
 Nelder-Mead over the six angles (lambda_1, gamma_1, delta_1, lambda_2,

@@ -371,14 +371,14 @@ def _failing_stub(x: list[float]) -> float:
 
 
 def _start(stub, x0) -> tuple[float, list[float], int, int]:
-    """One start as the driver runs it: (best score, best vertex, nfev,
+    """One start as _multistart_minimize runs it: (best score, best vertex, nfev,
     evaluations scored +inf)."""
     sim, fsim, nfev, divergent = qubitcase._simplex_minimize(stub, x0, qubitcase._EVALS_PER_START)
     return fsim[0], sim[0], nfev, divergent
 
 
 def _recheck(stub):
-    """A driver recheck that scores the returned pair with the stub itself."""
+    """A _multistart_minimize recheck that scores the returned pair with the stub itself."""
     return lambda params: stub([v for p in params for v in (p.lam, p.gamma, p.delta)])
 
 
@@ -483,7 +483,7 @@ class TestCertifiedStop:
 
 
 class TestDriverChecks:
-    """The driver's checks after the search, reached through both public
+    """The checks _multistart_minimize makes after the search, reached through both public
     optimizers and the module bindings they look up at call time."""
 
     @pytest.mark.parametrize(
