@@ -15,7 +15,8 @@ built itself, and each pays once for what it proves:
   and _unitary_product derives that bound for a product of two checked
   unitaries from the defects each one records;
 - _CertifiedState takes a proved bound on -lambda_min and keeps the
-  Hermiticity and trace checks.
+  Hermiticity and trace checks; switchcore proves one for tilde_rho_s and
+  for the post-selected rho_sm, both built from a diagonal state.
 
 A bound that does not fit inside its tolerance, or a factor with no
 recorded defect, sends the matrix to the full check, so a certificate can

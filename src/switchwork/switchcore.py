@@ -8,21 +8,27 @@ optimum of delta_c, and the post-measurement state with its decomposition
 into delta_12, delta_21 and the interference term delta_f.
 
 Each scenario computes its terms once, on first use, and both reports read
-them: the blocks W12 = U2 U1 and W21 = U1 U2, formed by _switch_blocks and
-certified as unitaries from the Gram defects U1 and U2 record; the d-space
+them: the blocks W12 = U2 U1 and W21 = U1 U2, formed by _switch_blocks with
+a Gram defect bounded from the defects U1 and U2 record; the d-space
 products R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21†
-(with rho's columns scaled, not multiplied, when rho is diagonal) with the
-scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the kernel
-record formed from them; and rho_c.  The joint state E = U (rho (x) rho_c) U†
-has the blocks <a|rho_c|b> T_ab, T_00 = R12, T_01 = A12, T_11 = R21, and
-the reports read E only through these terms and rho_c.  Before a term is
-used, a Freivalds probe checks R12, A12 and R21 against the conjugation,
-with U applied through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2)
-cost (see SwitchScenario._joint_out).  The rho_c weights are checked by the
+with the scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the
+kernel record formed from them; and rho_c.  For a diagonal rho with no
+negative weight, only the columns W[:, S] on rho's working-precision
+support S are formed, and rho scales them (SwitchScenario._terms): each
+product costs d^2 |S| instead of d^3, about 40 of 173 levels at
+beta omega = 1.  Against a diagonal h_s the energies are O(d) sums.  The
+joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
+T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
+these terms and rho_c.  Before a term is used, a Freivalds probe checks
+R12, A12 and R21 against the conjugation, with U applied to the full rho
+through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2) cost (see
+SwitchScenario._joint_out).  The rho_c weights are checked by the
 reports' route cross-checks: every derived scalar comes from both the
 weighted blocks and the kernel on the d-space scalars, and the routes must
-agree within TOL_ENERGY (each function names its checks).  Only
-post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
+agree within TOL_ENERGY (each function names its checks).  tilde_rho_s and
+rho_sm from a diagonal rho are positive by construction, and carry proved
+bounds instead of a Cholesky (_mixture_psd_unit, _post_selected_psd_bound).
+Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
 conjugation by build_switch_unitary, the oracle of the tests.  A
 disagreement means a bug, so it raises instead of returning.  Scenarios
@@ -59,10 +65,16 @@ from .qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    TOL_PSD,
+    TOL_TRACE,
+    TOL_UNITARY,
+    _UNIT_ROUNDOFF,
     _CertifiedState,
+    _DiagonalHermitian,
     _DiagonalState,
     _gamma,
     _mat,
+    _product_defect_bound,
     _unitary_product,
     kron,
 )
@@ -115,26 +127,45 @@ class SwitchScenario:
 
     @cached_property
     def _terms(self) -> _SwitchTerms:
-        rho, h_s = self.rho_s.mat, self.h_s.mat
-        blocks = _switch_blocks(self.u1, self.u2)
-        w12, w21 = (w.mat for w in blocks)
-        psd_unit = math.inf
-        if isinstance(self.rho_s, _DiagonalState):
+        """The d-space terms, formed once.
+
+        A _DiagonalState rho with no negative weight acts on its
+        working-precision support S (_support): W12[:, S] and W21[:, S]
+        come from _switch_blocks, and R12, R21 and A12 from those columns
+        with rho's weights scaling them, so each of the five products costs
+        d^2 |S| instead of d^3.  The dropped levels hold mass at most
+        u max p / 4, and each dropped term p_i W[:, i] W[:, i]† has entries
+        of modulus at most p_i (1 + t), t the blocks' Gram defect bound, so
+        every entry is within u max p (1 + t) / 4 of the full product: below
+        the per-entry round-off that _mixture_psd_unit covers.  The dropped
+        part is a sum of PSD terms, so the kept terms are PSD mixtures in
+        their own right, and the certificate holds with
+        ||W[:, S]||_F^2 <= |S| (1 + t).  Any other rho takes the full
+        d x d products (a negative weight still scales columns).  Against a
+        _DiagonalHermitian h_s the energies are O(d) sums (_energy).
+        """
+        rho = self.rho_s.mat
+        p = rho.diagonal().real if isinstance(self.rho_s, _DiagonalState) else None
+        if p is not None and p.min() >= 0.0:
+            cols = _support(p)
+            w12, w21, defect = _switch_blocks(self.u1, self.u2, cols)
+            p = p[cols]
             # W diag(p) scales W's columns by p, bit for bit the product.
-            p = rho.diagonal().real
             w12_rho, w21_rho = w12 * p, w21 * p
-            if p.min() >= 0.0:
-                psd_unit = _mixture_psd_unit(p, max(w._defect for w in blocks))
+            psd_unit = _mixture_psd_unit(p, defect)
+            r_norm = float(p.max()) * (1.0 + p.size * defect)
         else:
-            w12_rho, w21_rho = w12 @ rho, w21 @ rho
+            w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
+            w12_rho, w21_rho = (w12 * p, w21 * p) if p is not None else (w12 @ rho, w21 @ rho)
+            psd_unit = r_norm = math.inf
         w21_h = w21.conj().T
         r12 = w12_rho @ w12.conj().T
         r21 = w21_rho @ w21_h
         a12 = w12_rho @ w21_h
-        x, e_s, f_s = complex(np.trace(a12)), _tr(rho, h_s).real, _tr(a12, h_s)
-        e12, e21 = _tr(r12, h_s).real, _tr(r21, h_s).real
+        x, e_s, f_s = complex(np.trace(a12)), _energy(rho, self.h_s).real, _energy(a12, self.h_s)
+        e12, e21 = _energy(r12, self.h_s).real, _energy(r21, self.h_s).real
         kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
-        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel, psd_unit)
+        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm)
 
     @cached_property
     def _joint_out(self) -> None:
@@ -195,9 +226,12 @@ class _SwitchTerms:
     e21: float
     f_s: complex
     kernel: KernelTerms
-    # Bound on -lambda_min of fl(a R12 + b R21) per unit a + b, for weights
-    # a, b >= 0; inf unless rho is a diagonal state with no negative weight.
+    # Round-off bound on -lambda_min of fl(sum_ab w_ab T_ab) per unit
+    # sum_ab |w_ab| (_mixture_psd_unit), and a bound on ||R12||_2 and
+    # ||R21||_2; both inf unless rho is a diagonal state with no negative
+    # weight.
     psd_unit: float
+    r_norm: float
 
 
 def _probes(n: int) -> np.ndarray:
@@ -211,29 +245,92 @@ def _probes(n: int) -> np.ndarray:
     return _probe_table[:n]
 
 
-def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
-    """Bound on -lambda_min of fl(fl(a R12) + fl(b R21)) per unit a + b,
-    for weights a, b >= 0 and R = fl(fl(W * p) @ W†) with p >= 0.
+def _support(p: np.ndarray) -> slice | np.ndarray:
+    """The working-precision support of weights p >= 0, in ascending
+    index order: every index but the smallest weights, dropped while their
+    running sum stays <= u max p / 4 (u = 2^-53; the computed running sum
+    is within a factor 1 + gamma_d of the true one).  Exact zeros always
+    go, so a pure state keeps one level.  slice(None) when nothing is
+    dropped, so the full support keeps the full products' bits.
 
-    In exact arithmetic a W12 diag(p) W12† + b W21 diag(p) W21† is positive
-    semidefinite for any W, so only round-off can make an eigenvalue
-    negative.  With c = 2 gamma_{d+4} (the complex inner product, the
-    column scaling, the two weights and the sum), each entry is off by at
-    most c (a S12 + b S21)_ij with S = |W| diag(p) |W|^T, and
-    ||S||_F <= max p ||W||_F^2 <= max p d (1 + t), t the true Gram defect
-    of W.  The Cholesky reads the Hermitian matrix of the lower triangle,
-    whose error is at most sqrt 2 times as large in Frobenius norm, and by
-    Weyl's inequality that norm bounds how far lambda_min can fall below 0.
+    The quarter is for the post-selected state, which divides the dropped
+    mass by n_m: at u max p the README sweep's delta_sm moved by 1.6e-12
+    at n_m = 1.3e-5, at u max p / 4 by 5.8e-13.  A factor of 4 keeps about
+    1.4 more levels at beta omega = 1.
     """
-    d = p.size
-    g = 2.0 * _gamma(d + 2)
-    t = (w_defect + g) / (1.0 - g)
-    return math.sqrt(2.0) * 2.0 * _gamma(d + 4) * d * float(p.max()) * (1.0 + t)
+    order = np.argsort(p, kind="stable")
+    tail = np.cumsum(p[order])
+    dropped = int(np.searchsorted(tail, 0.25 * _UNIT_ROUNDOFF * float(p.max()), side="right"))
+    return slice(None) if dropped == 0 else np.sort(order[dropped:])
+
+
+def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
+    """Round-off bound on -lambda_min of fl(sum_ab w_ab T_ab), divided by a
+    positive n or not, per unit n^-1 sum_ab |w_ab|, for a PSD 2 x 2 w,
+    T_ab = fl(fl(W_a * p) @ W_b†), W_0 = W12 and W_1 = W21 the kept
+    columns, p >= 0 their k weights and w_defect a bound t on their Gram
+    defect.
+
+    In exact arithmetic sum_ab w_ab W_a diag(p) W_b† = V (w (x) diag(p)) V†
+    with V = [W_0 W_1], which is positive semidefinite for any W, so only
+    round-off can make an eigenvalue negative.  With c = 2 gamma_{k+8}
+    (the complex inner product, the column scaling, a complex weight, three
+    sums and the division), each entry is off by at most
+    c sum_ab |w_ab| (S_ab)_ij with S_ab = |W_a| diag(p) |W_b|^T, and
+    ||S_ab||_F <= max p ||W_a||_F ||W_b||_F <= max p k (1 + t), as each
+    column of W has squared norm <= 1 + t.  The Cholesky reads the
+    Hermitian matrix of the lower triangle, whose error is at most sqrt 2
+    times as large in Frobenius norm, and by Weyl's inequality that norm
+    bounds how far lambda_min can fall below 0.  tilde_rho_s is the case
+    w = diag(rc00, rc11), n = 1.
+    """
+    k = p.size
+    return math.sqrt(2.0) * 2.0 * _gamma(k + 8) * k * float(p.max()) * (1.0 + w_defect)
+
+
+def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray) -> float:
+    """Bound on -lambda_min of the Hermitian matrix the Cholesky reads
+    from fl(sum_ab w_ab T_ab), for any 2 x 2 w; inf unless the terms carry
+    a certificate (t.psd_unit finite).
+
+    w = outer(conj(m), m) o rho_c is positive semidefinite by the Schur
+    product theorem, but its computed entries need not be, nor exactly
+    Hermitian (a fused multiply-add leaves a diagonal imaginary part near
+    u^2).  Split w = w_H + w_A into Hermitian and anti-Hermitian parts.
+    With eps >= max(0, -lambda_min(w_H)), w_H + eps I is PSD and
+    sum_ab (w_H)_ab T_ab = V ((w_H + eps I) (x) diag(p)) V† - eps (R12 + R21)
+    (see _mixture_psd_unit), so its lambda_min is >= -2 eps r_norm, with
+    r_norm = max p (1 + k t) >= max p ||W||_2^2, since W†W - I has entries
+    of modulus <= t.  lambda_min(w_H) = (a + b)/2 - hypot((a - b)/2, |z|)
+    is evaluated within gamma_6 of (a + b)/2 + hypot(...) <= |a| + |b| + |z|,
+    and gamma_8 adds the bound's own rounding.  sum_ab (w_A)_ab T_ab has
+    2-norm <= r_norm sum_ab |(w_A)_ab| <= r_norm skew, and the Hermitian
+    matrix of its lower triangle <= sqrt(2 d) times that.  The round-off of
+    the four weighted terms adds psd_unit sum_ab |w_ab|.  Divide by n_m
+    for rho_sm.
+    """
+    if math.isinf(t.psd_unit):
+        return math.inf
+    w01, w10 = complex(w[0, 1]), complex(w[1, 0])
+    a, b, z = float(w[0, 0].real), float(w[1, 1].real), 0.5 * (w01 + w10.conjugate())
+    skew = abs(w[0, 0].imag) + abs(w[1, 1].imag) + abs(w01 - w10.conjugate())
+    lam_min = 0.5 * (a + b) - math.hypot(0.5 * (a - b), abs(z))
+    eps = max(0.0, -lam_min) + _gamma(8) * (abs(a) + abs(b) + abs(z))
+    spread = 2.0 * eps + math.sqrt(2.0 * t.r12.shape[0]) * skew
+    return spread * t.r_norm + t.psd_unit * float(np.abs(w).sum())
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
     """tr{a b} as an O(d^2) elementwise sum."""
     return complex(np.einsum("ij,ji->", a, b))
+
+
+def _energy(a: np.ndarray, h: HermitianOperator) -> complex:
+    """tr{a h}: sum_i a_ii h_i in O(d) against a _DiagonalHermitian, and
+    _tr's einsum against a dense h."""
+    if isinstance(h, _DiagonalHermitian):
+        return complex(a.diagonal() @ h.mat.diagonal())
+    return _tr(a, h.mat)
 
 
 class KernelTerms(NamedTuple):
@@ -377,16 +474,34 @@ class MeasurementReport:
     condition_ii_lhs: float
 
 
-def _switch_blocks(
-    u1: UnitaryOperator, u2: UnitaryOperator
-) -> tuple[UnitaryOperator, UnitaryOperator]:
-    """W12 = U2 U1 and W21 = U1 U2, each a UnitaryOperator whose Gram defect
-    is bounded from the factors' recorded defects (qmat._unitary_product;
-    a factor with none, or a bound past TOL_UNITARY, gets the full check):
-    the one place either product is formed."""
+def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None):
+    """W12 = U2 U1 and W21 = U1 U2: the one place either product is formed.
+
+    Without cols, each is a UnitaryOperator whose Gram defect is bounded
+    from the factors' recorded defects (qmat._unitary_product; a factor
+    with none, or a bound past TOL_UNITARY, gets the full check).  With
+    cols (an index array or a slice), the result is (W12[:, cols],
+    W21[:, cols], t) at d^2 |cols| cost, t a bound on the Gram defect of
+    the columns: the larger _product_defect_bound of the two products.
+    Their columns are those of a product with the error model that bound
+    assumes, and their Gram matrix is a principal submatrix of its, so the
+    bound holds for them.  A factor with no recorded defect, or a bound
+    past TOL_UNITARY, takes the full products and their full check, and t
+    is the true defect the checked one implies.
+    """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
-    return _unitary_product(u2, u1), _unitary_product(u1, u2)
+    if cols is None:
+        return _unitary_product(u2, u1), _unitary_product(u1, u2)
+    d1, d2 = getattr(u1, "_defect", None), getattr(u2, "_defect", None)
+    if d1 is not None and d2 is not None:
+        t = max(_product_defect_bound(d2, d1, u1.dim), _product_defect_bound(d1, d2, u1.dim))
+        if t <= TOL_UNITARY:
+            return u2.mat @ u1.mat[:, cols], u1.mat @ u2.mat[:, cols], t
+    w12, w21 = _switch_blocks(u1, u2)
+    g = 2.0 * _gamma(u1.dim + 2)
+    t = (max(w12._defect, w21._defect) + g) / (1.0 - g)
+    return w12.mat[:, cols], w21.mat[:, cols], t
 
 
 def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
@@ -503,7 +618,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 
     tilde_s, tilde_c = _tilde_states(s, x)
-    e_tilde_s = _tr(tilde_s.mat, s.h_s.mat).real
+    e_tilde_s = _energy(tilde_s.mat, s.h_s).real
     e_tilde_c = _tr(tilde_c.mat, h_c).real
     if abs(e_tilde_s + e_tilde_c - e_out_direct) > TOL_ENERGY:
         raise AssertionError("mixed-state split disagrees with the direct route")
@@ -569,29 +684,41 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
     computed both by direct projection of the joint state,
-    sum_ab conj(m_a) m_b rc_ab T_ab over its blocks, and by the angle
-    factors, both on the probe-checked terms; the two must agree, and so
-    must n_m and delta_sm with the kernel assemble_sm on the scenario's
-    KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
+    sum_ab w_ab T_ab over its blocks with w = outer(conj(m), m) o rho_c,
+    and by the angle factors, both on the probe-checked terms; the two must
+    agree, and so must n_m and delta_sm with the kernel assemble_sm on the
+    scenario's KernelTerms, whose delta_12, delta_21 and delta_f the report
+    carries.  rho_sm is the direct numerator divided by n_m, a
+    _CertifiedState with bound _post_selected_psd_bound / n_m: w is PSD by
+    the Schur product theorem, so the numerator is PSD up to round-off.
+    Where that bound exceeds TOL_PSD (a small n_m, or a dense rho, whose
+    terms carry no certificate) the Cholesky decides.  Against a
+    _DiagonalHermitian H_S, e_sm must lie within tau of [min h, max h]
+    (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
     s._joint_out  # probe the terms, once per scenario
     t = s._terms
-    a12_h = t.a12.conj().T
+    a12_h = np.conjugate(t.a12.T, order="C")
 
     # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
     w = np.outer(ket_m.conj(), ket_m) * s.rho_c.mat
-    numerator = w[0, 0] * t.r12 + w[1, 1] * t.r21 + w[0, 1] * t.a12 + w[1, 0] * a12_h
+    buffer = np.empty_like(t.r12)
+    numerator = _weighted_sum(
+        ((w[0, 0], t.r12), (w[1, 1], t.r21), (w[0, 1], t.a12), (w[1, 0], a12_h)), buffer
+    )
     n_m_direct = float(np.real(np.trace(numerator)))
 
     # Expansion path: the kernel's angle factors on the d-space terms.
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
-    numerator_exp = a.cc * t.r12 + a.ss * t.r21 + coh * t.a12 + coh.conjugate() * a12_h
+    numerator_exp = _weighted_sum(
+        ((a.cc, t.r12), (a.ss, t.r21), (coh, t.a12), (coh.conjugate(), a12_h)), buffer
+    )
     n_m_closed, bracket = assemble_sm(a, t.kernel)
-    if np.max(np.abs(numerator - numerator_exp)) > TOL_ENERGY:
+    if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
         raise AssertionError("projection and expansion numerators disagree")
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
         raise AssertionError("post-selection probability routes disagree")
@@ -599,8 +726,14 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     if post_selection_vanishes(n_m_direct):
         raise NearZeroPostSelectionError(n_m_direct)
 
-    rho_sm = DensityMatrix(numerator / n_m_direct)
-    e_sm = _tr(rho_sm.mat, s.h_s.mat).real
+    numerator /= n_m_direct
+    rho_sm = _CertifiedState(numerator, _post_selected_psd_bound(t, w) / n_m_direct)
+    e_sm = _energy(rho_sm.mat, s.h_s).real
+    if isinstance(s.h_s, _DiagonalHermitian):
+        h = s.h_s.mat.diagonal().real
+        slack = _spectrum_slack(h, rho_sm)
+        if not h.min() - slack <= e_sm <= h.max() + slack:
+            raise AssertionError("post-selected energy lies outside the spectrum of H_S")
     delta_sm_direct = e_sm - t.e_s
     if abs(bracket / n_m_direct - delta_sm_direct) > TOL_ENERGY:
         raise AssertionError("post-measurement energy routes disagree")
@@ -617,3 +750,30 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         conditions=conditions,
         condition_ii_lhs=cond_ii_lhs,
     )
+
+
+def _weighted_sum(pairs, buffer: np.ndarray) -> np.ndarray:
+    """c0 M0 + c1 M1 + ... in a fresh array, summed left to right in place
+    through one buffer: the bits of the expression written out."""
+    (c0, m0), *rest = pairs
+    total = c0 * m0
+    for c, mat in rest:
+        total += np.multiply(c, mat, out=buffer)
+    return total
+
+
+def _spectrum_slack(h: np.ndarray, rho: DensityMatrix) -> float:
+    """tau with min h - tau <= tr{rho diag(h)} <= max h + tau, computed.
+
+    Let b bound -lambda_min of rho: its _psd_bound, or 2 TOL_PSD after a
+    Cholesky (TOL_PSD and the factorization's own round-off).  Every
+    diagonal entry is then >= -b, so q_i = Re rho_ii + b >= 0, and with
+    T = Re tr rho within TOL_TRACE of 1,
+    sum_i Re rho_ii h_i = sum_i q_i h_i - b sum_i h_i
+    <= max h (T + d b) - b sum_i h_i <= max h T + d b (max h - min h),
+    and the lower end likewise.  max |h| TOL_TRACE covers T, and
+    2 gamma_{d+2} max |h| the sum's round-off (sum |Re rho_ii| <= 2).
+    """
+    b = rho._psd_bound if not math.isnan(rho._psd_bound) else 2.0 * TOL_PSD
+    d, h_abs = h.size, float(np.abs(h).max())
+    return h_abs * (TOL_TRACE + 2.0 * _gamma(d + 2)) + d * b * float(h.max() - h.min())

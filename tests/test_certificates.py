@@ -1,9 +1,10 @@
 """Certificates that stand in for full wrapper checks: the Gram defect of a
 product of checked unitaries, of D(alpha) and S(z) from their real
-orthogonal cores, and the positivity of tilde_rho_s built from a diagonal
-state.  Each stated bound must be at least the dense defect it replaces,
-each certified constructor must accept only what the full check accepts,
-and a bound past its tolerance must reach the full check."""
+orthogonal cores, and the positivity of tilde_rho_s and rho_sm built from a
+diagonal state, whose terms live on its working-precision support.  Each
+stated bound must be at least the dense defect it replaces, each certified
+constructor must accept only what the full check accepts, and a bound past
+its tolerance must reach the full check."""
 from __future__ import annotations
 
 import dataclasses
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_unitary
 from switchwork import cvcase, qmat, switchcore
@@ -29,13 +30,20 @@ from switchwork.qmat import (
     _product_defect_bound,
     _unitary_product,
 )
+from switchwork.qubitcase import rotation_unitary
 from switchwork.states import (
     BlochState,
     ControlHamiltonianParams,
     hamiltonian_control,
     hamiltonian_fock,
 )
-from switchwork.switchcore import SwitchScenario, _switch_blocks, activation_report
+from switchwork.switchcore import (
+    NearZeroPostSelectionError,
+    SwitchScenario,
+    _switch_blocks,
+    activation_report,
+    measure_control,
+)
 
 _SEED = st.integers(min_value=0, max_value=2**31 - 1)
 _ALPHA = st.builds(
@@ -246,16 +254,27 @@ class TestMixtureCertificate:
         assert _psd_defect(tilde) <= tilde._psd_bound <= TOL_PSD
 
     def test_columns_are_scaled_bit_for_bit(self):
-        """The diagonal route's terms equal the dense products' bits."""
+        """The diagonal route's terms equal the bits of the dense products
+        over the state's working-precision support S, W[:, S] diag(p_S)
+        W[:, S]†, and the dense state's full products up to round-off."""
         s = cvcase.disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(1.1, 0.6), n_max=84,
         )
         assert isinstance(s.rho_s, _DiagonalState)
+        p = s.rho_s.mat.diagonal().real
+        cols = switchcore._support(p)
+        w12, w21, _ = _switch_blocks(s.u1, s.u2, cols)
+        rho = np.diag(p[cols]).astype(complex)
+        products = {
+            "r12": (w12 @ rho) @ w12.conj().T,
+            "r21": (w21 @ rho) @ w21.conj().T,
+            "a12": (w12 @ rho) @ w21.conj().T,
+        }
+        for name, product in products.items():
+            assert getattr(s._terms, name).tobytes() == product.tobytes()
         dense = dataclasses.replace(s, rho_s=DensityMatrix(s.rho_s.mat))
-        for name in ("r12", "r21", "a12"):
-            assert getattr(s._terms, name).tobytes() == getattr(dense._terms, name).tobytes()
-        assert s._terms.kernel == dense._terms.kernel
+        assert np.max(np.abs(np.subtract(s._terms.kernel, dense._terms.kernel))) < 1e-13
         assert math.isinf(dense._terms.psd_unit)
 
     @pytest.mark.parametrize("fault", ["negative_weight", "negative_control_weight", "large_bound"])
@@ -302,3 +321,187 @@ class TestDiagonalHamiltonian:
         with pytest.raises(ValueError) as checked:
             HermitianOperator(np.diag(omega * (np.arange(5) + 0.5)).astype(complex))
         assert str(fast.value) == str(checked.value) == "HermitianOperator contains non-finite entries"
+
+
+def _thermal(beta: float, n_max: int) -> np.ndarray:
+    if math.isinf(beta):
+        return np.eye(1, n_max + 1)[0]
+    p = np.exp(-beta * np.arange(n_max + 1))
+    return p / p.sum()
+
+
+_U = qmat._UNIT_ROUNDOFF
+
+
+class TestWorkingPrecisionSupport:
+    """A thermal state's terms are formed on the levels whose weights
+    matter at working precision: the smallest weights go while their
+    running sum stays <= u max p / 4, and every entry of R12, R21 and A12
+    stays within u max p (1 + t) / 4, plus round-off, of the full
+    products."""
+
+    @pytest.mark.parametrize(
+        "p, kept",
+        [
+            ([0.3, 1e-17, 0.7, 2e-17, 0.0], [0, 2, 3]),  # unsorted; a zero in the middle
+            ([1.0, 1e-17, 1e-17, 1e-17], [0, 3]),  # a running sum, not each weight
+            ([0.6, 0.0, 0.4], [0, 2]),
+            ([1.0, 0.0, 0.0, 0.0], [0]),  # beta = inf: one level
+        ],
+    )
+    def test_the_rule_keeps_these_levels(self, p, kept):
+        cols = switchcore._support(np.array(p))
+        assert isinstance(cols, np.ndarray) and cols.tolist() == kept
+
+    def test_nothing_dropped_keeps_the_full_slice(self):
+        assert switchcore._support(np.array([0.5, 0.5])) == slice(None)
+
+    @pytest.mark.parametrize("n_max", [46, 84, 172])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, math.inf])
+    def test_the_dropped_mass_is_at_most_a_quarter_of_u_max_p(self, n_max, beta):
+        p = _thermal(beta, n_max)
+        kept = np.zeros(p.size, dtype=bool)
+        kept[switchcore._support(p)] = True
+        limit = 0.25 * _U * p.max()
+        assert p[~kept].sum() <= limit
+        if kept.sum() > 1:  # and the rule drops as much as it may
+            assert p[~kept].sum() + p[kept].min() > limit
+        if math.isinf(beta):
+            assert kept.tolist() == [True] + [False] * n_max
+
+    @_QUIET
+    @pytest.mark.parametrize("n_max", [46, 84, 172])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, math.inf])
+    def test_terms_match_the_full_products(self, rng, n_max, beta):
+        p = _thermal(beta, n_max)
+        u1, u2 = _fock_pair(DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4), n_max)
+        s = _diagonal_scenario(rng, u1, u2, p, BlochState(1.1, 0.6))
+        t, d = s._terms, p.size
+        defect = _switch_blocks(u1, u2, slice(None))[2]
+        w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
+        full = {
+            "r12": (w12 * p) @ w12.conj().T,
+            "r21": (w21 * p) @ w21.conj().T,
+            "a12": (w12 * p) @ w21.conj().T,
+        }
+        support = 0.25 * _U * p.max() * (1.0 + defect)
+        roundoff = 2.0 * 2.0 * qmat._gamma(d + 4) * p.max() * (1.0 + d * defect)
+        for name, product in full.items():
+            assert np.max(np.abs(getattr(t, name) - product)) <= support + roundoff, name
+        if math.isinf(beta):  # one level: R12 is the outer product of W12's first column
+            assert np.max(np.abs(t.r12 - np.outer(w12[:, 0], w12[:, 0].conj()))) <= 4.0 * _U
+        h = s.h_s.mat.diagonal().real
+        e12 = float(np.real(full["r12"].diagonal()) @ h)
+        assert abs(t.e12 - e12) <= 1e-12 * n_max
+
+    def test_energies_are_diagonal_sums_against_a_diagonal_hamiltonian(self, rng):
+        a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        h = hamiltonian_fock(1.3, 29)
+        assert isinstance(h, qmat._DiagonalHermitian)
+        einsum = switchcore._tr(a, h.mat)
+        assert abs(switchcore._energy(a, h) - einsum) <= 1e-12 * abs(np.diag(a) * 40).sum()
+        dense = HermitianOperator(h.mat + 1e-3 * np.eye(30, k=1) + 1e-3 * np.eye(30, k=-1))
+        assert switchcore._energy(a, dense) == switchcore._tr(a, dense.mat)
+
+
+def _post_selection(s: SwitchScenario, m: BlochState):
+    """measure_control's report and the w it weighs the blocks with."""
+    ket = m.to_ket()
+    return measure_control(s, m), np.outer(ket.conj(), ket) * s.rho_c.mat
+
+
+@pytest.fixture
+def cholesky_sizes(monkeypatch):
+    """The sizes of the Cholesky factorizations that run."""
+    sizes = []
+    original = np.linalg.cholesky
+
+    def counted(m):
+        sizes.append(m.shape[0])
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return sizes
+
+
+class TestPostSelectedCertificate:
+    """rho_sm = sum_ab w_ab T_ab / n_m with w = outer(conj(m), m) o rho_c,
+    PSD by the Schur product theorem: its positivity is proved, and the
+    Cholesky runs only where the bound over n_m exceeds TOL_PSD."""
+
+    @_QUIET
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=_SEED,
+        n_max=st.sampled_from([1, 2, 40]),
+        beta=st.sampled_from([0.3, 1.0, math.inf]),
+        size=st.sampled_from([0.05, 1.0]),
+        theta=st.floats(0.2, math.pi - 0.2),
+        log_gap=st.floats(-4.0, 0.0),
+    )
+    # bound / n_m within a factor 2 of TOL_PSD, on both sides of it
+    @example(seed=0, n_max=1, beta=1.0, size=0.05, theta=1.1, log_gap=-2.3)
+    @example(seed=0, n_max=1, beta=1.0, size=0.05, theta=1.1, log_gap=-2.6)
+    @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.4)
+    @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.6)
+    def test_bound_covers_the_smallest_eigenvalue(self, seed, n_max, beta, size, theta, log_gap):
+        """Qubit (n_max = 1) and Fock pairs; the measurement sits
+        10^log_gap in polar angle from antipodal, so with nearly commuting
+        unitaries (size 0.05) n_m reaches down past the certificate's
+        floor."""
+        rng = np.random.default_rng(seed)
+        if n_max == 1 and size < 1.0:
+            u1, u2 = rotation_unitary("x", size), rotation_unitary("y", size)
+        elif n_max == 1:
+            u1, u2 = (UnitaryOperator(random_unitary(rng, 2)) for _ in range(2))
+        else:
+            u1, u2 = _fock_pair(DisplacementParams(size, 0.9), SqueezeParams(0.5 * size, 0.4), n_max)
+        s = _diagonal_scenario(rng, u1, u2, _thermal(beta, n_max), BlochState(theta, 0.3))
+        m = BlochState(abs(math.pi - theta - 10.0**log_gap), 0.3 + math.pi)
+        try:
+            report, w = _post_selection(s, m)
+        except NearZeroPostSelectionError:
+            assume(False)
+        bound = switchcore._post_selected_psd_bound(s._terms, w) / report.n_m
+        assert _psd_defect(report.rho_sm) <= bound
+        if bound <= TOL_PSD:
+            assert report.rho_sm._psd_bound == bound
+        else:
+            assert math.isnan(report.rho_sm._psd_bound)
+
+    def test_bound_is_attained_by_an_indefinite_weight(self):
+        """X and Z anticommute, so W21 = -W12 and sum_ab w_ab T_ab =
+        (w00 + w11 - w01 - w10) R12.  With w = [[a, a + e], [a + e, a]],
+        lambda_min(w) = -e and the sum is -2 e R12, whose smallest
+        eigenvalue -2 e max p is what the bound's first term allows."""
+        x = UnitaryOperator(np.array([[0, 1], [1, 0]], dtype=complex))
+        z = UnitaryOperator(np.diag([1.0, -1.0]).astype(complex))
+        p = np.array([0.7, 0.3])
+        s = _diagonal_scenario(None, x, z, p, BlochState(1.0, 0.2))
+        t, e = s._terms, 1e-3
+        w = np.array([[0.25, 0.25 + e], [0.25 + e, 0.25]], dtype=complex)
+        numerator = w[0, 0] * t.r12 + w[1, 1] * t.r21 + w[0, 1] * t.a12 + w[1, 0] * t.a12.conj().T
+        defect = -float(np.linalg.eigvalsh(numerator).min())
+        assert defect == pytest.approx(2.0 * e * p.max(), rel=1e-12)
+        assert defect <= switchcore._post_selected_psd_bound(t, w) <= defect * (1.0 + 1e-9)
+
+    @_QUIET
+    def test_the_cholesky_runs_past_the_floor_and_for_a_dense_state(self, cholesky_sizes):
+        """Nearly commuting D and S: n_m falls from 0.23 to 1.1e-5 as the
+        measurement nears antipodal, and bound / n_m crosses TOL_PSD."""
+        s = cvcase.disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(0.05, 0.9), SqueezeParams(0.1, 0.4),
+            BlochState(1.1, 0.6), n_max=40,
+        )
+        dense = dataclasses.replace(s, rho_s=DensityMatrix(s.rho_s.mat))
+        d, runs = s.rho_s.dim, []
+        for scenario in (s, dense):
+            activation_report(scenario)
+            for gap in (1.0, 1e-1, 1e-2, 1e-3):
+                cholesky_sizes.clear()
+                report, w = _post_selection(scenario, BlochState(math.pi - 1.1 + gap, 0.6 + math.pi))
+                bound = switchcore._post_selected_psd_bound(scenario._terms, w) / report.n_m
+                assert cholesky_sizes.count(d) == (0 if bound <= TOL_PSD else 1)
+                runs.append((scenario is s, bound <= TOL_PSD))
+        assert (True, True) in runs and (True, False) in runs  # both sides of the floor
+        assert all(not certified for thermal, certified in runs if not thermal)

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -635,3 +639,18 @@ class TestOtherCommands:
 
     def test_help_exit_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    def test_python_m_switchwork_matches_the_script(self):
+        """`python -m switchwork` runs the entry point that pyproject.toml
+        declares for the `switchwork` script, with the same output."""
+        root = Path(__file__).resolve().parent.parent
+        assert 'switchwork = "switchwork.cli:main"' in (root / "pyproject.toml").read_text()
+        script = "import sys; from switchwork.cli import main; sys.argv[0] = 'switchwork'; sys.exit(main())"
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        module, entry = (
+            subprocess.run([sys.executable, *argv, "--help"], capture_output=True, text=True, env=env)
+            for argv in (["-m", "switchwork"], ["-c", script])
+        )
+        assert module.returncode == entry.returncode == 0
+        assert module.stdout == entry.stdout and "usage: switchwork" in module.stdout
+        assert module.stderr == entry.stderr == ""

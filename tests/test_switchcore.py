@@ -425,6 +425,13 @@ def _random_scenario(rng: np.random.Generator, d: int) -> SwitchScenario:
     )
 
 
+def _fock_scenario(n_max: int) -> SwitchScenario:
+    return disp_squeeze_scenario(
+        1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
+        BlochState(math.pi / 2.0, 0.0), n_max=n_max,
+    )
+
+
 def _shift_energy(rho: np.ndarray, h: np.ndarray, eta: float) -> DensityMatrix:
     """rho moved along the extreme eigenvectors of h so that tr{rho h}
     changes by eta and the trace does not."""
@@ -564,6 +571,37 @@ class TestCrossChecksFire:
             with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
                 call()
 
+    def test_probe_catches_swapped_unitaries_on_a_fock_scenario(self, monkeypatch):
+        """A thermal state's terms come from the column-limited blocks;
+        swapping the factors there still trips the probe, which applies
+        U1 and U2 to the full state one at a time."""
+        original = switchcore._switch_blocks
+        monkeypatch.setattr(
+            switchcore, "_switch_blocks", lambda u1, u2, *cols: original(u2, u1, *cols)
+        )
+        s = _fock_scenario(n_max=84)
+        for call in (
+            lambda: activation_report(s),
+            lambda: measure_control(s, self.M),
+            lambda: post_switch_state(s),
+        ):
+            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
+                call()
+
+    def test_post_selected_energy_stays_in_the_spectrum(self, monkeypatch):
+        """A numerator biased by x (|n_max><n_max| - |0><0|) in R12 and R21
+        keeps its trace, both numerator routes and n_m, and its certified
+        rho_sm skips the Cholesky; only the spectrum bound on e_sm is left
+        to stop it, before the energy routes are compared."""
+        s = _fock_scenario(n_max=40)
+        post_switch_state(s)  # probe the clean terms
+        bias = np.zeros((s.rho_s.dim, s.rho_s.dim), dtype=complex)
+        bias[0, 0], bias[-1, -1] = -1.0, 1.0
+        t = s._terms
+        self._corrupt_terms(monkeypatch, s, r12=t.r12 + bias, r21=t.r21 + bias)
+        with pytest.raises(AssertionError, match="post-selected energy lies outside the spectrum"):
+            measure_control(s, BlochState(math.pi / 2.0, math.pi))
+
     @pytest.mark.parametrize("control", ["north_pole", "south_pole", "diagonal_mixed"])
     def test_probe_sees_a12_without_control_coherence(self, monkeypatch, control):
         """A12 and chi scaled by 1.3: with no control coherence the joint
@@ -660,23 +698,25 @@ class TestTermCache:
     def test_reports_build_no_joint_density_matrix(self, monkeypatch):
         """The reports read the probe-checked terms: no (2d) x (2d)
         DensityMatrix, no post_switch_state call, and no joint-space
-        unitary on the hot path; the only unitaries switchcore builds are
-        the d x d blocks W12 and W21, as certified products."""
+        unitary on the hot path; switchcore builds no unitary at all for
+        a thermal state, only the columns W12[:, S] and W21[:, S] on the
+        state's working-precision support S."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
         )
-        dims, unitary_dims = [], []
+        dims, block_shapes = [], []
         density, certified = switchcore.DensityMatrix, switchcore._CertifiedState
-        product = switchcore._unitary_product
+        blocks = switchcore._switch_blocks
 
         def recorded(mat, *bound):
             dims.append(np.shape(mat)[0])
             return (certified if bound else density)(mat, *bound)
 
-        def recorded_unitary(a, b):
-            unitary_dims.append((a.dim, b.dim))
-            return product(a, b)
+        def recorded_blocks(u1, u2, *cols):
+            out = blocks(u1, u2, *cols)
+            block_shapes.extend(np.shape(w) for w in out[:2])
+            return out
 
         def forbidden(*args):
             raise AssertionError("joint-space route called by a report")
@@ -684,14 +724,17 @@ class TestTermCache:
         monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
         monkeypatch.setattr(switchcore, "_CertifiedState", recorded)
         monkeypatch.setattr(switchcore, "UnitaryOperator", forbidden)
-        monkeypatch.setattr(switchcore, "_unitary_product", recorded_unitary)
+        monkeypatch.setattr(switchcore, "_unitary_product", forbidden)
+        monkeypatch.setattr(switchcore, "_switch_blocks", recorded_blocks)
         monkeypatch.setattr(switchcore, "post_switch_state", forbidden)
         monkeypatch.setattr(switchcore, "build_switch_unitary", forbidden)
         activation_report(s)
         measure_control(s, BlochState(math.pi / 2.0, math.pi))
         measure_control(s, BlochState(1.0, 0.4))
-        assert sorted(set(dims)) == [2, s.rho_s.dim]
-        assert unitary_dims == [(s.rho_s.dim, s.rho_s.dim)] * 2
+        d = s.rho_s.dim
+        assert sorted(set(dims)) == [2, d]
+        k = switchcore._support(s.rho_s.mat.diagonal().real).size
+        assert k < d and block_shapes == [(d, k)] * 2
 
     def test_reports_never_fill_the_joint_blocks(self, rng, monkeypatch):
         """The reports weigh the probed terms with rho_c themselves; only
