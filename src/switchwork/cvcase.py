@@ -47,11 +47,20 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _UNIT_ROUNDOFF, UnitaryOperator, _CertifiedUnitary, _gamma
+from .qmat import (
+    TOL_UNITARY,
+    _UNIT_ROUNDOFF,
+    UnitaryOperator,
+    _CertifiedUnitary,
+    _gamma,
+    _phase_rounding,
+    _phased_product_roundoff,
+)
 from .states import (
     BlochState,
     ControlHamiltonianParams,
@@ -178,34 +187,16 @@ def _ladder_corner(n_max: int, k: int) -> np.ndarray:
     return a
 
 
-def _ladder_block_defect(u: np.ndarray, expected: np.ndarray) -> float:
-    """max |(u† a u)[:k, :k] - expected| for the k x k `expected`, with a
-    the ladder on u's space.
-
-    Only the leading block is computed.  a has one nonzero per column,
-    a[n-1, n] = sqrt(n), so the first k rows of u† a are the first k rows
-    of u† shifted one column right and scaled by sqrt(n): the block costs
-    k^2 (n_max + 1) products instead of two dense (n_max + 1)^3 ones.
-    """
-    k = expected.shape[0]
-    ud_a = np.zeros((k, u.shape[0]), dtype=complex)
-    ud_a[:, 1:] = u[:-1, :k].conj().T * np.sqrt(np.arange(1.0, u.shape[0]))
-    return float(np.max(np.abs(ud_a @ u[:, :k] - expected)))
-
-
-def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
-    """(Phi e^G Phi†, a bound on its Gram defect) for the real antisymmetric
-    tridiagonal G with subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]) and
-    Phi = diag(e^{i phase k}).
+def _tridiagonal_core(b: np.ndarray) -> np.ndarray:
+    """e^G, real orthogonal, for the real antisymmetric tridiagonal G with
+    subdiagonal b (G[k+1, k] = b[k] = -G[k, k+1]).
 
     G couples even levels only to odd ones.  With C = G[even, odd] = U S Vᵀ
-    (one real SVD), e^G is real orthogonal with blocks U cos S Uᵀ (even,
-    even), U sin S Vᵀ (even, odd), its negative transpose (odd, even) and
-    V cos S Vᵀ (odd, odd) (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205,
-    1965).  For an odd size C has one more row than columns, and cos S is
-    padded with 1 on U's null-space column.  Phi enters entrywise as
-    e^{i phase (j - k)}.  An empty b gives [[1]].  The bound comes from the
-    real orthogonal core (see _phased_defect_bound).
+    (one real SVD), e^G has blocks U cos S Uᵀ (even, even), U sin S Vᵀ
+    (even, odd), its negative transpose (odd, even) and V cos S Vᵀ
+    (odd, odd) (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  For
+    an odd size C has one more row than columns, and cos S is padded with 1
+    on U's null-space column.  An empty b gives [[1]].
     """
     size = b.size + 1
     c = np.zeros(((size + 1) // 2, size // 2))
@@ -221,8 +212,7 @@ def _phased_tridiagonal_exp(b: np.ndarray, phase: float) -> tuple[np.ndarray, fl
     r[0::2, 1::2] = sin_block
     r[1::2, 0::2] = -sin_block.T
     r[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
-    phi = np.exp(1j * phase * np.arange(size))
-    return r * np.outer(phi, phi.conj()), _phased_defect_bound(r, phi)
+    return r
 
 
 def _phased_defect_bound(r: np.ndarray, phi: np.ndarray) -> float:
@@ -235,8 +225,10 @@ def _phased_defect_bound(r: np.ndarray, phi: np.ndarray) -> float:
     measured real one plus gamma_n (1 + delta).  The phase step only
     rescales each entry: U = V + F with |F_jk| <= eps |r_jk|, where eps
     covers the moduli |phi_j| (within mu of 1) and the two rounded
-    products, eps = (2 + mu) mu + 4 u (1 + mu)^2.  Every column norm of V is
-    at most sqrt(1 + delta), so U's defect is at most
+    products (qmat._phase_rounding), however each is evaluated, so the
+    bound holds for any matrix whose entries are formed that way.  Every
+    column norm of V is at most
+    sqrt(1 + delta), so U's defect is at most
     delta + (2 eps + eps^2)(1 + delta), and the check's complex Gram
     round-off adds 2 gamma_{n+2} (1 + eps)^2 (1 + delta).  Levels of the
     other parity, which a squeeze block sits among, are exact zeros and add
@@ -246,9 +238,124 @@ def _phased_defect_bound(r: np.ndarray, phi: np.ndarray) -> float:
     gram = r.T @ r
     gram.flat[:: n + 1] -= 1.0
     delta = (float(np.abs(gram).max()) + _gamma(n)) / (1.0 - _gamma(n))
-    mu = float(np.abs(np.abs(phi) - 1.0).max()) + _UNIT_ROUNDOFF
-    eps = (2.0 + mu) * mu + 4.0 * _UNIT_ROUNDOFF * (1.0 + mu) ** 2
+    eps = _phase_rounding(_phase_modulus_error(phi))
     return delta + (2.0 * eps + eps * eps + 2.0 * _gamma(n + 2) * (1.0 + eps) ** 2) * (1.0 + delta)
+
+
+def _phase_modulus_error(phi: np.ndarray) -> float:
+    """mu >= max | |phi_j| - 1 |, the computed modulus's rounding included."""
+    return float(np.abs(np.abs(phi) - 1.0).max()) + _UNIT_ROUNDOFF
+
+
+class _PhasedUnitary(_CertifiedUnitary):
+    """U = Phi R Phi† with Phi = diag(e^{i phase k}) and R real orthogonal,
+    held as its cores: R is block diagonal over the `len(cores)`
+    interleaved sublattices of levels (one for D, the two parities for S),
+    core b acting on levels b, b + step, ..., and k the index within the
+    sublattice.  Its recorded defect is the largest _phased_defect_bound of
+    its cores; _phased_unitary sends a bound past TOL_UNITARY to the full
+    check.
+
+    `.mat` is formed on first read, with the bits of
+    r * outer(phi, conj(phi)) on each sublattice and exact zeros between
+    them.  UnitaryOperator's trio runs on the cores as real products on the
+    interleaved float view of a C-contiguous complex block:
+    U y = phi o (R (conj(phi) o y)) and U^T y = conj(phi) o (R^T (phi o y)),
+    so _apply's relative error is qmat._phased_product_roundoff.
+    _columns forms U[:, cols] as `.mat` forms U, each entry
+    r_jk phi_j conj(phi_k) rounded within _phase_rounding of the exactly
+    phased core.
+    """
+
+    def __init__(self, cores: tuple[np.ndarray, ...], phase: float) -> None:
+        phis = [np.exp(1j * phase * np.arange(r.shape[0])) for r in cores]
+        # np.max keeps a nan bound, which sends U to the full check.
+        bound = float(np.max([_phased_defect_bound(r, phi) for r, phi in zip(cores, phis)]))
+        mu = max(_phase_modulus_error(phi) for phi in phis)
+        object.__setattr__(self, "_cores", tuple(zip(cores, phis)))
+        object.__setattr__(self, "_phase", phase)
+        object.__setattr__(self, "dim", sum(r.shape[0] for r in cores))
+        object.__setattr__(self, "_defect", bound)
+        object.__setattr__(
+            self, "_apply_roundoff", _phased_product_roundoff(mu, max(r.shape[0] for r in cores))
+        )
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        step = len(self._cores)
+        u = np.zeros((self.dim, self.dim), dtype=complex) if step > 1 else None
+        for b, (r, phi) in enumerate(self._cores):
+            block = r * np.outer(phi, phi.conj())
+            if u is None:
+                u = block
+            else:
+                u[b::step, b::step] = block
+        u.flags.writeable = False
+        return u
+
+    def _blockwise(self, y: np.ndarray, transpose: bool) -> np.ndarray:
+        """U y, or U^T y, for a C-contiguous block y of shape (..., d, k)."""
+        step = len(self._cores)
+        out = None if step == 1 else np.empty(y.shape, dtype=complex)
+        for b, (r, phi) in enumerate(self._cores):
+            into, back = (phi, phi.conj()) if transpose else (phi.conj(), phi)
+            z = (y if out is None else y[..., b::step, :]) * into[:, None]
+            if out is None:
+                core = ((r.T if transpose else r) @ z.view(float)).view(complex)
+                core *= back[:, None]
+                return core
+            dest = out[..., b::step, :]
+            np.matmul(r.T if transpose else r, z.view(float), out=dest.view(float))
+            dest *= back[:, None]
+        return out
+
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        return self._blockwise(y, transpose=False)
+
+    def _apply_t(self, y: np.ndarray) -> np.ndarray:
+        return self._blockwise(y, transpose=True)
+
+    def _columns(self, cols) -> np.ndarray:
+        step = len(self._cores)
+        if step == 1:
+            r, phi = self._cores[0]
+            return r[:, cols] * np.outer(phi, phi[cols].conj())
+        cols = np.arange(self.dim)[cols]
+        out = np.zeros((self.dim, cols.size), dtype=complex)
+        for b, (r, phi) in enumerate(self._cores):
+            at = np.flatnonzero(cols % step == b)
+            local = cols[at] // step
+            out[b::step, at] = r[:, local] * np.outer(phi, phi[local].conj())
+        return out
+
+    def _ladder_block_defect(self, expected: np.ndarray) -> float:
+        """max |(U† a U)[:k, :k] - expected| for the k x k `expected`, with
+        a the ladder on U's space, from the real cores.
+
+        Phi = diag(e^{i theta n}) over the levels n, theta = phase / step,
+        so Phi† a Phi = e^{i theta} a and
+        (U† a U)[:k, :k] = e^{i theta} Phi_k (R^T a R)[:k, :k] Phi_k†.  The
+        real block M = (R^T a R)[:k, :k] is compared with `expected`
+        rotated by the same phases, e^{-i theta} Phi_k† expected Phi_k,
+        which keeps every entry's distance.  a has one nonzero per column,
+        a[n-1, n] = sqrt(n), so M = R[:-1, :k]^T diag(sqrt n) R[1:, :k],
+        at k^2 (n_max + 1) real products.
+        """
+        k, step = expected.shape[0], len(self._cores)
+        rk = np.zeros((self.dim, k))
+        for b, (r, _) in enumerate(self._cores):
+            rk[b::step, b:k:step] = r[:, : len(range(b, k, step))]
+        m = (rk[:-1].T * np.sqrt(np.arange(1.0, self.dim))) @ rk[1:]
+        turn = np.exp(1j * (self._phase / step) * np.arange(k + 1))
+        rotation = np.outer(turn[1:].conj(), turn[:-1])  # e^{i theta (n - m - 1)}
+        return float(np.max(np.abs(m - expected * rotation)))
+
+
+def _phased_unitary(u: _PhasedUnitary) -> UnitaryOperator:
+    """u accepted on its bound, or, past TOL_UNITARY (or nan), its dense
+    matrix under the full check, so no operator passes that the check
+    rejects."""
+    return u if u._defect <= TOL_UNITARY else _CertifiedUnitary(u.mat, u._defect)
 
 
 def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
@@ -256,21 +363,20 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
 
     The generator is Phi |alpha|(a† - a) Phi† with Phi = diag(e^{i phi n}),
     and |alpha|(a† - a) is real antisymmetric tridiagonal with subdiagonal
-    |alpha| sqrt(n+1), so D comes from one real SVD of its even-odd
-    coupling block (see _phased_tridiagonal_exp) instead of a dense complex
-    eigendecomposition.  Its unitarity is certified from the real Gram of
-    that orthogonal core (see _phased_defect_bound), a quarter of the cost
-    of the complex Gram check.
+    |alpha| sqrt(n+1), so D = Phi R Phi† with R from one real SVD of its
+    even-odd coupling block (see _tridiagonal_core) instead of a dense
+    complex eigendecomposition.  D is returned as that core
+    (_PhasedUnitary): its unitarity is certified from the real Gram of R
+    (see _phased_defect_bound), and the dense matrix is formed only when
+    `.mat` is read.
 
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
-    by more than TOL_CV_UNITARY on the safe subspace.
+    by more than TOL_CV_UNITARY on the safe subspace, measured on the core.
     """
-    u, bound = _phased_tridiagonal_exp(
-        p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0)), p.alpha_phase
-    )
+    u = _PhasedUnitary((_tridiagonal_core(p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0))),), p.alpha_phase)
     # The safe subspace: the lowest n_max/2 levels, at least one.
     k = max(1, n_max // 2)
-    defect = _ladder_block_defect(u, _ladder_corner(n_max, k) + p.alpha * np.eye(k))
+    defect = u._ladder_block_defect(_ladder_corner(n_max, k) + p.alpha * np.eye(k))
     if defect > TOL_CV_UNITARY:
         warnings.warn(
             f"displacement cutoff n_max={n_max} inadequate for |alpha|="
@@ -278,7 +384,7 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
             TruncationInadequacyWarning,
             stacklevel=2,
         )
-    return _CertifiedUnitary(u, bound)
+    return _phased_unitary(u)
 
 
 def squeeze_faithful_block(n_max: int, z_abs: float) -> int:
@@ -303,28 +409,29 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
     On each parity sublattice the generator is Phi |z|(a†² - a²)/2 Phi†
     with Phi = diag(e^{i xi n/2}), and |z|(a†² - a²)/2 is real
     antisymmetric tridiagonal there with subdiagonal |z| sqrt((n+1)(n+2))/2,
-    so each block comes from one real SVD of its even-odd coupling block
-    (see _phased_tridiagonal_exp) instead of a dense complex
-    eigendecomposition.  Its unitarity is certified block by block from
-    the real Gram of each orthogonal core (see _phased_defect_bound).
+    so each parity block R_b comes from one real SVD of its even-odd
+    coupling block (see _tridiagonal_core) instead of a dense complex
+    eigendecomposition.  S is returned as its two cores (_PhasedUnitary):
+    its unitarity is certified block by block from the real Gram of each
+    (see _phased_defect_bound), the parity blocks' Gram matrices being the
+    two diagonal blocks of U's, and the dense matrix is formed only when
+    `.mat` is read.
 
     Emits TruncationInadequacyWarning when S† a S deviates from
     a cosh|z| + a† e^{i xi} sinh|z| on the faithful block (see
-    squeeze_faithful_block).
+    squeeze_faithful_block), measured on the cores.
     """
-    u = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    bounds = []
+    cores = []
     for parity in (0, 1):
         n = np.arange(parity, n_max - 1, 2, dtype=float)
-        b = 0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))
-        u[parity::2, parity::2], block_bound = _phased_tridiagonal_exp(b, p.z_phase)
-        bounds.append(block_bound)
+        cores.append(_tridiagonal_core(0.5 * p.z_abs * np.sqrt((n + 1.0) * (n + 2.0))))
+    u = _PhasedUnitary(tuple(cores), p.z_phase)
     k = squeeze_faithful_block(n_max, p.z_abs)
     a = _ladder_corner(n_max, k)
     expected = a * math.cosh(p.z_abs) + a.conj().T * (
         cmath.exp(1j * p.z_phase) * math.sinh(p.z_abs)
     )
-    defect = _ladder_block_defect(u, expected)
+    defect = u._ladder_block_defect(expected)
     if defect > TOL_CV_UNITARY:
         warnings.warn(
             f"squeeze cutoff n_max={n_max} inadequate for |z|={p.z_abs:g}: "
@@ -332,9 +439,7 @@ def squeeze_op(p: SqueezeParams, n_max: int) -> UnitaryOperator:
             TruncationInadequacyWarning,
             stacklevel=2,
         )
-    # The parity blocks' Gram matrices are the two diagonal blocks of U's;
-    # np.max keeps a nan bound, which sends U to the full check.
-    return _CertifiedUnitary(u, float(np.max(bounds)))
+    return _phased_unitary(u)
 
 
 # ---------------------------------------------------------------------------

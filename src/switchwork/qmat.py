@@ -2,13 +2,18 @@
 
 Tensor products and matrix exponentials, and the typed wrappers that
 everything downstream is built on.  Matrices are plain complex128
-numpy arrays in row-major order; each wrapper holds its own read-only copy
-and validates the structural invariants (Hermiticity, unit trace,
+numpy arrays in row-major order; each wrapper's `.mat` is read-only, and
+the wrapper validates the structural invariants (Hermiticity, unit trace,
 positivity, unitarity) once at construction so the physics code never has
-to re-check.  Every wrapper is made by a constructor that checks it or
-proves it, so none skips the fact it stands for.  The public constructors
-always run the full check.  The private ones are for matrices the library
-built itself, and each pays once for what it proves:
+to re-check.  The public wrappers hold their own copy of the matrix.  A
+wrapper built from a structure holds that structure instead and forms the
+dense `.mat` on first read, cached: _DiagonalState and _DiagonalHermitian
+keep their diagonal (the private _weights and _energies), and the Fock
+operators of cvcase keep their real orthogonal cores.  Every wrapper is
+made by a constructor that checks it or proves it, so none skips the fact
+it stands for.  The public constructors always run the full check.  The
+private ones are for matrices the library built itself, and each pays once
+for what it proves:
 
 - _DiagonalState and _DiagonalHermitian check diagonal weights in O(d);
 - _CertifiedUnitary takes a proved bound on the Gram defect max|U†U - I|,
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,20 +125,32 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
 class _DiagonalState(DensityMatrix):
     """DensityMatrix diag(weights), whose eigenvalues are the weights: the
     checks are finite weights, trace 1 within TOL_TRACE and a smallest
-    weight >= -TOL_PSD, made in O(d) with DensityMatrix's messages."""
+    weight >= -TOL_PSD, made in O(d) with DensityMatrix's messages.  The
+    weights are kept read-only as _weights; `.mat` is formed on first
+    read."""
 
     def __init__(self, weights: np.ndarray) -> None:
         if not np.isfinite(weights).all():
             raise ValueError("DensityMatrix contains non-finite entries")
-        m = np.diag(weights).astype(complex)
-        trace = m.trace()
+        p = np.array(weights, dtype=float)
+        trace = np.complex128(p.sum())
         if abs(trace.real - 1.0) > TOL_TRACE:
             raise ValueError(f"DensityMatrix trace {trace} != 1 within tolerance")
-        if weights.min() < -TOL_PSD:
-            raise ValueError(f"DensityMatrix has negative eigenvalue {weights.min():.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dim", m.shape[0])
+        if p.min() < -TOL_PSD:
+            raise ValueError(f"DensityMatrix has negative eigenvalue {p.min():.3e}")
+        p.flags.writeable = False
+        object.__setattr__(self, "_weights", p)
+        object.__setattr__(self, "dim", p.size)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return _read_only_diagonal(self._weights)
+
+
+def _read_only_diagonal(values: np.ndarray) -> np.ndarray:
+    m = np.diag(values).astype(complex)
+    m.flags.writeable = False
+    return m
 
 
 class _CertifiedState(DensityMatrix):
@@ -179,15 +197,20 @@ class HermitianOperator:
 class _DiagonalHermitian(HermitianOperator):
     """HermitianOperator diag(energies), Hermitian by construction: the
     check is finite energies, made in O(d) with HermitianOperator's
-    message."""
+    message.  The energies are kept read-only as _energies; `.mat` is
+    formed on first read."""
 
     def __init__(self, energies: np.ndarray) -> None:
         if not np.isfinite(energies).all():
             raise ValueError("HermitianOperator contains non-finite entries")
-        m = np.diag(energies).astype(complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dim", m.shape[0])
+        h = np.array(energies, dtype=float)
+        h.flags.writeable = False
+        object.__setattr__(self, "_energies", h)
+        object.__setattr__(self, "dim", h.size)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return _read_only_diagonal(self._energies)
 
 
 @dataclass(frozen=True)
@@ -201,6 +224,10 @@ class UnitaryOperator:
     mat: np.ndarray
     dim: int = field(init=False)
 
+    # The relative error g of _apply in _product_defect_bound; None is
+    # the complex product's 2 gamma_{d+2}.
+    _apply_roundoff = None
+
     def __post_init__(self) -> None:
         m = _as_square_complex(self.mat, "UnitaryOperator")
         defect = _gram_defect(m)
@@ -209,6 +236,19 @@ class UnitaryOperator:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
         object.__setattr__(self, "_defect", defect)
+
+    # The products the switch terms and their probe need, on a block of
+    # columns y of shape (..., d, k): U y, U^T y, and the columns U[:, cols]
+    # with the bits of mat[:, cols].  A structured subclass overrides all
+    # three and never forms mat.
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        return self.mat @ y
+
+    def _apply_t(self, y: np.ndarray) -> np.ndarray:
+        return self.mat.T @ y
+
+    def _columns(self, cols) -> np.ndarray:
+        return self.mat[:, cols]
 
 
 def _gram_defect(m: np.ndarray) -> float:
@@ -250,7 +290,7 @@ def _unitary_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
     return _CertifiedUnitary(m, bound)
 
 
-def _product_defect_bound(def_a: float, def_b: float, d: int) -> float:
+def _product_defect_bound(def_a: float, def_b: float, d: int, g_prod: float | None = None) -> float:
     """Bound on the Gram defect that UnitaryOperator would measure on
     fl(A B), from the measured defects of d x d factors A and B.
 
@@ -259,16 +299,50 @@ def _product_defect_bound(def_a: float, def_b: float, d: int) -> float:
     (AB)†AB - I = B†(A†A - I)B + (B†B - I), and a matrix of largest entry t
     has 2-norm <= d t, so the product's true defect is at most
     d t_A (1 + d t_B) + t_B.  The computed product is AB + F with
-    ||F||_2 <= ||F||_F <= g ||A||_F ||B||_F <= g d sqrt((1 + t_A)(1 + t_B)),
-    which adds 2 ||AB||_2 ||F||_2 + ||F||_2^2, and the check's own Gram
-    round-off adds g (1 + t).
+    ||F||_2 <= ||F||_F <= g_prod ||A||_F ||B||_F
+    <= g_prod d sqrt((1 + t_A)(1 + t_B)), g_prod = g for numpy's complex
+    product (or _phased_product_roundoff for A applied through its real
+    core), which adds 2 ||AB||_2 ||F||_2 + ||F||_2^2, and the check's own
+    Gram round-off adds g (1 + t).
     """
     g = 2.0 * _gamma(d + 2)
+    g_prod = g if g_prod is None else g_prod
     t_a, t_b = (def_a + g) / (1.0 - g), (def_b + g) / (1.0 - g)
-    f = g * d * math.sqrt((1.0 + t_a) * (1.0 + t_b))
+    f = g_prod * d * math.sqrt((1.0 + t_a) * (1.0 + t_b))
     norm = math.sqrt((1.0 + d * t_a) * (1.0 + d * t_b))
     t = d * t_a * (1.0 + d * t_b) + t_b + 2.0 * norm * f + f * f
     return t + g * (1.0 + t)
+
+
+def _phase_rounding(mu: float) -> float:
+    """eps with |fl(r_jk phi_j conj(phi_k)) - D_j r_jk conj(D_k)| <= eps |r_jk|
+    for D = phi / |phi| and every |phi_j| within mu of 1: the moduli give
+    (1 + mu)^2 - 1, and the two rounded complex products 4 u (1 + mu)^2."""
+    return (2.0 + mu) * mu + 4.0 * _UNIT_ROUNDOFF * (1.0 + mu) ** 2
+
+
+def _phased_product_roundoff(mu: float, n: int) -> float:
+    """g_prod of _product_defect_bound when A = fl(Phi R Phi†) is applied
+    to B's columns through its real core: fl(phi o (R fl(conj(phi) o B))),
+    the real product running on the interleaved float view, with R real
+    (block diagonal, blocks of size <= n) and every |phi_j| within mu of 1.
+
+    Each complex product by a phase is off by at most sqrt 2 gamma_2
+    relative (Higham, lemma 3.5), and the real and imaginary parts of
+    R z are each within gamma_n |R| |Re z| and gamma_n |R| |Im z|, so
+    their complex error is at most gamma_n |R| |z|.  With the moduli
+    |phi_j| <= 1 + mu, the computed columns are within
+    ((1 + 2 gamma_2)^2 (1 + gamma_n) - 1)(1 + mu)^2 |R| |B| of
+    Phi R Phi† B, which is within ((1 + mu)^2 - 1) |R| |B| of V B,
+    V = D R D† and D = phi / |phi|, and A is within _phase_rounding(mu) |R|
+    of V entry for entry (see cvcase._phased_defect_bound).  So
+    |fl - A B| <= g_prod |R| |B| with g_prod the sum of the three, and
+    || |R| |B| ||_F <= ||R||_F ||B||_F, where ||R||_F^2 <= d (1 + t_A):
+    A's recorded defect bounds R's true one.
+    """
+    g2 = 2.0 * _gamma(2)
+    moduli = (2.0 + mu) * mu
+    return ((1.0 + g2) ** 2 * (1.0 + _gamma(n)) - 1.0) * (1.0 + mu) ** 2 + moduli + _phase_rounding(mu)
 
 
 def _mat(x) -> np.ndarray:

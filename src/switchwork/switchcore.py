@@ -10,14 +10,21 @@ into delta_12, delta_21 and the interference term delta_f.
 Each scenario computes its terms once, on first use, and both reports read
 them: the blocks W12 = U2 U1 and W21 = U1 U2, formed by _switch_blocks with
 a Gram defect bounded from the defects U1 and U2 record; the d-space
-products R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21†
-with the scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the
+blocks R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21† with
+the scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the
 kernel record formed from them; and rho_c.  For a diagonal rho with no
 negative weight, only the columns W[:, S] on rho's working-precision
-support S are formed, and rho scales them (SwitchScenario._terms): each
-product costs d^2 |S| instead of d^3, about 40 of 173 levels at
-beta omega = 1.  Against a diagonal h_s the energies are O(d) sums.  The
-joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
+support S are formed (about 40 of 173 levels at beta omega = 1), through
+the factors' own products (a Fock operator applies its real core), and the
+terms are kept as those d x |S| columns with their weights,
+T_ab = W_a diag(p) W_b† (SwitchScenario._terms): the scalars are
+O(d |S|) sums against a diagonal h_s, and no d x d term is formed.  Any
+other rho takes the d x d products.  The terms record answers two
+questions for either form (_SwitchTerms): mix(w) = sum_ab w_ab T_ab, one
+product of inner length 2|S| from the columns, which gives tilde_rho_s and
+the post-selected numerator, and the probe products T_ab X.  The dense
+R12, R21 and A12 of a diagonal rho are formed only for post_switch_state.
+The joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
 T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
 these terms and rho_c.  Before a term is used, a Freivalds probe checks
 R12, A12 and R21 against the conjugation, with U applied to the full rho
@@ -25,9 +32,13 @@ through U1 and U2, on k = 16 fixed +-1 columns at O(k d^2) cost (see
 SwitchScenario._joint_out).  The rho_c weights are checked by the
 reports' route cross-checks: every derived scalar comes from both the
 weighted blocks and the kernel on the d-space scalars, and the routes must
-agree within TOL_ENERGY (each function names its checks).  tilde_rho_s and
-rho_sm from a diagonal rho are positive by construction, and carry proved
-bounds instead of a Cholesky (_mixture_psd_unit, _post_selected_psd_bound).
+agree within TOL_ENERGY (each function names its checks); the two
+post-selected numerators are compared by a bound first, and the second is
+formed only when the bound does not settle it (measure_control).
+tilde_rho_s and rho_sm from a diagonal rho are positive by construction,
+and carry proved bounds instead of a Cholesky (_mixture_psd_unit,
+_post_selected_psd_bound).  A Fock point thus allocates no d x d array
+but the two states its reports return and their checks.
 Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
 conjugation by build_switch_unitary, the oracle of the tests.  A
@@ -131,33 +142,27 @@ class SwitchScenario:
 
         A _DiagonalState rho with no negative weight acts on its
         working-precision support S (_support): W12[:, S] and W21[:, S]
-        come from _switch_blocks, and R12, R21 and A12 from those columns
-        with rho's weights scaling them, so each of the five products costs
-        d^2 |S| instead of d^3.  The dropped levels hold mass at most
-        u max p / 4, and each dropped term p_i W[:, i] W[:, i]† has entries
-        of modulus at most p_i (1 + t), t the blocks' Gram defect bound, so
-        every entry is within u max p (1 + t) / 4 of the full product: below
-        the per-entry round-off that _mixture_psd_unit covers.  The dropped
-        part is a sum of PSD terms, so the kept terms are PSD mixtures in
-        their own right, and the certificate holds with
-        ||W[:, S]||_F^2 <= |S| (1 + t).  Any other rho takes the full
-        d x d products (a negative weight still scales columns).  Against a
-        _DiagonalHermitian h_s the energies are O(d) sums (_energy).
+        come from _switch_blocks, and the terms are kept as those d x |S|
+        columns with the kept weights p, T_ab = W_a diag(p) W_b†
+        (_factored_terms); no d x d term is formed.  chi = tr A12 and the
+        energies are O(d |S|) sums over the columns against a diagonal h_s
+        (E12 = sum_j p_j W12[:, j]† h W12[:, j], F_S likewise with W21 on the
+        left), and E_S = sum_i p_i h_i.  The dropped levels hold mass at
+        most u max p / 4, and each dropped term p_i W[:, i] W[:, i]† has
+        entries of modulus at most p_i (1 + t), t the blocks' Gram defect
+        bound, so every entry of T_ab is within u max p (1 + t) / 4 of the
+        full product: below the per-entry round-off that _mixture_psd_unit
+        covers.  The dropped part is a sum of PSD terms, so the kept terms
+        are PSD mixtures in their own right.  Any other rho takes the full
+        d x d products (a negative weight still scales columns), and against
+        a _DiagonalHermitian h_s their energies are O(d) sums (_energy).
         """
-        rho = self.rho_s.mat
-        p = rho.diagonal().real if isinstance(self.rho_s, _DiagonalState) else None
+        p = self.rho_s._weights if isinstance(self.rho_s, _DiagonalState) else None
         if p is not None and p.min() >= 0.0:
-            cols = _support(p)
-            w12, w21, defect = _switch_blocks(self.u1, self.u2, cols)
-            p = p[cols]
-            # W diag(p) scales W's columns by p, bit for bit the product.
-            w12_rho, w21_rho = w12 * p, w21 * p
-            psd_unit = _mixture_psd_unit(p, defect)
-            r_norm = float(p.max()) * (1.0 + p.size * defect)
-        else:
-            w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
-            w12_rho, w21_rho = (w12 * p, w21 * p) if p is not None else (w12 @ rho, w21 @ rho)
-            psd_unit = r_norm = math.inf
+            return _factored_terms(self, p)
+        rho = self.rho_s.mat
+        w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
+        w12_rho, w21_rho = (w12 * p, w21 * p) if p is not None else (w12 @ rho, w21 @ rho)
         w21_h = w21.conj().T
         r12 = w12_rho @ w12.conj().T
         r21 = w21_rho @ w21_h
@@ -165,46 +170,49 @@ class SwitchScenario:
         x, e_s, f_s = complex(np.trace(a12)), _energy(rho, self.h_s).real, _energy(a12, self.h_s)
         e12, e21 = _energy(r12, self.h_s).real, _energy(r21, self.h_s).real
         kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
-        return _SwitchTerms(r12, r21, a12, x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm)
+        return _SwitchTerms(
+            x, e_s, e12, e21, f_s, kernel, math.inf, math.inf, math.inf, r12=r12, r21=r21, a12=a12
+        )
 
     @cached_property
     def _joint_out(self) -> None:
-        """Probe the cached R12, A12 and R21, once per scenario: the joint
-        state's blocks are their rho_c-weighted copies (module docstring).
+        """Probe the cached terms, once per scenario: the joint state's
+        blocks are their rho_c-weighted copies (module docstring).
 
         Freivalds' check: with X the first d rows of the probe table (k =
         _PROBE_COLUMNS columns of +-1), Y0 = rho U1† U2† X and
-        Y1 = rho U2† U1† X, the products R12 X, A12 X and R21 X must equal
-        U2 U1 Y0, U2 U1 Y1 and U1 U2 Y1 within TOL_ENERGY in every entry,
-        at O(k d^2) cost.  Let Delta = T - J with J the conjugation and
-        |Delta_ij| > TOL_ENERGY for some entry.  In each column,
-        (Delta X)_i = Delta_ij x_j + S with S independent of x_j, and one of
-        S +- Delta_ij has modulus >= |Delta_ij|, so the column exposes the
-        entry with probability >= 1/2 over the signs and the check misses
-        with probability <= 2^-k.  If Delta_ij is the only wrong entry of
-        its row, S = 0 and every column catches it.  The probes are fixed,
-        so the check is deterministic for a given scenario.
+        Y1 = rho U2† U1† X, the products R12 X, A12 X and R21 X
+        (_SwitchTerms.probe) must equal U2 U1 Y0, U2 U1 Y1 and U1 U2 Y1
+        within TOL_ENERGY in every entry, at O(k d^2) cost.  Let
+        Delta = T - J with J the conjugation and |Delta_ij| > TOL_ENERGY for
+        some entry.  In each column, (Delta X)_i = Delta_ij x_j + S with S
+        independent of x_j, and one of S +- Delta_ij has modulus
+        >= |Delta_ij|, so the column exposes the entry with probability
+        >= 1/2 over the signs and the check misses with probability
+        <= 2^-k.  If Delta_ij is the only wrong entry of its row, S = 0 and
+        every column catches it.  The probes are fixed, so the check is
+        deterministic for a given scenario.
 
         U† X is taken as conj(U^T X), since X is real, and rho acts by
         scaling rows when it is diagonal.  The probe applies the factors
-        one at a time, never the products W12 and W21 the terms were
-        filled from, so the two routes share no product.
+        one at a time through UnitaryOperator's trio (a Fock operator on its
+        real core), never the products W12 and W21 the terms were filled
+        from, so the two routes share no product.
         """
-        t = self._terms
-        u1, u2 = self.u1.mat, self.u2.mat
+        u1, u2 = self.u1, self.u2
         x = _probes(self.rho_s.dim)
         y = np.empty((2, *x.shape), dtype=complex)
-        np.matmul(u1.T, u2.T @ x, out=y[0])
-        np.matmul(u2.T, u1.T @ x, out=y[1])
+        y[0] = u1._apply_t(u2._apply_t(x))
+        y[1] = u2._apply_t(u1._apply_t(x))
         np.conjugate(y, out=y)
         if isinstance(self.rho_s, _DiagonalState):
-            y *= self.rho_s.mat.diagonal().real[:, None]
+            y *= self.rho_s._weights[:, None]
         else:
             y = self.rho_s.mat @ y
-        w12_y = u2 @ (u1 @ y)  # U2 U1 Y0 and U2 U1 Y1
-        w21_y1 = u1 @ (u2 @ y[1])
-        for term, conjugated in ((t.r12, w12_y[0]), (t.a12, w12_y[1]), (t.r21, w21_y1)):
-            if np.max(np.abs(term @ x - conjugated)) > TOL_ENERGY:
+        w12_y = u2._apply(u1._apply(y))  # U2 U1 Y0 and U2 U1 Y1
+        w21_y1 = u1._apply(u2._apply(y[1]))
+        for term_x, conjugated in zip(self._terms.probe(x), (w12_y[0], w12_y[1], w21_y1)):
+            if np.max(np.abs(term_x - conjugated)) > TOL_ENERGY:
                 raise AssertionError("post-switch expansion disagrees with conjugation path")
 
     @cached_property
@@ -213,25 +221,106 @@ class SwitchScenario:
         return DensityMatrix(_post_switch_expansion(self))
 
 
+def _factored_terms(s: SwitchScenario, p: np.ndarray) -> _SwitchTerms:
+    """SwitchScenario._terms of a diagonal rho with weights p >= 0: the
+    columns on rho's working-precision support and the scalars read from
+    them, each an O(d |S|) sum against a diagonal h_s."""
+    cols = _support(p)
+    w12, w21, defect = _switch_blocks(s.u1, s.u2, cols)
+    kept = p[cols]
+    w12_p = w12 * kept  # W diag(p) scales W's columns by p
+    # chi = tr A12 sums A12's diagonal, sum_j (W12 diag p)_ij conj(W21_ij).
+    x = complex((w12_p * w21.conj()).sum(axis=1).sum())
+    if isinstance(s.h_s, _DiagonalHermitian):
+        h = s.h_s._energies
+        h_w12, h_w21, h_diag = w12 * h[:, None], w21 * h[:, None], h
+    else:
+        h_w12, h_w21, h_diag = s.h_s.mat @ w12, s.h_s.mat @ w21, s.h_s.mat.diagonal().real
+    # tr{W_a diag(p) W_b† h} = sum_ij conj(W_b)_ij (h W_a)_ij p_j.
+    e12, e21 = float(np.vdot(w12, h_w12 * kept).real), float(np.vdot(w21, h_w21 * kept).real)
+    e_s, f_s = float(p @ h_diag), complex(np.vdot(w21, h_w12 * kept))
+    kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
+    r_norm = float(kept.max()) * (1.0 + kept.size * defect)
+    return _SwitchTerms(
+        x, e_s, e12, e21, f_s, kernel, _mixture_psd_unit(kept, defect), r_norm,
+        _mix_error(kept.size), w12=w12, w21=w21, p=kept,
+    )
+
+
 @dataclass(frozen=True)
 class _SwitchTerms:
-    """The d-space terms of one scenario (see the module docstring)."""
+    """The d-space terms of one scenario (see the module docstring): the
+    blocks T_00 = R12, T_01 = A12, T_10 = A12† and T_11 = R21, held either
+    as the d x d products r12, r21 and a12, or as the kept columns w12,
+    w21 of W12 and W21 with their weights p, T_ab = W_a diag(p) W_b†.  Two
+    methods answer for either form: mix(w), the weighted sum of the
+    blocks, and probe(x), the products T_ab x that the Freivalds probe
+    checks; blocks() forms the dense products for the oracle."""
 
-    r12: np.ndarray
-    r21: np.ndarray
-    a12: np.ndarray
     chi: complex
     e_s: float
     e12: float
     e21: float
     f_s: complex
     kernel: KernelTerms
-    # Round-off bound on -lambda_min of fl(sum_ab w_ab T_ab) per unit
-    # sum_ab |w_ab| (_mixture_psd_unit), and a bound on ||R12||_2 and
-    # ||R21||_2; both inf unless rho is a diagonal state with no negative
-    # weight.
+    # Round-off bound on -lambda_min of fl(mix(w)) per unit sum_ab |w_ab|
+    # (_mixture_psd_unit), a bound max p (1 + |S| t) on ||T_ab||_2 and on
+    # every entry of T_ab, and the relative error c of mix (_mix_error);
+    # all three inf for the dense form, which carries no certificate.
     psd_unit: float
     r_norm: float
+    mix_error: float
+    r12: np.ndarray | None = None
+    r21: np.ndarray | None = None
+    a12: np.ndarray | None = None
+    w12: np.ndarray | None = None
+    w21: np.ndarray | None = None
+    p: np.ndarray | None = None
+
+    def mix(self, w: np.ndarray) -> np.ndarray:
+        """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array.
+
+        Columns: [w00 W12 + w10 W21 | w01 W12 + w11 W21] diag(p, p)
+        [W12 | W21]†, one product of inner length 2|S|.  Products:
+        _weighted_sum over (w00, R12), (w11, R21), (w01, A12), (w10, A12†)
+        in that order, the last two only when a coherence weight is
+        nonzero."""
+        if self.w12 is None:
+            pairs = [(w[0, 0], self.r12), (w[1, 1], self.r21)]
+            if w[0, 1] != 0 or w[1, 0] != 0:
+                pairs += [(w[0, 1], self.a12), (w[1, 0], np.conjugate(self.a12.T, order="C"))]
+            return _weighted_sum(pairs, np.empty_like(self.r12))
+        cols, k = (self.w12, self.w21), self.p.size
+        left = np.empty((self.w12.shape[0], 2 * k), dtype=complex)
+        for b, half in enumerate((left[:, :k], left[:, k:])):
+            # Column b of w: w[b, b] W_b + w[1 - b, b] W_{1-b}, the second
+            # term skipped at 0 (tilde_rho_s's diagonal w); then diag(p).
+            np.multiply(w[b, b], cols[b], out=half)
+            if w[1 - b, b] != 0:
+                half += w[1 - b, b] * cols[1 - b]
+            half *= self.p
+        return left @ self._columns_h
+
+    def probe(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R12 x, A12 x, R21 x); from the columns, W_a (p o (W_b† x))."""
+        if self.w12 is None:
+            return self.r12 @ x, self.a12 @ x, self.r21 @ x
+        g = (self._columns_h @ x).reshape(2, self.p.size, -1)  # W12† x and W21† x
+        g *= self.p[:, None]
+        r12_x, a12_x = self.w12 @ g
+        return r12_x, a12_x, self.w21 @ g[1]
+
+    @cached_property
+    def _columns_h(self) -> np.ndarray:
+        """[W12 | W21]†, the right factor of mix and of the probe."""
+        return np.concatenate((self.w12, self.w21), axis=1).conj().T
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The dense (R12, R21, A12), formed from the columns on demand."""
+        if self.w12 is None:
+            return self.r12, self.r21, self.a12
+        w12_p, w21_h = self.w12 * self.p, self.w21.conj().T
+        return w12_p @ self.w12.conj().T, (self.w21 * self.p) @ w21_h, w12_p @ w21_h
 
 
 def _probes(n: int) -> np.ndarray:
@@ -264,34 +353,45 @@ def _support(p: np.ndarray) -> slice | np.ndarray:
     return slice(None) if dropped == 0 else np.sort(order[dropped:])
 
 
+def _mix_error(k: int) -> float:
+    """c = 2 gamma_{2k+8}: the relative error of _SwitchTerms.mix from k
+    kept columns, divided by a positive n or not.  Each entry of
+    fl(mix(w)) is within c sum_ab |w_ab| (|W_a| diag(p) |W_b|^T)_ij of
+    sum_ab w_ab W_a diag(p) W_b†: the complex product of inner length 2k
+    is within 2 gamma_{2k+2} (Higham, sec. 3.6), and the complex weights,
+    the sum and the scaling by p in each left block and the division add
+    less than 2 gamma_6."""
+    return 2.0 * _gamma(2 * k + 8)
+
+
 def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
-    """Round-off bound on -lambda_min of fl(sum_ab w_ab T_ab), divided by a
-    positive n or not, per unit n^-1 sum_ab |w_ab|, for a PSD 2 x 2 w,
-    T_ab = fl(fl(W_a * p) @ W_b†), W_0 = W12 and W_1 = W21 the kept
-    columns, p >= 0 their k weights and w_defect a bound t on their Gram
-    defect.
+    """Round-off bound on -lambda_min of fl(mix(w)), divided by a positive
+    n or not, per unit n^-1 sum_ab |w_ab|, for a PSD 2 x 2 w, from the
+    kept columns W_0 = W12[:, S] and W_1 = W21[:, S], p >= 0 their k
+    weights and w_defect a bound t on their Gram defect.
 
     In exact arithmetic sum_ab w_ab W_a diag(p) W_b† = V (w (x) diag(p)) V†
     with V = [W_0 W_1], which is positive semidefinite for any W, so only
-    round-off can make an eigenvalue negative.  With c = 2 gamma_{k+8}
-    (the complex inner product, the column scaling, a complex weight, three
-    sums and the division), each entry is off by at most
-    c sum_ab |w_ab| (S_ab)_ij with S_ab = |W_a| diag(p) |W_b|^T, and
-    ||S_ab||_F <= max p ||W_a||_F ||W_b||_F <= max p k (1 + t), as each
-    column of W has squared norm <= 1 + t.  The Cholesky reads the
-    Hermitian matrix of the lower triangle, whose error is at most sqrt 2
-    times as large in Frobenius norm, and by Weyl's inequality that norm
-    bounds how far lambda_min can fall below 0.  tilde_rho_s is the case
+    round-off can make an eigenvalue negative.  Each entry is off by at
+    most c sum_ab |w_ab| (S_ab)_ij with S_ab = |W_a| diag(p) |W_b|^T
+    (_mix_error), and
+    ||S_ab||_F <= || |W_a| diag(sqrt p) ||_F || |W_b| diag(sqrt p) ||_F
+    <= (1 + t) sum p, as each column of W has squared norm <= 1 + t; the
+    computed sum of p is within gamma_k.  The Cholesky reads the Hermitian
+    matrix of the lower triangle, whose error is at most sqrt 2 times as
+    large in Frobenius norm, and by Weyl's inequality that norm bounds how
+    far lambda_min can fall below 0.  tilde_rho_s is the case
     w = diag(rc00, rc11), n = 1.
     """
     k = p.size
-    return math.sqrt(2.0) * 2.0 * _gamma(k + 8) * k * float(p.max()) * (1.0 + w_defect)
+    mass = float(p.sum()) / (1.0 - _gamma(k))
+    return math.sqrt(2.0) * _mix_error(k) * (1.0 + w_defect) * mass
 
 
-def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray) -> float:
+def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray, d: int) -> float:
     """Bound on -lambda_min of the Hermitian matrix the Cholesky reads
-    from fl(sum_ab w_ab T_ab), for any 2 x 2 w; inf unless the terms carry
-    a certificate (t.psd_unit finite).
+    from fl(t.mix(w)), for any 2 x 2 w and the scenario's dimension d; inf
+    unless the terms carry a certificate (t.psd_unit finite).
 
     w = outer(conj(m), m) o rho_c is positive semidefinite by the Schur
     product theorem, but its computed entries need not be, nor exactly
@@ -301,13 +401,14 @@ def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray) -> float:
     sum_ab (w_H)_ab T_ab = V ((w_H + eps I) (x) diag(p)) V† - eps (R12 + R21)
     (see _mixture_psd_unit), so its lambda_min is >= -2 eps r_norm, with
     r_norm = max p (1 + k t) >= max p ||W||_2^2, since W†W - I has entries
-    of modulus <= t.  lambda_min(w_H) = (a + b)/2 - hypot((a - b)/2, |z|)
-    is evaluated within gamma_6 of (a + b)/2 + hypot(...) <= |a| + |b| + |z|,
-    and gamma_8 adds the bound's own rounding.  sum_ab (w_A)_ab T_ab has
-    2-norm <= r_norm sum_ab |(w_A)_ab| <= r_norm skew, and the Hermitian
-    matrix of its lower triangle <= sqrt(2 d) times that.  The round-off of
-    the four weighted terms adds psd_unit sum_ab |w_ab|.  Divide by n_m
-    for rho_sm.
+    of modulus <= t.
+    lambda_min(w_H) = (a + b)/2 - hypot((a - b)/2, |z|) is evaluated within
+    gamma_6 of (a + b)/2 + hypot(...) <= |a| + |b| + |z|, and gamma_8 adds
+    the bound's own rounding.  sum_ab (w_A)_ab T_ab has 2-norm
+    <= r_norm sum_ab |(w_A)_ab| <= r_norm skew, as ||T_ab||_2 <= r_norm,
+    and the Hermitian matrix of its lower triangle <= sqrt(2 d) times
+    that.  The round-off of mix adds psd_unit sum_ab |w_ab|.  Divide by
+    n_m for rho_sm.
     """
     if math.isinf(t.psd_unit):
         return math.inf
@@ -316,7 +417,7 @@ def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray) -> float:
     skew = abs(w[0, 0].imag) + abs(w[1, 1].imag) + abs(w01 - w10.conjugate())
     lam_min = 0.5 * (a + b) - math.hypot(0.5 * (a - b), abs(z))
     eps = max(0.0, -lam_min) + _gamma(8) * (abs(a) + abs(b) + abs(z))
-    spread = 2.0 * eps + math.sqrt(2.0 * t.r12.shape[0]) * skew
+    spread = 2.0 * eps + math.sqrt(2.0 * d) * skew
     return spread * t.r_norm + t.psd_unit * float(np.abs(w).sum())
 
 
@@ -329,7 +430,7 @@ def _energy(a: np.ndarray, h: HermitianOperator) -> complex:
     """tr{a h}: sum_i a_ii h_i in O(d) against a _DiagonalHermitian, and
     _tr's einsum against a dense h."""
     if isinstance(h, _DiagonalHermitian):
-        return complex(a.diagonal() @ h.mat.diagonal())
+        return complex(a.diagonal() @ h._energies)
     return _tr(a, h.mat)
 
 
@@ -483,11 +584,16 @@ def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None):
     cols (an index array or a slice), the result is (W12[:, cols],
     W21[:, cols], t) at d^2 |cols| cost, t a bound on the Gram defect of
     the columns: the larger _product_defect_bound of the two products.
-    Their columns are those of a product with the error model that bound
-    assumes, and their Gram matrix is a principal submatrix of its, so the
-    bound holds for them.  A factor with no recorded defect, or a bound
-    past TOL_UNITARY, takes the full products and their full check, and t
-    is the true defect the checked one implies.
+    Each is formed as U2._apply(U1._columns(cols)) (and the other way
+    round), and the left factor's product has the error model that bound
+    assumes, with g_prod its _apply_roundoff.  The columns are U1.mat's,
+    or, from a Fock core, entries within the same entrywise bound of the
+    exactly phased core as U1.mat's, which U1's recorded defect covers
+    (cvcase._phased_defect_bound); so they are columns of a full matrix
+    that the bound's argument holds for, and their Gram matrix is a
+    principal submatrix of that product's.  A factor with no
+    recorded defect, or a bound past TOL_UNITARY, takes the full products
+    and their full check, and t is the true defect the checked one implies.
     """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
@@ -495,9 +601,13 @@ def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None):
         return _unitary_product(u2, u1), _unitary_product(u1, u2)
     d1, d2 = getattr(u1, "_defect", None), getattr(u2, "_defect", None)
     if d1 is not None and d2 is not None:
-        t = max(_product_defect_bound(d2, d1, u1.dim), _product_defect_bound(d1, d2, u1.dim))
+        d = u1.dim
+        t = max(
+            _product_defect_bound(d2, d1, d, u2._apply_roundoff),
+            _product_defect_bound(d1, d2, d, u1._apply_roundoff),
+        )
         if t <= TOL_UNITARY:
-            return u2.mat @ u1.mat[:, cols], u1.mat @ u2.mat[:, cols], t
+            return u2._apply(u1._columns(cols)), u1._apply(u2._columns(cols)), t
     w12, w21 = _switch_blocks(u1, u2)
     g = 2.0 * _gamma(u1.dim + 2)
     t = (max(w12._defect, w21._defect) + g) / (1.0 - g)
@@ -541,8 +651,9 @@ def _joint_blocks(s: SwitchScenario) -> np.ndarray:
     """The four d x d blocks of the post-switch joint state, blocks[a, b] =
     <a|rho_c|b> W_a rho W_b† with W_0 = U2 U1, W_1 = U1 U2, filled from
     the d-space terms; called only by _post_switch_expansion."""
-    rc, t = s.rho_c.mat, s._terms
-    return np.array([[rc[0, 0] * t.r12, rc[0, 1] * t.a12], [rc[1, 0] * t.a12.conj().T, rc[1, 1] * t.r21]])
+    rc = s.rho_c.mat
+    r12, r21, a12 = s._terms.blocks()
+    return np.array([[rc[0, 0] * r12, rc[0, 1] * a12], [rc[1, 0] * a12.conj().T, rc[1, 1] * r21]])
 
 
 def _post_switch_expansion(s: SwitchScenario) -> np.ndarray:
@@ -663,7 +774,7 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     rho_c = s.rho_c.mat
     t = s._terms
     rc00, rc11 = np.real(rho_c[0, 0]), np.real(rho_c[1, 1])
-    tilde_s = rc00 * t.r12 + rc11 * t.r21
+    tilde_s = t.mix(np.array([[rc00, 0.0], [0.0, rc11]]))
     # Positivity is proved, not factored, for a diagonal rho (see
     # _mixture_psd_unit); a negative weight sends tilde_s to the Cholesky.
     psd_bound = (rc00 + rc11) * t.psd_unit if min(rc00, rc11) >= 0.0 else math.inf
@@ -683,43 +794,48 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
 
     Requires a pure control.  Raises NearZeroPostSelectionError when the
     outcome probability is at or below TOL_NM.  The projected state is
-    computed both by direct projection of the joint state,
-    sum_ab w_ab T_ab over its blocks with w = outer(conj(m), m) o rho_c,
-    and by the angle factors, both on the probe-checked terms; the two must
-    agree, and so must n_m and delta_sm with the kernel assemble_sm on the
-    scenario's KernelTerms, whose delta_12, delta_21 and delta_f the report
-    carries.  rho_sm is the direct numerator divided by n_m, a
-    _CertifiedState with bound _post_selected_psd_bound / n_m: w is PSD by
-    the Schur product theorem, so the numerator is PSD up to round-off.
-    Where that bound exceeds TOL_PSD (a small n_m, or a dense rho, whose
-    terms carry no certificate) the Cholesky decides.  Against a
-    _DiagonalHermitian H_S, e_sm must lie within tau of [min h, max h]
-    (_spectrum_slack).
+    computed by direct projection of the joint state, mix(w) over its
+    blocks with w = outer(conj(m), m) o rho_c, and checked against the
+    expansion by the angle factors f, both on the probe-checked terms:
+    mix(f) - mix(w) = sum_ab (f - w)_ab T_ab, so every entry differs by at
+    most r_norm (sum |f - w| + mix_error (sum |f| + sum |w|)), and mix(f) is
+    formed and compared only when that bound exceeds TOL_ENERGY (always
+    for a dense rho, whose terms carry no bound).  n_m and delta_sm must
+    agree with the kernel assemble_sm on the scenario's KernelTerms, whose
+    delta_12, delta_21 and delta_f the report carries.  rho_sm is the
+    direct numerator divided by n_m, a _CertifiedState with bound
+    _post_selected_psd_bound / n_m: w is PSD by the Schur product theorem,
+    so the numerator is PSD up to round-off.  Where that bound exceeds
+    TOL_PSD (a small n_m, or a dense rho, whose terms carry no
+    certificate) the Cholesky decides.  Against a _DiagonalHermitian H_S,
+    e_sm must lie within tau of [min h, max h] (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
     s._joint_out  # probe the terms, once per scenario
     t = s._terms
-    a12_h = np.conjugate(t.a12.T, order="C")
 
     # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
     w = np.outer(ket_m.conj(), ket_m) * s.rho_c.mat
-    buffer = np.empty_like(t.r12)
-    numerator = _weighted_sum(
-        ((w[0, 0], t.r12), (w[1, 1], t.r21), (w[0, 1], t.a12), (w[1, 0], a12_h)), buffer
-    )
+    numerator = t.mix(w)
     n_m_direct = float(np.real(np.trace(numerator)))
 
-    # Expansion path: the kernel's angle factors on the d-space terms.
+    # Expansion path: the kernel's angle factors f on the d-space terms.
+    # mix(f) - mix(w) = sum_ab (f - w)_ab T_ab plus both sums' round-off,
+    # so every entry is within `gap`, and mix(f) is formed only past
+    # TOL_ENERGY (always for the dense terms, whose r_norm is inf).
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
-    numerator_exp = _weighted_sum(
-        ((a.cc, t.r12), (a.ss, t.r21), (coh, t.a12), (coh.conjugate(), a12_h)), buffer
-    )
+    f = np.array([[a.cc, coh], [coh.conjugate(), a.ss]])
     n_m_closed, bracket = assemble_sm(a, t.kernel)
-    if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
-        raise AssertionError("projection and expansion numerators disagree")
+    gap = t.r_norm * (
+        float(np.abs(f - w).sum()) + t.mix_error * float(np.abs(f).sum() + np.abs(w).sum())
+    )
+    if not gap <= TOL_ENERGY:
+        numerator_exp = t.mix(f)
+        if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
+            raise AssertionError("projection and expansion numerators disagree")
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
         raise AssertionError("post-selection probability routes disagree")
 
@@ -727,10 +843,11 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         raise NearZeroPostSelectionError(n_m_direct)
 
     numerator /= n_m_direct
-    rho_sm = _CertifiedState(numerator, _post_selected_psd_bound(t, w) / n_m_direct)
+    bound = _post_selected_psd_bound(t, w, s.rho_s.dim) / n_m_direct
+    rho_sm = _CertifiedState(numerator, bound)
     e_sm = _energy(rho_sm.mat, s.h_s).real
     if isinstance(s.h_s, _DiagonalHermitian):
-        h = s.h_s.mat.diagonal().real
+        h = s.h_s._energies
         slack = _spectrum_slack(h, rho_sm)
         if not h.min() - slack <= e_sm <= h.max() + slack:
             raise AssertionError("post-selected energy lies outside the spectrum of H_S")

@@ -57,8 +57,10 @@ from .qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    _UNIT_ROUNDOFF,
     _CertifiedState,
     _CertifiedUnitary,
+    _gamma,
     _gram_defect,
 )
 from .qubitcase import (
@@ -225,17 +227,47 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
 def _certificate_ratios(s: SwitchScenario, tilde_rho_s: DensityMatrix) -> list[float]:
     """Measured defect over proved bound for each certificate of one
     scenario: the Gram defect of every certified unitary among U1, U2, W12
-    and W21, and -lambda_min of a tilde_rho_s whose positivity was proved.
-    A ratio above 1 is a bound that does not hold."""
+    and W21 (a Fock operator's dense form against its cores' bound),
+    -lambda_min of a tilde_rho_s whose positivity was proved, and, for
+    terms kept as columns, mix(w) against the dense conjugation
+    (_mix_ratio).  A ratio above 1 is a bound that does not hold."""
+    blocks = _switch_blocks(s.u1, s.u2)
     pairs = [
         (_gram_defect(u.mat), u._defect)
-        for u in (s.u1, s.u2, *_switch_blocks(s.u1, s.u2))
+        for u in (s.u1, s.u2, *blocks)
         if isinstance(u, _CertifiedUnitary)
     ]
     if isinstance(tilde_rho_s, _CertifiedState) and not math.isnan(tilde_rho_s._psd_bound):
         lam_min = float(np.linalg.eigvalsh(tilde_rho_s.mat).min())
         pairs.append((max(0.0, -lam_min), tilde_rho_s._psd_bound))
+    if s._terms.w12 is not None:
+        pairs.append(_mix_ratio(s, *blocks))
     return [measured / bound for measured, bound in pairs]
+
+
+# A PSD weight with both coherences, for the audit of mix.
+_AUDIT_WEIGHT = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+
+
+def _mix_ratio(s: SwitchScenario, w12: UnitaryOperator, w21: UnitaryOperator) -> tuple[float, float]:
+    """(gap, bound): the largest entry of mix(w) - sum_ab w_ab W_a rho W_b†,
+    the dense conjugation by the full blocks W12 and W21, and its
+    certificate per unit sum_ab |w_ab|: the support's dropped mass
+    u max p (1 + t) / 4, the dense products' round-off
+    2 gamma_{d+4} max p (1 + d t) on each side, and mix's own
+    mix_error r_norm, with t the blocks' recorded Gram defect."""
+    t, d, p = s._terms, s.rho_s.dim, s.rho_s._weights
+    w = _AUDIT_WEIGHT
+    a, b = w12.mat * p, w21.mat * p
+    dense = (
+        w[0, 0] * (a @ w12.mat.conj().T) + w[1, 1] * (b @ w21.mat.conj().T)
+        + w[0, 1] * (a @ w21.mat.conj().T) + w[1, 0] * (b @ w12.mat.conj().T)
+    )
+    gap = float(np.max(np.abs(t.mix(w) - dense)))
+    defect = max(w12._defect, w21._defect)
+    support = 0.25 * _UNIT_ROUNDOFF * float(p.max()) * (1.0 + defect)
+    roundoff = 2.0 * 2.0 * _gamma(d + 4) * float(p.max()) * (1.0 + d * defect)
+    return gap, float(np.abs(w).sum()) * (support + roundoff + t.mix_error * t.r_norm)
 
 
 def _check_passivity(rng: np.random.Generator, n: int) -> tuple[bool, str]:

@@ -203,10 +203,56 @@ class TestPhasedCertificate:
         assert full_checks == [41]
 
     @_QUIET
-    def test_the_operator_keeps_the_core_bytes_and_records_its_bound(self):
-        u, bound = cvcase._phased_tridiagonal_exp(0.3 * np.sqrt(np.arange(1.0, 3.0)), 0.7)
-        d = displacement_op(DisplacementParams(0.3, 0.7), 2)
-        assert d.mat.tobytes() == u.tobytes() and d._defect == bound
+    @pytest.mark.parametrize("n_max", [1, 2, 41, 172])
+    def test_the_dense_form_is_built_lazily_with_the_eager_bits(self, n_max):
+        """`.mat` is formed on first read, read-only and cached, with the
+        bits of the eager construction r * outer(phi, conj(phi)) on each
+        sublattice, and the recorded defect is the cores' bound."""
+        a, z = DisplacementParams(1.3, 0.7), SqueezeParams(0.6, -1.1)
+        cores = {
+            "displacement": ((cvcase._tridiagonal_core(a.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0))), a.alpha_phase),),
+            "squeeze": tuple(
+                (cvcase._tridiagonal_core(0.5 * z.z_abs * np.sqrt((n + 1.0) * (n + 2.0))), z.z_phase)
+                for n in (np.arange(parity, n_max - 1, 2, dtype=float) for parity in (0, 1))
+            ),
+        }
+        for name, u in (("displacement", displacement_op(a, n_max)), ("squeeze", squeeze_op(z, n_max))):
+            assert isinstance(u, cvcase._PhasedUnitary) and "mat" not in u.__dict__
+            eager = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+            bounds = []
+            for b, (r, phase) in enumerate(cores[name]):
+                phi = np.exp(1j * phase * np.arange(r.shape[0]))
+                step = len(cores[name])
+                eager[b::step, b::step] = r * np.outer(phi, phi.conj())
+                bounds.append(cvcase._phased_defect_bound(r, phi))
+            if name == "displacement":
+                r, phase = cores[name][0]
+                phi = np.exp(1j * phase * np.arange(r.shape[0]))
+                assert u.mat.tobytes() == (r * np.outer(phi, phi.conj())).tobytes()
+            assert u.mat.tobytes() == eager.tobytes() and u.mat is u.mat
+            assert not u.mat.flags.writeable and u._defect == max(bounds)
+
+    @_QUIET
+    @settings(max_examples=12, deadline=None)
+    @given(seed=_SEED, a=_ALPHA, s=_SQUEEZE, n_max=_N_MAX)
+    def test_the_core_products_match_the_dense_ones(self, seed, a, s, n_max):
+        """UnitaryOperator's trio on the cores: U y and U^T y within the
+        real product's round-off of the dense products, on one block and on
+        a stack, and the columns within the phase rounding of mat[:, cols]
+        (bit for bit unless a product underflows)."""
+        rng = np.random.default_rng(seed)
+        d = n_max + 1
+        cols = np.sort(rng.choice(d, size=max(1, d // 3), replace=False))
+        for u in (displacement_op(a, n_max), squeeze_op(s, n_max)):
+            dense = UnitaryOperator(u.mat)  # the default trio on the same matrix
+            y = rng.normal(size=(2, d, 5)) + 1j * rng.normal(size=(2, d, 5))
+            for block in (y, y[1], np.sign(y.real[0])):
+                tol = 4.0 * qmat._gamma(d + 2) * float(np.abs(block).max()) * d
+                assert np.max(np.abs(u._apply(block) - dense._apply(block))) <= tol
+                assert np.max(np.abs(u._apply_t(block) - dense._apply_t(block))) <= tol
+            for c in (cols, slice(None)):
+                assert np.max(np.abs(u._columns(c) - dense._columns(c)), initial=0.0) <= 4.0 * qmat._UNIT_ROUNDOFF
+            assert "mat" in u.__dict__  # only the reference read it
 
 
 def _diagonal_scenario(rng, u1, u2, p, control) -> SwitchScenario:
@@ -254,28 +300,29 @@ class TestMixtureCertificate:
         assert _psd_defect(tilde) <= tilde._psd_bound <= TOL_PSD
 
     def test_columns_are_scaled_bit_for_bit(self):
-        """The diagonal route's terms equal the bits of the dense products
-        over the state's working-precision support S, W[:, S] diag(p_S)
-        W[:, S]†, and the dense state's full products up to round-off."""
+        """The diagonal route keeps the columns of W12 and W21 over the
+        state's working-precision support S with their weights, and the
+        dense blocks it forms for the oracle equal the bits of
+        W[:, S] diag(p_S) W[:, S]†; its kernel is the dense state's full
+        products' up to round-off."""
         s = cvcase.disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(1.1, 0.6), n_max=84,
         )
         assert isinstance(s.rho_s, _DiagonalState)
-        p = s.rho_s.mat.diagonal().real
+        p = s.rho_s._weights
         cols = switchcore._support(p)
         w12, w21, _ = _switch_blocks(s.u1, s.u2, cols)
+        t = s._terms
+        assert t.r12 is None and t.w12.tobytes() == w12.tobytes() and t.w21.tobytes() == w21.tobytes()
+        assert t.p.tobytes() == p[cols].tobytes()
         rho = np.diag(p[cols]).astype(complex)
-        products = {
-            "r12": (w12 @ rho) @ w12.conj().T,
-            "r21": (w21 @ rho) @ w21.conj().T,
-            "a12": (w12 @ rho) @ w21.conj().T,
-        }
-        for name, product in products.items():
-            assert getattr(s._terms, name).tobytes() == product.tobytes()
+        products = ((w12 @ rho) @ w12.conj().T, (w21 @ rho) @ w21.conj().T, (w12 @ rho) @ w21.conj().T)
+        for block, product in zip(t.blocks(), products):
+            assert block.tobytes() == product.tobytes()
         dense = dataclasses.replace(s, rho_s=DensityMatrix(s.rho_s.mat))
-        assert np.max(np.abs(np.subtract(s._terms.kernel, dense._terms.kernel))) < 1e-13
-        assert math.isinf(dense._terms.psd_unit)
+        assert np.max(np.abs(np.subtract(t.kernel, dense._terms.kernel))) < 1e-13
+        assert math.isinf(dense._terms.psd_unit) and dense._terms.w12 is None
 
     @pytest.mark.parametrize("fault", ["negative_weight", "negative_control_weight", "large_bound"])
     def test_outside_the_certificate_the_cholesky_decides(self, rng, monkeypatch, fault):
@@ -370,29 +417,41 @@ class TestWorkingPrecisionSupport:
             assert kept.tolist() == [True] + [False] * n_max
 
     @_QUIET
-    @pytest.mark.parametrize("n_max", [46, 84, 172])
+    @pytest.mark.parametrize("n_max", [1, 46, 84, 172])
     @pytest.mark.parametrize("beta", [0.3, 1.0, math.inf])
     def test_terms_match_the_full_products(self, rng, n_max, beta):
+        """The blocks, mix(w) and probe(x) from the kept columns against
+        the full d x d products, and the scalars against the dense traces;
+        n_max = 1 is a thermal qubit."""
         p = _thermal(beta, n_max)
         u1, u2 = _fock_pair(DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4), n_max)
         s = _diagonal_scenario(rng, u1, u2, p, BlochState(1.1, 0.6))
         t, d = s._terms, p.size
         defect = _switch_blocks(u1, u2, slice(None))[2]
         w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
-        full = {
-            "r12": (w12 * p) @ w12.conj().T,
-            "r21": (w21 * p) @ w21.conj().T,
-            "a12": (w12 * p) @ w21.conj().T,
-        }
+        full = ((w12 * p) @ w12.conj().T, (w21 * p) @ w21.conj().T, (w12 * p) @ w21.conj().T)
         support = 0.25 * _U * p.max() * (1.0 + defect)
         roundoff = 2.0 * 2.0 * qmat._gamma(d + 4) * p.max() * (1.0 + d * defect)
-        for name, product in full.items():
-            assert np.max(np.abs(getattr(t, name) - product)) <= support + roundoff, name
+        for name, block, product in zip(("r12", "r21", "a12"), t.blocks(), full):
+            assert np.max(np.abs(block - product)) <= support + roundoff, name
+        w = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+        expected = w[0, 0] * full[0] + w[1, 1] * full[1] + w[0, 1] * full[2] + w[1, 0] * full[2].conj().T
+        mix_round = t.mix_error * t.r_norm
+        assert np.max(np.abs(t.mix(w) - expected)) <= np.abs(w).sum() * (support + roundoff + mix_round)
+        x = switchcore._probes(d)
+        for probed, product in zip(t.probe(x), (full[0], full[2], full[1])):
+            assert np.max(np.abs(probed - product @ x)) <= x.shape[0] * (support + roundoff + mix_round)
         if math.isinf(beta):  # one level: R12 is the outer product of W12's first column
-            assert np.max(np.abs(t.r12 - np.outer(w12[:, 0], w12[:, 0].conj()))) <= 4.0 * _U
-        h = s.h_s.mat.diagonal().real
-        e12 = float(np.real(full["r12"].diagonal()) @ h)
-        assert abs(t.e12 - e12) <= 1e-12 * n_max
+            assert np.max(np.abs(t.blocks()[0] - np.outer(w12[:, 0], w12[:, 0].conj()))) <= 4.0 * _U
+        h = s.h_s._energies
+        traces = {
+            "chi": np.trace(full[2]),
+            "e12": np.real(full[0].diagonal()) @ h,
+            "e21": np.real(full[1].diagonal()) @ h,
+            "f_s": full[2].diagonal() @ h,
+        }
+        for name, value in traces.items():
+            assert abs(getattr(t, name) - value) <= 1e-14 * max(1.0, abs(value)), name
 
     def test_energies_are_diagonal_sums_against_a_diagonal_hamiltonian(self, rng):
         a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
@@ -445,10 +504,11 @@ class TestPostSelectedCertificate:
     @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.4)
     @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.6)
     def test_bound_covers_the_smallest_eigenvalue(self, seed, n_max, beta, size, theta, log_gap):
-        """Qubit (n_max = 1) and Fock pairs; the measurement sits
-        10^log_gap in polar angle from antipodal, so with nearly commuting
-        unitaries (size 0.05) n_m reaches down past the certificate's
-        floor."""
+        """Qubit (n_max = 1) and Fock pairs, with the terms kept as columns
+        and mixed by one product: tilde_rho_s and rho_sm.  The measurement
+        sits 10^log_gap in polar angle from antipodal, so with nearly
+        commuting unitaries (size 0.05) n_m reaches down past the
+        certificate's floor."""
         rng = np.random.default_rng(seed)
         if n_max == 1 and size < 1.0:
             u1, u2 = rotation_unitary("x", size), rotation_unitary("y", size)
@@ -462,7 +522,9 @@ class TestPostSelectedCertificate:
             report, w = _post_selection(s, m)
         except NearZeroPostSelectionError:
             assume(False)
-        bound = switchcore._post_selected_psd_bound(s._terms, w) / report.n_m
+        tilde = activation_report(s).tilde_rho_s
+        assert not math.isnan(tilde._psd_bound) and _psd_defect(tilde) <= tilde._psd_bound
+        bound = switchcore._post_selected_psd_bound(s._terms, w, s.rho_s.dim) / report.n_m
         assert _psd_defect(report.rho_sm) <= bound
         if bound <= TOL_PSD:
             assert report.rho_sm._psd_bound == bound
@@ -480,10 +542,9 @@ class TestPostSelectedCertificate:
         s = _diagonal_scenario(None, x, z, p, BlochState(1.0, 0.2))
         t, e = s._terms, 1e-3
         w = np.array([[0.25, 0.25 + e], [0.25 + e, 0.25]], dtype=complex)
-        numerator = w[0, 0] * t.r12 + w[1, 1] * t.r21 + w[0, 1] * t.a12 + w[1, 0] * t.a12.conj().T
-        defect = -float(np.linalg.eigvalsh(numerator).min())
+        defect = -float(np.linalg.eigvalsh(t.mix(w)).min())
         assert defect == pytest.approx(2.0 * e * p.max(), rel=1e-12)
-        assert defect <= switchcore._post_selected_psd_bound(t, w) <= defect * (1.0 + 1e-9)
+        assert defect <= switchcore._post_selected_psd_bound(t, w, 2) <= defect * (1.0 + 1e-9)
 
     @_QUIET
     def test_the_cholesky_runs_past_the_floor_and_for_a_dense_state(self, cholesky_sizes):
@@ -500,7 +561,7 @@ class TestPostSelectedCertificate:
             for gap in (1.0, 1e-1, 1e-2, 1e-3):
                 cholesky_sizes.clear()
                 report, w = _post_selection(scenario, BlochState(math.pi - 1.1 + gap, 0.6 + math.pi))
-                bound = switchcore._post_selected_psd_bound(scenario._terms, w) / report.n_m
+                bound = switchcore._post_selected_psd_bound(scenario._terms, w, d) / report.n_m
                 assert cholesky_sizes.count(d) == (0 if bound <= TOL_PSD else 1)
                 runs.append((scenario is s, bound <= TOL_PSD))
         assert (True, True) in runs and (True, False) in runs  # both sides of the floor

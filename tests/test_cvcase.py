@@ -14,7 +14,6 @@ import scipy.linalg
 from switchwork import cvcase
 from switchwork.cvcase import (
     DisplacementParams,
-    _ladder_block_defect,
     _ladder_corner,
     NoSolutionError,
     SqueezeParams,
@@ -211,9 +210,20 @@ class TestTridiagonalKernel:
         assert abs(measured.delta_sm - delta_sm_disp_squeeze(1.0, 1.0, a, s, c, m)) < 1e-6
 
 
+def _dense_ladder_block_defect(u: np.ndarray, expected: np.ndarray) -> float:
+    """The truncation guard on the dense operator, in complex arithmetic:
+    max |(u† a u)[:k, :k] - expected|, the first k rows of u† a being
+    those of u† shifted one column right and scaled by sqrt(n)."""
+    k = expected.shape[0]
+    ud_a = np.zeros((k, u.shape[0]), dtype=complex)
+    ud_a[:, 1:] = u[:-1, :k].conj().T * np.sqrt(np.arange(1.0, u.shape[0]))
+    return float(np.max(np.abs(ud_a @ u[:, :k] - expected)))
+
+
 class TestLadderBlockDefect:
-    """The truncation checks compute only the leading block of u† a u; the
-    dense product is the reference."""
+    """The truncation guards compute only the leading block of U† a U, on
+    the real cores; the dense conjugation and the guard computed on the
+    dense operator are the references."""
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 46, 84, 172])
     def test_block_matches_dense_conjugation(self, n_max):
@@ -221,17 +231,51 @@ class TestLadderBlockDefect:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInadequacyWarning)
             ops = (
-                displacement_op(DisplacementParams(1.2, 0.7), n_max).mat,
-                squeeze_op(SqueezeParams(0.6, -1.1), n_max).mat,
+                displacement_op(DisplacementParams(1.2, 0.7), n_max),
+                squeeze_op(SqueezeParams(0.6, -1.1), n_max),
             )
         blocks = {max(1, n_max // 2), squeeze_faithful_block(n_max, 0.6), n_max + 1}
+        # The dense conjugation's own round-off: 1.4e-13 at n_max = 172.
+        tol = 1e-14 + 4.0 * (n_max + 1) * 2.0**-53 * math.sqrt(n_max + 1)
         for u in ops:
-            dense = u.conj().T @ a @ u
+            dense = u.mat.conj().T @ a @ u.mat
             for k in blocks:
-                assert _ladder_block_defect(u, dense[:k, :k]) < 1e-13
-                assert _ladder_block_defect(u, np.zeros((k, k))) == pytest.approx(
-                    np.max(np.abs(dense[:k, :k])), abs=1e-13
+                assert u._ladder_block_defect(dense[:k, :k]) < tol
+                assert u._ladder_block_defect(np.zeros((k, k))) == pytest.approx(
+                    np.max(np.abs(dense[:k, :k])), abs=tol
                 )
+
+    @staticmethod
+    def _guards(amp: float, phase: float, n_max: int):
+        """(core, dense, warned) for the builders' own blocks, D(amp e^{i phase})
+        then S(amp / 2 e^{i phase})."""
+        d = DisplacementParams(amp, phase)
+        z = SqueezeParams(0.5 * amp, phase)
+        k = squeeze_faithful_block(n_max, z.z_abs)
+        a = _ladder_corner(n_max, k)
+        cases = (
+            (displacement_op, d, _ladder_corner(n_max, max(1, n_max // 2)) + d.alpha * np.eye(max(1, n_max // 2))),
+            (squeeze_op, z, a * math.cosh(z.z_abs) + a.conj().T * (cmath.exp(1j * z.z_phase) * math.sinh(z.z_abs))),
+        )
+        for build, params, expected in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TruncationInadequacyWarning)
+                u = build(params, n_max)
+            yield u._ladder_block_defect(expected), _dense_ladder_block_defect(u.mat, expected), bool(caught)
+
+    @pytest.mark.parametrize("amp, phase", [(1.0, 0.0), (1.5, 0.9), (2.0, -2.4), (3.0, math.pi)])
+    def test_core_guard_matches_the_dense_guard_and_warns_at_the_same_cutoffs(self, amp, phase):
+        """Within 1e-14 plus the dense route's own round-off, which grows
+        with d and with the block's entries (about 4e-13 at |alpha| = 1.2,
+        phase pi, n_max = 200, where the core reads 3e-14)."""
+        warned = set()
+        for n_max in range(1, 181, 3):
+            for core, dense, warns in self._guards(amp, phase, n_max):
+                d = n_max + 1
+                assert abs(core - dense) <= 1e-14 + 4.0 * d * 2.0**-53 * (math.sqrt(d) + amp) * max(1.0, dense)
+                assert warns == (core > cvcase.TOL_CV_UNITARY) == (dense > cvcase.TOL_CV_UNITARY)
+                warned.add(warns)
+        assert warned == {True, False}  # both sides of every threshold are reached
 
 
 class TestCutoffRules:

@@ -21,7 +21,7 @@ from switchwork.qmat import (
     expm,
     kron,
 )
-from switchwork.states import ThermalParams, gibbs_fock, gibbs_qubit
+from switchwork.states import ThermalParams, gibbs_fock, gibbs_qubit, hamiltonian_fock
 
 
 class TestDensityMatrix:
@@ -86,6 +86,23 @@ class TestDiagonalState:
         checked = DensityMatrix(np.diag(np.diag(rho.mat).real).astype(complex))
         assert isinstance(rho, _DiagonalState) and rho.dim == checked.dim
         assert rho.mat.tobytes() == checked.mat.tobytes() and not rho.mat.flags.writeable
+
+    @pytest.mark.parametrize("build", ["fock_state", "fock_hamiltonian", "qubit_state"])
+    def test_the_dense_form_is_built_on_first_read(self, build):
+        """The wrappers keep their diagonal; `.mat` is formed on first
+        read, cached, read-only, with the bits of the eager
+        np.diag(values).astype(complex)."""
+        wrapper, name = {
+            "fock_state": (gibbs_fock(ThermalParams(1.0, 1.0), 172), "_weights"),
+            "fock_hamiltonian": (hamiltonian_fock(1.3, 172), "_energies"),
+            "qubit_state": (gibbs_qubit(ThermalParams(0.7, 1.3)), "_weights"),
+        }[build]
+        values = getattr(wrapper, name)
+        assert "mat" not in vars(wrapper) and not values.flags.writeable
+        assert wrapper.dim == values.size
+        mat = wrapper.mat
+        assert mat is wrapper.mat and not mat.flags.writeable
+        assert mat.tobytes() == np.diag(values).astype(complex).tobytes()
 
     @pytest.mark.parametrize(
         "weights, message",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -589,33 +590,72 @@ class TestCrossChecksFire:
                 call()
 
     def test_post_selected_energy_stays_in_the_spectrum(self, monkeypatch):
-        """A numerator biased by x (|n_max><n_max| - |0><0|) in R12 and R21
-        keeps its trace, both numerator routes and n_m, and its certified
-        rho_sm skips the Cholesky; only the spectrum bound on e_sm is left
-        to stop it, before the energy routes are compared."""
+        """A weighted sum biased by (w00 + w11) (|n_max><n_max| - |0><0|),
+        as R12 and R21 biased by that matrix would give, keeps its trace,
+        both numerator routes and n_m, and its certified rho_sm skips the
+        Cholesky; only the spectrum bound on e_sm is left to stop it, before
+        the energy routes are compared.  A thermal state's terms are kept as
+        columns, whose every weighted sum is PSD, so the bias goes into
+        mix itself."""
         s = _fock_scenario(n_max=40)
         post_switch_state(s)  # probe the clean terms
         bias = np.zeros((s.rho_s.dim, s.rho_s.dim), dtype=complex)
         bias[0, 0], bias[-1, -1] = -1.0, 1.0
-        t = s._terms
-        self._corrupt_terms(monkeypatch, s, r12=t.r12 + bias, r21=t.r21 + bias)
+        assert s._terms.w12 is not None
+        original = switchcore._SwitchTerms.mix
+        monkeypatch.setattr(
+            switchcore._SwitchTerms, "mix", lambda t, w: original(t, w) + (w[0, 0] + w[1, 1]) * bias
+        )
         with pytest.raises(AssertionError, match="post-selected energy lies outside the spectrum"):
             measure_control(s, BlochState(math.pi / 2.0, math.pi))
 
     @pytest.mark.parametrize("control", ["north_pole", "south_pole", "diagonal_mixed"])
     def test_probe_sees_a12_without_control_coherence(self, monkeypatch, control):
-        """A12 and chi scaled by 1.3: with no control coherence the joint
-        state does not depend on A12, and only the probe of A12 itself
-        stops the wrong chi from reaching the report."""
+        """W21's kept columns and chi rotated by a phase: R12 and R21 keep
+        their values and A12 = W12 diag(p) W21† turns with chi.  With no
+        control coherence the joint state does not depend on A12, and only
+        the probe of A12 itself stops the wrong chi from reaching the
+        report."""
         c = BlochState(math.pi if control == "south_pole" else 0.0, 0.0)
         s = qubit_scenario(1.0, 0.8, 0.5, 0.3, rotation_unitary("x", 1.2), rotation_unitary("y", 0.7), c)
         if control == "diagonal_mixed":
             s = dataclasses.replace(s, control=DensityMatrix(np.diag([0.7, 0.3]).astype(complex)))
         assert abs(s.rho_c.mat[0, 1]) < 1e-16  # sin(pi) / 2 at the south pole
         t = s._terms
-        self._corrupt_terms(monkeypatch, s, a12=1.3 * t.a12, chi=1.3 * t.chi)
+        turn = cmath.exp(0.3j)
+        self._corrupt_terms(monkeypatch, s, w21=turn * t.w21, chi=t.chi / turn)
+        assert np.allclose(s._terms.blocks()[1], t.blocks()[1], rtol=0.0, atol=1e-15)
         with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
             activation_report(s)
+
+    @pytest.mark.parametrize(
+        "fault", ["entry_w12", "entry_w21", "swapped_w12_w21", "conjugated_w21", "scaled_p"]
+    )
+    def test_probe_catches_column_faults_on_a_fock_scenario(self, monkeypatch, fault):
+        """A thermal state's terms are its kept columns W12[:, S], W21[:, S]
+        and weights; each corruption of them trips the probe in every
+        report."""
+        s = _fock_scenario(n_max=84)
+        t = s._terms
+        if fault.startswith("entry_"):
+            name = fault.removeprefix("entry_")
+            wrong = getattr(t, name).copy()
+            wrong[0, 0] += 1e-6
+            faulty = {name: wrong}
+        else:
+            faulty = {
+                "swapped_w12_w21": {"w12": t.w21, "w21": t.w12},
+                "conjugated_w21": {"w21": t.w21.conj()},
+                "scaled_p": {"p": 1.001 * t.p},
+            }[fault]
+        self._corrupt_terms(monkeypatch, s, **faulty)
+        for call in (
+            lambda: activation_report(s),
+            lambda: measure_control(s, self.M),
+            lambda: post_switch_state(s),
+        ):
+            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
+                call()
 
     def test_probe_table_is_prefix_stable_and_read_only(self, monkeypatch):
         monkeypatch.setattr(switchcore, "_probe_table", np.empty((0, 16)))
@@ -639,6 +679,28 @@ class TestCrossChecksFire:
         with pytest.raises(AssertionError, match="projection and expansion numerators disagree"):
             measure_control(scenario, self.M)
 
+    def test_angle_factor_fault_reaches_the_second_numerator_on_a_fock_scenario(self, monkeypatch):
+        """Terms kept as columns: the expansion numerator is formed only
+        when the bound on its gap to the projection exceeds TOL_ENERGY.  A
+        clean report forms one weighted sum; cos^2(tc/2) cos^2(tm/2)
+        scaled by 1.001 pushes the bound past TOL_ENERGY, the second sum is
+        formed, and the check raises."""
+        s = _fock_scenario(n_max=84)
+        calls = []
+        original_mix = switchcore._SwitchTerms.mix
+        monkeypatch.setattr(
+            switchcore._SwitchTerms, "mix", lambda t, w: calls.append(w) or original_mix(t, w)
+        )
+        measure_control(s, self.M)
+        assert len(calls) == 1 and s._terms.w12 is not None
+        original = switchcore.measurement_angles
+        monkeypatch.setattr(
+            switchcore, "measurement_angles", lambda c, m: original(c, m)._replace(cc=1.001 * original(c, m).cc)
+        )
+        with pytest.raises(AssertionError, match="projection and expansion numerators disagree"):
+            measure_control(s, self.M)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "field, message",
         [
@@ -658,6 +720,32 @@ class TestCrossChecksFire:
         self._corrupt_terms(monkeypatch, scenario, kernel=wrong)
         with pytest.raises(AssertionError, match=message):
             measure_control(scenario, self.M)
+
+
+class TestMemoryBudget:
+    def test_the_readme_corner_point_forms_only_the_states_it_returns(self):
+        """activation_report and measure_control at |alpha| = 1.5,
+        |z| = 0.8, n_max = 172 (the README sweep's largest point) allocate
+        at most 7 complex d x d arrays at their peak, counted exactly by
+        tracemalloc once the shared probe table is drawn, and leave the
+        dense forms of U1, U2, rho_s and h_s and the d x d terms unbuilt."""
+        s = disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
+            BlochState(math.pi / 2.0, 0.0), n_max=172,
+        )
+        d = s.rho_s.dim
+        switchcore._probes(d)  # the shared probe table, drawn once per size
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            activation_report(s)
+            measure_control(s, BlochState(math.pi / 2.0, math.pi))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 16 * d * d
+        assert not any("mat" in vars(x) for x in (s.u1, s.u2, s.rho_s, s.h_s))
+        assert s._terms.r12 is None and s._terms.r21 is None and s._terms.a12 is None
 
 
 class TestTermCache:

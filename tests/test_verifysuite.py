@@ -164,6 +164,7 @@ class TestSuiteHasTeeth:
             (qmat, "_product_defect_bound"),
             (cvcase, "_phased_defect_bound"),
             (switchcore, "_mixture_psd_unit"),
+            (switchcore, "_mix_error"),
         ],
     )
     def test_understated_certificate_fails_only_switch_algebra(self, monkeypatch, module, name):
