@@ -273,7 +273,6 @@ class _PhasedUnitary(_CertifiedUnitary):
         bound = float(np.max([_phased_defect_bound(r, phi) for r, phi in zip(cores, phis)]))
         mu = max(_phase_modulus_error(phi) for phi in phis)
         object.__setattr__(self, "_cores", tuple(zip(cores, phis)))
-        object.__setattr__(self, "_phase", phase)
         object.__setattr__(self, "dim", sum(r.shape[0] for r in cores))
         object.__setattr__(self, "_defect", bound)
         object.__setattr__(
@@ -283,27 +282,19 @@ class _PhasedUnitary(_CertifiedUnitary):
     @cached_property
     def mat(self) -> np.ndarray:
         step = len(self._cores)
-        u = np.zeros((self.dim, self.dim), dtype=complex) if step > 1 else None
+        u = np.zeros((self.dim, self.dim), dtype=complex)
         for b, (r, phi) in enumerate(self._cores):
-            block = r * np.outer(phi, phi.conj())
-            if u is None:
-                u = block
-            else:
-                u[b::step, b::step] = block
+            u[b::step, b::step] = r * np.outer(phi, phi.conj())
         u.flags.writeable = False
         return u
 
     def _blockwise(self, y: np.ndarray, transpose: bool) -> np.ndarray:
         """U y, or U^T y, for a C-contiguous block y of shape (..., d, k)."""
         step = len(self._cores)
-        out = None if step == 1 else np.empty(y.shape, dtype=complex)
+        out = np.empty(y.shape, dtype=complex)
         for b, (r, phi) in enumerate(self._cores):
             into, back = (phi, phi.conj()) if transpose else (phi.conj(), phi)
-            z = (y if out is None else y[..., b::step, :]) * into[:, None]
-            if out is None:
-                core = ((r.T if transpose else r) @ z.view(float)).view(complex)
-                core *= back[:, None]
-                return core
+            z = y[..., b::step, :] * into[:, None]
             dest = out[..., b::step, :]
             np.matmul(r.T if transpose else r, z.view(float), out=dest.view(float))
             dest *= back[:, None]
@@ -317,9 +308,6 @@ class _PhasedUnitary(_CertifiedUnitary):
 
     def _columns(self, cols) -> np.ndarray:
         step = len(self._cores)
-        if step == 1:
-            r, phi = self._cores[0]
-            return r[:, cols] * np.outer(phi, phi[cols].conj())
         cols = np.arange(self.dim)[cols]
         out = np.zeros((self.dim, cols.size), dtype=complex)
         for b, (r, phi) in enumerate(self._cores):
@@ -332,23 +320,28 @@ class _PhasedUnitary(_CertifiedUnitary):
         """max |(U† a U)[:k, :k] - expected| for the k x k `expected`, with
         a the ladder on U's space, from the real cores.
 
-        Phi = diag(e^{i theta n}) over the levels n, theta = phase / step,
-        so Phi† a Phi = e^{i theta} a and
-        (U† a U)[:k, :k] = e^{i theta} Phi_k (R^T a R)[:k, :k] Phi_k†.  The
-        real block M = (R^T a R)[:k, :k] is compared with `expected`
-        rotated by the same phases, e^{-i theta} Phi_k† expected Phi_k,
-        which keeps every entry's distance.  a has one nonzero per column,
-        a[n-1, n] = sqrt(n), so M = R[:-1, :k]^T diag(sqrt n) R[1:, :k],
-        at k^2 (n_max + 1) real products.
+        With g the stored phases laid out over the levels (g[b::step] is
+        core b's phi), U = diag(g) R diag(g)†, and diag(g)† a diag(g) has
+        one nonzero per column, c_n = sqrt(n) conj(g_{n-1}) g_n at
+        [n - 1, n].  So (U† a U)[:k, :k] = diag(g_k) M diag(g_k)† with
+        M = R[:-1, :k]^T diag(c) R[1:, :k], formed as its transpose in one
+        real product on the float view of diag(c) R[:-1, :k], at
+        2 k^2 (n_max + 1) real products.  M is compared with `expected`
+        rotated by the same phases, diag(g_k)† expected diag(g_k), which
+        keeps every entry's distance.  The phases are the ones `.mat` and
+        the trio use, not exact powers of e^{i phase}, so the guard measures
+        the operator that is applied.
         """
         k, step = expected.shape[0], len(self._cores)
         rk = np.zeros((self.dim, k))
-        for b, (r, _) in enumerate(self._cores):
+        g = np.empty(self.dim, dtype=complex)
+        for b, (r, phi) in enumerate(self._cores):
             rk[b::step, b:k:step] = r[:, : len(range(b, k, step))]
-        m = (rk[:-1].T * np.sqrt(np.arange(1.0, self.dim))) @ rk[1:]
-        turn = np.exp(1j * (self._phase / step) * np.arange(k + 1))
-        rotation = np.outer(turn[1:].conj(), turn[:-1])  # e^{i theta (n - m - 1)}
-        return float(np.max(np.abs(m - expected * rotation)))
+            g[b::step] = phi
+        c = np.sqrt(np.arange(1.0, self.dim)) * (g[1:] * g[:-1].conj())
+        m_t = (rk[1:].T @ (rk[:-1] * c[:, None]).view(float)).view(complex)
+        rotated = np.outer(g[:k].conj(), g[:k]) * expected
+        return float(np.max(np.abs(m_t.T - rotated)))
 
 
 def _phased_unitary(u: _PhasedUnitary) -> UnitaryOperator:
@@ -373,7 +366,8 @@ def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:
     Emits TruncationInadequacyWarning when D† a D deviates from a + alpha
     by more than TOL_CV_UNITARY on the safe subspace, measured on the core.
     """
-    u = _PhasedUnitary((_tridiagonal_core(p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0))),), p.alpha_phase)
+    core = _tridiagonal_core(p.alpha_abs * np.sqrt(np.arange(1.0, n_max + 1.0)))
+    u = _PhasedUnitary((core,), p.alpha_phase)
     # The safe subspace: the lowest n_max/2 levels, at least one.
     k = max(1, n_max // 2)
     defect = u._ladder_block_defect(_ladder_corner(n_max, k) + p.alpha * np.eye(k))

@@ -94,7 +94,7 @@ from .states import BlochState
 TOL_ENERGY = 1e-8
 TOL_NM = 1e-12
 _PROBE_COLUMNS = 16
-_probe_table = np.empty((0, _PROBE_COLUMNS))
+_probe_table = np.empty((0, _PROBE_COLUMNS), dtype=complex)
 
 
 class NearZeroPostSelectionError(RuntimeError):
@@ -209,11 +209,11 @@ class SwitchScenario:
             y *= self.rho_s._weights[:, None]
         else:
             y = self.rho_s.mat @ y
-        w12_y = u2._apply(u1._apply(y))  # U2 U1 Y0 and U2 U1 Y1
-        w21_y1 = u1._apply(u2._apply(y[1]))
-        for term_x, conjugated in zip(self._terms.probe(x), (w12_y[0], w12_y[1], w21_y1)):
-            if np.max(np.abs(term_x - conjugated)) > TOL_ENERGY:
-                raise AssertionError("post-switch expansion disagrees with conjugation path")
+        conjugated = np.empty((3, *x.shape), dtype=complex)
+        conjugated[:2] = u2._apply(u1._apply(y))  # U2 U1 Y0 and U2 U1 Y1
+        conjugated[2] = u1._apply(u2._apply(y[1]))
+        if np.max(np.abs(self._terms.probe(x) - conjugated)) > TOL_ENERGY:
+            raise AssertionError("post-switch expansion disagrees with conjugation path")
 
     @cached_property
     def _post_switch(self) -> DensityMatrix:
@@ -224,38 +224,50 @@ class SwitchScenario:
 def _factored_terms(s: SwitchScenario, p: np.ndarray) -> _SwitchTerms:
     """SwitchScenario._terms of a diagonal rho with weights p >= 0: the
     columns on rho's working-precision support and the scalars read from
-    them, each an O(d |S|) sum against a diagonal h_s."""
+    them (_column_sums)."""
     cols = _support(p)
     w12, w21, defect = _switch_blocks(s.u1, s.u2, cols)
     kept = p[cols]
-    w12_p = w12 * kept  # W diag(p) scales W's columns by p
-    # chi = tr A12 sums A12's diagonal, sum_j (W12 diag p)_ij conj(W21_ij).
-    x = complex((w12_p * w21.conj()).sum(axis=1).sum())
-    if isinstance(s.h_s, _DiagonalHermitian):
-        h = s.h_s._energies
-        h_w12, h_w21, h_diag = w12 * h[:, None], w21 * h[:, None], h
-    else:
-        h_w12, h_w21, h_diag = s.h_s.mat @ w12, s.h_s.mat @ w21, s.h_s.mat.diagonal().real
-    # tr{W_a diag(p) W_b† h} = sum_ij conj(W_b)_ij (h W_a)_ij p_j.
-    e12, e21 = float(np.vdot(w12, h_w12 * kept).real), float(np.vdot(w21, h_w21 * kept).real)
-    e_s, f_s = float(p @ h_diag), complex(np.vdot(w21, h_w12 * kept))
+    x, e12, e21, f_s = _column_sums(w12, w21, kept, s.h_s)
+    diagonal_h = isinstance(s.h_s, _DiagonalHermitian)
+    e_s = float(p @ (s.h_s._energies if diagonal_h else s.h_s.mat.diagonal().real))
     kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
     r_norm = float(kept.max()) * (1.0 + kept.size * defect)
+    v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a[:, S]
     return _SwitchTerms(
         x, e_s, e12, e21, f_s, kernel, _mixture_psd_unit(kept, defect), r_norm,
-        _mix_error(kept.size), w12=w12, w21=w21, p=kept,
+        _mix_error(kept.size), v=v, p=kept,
     )
+
+
+def _column_sums(w12, w21, p, h_s: HermitianOperator) -> tuple[complex, float, float, complex]:
+    """(chi, E12, E21, F_S) from the columns W12, W21 and their weights p,
+    each an O(d |S|) sum against a diagonal h_s: tr{W_a diag(p) W_b† h}
+    = sum_ij conj(W_b)_ij (h W_a)_ij p_j, and chi = tr A12 the same sum
+    with h = 1."""
+    # chi sums A12's diagonal row by row, sum_j (W12 diag p)_ij conj(W21_ij).
+    x = complex((w12 * p * w21.conj()).sum(axis=1).sum())
+    if isinstance(h_s, _DiagonalHermitian):
+        h = h_s._energies[:, None]
+        h_w12, h_w21 = w12 * h, w21 * h
+    else:
+        h_w12, h_w21 = h_s.mat @ w12, h_s.mat @ w21
+    h_w12 *= p
+    h_w21 *= p
+    e12, e21 = float(np.vdot(w12, h_w12).real), float(np.vdot(w21, h_w21).real)
+    return x, e12, e21, complex(np.vdot(w21, h_w12))
 
 
 @dataclass(frozen=True)
 class _SwitchTerms:
     """The d-space terms of one scenario (see the module docstring): the
     blocks T_00 = R12, T_01 = A12, T_10 = A12† and T_11 = R21, held either
-    as the d x d products r12, r21 and a12, or as the kept columns w12,
-    w21 of W12 and W21 with their weights p, T_ab = W_a diag(p) W_b†.  Two
-    methods answer for either form: mix(w), the weighted sum of the
-    blocks, and probe(x), the products T_ab x that the Freivalds probe
-    checks; blocks() forms the dense products for the oracle."""
+    as the d x d products r12, r21 and a12, or as the kept columns
+    v[:, 0] = W12[:, S] and v[:, 1] = W21[:, S] with their weights p,
+    T_ab = W_a diag(p) W_b†.  Two methods answer for either form: mix(w),
+    the weighted sum of the blocks, and probe(x), the products T_ab x that
+    the Freivalds probe checks; blocks() forms the dense products for the
+    oracle."""
 
     chi: complex
     e_s: float
@@ -273,63 +285,63 @@ class _SwitchTerms:
     r12: np.ndarray | None = None
     r21: np.ndarray | None = None
     a12: np.ndarray | None = None
-    w12: np.ndarray | None = None
-    w21: np.ndarray | None = None
+    v: np.ndarray | None = None
     p: np.ndarray | None = None
 
     def mix(self, w: np.ndarray) -> np.ndarray:
         """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array.
 
-        Columns: [w00 W12 + w10 W21 | w01 W12 + w11 W21] diag(p, p)
-        [W12 | W21]†, one product of inner length 2|S|.  Products:
-        _weighted_sum over (w00, R12), (w11, R21), (w01, A12), (w10, A12†)
-        in that order, the last two only when a coherence weight is
-        nonzero."""
-        if self.w12 is None:
+        Columns: [W12 | W21] times the right factor's blocks weighted by w,
+        row block a being sum_b w_ab diag(p) W_b†, one product of inner
+        length 2|S|.  Products: _weighted_sum over (w00, R12), (w11, R21),
+        (w01, A12), (w10, A12†) in that order, the last two only when a
+        coherence weight is nonzero."""
+        if self.v is None:
             pairs = [(w[0, 0], self.r12), (w[1, 1], self.r21)]
             if w[0, 1] != 0 or w[1, 0] != 0:
                 pairs += [(w[0, 1], self.a12), (w[1, 0], np.conjugate(self.a12.T, order="C"))]
             return _weighted_sum(pairs, np.empty_like(self.r12))
-        cols, k = (self.w12, self.w21), self.p.size
-        left = np.empty((self.w12.shape[0], 2 * k), dtype=complex)
-        for b, half in enumerate((left[:, :k], left[:, k:])):
-            # Column b of w: w[b, b] W_b + w[1 - b, b] W_{1-b}, the second
-            # term skipped at 0 (tilde_rho_s's diagonal w); then diag(p).
-            np.multiply(w[b, b], cols[b], out=half)
-            if w[1 - b, b] != 0:
-                half += w[1 - b, b] * cols[1 - b]
-            half *= self.p
-        return left @ self._columns_h
+        d = self.v.shape[0]
+        return self.v.reshape(d, -1) @ (w @ self._right.reshape(2, -1)).reshape(-1, d)
 
-    def probe(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R12 x, A12 x, R21 x); from the columns, W_a (p o (W_b† x))."""
-        if self.w12 is None:
-            return self.r12 @ x, self.a12 @ x, self.r21 @ x
-        g = (self._columns_h @ x).reshape(2, self.p.size, -1)  # W12† x and W21† x
-        g *= self.p[:, None]
-        r12_x, a12_x = self.w12 @ g
-        return r12_x, a12_x, self.w21 @ g[1]
+    def probe(self, x: np.ndarray) -> np.ndarray:
+        """(R12 x, A12 x, R21 x) stacked; from the columns,
+        W_a (p o (W_b† x))."""
+        out = np.empty((3, *x.shape), dtype=complex)
+        if self.v is None:
+            for term, dest in zip((self.r12, self.a12, self.r21), out):
+                np.matmul(term, x, out=dest)
+            return out
+        g = (self._right.reshape(-1, x.shape[0]) @ x).reshape(2, self.p.size, -1)
+        np.matmul(self.v[:, 0], g, out=out[:2])
+        np.matmul(self.v[:, 1], g[1], out=out[2])
+        return out
 
     @cached_property
-    def _columns_h(self) -> np.ndarray:
-        """[W12 | W21]†, the right factor of mix and of the probe."""
-        return np.concatenate((self.w12, self.w21), axis=1).conj().T
+    def _right(self) -> np.ndarray:
+        """diag(p) W_a† for a = 0, 1, shape (2, |S|, d): the right factor
+        of mix and of the probe."""
+        right = np.conjugate(self.v.transpose(1, 2, 0), order="C")
+        right *= self.p[:, None]
+        return right
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dense (R12, R21, A12), formed from the columns on demand."""
-        if self.w12 is None:
+        if self.v is None:
             return self.r12, self.r21, self.a12
-        w12_p, w21_h = self.w12 * self.p, self.w21.conj().T
-        return w12_p @ self.w12.conj().T, (self.w21 * self.p) @ w21_h, w12_p @ w21_h
+        (w12, w21), (h12, h21) = self.v.transpose(1, 0, 2), self._right
+        return w12 @ h12, w21 @ h21, w12 @ h21
 
 
 def _probes(n: int) -> np.ndarray:
     """The first n rows of one read-only, fixed-seed table of +-1 probe
-    columns.  The table is redrawn longer when a larger n is asked for;
-    the draw is prefix-stable, so a row never changes once drawn."""
+    columns, held as complex so that products with the complex operators
+    need no cast.  The table is redrawn longer when a larger n is asked
+    for; the draw is prefix-stable, so a row never changes once drawn."""
     global _probe_table
     if _probe_table.shape[0] < n:
-        _probe_table = np.random.default_rng(0).choice([-1.0, 1.0], size=(n, _PROBE_COLUMNS))
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(n, _PROBE_COLUMNS))
+        _probe_table = signs.astype(complex)
         _probe_table.flags.writeable = False
     return _probe_table[:n]
 
@@ -358,8 +370,8 @@ def _mix_error(k: int) -> float:
     kept columns, divided by a positive n or not.  Each entry of
     fl(mix(w)) is within c sum_ab |w_ab| (|W_a| diag(p) |W_b|^T)_ij of
     sum_ab w_ab W_a diag(p) W_b†: the complex product of inner length 2k
-    is within 2 gamma_{2k+2} (Higham, sec. 3.6), and the complex weights,
-    the sum and the scaling by p in each left block and the division add
+    is within 2 gamma_{2k+2} (Higham, sec. 3.6), and the scaling by p, the
+    complex weights and their sum in each right block and the division add
     less than 2 gamma_6."""
     return 2.0 * _gamma(2 * k + 8)
 
@@ -798,9 +810,9 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     blocks with w = outer(conj(m), m) o rho_c, and checked against the
     expansion by the angle factors f, both on the probe-checked terms:
     mix(f) - mix(w) = sum_ab (f - w)_ab T_ab, so every entry differs by at
-    most r_norm (sum |f - w| + mix_error (sum |f| + sum |w|)), and mix(f) is
-    formed and compared only when that bound exceeds TOL_ENERGY (always
-    for a dense rho, whose terms carry no bound).  n_m and delta_sm must
+    most r_norm (sum |f - w| + 4 mix_error), and mix(f) is formed and
+    compared only when that bound exceeds TOL_ENERGY (always for a dense
+    rho, whose terms carry no bound).  n_m and delta_sm must
     agree with the kernel assemble_sm on the scenario's KernelTerms, whose
     delta_12, delta_21 and delta_f the report carries.  rho_sm is the
     direct numerator divided by n_m, a _CertifiedState with bound
@@ -824,14 +836,14 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     # Expansion path: the kernel's angle factors f on the d-space terms.
     # mix(f) - mix(w) = sum_ab (f - w)_ab T_ab plus both sums' round-off,
     # so every entry is within `gap`, and mix(f) is formed only past
-    # TOL_ENERGY (always for the dense terms, whose r_norm is inf).
+    # TOL_ENERGY (always for the dense terms, whose r_norm is inf).  Both
+    # sum |f| and sum |w| are (|c0 m0| + |c1 m1|)^2 <= 1 (Cauchy-Schwarz)
+    # up to the rounding of a few products, so 4 covers the two.
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
     f = np.array([[a.cc, coh], [coh.conjugate(), a.ss]])
     n_m_closed, bracket = assemble_sm(a, t.kernel)
-    gap = t.r_norm * (
-        float(np.abs(f - w).sum()) + t.mix_error * float(np.abs(f).sum() + np.abs(w).sum())
-    )
+    gap = t.r_norm * (float(np.abs(f - w).sum()) + 4.0 * t.mix_error)
     if not gap <= TOL_ENERGY:
         numerator_exp = t.mix(f)
         if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:

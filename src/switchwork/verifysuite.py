@@ -240,7 +240,7 @@ def _certificate_ratios(s: SwitchScenario, tilde_rho_s: DensityMatrix) -> list[f
     if isinstance(tilde_rho_s, _CertifiedState) and not math.isnan(tilde_rho_s._psd_bound):
         lam_min = float(np.linalg.eigvalsh(tilde_rho_s.mat).min())
         pairs.append((max(0.0, -lam_min), tilde_rho_s._psd_bound))
-    if s._terms.w12 is not None:
+    if s._terms.v is not None:
         pairs.append(_mix_ratio(s, *blocks))
     return [measured / bound for measured, bound in pairs]
 

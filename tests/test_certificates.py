@@ -303,7 +303,7 @@ class TestMixtureCertificate:
         """The diagonal route keeps the columns of W12 and W21 over the
         state's working-precision support S with their weights, and the
         dense blocks it forms for the oracle equal the bits of
-        W[:, S] diag(p_S) W[:, S]†; its kernel is the dense state's full
+        W[:, S] (diag(p_S) W[:, S]†); its kernel is the dense state's full
         products' up to round-off."""
         s = cvcase.disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
@@ -314,15 +314,15 @@ class TestMixtureCertificate:
         cols = switchcore._support(p)
         w12, w21, _ = _switch_blocks(s.u1, s.u2, cols)
         t = s._terms
-        assert t.r12 is None and t.w12.tobytes() == w12.tobytes() and t.w21.tobytes() == w21.tobytes()
+        assert t.r12 is None and t.v[:, 0].tobytes() == w12.tobytes() and t.v[:, 1].tobytes() == w21.tobytes()
         assert t.p.tobytes() == p[cols].tobytes()
         rho = np.diag(p[cols]).astype(complex)
-        products = ((w12 @ rho) @ w12.conj().T, (w21 @ rho) @ w21.conj().T, (w12 @ rho) @ w21.conj().T)
+        products = (w12 @ (rho @ w12.conj().T), w21 @ (rho @ w21.conj().T), w12 @ (rho @ w21.conj().T))
         for block, product in zip(t.blocks(), products):
             assert block.tobytes() == product.tobytes()
         dense = dataclasses.replace(s, rho_s=DensityMatrix(s.rho_s.mat))
         assert np.max(np.abs(np.subtract(t.kernel, dense._terms.kernel))) < 1e-13
-        assert math.isinf(dense._terms.psd_unit) and dense._terms.w12 is None
+        assert math.isinf(dense._terms.psd_unit) and dense._terms.v is None
 
     @pytest.mark.parametrize("fault", ["negative_weight", "negative_control_weight", "large_bound"])
     def test_outside_the_certificate_the_cholesky_decides(self, rng, monkeypatch, fault):

@@ -601,7 +601,7 @@ class TestCrossChecksFire:
         post_switch_state(s)  # probe the clean terms
         bias = np.zeros((s.rho_s.dim, s.rho_s.dim), dtype=complex)
         bias[0, 0], bias[-1, -1] = -1.0, 1.0
-        assert s._terms.w12 is not None
+        assert s._terms.v is not None
         original = switchcore._SwitchTerms.mix
         monkeypatch.setattr(
             switchcore._SwitchTerms, "mix", lambda t, w: original(t, w) + (w[0, 0] + w[1, 1]) * bias
@@ -623,7 +623,8 @@ class TestCrossChecksFire:
         assert abs(s.rho_c.mat[0, 1]) < 1e-16  # sin(pi) / 2 at the south pole
         t = s._terms
         turn = cmath.exp(0.3j)
-        self._corrupt_terms(monkeypatch, s, w21=turn * t.w21, chi=t.chi / turn)
+        turned = np.stack((t.v[:, 0], turn * t.v[:, 1]), axis=1)
+        self._corrupt_terms(monkeypatch, s, v=turned, chi=t.chi / turn)
         assert np.allclose(s._terms.blocks()[1], t.blocks()[1], rtol=0.0, atol=1e-15)
         with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
             activation_report(s)
@@ -637,15 +638,15 @@ class TestCrossChecksFire:
         report."""
         s = _fock_scenario(n_max=84)
         t = s._terms
+        w12, w21 = t.v[:, 0], t.v[:, 1]
         if fault.startswith("entry_"):
-            name = fault.removeprefix("entry_")
-            wrong = getattr(t, name).copy()
-            wrong[0, 0] += 1e-6
-            faulty = {name: wrong}
+            wrong = t.v.copy()
+            wrong[0, ("w12", "w21").index(fault.removeprefix("entry_")), 0] += 1e-6
+            faulty = {"v": wrong}
         else:
             faulty = {
-                "swapped_w12_w21": {"w12": t.w21, "w21": t.w12},
-                "conjugated_w21": {"w21": t.w21.conj()},
+                "swapped_w12_w21": {"v": np.stack((w21, w12), axis=1)},
+                "conjugated_w21": {"v": np.stack((w12, w21.conj()), axis=1)},
                 "scaled_p": {"p": 1.001 * t.p},
             }[fault]
         self._corrupt_terms(monkeypatch, s, **faulty)
@@ -692,7 +693,7 @@ class TestCrossChecksFire:
             switchcore._SwitchTerms, "mix", lambda t, w: calls.append(w) or original_mix(t, w)
         )
         measure_control(s, self.M)
-        assert len(calls) == 1 and s._terms.w12 is not None
+        assert len(calls) == 1 and s._terms.v is not None
         original = switchcore.measurement_angles
         monkeypatch.setattr(
             switchcore, "measurement_angles", lambda c, m: original(c, m)._replace(cc=1.001 * original(c, m).cc)
