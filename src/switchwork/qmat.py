@@ -21,7 +21,11 @@ for what it proves:
   unitaries from the defects each one records;
 - _CertifiedState takes a proved bound on -lambda_min and keeps the
   Hermiticity and trace checks; switchcore proves one for tilde_rho_s and
-  for the post-selected rho_sm, both built from a diagonal state.
+  for the post-selected rho_sm, both built from a diagonal state;
+- _DeferredState, a _CertifiedState, is also settled without its matrix:
+  switchcore proves its Hermiticity and checks its trace on its O(d)
+  diagonal, and `.mat` is formed on first read, when the Hermiticity and
+  trace checks run on it once more.
 
 A bound that does not fit inside its tolerance, or a factor with no
 recorded defect, sends the matrix to the full check, so a certificate can
@@ -170,13 +174,50 @@ class _CertifiedState(DensityMatrix):
             self.__post_init__()
             object.__setattr__(self, "_psd_bound", math.nan)
             return
-        if not np.isfinite(mat).all():
-            raise ValueError("DensityMatrix contains non-finite entries")
-        _check_hermitian_unit_trace(mat)
-        mat.flags.writeable = False
+        _check_finite_hermitian_unit_trace(mat)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dim", mat.shape[0])
         object.__setattr__(self, "_psd_bound", psd_bound)
+
+
+def _check_finite_hermitian_unit_trace(m: np.ndarray) -> None:
+    """DensityMatrix's checks but positivity, on a fresh complex128 m that
+    is then marked read-only."""
+    if not np.isfinite(m).all():
+        raise ValueError("DensityMatrix contains non-finite entries")
+    _check_hermitian_unit_trace(m)
+    m.flags.writeable = False
+
+
+class _DeferredState(_CertifiedState):
+    """_CertifiedState of terms.mix(w) / n whose matrix is formed on first
+    read.
+
+    The caller settles every check without the matrix: psd_bound and
+    herm_bound are proved bounds, within TOL_PSD and TOL_HERM, on
+    -lambda_min and on the max|m - m†| the Hermiticity check would
+    measure, and the trace of `diagonal`, m's diagonal formed on its own
+    route, passed TOL_TRACE with room for the round-off between the two
+    routes.  `.mat` has the bits of terms.mix(w) / n and runs the finite,
+    Hermiticity and trace checks once, when it is formed.  The diagonal is
+    kept read-only as _diagonal, the bounds as _psd_bound and _herm_bound.
+    """
+
+    def __init__(self, terms, w, n, diagonal: np.ndarray, psd_bound: float, herm_bound: float) -> None:
+        diagonal.flags.writeable = False
+        for name, value in (
+            ("_source", (terms, w, n)), ("_diagonal", diagonal), ("dim", diagonal.size),
+            ("_psd_bound", psd_bound), ("_herm_bound", herm_bound),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        terms, w, n = self._source
+        m = terms.mix(w)
+        m /= n
+        _check_finite_hermitian_unit_trace(m)
+        return m
 
 
 @dataclass(frozen=True)

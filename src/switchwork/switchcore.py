@@ -24,6 +24,11 @@ questions for either form (_SwitchTerms): mix(w) = sum_ab w_ab T_ab, one
 product of inner length 2|S| from the columns, which gives tilde_rho_s and
 the post-selected numerator, and the probe products T_ab X.  The dense
 R12, R21 and A12 of a diagonal rho are formed only for post_switch_state.
+The columns also give mix(w)'s diagonal in O(d |S|) (_SwitchTerms.diagonal),
+and against a diagonal h_s the reports read tilde_rho_s and rho_sm on it
+alone: each is returned as a _DeferredState whose Hermiticity is proved
+and whose trace is checked on that diagonal, and whose matrix is formed
+only when a caller reads it (_deferred_state).
 The joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
 T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
 these terms and rho_c.  Before a term is used, a Freivalds probe checks
@@ -37,8 +42,9 @@ post-selected numerators are compared by a bound first, and the second is
 formed only when the bound does not settle it (measure_control).
 tilde_rho_s and rho_sm from a diagonal rho are positive by construction,
 and carry proved bounds instead of a Cholesky (_mixture_psd_unit,
-_post_selected_psd_bound).  A Fock point thus allocates no d x d array
-but the two states its reports return and their checks.
+_post_selected_psd_bound).  Where a bound misses its tolerance (a small
+n_m), a state is formed and checked at once.  A Fock point thus
+allocates no d x d array unless a caller reads a state.
 Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
 conjugation by build_switch_unitary, the oracle of the tests.  A
@@ -76,11 +82,13 @@ from .qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    TOL_HERM,
     TOL_PSD,
     TOL_TRACE,
     TOL_UNITARY,
     _UNIT_ROUNDOFF,
     _CertifiedState,
+    _DeferredState,
     _DiagonalHermitian,
     _DiagonalState,
     _gamma,
@@ -228,7 +236,7 @@ def _factored_terms(s: SwitchScenario, p: np.ndarray) -> _SwitchTerms:
     cols = _support(p)
     w12, w21, defect = _switch_blocks(s.u1, s.u2, cols)
     kept = p[cols]
-    x, e12, e21, f_s = _column_sums(w12, w21, kept, s.h_s)
+    x, e12, e21, f_s, a12_diag = _column_sums(w12, w21, kept, s.h_s)
     diagonal_h = isinstance(s.h_s, _DiagonalHermitian)
     e_s = float(p @ (s.h_s._energies if diagonal_h else s.h_s.mat.diagonal().real))
     kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
@@ -236,17 +244,18 @@ def _factored_terms(s: SwitchScenario, p: np.ndarray) -> _SwitchTerms:
     v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a[:, S]
     return _SwitchTerms(
         x, e_s, e12, e21, f_s, kernel, _mixture_psd_unit(kept, defect), r_norm,
-        _mix_error(kept.size), v=v, p=kept,
+        _mix_error(kept.size), v=v, p=kept, mass=_column_mass(kept, defect), a12_diag=a12_diag,
     )
 
 
-def _column_sums(w12, w21, p, h_s: HermitianOperator) -> tuple[complex, float, float, complex]:
-    """(chi, E12, E21, F_S) from the columns W12, W21 and their weights p,
-    each an O(d |S|) sum against a diagonal h_s: tr{W_a diag(p) W_b† h}
-    = sum_ij conj(W_b)_ij (h W_a)_ij p_j, and chi = tr A12 the same sum
-    with h = 1."""
+def _column_sums(w12, w21, p, h_s: HermitianOperator):
+    """(chi, E12, E21, F_S, diag A12) from the columns W12, W21 and their
+    weights p, each an O(d |S|) sum against a diagonal h_s:
+    tr{W_a diag(p) W_b† h} = sum_ij conj(W_b)_ij (h W_a)_ij p_j, and
+    chi = tr A12 the same sum with h = 1."""
     # chi sums A12's diagonal row by row, sum_j (W12 diag p)_ij conj(W21_ij).
-    x = complex((w12 * p * w21.conj()).sum(axis=1).sum())
+    a12_diag = (w12 * p * w21.conj()).sum(axis=1)
+    x = complex(a12_diag.sum())
     if isinstance(h_s, _DiagonalHermitian):
         h = h_s._energies[:, None]
         h_w12, h_w21 = w12 * h, w21 * h
@@ -255,7 +264,7 @@ def _column_sums(w12, w21, p, h_s: HermitianOperator) -> tuple[complex, float, f
     h_w12 *= p
     h_w21 *= p
     e12, e21 = float(np.vdot(w12, h_w12).real), float(np.vdot(w21, h_w21).real)
-    return x, e12, e21, complex(np.vdot(w21, h_w12))
+    return x, e12, e21, complex(np.vdot(w21, h_w12)), a12_diag
 
 
 @dataclass(frozen=True)
@@ -267,7 +276,8 @@ class _SwitchTerms:
     T_ab = W_a diag(p) W_b†.  Two methods answer for either form: mix(w),
     the weighted sum of the blocks, and probe(x), the products T_ab x that
     the Freivalds probe checks; blocks() forms the dense products for the
-    oracle."""
+    oracle.  The columns also give diagonal(w), mix(w)'s diagonal in
+    O(d |S|)."""
 
     chi: complex
     e_s: float
@@ -277,8 +287,9 @@ class _SwitchTerms:
     kernel: KernelTerms
     # Round-off bound on -lambda_min of fl(mix(w)) per unit sum_ab |w_ab|
     # (_mixture_psd_unit), a bound max p (1 + |S| t) on ||T_ab||_2 and on
-    # every entry of T_ab, and the relative error c of mix (_mix_error);
-    # all three inf for the dense form, which carries no certificate.
+    # every entry of |W_a| diag(p) |W_b|^T, and the relative error c of
+    # mix (_mix_error); all three inf for the dense form, which carries no
+    # certificate.
     psd_unit: float
     r_norm: float
     mix_error: float
@@ -287,6 +298,10 @@ class _SwitchTerms:
     a12: np.ndarray | None = None
     v: np.ndarray | None = None
     p: np.ndarray | None = None
+    # A bound on the trace of |W_a| diag(p) |W_b|^T (_column_mass), and
+    # diag A12 from _column_sums.
+    mass: float = math.inf
+    a12_diag: np.ndarray | None = None
 
     def mix(self, w: np.ndarray) -> np.ndarray:
         """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array.
@@ -305,22 +320,37 @@ class _SwitchTerms:
         return self.v.reshape(d, -1) @ (w @ self._right.reshape(2, -1)).reshape(-1, d)
 
     def probe(self, x: np.ndarray) -> np.ndarray:
-        """(R12 x, A12 x, R21 x) stacked; from the columns,
-        W_a (p o (W_b† x))."""
+        """(R12 x, A12 x, R21 x) stacked for a real x; from the columns,
+        W_a (p o conj(W_b^T x))."""
         out = np.empty((3, *x.shape), dtype=complex)
         if self.v is None:
             for term, dest in zip((self.r12, self.a12, self.r21), out):
                 np.matmul(term, x, out=dest)
             return out
-        g = (self._right.reshape(-1, x.shape[0]) @ x).reshape(2, self.p.size, -1)
+        d, k = self.v.shape[0], self.p.size
+        g = np.conjugate(self.v.reshape(d, -1).T @ x).reshape(2, k, -1)
+        g *= self.p[:, None]
         np.matmul(self.v[:, 0], g, out=out[:2])
         np.matmul(self.v[:, 1], g[1], out=out[2])
         return out
 
+    def diagonal(self, w: np.ndarray) -> np.ndarray:
+        """The diagonal of mix(w) from the columns, sum_ab w_ab diag T_ab,
+        in a fresh array."""
+        return w.reshape(-1) @ self._diagonals
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """diag T_ab for ab = 00, 01, 10, 11, shape (4, d): the row sums
+        sum_j |W_a[i, j]|^2 p_j of R12 and R21, and A12's from
+        _column_sums."""
+        r = (self.v.real**2 + self.v.imag**2) @ self.p
+        return np.array([r[:, 0], self.a12_diag, self.a12_diag.conj(), r[:, 1]])
+
     @cached_property
     def _right(self) -> np.ndarray:
         """diag(p) W_a† for a = 0, 1, shape (2, |S|, d): the right factor
-        of mix and of the probe."""
+        of mix."""
         right = np.conjugate(self.v.transpose(1, 2, 0), order="C")
         right *= self.p[:, None]
         return right
@@ -388,16 +418,21 @@ def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
     most c sum_ab |w_ab| (S_ab)_ij with S_ab = |W_a| diag(p) |W_b|^T
     (_mix_error), and
     ||S_ab||_F <= || |W_a| diag(sqrt p) ||_F || |W_b| diag(sqrt p) ||_F
-    <= (1 + t) sum p, as each column of W has squared norm <= 1 + t; the
-    computed sum of p is within gamma_k.  The Cholesky reads the Hermitian
+    <= (1 + t) sum p (_column_mass).  The Cholesky reads the Hermitian
     matrix of the lower triangle, whose error is at most sqrt 2 times as
     large in Frobenius norm, and by Weyl's inequality that norm bounds how
     far lambda_min can fall below 0.  tilde_rho_s is the case
     w = diag(rc00, rc11), n = 1.
     """
-    k = p.size
-    mass = float(p.sum()) / (1.0 - _gamma(k))
-    return math.sqrt(2.0) * _mix_error(k) * (1.0 + w_defect) * mass
+    return math.sqrt(2.0) * _mix_error(p.size) * _column_mass(p, w_defect)
+
+
+def _column_mass(p: np.ndarray, w_defect: float) -> float:
+    """(1 + t) sum p, computed upward: a bound on ||S_ab||_F and on
+    tr S_ab for S_ab = |W_a| diag(p) |W_b|^T, as each column of W has
+    squared norm <= 1 + t (tr S_ab = sum_j p_j |W_a[:, j]| . |W_b[:, j]|);
+    the computed sum of p is within gamma_k."""
+    return (1.0 + w_defect) * float(p.sum()) / (1.0 - _gamma(p.size))
 
 
 def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray, d: int) -> float:
@@ -426,11 +461,74 @@ def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray, d: int) -> float:
         return math.inf
     w01, w10 = complex(w[0, 1]), complex(w[1, 0])
     a, b, z = float(w[0, 0].real), float(w[1, 1].real), 0.5 * (w01 + w10.conjugate())
-    skew = abs(w[0, 0].imag) + abs(w[1, 1].imag) + abs(w01 - w10.conjugate())
     lam_min = 0.5 * (a + b) - math.hypot(0.5 * (a - b), abs(z))
     eps = max(0.0, -lam_min) + _gamma(8) * (abs(a) + abs(b) + abs(z))
-    spread = 2.0 * eps + math.sqrt(2.0 * d) * skew
+    spread = 2.0 * eps + math.sqrt(2.0 * d) * _skew(w)
     return spread * t.r_norm + t.psd_unit * float(np.abs(w).sum())
+
+
+def _skew(w: np.ndarray) -> float:
+    """sum_ab |(w_A)_ab| for w_A = (w - w†) / 2, w's anti-Hermitian part."""
+    return abs(w[0, 0].imag) + abs(w[1, 1].imag) + abs(w[0, 1] - w[1, 0].conjugate())
+
+
+def _hermitian_bound(t: _SwitchTerms, w: np.ndarray, n: float) -> float:
+    """Bound on the max|m - m†| that the Hermiticity check measures on
+    m = fl(t.mix(w)) / n, n > 0, for terms kept as columns.
+
+    Each entry of m is within c sum_ab |w_ab| (S_ab)_ij / n of
+    X / n, X = sum_ab w_ab T_ab and S_ab = |W_a| diag(p) |W_b|^T
+    (_mix_error), and every entry of S_ab is at most r_norm.  Exactly,
+    X - X† = 2 sum_ab (w_A)_ab T_ab with w_A w's anti-Hermitian part, whose
+    entries are at most 2 skew r_norm (_skew).  So every entry of m - m†
+    is at most 2 (c sum |w| + skew) r_norm / n; gamma_8 covers the check's
+    subtraction and modulus and this bound's own rounding.  The Higham
+    model is the one _mixture_psd_unit uses (sec. 3.6)."""
+    bound = 2.0 * (t.mix_error * float(np.abs(w).sum()) + _skew(w)) * t.r_norm / n
+    return bound * (1.0 + _gamma(8))
+
+
+def _deferred_state(t: _SwitchTerms, w: np.ndarray, diag: np.ndarray, n: float, psd_bound: float):
+    """t.mix(w) / n as a _DeferredState, settled on diag = t.diagonal(w),
+    or None where a check cannot be settled that way and the caller forms
+    the matrix and checks it in full.
+
+    psd_bound bounds -lambda_min of fl(t.mix(w)); divided by n it must be
+    within TOL_PSD, and _hermitian_bound within TOL_HERM.  The trace is
+    read from diag / n.  diag and the formed matrix's diagonal are each
+    within c sum_ab |w_ab| (S_ab)_ii / n of the exact one (_mix_error;
+    the diagonal route, row sums of length |S| weighted by one complex
+    product of length 4, is within 2 gamma_{|S|+8} <= c), and
+    sum_i (S_ab)_ii <= mass, so their traces differ by at most
+    2 c sum |w| mass / n, plus gamma_d (1 + c) sum |w| mass / n for each
+    of the two sums; the trace must pass TOL_TRACE with that room, so the
+    matrix passes the trace check when it is formed.  The state keeps
+    diag / n, which the reports read its energy from (_state_energy).
+    """
+    if not n > 0.0:
+        return None
+    diag = diag / n
+    psd_bound /= n
+    c, d, w_abs = t.mix_error, diag.size, float(np.abs(w).sum())
+    room = 2.0 * (c + _gamma(d) * (1.0 + c)) * w_abs * t.mass / n * (1.0 + _gamma(8))
+    herm_bound = _hermitian_bound(t, w, n)
+    trace = complex(diag.sum())
+    if (
+        psd_bound <= TOL_PSD
+        and herm_bound <= TOL_HERM
+        and abs(trace.real - 1.0) + room <= TOL_TRACE
+        and abs(trace.imag) + room <= TOL_TRACE
+    ):
+        return _DeferredState(t, w, n, diag, psd_bound, herm_bound)
+    return None
+
+
+def _state_energy(rho: DensityMatrix, h: HermitianOperator) -> float:
+    """Re tr{rho h}; a _DeferredState, made only against a diagonal h,
+    reads its diagonal."""
+    if isinstance(rho, _DeferredState):
+        return float((rho._diagonal @ h._energies).real)
+    return _energy(rho.mat, h).real
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
@@ -741,7 +839,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 
     tilde_s, tilde_c = _tilde_states(s, x)
-    e_tilde_s = _energy(tilde_s.mat, s.h_s).real
+    e_tilde_s = _state_energy(tilde_s, s.h_s)
     e_tilde_c = _tr(tilde_c.mat, h_c).real
     if abs(e_tilde_s + e_tilde_c - e_out_direct) > TOL_ENERGY:
         raise AssertionError("mixed-state split disagrees with the direct route")
@@ -778,26 +876,30 @@ def _joint_energy(t: _SwitchTerms, rho_c: np.ndarray, h_c: np.ndarray) -> float:
 def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, DensityMatrix]:
     """Dephasing mixtures whose local energies sum to the post-switch energy.
 
-    tilde_rho_s = rc00 U2U1 rho U1†U2† + rc11 U1U2 rho U2†U1†;
+    tilde_rho_s = rc00 U2U1 rho U1†U2† + rc11 U1U2 rho U2†U1†, a
+    _DeferredState where its checks settle on its diagonal (terms kept as
+    columns, a diagonal h_s; _deferred_state), else formed now;
     tilde_rho_c mixes diag(1, ±e^{-i arg chi}) conjugations with convex
     weights (1 ± |chi|)/2, which leaves the diagonal alone and rescales the
-    coherence by chi.
+    coherence by chi: [[rc00, chi rc01], [conj(chi) rc10, rc11]].
     """
     rho_c = s.rho_c.mat
     t = s._terms
     rc00, rc11 = np.real(rho_c[0, 0]), np.real(rho_c[1, 1])
-    tilde_s = t.mix(np.array([[rc00, 0.0], [0.0, rc11]]))
+    w = np.array([[rc00, 0.0], [0.0, rc11]])
     # Positivity is proved, not factored, for a diagonal rho (see
     # _mixture_psd_unit); a negative weight sends tilde_s to the Cholesky.
-    psd_bound = (rc00 + rc11) * t.psd_unit if min(rc00, rc11) >= 0.0 else math.inf
+    psd_bound = float((rc00 + rc11) * t.psd_unit) if min(rc00, rc11) >= 0.0 else math.inf
+    tilde_s = None
+    if t.v is not None and isinstance(s.h_s, _DiagonalHermitian):
+        tilde_s = _deferred_state(t, w, t.diagonal(w), 1.0, psd_bound)
+    if tilde_s is None:
+        tilde_s = _CertifiedState(t.mix(w), psd_bound)
 
-    phi = cmath.phase(x) if x != 0 else 0.0
-    mag = abs(x)
-    u_plus = np.diag([1.0, cmath.exp(-1j * phi)])
-    u_minus = np.diag([1.0, -cmath.exp(-1j * phi)])
-    tilde_c = 0.5 * (1.0 + mag) * (u_plus @ rho_c @ u_plus.conj().T)
-    tilde_c += 0.5 * (1.0 - mag) * (u_minus @ rho_c @ u_minus.conj().T)
-    return _CertifiedState(tilde_s, float(psd_bound)), DensityMatrix(tilde_c)
+    tilde_c = np.array(rho_c)
+    tilde_c[0, 1] *= x
+    tilde_c[1, 0] *= x.conjugate()
+    return tilde_s, DensityMatrix(tilde_c)
 
 
 def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
@@ -810,17 +912,21 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     blocks with w = outer(conj(m), m) o rho_c, and checked against the
     expansion by the angle factors f, both on the probe-checked terms:
     mix(f) - mix(w) = sum_ab (f - w)_ab T_ab, so every entry differs by at
-    most r_norm (sum |f - w| + 4 mix_error), and mix(f) is formed and
-    compared only when that bound exceeds TOL_ENERGY (always for a dense
-    rho, whose terms carry no bound).  n_m and delta_sm must
+    most r_norm (sum |f - w| + 4 mix_error), and the numerators are formed
+    and compared only when that bound exceeds TOL_ENERGY (always for a
+    dense rho, whose terms carry no bound).  n_m and delta_sm must
     agree with the kernel assemble_sm on the scenario's KernelTerms, whose
     delta_12, delta_21 and delta_f the report carries.  rho_sm is the
-    direct numerator divided by n_m, a _CertifiedState with bound
+    direct numerator divided by n_m, with bound
     _post_selected_psd_bound / n_m: w is PSD by the Schur product theorem,
-    so the numerator is PSD up to round-off.  Where that bound exceeds
-    TOL_PSD (a small n_m, or a dense rho, whose terms carry no
-    certificate) the Cholesky decides.  Against a _DiagonalHermitian H_S,
-    e_sm must lie within tau of [min h, max h] (_spectrum_slack).
+    so the numerator is PSD up to round-off.  For terms kept as columns
+    against a diagonal H_S, rho_sm is a _DeferredState read on its
+    diagonal, n_m its real trace, where its checks settle there
+    (_deferred_state).  Otherwise (the bound past TOL_ENERGY, a small n_m,
+    a dense rho or H_S) the numerator is formed, n_m is its real trace,
+    and rho_sm is a _CertifiedState, whose Cholesky runs where the bound
+    exceeds TOL_PSD.  Against a _DiagonalHermitian H_S, e_sm must lie
+    within tau of [min h, max h] (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
@@ -830,34 +936,42 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
     w = np.outer(ket_m.conj(), ket_m) * s.rho_c.mat
-    numerator = t.mix(w)
-    n_m_direct = float(np.real(np.trace(numerator)))
 
     # Expansion path: the kernel's angle factors f on the d-space terms.
     # mix(f) - mix(w) = sum_ab (f - w)_ab T_ab plus both sums' round-off,
-    # so every entry is within `gap`, and mix(f) is formed only past
-    # TOL_ENERGY (always for the dense terms, whose r_norm is inf).  Both
-    # sum |f| and sum |w| are (|c0 m0| + |c1 m1|)^2 <= 1 (Cauchy-Schwarz)
-    # up to the rounding of a few products, so 4 covers the two.
+    # so every entry is within `gap`, and the numerators are formed and
+    # compared only past TOL_ENERGY (always for the dense terms, whose
+    # r_norm is inf).  Both sum |f| and sum |w| are
+    # (|c0 m0| + |c1 m1|)^2 <= 1 (Cauchy-Schwarz) up to the rounding of a
+    # few products, so 4 covers the two.
     a = measurement_angles(s.control, m)
     coh = 0.5 * a.half_sin_cm * a.e_psi
     f = np.array([[a.cc, coh], [coh.conjugate(), a.ss]])
     n_m_closed, bracket = assemble_sm(a, t.kernel)
     gap = t.r_norm * (float(np.abs(f - w).sum()) + 4.0 * t.mix_error)
-    if not gap <= TOL_ENERGY:
-        numerator_exp = t.mix(f)
-        if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
-            raise AssertionError("projection and expansion numerators disagree")
+    psd_bound = _post_selected_psd_bound(t, w, s.rho_s.dim)
+    rho_sm = None
+    if gap <= TOL_ENERGY and isinstance(s.h_s, _DiagonalHermitian):
+        diag = t.diagonal(w)
+        n_m_direct = float(diag.sum().real)
+        rho_sm = _deferred_state(t, w, diag, n_m_direct, psd_bound)
+    if rho_sm is None:
+        numerator = t.mix(w)
+        n_m_direct = float(np.real(np.trace(numerator)))
+        if not gap <= TOL_ENERGY:
+            numerator_exp = t.mix(f)
+            if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
+                raise AssertionError("projection and expansion numerators disagree")
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
         raise AssertionError("post-selection probability routes disagree")
 
     if post_selection_vanishes(n_m_direct):
         raise NearZeroPostSelectionError(n_m_direct)
 
-    numerator /= n_m_direct
-    bound = _post_selected_psd_bound(t, w, s.rho_s.dim) / n_m_direct
-    rho_sm = _CertifiedState(numerator, bound)
-    e_sm = _energy(rho_sm.mat, s.h_s).real
+    if rho_sm is None:
+        numerator /= n_m_direct
+        rho_sm = _CertifiedState(numerator, psd_bound / n_m_direct)
+    e_sm = _state_energy(rho_sm, s.h_s)
     if isinstance(s.h_s, _DiagonalHermitian):
         h = s.h_s._energies
         slack = _spectrum_slack(h, rho_sm)

@@ -60,8 +60,10 @@ from .qmat import (
     _UNIT_ROUNDOFF,
     _CertifiedState,
     _CertifiedUnitary,
+    _DeferredState,
     _gamma,
     _gram_defect,
+    _hermitian_defect,
 )
 from .qubitcase import (
     minimize_delta_qs_u2,
@@ -202,21 +204,24 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
     """|chi| <= 1 and delta_qs = delta_s + delta_c, and an audit of the
     certificates that stand in for full checks, on 25 random qubit
     scenarios and one disp_squeeze scenario at n_max = 172 (which draws
-    nothing from `rng`).  Each proved bound must be at least the dense
-    defect it replaces (see _certificate_ratios).  The switch unitary's
-    kron formula and its block defect are pinned by the switchcore tests."""
-    scenarios = [_random_generic_scenario(rng) for _ in range(25)] + [
-        _fock_scenario(
-            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
-            BlochState(math.pi / 2.0, 0.0), 172,
-        )
-    ]
+    nothing from `rng`), whose post-selected rho_sm is audited too.  Each
+    proved bound must be at least the dense defect it replaces (see
+    _certificate_ratios).  The switch unitary's kron formula and its block
+    defect are pinned by the switchcore tests."""
+    fock = _fock_scenario(
+        1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
+        BlochState(math.pi / 2.0, 0.0), 172,
+    )
+    scenarios = [_random_generic_scenario(rng) for _ in range(25)] + [fock]
     worst, ratios = 0.0, []
     for s in scenarios:
         report = activation_report(s)
         worst = max(worst, abs(report.chi) - 1.0)
         worst = max(worst, abs(report.delta_qs - (report.delta_s + report.delta_c)))
-        ratios += _certificate_ratios(s, report.tilde_rho_s)
+        states = [report.tilde_rho_s]
+        if s is fock:
+            states.append(measure_control(s, BlochState(math.pi / 2.0, math.pi)).rho_sm)
+        ratios += _certificate_ratios(s, *states)
     ratio = max(ratios)
     return worst <= 1e-9 and ratio <= 1.0, (
         f"26 scenarios, worst algebra defect {worst:.2e}, "
@@ -224,22 +229,25 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
     )
 
 
-def _certificate_ratios(s: SwitchScenario, tilde_rho_s: DensityMatrix) -> list[float]:
+def _certificate_ratios(s: SwitchScenario, *states: DensityMatrix) -> list[float]:
     """Measured defect over proved bound for each certificate of one
     scenario: the Gram defect of every certified unitary among U1, U2, W12
     and W21 (a Fock operator's dense form against its cores' bound),
-    -lambda_min of a tilde_rho_s whose positivity was proved, and, for
-    terms kept as columns, mix(w) against the dense conjugation
-    (_mix_ratio).  A ratio above 1 is a bound that does not hold."""
+    -lambda_min of each state whose positivity was proved, max|m - m†| of
+    each _DeferredState (whose `.mat` is formed here), and, for terms kept
+    as columns, mix(w) against the dense conjugation (_mix_ratio).  A
+    ratio above 1 is a bound that does not hold."""
     blocks = _switch_blocks(s.u1, s.u2)
     pairs = [
         (_gram_defect(u.mat), u._defect)
         for u in (s.u1, s.u2, *blocks)
         if isinstance(u, _CertifiedUnitary)
     ]
-    if isinstance(tilde_rho_s, _CertifiedState) and not math.isnan(tilde_rho_s._psd_bound):
-        lam_min = float(np.linalg.eigvalsh(tilde_rho_s.mat).min())
-        pairs.append((max(0.0, -lam_min), tilde_rho_s._psd_bound))
+    for rho in states:
+        if isinstance(rho, _CertifiedState) and not math.isnan(rho._psd_bound):
+            pairs.append((max(0.0, -float(np.linalg.eigvalsh(rho.mat).min())), rho._psd_bound))
+        if isinstance(rho, _DeferredState):
+            pairs.append((_hermitian_defect(rho.mat), rho._herm_bound))
     if s._terms.v is not None:
         pairs.append(_mix_ratio(s, *blocks))
     return [measured / bound for measured, bound in pairs]

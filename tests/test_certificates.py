@@ -566,3 +566,107 @@ class TestPostSelectedCertificate:
                 runs.append((scenario is s, bound <= TOL_PSD))
         assert (True, True) in runs and (True, False) in runs  # both sides of the floor
         assert all(not certified for thermal, certified in runs if not thermal)
+
+
+def _readme_point(alpha: float, z: float, n_max: int | None = None) -> SwitchScenario:
+    """A README-sweep point: control on the equator at phi = 0."""
+    return cvcase.disp_squeeze_scenario(
+        1.0, 1.0, 0.5, 0.0, DisplacementParams(alpha, 0.9), SqueezeParams(z, 0.4),
+        BlochState(math.pi / 2.0, 0.0), n_max=n_max,
+    )
+
+
+class TestDeferredStates:
+    """Terms kept as columns against a diagonal H_S: tilde_rho_s and rho_sm
+    are settled on their O(d) diagonals and formed only when read; where
+    a bound misses its tolerance they are formed and checked at once."""
+
+    M = BlochState(1.0, 0.4)
+
+    def _states(self, s: SwitchScenario):
+        """(state, w, n) of tilde_rho_s and rho_sm, as the reports weigh them."""
+        rc = s.rho_c.mat
+        tilde = activation_report(s).tilde_rho_s
+        report, w = _post_selection(s, self.M)
+        return [(tilde, np.array([[rc[0, 0].real, 0.0], [0.0, rc[1, 1].real]]), 1.0), (report.rho_sm, w, report.n_m)]
+
+    def test_reports_form_neither_state(self):
+        """The probe reads the columns, so even mix's right factor stays
+        unbuilt."""
+        s = _readme_point(1.0, 0.5, n_max=84)
+        for rho, _, _ in self._states(s):
+            assert isinstance(rho, qmat._DeferredState) and "mat" not in vars(rho)
+        assert "_right" not in vars(s._terms)
+
+    def test_mat_is_the_weighted_sum_over_n_bit_for_bit(self):
+        s = _readme_point(1.0, 0.5, n_max=84)
+        for rho, w, n in self._states(s):
+            expected = s._terms.mix(w)
+            expected /= n
+            assert np.array_equal(rho.mat, expected) and rho.mat is rho.mat
+            assert not rho.mat.flags.writeable
+            DensityMatrix(rho.mat)  # the full check accepts it
+            assert _psd_defect(rho) <= rho._psd_bound <= TOL_PSD
+            assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound <= qmat.TOL_HERM
+            assert np.max(np.abs(rho.mat.diagonal() - rho._diagonal)) <= rho._herm_bound
+
+    def test_the_formed_matrix_is_checked(self, monkeypatch):
+        """The checks run again when `.mat` is formed: a weighted sum that
+        turned non-Hermitian after the reports settled raises then."""
+        s = _readme_point(1.0, 0.5, n_max=40)
+        states = self._states(s)
+        original = switchcore._SwitchTerms.mix
+
+        def skewed(t, w):
+            out = original(t, w)
+            out[0, 1] += 1e-9
+            return out
+
+        monkeypatch.setattr(switchcore._SwitchTerms, "mix", skewed)
+        for rho, _, _ in states:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                rho.mat
+
+    @pytest.mark.parametrize("missed", ["psd", "hermitian", "trace"])
+    def test_a_bound_past_its_tolerance_forms_the_state_at_once(self, monkeypatch, missed):
+        s = _readme_point(1.0, 0.5, n_max=40)
+        clean = (activation_report(s), measure_control(s, self.M))
+        s = _readme_point(1.0, 0.5, n_max=40)
+        if missed == "psd":
+            monkeypatch.setattr(switchcore, "_mixture_psd_unit", lambda p, w: 2.0 * TOL_PSD)
+        elif missed == "hermitian":
+            monkeypatch.setattr(switchcore, "_hermitian_bound", lambda t, w, n: 2.0 * qmat.TOL_HERM)
+        else:  # an imaginary trace of 1e-9 / n
+            original = switchcore._SwitchTerms.diagonal
+            monkeypatch.setattr(
+                switchcore._SwitchTerms, "diagonal", lambda t, w: original(t, w) + 1e-9j / t.v.shape[0]
+            )
+        reports = (activation_report(s), measure_control(s, self.M))
+        for rho in (reports[0].tilde_rho_s, reports[1].rho_sm):
+            assert isinstance(rho, _CertifiedState) and not isinstance(rho, qmat._DeferredState)
+            assert "mat" in vars(rho)
+        for report, reference in zip(reports, clean):
+            for name in ("delta_s", "delta_c", "delta_qs") if report is reports[0] else ("n_m", "delta_sm"):
+                assert abs(getattr(report, name) - getattr(reference, name)) <= 1e-12, name
+
+    @_QUIET
+    def test_small_n_m_takes_the_eager_path(self):
+        """A Fock point with n_m near 1e-6, where neither the Hermiticity
+        nor the positivity bound over n_m is within its tolerance, and the
+        near-antipodal U(2) optimum of the qubit tests, whose dense H_S
+        holds no diagonal to read."""
+        s = _readme_point(0.04, 0.04)
+        report, w = _post_selection(s, BlochState(math.pi / 2.0, math.pi))
+        assert 3e-7 < report.n_m < 3e-6
+        assert switchcore._hermitian_bound(s._terms, w, report.n_m) > qmat.TOL_HERM
+        assert switchcore._post_selected_psd_bound(s._terms, w, s.rho_s.dim) / report.n_m > TOL_PSD
+        assert not isinstance(report.rho_sm, qmat._DeferredState) and "mat" in vars(report.rho_sm)
+        assert isinstance(activation_report(s).tilde_rho_s, qmat._DeferredState)
+
+        from switchwork.qubitcase import minimize_delta_sm_u2, qubit_scenario, u2_unitary
+
+        c, m = BlochState(0.3, 0.0), BlochState(math.pi - 0.3, math.pi)
+        res = minimize_delta_sm_u2(1.0, 1.0, c, m, budget=2000, seed=1)
+        s = qubit_scenario(1.0, 1.0, 0.0, 0.0, *map(u2_unitary, res.params), c)
+        for rho in (activation_report(s).tilde_rho_s, measure_control(s, m).rho_sm):
+            assert not isinstance(rho, qmat._DeferredState) and "mat" in vars(rho)

@@ -1,8 +1,10 @@
 """Config grammar (parse/serialize/grid) and the batch CLI front-end."""
 from __future__ import annotations
 
+import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -350,6 +352,43 @@ class TestSweepCommand:
             ("delta_c[energy]", rep.delta_c),
         ]:
             assert cells[header.index(name)] == format_cell(value)
+
+    def test_readme_sweep_matches_the_closed_forms(self, capsys, tmp_path):
+        """The README's example config, 279 disp_squeeze points at the
+        calibrated cutoffs: chi, delta_qs, n_m and delta_sm within 1e-7 of
+        the cvcase closed forms (calibrated_cutoff's promise), the split
+        delta_qs = delta_s + delta_c within 1e-9, and the divergent flag
+        exactly where the closed-form n_m is at or below TOL_NM."""
+        from switchwork import cvcase
+        from switchwork.switchcore import TOL_NM
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"^```ini\n(kind = fock\nfamily = disp_squeeze\n.*?)^```$", readme, re.M | re.S)
+        code, out = self._run(capsys, tmp_path, text)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 31 * 9
+        divergent = 0
+        for row in rows:
+            p = {name.split("[")[0]: float(value) for name, value in row.items() if value and "flag" not in name}
+            omega, beta = p["omega"], p["beta"]
+            a = cvcase.DisplacementParams(p["alpha_abs"], p["alpha_phase"])
+            z = cvcase.SqueezeParams(p["z_abs"], p["z_phase"])
+            c, m = BlochState(p["control_theta"], p["control_phi"]), BlochState(p["measure_theta"], p["measure_phi"])
+            chi = complex(p["chi_re"], p["chi_im"])
+            assert abs(chi - cvcase.chi_disp_squeeze(a, z, beta, omega)) <= 1e-7
+            dqs = cvcase.delta_qs_disp_squeeze(omega, beta, p["t_abs"], p["t_phase"], a, z, c)
+            assert abs(p["delta_qs"] - dqs) <= 1e-7
+            assert abs(p["delta_qs"] - (p["delta_s"] + p["delta_c"])) <= 1e-9
+            n_m = cvcase.n_m_disp_squeeze(omega, beta, a, z, c, m)
+            assert abs(p["n_m"] - n_m) <= 1e-7
+            assert row["divergent[flag]"] == str(int(n_m <= TOL_NM))
+            if n_m <= TOL_NM:
+                divergent += 1
+                assert row["delta_sm[energy]"] == ""
+                continue
+            assert abs(p["delta_sm"] - cvcase.delta_sm_disp_squeeze(omega, beta, a, z, c, m)) <= 1e-7
+        assert divergent == 39
 
     def test_measured_sweep_has_condition_columns(self, capsys, tmp_path):
         text = ROTATIONS_TEXT + "measure_theta = 1.0\nmeasure_phi = 2.0\n"

@@ -500,6 +500,19 @@ class TestCrossChecksFire:
         with pytest.raises(AssertionError, match="mixed-state split disagrees"):
             activation_report(scenario)
 
+    def test_mixed_split_on_the_diagonal_route(self, monkeypatch):
+        """A thermal state's tilde_rho_s is read on its diagonal; that
+        diagonal weighted with rc11 on R12 and rc00 on R21 moves its
+        energy, and the split no longer matches the joint energy."""
+        s = disp_squeeze_scenario(
+            1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
+            BlochState(1.1, 0.6), n_max=40,
+        )
+        original = switchcore._SwitchTerms.diagonal
+        monkeypatch.setattr(switchcore._SwitchTerms, "diagonal", lambda t, w: original(t, w[::-1, ::-1]))
+        with pytest.raises(AssertionError, match="mixed-state split disagrees"):
+            activation_report(s)
+
     def test_delta_c_closed_form(self, scenario, monkeypatch):
         original = switchcore._tilde_states
 
@@ -590,21 +603,21 @@ class TestCrossChecksFire:
                 call()
 
     def test_post_selected_energy_stays_in_the_spectrum(self, monkeypatch):
-        """A weighted sum biased by (w00 + w11) (|n_max><n_max| - |0><0|),
+        """A weighted diagonal biased by (w00 + w11) (|n_max><n_max| - |0><0|),
         as R12 and R21 biased by that matrix would give, keeps its trace,
-        both numerator routes and n_m, and its certified rho_sm skips the
-        Cholesky; only the spectrum bound on e_sm is left to stop it, before
-        the energy routes are compared.  A thermal state's terms are kept as
-        columns, whose every weighted sum is PSD, so the bias goes into
-        mix itself."""
+        n_m and the bounds that settle rho_sm on its diagonal; only the
+        spectrum bound on e_sm is left to stop it, before the energy routes
+        are compared.  A thermal state's terms are kept as columns, whose
+        every weighted sum is PSD, and rho_sm is read on the diagonal route,
+        so the bias goes into that route."""
         s = _fock_scenario(n_max=40)
         post_switch_state(s)  # probe the clean terms
-        bias = np.zeros((s.rho_s.dim, s.rho_s.dim), dtype=complex)
-        bias[0, 0], bias[-1, -1] = -1.0, 1.0
+        bias = np.zeros(s.rho_s.dim)
+        bias[0], bias[-1] = -1.0, 1.0
         assert s._terms.v is not None
-        original = switchcore._SwitchTerms.mix
+        original = switchcore._SwitchTerms.diagonal
         monkeypatch.setattr(
-            switchcore._SwitchTerms, "mix", lambda t, w: original(t, w) + (w[0, 0] + w[1, 1]) * bias
+            switchcore._SwitchTerms, "diagonal", lambda t, w: original(t, w) + (w[0, 0] + w[1, 1]) * bias
         )
         with pytest.raises(AssertionError, match="post-selected energy lies outside the spectrum"):
             measure_control(s, BlochState(math.pi / 2.0, math.pi))
@@ -681,11 +694,11 @@ class TestCrossChecksFire:
             measure_control(scenario, self.M)
 
     def test_angle_factor_fault_reaches_the_second_numerator_on_a_fock_scenario(self, monkeypatch):
-        """Terms kept as columns: the expansion numerator is formed only
-        when the bound on its gap to the projection exceeds TOL_ENERGY.  A
-        clean report forms one weighted sum; cos^2(tc/2) cos^2(tm/2)
-        scaled by 1.001 pushes the bound past TOL_ENERGY, the second sum is
-        formed, and the check raises."""
+        """Terms kept as columns: the numerators are formed only when the
+        bound on their gap exceeds TOL_ENERGY.  A clean report forms no
+        weighted sum (rho_sm is read on its diagonal); cos^2(tc/2)
+        cos^2(tm/2) scaled by 1.001 pushes the bound past TOL_ENERGY, both
+        sums are formed, and the check raises."""
         s = _fock_scenario(n_max=84)
         calls = []
         original_mix = switchcore._SwitchTerms.mix
@@ -693,14 +706,14 @@ class TestCrossChecksFire:
             switchcore._SwitchTerms, "mix", lambda t, w: calls.append(w) or original_mix(t, w)
         )
         measure_control(s, self.M)
-        assert len(calls) == 1 and s._terms.v is not None
+        assert len(calls) == 0 and s._terms.v is not None
         original = switchcore.measurement_angles
         monkeypatch.setattr(
             switchcore, "measurement_angles", lambda c, m: original(c, m)._replace(cc=1.001 * original(c, m).cc)
         )
         with pytest.raises(AssertionError, match="projection and expansion numerators disagree"):
             measure_control(s, self.M)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "field, message",
@@ -727,9 +740,10 @@ class TestMemoryBudget:
     def test_the_readme_corner_point_forms_only_the_states_it_returns(self):
         """activation_report and measure_control at |alpha| = 1.5,
         |z| = 0.8, n_max = 172 (the README sweep's largest point) allocate
-        at most 7 complex d x d arrays at their peak, counted exactly by
+        at most 2 complex d x d arrays at their peak, counted exactly by
         tracemalloc once the shared probe table is drawn, and leave the
-        dense forms of U1, U2, rho_s and h_s and the d x d terms unbuilt."""
+        dense forms of U1, U2, rho_s and h_s, the d x d terms and the two
+        states they return unbuilt."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=172,
@@ -739,13 +753,13 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            activation_report(s)
-            measure_control(s, BlochState(math.pi / 2.0, math.pi))
+            tilde = activation_report(s).tilde_rho_s
+            rho_sm = measure_control(s, BlochState(math.pi / 2.0, math.pi)).rho_sm
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 16 * d * d
-        assert not any("mat" in vars(x) for x in (s.u1, s.u2, s.rho_s, s.h_s))
+        assert peak <= 2 * 16 * d * d
+        assert not any("mat" in vars(x) for x in (s.u1, s.u2, s.rho_s, s.h_s, tilde, rho_sm))
         assert s._terms.r12 is None and s._terms.r21 is None and s._terms.a12 is None
 
 
@@ -789,7 +803,8 @@ class TestTermCache:
         DensityMatrix, no post_switch_state call, and no joint-space
         unitary on the hot path; switchcore builds no unitary at all for
         a thermal state, only the columns W12[:, S] and W21[:, S] on the
-        state's working-precision support S."""
+        state's working-precision support S.  Its d x d states are
+        deferred, so the only state checked in full is tilde_rho_c."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
@@ -821,7 +836,7 @@ class TestTermCache:
         measure_control(s, BlochState(math.pi / 2.0, math.pi))
         measure_control(s, BlochState(1.0, 0.4))
         d = s.rho_s.dim
-        assert sorted(set(dims)) == [2, d]
+        assert sorted(set(dims)) == [2]
         k = switchcore._support(s.rho_s.mat.diagonal().real).size
         assert k < d and block_shapes == [(d, k)] * 2
 

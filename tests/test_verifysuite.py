@@ -165,6 +165,7 @@ class TestSuiteHasTeeth:
             (cvcase, "_phased_defect_bound"),
             (switchcore, "_mixture_psd_unit"),
             (switchcore, "_mix_error"),
+            (switchcore, "_hermitian_bound"),
         ],
     )
     def test_understated_certificate_fails_only_switch_algebra(self, monkeypatch, module, name):
