@@ -530,6 +530,9 @@ class TestPostSelectedCertificate:
             assert report.rho_sm._psd_bound == bound
         else:
             assert math.isnan(report.rho_sm._psd_bound)
+        for rho in (tilde, report.rho_sm):  # a deferred state's Hermiticity bound holds too
+            if isinstance(rho, qmat._DeferredState):
+                assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound
 
     def test_bound_is_attained_by_an_indefinite_weight(self):
         """X and Z anticommute, so W21 = -W12 and sum_ab w_ab T_ab =
