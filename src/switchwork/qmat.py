@@ -21,7 +21,8 @@ for what it proves:
   unitaries from the defects each one records;
 - _CertifiedState takes a proved bound on -lambda_min and keeps the
   Hermiticity and trace checks; switchcore proves one for tilde_rho_s and
-  for the post-selected rho_sm, both built from a diagonal state;
+  for the post-selected rho_sm, both mixtures of terms formed in the
+  system state's eigenbasis, where no eigenvalue is negative;
 - _DeferredState, a _CertifiedState, is also settled without its matrix:
   switchcore proves its Hermiticity and checks its trace on its O(d)
   diagonal, and `.mat` is formed on first read, when the Hermiticity and
@@ -280,8 +281,9 @@ class UnitaryOperator:
 
     # The products the switch terms and their probe need, on a block of
     # columns y of shape (..., d, k): U y, U^T y, and the columns U[:, cols]
-    # with the bits of mat[:, cols].  A structured subclass overrides all
-    # three and never forms mat.
+    # with the bits of mat[:, cols], laid out C-contiguous as a structured
+    # factor's products need.  A structured subclass overrides all three
+    # and never forms mat.
     def _apply(self, y: np.ndarray) -> np.ndarray:
         return self.mat @ y
 
@@ -289,7 +291,7 @@ class UnitaryOperator:
         return self.mat.T @ y
 
     def _columns(self, cols) -> np.ndarray:
-        return self.mat[:, cols]
+        return np.ascontiguousarray(self.mat[:, cols])
 
 
 def _gram_defect(m: np.ndarray) -> float:

@@ -8,22 +8,22 @@ optimum of delta_c, and the post-measurement state with its decomposition
 into delta_12, delta_21 and the interference term delta_f.
 
 Each scenario computes its terms once, on first use, and both reports read
-them: the blocks W12 = U2 U1 and W21 = U1 U2, formed by _switch_blocks with
-a Gram defect bounded from the defects U1 and U2 record; the d-space
-blocks R12 = W12 rho W12†, R21 = W21 rho W21† and A12 = W12 rho W21† with
+them: the d-space blocks R12 = W12 rho W12†, R21 = W21 rho W21† and
+A12 = W12 rho W21† of the switch blocks W12 = U2 U1 and W21 = U1 U2, with
 the scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the
-kernel record formed from them; and rho_c.  For a diagonal rho with no
-negative weight, only the columns W[:, S] on rho's working-precision
-support S are formed (about 40 of 173 levels at beta omega = 1), through
-the factors' own products (a Fock operator applies its real core), and the
-terms are kept as those d x |S| columns with their weights,
-T_ab = W_a diag(p) W_b† (SwitchScenario._terms): the scalars are
-O(d |S|) sums against a diagonal h_s, and no d x d term is formed.  Any
-other rho takes the d x d products.  The terms record answers two
-questions for either form (_SwitchTerms): mix(w) = sum_ab w_ab T_ab, one
-product of inner length 2|S| from the columns, which gives tilde_rho_s and
-the post-selected numerator, and the probe products T_ab X.  The dense
-R12, R21 and A12 of a diagonal rho are formed only for post_switch_state.
+kernel record formed from them; and rho_c.  The terms have one form
+(SwitchScenario._terms): rho = B diag(p) B†, B = I for a diagonal rho and
+rho's eigenvectors from one eigh otherwise, and only the columns
+W12 B[:, S] and W21 B[:, S] on p's working-precision support S are formed
+(about 40 of 173 levels at beta omega = 1), by _switch_blocks through the
+factors' own products (a Fock operator applies its real core) with a Gram
+defect bounded from the defects the factors record.  The terms are kept
+as those d x |S| columns with their weights, T_ab = W_a diag(p) W_b†:
+the scalars are O(d |S|) sums against a diagonal h_s, and no d x d term
+is formed.  The terms record answers two questions (_SwitchTerms):
+mix(w) = sum_ab w_ab T_ab, one product of inner length 2|S|, which gives
+tilde_rho_s and the post-selected numerator, and the probe products
+T_ab X.  The dense R12, R21 and A12 are formed only for post_switch_state.
 The columns also give mix(w)'s diagonal in O(d |S|) (_SwitchTerms.diagonal),
 and against a diagonal h_s the reports read tilde_rho_s and rho_sm on it
 alone: each is returned as a _DeferredState whose Hermiticity is proved
@@ -40,10 +40,11 @@ weighted blocks and the kernel on the d-space scalars, and the routes must
 agree within TOL_ENERGY (each function names its checks); the two
 post-selected numerators are compared by a bound first, and the second is
 formed only when the bound does not settle it (measure_control).
-tilde_rho_s and rho_sm from a diagonal rho are positive by construction,
-and carry proved bounds instead of a Cholesky (_mixture_psd_unit,
-_post_selected_psd_bound).  Where a bound misses its tolerance (a small
-n_m), a state is formed and checked at once.  A Fock point thus
+tilde_rho_s and rho_sm are positive by construction where no weight is
+negative, and carry proved bounds instead of a Cholesky
+(_mixture_psd_unit, _post_selected_psd_bound).  Where a bound misses its
+tolerance (a small n_m, a negative weight), a state is formed and checked
+at once.  A Fock point thus
 allocates no d x d array unless a caller reads a state.
 Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
@@ -146,41 +147,33 @@ class SwitchScenario:
 
     @cached_property
     def _terms(self) -> _SwitchTerms:
-        """The d-space terms, formed once.
+        """The d-space terms, formed once, as weighted columns.
 
-        A _DiagonalState rho with no negative weight acts on its
-        working-precision support S (_support): W12[:, S] and W21[:, S]
-        come from _switch_blocks, and the terms are kept as those d x |S|
-        columns with the kept weights p, T_ab = W_a diag(p) W_b†
-        (_factored_terms); no d x d term is formed.  chi = tr A12 and the
-        energies are O(d |S|) sums over the columns against a diagonal h_s
-        (E12 = sum_j p_j W12[:, j]† h W12[:, j], F_S likewise with W21 on the
-        left), and E_S = sum_i p_i h_i.  The dropped levels hold mass at
-        most u max p / 4, and each dropped term p_i W[:, i] W[:, i]† has
-        entries of modulus at most p_i (1 + t), t the blocks' Gram defect
-        bound, so every entry of T_ab is within u max p (1 + t) / 4 of the
-        full product: below the per-entry round-off that _mixture_psd_unit
-        covers.  The dropped part is a sum of PSD terms, so the kept terms
-        are PSD mixtures in their own right.  Any other rho takes the full
-        d x d products (a negative weight still scales columns), and against
-        a _DiagonalHermitian h_s their energies are O(d) sums (_energy).
+        rho = B diag(p) B†: a _DiagonalState is its own eigenbasis (B = I,
+        p its weights), and any other rho is factored once by eigh, B its
+        eigenvectors as a checked UnitaryOperator.  rho acts on the
+        working-precision support S of p (_support): W12 B[:, S] and
+        W21 B[:, S] come from _switch_blocks, and the terms are kept as
+        those d x |S| columns with the kept weights p,
+        T_ab = W_a B diag(p) B† W_b† (_factored_terms); no d x d term is
+        formed.  chi = tr A12 and the energies are O(d |S|) sums over the
+        columns against a diagonal h_s (E12 = sum_j p_j c_j† h c_j over the
+        columns c_j of W12 B[:, S], F_S likewise with W21 B on the left),
+        and E_S = sum_i p_i h_i for B = I, tr{rho h_s} otherwise (_energy).
+        The dropped levels hold mass at most u max p / 4, and each dropped
+        term p_i c_i c_i† has entries of modulus at most p_i (1 + t), t the
+        columns' Gram defect bound, so every entry of T_ab is within
+        u max p (1 + t) / 4 of the full product: below the per-entry
+        round-off that _mixture_psd_unit covers.  The dropped part is a sum
+        of PSD terms, so the kept terms are PSD mixtures in their own right.
+        A negative weight (validation allows -TOL_PSD, and eigh of a
+        singular rho returns about -1e-17) keeps every level and leaves
+        positivity to the Cholesky.
         """
-        p = self.rho_s._weights if isinstance(self.rho_s, _DiagonalState) else None
-        if p is not None and p.min() >= 0.0:
-            return _factored_terms(self, p)
-        rho = self.rho_s.mat
-        w12, w21 = (w.mat for w in _switch_blocks(self.u1, self.u2))
-        w12_rho, w21_rho = (w12 * p, w21 * p) if p is not None else (w12 @ rho, w21 @ rho)
-        w21_h = w21.conj().T
-        r12 = w12_rho @ w12.conj().T
-        r21 = w21_rho @ w21_h
-        a12 = w12_rho @ w21_h
-        x, e_s, f_s = complex(np.trace(a12)), _energy(rho, self.h_s).real, _energy(a12, self.h_s)
-        e12, e21 = _energy(r12, self.h_s).real, _energy(r21, self.h_s).real
-        kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
-        return _SwitchTerms(
-            x, e_s, e12, e21, f_s, kernel, math.inf, math.inf, math.inf, r12=r12, r21=r21, a12=a12
-        )
+        if isinstance(self.rho_s, _DiagonalState):
+            return _factored_terms(self, self.rho_s._weights, None)
+        p, basis = np.linalg.eigh(self.rho_s.mat)
+        return _factored_terms(self, p, UnitaryOperator(basis))
 
     @cached_property
     def _joint_out(self) -> None:
@@ -229,22 +222,29 @@ class SwitchScenario:
         return DensityMatrix(_post_switch_expansion(self))
 
 
-def _factored_terms(s: SwitchScenario, p: np.ndarray) -> _SwitchTerms:
-    """SwitchScenario._terms of a diagonal rho with weights p >= 0: the
-    columns on rho's working-precision support and the scalars read from
-    them (_column_sums)."""
-    cols = _support(p)
-    w12, w21, defect = _switch_blocks(s.u1, s.u2, cols)
+def _factored_terms(s: SwitchScenario, p: np.ndarray, basis: UnitaryOperator | None) -> _SwitchTerms:
+    """SwitchScenario._terms of rho = B diag(p) B†, B = basis or I: the
+    columns on p's working-precision support and the scalars read from
+    them (_column_sums).  A negative weight keeps every level, the bounds
+    read |p|, and psd_unit is inf."""
+    negative = p.min() < 0.0
+    cols = slice(None) if negative else _support(p)
+    w12, w21, defect = _switch_blocks(s.u1, s.u2, cols, basis)
     kept = p[cols]
     x, e12, e21, f_s, a12_diag = _column_sums(w12, w21, kept, s.h_s)
-    diagonal_h = isinstance(s.h_s, _DiagonalHermitian)
-    e_s = float(p @ (s.h_s._energies if diagonal_h else s.h_s.mat.diagonal().real))
+    if basis is not None:
+        e_s = _energy(s.rho_s.mat, s.h_s).real
+    else:
+        diagonal_h = isinstance(s.h_s, _DiagonalHermitian)
+        e_s = float(p @ (s.h_s._energies if diagonal_h else s.h_s.mat.diagonal().real))
     kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
-    r_norm = float(kept.max()) * (1.0 + kept.size * defect)
-    v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a[:, S]
+    kept_abs = np.abs(kept) if negative else kept
+    r_norm = float(kept_abs.max()) * (1.0 + kept.size * defect)
+    psd_unit = math.inf if negative else _mixture_psd_unit(kept, defect)
+    v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a B[:, S]
     return _SwitchTerms(
-        x, e_s, e12, e21, f_s, kernel, _mixture_psd_unit(kept, defect), r_norm,
-        _mix_error(kept.size), v=v, p=kept, mass=_column_mass(kept, defect), a12_diag=a12_diag,
+        x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm, _mix_error(kept.size), v, kept,
+        _column_mass(kept_abs, defect), a12_diag,
     )
 
 
@@ -270,14 +270,13 @@ def _column_sums(w12, w21, p, h_s: HermitianOperator):
 @dataclass(frozen=True)
 class _SwitchTerms:
     """The d-space terms of one scenario (see the module docstring): the
-    blocks T_00 = R12, T_01 = A12, T_10 = A12† and T_11 = R21, held either
-    as the d x d products r12, r21 and a12, or as the kept columns
-    v[:, 0] = W12[:, S] and v[:, 1] = W21[:, S] with their weights p,
-    T_ab = W_a diag(p) W_b†.  Two methods answer for either form: mix(w),
-    the weighted sum of the blocks, and probe(x), the products T_ab x that
-    the Freivalds probe checks; blocks() forms the dense products for the
-    oracle.  The columns also give diagonal(w), mix(w)'s diagonal in
-    O(d |S|)."""
+    blocks T_00 = R12, T_01 = A12, T_10 = A12† and T_11 = R21, held as
+    the kept columns v[:, 0] = W12 B[:, S] and v[:, 1] = W21 B[:, S] with
+    their weights p, T_ab = W_a diag(p) W_b† for W_a the columns.  Two
+    methods answer for them: mix(w), the weighted sum of the blocks, and
+    probe(x), the products T_ab x that the Freivalds probe checks;
+    blocks() forms the dense products for the oracle.  The columns also
+    give diagonal(w), mix(w)'s diagonal in O(d |S|)."""
 
     chi: complex
     e_s: float
@@ -286,47 +285,30 @@ class _SwitchTerms:
     f_s: complex
     kernel: KernelTerms
     # Round-off bound on -lambda_min of fl(mix(w)) per unit sum_ab |w_ab|
-    # (_mixture_psd_unit), a bound max p (1 + |S| t) on ||T_ab||_2 and on
-    # every entry of |W_a| diag(p) |W_b|^T, and the relative error c of
-    # mix (_mix_error); all three inf for the dense form, which carries no
-    # certificate.
+    # (_mixture_psd_unit), inf where a weight is negative; a bound
+    # max |p| (1 + |S| t) on ||T_ab||_2 and on every entry of
+    # |W_a| diag(|p|) |W_b|^T; and the relative error c of mix (_mix_error).
     psd_unit: float
     r_norm: float
     mix_error: float
-    r12: np.ndarray | None = None
-    r21: np.ndarray | None = None
-    a12: np.ndarray | None = None
-    v: np.ndarray | None = None
-    p: np.ndarray | None = None
-    # A bound on the trace of |W_a| diag(p) |W_b|^T (_column_mass), and
+    v: np.ndarray
+    p: np.ndarray
+    # A bound on the trace of |W_a| diag(|p|) |W_b|^T (_column_mass), and
     # diag A12 from _column_sums.
-    mass: float = math.inf
-    a12_diag: np.ndarray | None = None
+    mass: float
+    a12_diag: np.ndarray
 
     def mix(self, w: np.ndarray) -> np.ndarray:
-        """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array.
-
-        Columns: [W12 | W21] times the right factor's blocks weighted by w,
-        row block a being sum_b w_ab diag(p) W_b†, one product of inner
-        length 2|S|.  Products: _weighted_sum over (w00, R12), (w11, R21),
-        (w01, A12), (w10, A12†) in that order, the last two only when a
-        coherence weight is nonzero."""
-        if self.v is None:
-            pairs = [(w[0, 0], self.r12), (w[1, 1], self.r21)]
-            if w[0, 1] != 0 or w[1, 0] != 0:
-                pairs += [(w[0, 1], self.a12), (w[1, 0], np.conjugate(self.a12.T, order="C"))]
-            return _weighted_sum(pairs, np.empty_like(self.r12))
+        """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array: [W12 | W21]
+        times the right factor's blocks weighted by w, row block a being
+        sum_b w_ab diag(p) W_b†, one product of inner length 2|S|."""
         d = self.v.shape[0]
         return self.v.reshape(d, -1) @ (w @ self._right.reshape(2, -1)).reshape(-1, d)
 
     def probe(self, x: np.ndarray) -> np.ndarray:
-        """(R12 x, A12 x, R21 x) stacked for a real x; from the columns,
+        """(R12 x, A12 x, R21 x) stacked for a real x, as
         W_a (p o conj(W_b^T x))."""
         out = np.empty((3, *x.shape), dtype=complex)
-        if self.v is None:
-            for term, dest in zip((self.r12, self.a12, self.r21), out):
-                np.matmul(term, x, out=dest)
-            return out
         d, k = self.v.shape[0], self.p.size
         g = np.conjugate(self.v.reshape(d, -1).T @ x).reshape(2, k, -1)
         g *= self.p[:, None]
@@ -357,8 +339,6 @@ class _SwitchTerms:
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dense (R12, R21, A12), formed from the columns on demand."""
-        if self.v is None:
-            return self.r12, self.r21, self.a12
         (w12, w21), (h12, h21) = self.v.transpose(1, 0, 2), self._right
         return w12 @ h12, w21 @ h21, w12 @ h21
 
@@ -438,7 +418,7 @@ def _column_mass(p: np.ndarray, w_defect: float) -> float:
 def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray, d: int) -> float:
     """Bound on -lambda_min of the Hermitian matrix the Cholesky reads
     from fl(t.mix(w)), for any 2 x 2 w and the scenario's dimension d; inf
-    unless the terms carry a certificate (t.psd_unit finite).
+    where a weight is negative (t.psd_unit inf).
 
     w = outer(conj(m), m) o rho_c is positive semidefinite by the Schur
     product theorem, but its computed entries need not be, nor exactly
@@ -474,7 +454,7 @@ def _skew(w: np.ndarray) -> float:
 
 def _hermitian_bound(t: _SwitchTerms, w: np.ndarray, n: float) -> float:
     """Bound on the max|m - m†| that the Hermiticity check measures on
-    m = fl(t.mix(w)) / n, n > 0, for terms kept as columns.
+    m = fl(t.mix(w)) / n, n > 0.
 
     Each entry of m is within c sum_ab |w_ab| (S_ab)_ij / n of
     X / n, X = sum_ab w_ab T_ab and S_ab = |W_a| diag(p) |W_b|^T
@@ -685,25 +665,29 @@ class MeasurementReport:
     condition_ii_lhs: float
 
 
-def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None):
+def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None, basis=None):
     """W12 = U2 U1 and W21 = U1 U2: the one place either product is formed.
 
     Without cols, each is a UnitaryOperator whose Gram defect is bounded
     from the factors' recorded defects (qmat._unitary_product; a factor
     with none, or a bound past TOL_UNITARY, gets the full check).  With
-    cols (an index array or a slice), the result is (W12[:, cols],
-    W21[:, cols], t) at d^2 |cols| cost, t a bound on the Gram defect of
-    the columns: the larger _product_defect_bound of the two products.
-    Each is formed as U2._apply(U1._columns(cols)) (and the other way
-    round), and the left factor's product has the error model that bound
-    assumes, with g_prod its _apply_roundoff.  The columns are U1.mat's,
-    or, from a Fock core, entries within the same entrywise bound of the
-    exactly phased core as U1.mat's, which U1's recorded defect covers
-    (cvcase._phased_defect_bound); so they are columns of a full matrix
-    that the bound's argument holds for, and their Gram matrix is a
-    principal submatrix of that product's.  A factor with no
-    recorded defect, or a bound past TOL_UNITARY, takes the full products
-    and their full check, and t is the true defect the checked one implies.
+    cols (an index array or a slice), the result is (W12 B[:, cols],
+    W21 B[:, cols], t) at d^2 |cols| cost, B = basis or I, t a bound on
+    the Gram defect of the columns: the larger _product_defect_bound of
+    the two products.  Each is formed as U2._apply(U1._columns(cols)) (and
+    the other way round), and the left factor's product has the error
+    model that bound assumes, with g_prod its _apply_roundoff.  The
+    columns are U1.mat's, or, from a Fock core, entries within the same
+    entrywise bound of the exactly phased core as U1.mat's, which U1's
+    recorded defect covers (cvcase._phased_defect_bound); so they are
+    columns of a full matrix that the bound's argument holds for, and
+    their Gram matrix is a principal submatrix of that product's.  A basis
+    is one more certified factor: U1 B[:, cols] is formed as
+    U1._apply(B._columns(cols)), and its _product_defect_bound from U1's
+    and B's recorded defects stands in for U1's defect (likewise for U2).
+    A factor with no recorded defect, or a bound past TOL_UNITARY, takes
+    the full products and their full check, and t is the true defect the
+    checked one implies.
     """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
@@ -712,13 +696,22 @@ def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None):
     d1, d2 = getattr(u1, "_defect", None), getattr(u2, "_defect", None)
     if d1 is not None and d2 is not None:
         d = u1.dim
+        if basis is None:
+            c1, c2 = u1._columns(cols), u2._columns(cols)
+        else:
+            b = basis._columns(cols)
+            c1, c2 = u1._apply(b), u2._apply(b)
+            d1 = _product_defect_bound(d1, basis._defect, d, u1._apply_roundoff)
+            d2 = _product_defect_bound(d2, basis._defect, d, u2._apply_roundoff)
         t = max(
             _product_defect_bound(d2, d1, d, u2._apply_roundoff),
             _product_defect_bound(d1, d2, d, u1._apply_roundoff),
         )
         if t <= TOL_UNITARY:
-            return u2._apply(u1._columns(cols)), u1._apply(u2._columns(cols)), t
+            return u2._apply(c1), u1._apply(c2), t
     w12, w21 = _switch_blocks(u1, u2)
+    if basis is not None:
+        w12, w21 = _unitary_product(w12, basis), _unitary_product(w21, basis)
     g = 2.0 * _gamma(u1.dim + 2)
     t = (max(w12._defect, w21._defect) + g) / (1.0 - g)
     return w12.mat[:, cols], w21.mat[:, cols], t
@@ -877,8 +870,8 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     """Dephasing mixtures whose local energies sum to the post-switch energy.
 
     tilde_rho_s = rc00 U2U1 rho U1†U2† + rc11 U1U2 rho U2†U1†, a
-    _DeferredState where its checks settle on its diagonal (terms kept as
-    columns, a diagonal h_s; _deferred_state), else formed now;
+    _DeferredState where its checks settle on its diagonal (a diagonal
+    h_s; _deferred_state), else formed now;
     tilde_rho_c mixes diag(1, ±e^{-i arg chi}) conjugations with convex
     weights (1 ± |chi|)/2, which leaves the diagonal alone and rescales the
     coherence by chi: [[rc00, chi rc01], [conj(chi) rc10, rc11]].
@@ -887,11 +880,11 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     t = s._terms
     rc00, rc11 = np.real(rho_c[0, 0]), np.real(rho_c[1, 1])
     w = np.array([[rc00, 0.0], [0.0, rc11]])
-    # Positivity is proved, not factored, for a diagonal rho (see
-    # _mixture_psd_unit); a negative weight sends tilde_s to the Cholesky.
+    # Positivity is proved, not factored (see _mixture_psd_unit); a
+    # negative weight of rho or rho_c sends tilde_s to the Cholesky.
     psd_bound = float((rc00 + rc11) * t.psd_unit) if min(rc00, rc11) >= 0.0 else math.inf
     tilde_s = None
-    if t.v is not None and isinstance(s.h_s, _DiagonalHermitian):
+    if isinstance(s.h_s, _DiagonalHermitian):
         tilde_s = _deferred_state(t, w, t.diagonal(w), 1.0, psd_bound)
     if tilde_s is None:
         tilde_s = _CertifiedState(t.mix(w), psd_bound)
@@ -913,19 +906,18 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     expansion by the angle factors f, both on the probe-checked terms:
     mix(f) - mix(w) = sum_ab (f - w)_ab T_ab, so every entry differs by at
     most r_norm (sum |f - w| + 4 mix_error), and the numerators are formed
-    and compared only when that bound exceeds TOL_ENERGY (always for a
-    dense rho, whose terms carry no bound).  n_m and delta_sm must
-    agree with the kernel assemble_sm on the scenario's KernelTerms, whose
-    delta_12, delta_21 and delta_f the report carries.  rho_sm is the
-    direct numerator divided by n_m, with bound
+    and compared only when that bound exceeds TOL_ENERGY.  n_m and
+    delta_sm must agree with the kernel assemble_sm on the scenario's
+    KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
+    rho_sm is the direct numerator divided by n_m, with bound
     _post_selected_psd_bound / n_m: w is PSD by the Schur product theorem,
-    so the numerator is PSD up to round-off.  For terms kept as columns
-    against a diagonal H_S, rho_sm is a _DeferredState read on its
-    diagonal, n_m its real trace, where its checks settle there
-    (_deferred_state).  Otherwise (the bound past TOL_ENERGY, a small n_m,
-    a dense rho or H_S) the numerator is formed, n_m is its real trace,
-    and rho_sm is a _CertifiedState, whose Cholesky runs where the bound
-    exceeds TOL_PSD.  Against a _DiagonalHermitian H_S, e_sm must lie
+    so the numerator is PSD up to round-off.  Against a diagonal H_S,
+    rho_sm is a _DeferredState read on its diagonal, n_m its real trace,
+    where its checks settle there (_deferred_state).  Otherwise (the bound
+    past TOL_ENERGY, a small n_m, a negative weight, a dense H_S) the
+    numerator is formed, n_m is its real trace, and rho_sm is a
+    _CertifiedState, whose Cholesky runs where the bound exceeds
+    TOL_PSD.  Against a _DiagonalHermitian H_S, e_sm must lie
     within tau of [min h, max h] (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
@@ -940,8 +932,7 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     # Expansion path: the kernel's angle factors f on the d-space terms.
     # mix(f) - mix(w) = sum_ab (f - w)_ab T_ab plus both sums' round-off,
     # so every entry is within `gap`, and the numerators are formed and
-    # compared only past TOL_ENERGY (always for the dense terms, whose
-    # r_norm is inf).  Both sum |f| and sum |w| are
+    # compared only past TOL_ENERGY.  Both sum |f| and sum |w| are
     # (|c0 m0| + |c1 m1|)^2 <= 1 (Cauchy-Schwarz) up to the rounding of a
     # few products, so 4 covers the two.
     a = measurement_angles(s.control, m)
@@ -993,16 +984,6 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         conditions=conditions,
         condition_ii_lhs=cond_ii_lhs,
     )
-
-
-def _weighted_sum(pairs, buffer: np.ndarray) -> np.ndarray:
-    """c0 M0 + c1 M1 + ... in a fresh array, summed left to right in place
-    through one buffer: the bits of the expression written out."""
-    (c0, m0), *rest = pairs
-    total = c0 * m0
-    for c, mat in rest:
-        total += np.multiply(c, mat, out=buffer)
-    return total
 
 
 def _spectrum_slack(h: np.ndarray, rho: DensityMatrix) -> float:

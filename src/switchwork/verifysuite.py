@@ -61,6 +61,8 @@ from .qmat import (
     _CertifiedState,
     _CertifiedUnitary,
     _DeferredState,
+    _DiagonalHermitian,
+    _DiagonalState,
     _gamma,
     _gram_defect,
     _hermitian_defect,
@@ -154,25 +156,26 @@ def _draw_scenario(
     t_max: float,
     draw_control: Callable[[np.random.Generator, HermitianOperator], BlochState | DensityMatrix],
 ) -> SwitchScenario:
-    """A scenario with a passive system state.  The rng draws come in a
-    fixed order: the eigenbasis of h_s, its energies (uniform in
-    [0, e_max)), the Dirichlet populations, h_c (|t| < t_max), the control
-    through `draw_control(rng, h_c)`, U1 and U2.  The three Haar matrices
-    come from one stacked QR, and h_s and rho_s are built on the drawn
-    eigenbasis, whose columns are in ascending-energy order."""
-    z_basis = _ginibre(rng, dim)
+    """A scenario with a passive system state, drawn in its eigenbasis:
+    rho_s = diag(p) and h_s = diag(E).  The rng draws come in a fixed
+    order: the energies E (ascending, uniform in [0, e_max)), the
+    Dirichlet populations p (descending), h_c (|t| < t_max), the control
+    through `draw_control(rng, h_c)`, U1 and U2, the two Haar matrices
+    from one stacked QR.  No basis V is drawn: for Haar U1 and U2
+    independent of V, (V† U1 V, V† U2 V) is again a Haar pair, and every
+    reported scalar is invariant under a common change of basis, so the
+    scalars have the distribution they would have for V diag(p) V†."""
     energies = np.sort(rng.uniform(0.0, e_max, size=dim))
     pops = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
     h_c = _random_control_hamiltonian(rng, 0.0, t_max, e_max)
     control = draw_control(rng, h_c)
-    basis, u1, u2 = _haar(np.stack((z_basis, _ginibre(rng, dim), _ginibre(rng, dim))))
-    basis_h = basis.conj().T
+    u1, u2 = _haar(np.stack((_ginibre(rng, dim), _ginibre(rng, dim))))
     return SwitchScenario(
-        rho_s=DensityMatrix((basis * pops) @ basis_h),
+        rho_s=_DiagonalState(pops),
         control=control,
         u1=UnitaryOperator(u1),
         u2=UnitaryOperator(u2),
-        h_s=HermitianOperator((basis * energies) @ basis_h),
+        h_s=_DiagonalHermitian(energies),
         h_c=h_c,
     )
 
@@ -234,9 +237,9 @@ def _certificate_ratios(s: SwitchScenario, *states: DensityMatrix) -> list[float
     scenario: the Gram defect of every certified unitary among U1, U2, W12
     and W21 (a Fock operator's dense form against its cores' bound),
     -lambda_min of each state whose positivity was proved, max|m - m†| of
-    each _DeferredState (whose `.mat` is formed here), and, for terms kept
-    as columns, mix(w) against the dense conjugation (_mix_ratio).  A
-    ratio above 1 is a bound that does not hold."""
+    each _DeferredState (whose `.mat` is formed here), and, for a diagonal
+    rho, mix(w) against the dense conjugation (_mix_ratio).  A ratio above
+    1 is a bound that does not hold."""
     blocks = _switch_blocks(s.u1, s.u2)
     pairs = [
         (_gram_defect(u.mat), u._defect)
@@ -248,7 +251,7 @@ def _certificate_ratios(s: SwitchScenario, *states: DensityMatrix) -> list[float
             pairs.append((max(0.0, -float(np.linalg.eigvalsh(rho.mat).min())), rho._psd_bound))
         if isinstance(rho, _DeferredState):
             pairs.append((_hermitian_defect(rho.mat), rho._herm_bound))
-    if s._terms.v is not None:
+    if isinstance(s.rho_s, _DiagonalState):
         pairs.append(_mix_ratio(s, *blocks))
     return [measured / bound for measured, bound in pairs]
 

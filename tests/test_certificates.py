@@ -1,7 +1,8 @@
 """Certificates that stand in for full wrapper checks: the Gram defect of a
 product of checked unitaries, of D(alpha) and S(z) from their real
-orthogonal cores, and the positivity of tilde_rho_s and rho_sm built from a
-diagonal state, whose terms live on its working-precision support.  Each
+orthogonal cores, and the positivity of tilde_rho_s and rho_sm, whose
+terms live on the system state's working-precision support in its
+eigenbasis.  Each
 stated bound must be at least the dense defect it replaces, each certified
 constructor must accept only what the full check accepts, and a bound past
 its tolerance must reach the full check."""
@@ -118,6 +119,32 @@ class TestProductCertificate:
         for w in _switch_blocks(u1, u2):
             assert _certified(w)
             assert _gram_defect(w.mat) <= w._defect <= TOL_UNITARY
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=_SEED,
+        d=st.sampled_from([2, 5, 30]),
+        size=st.sampled_from([0.0, 1e-14, 1e-12]),
+        stretch=st.sampled_from([0.0, 5e-11]),
+    )
+    def test_bound_covers_the_gram_defect_of_basis_columns(self, seed, d, size, stretch):
+        """A dense rho's eigenbasis B is a third certified factor: the bound
+        _switch_blocks returns for W12 B[:, S] and W21 B[:, S] covers their
+        measured Gram defect, and the columns are the full products'.  A
+        kept column of B stretched to a defect of 5e-11 passes B's own
+        check, and only a bound that chains B's defect covers it."""
+        rng = np.random.default_rng(seed)
+        cols = np.sort(rng.choice(d, size=max(1, d // 2), replace=False))
+        u1, u2 = (_near_unitary(rng, d, size) for _ in range(2))
+        scale = np.ones(d)
+        scale[cols[0]] = math.sqrt(1.0 + stretch)
+        basis = UnitaryOperator(_near_unitary(rng, d, size).mat * scale)
+        w12, w21, t = _switch_blocks(u1, u2, cols, basis)
+        assert t <= TOL_UNITARY
+        for w, full in ((w12, u2.mat @ u1.mat @ basis.mat), (w21, u1.mat @ u2.mat @ basis.mat)):
+            gram = w.conj().T @ w - np.eye(cols.size)
+            assert float(np.abs(gram).max()) <= t
+            assert np.max(np.abs(w - full[:, cols])) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(seed=_SEED, d=st.sampled_from([2, 5, 30]), log_size=st.floats(-14.0, -10.0))
@@ -303,8 +330,10 @@ class TestMixtureCertificate:
         """The diagonal route keeps the columns of W12 and W21 over the
         state's working-precision support S with their weights, and the
         dense blocks it forms for the oracle equal the bits of
-        W[:, S] (diag(p_S) W[:, S]†); its kernel is the dense state's full
-        products' up to round-off."""
+        W[:, S] (diag(p_S) W[:, S]†).  The same state given dense is
+        factored by eigh, whose eigenbasis here is a permutation: its
+        terms carry a certificate too, keep as many levels, and its kernel
+        is the diagonal route's up to round-off."""
         s = cvcase.disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(1.1, 0.6), n_max=84,
@@ -314,7 +343,7 @@ class TestMixtureCertificate:
         cols = switchcore._support(p)
         w12, w21, _ = _switch_blocks(s.u1, s.u2, cols)
         t = s._terms
-        assert t.r12 is None and t.v[:, 0].tobytes() == w12.tobytes() and t.v[:, 1].tobytes() == w21.tobytes()
+        assert t.v[:, 0].tobytes() == w12.tobytes() and t.v[:, 1].tobytes() == w21.tobytes()
         assert t.p.tobytes() == p[cols].tobytes()
         rho = np.diag(p[cols]).astype(complex)
         products = (w12 @ (rho @ w12.conj().T), w21 @ (rho @ w21.conj().T), w12 @ (rho @ w21.conj().T))
@@ -322,7 +351,7 @@ class TestMixtureCertificate:
             assert block.tobytes() == product.tobytes()
         dense = dataclasses.replace(s, rho_s=DensityMatrix(s.rho_s.mat))
         assert np.max(np.abs(np.subtract(t.kernel, dense._terms.kernel))) < 1e-13
-        assert math.isinf(dense._terms.psd_unit) and dense._terms.v is None
+        assert dense._terms.psd_unit <= 2.0 * t.psd_unit and dense._terms.p.size == t.p.size
 
     @pytest.mark.parametrize("fault", ["negative_weight", "negative_control_weight", "large_bound"])
     def test_outside_the_certificate_the_cholesky_decides(self, rng, monkeypatch, fault):
@@ -462,6 +491,22 @@ class TestWorkingPrecisionSupport:
         dense = HermitianOperator(h.mat + 1e-3 * np.eye(30, k=1) + 1e-3 * np.eye(30, k=-1))
         assert switchcore._energy(a, dense) == switchcore._tr(a, dense.mat)
 
+    @pytest.mark.parametrize("dense", ["u1", "u2"])
+    def test_a_dense_factor_pairs_with_a_fock_core(self, dense):
+        """A Fock operator applies its real core to C-contiguous columns, and
+        a dense partner's columns on the support come laid out that way:
+        the reports match the all-Fock pair's."""
+        s = _readme_point(1.0, 0.5, n_max=84)
+        mixed = dataclasses.replace(s, **{dense: UnitaryOperator(getattr(s, dense).mat)})
+        assert switchcore._support(s.rho_s._weights).size < s.rho_s.dim
+        for report, names in (
+            (activation_report, ("chi", "delta_qs", "delta_s")),
+            (lambda x: measure_control(x, BlochState(1.0, 0.4)), ("n_m", "delta_sm")),
+        ):
+            a, b = report(s), report(mixed)
+            for name in names:
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-13, name
+
 
 def _post_selection(s: SwitchScenario, m: BlochState):
     """measure_control's report and the w it weighs the blocks with."""
@@ -552,7 +597,9 @@ class TestPostSelectedCertificate:
     @_QUIET
     def test_the_cholesky_runs_past_the_floor_and_for_a_dense_state(self, cholesky_sizes):
         """Nearly commuting D and S: n_m falls from 0.23 to 1.1e-5 as the
-        measurement nears antipodal, and bound / n_m crosses TOL_PSD."""
+        measurement nears antipodal, and bound / n_m crosses TOL_PSD, for
+        the thermal state and for the same state given dense, whose terms
+        are formed in its eigh basis against the Fock operators' cores."""
         s = cvcase.disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(0.05, 0.9), SqueezeParams(0.1, 0.4),
             BlochState(1.1, 0.6), n_max=40,
@@ -567,8 +614,8 @@ class TestPostSelectedCertificate:
                 bound = switchcore._post_selected_psd_bound(scenario._terms, w, d) / report.n_m
                 assert cholesky_sizes.count(d) == (0 if bound <= TOL_PSD else 1)
                 runs.append((scenario is s, bound <= TOL_PSD))
-        assert (True, True) in runs and (True, False) in runs  # both sides of the floor
-        assert all(not certified for thermal, certified in runs if not thermal)
+        for thermal in (True, False):  # both sides of the floor
+            assert (thermal, True) in runs and (thermal, False) in runs
 
 
 def _readme_point(alpha: float, z: float, n_max: int | None = None) -> SwitchScenario:

@@ -25,6 +25,7 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
+    _DiagonalState,
     kron,
 )
 from switchwork.qubitcase import U2Params, qubit_scenario, rotation_unitary, u2_unitary
@@ -448,14 +449,14 @@ class TestCrossChecksFire:
     The corruptions: the joint energy read from the weighted blocks (off by
     a constant, or with rho_c's coherences swapped), the tilde route (the
     system mixture built from the wrong order's block, or energy moved
-    between system and control, which keeps their sum), the cached d-space
-    products R12, A12 and R21 or the switch blocks W12 and W21 they are
-    filled from, the angle factors measure_control weighs them with, and
-    one cached kernel scalar.  The probe checks the three products before
-    any report reads them, so a product corrupted before its first use
-    raises there; the measure_control checks read the kernel record and
-    the angles after the probe, as a faulty kernel or weight would leave
-    them.
+    between system and control, which keeps their sum), the cached columns
+    and weights that the d-space products R12, A12 and R21 are formed from,
+    or the factor order of the switch blocks W12 and W21, the angle factors
+    measure_control weighs them with, and one cached kernel scalar.  The
+    probe checks the three products before any report reads them, so a
+    term corrupted before its first use raises there; the measure_control
+    checks read the kernel record and the angles after the probe, as a
+    faulty kernel or weight would leave them.
     """
 
     @pytest.fixture
@@ -493,8 +494,9 @@ class TestCrossChecksFire:
         original = switchcore._tilde_states
 
         def wrong_order(s, x):
-            t = s._terms
-            return original(SimpleNamespace(rho_c=s.rho_c, _terms=dataclasses.replace(t, r12=t.r21)), x)
+            t = s._terms  # the columns of W21 B and W12 B in swapped places
+            swapped = dataclasses.replace(t, v=t.v[:, ::-1])
+            return original(SimpleNamespace(rho_c=s.rho_c, h_s=s.h_s, _terms=swapped), x)
 
         monkeypatch.setattr(switchcore, "_tilde_states", wrong_order)
         with pytest.raises(AssertionError, match="mixed-state split disagrees"):
@@ -531,69 +533,51 @@ class TestCrossChecksFire:
     @pytest.mark.parametrize("route", ["terms", "joint"])
     def test_post_switch_expansion(self, scenario, monkeypatch, route):
         if route == "terms":
-            t = scenario._terms
-            self._corrupt_terms(
-                monkeypatch, scenario, r12=t.r12 + 1e-6, a12=t.a12 + 1e-6, r21=t.r21 + 1e-6
-            )
+            self._corrupt_terms(monkeypatch, scenario, v=scenario._terms.v + 1e-6)
         else:
             original = switchcore._switch_blocks
-            monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
+            monkeypatch.setattr(
+                switchcore, "_switch_blocks", lambda u1, u2, *rest: original(u2, u1, *rest)
+            )
         for call in (lambda: post_switch_state(scenario), lambda: measure_control(scenario, self.M)):
             with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
                 call()
 
-    @staticmethod
-    def _faulty_terms(t, fault: str) -> dict:
-        if fault.startswith("one_entry_"):
-            # Entry [0, 1] of one product, the only wrong entry of its row.
-            name = fault.removeprefix("one_entry_")
-            wrong = getattr(t, name).copy()
-            wrong[0, 1] += 2.0 * switchcore.TOL_ENERGY
-            return {name: wrong}
-        if fault == "swapped_r12_r21":
-            return {"r12": t.r21, "r21": t.r12}
-        return {"a12": t.a12.conj()}
-
-    @pytest.mark.parametrize("d", [3, 30])
+    @pytest.mark.parametrize("kind", ["dense_3", "dense_30", "fock"])
     @pytest.mark.parametrize(
         "fault",
-        [
-            "one_entry_r12",
-            "one_entry_a12",
-            "one_entry_r21",
-            "swapped_r12_r21",
-            "conjugated_a12",
-            "swapped_unitaries",
-        ],
+        ["entry_w12", "entry_w21", "swapped_w12_w21", "conjugated_w21", "scaled_p", "swapped_unitaries"],
     )
-    def test_probe_catches_term_faults(self, rng, monkeypatch, d, fault):
+    def test_probe_catches_column_faults(self, rng, monkeypatch, kind, fault):
         """The Freivalds probe, not a dense comparison, is the only check
-        between the d-space products and the conjugation; an entry off by
-        2 TOL_ENERGY is the only wrong entry of its row, so every probe
-        column sees it."""
+        between the terms and the conjugation.  The terms are the kept
+        columns W12 B[:, S] and W21 B[:, S] with their weights, B rho's
+        eigenbasis: a dense rho's from eigh (d = 3 and 30), the identity
+        for a thermal state's.  Each corruption of them, or of the factor
+        order they are formed in, trips the probe in every report.  An
+        entry fault moves row 0 of the column of the largest weight by
+        1e-6 / max p, so row 0 of each term it enters moves by about 1e-6
+        in norm."""
         if fault == "swapped_unitaries":
             original = switchcore._switch_blocks
-            monkeypatch.setattr(switchcore, "_switch_blocks", lambda u1, u2: original(u2, u1))
-        s = _random_scenario(rng, d)
+            monkeypatch.setattr(
+                switchcore, "_switch_blocks", lambda u1, u2, *rest: original(u2, u1, *rest)
+            )
+        s = _fock_scenario(n_max=84) if kind == "fock" else _random_scenario(rng, int(kind[6:]))
         if fault != "swapped_unitaries":
-            self._corrupt_terms(monkeypatch, s, **self._faulty_terms(s._terms, fault))
-        for call in (
-            lambda: activation_report(s),
-            lambda: measure_control(s, self.M),
-            lambda: post_switch_state(s),
-        ):
-            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
-                call()
-
-    def test_probe_catches_swapped_unitaries_on_a_fock_scenario(self, monkeypatch):
-        """A thermal state's terms come from the column-limited blocks;
-        swapping the factors there still trips the probe, which applies
-        U1 and U2 to the full state one at a time."""
-        original = switchcore._switch_blocks
-        monkeypatch.setattr(
-            switchcore, "_switch_blocks", lambda u1, u2, *cols: original(u2, u1, *cols)
-        )
-        s = _fock_scenario(n_max=84)
+            t = s._terms
+            w12, w21, j = t.v[:, 0], t.v[:, 1], int(np.argmax(t.p))
+            if fault.startswith("entry_"):
+                wrong = t.v.copy()
+                wrong[0, ("w12", "w21").index(fault.removeprefix("entry_")), j] += 1e-6 / t.p[j]
+                faulty = {"v": wrong}
+            else:
+                faulty = {
+                    "swapped_w12_w21": {"v": np.stack((w21, w12), axis=1)},
+                    "conjugated_w21": {"v": np.stack((w12, w21.conj()), axis=1)},
+                    "scaled_p": {"p": 1.001 * t.p},
+                }[fault]
+            self._corrupt_terms(monkeypatch, s, **faulty)
         for call in (
             lambda: activation_report(s),
             lambda: measure_control(s, self.M),
@@ -641,35 +625,6 @@ class TestCrossChecksFire:
         assert np.allclose(s._terms.blocks()[1], t.blocks()[1], rtol=0.0, atol=1e-15)
         with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
             activation_report(s)
-
-    @pytest.mark.parametrize(
-        "fault", ["entry_w12", "entry_w21", "swapped_w12_w21", "conjugated_w21", "scaled_p"]
-    )
-    def test_probe_catches_column_faults_on_a_fock_scenario(self, monkeypatch, fault):
-        """A thermal state's terms are its kept columns W12[:, S], W21[:, S]
-        and weights; each corruption of them trips the probe in every
-        report."""
-        s = _fock_scenario(n_max=84)
-        t = s._terms
-        w12, w21 = t.v[:, 0], t.v[:, 1]
-        if fault.startswith("entry_"):
-            wrong = t.v.copy()
-            wrong[0, ("w12", "w21").index(fault.removeprefix("entry_")), 0] += 1e-6
-            faulty = {"v": wrong}
-        else:
-            faulty = {
-                "swapped_w12_w21": {"v": np.stack((w21, w12), axis=1)},
-                "conjugated_w21": {"v": np.stack((w12, w21.conj()), axis=1)},
-                "scaled_p": {"p": 1.001 * t.p},
-            }[fault]
-        self._corrupt_terms(monkeypatch, s, **faulty)
-        for call in (
-            lambda: activation_report(s),
-            lambda: measure_control(s, self.M),
-            lambda: post_switch_state(s),
-        ):
-            with pytest.raises(AssertionError, match="post-switch expansion disagrees"):
-                call()
 
     def test_probe_table_is_prefix_stable_and_read_only(self, monkeypatch):
         monkeypatch.setattr(switchcore, "_probe_table", np.empty((0, 16)))
@@ -742,8 +697,9 @@ class TestMemoryBudget:
         |z| = 0.8, n_max = 172 (the README sweep's largest point) allocate
         at most 2 complex d x d arrays at their peak, counted exactly by
         tracemalloc once the shared probe table is drawn, and leave the
-        dense forms of U1, U2, rho_s and h_s, the d x d terms and the two
-        states they return unbuilt."""
+        dense forms of U1, U2, rho_s and h_s and the two states they return
+        unbuilt.  The terms hold no d x d array: every field has at most
+        2 d |S| entries, |S| < d / 2 here."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=172,
@@ -760,7 +716,9 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak <= 2 * 16 * d * d
         assert not any("mat" in vars(x) for x in (s.u1, s.u2, s.rho_s, s.h_s, tilde, rho_sm))
-        assert s._terms.r12 is None and s._terms.r21 is None and s._terms.a12 is None
+        t = s._terms
+        assert 2 * t.p.size < d
+        assert max(np.size(getattr(t, f.name)) for f in dataclasses.fields(t)) <= 2 * d * t.p.size
 
 
 class TestTermCache:
@@ -770,9 +728,9 @@ class TestTermCache:
         calls = []
         original = switchcore._switch_blocks
 
-        def counted(u1, u2):
+        def counted(u1, u2, *rest):
             calls.append(1)
-            return original(u1, u2)
+            return original(u1, u2, *rest)
 
         def forbidden(u1, u2):
             raise AssertionError("build_switch_unitary called by a report")
@@ -905,6 +863,27 @@ class TestReportsValidateBlocks:
             ):
                 with pytest.raises(ValueError, match="UnitaryOperator defect"):
                     call()
+
+    def test_a_bound_past_tolerance_takes_the_full_products(self, rng, monkeypatch):
+        """With no room under TOL_UNITARY, the columns come from the full
+        products W12 and W21, and for a dense rho from W12 B and W21 B
+        with its eigenbasis B, each through qmat._unitary_product; the
+        reports keep their values."""
+        m = BlochState(1.0, 0.4)
+        for s in self._scenarios(rng):
+            clean = (activation_report(s), measure_control(s, m))
+            products = []
+            original = switchcore._unitary_product
+            monkeypatch.setattr(switchcore, "TOL_UNITARY", 0.0)
+            monkeypatch.setattr(switchcore, "_unitary_product", lambda a, b: products.append(1) or original(a, b))
+            fresh = dataclasses.replace(s)
+            reports = (activation_report(fresh), measure_control(fresh, m))
+            monkeypatch.undo()
+            assert len(products) == (2 if isinstance(s.rho_s, _DiagonalState) else 4)
+            for name in ("chi", "delta_qs", "delta_s"):
+                assert abs(getattr(reports[0], name) - getattr(clean[0], name)) <= 1e-13, name
+            for name in ("n_m", "delta_sm"):
+                assert abs(getattr(reports[1], name) - getattr(clean[1], name)) <= 1e-13, name
 
 
 def _unchecked_unitary(mat: np.ndarray) -> UnitaryOperator:

@@ -8,12 +8,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from switchwork import cvcase, qmat, qubitcase, states, switchcore, verifysuite
 from switchwork.config import FAMILIES
-from switchwork.qmat import TOL_EIG, DensityMatrix
-from switchwork.states import gibbs_qubit, passive_state_from_spectrum, ThermalParams
-from switchwork.switchcore import activation_report
+from switchwork.qmat import TOL_EIG, TOL_PSD, DensityMatrix, HermitianOperator, UnitaryOperator
+from switchwork.states import BlochState, gibbs_qubit, ThermalParams
+from switchwork.switchcore import (
+    SwitchScenario,
+    activation_report,
+    assemble_sm,
+    measure_control,
+    measurement_angles,
+)
 from switchwork.verifysuite import random_passive_scenario, run_verify
 
 # Every bosonic closed form that verify compares with the truncated-Fock
@@ -332,18 +339,62 @@ class TestSamplerStreams:
         verifysuite._random_generic_scenario(np.random.default_rng(0))
         assert calls == {"qr": 1, "eigh": 0}
 
-    def test_passive_system_state_matches_spectral_construction(self):
-        """rho_s, built on the drawn eigenbasis of h_s, is the passive state
-        passive_state_from_spectrum builds from the same populations and
-        h_s's own eigenvectors, up to the round-off of that second
-        diagonalization."""
-        rng = _DirichletRecorder(np.random.default_rng(0))
-        worst = 0.0
-        for _ in range(3000):
-            s = random_passive_scenario(rng)
-            spectral = passive_state_from_spectrum(rng.draws[-2], s.h_s)  # draws[-1]: rho_c's
-            worst = max(worst, np.max(np.abs(s.rho_s.mat - spectral.mat)))
-        assert worst <= 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        d=st.integers(min_value=2, max_value=30),
+        zeros=st.integers(min_value=0, max_value=29),
+        negative=st.one_of(
+            st.none(), st.floats(min_value=-1e-4 * TOL_PSD, max_value=0.0, exclude_max=True)
+        ),
+    )
+    def test_reports_are_invariant_under_a_common_change_of_basis(self, seed, d, zeros, negative):
+        """The samplers draw rho_s and h_s diagonal: for Haar U1 and U2
+        independent of a Haar V, (V† U1 V, V† U2 V) is again a Haar pair,
+        so the reports of (V diag p V†, V diag E V†, U1, U2) and of
+        (diag p, diag E, V† U1 V, V† U2 V) have one distribution.  This is
+        its deterministic half: the two agree draw for draw within
+        1e-12 max(1, |value|), and the returned states up to conjugation
+        by V, on draws with n_m >= 1e-3.  The dense side runs rho's eigh
+        factoring and a dense h_s; p has exact zeros and, when drawn, one
+        negative weight, which sends both sides to the Cholesky.  It is at
+        most 1e-4 TOL_PSD in modulus: the post-selected state scales it by
+        up to 1 / n_m, and past -TOL_PSD both sides' full check rejects
+        the state."""
+        rng = np.random.default_rng(seed)
+        k = max(1, d - zeros - (negative is not None))  # positive weights
+        p = np.zeros(d)
+        p[:k] = rng.dirichlet(np.ones(k))
+        if negative is not None:
+            p[:k] *= 1.0 - negative
+            p[k] = negative
+        rng.shuffle(p)
+        energies = rng.uniform(0.0, 3.0, size=d)
+        u1, u2, v = verifysuite._haar(np.stack([verifysuite._ginibre(rng, d) for _ in range(3)]))
+        v_h = v.conj().T
+        h_c = verifysuite._random_control_hamiltonian(rng, 0.0, 2.0, 3.0)
+        c = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        m = BlochState(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        dense = SwitchScenario(
+            DensityMatrix((v * p) @ v_h), c, UnitaryOperator(u1), UnitaryOperator(u2),
+            HermitianOperator((v * energies) @ v_h), h_c,
+        )
+        diagonal = SwitchScenario(
+            qmat._DiagonalState(p), c, UnitaryOperator(v_h @ u1 @ v), UnitaryOperator(v_h @ u2 @ v),
+            qmat._DiagonalHermitian(energies), h_c,
+        )
+        assume(assemble_sm(measurement_angles(c, m), diagonal._terms.kernel)[0] >= 1e-3)
+        reports = [activation_report(s) for s in (dense, diagonal)]
+        measured = [measure_control(s, m) for s in (dense, diagonal)]
+        for (a, b), names in (
+            (reports, ("chi", "delta_qs", "delta_s", "delta_c")),
+            (measured, ("n_m", "delta_sm")),
+        ):
+            for name in names:
+                value = getattr(b, name)
+                assert abs(getattr(a, name) - value) <= 1e-12 * max(1.0, abs(value)), name
+        for a, b in ([r.tilde_rho_s for r in reports], [r.rho_sm for r in measured]):
+            assert np.max(np.abs(a.mat - v @ b.mat @ v_h)) <= 1e-12
 
 
 def _haar_z_scores(dim: int, n: int = 4000, seed: int = 1) -> dict[str, float]:
@@ -382,17 +433,3 @@ class TestHaarMoments:
         monkeypatch.setattr(verifysuite, "_haar", lambda z: np.linalg.qr(z)[0])
         z = _haar_z_scores(dim)
         assert abs(z["|tr U|^2"]) > 5.0 and abs(z["Re tr U"]) > 5.0, z
-
-
-class _DirichletRecorder:
-    """A Generator that keeps every Dirichlet draw it hands out."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng, self.draws = rng, []
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def dirichlet(self, alpha):
-        self.draws.append(self._rng.dirichlet(alpha))
-        return self.draws[-1]
