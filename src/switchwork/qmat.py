@@ -19,22 +19,19 @@ for what it proves:
 - _CertifiedUnitary takes a proved bound on the Gram defect max|U†U - I|,
   and _unitary_product derives that bound for a product of two checked
   unitaries from the defects each one records;
-- _CertifiedState takes a proved bound on -lambda_min and keeps the
-  Hermiticity and trace checks; switchcore proves one for tilde_rho_s and
-  for the post-selected rho_sm, both mixtures of terms formed in the
-  system state's eigenbasis, where no eigenvalue is negative;
-- _DeferredState, a _CertifiedState, is also settled without its matrix:
-  switchcore proves its Hermiticity and checks its trace on its O(d)
-  diagonal, and `.mat` is formed on first read, when the Hermiticity and
-  trace checks run on it once more.
+- _DeferredState holds switchcore's tilde_rho_s or post-selected rho_sm,
+  a mixture of terms formed in the system state's eigenbasis, unformed,
+  with proved bounds on -lambda_min and on its Hermiticity defect; its
+  matrix is formed on first read, when the Hermiticity and trace checks
+  run, and the Cholesky only where the positivity bound misses TOL_PSD.
 
-A bound that does not fit inside its tolerance, or a factor with no
-recorded defect, sends the matrix to the full check, so a certificate can
-only accept what the full check accepts.  The round-off terms follow
-Higham's gamma_n = n u / (1 - n u) model (Accuracy and Stability of
-Numerical Algorithms, 2nd ed., ch. 3).  The module runs on numpy alone and
-imports no scipy: positivity is certified by numpy's Cholesky, and expm
-takes only (anti-)Hermitian generators, through their eigendecomposition.
+A bound that does not fit inside its tolerance sends the matrix to the
+full check, so a certificate can only accept what the full check accepts.
+The round-off terms follow Higham's gamma_n = n u / (1 - n u) model
+(Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).  The
+module runs on numpy alone and imports no scipy: positivity is certified
+by numpy's Cholesky, and expm takes only (anti-)Hermitian generators,
+through their eigendecomposition.
 
 All operations are pure functions of immutable inputs.
 """
@@ -95,16 +92,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = _as_square_complex(self.mat, "DensityMatrix")
         _check_hermitian_unit_trace(m)
-        # The shift goes onto the diagonal of a copy: m is read-only.
-        # numpy's Cholesky reads the lower triangle, as eigvalsh does.
-        shifted = m.copy()
-        shifted.flat[:: m.shape[0] + 1] += TOL_PSD
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lam_min = np.linalg.eigvalsh(m).min()
-            if lam_min < -TOL_PSD:
-                raise ValueError(f"DensityMatrix has negative eigenvalue {lam_min:.3e}") from None
+        _check_psd(m)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dim", m.shape[0])
 
@@ -125,6 +113,21 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
     trace = m.trace()
     if abs(trace.real - 1.0) > TOL_TRACE or abs(trace.imag) > TOL_TRACE:
         raise ValueError(f"DensityMatrix trace {trace} != 1 within tolerance")
+
+
+def _check_psd(m: np.ndarray) -> None:
+    """DensityMatrix's positivity check: a Cholesky of m + TOL_PSD·I, and
+    the smallest eigenvalue only where it fails.  The shift goes onto the
+    diagonal of a copy, as m may be read-only; numpy's Cholesky reads the
+    lower triangle, as eigvalsh does."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += TOL_PSD
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lam_min = np.linalg.eigvalsh(m).min()
+        if lam_min < -TOL_PSD:
+            raise ValueError(f"DensityMatrix has negative eigenvalue {lam_min:.3e}") from None
 
 
 class _DiagonalState(DensityMatrix):
@@ -158,50 +161,19 @@ def _read_only_diagonal(values: np.ndarray) -> np.ndarray:
     return m
 
 
-class _CertifiedState(DensityMatrix):
-    """DensityMatrix(mat) whose positivity is proved instead of factored.
+class _DeferredState(DensityMatrix):
+    """DensityMatrix terms.mix(w) / n whose matrix is formed on first read.
 
-    psd_bound must bound -lambda_min of the Hermitian matrix that mat's
-    lower triangle defines, the one the Cholesky reads.  The Hermiticity
-    and trace checks run as in the public constructor; only when psd_bound
-    exceeds TOL_PSD (or is nan) does the Cholesky run.  mat must be a fresh
-    complex128 array that no one else holds: it is marked read-only, not
-    copied.  The bound is kept as _psd_bound, or nan after a Cholesky.
-    """
-
-    def __init__(self, mat: np.ndarray, psd_bound: float) -> None:
-        if not psd_bound <= TOL_PSD:
-            object.__setattr__(self, "mat", mat)
-            self.__post_init__()
-            object.__setattr__(self, "_psd_bound", math.nan)
-            return
-        _check_finite_hermitian_unit_trace(mat)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dim", mat.shape[0])
-        object.__setattr__(self, "_psd_bound", psd_bound)
-
-
-def _check_finite_hermitian_unit_trace(m: np.ndarray) -> None:
-    """DensityMatrix's checks but positivity, on a fresh complex128 m that
-    is then marked read-only."""
-    if not np.isfinite(m).all():
-        raise ValueError("DensityMatrix contains non-finite entries")
-    _check_hermitian_unit_trace(m)
-    m.flags.writeable = False
-
-
-class _DeferredState(_CertifiedState):
-    """_CertifiedState of terms.mix(w) / n whose matrix is formed on first
-    read.
-
-    The caller settles every check without the matrix: psd_bound and
-    herm_bound are proved bounds, within TOL_PSD and TOL_HERM, on
-    -lambda_min and on the max|m - m†| the Hermiticity check would
-    measure, and the trace of `diagonal`, m's diagonal formed on its own
-    route, passed TOL_TRACE with room for the round-off between the two
-    routes.  `.mat` has the bits of terms.mix(w) / n and runs the finite,
-    Hermiticity and trace checks once, when it is formed.  The diagonal is
-    kept read-only as _diagonal, the bounds as _psd_bound and _herm_bound.
+    The caller settles what it can without the matrix: psd_bound and
+    herm_bound are proved bounds on -lambda_min of the Hermitian matrix
+    the Cholesky reads from m and on the max|m - m†| the Hermiticity
+    check measures, and `diagonal` is m's diagonal formed on its own
+    route, from which the caller reads the trace.  `.mat` has the bits of
+    terms.mix(w) / n and runs the finite, Hermiticity and trace checks
+    once, when it is formed, and the Cholesky only where psd_bound
+    exceeds TOL_PSD (or is nan), after which _psd_bound is nan.  The
+    diagonal is kept read-only as _diagonal, the bounds as _psd_bound
+    and _herm_bound.
     """
 
     def __init__(self, terms, w, n, diagonal: np.ndarray, psd_bound: float, herm_bound: float) -> None:
@@ -217,7 +189,13 @@ class _DeferredState(_CertifiedState):
         terms, w, n = self._source
         m = terms.mix(w)
         m /= n
-        _check_finite_hermitian_unit_trace(m)
+        if not np.isfinite(m).all():
+            raise ValueError("DensityMatrix contains non-finite entries")
+        _check_hermitian_unit_trace(m)
+        if not self._psd_bound <= TOL_PSD:
+            _check_psd(m)
+            object.__setattr__(self, "_psd_bound", math.nan)
+        m.flags.writeable = False
         return m
 
 
@@ -325,12 +303,9 @@ class _CertifiedUnitary(UnitaryOperator):
 
 def _unitary_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
     """a.mat @ b.mat as a UnitaryOperator, its Gram defect bounded by
-    _product_defect_bound from the defects a and b record.  A factor with
-    no recorded defect sends the product to the full check."""
-    da, db = getattr(a, "_defect", None), getattr(b, "_defect", None)
+    _product_defect_bound from the defects a and b record."""
     m = a.mat @ b.mat
-    bound = math.inf if da is None or db is None else _product_defect_bound(da, db, m.shape[0])
-    return _CertifiedUnitary(m, bound)
+    return _CertifiedUnitary(m, _product_defect_bound(a._defect, b._defect, m.shape[0]))
 
 
 def _product_defect_bound(def_a: float, def_b: float, d: int, g_prod: float | None = None) -> float:

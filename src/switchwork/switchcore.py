@@ -25,10 +25,11 @@ mix(w) = sum_ab w_ab T_ab, one product of inner length 2|S|, which gives
 tilde_rho_s and the post-selected numerator, and the probe products
 T_ab X.  The dense R12, R21 and A12 are formed only for post_switch_state.
 The columns also give mix(w)'s diagonal in O(d |S|) (_SwitchTerms.diagonal),
-and against a diagonal h_s the reports read tilde_rho_s and rho_sm on it
-alone: each is returned as a _DeferredState whose Hermiticity is proved
-and whose trace is checked on that diagonal, and whose matrix is formed
-only when a caller reads it (_deferred_state).
+and the reports settle tilde_rho_s and rho_sm on it, n_m included: each
+is returned as a _DeferredState whose Hermiticity is proved and whose
+trace is checked on that diagonal, and whose matrix is formed only when a
+caller reads it (_derived_state); its energy against a diagonal h_s is
+read there too.
 The joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
 T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
 these terms and rho_c.  Before a term is used, a Freivalds probe checks
@@ -38,14 +39,14 @@ SwitchScenario._joint_out).  The rho_c weights are checked by the
 reports' route cross-checks: every derived scalar comes from both the
 weighted blocks and the kernel on the d-space scalars, and the routes must
 agree within TOL_ENERGY (each function names its checks); the two
-post-selected numerators are compared by a bound first, and the second is
-formed only when the bound does not settle it (measure_control).
+post-selected numerators are compared by a bound first, and formed only
+when the bound does not settle it (measure_control).
 tilde_rho_s and rho_sm are positive by construction where no weight is
 negative, and carry proved bounds instead of a Cholesky
 (_mixture_psd_unit, _post_selected_psd_bound).  Where a bound misses its
 tolerance (a small n_m, a negative weight), a state is formed and checked
-at once.  A Fock point thus
-allocates no d x d array unless a caller reads a state.
+at once.  A Fock point thus allocates no d x d array unless a caller
+reads a state.
 Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
 conjugation by build_switch_unitary, the oracle of the tests.  A
@@ -88,7 +89,6 @@ from .qmat import (
     TOL_TRACE,
     TOL_UNITARY,
     _UNIT_ROUNDOFF,
-    _CertifiedState,
     _DeferredState,
     _DiagonalHermitian,
     _DiagonalState,
@@ -468,10 +468,12 @@ def _hermitian_bound(t: _SwitchTerms, w: np.ndarray, n: float) -> float:
     return bound * (1.0 + _gamma(8))
 
 
-def _deferred_state(t: _SwitchTerms, w: np.ndarray, diag: np.ndarray, n: float, psd_bound: float):
-    """t.mix(w) / n as a _DeferredState, settled on diag = t.diagonal(w),
-    or None where a check cannot be settled that way and the caller forms
-    the matrix and checks it in full.
+def _derived_state(
+    t: _SwitchTerms, w: np.ndarray, diag: np.ndarray, n: float, psd_bound: float
+) -> _DeferredState:
+    """t.mix(w) / n, n > 0, as a _DeferredState settled on
+    diag = t.diagonal(w), its matrix formed and checked at once where a
+    check cannot be settled there.
 
     psd_bound bounds -lambda_min of fl(t.mix(w)); divided by n it must be
     within TOL_PSD, and _hermitian_bound within TOL_HERM.  The trace is
@@ -485,30 +487,29 @@ def _deferred_state(t: _SwitchTerms, w: np.ndarray, diag: np.ndarray, n: float, 
     matrix passes the trace check when it is formed.  The state keeps
     diag / n, which the reports read its energy from (_state_energy).
     """
-    if not n > 0.0:
-        return None
     diag = diag / n
     psd_bound /= n
     c, d, w_abs = t.mix_error, diag.size, float(np.abs(w).sum())
     room = 2.0 * (c + _gamma(d) * (1.0 + c)) * w_abs * t.mass / n * (1.0 + _gamma(8))
     herm_bound = _hermitian_bound(t, w, n)
     trace = complex(diag.sum())
-    if (
+    rho = _DeferredState(t, w, n, diag, psd_bound, herm_bound)
+    if not (
         psd_bound <= TOL_PSD
         and herm_bound <= TOL_HERM
         and abs(trace.real - 1.0) + room <= TOL_TRACE
         and abs(trace.imag) + room <= TOL_TRACE
     ):
-        return _DeferredState(t, w, n, diag, psd_bound, herm_bound)
-    return None
+        rho.mat  # form and check it now
+    return rho
 
 
-def _state_energy(rho: DensityMatrix, h: HermitianOperator) -> float:
-    """Re tr{rho h}; a _DeferredState, made only against a diagonal h,
-    reads its diagonal."""
-    if isinstance(rho, _DeferredState):
+def _state_energy(rho: _DeferredState, h: HermitianOperator) -> float:
+    """Re tr{rho h}: read from rho's diagonal against a _DiagonalHermitian,
+    from its matrix otherwise."""
+    if isinstance(h, _DiagonalHermitian):
         return float((rho._diagonal @ h._energies).real)
-    return _energy(rho.mat, h).real
+    return _tr(rho.mat, h.mat).real
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
@@ -669,46 +670,43 @@ def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None, basis=No
     """W12 = U2 U1 and W21 = U1 U2: the one place either product is formed.
 
     Without cols, each is a UnitaryOperator whose Gram defect is bounded
-    from the factors' recorded defects (qmat._unitary_product; a factor
-    with none, or a bound past TOL_UNITARY, gets the full check).  With
-    cols (an index array or a slice), the result is (W12 B[:, cols],
-    W21 B[:, cols], t) at d^2 |cols| cost, B = basis or I, t a bound on
-    the Gram defect of the columns: the larger _product_defect_bound of
-    the two products.  Each is formed as U2._apply(U1._columns(cols)) (and
-    the other way round), and the left factor's product has the error
-    model that bound assumes, with g_prod its _apply_roundoff.  The
-    columns are U1.mat's, or, from a Fock core, entries within the same
-    entrywise bound of the exactly phased core as U1.mat's, which U1's
-    recorded defect covers (cvcase._phased_defect_bound); so they are
-    columns of a full matrix that the bound's argument holds for, and
-    their Gram matrix is a principal submatrix of that product's.  A basis
-    is one more certified factor: U1 B[:, cols] is formed as
-    U1._apply(B._columns(cols)), and its _product_defect_bound from U1's
-    and B's recorded defects stands in for U1's defect (likewise for U2).
-    A factor with no recorded defect, or a bound past TOL_UNITARY, takes
-    the full products and their full check, and t is the true defect the
+    from the factors' recorded defects (qmat._unitary_product; a bound
+    past TOL_UNITARY gets the full check).  With cols (an index array or
+    a slice), the result is (W12 B[:, cols], W21 B[:, cols], t) at
+    d^2 |cols| cost, B = basis or I, t a bound on the Gram defect of the
+    columns: the larger _product_defect_bound of the two products.  Each
+    is formed as U2._apply(U1._columns(cols)) (and the other way round),
+    and the left factor's product has the error model that bound assumes,
+    with g_prod its _apply_roundoff.  The columns are U1.mat's, or, from a
+    Fock core, entries within the same entrywise bound of the exactly
+    phased core as U1.mat's, which U1's recorded defect covers
+    (cvcase._phased_defect_bound); so they are columns of a full matrix
+    that the bound's argument holds for, and their Gram matrix is a
+    principal submatrix of that product's.  A basis is one more certified
+    factor: U1 B[:, cols] is formed as U1._apply(B._columns(cols)), and
+    its _product_defect_bound from U1's and B's recorded defects stands in
+    for U1's defect (likewise for U2).  A bound past TOL_UNITARY takes the
+    full products and their full check, and t is the true defect the
     checked one implies.
     """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
     if cols is None:
         return _unitary_product(u2, u1), _unitary_product(u1, u2)
-    d1, d2 = getattr(u1, "_defect", None), getattr(u2, "_defect", None)
-    if d1 is not None and d2 is not None:
-        d = u1.dim
-        if basis is None:
-            c1, c2 = u1._columns(cols), u2._columns(cols)
-        else:
-            b = basis._columns(cols)
-            c1, c2 = u1._apply(b), u2._apply(b)
-            d1 = _product_defect_bound(d1, basis._defect, d, u1._apply_roundoff)
-            d2 = _product_defect_bound(d2, basis._defect, d, u2._apply_roundoff)
-        t = max(
-            _product_defect_bound(d2, d1, d, u2._apply_roundoff),
-            _product_defect_bound(d1, d2, d, u1._apply_roundoff),
-        )
-        if t <= TOL_UNITARY:
-            return u2._apply(c1), u1._apply(c2), t
+    d, d1, d2 = u1.dim, u1._defect, u2._defect
+    if basis is None:
+        c1, c2 = u1._columns(cols), u2._columns(cols)
+    else:
+        b = basis._columns(cols)
+        c1, c2 = u1._apply(b), u2._apply(b)
+        d1 = _product_defect_bound(d1, basis._defect, d, u1._apply_roundoff)
+        d2 = _product_defect_bound(d2, basis._defect, d, u2._apply_roundoff)
+    t = max(
+        _product_defect_bound(d2, d1, d, u2._apply_roundoff),
+        _product_defect_bound(d1, d2, d, u1._apply_roundoff),
+    )
+    if t <= TOL_UNITARY:
+        return u2._apply(c1), u1._apply(c2), t
     w12, w21 = _switch_blocks(u1, u2)
     if basis is not None:
         w12, w21 = _unitary_product(w12, basis), _unitary_product(w21, basis)
@@ -870,8 +868,7 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     """Dephasing mixtures whose local energies sum to the post-switch energy.
 
     tilde_rho_s = rc00 U2U1 rho U1†U2† + rc11 U1U2 rho U2†U1†, a
-    _DeferredState where its checks settle on its diagonal (a diagonal
-    h_s; _deferred_state), else formed now;
+    _DeferredState (_derived_state);
     tilde_rho_c mixes diag(1, ±e^{-i arg chi}) conjugations with convex
     weights (1 ± |chi|)/2, which leaves the diagonal alone and rescales the
     coherence by chi: [[rc00, chi rc01], [conj(chi) rc10, rc11]].
@@ -883,11 +880,7 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     # Positivity is proved, not factored (see _mixture_psd_unit); a
     # negative weight of rho or rho_c sends tilde_s to the Cholesky.
     psd_bound = float((rc00 + rc11) * t.psd_unit) if min(rc00, rc11) >= 0.0 else math.inf
-    tilde_s = None
-    if isinstance(s.h_s, _DiagonalHermitian):
-        tilde_s = _deferred_state(t, w, t.diagonal(w), 1.0, psd_bound)
-    if tilde_s is None:
-        tilde_s = _CertifiedState(t.mix(w), psd_bound)
+    tilde_s = _derived_state(t, w, t.diagonal(w), 1.0, psd_bound)
 
     tilde_c = np.array(rho_c)
     tilde_c[0, 1] *= x
@@ -911,14 +904,11 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     KernelTerms, whose delta_12, delta_21 and delta_f the report carries.
     rho_sm is the direct numerator divided by n_m, with bound
     _post_selected_psd_bound / n_m: w is PSD by the Schur product theorem,
-    so the numerator is PSD up to round-off.  Against a diagonal H_S,
-    rho_sm is a _DeferredState read on its diagonal, n_m its real trace,
-    where its checks settle there (_deferred_state).  Otherwise (the bound
-    past TOL_ENERGY, a small n_m, a negative weight, a dense H_S) the
-    numerator is formed, n_m is its real trace, and rho_sm is a
-    _CertifiedState, whose Cholesky runs where the bound exceeds
-    TOL_PSD.  Against a _DiagonalHermitian H_S, e_sm must lie
-    within tau of [min h, max h] (_spectrum_slack).
+    so the numerator is PSD up to round-off.  n_m is the real trace of
+    the numerator's diagonal, and rho_sm a _DeferredState settled on that
+    diagonal (_derived_state), built only once n_m is past TOL_NM.
+    Against a _DiagonalHermitian H_S, e_sm must lie within tau of
+    [min h, max h] (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
@@ -940,28 +930,19 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     f = np.array([[a.cc, coh], [coh.conjugate(), a.ss]])
     n_m_closed, bracket = assemble_sm(a, t.kernel)
     gap = t.r_norm * (float(np.abs(f - w).sum()) + 4.0 * t.mix_error)
-    psd_bound = _post_selected_psd_bound(t, w, s.rho_s.dim)
-    rho_sm = None
-    if gap <= TOL_ENERGY and isinstance(s.h_s, _DiagonalHermitian):
-        diag = t.diagonal(w)
-        n_m_direct = float(diag.sum().real)
-        rho_sm = _deferred_state(t, w, diag, n_m_direct, psd_bound)
-    if rho_sm is None:
-        numerator = t.mix(w)
-        n_m_direct = float(np.real(np.trace(numerator)))
-        if not gap <= TOL_ENERGY:
-            numerator_exp = t.mix(f)
-            if np.max(np.abs(np.subtract(numerator_exp, numerator, out=numerator_exp))) > TOL_ENERGY:
-                raise AssertionError("projection and expansion numerators disagree")
+    if not gap <= TOL_ENERGY:
+        numerator_exp = t.mix(f)
+        if np.max(np.abs(np.subtract(numerator_exp, t.mix(w), out=numerator_exp))) > TOL_ENERGY:
+            raise AssertionError("projection and expansion numerators disagree")
+    diag = t.diagonal(w)
+    n_m_direct = float(diag.sum().real)
     if abs(n_m_direct - n_m_closed) > TOL_ENERGY:
         raise AssertionError("post-selection probability routes disagree")
 
     if post_selection_vanishes(n_m_direct):
         raise NearZeroPostSelectionError(n_m_direct)
 
-    if rho_sm is None:
-        numerator /= n_m_direct
-        rho_sm = _CertifiedState(numerator, psd_bound / n_m_direct)
+    rho_sm = _derived_state(t, w, diag, n_m_direct, _post_selected_psd_bound(t, w, s.rho_s.dim))
     e_sm = _state_energy(rho_sm, s.h_s)
     if isinstance(s.h_s, _DiagonalHermitian):
         h = s.h_s._energies

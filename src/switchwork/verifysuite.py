@@ -58,7 +58,6 @@ from .qmat import (
     HermitianOperator,
     UnitaryOperator,
     _UNIT_ROUNDOFF,
-    _CertifiedState,
     _CertifiedUnitary,
     _DeferredState,
     _DiagonalHermitian,
@@ -232,12 +231,12 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
     )
 
 
-def _certificate_ratios(s: SwitchScenario, *states: DensityMatrix) -> list[float]:
+def _certificate_ratios(s: SwitchScenario, *states: _DeferredState) -> list[float]:
     """Measured defect over proved bound for each certificate of one
     scenario: the Gram defect of every certified unitary among U1, U2, W12
     and W21 (a Fock operator's dense form against its cores' bound),
-    -lambda_min of each state whose positivity was proved, max|m - m†| of
-    each _DeferredState (whose `.mat` is formed here), and, for a diagonal
+    -lambda_min of each derived state whose positivity was proved and
+    max|m - m†| of each (whose `.mat` is formed here), and, for a diagonal
     rho, mix(w) against the dense conjugation (_mix_ratio).  A ratio above
     1 is a bound that does not hold."""
     blocks = _switch_blocks(s.u1, s.u2)
@@ -247,10 +246,9 @@ def _certificate_ratios(s: SwitchScenario, *states: DensityMatrix) -> list[float
         if isinstance(u, _CertifiedUnitary)
     ]
     for rho in states:
-        if isinstance(rho, _CertifiedState) and not math.isnan(rho._psd_bound):
+        if not math.isnan(rho._psd_bound):
             pairs.append((max(0.0, -float(np.linalg.eigvalsh(rho.mat).min())), rho._psd_bound))
-        if isinstance(rho, _DeferredState):
-            pairs.append((_hermitian_defect(rho.mat), rho._herm_bound))
+        pairs.append((_hermitian_defect(rho.mat), rho._herm_bound))
     if isinstance(s.rho_s, _DiagonalState):
         pairs.append(_mix_ratio(s, *blocks))
     return [measured / bound for measured, bound in pairs]

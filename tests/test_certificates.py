@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
-    _CertifiedState,
     _CertifiedUnitary,
+    _DeferredState,
     _DiagonalState,
     _gram_defect,
     _product_defect_bound,
@@ -68,10 +69,11 @@ def _near_unitary(rng: np.random.Generator, d: int, size: float) -> UnitaryOpera
 
 def _unchecked_unitary(mat: np.ndarray) -> UnitaryOperator:
     """A UnitaryOperator wrapper that skipped its own validation, and so
-    records no defect."""
+    records an unbounded defect."""
     u = object.__new__(UnitaryOperator)
     object.__setattr__(u, "mat", mat)
     object.__setattr__(u, "dim", mat.shape[0])
+    object.__setattr__(u, "_defect", math.inf)
     return u
 
 
@@ -186,7 +188,7 @@ class TestProductCertificate:
         assert full_checks == [400]
         assert p._defect == _gram_defect(p.mat) <= TOL_UNITARY
 
-    def test_a_factor_with_no_recorded_defect_reaches_the_full_check(self, rng, full_checks):
+    def test_a_factor_with_an_unbounded_defect_reaches_the_full_check(self, rng, full_checks):
         good = UnitaryOperator(random_unitary(rng, 4))
         full_checks.clear()
         p = _unitary_product(_unchecked_unitary(good.mat), good)
@@ -311,7 +313,7 @@ class TestMixtureCertificate:
         u1, u2 = (UnitaryOperator(random_unitary(rng, d)) for _ in range(2))
         s = _diagonal_scenario(rng, u1, u2, p, BlochState(theta, 1.0))
         tilde = activation_report(s).tilde_rho_s
-        assert isinstance(tilde, _CertifiedState) and tilde._psd_bound <= TOL_PSD
+        assert isinstance(tilde, _DeferredState) and tilde._psd_bound <= TOL_PSD
         assert _psd_defect(tilde) <= tilde._psd_bound
         DensityMatrix(tilde.mat)  # the full check accepts it too
 
@@ -366,19 +368,27 @@ class TestMixtureCertificate:
             monkeypatch.setattr(switchcore, "_mixture_psd_unit", lambda p, w: 2.0 * TOL_PSD)
         u1, u2 = (UnitaryOperator(random_unitary(rng, 3)) for _ in range(2))
         tilde = switchcore._tilde_states(_diagonal_scenario(rng, u1, u2, p, control), 0.5)[0]
-        assert isinstance(tilde, _CertifiedState) and math.isnan(tilde._psd_bound)
+        assert isinstance(tilde, _DeferredState) and "mat" in vars(tilde) and math.isnan(tilde._psd_bound)
 
     def test_certified_state_rejects_with_the_public_messages(self):
+        """A derived state formed from a given matrix raises DensityMatrix's
+        messages: the Cholesky runs only past its positivity bound."""
+
+        def formed(mat, bound):
+            terms = types.SimpleNamespace(mix=lambda w: mat.copy())
+            return _DeferredState(terms, None, 1.0, mat.diagonal().copy(), bound, 0.0).mat
+
         negative = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
+        assert np.array_equal(formed(negative, 0.0), negative)  # a bound within TOL_PSD is taken
         for bound, message in ((1e-12, "not Hermitian"), (2.0 * TOL_PSD, "negative eigenvalue")):
             mat = negative.copy() if bound > TOL_PSD else np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
             with pytest.raises(ValueError, match=message) as certified:
-                _CertifiedState(mat, bound)
+                formed(mat, bound)
             with pytest.raises(ValueError) as checked:
                 DensityMatrix(mat)
             assert str(certified.value) == str(checked.value)
         with pytest.raises(ValueError, match="trace"):
-            _CertifiedState(np.diag([0.5, 0.5 + 1e-9]).astype(complex), 0.0)
+            formed(np.diag([0.5, 0.5 + 1e-9]).astype(complex), 0.0)
 
 
 class TestDiagonalHamiltonian:
@@ -575,9 +585,8 @@ class TestPostSelectedCertificate:
             assert report.rho_sm._psd_bound == bound
         else:
             assert math.isnan(report.rho_sm._psd_bound)
-        for rho in (tilde, report.rho_sm):  # a deferred state's Hermiticity bound holds too
-            if isinstance(rho, qmat._DeferredState):
-                assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound
+        for rho in (tilde, report.rho_sm):  # the Hermiticity bound holds too
+            assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound
 
     def test_bound_is_attained_by_an_indefinite_weight(self):
         """X and Z anticommute, so W21 = -W12 and sum_ab w_ab T_ab =
@@ -627,9 +636,9 @@ def _readme_point(alpha: float, z: float, n_max: int | None = None) -> SwitchSce
 
 
 class TestDeferredStates:
-    """Terms kept as columns against a diagonal H_S: tilde_rho_s and rho_sm
-    are settled on their O(d) diagonals and formed only when read; where
-    a bound misses its tolerance they are formed and checked at once."""
+    """Terms kept as columns: tilde_rho_s and rho_sm are settled on their
+    O(d) diagonals and formed only when read; where a bound misses its
+    tolerance they are formed and checked at once."""
 
     M = BlochState(1.0, 0.4)
 
@@ -645,20 +654,27 @@ class TestDeferredStates:
         unbuilt."""
         s = _readme_point(1.0, 0.5, n_max=84)
         for rho, _, _ in self._states(s):
-            assert isinstance(rho, qmat._DeferredState) and "mat" not in vars(rho)
+            assert isinstance(rho, _DeferredState) and "mat" not in vars(rho)
         assert "_right" not in vars(s._terms)
 
-    def test_mat_is_the_weighted_sum_over_n_bit_for_bit(self):
-        s = _readme_point(1.0, 0.5, n_max=84)
-        for rho, w, n in self._states(s):
-            expected = s._terms.mix(w)
-            expected /= n
-            assert np.array_equal(rho.mat, expected) and rho.mat is rho.mat
-            assert not rho.mat.flags.writeable
-            DensityMatrix(rho.mat)  # the full check accepts it
-            assert _psd_defect(rho) <= rho._psd_bound <= TOL_PSD
-            assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound <= qmat.TOL_HERM
-            assert np.max(np.abs(rho.mat.diagonal() - rho._diagonal)) <= rho._herm_bound
+    def test_mat_is_the_weighted_sum_over_n_bit_for_bit(self, rng):
+        """A Fock point, and a qubit scenario with a dense H_S, whose
+        energies are read from the formed matrix."""
+        from switchwork.qubitcase import qubit_scenario
+
+        u1, u2 = (UnitaryOperator(random_unitary(rng, 2)) for _ in range(2))
+        qubit = qubit_scenario(1.0, 1.0, 0.5, 0.0, u1, u2, BlochState(1.1, 0.6))
+        for s in (_readme_point(1.0, 0.5, n_max=84), qubit):
+            for rho, w, n in self._states(s):
+                expected = s._terms.mix(w)
+                expected /= n
+                assert isinstance(rho, _DeferredState)
+                assert np.array_equal(rho.mat, expected) and rho.mat is rho.mat
+                assert not rho.mat.flags.writeable
+                DensityMatrix(rho.mat)  # the full check accepts it
+                assert _psd_defect(rho) <= rho._psd_bound <= TOL_PSD
+                assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound <= qmat.TOL_HERM
+                assert np.max(np.abs(rho.mat.diagonal() - rho._diagonal)) <= rho._herm_bound
 
     def test_the_formed_matrix_is_checked(self, monkeypatch):
         """The checks run again when `.mat` is formed: a weighted sum that
@@ -693,8 +709,8 @@ class TestDeferredStates:
             )
         reports = (activation_report(s), measure_control(s, self.M))
         for rho in (reports[0].tilde_rho_s, reports[1].rho_sm):
-            assert isinstance(rho, _CertifiedState) and not isinstance(rho, qmat._DeferredState)
-            assert "mat" in vars(rho)
+            assert isinstance(rho, _DeferredState) and "mat" in vars(rho)
+            assert math.isnan(rho._psd_bound) == (missed == "psd")
         for report, reference in zip(reports, clean):
             for name in ("delta_s", "delta_c", "delta_qs") if report is reports[0] else ("n_m", "delta_sm"):
                 assert abs(getattr(report, name) - getattr(reference, name)) <= 1e-12, name
@@ -703,15 +719,16 @@ class TestDeferredStates:
     def test_small_n_m_takes_the_eager_path(self):
         """A Fock point with n_m near 1e-6, where neither the Hermiticity
         nor the positivity bound over n_m is within its tolerance, and the
-        near-antipodal U(2) optimum of the qubit tests, whose dense H_S
-        holds no diagonal to read."""
+        near-antipodal U(2) optimum of the qubit tests, whose states are
+        formed by the time the reports return: their energies are read
+        from the matrix against the qubit's dense H_S."""
         s = _readme_point(0.04, 0.04)
         report, w = _post_selection(s, BlochState(math.pi / 2.0, math.pi))
         assert 3e-7 < report.n_m < 3e-6
         assert switchcore._hermitian_bound(s._terms, w, report.n_m) > qmat.TOL_HERM
         assert switchcore._post_selected_psd_bound(s._terms, w, s.rho_s.dim) / report.n_m > TOL_PSD
-        assert not isinstance(report.rho_sm, qmat._DeferredState) and "mat" in vars(report.rho_sm)
-        assert isinstance(activation_report(s).tilde_rho_s, qmat._DeferredState)
+        assert "mat" in vars(report.rho_sm) and math.isnan(report.rho_sm._psd_bound)
+        assert "mat" not in vars(activation_report(s).tilde_rho_s)
 
         from switchwork.qubitcase import minimize_delta_sm_u2, qubit_scenario, u2_unitary
 
@@ -719,4 +736,17 @@ class TestDeferredStates:
         res = minimize_delta_sm_u2(1.0, 1.0, c, m, budget=2000, seed=1)
         s = qubit_scenario(1.0, 1.0, 0.0, 0.0, *map(u2_unitary, res.params), c)
         for rho in (activation_report(s).tilde_rho_s, measure_control(s, m).rho_sm):
-            assert not isinstance(rho, qmat._DeferredState) and "mat" in vars(rho)
+            assert "mat" in vars(rho)
+
+    def test_a_vanishing_n_m_forms_no_state(self, monkeypatch):
+        """A divergent point of the README sweep (z = 0, so the unitaries
+        commute and n_m is round-off): n_m is read on the diagonal, and the
+        flag is raised before any weighted sum is formed."""
+        s = _readme_point(1.0, 0.0)
+
+        def forbidden(t, w):
+            raise AssertionError("a weighted sum was formed")
+
+        monkeypatch.setattr(switchcore._SwitchTerms, "mix", forbidden)
+        with pytest.raises(NearZeroPostSelectionError):
+            measure_control(s, BlochState(math.pi / 2.0, math.pi))

@@ -310,8 +310,9 @@ class TestU2Optimizers:
         at n_m = 8.1e-6 with a value of -1.5e-12.  The result is finite,
         lies in [-E_S, omega - E_S] with E_S = omega p1 of the Gibbs qubit,
         and agrees with the checked path, whose rho_sm is formed and
-        checked at once (the qubit's dense H_S holds no diagonal to read)
-        and passes the full check."""
+        checked by the time the report returns (its energy is read from
+        the matrix against the qubit's dense H_S) and passes the full
+        check."""
         omega, beta = 1.0, 1.0
         c, m = BlochState(0.3, 0.0), BlochState(math.pi - 0.3, math.pi)
         e_s = omega * gibbs_qubit(ThermalParams(beta, omega)).mat[1, 1].real
@@ -319,7 +320,7 @@ class TestU2Optimizers:
         s = qubit_scenario(omega, beta, 0.0, 0.0, *map(u2_unitary, res.params), c)
         report = measure_control(s, m)
         assert 1e-6 < report.n_m < 1e-5
-        assert not isinstance(report.rho_sm, _DeferredState) and "mat" in vars(report.rho_sm)
+        assert isinstance(report.rho_sm, _DeferredState) and "mat" in vars(report.rho_sm)
         DensityMatrix(report.rho_sm.mat)
         assert math.isfinite(res.value)
         assert -e_s <= res.value <= omega - e_s

@@ -762,18 +762,23 @@ class TestTermCache:
         unitary on the hot path; switchcore builds no unitary at all for
         a thermal state, only the columns W12[:, S] and W21[:, S] on the
         state's working-precision support S.  Its d x d states are
-        deferred, so the only state checked in full is tilde_rho_c."""
+        deferred and left unformed, so the only state checked in full is
+        tilde_rho_c."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
         )
-        dims, block_shapes = [], []
-        density, certified = switchcore.DensityMatrix, switchcore._CertifiedState
+        dims, block_shapes, derived = [], [], []
+        density, deferred = switchcore.DensityMatrix, switchcore._DeferredState
         blocks = switchcore._switch_blocks
 
-        def recorded(mat, *bound):
+        def recorded(mat):
             dims.append(np.shape(mat)[0])
-            return (certified if bound else density)(mat, *bound)
+            return density(mat)
+
+        def recorded_derived(*args):
+            derived.append(deferred(*args))
+            return derived[-1]
 
         def recorded_blocks(u1, u2, *cols):
             out = blocks(u1, u2, *cols)
@@ -784,7 +789,7 @@ class TestTermCache:
             raise AssertionError("joint-space route called by a report")
 
         monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
-        monkeypatch.setattr(switchcore, "_CertifiedState", recorded)
+        monkeypatch.setattr(switchcore, "_DeferredState", recorded_derived)
         monkeypatch.setattr(switchcore, "UnitaryOperator", forbidden)
         monkeypatch.setattr(switchcore, "_unitary_product", forbidden)
         monkeypatch.setattr(switchcore, "_switch_blocks", recorded_blocks)
@@ -795,6 +800,7 @@ class TestTermCache:
         measure_control(s, BlochState(1.0, 0.4))
         d = s.rho_s.dim
         assert sorted(set(dims)) == [2]
+        assert len(derived) == 3 and not any("mat" in vars(rho) for rho in derived)
         k = switchcore._support(s.rho_s.mat.diagonal().real).size
         assert k < d and block_shapes == [(d, k)] * 2
 
@@ -887,10 +893,12 @@ class TestReportsValidateBlocks:
 
 
 def _unchecked_unitary(mat: np.ndarray) -> UnitaryOperator:
-    """A UnitaryOperator wrapper that skipped its own validation."""
+    """A UnitaryOperator wrapper that skipped its own validation, and so
+    records an unbounded defect."""
     u = object.__new__(UnitaryOperator)
     object.__setattr__(u, "mat", mat)
     object.__setattr__(u, "dim", mat.shape[0])
+    object.__setattr__(u, "_defect", math.inf)
     return u
 
 
