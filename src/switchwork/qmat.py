@@ -19,11 +19,11 @@ for what it proves:
 - _CertifiedUnitary takes a proved bound on the Gram defect max|U†U - I|,
   and _unitary_product derives that bound for a product of two checked
   unitaries from the defects each one records;
-- _DeferredState holds switchcore's tilde_rho_s or post-selected rho_sm,
-  a mixture of terms formed in the system state's eigenbasis, unformed,
-  with proved bounds on -lambda_min and on its Hermiticity defect; its
-  matrix is formed on first read, when the Hermiticity and trace checks
-  run, and the Cholesky only where the positivity bound misses TOL_PSD.
+- _DeferredState holds switchcore's tilde_rho_s or post-selected rho_sm
+  unformed, as its diagonal and proved bounds on -lambda_min and on its
+  Hermiticity defect; the matrix, which carries that diagonal, is formed
+  on first read, when the Hermiticity and trace checks run, and the
+  Cholesky only where the positivity bound misses TOL_PSD.
 
 A bound that does not fit inside its tolerance sends the matrix to the
 full check, so a certificate can only accept what the full check accepts.
@@ -164,16 +164,16 @@ def _read_only_diagonal(values: np.ndarray) -> np.ndarray:
 class _DeferredState(DensityMatrix):
     """DensityMatrix terms.mix(w) / n whose matrix is formed on first read.
 
-    The caller settles what it can without the matrix: psd_bound and
-    herm_bound are proved bounds on -lambda_min of the Hermitian matrix
-    the Cholesky reads from m and on the max|m - m†| the Hermiticity
-    check measures, and `diagonal` is m's diagonal formed on its own
-    route, from which the caller reads the trace.  `.mat` has the bits of
-    terms.mix(w) / n and runs the finite, Hermiticity and trace checks
-    once, when it is formed, and the Cholesky only where psd_bound
-    exceeds TOL_PSD (or is nan), after which _psd_bound is nan.  The
-    diagonal is kept read-only as _diagonal, the bounds as _psd_bound
-    and _herm_bound.
+    The caller settles what it can without the matrix: `diagonal` is m's
+    diagonal formed on its own route, which the caller reads the trace and
+    energies from, and psd_bound and herm_bound are proved bounds on
+    -lambda_min of the Hermitian matrix the Cholesky reads from m and on
+    the max|m - m†| the Hermiticity check measures.  `.mat` has the bits of
+    terms.mix(w) / n off the diagonal and `diagonal` on it, and runs the
+    finite, Hermiticity and trace checks once, when it is formed, and the
+    Cholesky only where psd_bound exceeds TOL_PSD (or is nan), after which
+    _psd_bound is nan.  The diagonal is kept read-only as _diagonal, the
+    bounds as _psd_bound and _herm_bound.
     """
 
     def __init__(self, terms, w, n, diagonal: np.ndarray, psd_bound: float, herm_bound: float) -> None:
@@ -189,6 +189,7 @@ class _DeferredState(DensityMatrix):
         terms, w, n = self._source
         m = terms.mix(w)
         m /= n
+        m.flat[:: self.dim + 1] = self._diagonal
         if not np.isfinite(m).all():
             raise ValueError("DensityMatrix contains non-finite entries")
         _check_hermitian_unit_trace(m)

@@ -149,8 +149,8 @@ def gibbs_fock(p: ThermalParams, n_max: int) -> DensityMatrix:
 
 
 def hamiltonian_qubit_system(p: QubitSystemParams) -> HermitianOperator:
-    """diag(0, omega): ground level at zero energy."""
-    return HermitianOperator(np.diag([0.0, p.omega]).astype(complex))
+    """diag(0, omega): ground level at zero energy, checked in O(d)."""
+    return _DiagonalHermitian(np.array([0.0, p.omega]))
 
 
 def hamiltonian_control(p: ControlHamiltonianParams) -> HermitianOperator:

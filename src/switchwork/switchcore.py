@@ -11,7 +11,8 @@ Each scenario computes its terms once, on first use, and both reports read
 them: the d-space blocks R12 = W12 rho W12†, R21 = W21 rho W21† and
 A12 = W12 rho W21† of the switch blocks W12 = U2 U1 and W21 = U1 U2, with
 the scalars chi = tr A12, E_S, E12, E21 and F_S = tr{A12 h_s}, and the
-kernel record formed from them; and rho_c.  The terms have one form
+kernel record formed from them; and rho_c.  They are formed in h_s's
+eigenbasis, where h_s is diagonal (SwitchScenario._frame), in one form
 (SwitchScenario._terms): rho = B diag(p) B†, B = I for a diagonal rho and
 rho's eigenvectors from one eigh otherwise, and only the columns
 W12 B[:, S] and W21 B[:, S] on p's working-precision support S are formed
@@ -19,17 +20,15 @@ W12 B[:, S] and W21 B[:, S] on p's working-precision support S are formed
 factors' own products (a Fock operator applies its real core) with a Gram
 defect bounded from the defects the factors record.  The terms are kept
 as those d x |S| columns with their weights, T_ab = W_a diag(p) W_b†:
-the scalars are O(d |S|) sums against a diagonal h_s, and no d x d term
+the scalars are O(d |S|) sums against the diagonal h_s, and no d x d term
 is formed.  The terms record answers two questions (_SwitchTerms):
 mix(w) = sum_ab w_ab T_ab, one product of inner length 2|S|, which gives
 tilde_rho_s and the post-selected numerator, and the probe products
 T_ab X.  The dense R12, R21 and A12 are formed only for post_switch_state.
 The columns also give mix(w)'s diagonal in O(d |S|) (_SwitchTerms.diagonal),
-and the reports settle tilde_rho_s and rho_sm on it, n_m included: each
-is returned as a _DeferredState whose Hermiticity is proved and whose
-trace is checked on that diagonal, and whose matrix is formed only when a
-caller reads it (_derived_state); its energy against a diagonal h_s is
-read there too.
+and the reports read n_m and the energies on it: tilde_rho_s and rho_sm
+are _DeferredStates whose Hermiticity is proved and whose trace is checked
+on that one diagonal, which the matrix carries when formed (_derived_state).
 The joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
 T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
 these terms and rho_c.  Before a term is used, a Freivalds probe checks
@@ -45,8 +44,8 @@ tilde_rho_s and rho_sm are positive by construction where no weight is
 negative, and carry proved bounds instead of a Cholesky
 (_mixture_psd_unit, _post_selected_psd_bound).  Where a bound misses its
 tolerance (a small n_m, a negative weight), a state is formed and checked
-at once.  A Fock point thus allocates no d x d array unless a caller
-reads a state.
+at once.  A scenario with a diagonal h_s thus allocates no d x d array
+unless a caller reads a state.
 Only post_switch_state builds E as a (2d) x (2d) DensityMatrix; `verify`'s
 tilde-energy-split check compares it, entry for entry, with the dense
 conjugation by build_switch_unitary, the oracle of the tests.  A
@@ -146,8 +145,24 @@ class SwitchScenario:
         return self.control
 
     @cached_property
+    def _frame(self) -> _Frame:
+        """The system side in h_s's eigenbasis Q: the one place a dense h_s
+        is told apart.  A _DiagonalHermitian h_s is its own (q None); any
+        other is factored once by eigh, h_s = Q diag(E) Q†, into the checked
+        Q† rho Q, Q† U1 Q and Q† U2 Q.  Reported scalars are traces, the same
+        in either basis; the returned states are conjugated back by Q
+        (_in_basis), post_switch_state by Q (x) 1.  The frame does not hold
+        the scenario, so caching it makes no reference cycle."""
+        if isinstance(self.h_s, _DiagonalHermitian):
+            return _Frame(self.rho_s, self.u1, self.u2, self.h_s._energies, None)
+        energies, q = np.linalg.eigh(self.h_s.mat)
+        qh = q.conj().T
+        rho, u1, u2 = (qh @ a.mat @ q for a in (self.rho_s, self.u1, self.u2))
+        return _Frame(DensityMatrix(rho), UnitaryOperator(u1), UnitaryOperator(u2), energies, q)
+
+    @cached_property
     def _terms(self) -> _SwitchTerms:
-        """The d-space terms, formed once, as weighted columns.
+        """The d-space terms, formed once in the frame, as weighted columns.
 
         rho = B diag(p) B†: a _DiagonalState is its own eigenbasis (B = I,
         p its weights), and any other rho is factored once by eigh, B its
@@ -157,9 +172,9 @@ class SwitchScenario:
         those d x |S| columns with the kept weights p,
         T_ab = W_a B diag(p) B† W_b† (_factored_terms); no d x d term is
         formed.  chi = tr A12 and the energies are O(d |S|) sums over the
-        columns against a diagonal h_s (E12 = sum_j p_j c_j† h c_j over the
-        columns c_j of W12 B[:, S], F_S likewise with W21 B on the left),
-        and E_S = sum_i p_i h_i for B = I, tr{rho h_s} otherwise (_energy).
+        columns against the frame's diagonal h (E12 = sum_j p_j c_j† h c_j
+        over the columns c_j of W12 B[:, S], F_S likewise with W21 B on the
+        left), and E_S = sum_i rho_ii h_i.
         The dropped levels hold mass at most u max p / 4, and each dropped
         term p_i c_i c_i† has entries of modulus at most p_i (1 + t), t the
         columns' Gram defect bound, so every entry of T_ab is within
@@ -170,10 +185,11 @@ class SwitchScenario:
         singular rho returns about -1e-17) keeps every level and leaves
         positivity to the Cholesky.
         """
-        if isinstance(self.rho_s, _DiagonalState):
-            return _factored_terms(self, self.rho_s._weights, None)
-        p, basis = np.linalg.eigh(self.rho_s.mat)
-        return _factored_terms(self, p, UnitaryOperator(basis))
+        f = self._frame
+        if isinstance(f.rho_s, _DiagonalState):
+            return _factored_terms(f, f.rho_s._weights, None)
+        p, basis = np.linalg.eigh(f.rho_s.mat)
+        return _factored_terms(f, p, UnitaryOperator(basis))
 
     @cached_property
     def _joint_out(self) -> None:
@@ -198,18 +214,19 @@ class SwitchScenario:
         scaling rows when it is diagonal.  The probe applies the factors
         one at a time through UnitaryOperator's trio (a Fock operator on its
         real core), never the products W12 and W21 the terms were filled
-        from, so the two routes share no product.
+        from, so the two routes share no product.  Both run in the frame.
         """
-        u1, u2 = self.u1, self.u2
-        x = _probes(self.rho_s.dim)
+        f = self._frame
+        u1, u2 = f.u1, f.u2
+        x = _probes(f.rho_s.dim)
         y = np.empty((2, *x.shape), dtype=complex)
         y[0] = u1._apply_t(u2._apply_t(x))
         y[1] = u2._apply_t(u1._apply_t(x))
         np.conjugate(y, out=y)
-        if isinstance(self.rho_s, _DiagonalState):
-            y *= self.rho_s._weights[:, None]
+        if isinstance(f.rho_s, _DiagonalState):
+            y *= f.rho_s._weights[:, None]
         else:
-            y = self.rho_s.mat @ y
+            y = f.rho_s.mat @ y
         conjugated = np.empty((3, *x.shape), dtype=complex)
         conjugated[:2] = u2._apply(u1._apply(y))  # U2 U1 Y0 and U2 U1 Y1
         conjugated[2] = u1._apply(u2._apply(y[1]))
@@ -219,48 +236,53 @@ class SwitchScenario:
     @cached_property
     def _post_switch(self) -> DensityMatrix:
         self._joint_out  # probe the terms the blocks are filled from
-        return DensityMatrix(_post_switch_expansion(self))
+        joint, q = _post_switch_expansion(self), self._frame.q
+        if q is not None:
+            qc = kron(q, np.eye(2))
+            joint = qc @ joint @ qc.conj().T
+        return DensityMatrix(joint)
 
 
-def _factored_terms(s: SwitchScenario, p: np.ndarray, basis: UnitaryOperator | None) -> _SwitchTerms:
-    """SwitchScenario._terms of rho = B diag(p) B†, B = basis or I: the
-    columns on p's working-precision support and the scalars read from
-    them (_column_sums).  A negative weight keeps every level, the bounds
-    read |p|, and psd_unit is inf."""
+class _Frame(NamedTuple):
+    """A scenario's system side in h_s's eigenbasis (SwitchScenario._frame)."""
+
+    rho_s: DensityMatrix
+    u1: UnitaryOperator
+    u2: UnitaryOperator
+    h: np.ndarray  # h_s's eigenvalues
+    q: np.ndarray | None  # the eigenbasis, None for a diagonal h_s
+
+
+def _factored_terms(f: _Frame, p: np.ndarray, basis: UnitaryOperator | None) -> _SwitchTerms:
+    """SwitchScenario._terms of rho = B diag(p) B†, B = basis or I, in the
+    frame f: the columns on p's working-precision support and the scalars
+    read from them (_column_sums).  A negative weight keeps every level,
+    the bounds read |p|, and psd_unit is inf."""
     negative = p.min() < 0.0
     cols = slice(None) if negative else _support(p)
-    w12, w21, defect = _switch_blocks(s.u1, s.u2, cols, basis)
+    w12, w21, defect = _switch_blocks(f.u1, f.u2, cols, basis)
     kept = p[cols]
-    x, e12, e21, f_s, a12_diag = _column_sums(w12, w21, kept, s.h_s)
-    if basis is not None:
-        e_s = _energy(s.rho_s.mat, s.h_s).real
-    else:
-        diagonal_h = isinstance(s.h_s, _DiagonalHermitian)
-        e_s = float(p @ (s.h_s._energies if diagonal_h else s.h_s.mat.diagonal().real))
+    x, e12, e21, f_s, a12_diag = _column_sums(w12, w21, kept, f.h)
+    e_s = float(((p if basis is None else f.rho_s.mat.diagonal()) @ f.h).real)
     kernel = KernelTerms(x - 1.0, e12 - e_s, e21 - e_s, f_s - x * e_s)
     kept_abs = np.abs(kept) if negative else kept
     r_norm = float(kept_abs.max()) * (1.0 + kept.size * defect)
     psd_unit = math.inf if negative else _mixture_psd_unit(kept, defect)
     v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a B[:, S]
     return _SwitchTerms(
-        x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm, _mix_error(kept.size), v, kept,
-        _column_mass(kept_abs, defect), a12_diag,
+        x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm, _mix_error(kept.size), v, kept, a12_diag
     )
 
 
-def _column_sums(w12, w21, p, h_s: HermitianOperator):
+def _column_sums(w12, w21, p, h: np.ndarray):
     """(chi, E12, E21, F_S, diag A12) from the columns W12, W21 and their
-    weights p, each an O(d |S|) sum against a diagonal h_s:
-    tr{W_a diag(p) W_b† h} = sum_ij conj(W_b)_ij (h W_a)_ij p_j, and
+    weights p, each an O(d |S|) sum against h_s = diag(h):
+    tr{W_a diag(p) W_b† h_s} = sum_ij conj(W_b)_ij h_i (W_a)_ij p_j, and
     chi = tr A12 the same sum with h = 1."""
     # chi sums A12's diagonal row by row, sum_j (W12 diag p)_ij conj(W21_ij).
     a12_diag = (w12 * p * w21.conj()).sum(axis=1)
     x = complex(a12_diag.sum())
-    if isinstance(h_s, _DiagonalHermitian):
-        h = h_s._energies[:, None]
-        h_w12, h_w21 = w12 * h, w21 * h
-    else:
-        h_w12, h_w21 = h_s.mat @ w12, h_s.mat @ w21
+    h_w12, h_w21 = w12 * h[:, None], w21 * h[:, None]
     h_w12 *= p
     h_w21 *= p
     e12, e21 = float(np.vdot(w12, h_w12).real), float(np.vdot(w21, h_w21).real)
@@ -293,10 +315,7 @@ class _SwitchTerms:
     mix_error: float
     v: np.ndarray
     p: np.ndarray
-    # A bound on the trace of |W_a| diag(|p|) |W_b|^T (_column_mass), and
-    # diag A12 from _column_sums.
-    mass: float
-    a12_diag: np.ndarray
+    a12_diag: np.ndarray  # diag A12 from _column_sums
 
     def mix(self, w: np.ndarray) -> np.ndarray:
         """sum_ab w_ab T_ab for a 2 x 2 w, in a fresh array: [W12 | W21]
@@ -398,21 +417,15 @@ def _mixture_psd_unit(p: np.ndarray, w_defect: float) -> float:
     most c sum_ab |w_ab| (S_ab)_ij with S_ab = |W_a| diag(p) |W_b|^T
     (_mix_error), and
     ||S_ab||_F <= || |W_a| diag(sqrt p) ||_F || |W_b| diag(sqrt p) ||_F
-    <= (1 + t) sum p (_column_mass).  The Cholesky reads the Hermitian
+    <= (1 + t) sum p, as each column of W has squared norm <= 1 + t; the
+    computed sum of p is within gamma_k.  The Cholesky reads the Hermitian
     matrix of the lower triangle, whose error is at most sqrt 2 times as
     large in Frobenius norm, and by Weyl's inequality that norm bounds how
     far lambda_min can fall below 0.  tilde_rho_s is the case
     w = diag(rc00, rc11), n = 1.
     """
-    return math.sqrt(2.0) * _mix_error(p.size) * _column_mass(p, w_defect)
-
-
-def _column_mass(p: np.ndarray, w_defect: float) -> float:
-    """(1 + t) sum p, computed upward: a bound on ||S_ab||_F and on
-    tr S_ab for S_ab = |W_a| diag(p) |W_b|^T, as each column of W has
-    squared norm <= 1 + t (tr S_ab = sum_j p_j |W_a[:, j]| . |W_b[:, j]|);
-    the computed sum of p is within gamma_k."""
-    return (1.0 + w_defect) * float(p.sum()) / (1.0 - _gamma(p.size))
+    mass = (1.0 + w_defect) * float(p.sum()) / (1.0 - _gamma(p.size))
+    return math.sqrt(2.0) * _mix_error(p.size) * mass
 
 
 def _post_selected_psd_bound(t: _SwitchTerms, w: np.ndarray, d: int) -> float:
@@ -472,25 +485,22 @@ def _derived_state(
     t: _SwitchTerms, w: np.ndarray, diag: np.ndarray, n: float, psd_bound: float
 ) -> _DeferredState:
     """t.mix(w) / n, n > 0, as a _DeferredState settled on
-    diag = t.diagonal(w), its matrix formed and checked at once where a
-    check cannot be settled there.
+    diag = t.diagonal(w), formed and checked at once where a check cannot
+    be settled there.
 
     psd_bound bounds -lambda_min of fl(t.mix(w)); divided by n it must be
-    within TOL_PSD, and _hermitian_bound within TOL_HERM.  The trace is
-    read from diag / n.  diag and the formed matrix's diagonal are each
-    within c sum_ab |w_ab| (S_ab)_ii / n of the exact one (_mix_error;
-    the diagonal route, row sums of length |S| weighted by one complex
-    product of length 4, is within 2 gamma_{|S|+8} <= c), and
-    sum_i (S_ab)_ii <= mass, so their traces differ by at most
-    2 c sum |w| mass / n, plus gamma_d (1 + c) sum |w| mass / n for each
-    of the two sums; the trace must pass TOL_TRACE with that room, so the
-    matrix passes the trace check when it is formed.  The state keeps
-    diag / n, which the reports read its energy from (_state_energy).
+    within TOL_PSD, and _hermitian_bound within TOL_HERM.  The state keeps
+    diag / n, which n_m, the trace and the energies are read from, and its
+    formed matrix carries it, so the trace check sums the same numbers in
+    another order: the sums differ by at most 2 gamma_d sum |diag / n|,
+    the room the trace must pass TOL_TRACE with.  diag is within the
+    entrywise round-off of mix that the Hermiticity and positivity bounds
+    allow (_mix_error; the diagonal route, row sums of length |S| weighted
+    by one complex product of length 4, is within 2 gamma_{|S|+8} <= c).
     """
     diag = diag / n
     psd_bound /= n
-    c, d, w_abs = t.mix_error, diag.size, float(np.abs(w).sum())
-    room = 2.0 * (c + _gamma(d) * (1.0 + c)) * w_abs * t.mass / n * (1.0 + _gamma(8))
+    room = 2.0 * _gamma(diag.size) * float(np.abs(diag).sum())
     herm_bound = _hermitian_bound(t, w, n)
     trace = complex(diag.sum())
     rho = _DeferredState(t, w, n, diag, psd_bound, herm_bound)
@@ -504,25 +514,14 @@ def _derived_state(
     return rho
 
 
-def _state_energy(rho: _DeferredState, h: HermitianOperator) -> float:
-    """Re tr{rho h}: read from rho's diagonal against a _DiagonalHermitian,
-    from its matrix otherwise."""
-    if isinstance(h, _DiagonalHermitian):
-        return float((rho._diagonal @ h._energies).real)
-    return _tr(rho.mat, h.mat).real
+def _in_basis(rho: _DeferredState, q: np.ndarray | None) -> DensityMatrix:
+    """rho as a report returns it: itself, or Q rho Q† formed and checked."""
+    return rho if q is None else DensityMatrix(q @ rho.mat @ q.conj().T)
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> complex:
     """tr{a b} as an O(d^2) elementwise sum."""
     return complex(np.einsum("ij,ji->", a, b))
-
-
-def _energy(a: np.ndarray, h: HermitianOperator) -> complex:
-    """tr{a h}: sum_i a_ii h_i in O(d) against a _DiagonalHermitian, and
-    _tr's einsum against a dense h."""
-    if isinstance(h, _DiagonalHermitian):
-        return complex(a.diagonal() @ h._energies)
-    return _tr(a, h.mat)
 
 
 class KernelTerms(NamedTuple):
@@ -817,7 +816,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
     rho_c = s.rho_c.mat
     h_c = s.h_c.mat
     s._joint_out  # probe the terms, once per scenario
-    t = s._terms
+    t, f = s._terms, s._frame
     e_s, x = t.e_s, t.chi
     e_c = _tr(rho_c, h_c).real
 
@@ -830,7 +829,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         raise AssertionError(f"energy routes disagree: direct {delta_qs!r} vs scalar {qs_scalar!r}")
 
     tilde_s, tilde_c = _tilde_states(s, x)
-    e_tilde_s = _state_energy(tilde_s, s.h_s)
+    e_tilde_s = float((tilde_s._diagonal @ f.h).real)
     e_tilde_c = _tr(tilde_c.mat, h_c).real
     if abs(e_tilde_s + e_tilde_c - e_out_direct) > TOL_ENERGY:
         raise AssertionError("mixed-state split disagrees with the direct route")
@@ -850,7 +849,7 @@ def activation_report(s: SwitchScenario) -> ActivationReport:
         delta_s=delta_s,
         delta_c=delta_c,
         delta_c_min=delta_c_min(s.h_c, x).attained,
-        tilde_rho_s=tilde_s,
+        tilde_rho_s=_in_basis(tilde_s, f.q),
         tilde_rho_c=tilde_c,
     )
 
@@ -868,7 +867,7 @@ def _tilde_states(s: SwitchScenario, x: complex) -> tuple[DensityMatrix, Density
     """Dephasing mixtures whose local energies sum to the post-switch energy.
 
     tilde_rho_s = rc00 U2U1 rho U1†U2† + rc11 U1U2 rho U2†U1†, a
-    _DeferredState (_derived_state);
+    _DeferredState in the frame (_derived_state);
     tilde_rho_c mixes diag(1, ±e^{-i arg chi}) conjugations with convex
     weights (1 ± |chi|)/2, which leaves the diagonal alone and rescales the
     coherence by chi: [[rc00, chi rc01], [conj(chi) rc10, rc11]].
@@ -906,14 +905,14 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
     _post_selected_psd_bound / n_m: w is PSD by the Schur product theorem,
     so the numerator is PSD up to round-off.  n_m is the real trace of
     the numerator's diagonal, and rho_sm a _DeferredState settled on that
-    diagonal (_derived_state), built only once n_m is past TOL_NM.
-    Against a _DiagonalHermitian H_S, e_sm must lie within tau of
-    [min h, max h] (_spectrum_slack).
+    diagonal (_derived_state), built only once n_m is past TOL_NM.  e_sm
+    is read on that diagonal in the frame (_frame), and must lie within
+    tau of [min h, max h] of H_S's eigenvalues h (_spectrum_slack).
     """
     if not isinstance(s.control, BlochState):
         raise ValueError("measure_control requires a pure (BlochState) control")
     s._joint_out  # probe the terms, once per scenario
-    t = s._terms
+    t, frame = s._terms, s._frame
 
     # Direct path: <m| . |m> on the control index of the joint state's blocks.
     ket_m = m.to_ket()
@@ -943,12 +942,11 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
         raise NearZeroPostSelectionError(n_m_direct)
 
     rho_sm = _derived_state(t, w, diag, n_m_direct, _post_selected_psd_bound(t, w, s.rho_s.dim))
-    e_sm = _state_energy(rho_sm, s.h_s)
-    if isinstance(s.h_s, _DiagonalHermitian):
-        h = s.h_s._energies
-        slack = _spectrum_slack(h, rho_sm)
-        if not h.min() - slack <= e_sm <= h.max() + slack:
-            raise AssertionError("post-selected energy lies outside the spectrum of H_S")
+    h = frame.h
+    e_sm = float((rho_sm._diagonal @ h).real)
+    slack = _spectrum_slack(h, rho_sm)
+    if not h.min() - slack <= e_sm <= h.max() + slack:
+        raise AssertionError("post-selected energy lies outside the spectrum of H_S")
     delta_sm_direct = e_sm - t.e_s
     if abs(bracket / n_m_direct - delta_sm_direct) > TOL_ENERGY:
         raise AssertionError("post-measurement energy routes disagree")
@@ -956,7 +954,7 @@ def measure_control(s: SwitchScenario, m: BlochState) -> MeasurementReport:
 
     return MeasurementReport(
         n_m=n_m_direct,
-        rho_sm=rho_sm,
+        rho_sm=_in_basis(rho_sm, frame.q),
         e_sm=e_sm,
         delta_12=t.kernel.d12,
         delta_21=t.kernel.d21,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_unitary
+from conftest import random_density, random_unitary
 from switchwork import cvcase, qmat, switchcore
 from switchwork.cvcase import DisplacementParams, SqueezeParams, displacement_op, squeeze_op
 from switchwork.qmat import (
@@ -493,13 +493,26 @@ class TestWorkingPrecisionSupport:
             assert abs(getattr(t, name) - value) <= 1e-14 * max(1.0, abs(value)), name
 
     def test_energies_are_diagonal_sums_against_a_diagonal_hamiltonian(self, rng):
-        a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-        h = hamiltonian_fock(1.3, 29)
-        assert isinstance(h, qmat._DiagonalHermitian)
-        einsum = switchcore._tr(a, h.mat)
-        assert abs(switchcore._energy(a, h) - einsum) <= 1e-12 * abs(np.diag(a) * 40).sum()
-        dense = HermitianOperator(h.mat + 1e-3 * np.eye(30, k=1) + 1e-3 * np.eye(30, k=-1))
-        assert switchcore._energy(a, dense) == switchcore._tr(a, dense.mat)
+        """E_S of a dense rho and tilde_rho_s's energy are O(d) sums over
+        diagonals against the frame's diagonal H_S, and match the einsum
+        traces, for a diagonal H_S and for a dense one, whose frame holds
+        its eigenvalues."""
+        d = 30
+        rho = DensityMatrix(random_density(rng, d))
+        u1, u2 = (UnitaryOperator(random_unitary(rng, d)) for _ in range(2))
+        h = hamiltonian_fock(1.3, d - 1)
+        dense = HermitianOperator(h.mat + 1e-3 * np.eye(d, k=1) + 1e-3 * np.eye(d, k=-1))
+        h_c = hamiltonian_control(ControlHamiltonianParams(1.0, 0.5, 0.3))
+        for h_s in (h, dense):
+            s = SwitchScenario(rho, BlochState(1.0, 0.3), u1, u2, h_s, h_c)
+            frame = s._frame
+            assert (frame.q is None) == (h_s is h)
+            report = activation_report(s)
+            scale = 1e-12 * float(np.abs(h_s.mat).sum())
+            assert abs(report.e_s - switchcore._tr(rho.mat, h_s.mat).real) <= scale
+            tilde = switchcore._tilde_states(s, report.chi)[0]  # in the frame
+            e_tilde = float((tilde._diagonal @ frame.h).real)
+            assert abs(e_tilde - switchcore._tr(report.tilde_rho_s.mat, h_s.mat).real) <= scale
 
     @pytest.mark.parametrize("dense", ["u1", "u2"])
     def test_a_dense_factor_pairs_with_a_fock_core(self, dense):
@@ -558,6 +571,8 @@ class TestPostSelectedCertificate:
     @example(seed=0, n_max=1, beta=1.0, size=0.05, theta=1.1, log_gap=-2.6)
     @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.4)
     @example(seed=0, n_max=40, beta=1.0, size=0.05, theta=1.1, log_gap=-1.6)
+    # n_m = 5.3e-7: rho_sm is formed at once, and its trace is checked
+    @example(seed=0, n_max=1, beta=1.0, size=0.05, theta=1.0, log_gap=-3.0)
     def test_bound_covers_the_smallest_eigenvalue(self, seed, n_max, beta, size, theta, log_gap):
         """Qubit (n_max = 1) and Fock pairs, with the terms kept as columns
         and mixed by one product: tilde_rho_s and rho_sm.  The measurement
@@ -658,23 +673,27 @@ class TestDeferredStates:
         assert "_right" not in vars(s._terms)
 
     def test_mat_is_the_weighted_sum_over_n_bit_for_bit(self, rng):
-        """A Fock point, and a qubit scenario with a dense H_S, whose
-        energies are read from the formed matrix."""
+        """A Fock point and a qubit scenario: off the diagonal, `.mat` has
+        the bits of mix(w) / n, and its diagonal is _diagonal, the one the
+        trace and the energies were read from, which is within the
+        Hermiticity bound of mix(w) / n's."""
         from switchwork.qubitcase import qubit_scenario
 
         u1, u2 = (UnitaryOperator(random_unitary(rng, 2)) for _ in range(2))
         qubit = qubit_scenario(1.0, 1.0, 0.5, 0.0, u1, u2, BlochState(1.1, 0.6))
         for s in (_readme_point(1.0, 0.5, n_max=84), qubit):
+            off = ~np.eye(s.rho_s.dim, dtype=bool)
             for rho, w, n in self._states(s):
                 expected = s._terms.mix(w)
                 expected /= n
                 assert isinstance(rho, _DeferredState)
-                assert np.array_equal(rho.mat, expected) and rho.mat is rho.mat
+                assert np.array_equal(rho.mat[off], expected[off]) and rho.mat is rho.mat
+                assert np.array_equal(rho.mat.diagonal(), rho._diagonal)
                 assert not rho.mat.flags.writeable
                 DensityMatrix(rho.mat)  # the full check accepts it
                 assert _psd_defect(rho) <= rho._psd_bound <= TOL_PSD
                 assert qmat._hermitian_defect(rho.mat) <= rho._herm_bound <= qmat.TOL_HERM
-                assert np.max(np.abs(rho.mat.diagonal() - rho._diagonal)) <= rho._herm_bound
+                assert np.max(np.abs(expected.diagonal() - rho._diagonal)) <= rho._herm_bound
 
     def test_the_formed_matrix_is_checked(self, monkeypatch):
         """The checks run again when `.mat` is formed: a weighted sum that
@@ -695,6 +714,10 @@ class TestDeferredStates:
 
     @pytest.mark.parametrize("missed", ["psd", "hermitian", "trace"])
     def test_a_bound_past_its_tolerance_forms_the_state_at_once(self, monkeypatch, missed):
+        """A missed positivity or Hermiticity bound forms the state, which
+        passes its checks; a fault on the diagonal route (an imaginary
+        trace of 1e-9 / n) is carried onto the formed matrix, whose trace
+        check raises."""
         s = _readme_point(1.0, 0.5, n_max=40)
         clean = (activation_report(s), measure_control(s, self.M))
         s = _readme_point(1.0, 0.5, n_max=40)
@@ -702,11 +725,15 @@ class TestDeferredStates:
             monkeypatch.setattr(switchcore, "_mixture_psd_unit", lambda p, w: 2.0 * TOL_PSD)
         elif missed == "hermitian":
             monkeypatch.setattr(switchcore, "_hermitian_bound", lambda t, w, n: 2.0 * qmat.TOL_HERM)
-        else:  # an imaginary trace of 1e-9 / n
+        else:
             original = switchcore._SwitchTerms.diagonal
             monkeypatch.setattr(
                 switchcore._SwitchTerms, "diagonal", lambda t, w: original(t, w) + 1e-9j / t.v.shape[0]
             )
+            for report in (activation_report, lambda x: measure_control(x, self.M)):
+                with pytest.raises(ValueError, match="DensityMatrix trace"):
+                    report(s)
+            return
         reports = (activation_report(s), measure_control(s, self.M))
         for rho in (reports[0].tilde_rho_s, reports[1].rho_sm):
             assert isinstance(rho, _DeferredState) and "mat" in vars(rho)
@@ -718,10 +745,14 @@ class TestDeferredStates:
     @_QUIET
     def test_small_n_m_takes_the_eager_path(self):
         """A Fock point with n_m near 1e-6, where neither the Hermiticity
-        nor the positivity bound over n_m is within its tolerance, and the
-        near-antipodal U(2) optimum of the qubit tests, whose states are
-        formed by the time the reports return: their energies are read
-        from the matrix against the qubit's dense H_S."""
+        nor the positivity bound over n_m is within its tolerance.  The
+        near-antipodal U(2) optimum of the qubit tests keeps its states
+        unformed: their energies are read on the diagonals against the
+        qubit's diagonal H_S, and the formed matrices pass the full check.
+        On a 9 x 9 grid of the property test's qubit case (rotations by
+        0.05 about x and y, beta = 1, theta in [0, pi], log_gap in
+        [-3, 0]), no report and no formed state raises: a state formed at
+        a small n_m carries the diagonal its trace was checked on."""
         s = _readme_point(0.04, 0.04)
         report, w = _post_selection(s, BlochState(math.pi / 2.0, math.pi))
         assert 3e-7 < report.n_m < 3e-6
@@ -735,8 +766,21 @@ class TestDeferredStates:
         c, m = BlochState(0.3, 0.0), BlochState(math.pi - 0.3, math.pi)
         res = minimize_delta_sm_u2(1.0, 1.0, c, m, budget=2000, seed=1)
         s = qubit_scenario(1.0, 1.0, 0.0, 0.0, *map(u2_unitary, res.params), c)
+        assert isinstance(s.h_s, qmat._DiagonalHermitian)
         for rho in (activation_report(s).tilde_rho_s, measure_control(s, m).rho_sm):
-            assert "mat" in vars(rho)
+            assert isinstance(rho, _DeferredState) and "mat" not in vars(rho)
+            DensityMatrix(rho.mat)
+
+        u1, u2 = rotation_unitary("x", 0.05), rotation_unitary("y", 0.05)
+        for theta in np.linspace(0.0, math.pi, 9):
+            s = _diagonal_scenario(None, u1, u2, _thermal(1.0, 1), BlochState(theta, 0.3))
+            activation_report(s).tilde_rho_s.mat
+            for log_gap in np.linspace(-3.0, 0.0, 9):
+                try:
+                    report = measure_control(s, BlochState(abs(math.pi - theta - 10.0**log_gap), 0.3 + math.pi))
+                except NearZeroPostSelectionError:
+                    continue
+                report.rho_sm.mat
 
     def test_a_vanishing_n_m_forms_no_state(self, monkeypatch):
         """A divergent point of the README sweep (z = 0, so the unitaries

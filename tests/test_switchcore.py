@@ -2,15 +2,19 @@
 control-term minimization, and post-measurement reports."""
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     partial_trace,
@@ -516,15 +520,17 @@ class TestCrossChecksFire:
             activation_report(s)
 
     def test_delta_c_closed_form(self, scenario, monkeypatch):
+        """Energy eta moved from the control to the system: tilde_rho_s is
+        read on its diagonal in H_S's eigenbasis, so its fake moves weight
+        eta / (max h - min h) there from the lowest level to the highest."""
         original = switchcore._tilde_states
 
         def moved(s, x):
             tilde_s, tilde_c = original(s, x)
-            eta = 1e-6
-            return (
-                _shift_energy(tilde_s.mat, s.h_s.mat, eta),
-                _shift_energy(tilde_c.mat, s.h_c.mat, -eta),
-            )
+            eta, h = 1e-6, s._frame.h
+            diagonal = np.array(tilde_s._diagonal)
+            diagonal[[h.argmax(), h.argmin()]] += np.array([1.0, -1.0]) * eta / (h.max() - h.min())
+            return SimpleNamespace(_diagonal=diagonal), _shift_energy(tilde_c.mat, s.h_c.mat, -eta)
 
         monkeypatch.setattr(switchcore, "_tilde_states", moved)
         with pytest.raises(AssertionError, match="delta_c closed form disagrees"):
@@ -605,6 +611,15 @@ class TestCrossChecksFire:
         )
         with pytest.raises(AssertionError, match="post-selected energy lies outside the spectrum"):
             measure_control(s, BlochState(math.pi / 2.0, math.pi))
+
+    def test_the_spectrum_check_reaches_a_dense_hamiltonian(self, scenario, monkeypatch):
+        """A dense H_S is read in its eigenbasis, so its post-selected
+        energy gets the spectrum check too: a slack of -(max h - min h)
+        leaves no energy inside."""
+        assert scenario._frame.q is not None
+        monkeypatch.setattr(switchcore, "_spectrum_slack", lambda h, rho: -float(h.max() - h.min()))
+        with pytest.raises(AssertionError, match="post-selected energy lies outside the spectrum of H_S"):
+            measure_control(scenario, self.M)
 
     @pytest.mark.parametrize("control", ["north_pole", "south_pole", "diagonal_mixed"])
     def test_probe_sees_a12_without_control_coherence(self, monkeypatch, control):
@@ -755,6 +770,21 @@ class TestTermCache:
         u_qs = build_switch_unitary(fresh.u1, fresh.u2).mat
         expected = u_qs @ kron(fresh.rho_s, fresh.rho_c) @ u_qs.conj().T
         assert np.max(np.abs(joint - expected)) < 1e-12
+
+    def test_a_scenario_is_freed_without_the_cycle_collector(self, rng):
+        """The cached frame, terms and probe hold no reference back to
+        their scenario, so dropping the last reference frees it and its
+        d x |S| columns at once, for a diagonal H_S and a dense one."""
+        gc.disable()
+        try:
+            for make in (lambda: _fock_scenario(n_max=40), lambda: _random_scenario(rng, 3)):
+                s = make()
+                activation_report(s), measure_control(s, BlochState(1.0, 0.4)), post_switch_state(s)
+                freed = weakref.ref(s)
+                del s
+                assert freed() is None
+        finally:
+            gc.enable()
 
     def test_reports_build_no_joint_density_matrix(self, monkeypatch):
         """The reports read the probe-checked terms: no (2d) x (2d)
@@ -955,8 +985,53 @@ def _joint_space_reports(s: SwitchScenario, m: BlochState) -> dict:
     }
 
 
+def _oracle_gap(s: SwitchScenario, m: BlochState) -> float:
+    """The largest gap of both reports and post_switch_state from the
+    joint-space formulas: each scalar relative to max(1, |v|), each state
+    entry for entry."""
+    reference = _joint_space_reports(s, m)
+    u_qs = kron(s.u2.mat @ s.u1.mat, np.diag([1.0, 0.0])) + kron(s.u1.mat @ s.u2.mat, np.diag([0.0, 1.0]))
+    reference["post_switch_state"] = u_qs @ kron(s.rho_s.mat, s.rho_c.mat) @ u_qs.conj().T
+    got = {f.name: getattr(r, f.name) for r in (activation_report(s), measure_control(s, m)) for f in dataclasses.fields(r)}
+    got["post_switch_state"] = post_switch_state(s)
+    del got["conditions"]
+    gaps = [
+        float(np.max(np.abs(value.mat - reference[name])))
+        if isinstance(value, DensityMatrix)
+        else abs(value - reference[name]) / max(1.0, abs(reference[name]))
+        for name, value in got.items()
+    ]
+    return max(gaps)
+
+
 class TestJointSpaceParity:
     """Every field of both reports equals the joint-space formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_SEED, d=st.sampled_from([2, 3, 5]), theta=st.floats(0.3, math.pi - 0.3), phi=_PHASE)
+    def test_a_dense_hamiltonian_in_an_unrelated_basis(self, seed, d, theta, phi):
+        """A dense rho and a dense H_S with unrelated eigenbases: the
+        reports run in H_S's eigenbasis, and their scalars and returned
+        states agree with the dense products of the scenario's own
+        matrices, which use no frame."""
+        s = _random_scenario(np.random.default_rng(seed), d)
+        m = BlochState(theta, phi)
+        assert s._frame.q is not None
+        assume(_joint_space_reports(s, m)["n_m"] >= 1e-3)
+        assert _oracle_gap(s, m) <= 1e-12
+
+    def test_a_frame_with_q_and_q_dagger_swapped_fails_the_oracle(self, rng, monkeypatch):
+        """The frame Q rho Q†, Q U_a Q†, conjugated back by Q†, is a valid
+        scenario, so no check of the reports fires; only the oracle sees
+        it."""
+        s, m = _random_scenario(rng, 3), BlochState(1.1, 2.3)
+        assert _oracle_gap(dataclasses.replace(s), m) <= 1e-12
+        energies, q = np.linalg.eigh(s.h_s.mat)
+        qh = q.conj().T
+        rho, u1, u2 = (q @ a.mat @ qh for a in (s.rho_s, s.u1, s.u2))
+        swapped = switchcore._Frame(DensityMatrix(rho), UnitaryOperator(u1), UnitaryOperator(u2), energies, qh)
+        monkeypatch.setitem(s.__dict__, "_frame", swapped)
+        assert _oracle_gap(s, m) > 1e-6
 
     def _assert_parity(self, s: SwitchScenario, m: BlochState) -> None:
         reference = _joint_space_reports(s, m)
@@ -990,3 +1065,28 @@ class TestJointSpaceParity:
             n_max=84,
         )
         self._assert_parity(s, BlochState(math.pi / 2.0, math.pi))
+
+
+def test_only_the_frame_tells_a_diagonal_hamiltonian_apart():
+    """switchcore decides between a diagonal and a dense H_S in one place,
+    SwitchScenario._frame, and every other route reads the frame's
+    diagonal: no other function names _DiagonalHermitian in an isinstance,
+    and the dense energy helper _energy is gone."""
+    tree = ast.parse(Path(switchcore.__file__).read_text())
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and "_DiagonalHermitian" in {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+            ):
+                sites.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    assert sites == ["SwitchScenario._frame"]
+    assert "_energy" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
