@@ -56,7 +56,6 @@ from .qmat import (
     TOL_UNITARY,
     _UNIT_ROUNDOFF,
     UnitaryOperator,
-    _CertifiedUnitary,
     _gamma,
     _phase_rounding,
     _phased_product_roundoff,
@@ -247,7 +246,7 @@ def _phase_modulus_error(phi: np.ndarray) -> float:
     return float(np.abs(np.abs(phi) - 1.0).max()) + _UNIT_ROUNDOFF
 
 
-class _PhasedUnitary(_CertifiedUnitary):
+class _PhasedUnitary(UnitaryOperator):
     """U = Phi R Phi† with Phi = diag(e^{i phase k}) and R real orthogonal,
     held as its cores: R is block diagonal over the `len(cores)`
     interleaved sublattices of levels (one for D, the two parities for S),
@@ -348,7 +347,7 @@ def _phased_unitary(u: _PhasedUnitary) -> UnitaryOperator:
     """u accepted on its bound, or, past TOL_UNITARY (or nan), its dense
     matrix under the full check, so no operator passes that the check
     rejects."""
-    return u if u._defect <= TOL_UNITARY else _CertifiedUnitary(u.mat, u._defect)
+    return u if u._defect <= TOL_UNITARY else UnitaryOperator(u.mat)
 
 
 def displacement_op(p: DisplacementParams, n_max: int) -> UnitaryOperator:

@@ -16,9 +16,9 @@ private ones are for matrices the library built itself, and each pays once
 for what it proves:
 
 - _DiagonalState and _DiagonalHermitian check diagonal weights in O(d);
-- _CertifiedUnitary takes a proved bound on the Gram defect max|U†U - I|,
-  and _unitary_product derives that bound for a product of two checked
-  unitaries from the defects each one records;
+- switchcore's switch-block columns carry _product_defect_bound, a bound
+  on the Gram defect max|C†C - I| of columns C of a product of two
+  checked unitaries, from the defects the factors record;
 - _DeferredState holds switchcore's tilde_rho_s or post-selected rho_sm
   unformed, as its diagonal and proved bounds on -lambda_min and on its
   Hermiticity defect; the matrix, which carries that diagonal, is formed
@@ -26,7 +26,8 @@ for what it proves:
   Cholesky only where the positivity bound misses TOL_PSD.
 
 A bound that does not fit inside its tolerance sends the matrix to the
-full check, so a certificate can only accept what the full check accepts.
+full check (the switch-block columns to _gram_defect on themselves), so a
+certificate can only accept what the full check accepts.
 The round-off terms follow Higham's gamma_n = n u / (1 - n u) model
 (Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).  The
 module runs on numpy alone and imports no scipy: positivity is certified
@@ -239,7 +240,7 @@ class UnitaryOperator:
     """Matrix with U†U = I within TOL_UNITARY.
 
     The wrapper records its Gram defect max|U†U - I| as _defect: the
-    measured one, or the proved bound of a _CertifiedUnitary.
+    measured one, or the proved bound of a structured subclass.
     """
 
     mat: np.ndarray
@@ -274,39 +275,11 @@ class UnitaryOperator:
 
 
 def _gram_defect(m: np.ndarray) -> float:
-    """max|m† m - I|, the defect that UnitaryOperator's check measures."""
+    """max|m† m - I| for a d x k block m, the defect that UnitaryOperator's
+    check measures when k = d."""
     gram = m.conj().T @ m
-    gram.flat[:: m.shape[0] + 1] -= 1.0
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
     return float(np.abs(gram).max())
-
-
-class _CertifiedUnitary(UnitaryOperator):
-    """UnitaryOperator(mat) whose Gram defect is proved instead of measured.
-
-    bound must bound the defect that UnitaryOperator's check would measure
-    on mat, round-off of that check included.  When it exceeds TOL_UNITARY
-    (or is nan), the full check runs instead, so no matrix is accepted that
-    the check rejects.  mat must be a fresh complex128 array that no one
-    else holds: it is marked read-only, not copied.  Its entries are finite
-    whenever the bound is, since every column norm is at most
-    sqrt(1 + bound).
-    """
-
-    def __init__(self, mat: np.ndarray, bound: float) -> None:
-        object.__setattr__(self, "mat", mat)
-        if not bound <= TOL_UNITARY:
-            self.__post_init__()
-            return
-        mat.flags.writeable = False
-        object.__setattr__(self, "dim", mat.shape[0])
-        object.__setattr__(self, "_defect", bound)
-
-
-def _unitary_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
-    """a.mat @ b.mat as a UnitaryOperator, its Gram defect bounded by
-    _product_defect_bound from the defects a and b record."""
-    m = a.mat @ b.mat
-    return _CertifiedUnitary(m, _product_defect_bound(a._defect, b._defect, m.shape[0]))
 
 
 def _product_defect_bound(def_a: float, def_b: float, d: int, g_prod: float | None = None) -> float:

@@ -17,18 +17,20 @@ eigenbasis, where h_s is diagonal (SwitchScenario._frame), in one form
 rho's eigenvectors from one eigh otherwise, and only the columns
 W12 B[:, S] and W21 B[:, S] on p's working-precision support S are formed
 (about 40 of 173 levels at beta omega = 1), by _switch_blocks through the
-factors' own products (a Fock operator applies its real core) with a Gram
-defect bounded from the defects the factors record.  The terms are kept
-as those d x |S| columns with their weights, T_ab = W_a diag(p) W_b†:
-the scalars are O(d |S|) sums against the diagonal h_s, and no d x d term
-is formed.  The terms record answers two questions (_SwitchTerms):
-mix(w) = sum_ab w_ab T_ab, one product of inner length 2|S|, which gives
-tilde_rho_s and the post-selected numerator, and the probe products
-T_ab X.  The dense R12, R21 and A12 are formed only for post_switch_state.
-The columns also give mix(w)'s diagonal in O(d |S|) (_SwitchTerms.diagonal),
-and the reports read n_m and the energies on it: tilde_rho_s and rho_sm
-are _DeferredStates whose Hermiticity is proved and whose trace is checked
-on that one diagonal, which the matrix carries when formed (_derived_state).
+factors' own products (a Fock operator applies its real core), with a Gram
+defect bounded from the defects the factors record, or measured on the
+columns where that bound misses TOL_UNITARY.  The terms are kept as those
+d x |S| columns with their weights, T_ab = W_a diag(p) W_b†: the scalars
+are O(d |S|) sums against the diagonal h_s, and neither a d x d term nor
+a d x d product of U1 and U2 is formed.  The terms record answers two
+questions (_SwitchTerms): mix(w) = sum_ab w_ab T_ab, one product of inner
+length 2|S|, which gives tilde_rho_s and the post-selected numerator, and
+the probe products T_ab X.  The dense R12, R21 and A12 are formed only for
+post_switch_state.  The columns also give mix(w)'s diagonal in O(d |S|)
+(_SwitchTerms.diagonal), and the reports read n_m and the energies on it:
+tilde_rho_s and rho_sm are _DeferredStates whose Hermiticity is proved and
+whose trace is checked on that one diagonal, which the matrix carries when
+formed (_derived_state).
 The joint state E = U (rho (x) rho_c) U† has the blocks <a|rho_c|b> T_ab,
 T_00 = R12, T_01 = A12, T_11 = R21, and the reports read E only through
 these terms and rho_c.  Before a term is used, a Freivalds probe checks
@@ -92,9 +94,9 @@ from .qmat import (
     _DiagonalHermitian,
     _DiagonalState,
     _gamma,
+    _gram_defect,
     _mat,
     _product_defect_bound,
-    _unitary_product,
     kron,
 )
 from .states import BlochState
@@ -177,10 +179,13 @@ class SwitchScenario:
         left), and E_S = sum_i rho_ii h_i.
         The dropped levels hold mass at most u max p / 4, and each dropped
         term p_i c_i c_i† has entries of modulus at most p_i (1 + t), t the
-        columns' Gram defect bound, so every entry of T_ab is within
-        u max p (1 + t) / 4 of the full product: below the per-entry
-        round-off that _mixture_psd_unit covers.  The dropped part is a sum
-        of PSD terms, so the kept terms are PSD mixtures in their own right.
+        product bound from the factors' recorded defects, which covers
+        every column, kept or not (a few 1e-10 where it misses TOL_UNITARY
+        and _switch_blocks measures the kept ones), so every entry of T_ab
+        is within u max p (1 + t) / 4 of the full product: below the
+        per-entry round-off that _mixture_psd_unit covers.  The dropped
+        part is a sum of PSD terms, so the kept terms are PSD mixtures in
+        their own right.
         A negative weight (validation allows -TOL_PSD, and eigh of a
         singular rho returns about -1e-17) keeps every level and leaves
         positivity to the Cholesky.
@@ -270,7 +275,8 @@ def _factored_terms(f: _Frame, p: np.ndarray, basis: UnitaryOperator | None) -> 
     psd_unit = math.inf if negative else _mixture_psd_unit(kept, defect)
     v = np.concatenate((w12, w21), axis=1).reshape(-1, 2, kept.size)  # v[:, a] = W_a B[:, S]
     return _SwitchTerms(
-        x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm, _mix_error(kept.size), v, kept, a12_diag
+        x, e_s, e12, e21, f_s, kernel, psd_unit, r_norm, _mix_error(kept.size), defect,
+        v, kept, a12_diag,
     )
 
 
@@ -309,10 +315,12 @@ class _SwitchTerms:
     # Round-off bound on -lambda_min of fl(mix(w)) per unit sum_ab |w_ab|
     # (_mixture_psd_unit), inf where a weight is negative; a bound
     # max |p| (1 + |S| t) on ||T_ab||_2 and on every entry of
-    # |W_a| diag(|p|) |W_b|^T; and the relative error c of mix (_mix_error).
+    # |W_a| diag(|p|) |W_b|^T; the relative error c of mix (_mix_error);
+    # and the bound t on the columns' Gram defect from _switch_blocks.
     psd_unit: float
     r_norm: float
     mix_error: float
+    defect: float
     v: np.ndarray
     p: np.ndarray
     a12_diag: np.ndarray  # diag A12 from _column_sums
@@ -665,33 +673,30 @@ class MeasurementReport:
     condition_ii_lhs: float
 
 
-def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None, basis=None):
-    """W12 = U2 U1 and W21 = U1 U2: the one place either product is formed.
+def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols, basis: UnitaryOperator | None):
+    """(W12 B[:, cols], W21 B[:, cols], t) for W12 = U2 U1 and W21 = U1 U2,
+    B = basis or I and cols an index array or a slice, at d^2 |cols| cost;
+    t bounds the Gram defect of the columns.  No d x d product is formed.
 
-    Without cols, each is a UnitaryOperator whose Gram defect is bounded
-    from the factors' recorded defects (qmat._unitary_product; a bound
-    past TOL_UNITARY gets the full check).  With cols (an index array or
-    a slice), the result is (W12 B[:, cols], W21 B[:, cols], t) at
-    d^2 |cols| cost, B = basis or I, t a bound on the Gram defect of the
-    columns: the larger _product_defect_bound of the two products.  Each
-    is formed as U2._apply(U1._columns(cols)) (and the other way round),
-    and the left factor's product has the error model that bound assumes,
-    with g_prod its _apply_roundoff.  The columns are U1.mat's, or, from a
-    Fock core, entries within the same entrywise bound of the exactly
-    phased core as U1.mat's, which U1's recorded defect covers
+    Each block is formed as U2._apply(U1._columns(cols)) (and the other way
+    round), and t is first the larger _product_defect_bound of the two
+    products, the left factor's product having the error model that bound
+    assumes, with g_prod its _apply_roundoff.  The columns are U1.mat's,
+    or, from a Fock core, entries within the same entrywise bound of the
+    exactly phased core as U1.mat's, which U1's recorded defect covers
     (cvcase._phased_defect_bound); so they are columns of a full matrix
     that the bound's argument holds for, and their Gram matrix is a
     principal submatrix of that product's.  A basis is one more certified
-    factor: U1 B[:, cols] is formed as U1._apply(B._columns(cols)), and
-    its _product_defect_bound from U1's and B's recorded defects stands in
-    for U1's defect (likewise for U2).  A bound past TOL_UNITARY takes the
-    full products and their full check, and t is the true defect the
-    checked one implies.
+    factor: U1 B[:, cols] is formed as U1._apply(B._columns(cols)), and its
+    _product_defect_bound from U1's and B's recorded defects stands in for
+    U1's defect (likewise for U2).  Where that bound misses TOL_UNITARY
+    (on the Fock path, past d of about 355), the Gram defect of each
+    d x |cols| block is measured instead: past TOL_UNITARY it raises
+    UnitaryOperator's message, and otherwise t = (measured + g) / (1 - g),
+    g = 2 gamma_{d+2}, bounds the true defect the measured one implies.
     """
     if u1.dim != u2.dim:
         raise ValueError("unitaries must share a dimension")
-    if cols is None:
-        return _unitary_product(u2, u1), _unitary_product(u1, u2)
     d, d1, d2 = u1.dim, u1._defect, u2._defect
     if basis is None:
         c1, c2 = u1._columns(cols), u2._columns(cols)
@@ -704,14 +709,14 @@ def _switch_blocks(u1: UnitaryOperator, u2: UnitaryOperator, cols=None, basis=No
         _product_defect_bound(d2, d1, d, u2._apply_roundoff),
         _product_defect_bound(d1, d2, d, u1._apply_roundoff),
     )
-    if t <= TOL_UNITARY:
-        return u2._apply(c1), u1._apply(c2), t
-    w12, w21 = _switch_blocks(u1, u2)
-    if basis is not None:
-        w12, w21 = _unitary_product(w12, basis), _unitary_product(w21, basis)
-    g = 2.0 * _gamma(u1.dim + 2)
-    t = (max(w12._defect, w21._defect) + g) / (1.0 - g)
-    return w12.mat[:, cols], w21.mat[:, cols], t
+    w12, w21 = u2._apply(c1), u1._apply(c2)
+    if not t <= TOL_UNITARY:
+        measured = max(_gram_defect(w12), _gram_defect(w21))
+        if not measured <= TOL_UNITARY:
+            raise ValueError(f"UnitaryOperator defect {measured:.3e} exceeds tolerance")
+        g = 2.0 * _gamma(d + 2)
+        t = (measured + g) / (1.0 - g)
+    return w12, w21, t
 
 
 def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOperator:
@@ -722,7 +727,9 @@ def build_switch_unitary(u1: UnitaryOperator, u2: UnitaryOperator) -> UnitaryOpe
     (see SwitchScenario._joint_out) and no report builds this 2d x 2d
     matrix.
     """
-    w12, w21 = _switch_blocks(u1, u2)
+    if u1.dim != u2.dim:
+        raise ValueError("unitaries must share a dimension")
+    w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
     return UnitaryOperator(kron(w12, np.diag([1.0, 0.0])) + kron(w21, np.diag([0.0, 1.0])))
 
 

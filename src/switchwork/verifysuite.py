@@ -48,6 +48,7 @@ from .cvcase import (
     FockOracleReport,
     SqueezeParams,
     TOL_ORACLE,
+    _PhasedUnitary,
     _fock_scenario,
     _pair_cutoff,
     fock_oracle_report,
@@ -58,7 +59,6 @@ from .qmat import (
     HermitianOperator,
     UnitaryOperator,
     _UNIT_ROUNDOFF,
-    _CertifiedUnitary,
     _DeferredState,
     _DiagonalHermitian,
     _DiagonalState,
@@ -78,7 +78,6 @@ from .states import (
 from .switchcore import (
     TOL_ENERGY,
     SwitchScenario,
-    _switch_blocks,
     activation_report,
     delta_c_min,
     measure_control,
@@ -207,9 +206,10 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
     certificates that stand in for full checks, on 25 random qubit
     scenarios and one disp_squeeze scenario at n_max = 172 (which draws
     nothing from `rng`), whose post-selected rho_sm is audited too.  Each
-    proved bound must be at least the dense defect it replaces (see
-    _certificate_ratios).  The switch unitary's kron formula and its block
-    defect are pinned by the switchcore tests."""
+    proved bound must be at least the measured defect it stands for (see
+    _certificate_ratios), the Gram defect of the kept switch-block columns
+    the reports read among them.  The switch unitary's kron formula is
+    pinned by the switchcore tests."""
     fock = _fock_scenario(
         1.0, 1.0, 0.5, 0.0, DisplacementParams(1.5, 0.9), SqueezeParams(0.8, 0.4),
         BlochState(math.pi / 2.0, 0.0), 172,
@@ -233,24 +233,24 @@ def _check_switch_algebra(rng: np.random.Generator) -> tuple[bool, str]:
 
 def _certificate_ratios(s: SwitchScenario, *states: _DeferredState) -> list[float]:
     """Measured defect over proved bound for each certificate of one
-    scenario: the Gram defect of every certified unitary among U1, U2, W12
-    and W21 (a Fock operator's dense form against its cores' bound),
+    scenario: the Gram defect of a Fock operator among U1 and U2 (its dense
+    form against its cores' bound) and of the kept columns W12 B[:, S] and
+    W21 B[:, S] against the t the terms record (_switch_blocks),
     -lambda_min of each derived state whose positivity was proved and
-    max|m - m†| of each (whose `.mat` is formed here), and, for a diagonal
-    rho, mix(w) against the dense conjugation (_mix_ratio).  A ratio above
-    1 is a bound that does not hold."""
-    blocks = _switch_blocks(s.u1, s.u2)
+    max|m - m†| of each (whose `.mat` is formed here), and, for a rho
+    diagonal in the frame, mix(w) against the dense conjugation
+    (_mix_ratio).  A ratio above 1 is a bound that does not hold."""
+    t = s._terms
     pairs = [
-        (_gram_defect(u.mat), u._defect)
-        for u in (s.u1, s.u2, *blocks)
-        if isinstance(u, _CertifiedUnitary)
+        (_gram_defect(u.mat), u._defect) for u in (s.u1, s.u2) if isinstance(u, _PhasedUnitary)
     ]
+    pairs.append((max(_gram_defect(t.v[:, a]) for a in (0, 1)), t.defect))
     for rho in states:
         if not math.isnan(rho._psd_bound):
             pairs.append((max(0.0, -float(np.linalg.eigvalsh(rho.mat).min())), rho._psd_bound))
         pairs.append((_hermitian_defect(rho.mat), rho._herm_bound))
-    if isinstance(s.rho_s, _DiagonalState):
-        pairs.append(_mix_ratio(s, *blocks))
+    if isinstance(s._frame.rho_s, _DiagonalState):
+        pairs.append(_mix_ratio(s))
     return [measured / bound for measured, bound in pairs]
 
 
@@ -258,22 +258,25 @@ def _certificate_ratios(s: SwitchScenario, *states: _DeferredState) -> list[floa
 _AUDIT_WEIGHT = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
 
 
-def _mix_ratio(s: SwitchScenario, w12: UnitaryOperator, w21: UnitaryOperator) -> tuple[float, float]:
+def _mix_ratio(s: SwitchScenario) -> tuple[float, float]:
     """(gap, bound): the largest entry of mix(w) - sum_ab w_ab W_a rho W_b†,
-    the dense conjugation by the full blocks W12 and W21, and its
+    the dense conjugation by the full blocks W12 = U2 U1 and W21 = U1 U2
+    formed here, both in the frame the terms were formed in, and its
     certificate per unit sum_ab |w_ab|: the support's dropped mass
     u max p (1 + t) / 4, the dense products' round-off
     2 gamma_{d+4} max p (1 + d t) on each side, and mix's own
-    mix_error r_norm, with t the blocks' recorded Gram defect."""
-    t, d, p = s._terms, s.rho_s.dim, s.rho_s._weights
+    mix_error r_norm, with t the blocks' measured Gram defect."""
+    t, f = s._terms, s._frame
+    d, p = f.rho_s.dim, f.rho_s._weights
     w = _AUDIT_WEIGHT
-    a, b = w12.mat * p, w21.mat * p
+    w12, w21 = f.u2.mat @ f.u1.mat, f.u1.mat @ f.u2.mat
+    a, b = w12 * p, w21 * p
     dense = (
-        w[0, 0] * (a @ w12.mat.conj().T) + w[1, 1] * (b @ w21.mat.conj().T)
-        + w[0, 1] * (a @ w21.mat.conj().T) + w[1, 0] * (b @ w12.mat.conj().T)
+        w[0, 0] * (a @ w12.conj().T) + w[1, 1] * (b @ w21.conj().T)
+        + w[0, 1] * (a @ w21.conj().T) + w[1, 0] * (b @ w12.conj().T)
     )
     gap = float(np.max(np.abs(t.mix(w) - dense)))
-    defect = max(w12._defect, w21._defect)
+    defect = max(_gram_defect(w12), _gram_defect(w21))
     support = 0.25 * _UNIT_ROUNDOFF * float(p.max()) * (1.0 + defect)
     roundoff = 2.0 * 2.0 * _gamma(d + 4) * float(p.max()) * (1.0 + d * defect)
     return gap, float(np.abs(w).sum()) * (support + roundoff + t.mix_error * t.r_norm)

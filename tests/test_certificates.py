@@ -1,11 +1,11 @@
-"""Certificates that stand in for full wrapper checks: the Gram defect of a
-product of checked unitaries, of D(alpha) and S(z) from their real
-orthogonal cores, and the positivity of tilde_rho_s and rho_sm, whose
-terms live on the system state's working-precision support in its
-eigenbasis.  Each
-stated bound must be at least the dense defect it replaces, each certified
-constructor must accept only what the full check accepts, and a bound past
-its tolerance must reach the full check."""
+"""Certificates that stand in for full wrapper checks: the Gram defect of
+the kept columns of a product of checked unitaries, of D(alpha) and S(z)
+from their real orthogonal cores, and the positivity of tilde_rho_s and
+rho_sm, whose terms live on the system state's working-precision support
+in its eigenbasis.  Each stated bound must be at least the dense defect it
+replaces, each certified constructor must accept only what the full check
+accepts, and a bound past its tolerance must reach the full check (for
+the kept columns, the measurement of their own Gram defect)."""
 from __future__ import annotations
 
 import dataclasses
@@ -25,12 +25,10 @@ from switchwork.qmat import (
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
-    _CertifiedUnitary,
     _DeferredState,
     _DiagonalState,
     _gram_defect,
     _product_defect_bound,
-    _unitary_product,
 )
 from switchwork.qubitcase import rotation_unitary
 from switchwork.states import (
@@ -82,45 +80,75 @@ def _fock_pair(a: DisplacementParams, b, n_max: int) -> tuple[UnitaryOperator, U
     return displacement_op(a, n_max), u2
 
 
-def _certified(u: UnitaryOperator) -> bool:
-    """Accepted on its proof: the recorded defect is not the measured one."""
-    return isinstance(u, _CertifiedUnitary) and u._defect != _gram_defect(u.mat)
-
-
 @pytest.fixture
 def full_checks(monkeypatch):
-    """Counts the full Gram checks that run."""
+    """Counts the Gram checks that run, by the shape of the checked matrix:
+    UnitaryOperator's full check and switchcore's check of kept columns."""
     calls = []
     original = qmat._gram_defect
 
     def counted(m):
-        calls.append(m.shape[0])
+        calls.append(m.shape)
         return original(m)
 
     monkeypatch.setattr(qmat, "_gram_defect", counted)
+    monkeypatch.setattr(switchcore, "_gram_defect", counted)
     return calls
 
 
+def _random_columns(rng: np.random.Generator, d: int):
+    """Kept columns as _support returns them: a sorted index array, or the
+    full slice."""
+    if rng.random() < 0.25:
+        return slice(None)
+    return np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+
+
+def _column_gram_defect(*blocks: np.ndarray) -> float:
+    """The largest Gram defect of d x k blocks, measured in extended
+    precision."""
+    worst = 0.0
+    for w in blocks:
+        c = w.astype(np.clongdouble)
+        gram = c.conj().T @ c - np.eye(w.shape[1])
+        worst = max(worst, float(np.abs(gram).max()))
+    return worst
+
+
 class TestProductCertificate:
+    """_switch_blocks forms only the kept columns W12 B[:, S] and
+    W21 B[:, S].  Their Gram defect is bounded from the factors' recorded
+    defects, and measured on the d x |S| blocks only where that bound
+    misses TOL_UNITARY."""
+
     @settings(max_examples=30, deadline=None)
     @given(seed=_SEED, d=st.sampled_from([2, 5, 30]), size=st.sampled_from([0.0, 1e-14, 1e-12]))
     def test_bound_covers_the_dense_defect(self, seed, d, size):
         rng = np.random.default_rng(seed)
         a, b = _near_unitary(rng, d, size), _near_unitary(rng, d, size)
-        p = _unitary_product(a, b)
-        assert _certified(p)
-        assert p._defect <= TOL_UNITARY
-        assert _gram_defect(p.mat) <= p._defect
-        assert np.array_equal(p.mat, a.mat @ b.mat) and not p.mat.flags.writeable
+        cols = _random_columns(rng, d)
+        checks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(switchcore, "_gram_defect", lambda m: checks.append(m.shape) or 0.0)
+            w12, w21, t = _switch_blocks(a, b, cols, None)
+        assert checks == [] and t <= TOL_UNITARY  # accepted on its bound
+        assert _column_gram_defect(w12, w21) <= t
+        assert w12.tobytes() == (b.mat @ np.ascontiguousarray(a.mat[:, cols])).tobytes()
+        for w, full in ((w12, b.mat @ a.mat), (w21, a.mat @ b.mat)):
+            assert np.max(np.abs(w - full[:, cols])) <= 1e-13
 
     @_QUIET
     @settings(max_examples=12, deadline=None)
-    @given(a=_ALPHA, b=st.one_of(_ALPHA, _SQUEEZE), n_max=_N_MAX)
-    def test_bound_covers_the_dense_defect_of_fock_pairs(self, a, b, n_max):
+    @given(seed=_SEED, a=_ALPHA, b=st.one_of(_ALPHA, _SQUEEZE), n_max=_N_MAX)
+    def test_bound_covers_the_dense_defect_of_fock_pairs(self, seed, a, b, n_max):
         u1, u2 = _fock_pair(a, b, n_max)
-        for w in _switch_blocks(u1, u2):
-            assert _certified(w)
-            assert _gram_defect(w.mat) <= w._defect <= TOL_UNITARY
+        cols = _random_columns(np.random.default_rng(seed), n_max + 1)
+        checks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(switchcore, "_gram_defect", lambda m: checks.append(m.shape) or 0.0)
+            w12, w21, t = _switch_blocks(u1, u2, cols, None)
+        assert checks == [] and not any("mat" in vars(u) for u in (u1, u2))
+        assert _column_gram_defect(w12, w21) <= t <= TOL_UNITARY
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -151,24 +179,27 @@ class TestProductCertificate:
     @settings(max_examples=40, deadline=None)
     @given(seed=_SEED, d=st.sampled_from([2, 5, 30]), log_size=st.floats(-14.0, -10.0))
     def test_accepts_only_what_the_full_check_accepts(self, seed, d, log_size):
-        """Factors near the tolerance: some products pass on their bound,
-        some reach the full check, and some of those fail it."""
+        """Factors near the tolerance: some column blocks pass on their
+        bound, some reach the measurement of the columns, and some of those
+        fail it."""
         rng = np.random.default_rng(seed)
         try:
             a, b = (_near_unitary(rng, d, 10.0**log_size) for _ in range(2))
         except ValueError:
             assume(False)  # a factor failed its own check
+        cols = _random_columns(rng, d)
         try:
-            _unitary_product(a, b)
+            _switch_blocks(a, b, cols, None)
             accepted = True
         except ValueError as exc:
             assert str(exc).startswith("UnitaryOperator defect")
             accepted = False
-        assert accepted == (_gram_defect(a.mat @ b.mat) <= TOL_UNITARY)
+        blocks = (b._apply(a._columns(cols)), a._apply(b._columns(cols)))
+        assert accepted == (max(map(_gram_defect, blocks)) <= TOL_UNITARY)
 
-    def test_factor_defects_past_the_tolerance_reach_the_full_check(self, rng, full_checks):
-        # Each factor passes its own check at 0.9 TOL_UNITARY on [0, 0]; the
-        # product's defect there is about 1.8 TOL_UNITARY.
+    def test_factor_defects_past_the_tolerance_reach_the_full_check(self, full_checks):
+        # Each factor passes its own check at 0.9 TOL_UNITARY on [0, 0];
+        # column 0 of each product has a defect of about 1.8 TOL_UNITARY.
         stretch = np.ones(3)
         stretch[0] = math.sqrt(1.0 + 0.9 * TOL_UNITARY)
         a = UnitaryOperator(np.eye(3, dtype=complex) * stretch)
@@ -176,26 +207,94 @@ class TestProductCertificate:
         assert _product_defect_bound(a._defect, b._defect, 3) > TOL_UNITARY
         full_checks.clear()
         with pytest.raises(ValueError, match=r"^UnitaryOperator defect 1\.8\d\de-10 exceeds tolerance$"):
-            _unitary_product(a, b)
-        assert full_checks == [3]
+            _switch_blocks(a, b, np.array([0, 2]), None)
+        assert full_checks == [(3, 2), (3, 2)]
+        full_checks.clear()
+        _, _, t = _switch_blocks(a, b, np.array([1, 2]), None)  # column 0 is not kept
+        assert full_checks == [(3, 2), (3, 2)] and t <= 2e-15
 
     def test_a_size_past_the_tolerance_reaches_the_full_check(self, rng, full_checks):
-        # At d = 400 the round-off terms alone exceed TOL_UNITARY.
+        # At d = 400 the round-off terms alone exceed TOL_UNITARY; only the
+        # 400 x 132 column blocks are measured.
         a, b = (UnitaryOperator(random_unitary(rng, 400)) for _ in range(2))
         assert _product_defect_bound(a._defect, b._defect, 400) > TOL_UNITARY
+        cols = np.sort(rng.choice(400, size=132, replace=False))
         full_checks.clear()
-        p = _unitary_product(a, b)
-        assert full_checks == [400]
-        assert p._defect == _gram_defect(p.mat) <= TOL_UNITARY
+        w12, w21, t = _switch_blocks(a, b, cols, None)
+        assert full_checks == [(400, 132), (400, 132)]
+        g = 2.0 * qmat._gamma(402)
+        assert t == (max(_gram_defect(w12), _gram_defect(w21)) + g) / (1.0 - g) <= TOL_UNITARY
+        assert _column_gram_defect(w12, w21) <= t
 
     def test_a_factor_with_an_unbounded_defect_reaches_the_full_check(self, rng, full_checks):
         good = UnitaryOperator(random_unitary(rng, 4))
         full_checks.clear()
-        p = _unitary_product(_unchecked_unitary(good.mat), good)
-        assert full_checks == [4] and p._defect == _gram_defect(p.mat)
+        w12, w21, t = _switch_blocks(_unchecked_unitary(good.mat), good, slice(None), None)
+        assert full_checks == [(4, 4), (4, 4)] and _column_gram_defect(w12, w21) <= t <= TOL_UNITARY
         bad = _unchecked_unitary(np.diag([1.0, 1.0 + 1e-9]).astype(complex))
         with pytest.raises(ValueError, match="UnitaryOperator defect"):
-            _unitary_product(bad, UnitaryOperator(np.eye(2, dtype=complex)))
+            _switch_blocks(bad, UnitaryOperator(np.eye(2, dtype=complex)), slice(None), None)
+
+
+def _item21_point(n_max: int) -> SwitchScenario:
+    """The thermal oscillator at beta = 0.3 with |alpha| = 1.5 and |z| = 0.8,
+    whose working-precision support keeps 132 levels."""
+    return cvcase.disp_squeeze_scenario(
+        1.0, 0.3, 0.6, 0.2, DisplacementParams(1.5, 0.3), SqueezeParams(0.8, 1.1),
+        BlochState(1.1, 0.4), n_max=n_max,
+    )
+
+
+@_QUIET
+class TestPastTheCliff:
+    """At n_max = 400 the product bound on the kept columns misses
+    TOL_UNITARY, so their Gram defect is measured on the two d x |S|
+    blocks: the reports form no d x d product of U1 and U2."""
+
+    M = BlochState(0.7, 2.0)
+
+    def test_reports_form_no_dense_product(self):
+        s = _item21_point(400)
+        u1, u2, d = s.u1, s.u2, s.rho_s.dim
+        bound = max(
+            _product_defect_bound(u2._defect, u1._defect, d, u2._apply_roundoff),
+            _product_defect_bound(u1._defect, u2._defect, d, u1._apply_roundoff),
+        )
+        assert bound > TOL_UNITARY  # past the cliff
+        activation_report(s), measure_control(s, self.M)
+        assert "mat" not in vars(u1) and "mat" not in vars(u2)
+        t, p, h = s._terms, s.rho_s._weights, s.h_s._energies
+        assert t.p.size == 132 and t.defect <= TOL_UNITARY
+        assert _column_gram_defect(t.v[:, 0], t.v[:, 1]) <= t.defect
+        w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
+        a12 = (w12 * p) @ w21.conj().T
+        traces = {
+            "chi": np.trace(a12),
+            "e12": np.einsum("ij,j,ij->i", w12, p, w12.conj()).real @ h,
+            "e21": np.einsum("ij,j,ij->i", w21, p, w21.conj()).real @ h,
+            "f_s": a12.diagonal() @ h,
+        }
+        for name, value in traces.items():
+            assert abs(getattr(t, name) - value) <= 1e-13 * max(1.0, abs(value)), name
+
+    def test_a_stretched_kept_column_is_measured(self, monkeypatch):
+        """With the bound forced past the tolerance, the recorded defect is
+        the measured one: a kept column of U1 stretched to a defect of
+        5e-11 passes and its t covers it; 5e-11 past TOL_UNITARY raises."""
+        s = _item21_point(400)
+        monkeypatch.setattr(switchcore, "_product_defect_bound", lambda *args: math.inf)
+        j = int(np.argmax(s.rho_s._weights))  # the ground level, always kept
+        for defect in (5e-11, TOL_UNITARY + 5e-11):
+            scale = np.ones(s.rho_s.dim)
+            scale[j] = math.sqrt(1.0 + defect)
+            stretched = dataclasses.replace(s, u1=_unchecked_unitary(s.u1.mat * scale))
+            if defect > TOL_UNITARY:
+                with pytest.raises(ValueError, match="UnitaryOperator defect"):
+                    activation_report(stretched)
+                continue
+            activation_report(stretched), measure_control(stretched, self.M)
+            t = stretched._terms
+            assert defect - 1e-14 <= _column_gram_defect(t.v[:, 0], t.v[:, 1]) <= t.defect <= TOL_UNITARY
 
 
 class TestPhasedCertificate:
@@ -207,7 +306,8 @@ class TestPhasedCertificate:
     @given(a=_ALPHA, s=_SQUEEZE, n_max=_N_MAX)
     def test_bound_covers_the_dense_defect(self, a, s, n_max):
         for u in (displacement_op(a, n_max), squeeze_op(s, n_max)):
-            assert _certified(u)
+            # accepted on its proof: the recorded defect is not the measured one
+            assert isinstance(u, cvcase._PhasedUnitary) and u._defect != _gram_defect(u.mat)
             assert _gram_defect(u.mat) <= u._defect <= TOL_UNITARY
             UnitaryOperator(u.mat)  # the full check accepts it too
 
@@ -229,7 +329,7 @@ class TestPhasedCertificate:
                 displacement_op(DisplacementParams(1.0, 0.9), 40)
             else:
                 squeeze_op(SqueezeParams(0.5, 0.4), 40)
-        assert full_checks == [41]
+        assert full_checks == [(41, 41)]
 
     @_QUIET
     @pytest.mark.parametrize("n_max", [1, 2, 41, 172])
@@ -343,7 +443,7 @@ class TestMixtureCertificate:
         assert isinstance(s.rho_s, _DiagonalState)
         p = s.rho_s._weights
         cols = switchcore._support(p)
-        w12, w21, _ = _switch_blocks(s.u1, s.u2, cols)
+        w12, w21, _ = _switch_blocks(s.u1, s.u2, cols, None)
         t = s._terms
         assert t.v[:, 0].tobytes() == w12.tobytes() and t.v[:, 1].tobytes() == w21.tobytes()
         assert t.p.tobytes() == p[cols].tobytes()
@@ -466,7 +566,7 @@ class TestWorkingPrecisionSupport:
         u1, u2 = _fock_pair(DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4), n_max)
         s = _diagonal_scenario(rng, u1, u2, p, BlochState(1.1, 0.6))
         t, d = s._terms, p.size
-        defect = _switch_blocks(u1, u2, slice(None))[2]
+        defect = _switch_blocks(u1, u2, slice(None), None)[2]
         w12, w21 = u2.mat @ u1.mat, u1.mat @ u2.mat
         full = ((w12 * p) @ w12.conj().T, (w21 * p) @ w21.conj().T, (w12 * p) @ w21.conj().T)
         support = 0.25 * _U * p.max() * (1.0 + defect)

@@ -26,6 +26,7 @@ from conftest import (
 from switchwork import switchcore
 from switchwork.cvcase import DisplacementParams, SqueezeParams, disp_squeeze_scenario
 from switchwork.qmat import (
+    TOL_UNITARY,
     DensityMatrix,
     HermitianOperator,
     UnitaryOperator,
@@ -791,9 +792,10 @@ class TestTermCache:
         DensityMatrix, no post_switch_state call, and no joint-space
         unitary on the hot path; switchcore builds no unitary at all for
         a thermal state, only the columns W12[:, S] and W21[:, S] on the
-        state's working-precision support S.  Its d x d states are
-        deferred and left unformed, so the only state checked in full is
-        tilde_rho_c."""
+        state's working-precision support S, certified on their bound
+        below the cliff, so no Gram matrix is measured and U1 and U2 stay
+        unformed.  Its d x d states are deferred and left unformed, so the
+        only state checked in full is tilde_rho_c."""
         s = disp_squeeze_scenario(
             1.0, 1.0, 0.5, 0.0, DisplacementParams(1.0, 0.9), SqueezeParams(0.5, 0.4),
             BlochState(math.pi / 2.0, 0.0), n_max=84,
@@ -821,7 +823,7 @@ class TestTermCache:
         monkeypatch.setattr(switchcore, "DensityMatrix", recorded)
         monkeypatch.setattr(switchcore, "_DeferredState", recorded_derived)
         monkeypatch.setattr(switchcore, "UnitaryOperator", forbidden)
-        monkeypatch.setattr(switchcore, "_unitary_product", forbidden)
+        monkeypatch.setattr(switchcore, "_gram_defect", forbidden)
         monkeypatch.setattr(switchcore, "_switch_blocks", recorded_blocks)
         monkeypatch.setattr(switchcore, "post_switch_state", forbidden)
         monkeypatch.setattr(switchcore, "build_switch_unitary", forbidden)
@@ -833,6 +835,7 @@ class TestTermCache:
         assert len(derived) == 3 and not any("mat" in vars(rho) for rho in derived)
         k = switchcore._support(s.rho_s.mat.diagonal().real).size
         assert k < d and block_shapes == [(d, k)] * 2
+        assert not any("mat" in vars(u) for u in (s.u1, s.u2))
 
     def test_reports_never_fill_the_joint_blocks(self, rng, monkeypatch):
         """The reports weigh the probed terms with rho_c themselves; only
@@ -900,22 +903,26 @@ class TestReportsValidateBlocks:
                 with pytest.raises(ValueError, match="UnitaryOperator defect"):
                     call()
 
-    def test_a_bound_past_tolerance_takes_the_full_products(self, rng, monkeypatch):
-        """With no room under TOL_UNITARY, the columns come from the full
-        products W12 and W21, and for a dense rho from W12 B and W21 B
-        with its eigenbasis B, each through qmat._unitary_product; the
-        reports keep their values."""
+    def test_a_bound_past_tolerance_measures_the_kept_columns(self, rng, monkeypatch):
+        """With the columns' bound past TOL_UNITARY, switchcore measures the
+        Gram defect of the two d x |S| blocks W12 B[:, S] and W21 B[:, S]
+        and of nothing else, for a thermal state (B = I), whose Fock
+        factors stay unformed, and for a dense rho with its eigenbasis B;
+        the reports keep their values."""
         m = BlochState(1.0, 0.4)
         for s in self._scenarios(rng):
             clean = (activation_report(s), measure_control(s, m))
-            products = []
-            original = switchcore._unitary_product
-            monkeypatch.setattr(switchcore, "TOL_UNITARY", 0.0)
-            monkeypatch.setattr(switchcore, "_unitary_product", lambda a, b: products.append(1) or original(a, b))
+            checks = []
+            original = switchcore._gram_defect
+            monkeypatch.setattr(switchcore, "_product_defect_bound", lambda *args: math.inf)
+            monkeypatch.setattr(switchcore, "_gram_defect", lambda w: checks.append(w.shape) or original(w))
             fresh = dataclasses.replace(s)
             reports = (activation_report(fresh), measure_control(fresh, m))
             monkeypatch.undo()
-            assert len(products) == (2 if isinstance(s.rho_s, _DiagonalState) else 4)
+            k = fresh._terms.p.size
+            assert checks == [(s.rho_s.dim, k)] * 2 and fresh._terms.defect <= TOL_UNITARY
+            if isinstance(s.rho_s, _DiagonalState):
+                assert k < s.rho_s.dim and not any("mat" in vars(u) for u in (s.u1, s.u2))
             for name in ("chi", "delta_qs", "delta_s"):
                 assert abs(getattr(reports[0], name) - getattr(clean[0], name)) <= 1e-13, name
             for name in ("n_m", "delta_sm"):

@@ -168,7 +168,7 @@ class TestSuiteHasTeeth:
     @pytest.mark.parametrize(
         "module, name",
         [
-            (qmat, "_product_defect_bound"),
+            (switchcore, "_product_defect_bound"),
             (cvcase, "_phased_defect_bound"),
             (switchcore, "_mixture_psd_unit"),
             (switchcore, "_mix_error"),
@@ -184,6 +184,23 @@ class TestSuiteHasTeeth:
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         assert set(failed) == {"switch-algebra"}
         assert "worst defect/bound" in failed["switch-algebra"]
+
+    def test_certificates_of_a_dense_hamiltonian_hold(self, rng):
+        """A diagonal rho under a dense H_S has its terms formed in H_S's
+        eigenbasis, where rho is dense: the audit holds there too, and
+        compares mix(w) with the dense conjugation only in a frame where
+        rho is diagonal."""
+        d = 4
+        h_s = np.diag(np.arange(d) + 0.5) + 0.3 * (np.eye(d, k=1) + np.eye(d, k=-1))
+        u1, u2 = verifysuite._haar(rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d)))
+        s = SwitchScenario(
+            qmat._DiagonalState(np.array([0.4, 0.3, 0.2, 0.1])), BlochState(1.0, 0.3),
+            UnitaryOperator(u1), UnitaryOperator(u2), HermitianOperator(h_s),
+            states.hamiltonian_control(states.ControlHamiltonianParams(1.0, 0.5, 0.3)),
+        )
+        activation_report(s)
+        ratios = verifysuite._certificate_ratios(s)
+        assert len(ratios) == 1 and ratios[0] <= 1.0
 
     def test_post_switch_state_off_the_dense_oracle_fails_tilde_split(self, monkeypatch):
         assert verifysuite._check_tilde_split(np.random.default_rng(0))[0]
